@@ -5,7 +5,7 @@ level-by-level growth and endgame runs driven by the lattice, and a
 verification suite of enumeration identities and seeded Monte Carlo checks.
 """
 
-from .engines import determinant_exact, permanent_mod, permanent_naive, permanent_ryser
+from .engines import determinant_exact, permanent, permanent_mod, permanent_naive, permanent_ryser
 from .growth import ProcessConfig, ProcessTrace, StepType, is_successful, run_growth
 from .lattice import (
     HeavyFamily,
@@ -13,7 +13,6 @@ from .lattice import (
     ParentHistogram,
     SplitVerdict,
     build_lattice,
-    heavy_members,
     parent_histogram,
     split_events,
 )
@@ -49,9 +48,9 @@ __all__ = [
     "enumerate_all_sign_matrices",
     "extend_prefix",
     "from_text",
-    "heavy_members",
     "is_successful",
     "parent_histogram",
+    "permanent",
     "permanent_mod",
     "permanent_naive",
     "permanent_ryser",

@@ -34,8 +34,8 @@ from .checks import (
     suite_passed,
     summary_lines,
 )
-from .engines import determinant_exact, permanent_mod, permanent_naive, permanent_ryser
-from .growth import ProcessConfig, run_growth, trace_header, trace_level_dicts
+from .engines import determinant_exact, permanent, permanent_mod, permanent_naive, permanent_ryser
+from .growth import ProcessConfig, run_growth, write_trace_jsonl
 from .lattice import DEFAULT_MAX_N, build_lattice, dump_lattice_csv
 from .matrices import CapError, SignMatrix, from_text, sample_sign_matrix
 from .rng import RngStream
@@ -44,10 +44,29 @@ ENSEMBLE_MAX_N = 22
 
 
 def _thread_count() -> int:
+    """Worker processes from PERMLAB_THREADS, clamped to 1..os.cpu_count()."""
     try:
-        return max(1, int(os.environ.get("PERMLAB_THREADS", "1")))
+        requested = int(os.environ.get("PERMLAB_THREADS", "1"))
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
+
+
+def _map_trials(fn, payloads: list) -> list:
+    """fn applied to each payload, in payload order, on _thread_count() workers."""
+    threads = _thread_count()
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, payloads))
+    return [fn(p) for p in payloads]
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for sizes and trial counts: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _write_manifest(path: Path, subcommand: str, config: dict, seed: int | None,
@@ -81,22 +100,25 @@ def cmd_compute(args) -> int:
     elif args.engine == "ryser":
         per = permanent_ryser(matrix)
     else:
-        table = build_lattice(matrix, max_n=args.unsafe_max_n or DEFAULT_MAX_N)
-        per = table.top_value()
+        max_n = args.unsafe_max_n or DEFAULT_MAX_N
         if args.dump_lattice:
-            dump_lattice_csv(table, args.dump_lattice)
+            dump_lattice_csv(build_lattice(matrix, max_n=max_n), args.dump_lattice)
+        try:
+            per = permanent(matrix, max_n=max_n)
+        except CapError as exc:
+            raise CapError(f"{exc}; use --engine ryser, which keeps no table") from exc
     print(per)
     if args.det:
         print(determinant_exact(matrix))
     return 0
 
 
-def _growth_trial(payload: tuple) -> tuple[int, dict, list[dict], bool, dict]:
-    seed, trial, n, cfg, max_n = payload
-    stream = RngStream(seed, trial)
-    matrix = sample_sign_matrix(n, stream)
-    trace = run_growth(matrix, cfg, max_n=max_n)
-    header = trace_header(trace, seed=seed, stream=trial)
+def _growth_trial(payload: tuple) -> tuple[str, dict]:
+    """Run one trial, write its trace file; return the path and the summary row."""
+    seed, trial, n, cfg, max_n, out = payload
+    trace = run_growth(sample_sign_matrix(n, RngStream(seed, trial)), cfg, max_n=max_n)
+    path = out / f"trace_{trial:05d}.jsonl"
+    write_trace_jsonl(trace, path, seed=seed, stream=trial)
     final = trace.final
     summary = {
         "trial": trial,
@@ -105,7 +127,7 @@ def _growth_trial(payload: tuple) -> tuple[int, dict, list[dict], bool, dict]:
         "W_k1": final.potential,
         **{f"type_{t}": c for t, c in trace.step_type_counts().items()},
     }
-    return trial, header, trace_level_dicts(trace), trace.successful, summary
+    return str(path), summary
 
 
 def cmd_growth(args) -> int:
@@ -113,25 +135,10 @@ def cmd_growth(args) -> int:
     max_n = args.unsafe_max_n or DEFAULT_MAX_N
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payloads = [(args.seed, t, args.n, cfg, max_n) for t in range(args.trials)]
-    threads = _thread_count()
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_growth_trial, payloads))
-    else:
-        results = [_growth_trial(p) for p in payloads]
-    results.sort(key=lambda r: r[0])
-
-    summary_rows = []
-    trace_paths = []
-    for trial, header, levels, _ok, summary in results:
-        path = out / f"trace_{trial:05d}.jsonl"
-        with open(path, "w") as fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for row in levels:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-        trace_paths.append(str(path))
-        summary_rows.append(summary)
+    payloads = [(args.seed, t, args.n, cfg, max_n, out) for t in range(args.trials)]
+    results = _map_trials(_growth_trial, payloads)
+    trace_paths = [path for path, _ in results]
+    summary_rows = [row for _, row in results]
 
     summary_path = out / "summary.csv"
     fields = ["trial", "successful", "N_k1", "W_k1",
@@ -198,7 +205,7 @@ def cmd_verify(args) -> int:
 def _ensemble_trial(payload: tuple) -> tuple[int, int, str, str]:
     seed, n, trial, max_n = payload
     matrix = sample_sign_matrix(n, RngStream(seed, (n << 32) | trial))
-    per = build_lattice(matrix, max_n=max_n).top_value()
+    per = permanent(matrix, max_n=max_n)
     det = determinant_exact(matrix)
     per_log = "ZERO" if per == 0 else f"{math.log(abs(per)):.10g}"
     det_log = "ZERO" if det == 0 else f"{math.log(abs(det)):.10g}"
@@ -215,12 +222,7 @@ def cmd_ensemble(args) -> int:
                 " (raise with --unsafe-max-n at your own memory cost)"
             )
     payloads = [(args.seed, n, t, cap) for n in n_list for t in range(args.trials)]
-    threads = _thread_count()
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_ensemble_trial, payloads))
-    else:
-        rows = [_ensemble_trial(p) for p in payloads]
+    rows = _map_trials(_ensemble_trial, payloads)
     rows.sort(key=lambda r: (r[0], r[1]))
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
@@ -244,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, metavar="N", help="sample a random N x N matrix")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--engine", choices=["naive", "ryser", "lattice"], default="ryser")
+    p.add_argument("--engine", choices=["naive", "ryser", "lattice"], default="lattice")
     p.add_argument("--det", action="store_true", help="also print the determinant")
     p.add_argument("--mod", type=int, help="print the permanent residue mod M")
     p.add_argument("--dump-lattice", metavar="CSV", help="dump the minor lattice (engine=lattice, n <= 12)")
@@ -253,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("growth", help="growth-run ensemble with JSONL traces")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--eps-prime", type=float, default=None, dest="eps_prime")
@@ -266,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification checks")
     p.add_argument("--suite", default="all")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--n", type=_positive_int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["exact", "monte_carlo"], default="exact")
     p.add_argument("--m", type=int, default=2, help="vector length for littlewood_offord")
@@ -278,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", help="growth-rate dataset over several sizes")
     p.add_argument("--n-list", required=True, dest="n_list", help="comma-separated sizes")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--unsafe-max-n", type=int, default=None, dest="unsafe_max_n",

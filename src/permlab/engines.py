@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .lattice import DEFAULT_MAX_N, build_lattice
 from .matrices import CapError, SignMatrix
 
 NAIVE_MAX_N = 10  # n! enumeration
@@ -135,11 +136,12 @@ def ryser_batch(mats: np.ndarray) -> np.ndarray:
 
 
 def permanent_mod(m: SignMatrix, modulus: int) -> int:
-    """Permanent residue in [0, modulus), computed without big integers.
+    """Permanent residue in [0, modulus).
 
-    Same inclusion-exclusion sum as permanent_ryser with every product
-    reduced mod `modulus`.  Small n uses a vectorized subset-sum table; the
-    Gray-code scan covers the rest of the n <= 30 range.
+    Within the int64 bound (n <= 20, modulus < 2**31) a vectorized
+    subset-sum table reduces every product mod `modulus`.  Outside it the
+    exact permanent_ryser value is reduced, which keeps every residue
+    independent of the minor lattice.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
@@ -152,34 +154,17 @@ def permanent_mod(m: SignMatrix, modulus: int) -> int:
         # Residues are in [0, modulus); 2**n of them stay below 2**63 here.
         total = int(np.where(sign > 0, prods, (-prods) % modulus).sum(dtype=np.int64))
         return total % modulus
-    return _permanent_mod_gray(m, modulus)
+    return permanent_ryser(m) % modulus
 
 
-def _permanent_mod_gray(m: SignMatrix, modulus: int) -> int:
-    n = m.n
-    cols = [[int(m.entries[r, j]) for r in range(n)] for j in range(n)]
-    partial = [0] * n
-    gray = 0
-    size = 0
-    total = 0
-    for step in range(1, 1 << n):
-        j = (step & -step).bit_length() - 1
-        bit = 1 << j
-        gray ^= bit
-        col = cols[j]
-        if gray & bit:
-            size += 1
-            for r in range(n):
-                partial[r] += col[r]
-        else:
-            size -= 1
-            for r in range(n):
-                partial[r] -= col[r]
-        prod = 1
-        for r in range(n):
-            prod = (prod * partial[r]) % modulus
-        total = (total + prod if ((n - size) & 1) == 0 else total - prod) % modulus
-    return total % modulus
+def permanent(m: SignMatrix, max_n: int = DEFAULT_MAX_N) -> int:
+    """Exact permanent of the full matrix: the top value of its minor lattice.
+
+    The one entry point for callers that need the permanent itself; the
+    other engines serve as test oracles, batches and residues.  Capped at
+    n <= max_n by the lattice's 2**n table.
+    """
+    return build_lattice(m, max_n=max_n).top_value()
 
 
 def determinant_exact(m: SignMatrix) -> int:

@@ -55,7 +55,6 @@ class ProcessConfig:
     n <= 22 (the asymptotic formulas collapse to 0 there).
     """
 
-    eps0: float = 0.5
     eps: float = 0.25
     eps_prime: Optional[float] = None
     c: Optional[float] = None
@@ -69,8 +68,6 @@ class ProcessConfig:
     def __post_init__(self) -> None:
         if not 0 < self.eps < 1:
             raise ValueError(f"eps must be in (0, 1), got {self.eps}")
-        if not 0 < self.eps0 < 1:
-            raise ValueError(f"eps0 must be in (0, 1), got {self.eps0}")
         if self.eps_prime is not None:
             if not 0 < self.eps_prime:
                 raise ValueError("eps_prime must be positive")
@@ -108,7 +105,6 @@ class ProcessConfig:
 
     def describe(self, n: int) -> dict:
         return {
-            "eps0": self.eps0,
             "eps": self.eps,
             "eps_prime": self.eff_eps_prime(),
             "c": self.eff_c(),

@@ -158,11 +158,6 @@ class HeavyFamily:
         return len(self.members)
 
 
-def heavy_members(table: MinorTable, k: int, threshold) -> HeavyFamily:
-    """All size-k sets with |value| >= threshold."""
-    return HeavyFamily(k=k, threshold=threshold, members=table.heavy_masks(k, threshold))
-
-
 @dataclass(frozen=True)
 class ParentHistogram:
     """counts[l] = number of size-(k+1) sets with exactly l parents in a family.

@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from .endgame import PreconditionError, find_disjoint_heavy_family, propagate_down, run_endgame_path
+from .engines import permanent
 from .growth import ProcessConfig, run_growth
-from .lattice import build_lattice
 from .matrices import sample_sign_matrix
 from .rng import RngStream
 
@@ -38,7 +38,7 @@ def pilot_growth_rate(n: int = 16, trials: int = 500) -> dict:
     zeros = 0
     for t in range(trials):
         m = sample_sign_matrix(n, rng.substream(n, t))
-        per = build_lattice(m).top_value()
+        per = permanent(m)
         if per == 0:
             zeros += 1
         else:

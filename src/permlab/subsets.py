@@ -54,13 +54,9 @@ def subsets_of_size(n: int, k: int) -> Iterator[int]:
         m = ripple | (((m ^ ripple) >> 2) // low)
 
 
-def popcount_array(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks.astype(np.uint64)).astype(np.uint8)
-
-
 @lru_cache(maxsize=4)
 def masks_by_level(n: int) -> tuple[np.ndarray, ...]:
     """Masks over n bits grouped by popcount; each array ascending. Cached per n."""
     all_masks = np.arange(1 << n, dtype=np.int64)
-    popc = popcount_array(all_masks)
+    popc = np.bitwise_count(all_masks)
     return tuple(all_masks[popc == k] for k in range(n + 1))

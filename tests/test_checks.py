@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -18,6 +19,7 @@ from permlab.checks import (
 )
 from permlab.growth import ProcessConfig
 from permlab.matrices import CapError, all_ones
+from permlab.pilots import run_all_pilots
 from permlab.rng import RngStream
 
 from oracles import brute_max_interval_count, brute_signed_sums
@@ -74,6 +76,13 @@ def test_alon_31_exceeds_engine_cap():
     # beyond the modular engine's documented cap
     with pytest.raises(CapError):
         check_alon(31, trials=1, rng=RngStream(0))
+
+
+@pytest.mark.slow
+def test_pilot_bands_reproduce_committed_file():
+    # the frozen bands are the byte-exact output of `python -m permlab.pilots`
+    committed = resources.files("permlab").joinpath("data/pilot_bands.json").read_text()
+    assert json.dumps(run_all_pilots(), indent=2, sort_keys=True) + "\n" == committed
 
 
 def test_many_children_all_ones_instance():

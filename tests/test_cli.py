@@ -1,11 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from permlab.cli import _thread_count
 from permlab.matrices import all_ones, to_text
 
 CLI = [sys.executable, "-m", "permlab.cli"]
@@ -46,6 +48,33 @@ def test_compute_cap_is_clean_error(ones3):
     res = run_cli("compute", "--random", "12", "--engine", "naive")
     assert res.returncode == 2
     assert "capped" in res.stderr
+
+
+def test_compute_default_engine_cap_is_clean_error():
+    # the default lattice engine refuses n=23 before allocating its table
+    res = run_cli("compute", "--random", "23")
+    assert res.returncode == 2
+    assert "capped" in res.stderr and "--engine ryser" in res.stderr
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["growth", "--n", "8", "--trials", "0", "--out", "{tmp}/g"], "--trials"),
+    (["verify", "--suite", "alon", "--n", "3", "--trials", "0"], "--trials"),
+    (["verify", "--suite", "second_moment", "--n", "0"], "--n"),
+    (["ensemble", "--n-list", "8", "--trials", "0", "--out", "{tmp}/e.csv"], "--trials"),
+], ids=["growth-trials", "verify-trials", "verify-n", "ensemble-trials"])
+def test_counts_below_one_rejected(tmp_path, args, flag):
+    res = run_cli(*(a.format(tmp=tmp_path) for a in args))
+    assert res.returncode == 2
+    assert f"argument {flag}: must be at least 1" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_thread_count_clamped_to_cpus(monkeypatch):
+    monkeypatch.setenv("PERMLAB_THREADS", "100000")
+    assert _thread_count() == (os.cpu_count() or 1)
+    monkeypatch.setenv("PERMLAB_THREADS", "0")
+    assert _thread_count() == 1
 
 
 def test_compute_lattice_dump(tmp_path, ones3):
@@ -183,9 +212,15 @@ def test_growth_success_fraction_matches_pilot_fixture(tmp_path):
     assert successes == fixture["success_count"]
 
 
-def test_parallel_matches_serial(tmp_path):
-    import os
+def test_growth_trace_matches_golden_fixture(tmp_path):
+    res = run_cli("growth", "--n", "16", "--trials", "1", "--seed", "0", "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    golden = Path(__file__).parent / "data" / "golden_trace_n16_seed0.jsonl"
+    got = (tmp_path / "trace_00000.jsonl").read_text().splitlines()
+    assert got == golden.read_text().splitlines()
 
+
+def test_parallel_matches_serial(tmp_path):
     out1 = tmp_path / "serial"
     out2 = tmp_path / "par"
     res = run_cli("growth", "--n", "10", "--trials", "4", "--seed", "3", "--out", str(out1))

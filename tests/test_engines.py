@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from permlab.engines import (
     determinant_exact,
+    permanent,
     permanent_mod,
     permanent_naive,
     permanent_ryser,
     ryser_batch,
-    _permanent_mod_gray,
 )
 from permlab.matrices import (
     CapError,
@@ -21,10 +21,11 @@ from permlab.matrices import (
     matrix_from_counter,
     sample_sign_matrix,
 )
-from permlab.lattice import build_lattice
 from permlab.rng import RngStream
 
 from oracles import brute_determinant, brute_permanent
+
+EXACT_ENGINES = (permanent_naive, permanent_ryser, permanent)
 
 
 def test_hand_values():
@@ -43,18 +44,16 @@ def test_all_512_engines_agree():
     for m in enumerate_all_sign_matrices(3):
         e = [[int(v) for v in row] for row in m.entries]
         expected = brute_permanent(e)
-        assert permanent_naive(m) == expected
-        assert permanent_ryser(m) == expected
-        assert build_lattice(m).top_value() == expected
+        for engine in EXACT_ENGINES:
+            assert engine(m) == expected, engine.__name__
 
 
 @pytest.mark.parametrize("n", range(4, 11))
 def test_engines_agree_random(n):
     for t in range(5):
         m = sample_sign_matrix(n, RngStream(20, n * 100 + t))
-        naive = permanent_naive(m)
-        assert permanent_ryser(m) == naive
-        assert build_lattice(m).top_value() == naive
+        values = {engine.__name__: engine(m) for engine in EXACT_ENGINES}
+        assert len(set(values.values())) == 1, values
 
 
 def test_ryser_batch_matches_scalar():
@@ -91,7 +90,12 @@ def test_permanent_mod_matches_exact():
         exact = permanent_ryser(m)
         for modulus in (2, 4, 7, 8, 97):
             assert permanent_mod(m, modulus) == exact % modulus
-            assert _permanent_mod_gray(m, modulus) == exact % modulus
+    # a modulus of 2**31 or more takes the exact-value fallback
+    modulus = 2**61 - 1
+    for n in (3, 6, 8):
+        m = sample_sign_matrix(n, RngStream(22, 100 + n))
+        e = [[int(v) for v in row] for row in m.entries]
+        assert permanent_mod(m, modulus) == brute_permanent(e) % modulus
 
 
 def test_permanent_mod_validates():

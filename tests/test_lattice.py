@@ -13,7 +13,6 @@ from permlab.lattice import (
     SplitVerdict,
     build_lattice,
     dump_lattice_csv,
-    heavy_members,
     parent_histogram,
     split_cut,
     split_events,
@@ -90,16 +89,15 @@ def test_lattice_matches_brute_minors():
             assert t.value(mask) == brute_minor_permanent(m, bits_of(mask))
 
 
-def test_heavy_members_and_monotonicity():
+def test_heavy_masks_and_monotonicity():
     m = sample_sign_matrix(6, RngStream(33))
     t = build_lattice(m)
     # every singleton has |value| = 1
-    fam = heavy_members(t, 1, 1)
-    assert fam.size == 6
+    assert len(t.heavy_masks(1, 1)) == 6
     # lam = 0 catches everything
-    assert heavy_members(t, 3, 0).size == math.comb(6, 3)
+    assert len(t.heavy_masks(3, 0)) == math.comb(6, 3)
     # lam > n! catches nothing
-    assert heavy_members(t, 6, math.factorial(6) + 1).size == 0
+    assert len(t.heavy_masks(6, math.factorial(6) + 1)) == 0
     # monotone in the threshold
     for k in range(1, 7):
         prev = None
@@ -125,7 +123,7 @@ def test_heavy_count_matches_members():
 def test_parent_histogram_complete_family():
     n = 6
     t = build_lattice(all_ones(n))
-    fam = heavy_members(t, 1, 1)  # all singletons
+    fam = HeavyFamily(1, 1, t.heavy_masks(1, 1))  # all singletons
     hist = parent_histogram(t, fam)
     # every 2-set has exactly 2 parents
     assert hist.counts[2] == math.comb(n, 2)
@@ -145,7 +143,7 @@ def test_parent_histogram_single_member():
 def test_parent_histogram_against_brute():
     m = sample_sign_matrix(6, RngStream(35, 4))
     t = build_lattice(m)
-    fam = heavy_members(t, 3, 2)
+    fam = HeavyFamily(3, 2, t.heavy_masks(3, 2))
     hist = parent_histogram(t, fam)
     counts = brute_parent_counts([int(x) for x in fam.members], 6)
     for l in range(1, 7):
@@ -180,7 +178,7 @@ def test_split_dichotomy_always_decides():
         m = sample_sign_matrix(12, RngStream(36, t))
         table = build_lattice(m, 6)
         k = 4
-        fam = heavy_members(table, k, 1)
+        fam = HeavyFamily(k, 1, table.heavy_masks(k, 1))
         if fam.size == 0:
             continue
         hist = parent_histogram(table, fam)
