@@ -21,7 +21,6 @@ from .matrices import (
     RowPrefix,
     SignMatrix,
     enumerate_all_sign_matrices,
-    extend_prefix,
     from_text,
     sample_row,
     sample_sign_matrix,
@@ -46,7 +45,6 @@ __all__ = [
     "build_lattice",
     "determinant_exact",
     "enumerate_all_sign_matrices",
-    "extend_prefix",
     "from_text",
     "is_successful",
     "parent_histogram",

@@ -69,6 +69,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    """argparse type for radii: a real number >= 0."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
+def _size_list(text: str) -> list[int]:
+    """argparse type for --n-list: a non-empty comma-separated list of sizes >= 1."""
+    tokens = [tok for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise argparse.ArgumentTypeError(f"needs at least one size, got {text!r}")
+    try:
+        return [_positive_int(tok) for tok in tokens]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers >= 1, got {text!r}") from None
+
+
 def _write_manifest(path: Path, subcommand: str, config: dict, seed: int | None,
                     outputs: list[str]) -> None:
     manifest = {
@@ -213,7 +233,7 @@ def _ensemble_trial(payload: tuple) -> tuple[int, int, str, str]:
 
 
 def cmd_ensemble(args) -> int:
-    n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
+    n_list = args.n_list
     cap = args.unsafe_max_n or ENSEMBLE_MAX_N
     for n in n_list:
         if n > cap:
@@ -273,13 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["exact", "monte_carlo"], default="exact")
     p.add_argument("--m", type=int, default=2, help="vector length for littlewood_offord")
-    p.add_argument("--x", type=float, default=1.0, help="tail radius multiplier")
+    p.add_argument("--x", type=_nonnegative_float, default=1.0, help="tail radius multiplier")
     p.add_argument("--i-size", type=int, default=6, dest="i_size")
     p.add_argument("--out", default=None, help="JSON-lines report file")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ensemble", help="growth-rate dataset over several sizes")
-    p.add_argument("--n-list", required=True, dest="n_list", help="comma-separated sizes")
+    p.add_argument("--n-list", type=_size_list, required=True, dest="n_list",
+                   help="comma-separated sizes")
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="CSV output path")
@@ -293,10 +314,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # CapError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,7 @@
 """Endgame runs: carry heaviness from a mid-size minor to the full matrix.
 
-Three stages, each exposing rows one at a time against the growing lattice:
+Each stage builds the minor table of a row prefix of a matrix and extends
+it one exposed row of that matrix at a time:
 
 - a path run extends one heavy column set level by level, preferring
   columns outside a protected block so the final set covers everything
@@ -21,9 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .growth import ProcessConfig
-from .lattice import DEFAULT_MAX_N, MinorTable, build_lattice, threshold_int
-from .matrices import RowPrefix, SignMatrix, extend_prefix, sample_row
-from .rng import RngStream, as_generator
+from .lattice import MinorTable, build_lattice, threshold_int
+from .matrices import RowPrefix, SignMatrix
 from .subsets import bits_of, full_mask, popcount
 
 
@@ -31,49 +31,11 @@ class PreconditionError(ValueError):
     """A documented run precondition does not hold for the given inputs."""
 
 
-RowSource = SignMatrix | RngStream | np.random.Generator
-
-
-class ExposedLattice:
-    """A row prefix plus its minor table, extended one exposed row at a time.
-
-    Rows come either from a fixed matrix (deterministic runs) or from a
-    random stream.
-    """
-
-    def __init__(self, prefix: RowPrefix, source: RowSource, max_n: int = DEFAULT_MAX_N):
-        self.prefix = prefix
-        self.table = build_lattice(prefix, max_n=max_n)
-        if isinstance(source, SignMatrix):
-            if source.n != prefix.n or not np.array_equal(source.entries[: prefix.k], prefix.rows):
-                raise ValueError("matrix row source disagrees with the prefix rows")
-            self._matrix: Optional[SignMatrix] = source
-            self._gen = None
-        else:
-            self._matrix = None
-            self._gen = as_generator(source)
-
-    @property
-    def n(self) -> int:
-        return self.prefix.n
-
-    @property
-    def k(self) -> int:
-        return self.prefix.k
-
-    def expose_next(self) -> np.ndarray:
-        if self.k >= self.n:
-            raise ValueError("no next row: all rows exposed")
-        if self._matrix is not None:
-            row = self._matrix.row(self.k)
-        else:
-            row = sample_row(self.n, self._gen)
-        self.prefix = extend_prefix(self.prefix, row)
-        self.table.add_level(row)
-        return row
-
-    def is_heavy(self, mask: int, threshold) -> bool:
-        return abs(self.table.value(mask)) >= threshold_int(threshold)
+def _table(prefix: RowPrefix, source: SignMatrix) -> MinorTable:
+    """Minor table of the prefix; the stage exposes later rows of source."""
+    if source.n != prefix.n or not np.array_equal(source.entries[: prefix.k], prefix.rows):
+        raise ValueError("matrix row source disagrees with the prefix rows")
+    return build_lattice(prefix)
 
 
 @dataclass(frozen=True)
@@ -112,29 +74,65 @@ def _validate_block(n: int, k: int, protected: int, depth: int) -> None:
         )
 
 
-def _choose_extension(exposed: ExposedLattice, current: int, protected: int,
+def _choose_extension(table: MinorTable, current: int, protected: int,
                       tint: int) -> tuple[int, str]:
     """Smallest eligible column, preferring heavy outside, then heavy in the
     block, then any column at all (ties broken by index for determinism)."""
-    n = exposed.n
+    n = table.n
     outside = full_mask(n) & ~(protected | current)
     for i in bits_of(outside):
-        if abs(exposed.table.value(current | (1 << i))) >= tint:
+        if abs(table.value(current | (1 << i))) >= tint:
             return i, "outside"
     for i in bits_of(protected & ~current):
-        if abs(exposed.table.value(current | (1 << i))) >= tint:
+        if abs(table.value(current | (1 << i))) >= tint:
             return i, "protected"
     return bits_of(full_mask(n) & ~current)[0], "fallback"
 
 
+def _grow_sets(prefix: RowPrefix, blocks: list[int], depth: int, tint: int,
+               source: SignMatrix, steps: Optional[list[PathStep]] = None,
+               ) -> tuple[MinorTable, list[int]]:
+    """Grow the leading k-column set once per block, one column per exposed row.
+
+    Rows k..n-depth-1 of source are exposed in turn; after each, every
+    block's set gains the column `_choose_extension` picks.  With `steps`
+    (single-block runs) each extension is recorded.  Returns the table and
+    the final sets.
+    """
+    n, k = prefix.n, prefix.k
+    table = _table(prefix, source)
+    start = (1 << k) - 1
+    if abs(table.value(start)) < tint:
+        raise PreconditionError("the leading k-column set is not heavy at the threshold")
+    current = [start] * len(blocks)
+    for j in range(k, n - depth):
+        table.add_level(source.row(j))
+        for b, block in enumerate(blocks):
+            i, rule = _choose_extension(table, current[b], block, tint)
+            current[b] |= 1 << i
+            if steps is not None:
+                heavy = abs(table.value(current[b])) >= tint
+                steps.append(PathStep(j=j, chosen=i, rule=rule, heavy=heavy,
+                                      remaining=n - popcount(block | current[b])))
+    return table, current
+
+
+def _heavy_cover(table: MinorTable, current: int, block: int, tint: int) -> Optional[int]:
+    """The set if it contains every column outside the block and is heavy, else None."""
+    covers = (full_mask(table.n) & ~block) & ~current == 0
+    return current if covers and abs(table.value(current)) >= tint else None
+
+
 def run_endgame_path(prefix: RowPrefix, protected: int, threshold, cfg: ProcessConfig,
-                     source: RowSource) -> PathResult:
+                     source: SignMatrix) -> PathResult:
     """Grow the leading k-column set to size n-L, avoiding the protected block.
 
     Requires the set of the first k columns to be heavy at the threshold
     (callers relabel columns to arrange this) and a block of 2L columns
-    drawn from outside the first k.  Returns the final set; heavy_set is
-    set only when it is verified heavy and contains every non-block column.
+    drawn from outside the first k.  Further rows come from the matrix
+    `source`, whose first k rows must be the prefix.  Returns the final
+    set; heavy_set is set only when it is verified heavy and contains every
+    non-block column.
     """
     n = prefix.n
     k = prefix.k
@@ -142,29 +140,13 @@ def run_endgame_path(prefix: RowPrefix, protected: int, threshold, cfg: ProcessC
     if k > n - depth:
         raise PreconditionError(f"start level {k} is above the target level {n - depth}")
     _validate_block(n, k, protected, depth)
-    exposed = ExposedLattice(prefix, source)
     tint = threshold_int(threshold)
-    start = (1 << k) - 1
-    if abs(exposed.table.value(start)) < tint:
-        raise PreconditionError("the leading k-column set is not heavy at the threshold")
-
-    current = start
-    result = PathResult(
+    steps: list[PathStep] = []
+    table, (final,) = _grow_sets(prefix, [protected], depth, tint, source, steps)
+    return PathResult(
         n=n, start_k=k, depth=depth, protected=protected, threshold=float(threshold),
-        final_set=start, heavy_set=None,
+        final_set=final, heavy_set=_heavy_cover(table, final, protected, tint), steps=steps,
     )
-    for j in range(k, n - depth):
-        exposed.expose_next()
-        i, rule = _choose_extension(exposed, current, protected, tint)
-        current |= 1 << i
-        heavy = abs(exposed.table.value(current)) >= tint
-        remaining = n - popcount(protected | current)
-        result.steps.append(PathStep(j=j, chosen=i, rule=rule, heavy=heavy, remaining=remaining))
-    result.final_set = current
-    covers = (full_mask(n) & ~protected) & ~current == 0
-    if covers and abs(exposed.table.value(current)) >= tint:
-        result.heavy_set = current
-    return result
 
 
 @dataclass
@@ -183,7 +165,7 @@ class FamilyResult:
 
 
 def find_disjoint_heavy_family(prefix: RowPrefix, threshold, count: int, L: int,
-                               cfg: ProcessConfig, source: RowSource) -> FamilyResult:
+                               cfg: ProcessConfig, source: SignMatrix) -> FamilyResult:
     """Run `count` path constructions over disjoint blocks, sharing rows.
 
     Blocks are consecutive 2L-column slices of the non-leading columns.  All
@@ -198,48 +180,24 @@ def find_disjoint_heavy_family(prefix: RowPrefix, threshold, count: int, L: int,
         raise PreconditionError(
             f"need {count * 2 * L} block columns but only {n - k} lie outside the first {k}"
         )
-    blocks = []
     cols = list(range(k, n))
-    for b in range(count):
-        blocks.append(sum(1 << c for c in cols[2 * L * b : 2 * L * (b + 1)]))
-
-    exposed = ExposedLattice(prefix, source)
+    blocks = [sum(1 << c for c in cols[2 * L * b : 2 * L * (b + 1)]) for b in range(count)]
     tint = threshold_int(threshold)
-    start = (1 << k) - 1
-    if abs(exposed.table.value(start)) < tint:
-        raise PreconditionError("the leading k-column set is not heavy at the threshold")
-
-    current = [start] * count
-    for j in range(k, n - L):
-        exposed.expose_next()
-        for b in range(count):
-            i, _ = _choose_extension(exposed, current[b], blocks[b], tint)
-            current[b] |= 1 << i
-
-    result = FamilyResult(
-        n=n, start_k=k, depth=L, threshold=float(threshold), blocks=blocks, members=[],
-        per_block=[None] * count,
+    table, current = _grow_sets(prefix, blocks, L, tint, source)
+    per_block = [_heavy_cover(table, cur, block, tint) for cur, block in zip(current, blocks)]
+    members = [m for m in per_block if m is not None]
+    _verify_family(table, members, tint, n)
+    return FamilyResult(
+        n=n, start_k=k, depth=L, threshold=float(threshold), blocks=blocks, members=members,
+        per_block=per_block,
     )
-    for b in range(count):
-        covers = (full_mask(n) & ~blocks[b]) & ~current[b] == 0
-        if covers and abs(exposed.table.value(current[b])) >= tint:
-            result.per_block[b] = current[b]
-            result.members.append(current[b])
-    _verify_family(exposed.table, result.members, tint, n)
-    return result
 
 
 def _verify_family(table: MinorTable, members: list[int], tint: int, n: int) -> None:
     """Exact postcondition check: heavy members, pairwise-disjoint complements."""
-    union = 0
-    total = 0
-    for m in members:
-        comp = full_mask(n) & ~m
-        union |= comp
-        total += popcount(comp)
-        if abs(table.value(m)) < tint:
-            raise AssertionError("family member failed the heaviness recheck")
-    if popcount(union) != total:
+    if any(abs(table.value(m)) < tint for m in members):
+        raise AssertionError("family member failed the heaviness recheck")
+    if not complements_disjoint(members, n):
         raise AssertionError("family complements are not pairwise disjoint")
 
 
@@ -255,7 +213,6 @@ def complements_disjoint(members, n: int) -> bool:
 
 @dataclass
 class PropagateResult:
-    prefix: RowPrefix  # with the newly exposed row
     children: list[int]  # one chosen child per input member
     kept: list[int]  # children heavy at the reduced threshold
     new_threshold: Fraction
@@ -267,7 +224,7 @@ class PropagateResult:
 
 
 def propagate_down(prefix: RowPrefix, members, threshold, cfg: ProcessConfig,
-                   source: RowSource) -> PropagateResult:
+                   source: SignMatrix) -> PropagateResult:
     """Expose one row and push a complement-disjoint family up one level.
 
     Each member gets one child (smallest absent column); the new threshold
@@ -285,8 +242,8 @@ def propagate_down(prefix: RowPrefix, members, threshold, cfg: ProcessConfig,
     if not complements_disjoint(members, n):
         raise PreconditionError("family complements must be pairwise disjoint")
 
-    exposed = ExposedLattice(prefix, source)
-    exposed.expose_next()
+    table = _table(prefix, source)
+    table.add_level(source.row(prefix.k))
     new_threshold = Fraction(threshold) / n
     tint = threshold_int(new_threshold)
 
@@ -294,7 +251,7 @@ def propagate_down(prefix: RowPrefix, members, threshold, cfg: ProcessConfig,
     for m in members:
         missing = bits_of(full_mask(n) & ~m)[0]
         children.append(m | (1 << missing))
-    kept = [ch for ch in children if abs(exposed.table.value(ch)) >= tint]
+    kept = [ch for ch in children if abs(table.value(ch)) >= tint]
     if not complements_disjoint(kept, n):
         raise AssertionError("kept children lost complement disjointness")
 
@@ -302,12 +259,11 @@ def propagate_down(prefix: RowPrefix, members, threshold, cfg: ProcessConfig,
     good = 0
     for ch in children:
         heavy_parents = sum(
-            1 for i in bits_of(ch) if abs(exposed.table.value(ch ^ (1 << i))) >= tint
+            1 for i in bits_of(ch) if abs(table.value(ch ^ (1 << i))) >= tint
         )
         if heavy_parents >= t_good:
             good += 1
     return PropagateResult(
-        prefix=exposed.prefix,
         children=children,
         kept=kept,
         new_threshold=new_threshold,
@@ -322,13 +278,13 @@ class FinalRowResult:
     threshold: float
 
 
-def final_row_heaviness(prefix: RowPrefix, threshold_final, source: RowSource) -> FinalRowResult:
+def final_row_heaviness(prefix: RowPrefix, threshold_final, source: SignMatrix) -> FinalRowResult:
     """Expose the last row and close the full permanent via the cofactor step."""
     n = prefix.n
     if prefix.k != n - 1:
         raise ValueError(f"final-row step needs exactly n-1 = {n - 1} rows, got {prefix.k}")
-    exposed = ExposedLattice(prefix, source)
-    exposed.expose_next()
-    per = exposed.table.top_value()
+    table = _table(prefix, source)
+    table.add_level(source.row(n - 1))
+    per = table.top_value()
     heavy = abs(per) >= threshold_int(threshold_final)
     return FinalRowResult(permanent=per, heavy=heavy, threshold=float(threshold_final))

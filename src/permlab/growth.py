@@ -50,9 +50,10 @@ def count_threshold(x: float) -> int:
 class ProcessConfig:
     """Knobs for growth and endgame runs.
 
-    eps_prime and c default to eps/6 and eps; k0, k1, L and t_good default to
-    the bench-scale formulas below, which keep every branch reachable at
-    n <= 22 (the asymptotic formulas collapse to 0 there).
+    eps_prime and c default to eps/6 and eps; k0, k1 and L default to the
+    bench-scale formulas below, which keep every branch reachable at n <= 22
+    (the asymptotic formulas collapse to 0 there).  The good-child
+    threshold, grow factor and keep fraction are fixed formulas.
     """
 
     eps: float = 0.25
@@ -61,9 +62,6 @@ class ProcessConfig:
     k0: Optional[int] = None
     k1: Optional[int] = None
     L: Optional[int] = None
-    t_good: Optional[int] = None
-    grow_factor: Optional[float] = None  # threshold multiplier; default n**(1/2 - eps)
-    keep_fraction: Optional[float] = None  # child-count fraction for keep steps; default eps/6
 
     def __post_init__(self) -> None:
         if not 0 < self.eps < 1:
@@ -95,13 +93,13 @@ class ProcessConfig:
         return self.L if self.L is not None else max(1, math.floor(math.log(n)) - 1)
 
     def good_child_threshold(self, n: int) -> int:
-        return self.t_good if self.t_good is not None else max(2, math.floor(n**0.1))
+        return max(2, math.floor(n**0.1))
 
     def lam_grow_factor(self, n: int) -> float:
-        return self.grow_factor if self.grow_factor is not None else float(n) ** (0.5 - self.eps)
+        return float(n) ** (0.5 - self.eps)
 
     def keep_frac(self) -> float:
-        return self.keep_fraction if self.keep_fraction is not None else self.eps / 6
+        return self.eps / 6
 
     def describe(self, n: int) -> dict:
         return {

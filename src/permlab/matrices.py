@@ -113,22 +113,6 @@ class RowPrefix:
         return f"RowPrefix(n={self.n}, k={self.k})"
 
 
-def empty_prefix(n: int) -> RowPrefix:
-    return RowPrefix(n, np.zeros((0, n), np.int8))
-
-
-def extend_prefix(p: RowPrefix, row) -> RowPrefix:
-    """Append one exposed row; earlier rows are unchanged."""
-    if p.k >= p.n:
-        raise ValueError(f"prefix already holds all {p.n} rows")
-    r = np.asarray(row, dtype=np.int8).reshape(-1)
-    if r.shape[0] != p.n:
-        raise ValueError(f"row has length {r.shape[0]}, expected {p.n}")
-    if not np.isin(r, (-1, 1)).all():
-        raise ValueError("row entries must be -1 or +1")
-    return RowPrefix(p.n, np.vstack([p.rows, r[None, :]]))
-
-
 def sample_row(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
     """One row of n iid uniform signs."""
     _check_dimension(n)

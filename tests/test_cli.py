@@ -62,12 +62,37 @@ def test_compute_default_engine_cap_is_clean_error():
     (["verify", "--suite", "alon", "--n", "3", "--trials", "0"], "--trials"),
     (["verify", "--suite", "second_moment", "--n", "0"], "--n"),
     (["ensemble", "--n-list", "8", "--trials", "0", "--out", "{tmp}/e.csv"], "--trials"),
-], ids=["growth-trials", "verify-trials", "verify-n", "ensemble-trials"])
+    (["ensemble", "--n-list", "0", "--out", "{tmp}/e.csv"], "--n-list"),
+], ids=["growth-trials", "verify-trials", "verify-n", "ensemble-trials", "ensemble-n-list"])
 def test_counts_below_one_rejected(tmp_path, args, flag):
     res = run_cli(*(a.format(tmp=tmp_path) for a in args))
     assert res.returncode == 2
     assert f"argument {flag}: must be at least 1" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args, flag, message", [
+    (["verify", "--suite", "littlewood_offord", "--x", "-1"], "--x", "must be at least 0"),
+    (["ensemble", "--n-list", "8,x", "--out", "{tmp}/e.csv"], "--n-list", "must be comma-separated"),
+    (["ensemble", "--n-list", ",", "--out", "{tmp}/e.csv"], "--n-list", "needs at least one size"),
+], ids=["verify-x-negative", "n-list-not-int", "n-list-empty"])
+def test_bad_values_rejected(tmp_path, args, flag, message):
+    res = run_cli(*(a.format(tmp=tmp_path) for a in args))
+    assert res.returncode == 2
+    assert f"argument {flag}: {message}" in res.stderr
+    assert not (tmp_path / "e.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["compute", "--random", "12", "--dump-lattice", "{tmp}/missing/x.csv"],
+    ["compute", "{tmp}/missing.txt"],
+    ["verify", "--suite", "alon", "--n", "3", "--trials", "5", "--out", "{tmp}/missing/r.jsonl"],
+    ["ensemble", "--n-list", "3", "--trials", "2", "--out", "{tmp}/missing/e.csv"],
+], ids=["dump-lattice", "matrix-file", "verify-out", "ensemble-out"])
+def test_missing_paths_are_clean_errors(tmp_path, args):
+    res = run_cli(*(a.format(tmp=tmp_path) for a in args))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "missing" in res.stderr
 
 
 def test_thread_count_clamped_to_cpus(monkeypatch):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from permlab.endgame import (
-    ExposedLattice,
     PreconditionError,
     complements_disjoint,
     final_row_heaviness,
@@ -24,23 +23,21 @@ def block_after(k, L):
     return mask_of(range(k, k + 2 * L))
 
 
-def test_exposed_lattice_consistency():
-    m = sample_sign_matrix(6, RngStream(50))
-    exp = ExposedLattice(m.prefix(2), m)
-    assert exp.k == 2
-    for _ in range(4):
-        exp.expose_next()
-    assert exp.k == 6
-    assert exp.table.top_value() == permanent_ryser(m)
-    with pytest.raises(ValueError):
-        exp.expose_next()
-
-
 def test_exposed_lattice_rejects_mismatched_matrix():
+    # every stage refuses a row source whose leading rows are not the prefix
     m = sample_sign_matrix(6, RngStream(50))
     other = sample_sign_matrix(6, RngStream(50, 9))
-    with pytest.raises(ValueError):
-        ExposedLattice(m.prefix(3), other)
+    cfg = ProcessConfig(L=1)
+    with pytest.raises(ValueError, match="disagrees with the prefix rows"):
+        final_row_heaviness(m.prefix(5), 1, other)
+    with pytest.raises(ValueError, match="disagrees with the prefix rows"):
+        propagate_down(m.prefix(4), [], 1, cfg, other)
+    with pytest.raises(ValueError, match="disagrees with the prefix rows"):
+        run_endgame_path(m.prefix(3), block_after(3, 1), 1, cfg, other)
+    with pytest.raises(ValueError, match="disagrees with the prefix rows"):
+        find_disjoint_heavy_family(m.prefix(3), 1, 1, 1, cfg, other)
+    with pytest.raises(ValueError, match="disagrees with the prefix rows"):
+        final_row_heaviness(m.prefix(5), 1, all_ones(7))  # wrong size
 
 
 def test_all_ones_path_succeeds():
@@ -114,6 +111,13 @@ def test_path_heavy_set_verified_against_ryser():
     assert hits > 0
 
 
+def outcome(stage, *args):
+    try:
+        return stage(*args)
+    except PreconditionError:
+        return None
+
+
 def test_disjoint_family_single_block_reduces_to_path():
     n, L, k = 10, 2, 4
     m = all_ones(n)
@@ -121,6 +125,19 @@ def test_disjoint_family_single_block_reduces_to_path():
     fam = find_disjoint_heavy_family(m.prefix(k), 1, 1, L, cfg, m)
     path = run_endgame_path(m.prefix(k), block_after(k, L), 1, cfg, m)
     assert fam.members == [path.heavy_set]
+    # the same on random matrices, including the precondition outcome
+    n, k = 12, 5
+    ran = 0
+    for t in range(30):
+        m = sample_sign_matrix(n, RngStream(58, t))
+        fam = outcome(find_disjoint_heavy_family, m.prefix(k), 1, 1, L, cfg, m)
+        path = outcome(run_endgame_path, m.prefix(k), block_after(k, L), 1, cfg, m)
+        assert (fam is None) == (path is None)
+        if fam is not None:
+            ran += 1
+            assert fam.blocks == [path.protected]
+            assert fam.per_block[0] == path.heavy_set
+    assert 0 < ran < 30
 
 
 def test_disjoint_family_postconditions():
@@ -242,13 +259,3 @@ def test_propagate_ensemble_meets_pilot_band():
             retained_ok += 1
     assert with_family > 0
     assert retained_ok / with_family >= band["min_retained_ok_fraction"]
-
-
-def test_sampled_rows_are_deterministic_per_stream():
-    m0 = sample_sign_matrix(10, RngStream(56, 0))
-    prefix = m0.prefix(4)
-    cfg = ProcessConfig(L=2)
-    r1 = run_endgame_path(prefix, block_after(4, 2), 1, cfg, RngStream(57, 0))
-    r2 = run_endgame_path(prefix, block_after(4, 2), 1, cfg, RngStream(57, 0))
-    assert r1.final_set == r2.final_set
-    assert [s.chosen for s in r1.steps] == [s.chosen for s in r2.steps]

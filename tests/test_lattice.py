@@ -193,6 +193,21 @@ def test_split_dichotomy_always_decides():
             assert high >= Fraction(eps) * fam.size / 2
 
 
+def test_python_int_levels_n22():
+    # levels 21 and 22 exceed int64 and are kept as Python ints
+    n = 22
+    entries = np.ones((n, n), dtype=np.int8)
+    entries[0, 0] = -1
+    t = build_lattice(SignMatrix(entries))
+    full = full_mask(n)
+    f = math.factorial
+    assert t.top_value() == f(22) - 2 * f(21)
+    # only the 21-set without column 0 avoids the -1 entry
+    assert t.heavy_count(21, f(21)) == 1
+    assert t.heavy_masks(21, f(21)).tolist() == [full ^ 1]
+    assert t.value(full ^ 2) == f(21) - 2 * f(20)
+
+
 def test_lattice_cap():
     with pytest.raises(CapError):
         build_lattice(all_ones(12), max_n=10)

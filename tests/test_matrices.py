@@ -8,9 +8,7 @@ from permlab.matrices import (
     RowPrefix,
     SignMatrix,
     all_ones,
-    empty_prefix,
     enumerate_all_sign_matrices,
-    extend_prefix,
     from_text,
     matrix_from_counter,
     sample_row,
@@ -83,23 +81,6 @@ def test_stream_pairwise_correlation():
     b = RngStream(5, 1).generator().integers(0, 2, size=n_draws).astype(float)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.05
-
-
-def test_extend_prefix():
-    p = empty_prefix(3)
-    row = np.array([1, -1, 1], dtype=np.int8)
-    p1 = extend_prefix(p, row)
-    assert p1.k == 1
-    assert np.array_equal(p1.row(0), row)
-    p2 = extend_prefix(extend_prefix(p1, row), -row)
-    m = p2.as_matrix()
-    assert np.array_equal(m.entries[2], -row)
-    with pytest.raises(ValueError):
-        extend_prefix(p2, row)  # already full
-    with pytest.raises(ValueError):
-        extend_prefix(p1, np.array([1, -1], dtype=np.int8))
-    with pytest.raises(ValueError):
-        extend_prefix(p1, np.array([1, 0, 1], dtype=np.int8))
 
 
 def test_prefix_of_matrix_roundtrip():
