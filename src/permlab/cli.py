@@ -11,6 +11,7 @@ version, the output paths and the wall-clock time of the run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -120,11 +121,10 @@ def cmd_compute(args) -> int:
     elif args.engine == "ryser":
         per = permanent_ryser(matrix)
     else:
-        max_n = args.unsafe_max_n or DEFAULT_MAX_N
         if args.dump_lattice:
-            dump_lattice_csv(build_lattice(matrix, max_n=max_n), args.dump_lattice)
+            dump_lattice_csv(build_lattice(matrix, max_n=args.unsafe_max_n), args.dump_lattice)
         try:
-            per = permanent(matrix, max_n=max_n)
+            per = permanent(matrix, max_n=args.unsafe_max_n)
         except CapError as exc:
             raise CapError(f"{exc}; use --engine ryser, which keeps no table") from exc
     print(per)
@@ -152,10 +152,9 @@ def _growth_trial(payload: tuple) -> tuple[str, dict]:
 
 def cmd_growth(args) -> int:
     cfg = ProcessConfig(eps=args.eps, eps_prime=args.eps_prime, c=args.c)
-    max_n = args.unsafe_max_n or DEFAULT_MAX_N
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payloads = [(args.seed, t, args.n, cfg, max_n, out) for t in range(args.trials)]
+    payloads = [(args.seed, t, args.n, cfg, args.unsafe_max_n, out) for t in range(args.trials)]
     results = _map_trials(_growth_trial, payloads)
     trace_paths = [path for path, _ in results]
     summary_rows = [row for _, row in results]
@@ -196,20 +195,22 @@ _CHECK_BUILDERS = {
 
 
 def cmd_verify(args) -> int:
-    rng = RngStream(args.seed)
-    if args.suite == "all":
-        reports = default_suite(args.seed)
-    elif args.suite in _CHECK_BUILDERS:
-        reports = [_CHECK_BUILDERS[args.suite](args, rng)]
-    else:
+    if args.suite != "all" and args.suite not in _CHECK_BUILDERS:
         raise SystemExit(
             f"unknown check {args.suite!r}; known: all, {', '.join(sorted(_CHECK_BUILDERS))}"
         )
-    if args.out:
-        out = Path(args.out)
-        with open(out, "w") as fh:
+    # The report is opened before the checks run, so an unwritable --out
+    # fails at once instead of after the whole suite.
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
+        if args.suite == "all":
+            reports = default_suite(args.seed)
+        else:
+            reports = [_CHECK_BUILDERS[args.suite](args, RngStream(args.seed))]
+        if fh is not None:
             for r in reports:
                 fh.write(r.to_json(stable=True) + "\n")
+    if args.out:
+        out = Path(args.out)
         _write_manifest(
             out.with_suffix(out.suffix + ".manifest.json"), "verify",
             {"suite": args.suite, "n": args.n, "trials": args.trials, "mode": args.mode},
@@ -234,7 +235,7 @@ def _ensemble_trial(payload: tuple) -> tuple[int, int, str, str]:
 
 def cmd_ensemble(args) -> int:
     n_list = args.n_list
-    cap = args.unsafe_max_n or ENSEMBLE_MAX_N
+    cap = args.unsafe_max_n
     for n in n_list:
         if n > cap:
             raise SystemExit(
@@ -242,10 +243,11 @@ def cmd_ensemble(args) -> int:
                 " (raise with --unsafe-max-n at your own memory cost)"
             )
     payloads = [(args.seed, n, t, cap) for n in n_list for t in range(args.trials)]
-    rows = _map_trials(_ensemble_trial, payloads)
-    rows.sort(key=lambda r: (r[0], r[1]))
     out = Path(args.out)
+    # Opened before the trials run, so an unwritable --out fails at once.
     with open(out, "w", newline="") as fh:
+        rows = _map_trials(_ensemble_trial, payloads)
+        rows.sort(key=lambda r: (r[0], r[1]))
         writer = csv.writer(fh)
         writer.writerow(["n", "trial", "per_abs_log", "det_abs_log"])
         writer.writerows(rows)
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det", action="store_true", help="also print the determinant")
     p.add_argument("--mod", type=int, help="print the permanent residue mod M")
     p.add_argument("--dump-lattice", metavar="CSV", help="dump the minor lattice (engine=lattice, n <= 12)")
-    p.add_argument("--unsafe-max-n", type=int, default=None, dest="unsafe_max_n",
+    p.add_argument("--unsafe-max-n", type=_positive_int, default=DEFAULT_MAX_N, dest="unsafe_max_n",
                    help="raise the n <= 22 lattice cap (memory grows as 2**n)")
     p.set_defaults(func=cmd_compute)
 
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-prime", type=float, default=None, dest="eps_prime")
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--unsafe-max-n", type=int, default=None, dest="unsafe_max_n",
+    p.add_argument("--unsafe-max-n", type=_positive_int, default=DEFAULT_MAX_N, dest="unsafe_max_n",
                    help="raise the n <= 22 lattice cap (memory grows as 2**n)")
     p.set_defaults(func=cmd_growth)
 
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--unsafe-max-n", type=int, default=None, dest="unsafe_max_n",
+    p.add_argument("--unsafe-max-n", type=_positive_int, default=ENSEMBLE_MAX_N, dest="unsafe_max_n",
                    help="raise the n <= 22 lattice cap (memory grows as 2**n)")
     p.set_defaults(func=cmd_ensemble)
     return parser

@@ -26,17 +26,23 @@ _MOD_VECTOR_MAX_MODULUS = 1 << 31
 
 
 @lru_cache(maxsize=3)
-def _permutation_table(n: int) -> np.ndarray:
-    """All n! permutations of range(n) as an (n!, n) int8 array."""
+def _flat_permutation_table(n: int) -> np.ndarray:
+    """All n! permutations sigma of range(n) as an (n, n!) uint8 array of r*n + sigma(r).
+
+    Column p holds permutation p as flat indices into an n x n array (at
+    most 99 for n <= 10); rows are contiguous, so a parity reduces over
+    axis 0 one whole row at a time.
+    """
     table = np.zeros((1, 1), dtype=np.int8)
     for k in range(2, n + 1):
         blocks = []
         for lead in range(k):
             rest = np.where(table >= lead, table + 1, table)
-            lead_col = np.full((table.shape[0], 1), lead, dtype=np.int8)
-            blocks.append(np.hstack([lead_col, rest]))
-        table = np.vstack(blocks)
-    return table
+            lead_row = np.full((1, table.shape[1]), lead, dtype=np.int8)
+            blocks.append(np.vstack([lead_row, rest]))
+        table = np.hstack(blocks)
+    table += np.arange(0, n * n, n, dtype=np.int8)[:, None]
+    return table.view(np.uint8)
 
 
 def permanent_naive(m: SignMatrix) -> int:
@@ -50,10 +56,9 @@ def permanent_naive(m: SignMatrix) -> int:
     n = m.n
     if n > NAIVE_MAX_N:
         raise CapError(f"permanent_naive is capped at n <= {NAIVE_MAX_N} (n! terms), got n={n}")
-    perms = _permutation_table(n)
-    neg = (m.entries < 0).astype(np.uint8)
-    picks = neg[np.arange(n, dtype=np.int8)[None, :], perms]
-    odd = int(np.count_nonzero(picks.sum(axis=1, dtype=np.int64) & 1))
+    neg = (m.entries < 0).astype(np.uint8).reshape(-1)
+    picks = neg[_flat_permutation_table(n)]
+    odd = int(np.count_nonzero(np.bitwise_xor.reduce(picks, axis=0)))
     return math.factorial(n) - 2 * odd
 
 

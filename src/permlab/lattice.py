@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,6 +30,10 @@ from .subsets import bits_of, full_mask, masks_by_level, popcount, subsets_of_si
 DEFAULT_MAX_N = 22  # 2**22 int64 entries ~ 34 MB
 _INT64_LEVEL_MAX = 20
 _DUMP_MAX_N = 12
+# Level masks per gather block in add_level: keeps each column's gather and
+# accumulator temporaries small and in cache at n = 20..22; at n <= 16 every
+# level is one block.
+_LEVEL_BLOCK = 1 << 14
 
 
 def threshold_int(threshold) -> int:
@@ -42,12 +47,28 @@ def threshold_int(threshold) -> int:
     return math.ceil(Fraction(threshold))
 
 
+def _physical_memory_bytes() -> int | None:
+    """Installed physical memory, or None where the OS does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 class MinorTable:
     """Minor permanents for all column subsets up to a completed level."""
 
     def __init__(self, n: int, max_n: int = DEFAULT_MAX_N):
         if n > max_n:
             raise CapError(f"minor lattice is capped at n <= {max_n} (2**n table), got n={n}")
+        # The int64 table and the cached masks_by_level hold 8 bytes per mask each.
+        need = 16 << n
+        have = _physical_memory_bytes()
+        if have is not None and need > have:
+            raise CapError(
+                f"minor lattice at n={n} needs about {need / 2**30:.1f} GiB"
+                f" ({need} bytes, 16 * 2**n), more than the {have} bytes of physical memory"
+            )
         self.n = n
         self.k_max = 0
         self._vals = np.zeros(1 << n, dtype=np.int64)
@@ -63,14 +84,27 @@ class MinorTable:
         row = np.asarray(row, dtype=np.int64).reshape(-1)
         if row.shape[0] != self.n:
             raise ValueError(f"row has length {row.shape[0]}, expected {self.n}")
+        if not np.all(np.abs(row) == 1):
+            raise ValueError("row entries must be -1 or +1")
         masks = self._levels[k]
         if k <= _INT64_LEVEL_MAX:
-            acc = np.zeros(len(masks), dtype=np.int64)
-            for i in range(self.n):
-                sel = (masks >> i) & 1 == 1
-                sub = masks[sel]
-                acc[sel] += row[i] * self._vals[sub ^ (1 << i)]
-            self._vals[masks] = acc
+            # One gather per column over the whole block, added or subtracted
+            # by the sign of the entry.  For a mask without bit i the gather
+            # lands on level k+1, which is still all 0 (the table starts
+            # zeroed, levels are built in order and levels 21-22 never touch
+            # _vals), so it adds nothing.  Every partial sum is bounded by
+            # k! <= 20! < 2**63.
+            signs = row.tolist()
+            for lo in range(0, len(masks), _LEVEL_BLOCK):
+                block = masks[lo : lo + _LEVEL_BLOCK]
+                acc = np.zeros(len(block), dtype=np.int64)
+                for i, sign in enumerate(signs):
+                    term = self._vals[block ^ (1 << i)]
+                    if sign > 0:
+                        acc += term
+                    else:
+                        acc -= term
+                self._vals[block] = acc
         else:
             for mask in subsets_of_size(self.n, k):
                 total = 0

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from permlab import cli, lattice
 from permlab.cli import _thread_count
 from permlab.matrices import all_ones, to_text
 
@@ -63,7 +64,11 @@ def test_compute_default_engine_cap_is_clean_error():
     (["verify", "--suite", "second_moment", "--n", "0"], "--n"),
     (["ensemble", "--n-list", "8", "--trials", "0", "--out", "{tmp}/e.csv"], "--trials"),
     (["ensemble", "--n-list", "0", "--out", "{tmp}/e.csv"], "--n-list"),
-], ids=["growth-trials", "verify-trials", "verify-n", "ensemble-trials", "ensemble-n-list"])
+    (["compute", "--random", "3", "--unsafe-max-n", "0"], "--unsafe-max-n"),
+    (["growth", "--n", "8", "--unsafe-max-n", "0", "--out", "{tmp}/g"], "--unsafe-max-n"),
+    (["ensemble", "--n-list", "8", "--unsafe-max-n", "0", "--out", "{tmp}/e.csv"], "--unsafe-max-n"),
+], ids=["growth-trials", "verify-trials", "verify-n", "ensemble-trials", "ensemble-n-list",
+        "compute-unsafe-max-n", "growth-unsafe-max-n", "ensemble-unsafe-max-n"])
 def test_counts_below_one_rejected(tmp_path, args, flag):
     res = run_cli(*(a.format(tmp=tmp_path) for a in args))
     assert res.returncode == 2
@@ -93,6 +98,32 @@ def test_missing_paths_are_clean_errors(tmp_path, args):
     res = run_cli(*(a.format(tmp=tmp_path) for a in args))
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and "missing" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "all", "--out", "{tmp}/missing/r.jsonl"],
+    ["verify", "--suite", "growth_rate", "--out", "{tmp}/missing/r.jsonl"],
+    ["ensemble", "--n-list", "16", "--trials", "200", "--out", "{tmp}/missing/e.csv"],
+], ids=["verify-all", "verify-one", "ensemble"])
+def test_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys, args):
+    def never(*_args, **_kwargs):
+        raise AssertionError("the run started before --out was opened")
+
+    monkeypatch.setattr(cli, "_map_trials", never)
+    monkeypatch.setattr(cli, "default_suite", never)
+    monkeypatch.setattr(cli, "_CHECK_BUILDERS", dict.fromkeys(cli._CHECK_BUILDERS, never))
+    assert cli.main([a.format(tmp=tmp_path) for a in args]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_lattice_memory_estimate_is_clean_error(monkeypatch, capsys):
+    # the probe is patched, so no large table is ever requested
+    monkeypatch.setattr(lattice, "_physical_memory_bytes", lambda: (16 << 12) - 1)
+    assert cli.main(["compute", "--random", "12"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{16 << 12} bytes" in err and "physical memory" in err
+    assert cli.main(["compute", "--random", "11"]) == 0
+    assert capsys.readouterr().out.strip().lstrip("-").isdigit()
 
 
 def test_thread_count_clamped_to_cpus(monkeypatch):

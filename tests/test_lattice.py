@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permlab import lattice
 from permlab.engines import permanent_ryser
 from permlab.lattice import (
     HeavyFamily,
+    MinorTable,
     ParentHistogram,
     SplitVerdict,
     build_lattice,
@@ -79,6 +81,56 @@ def test_cofactor_recursion_exhaustive(n):
         for mask in subsets_of_size(n, k):
             expected = sum(int(row[i]) * t.value(mask ^ (1 << i)) for i in bits_of(mask))
             assert t.value(mask) == expected
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_partial_builds_match_brute_minors(n):
+    m = sample_sign_matrix(n, RngStream(37, n))
+    brute = {mask: brute_minor_permanent(m, bits_of(mask))
+             for k in range(1, n + 1) for mask in subsets_of_size(n, k)}
+    for k_max in range(1, n + 1):
+        t = build_lattice(m, k_max)
+        assert t.k_max == k_max
+        for k in range(1, k_max + 1):
+            for mask in subsets_of_size(n, k):
+                assert t.value(mask) == brute[mask], (k_max, mask)
+
+
+def test_multi_block_levels_match_ryser_n18():
+    # levels 6..12 at n = 18 hold more than 2**14 masks, so add_level builds
+    # them block by block; sampled minors on levels 12, 15 and 18 (plus the
+    # last mask of each level) are checked against the pure-Python subset scan
+    n = 18
+    m = sample_sign_matrix(n, RngStream(38))
+    t = build_lattice(m)
+    gen = np.random.default_rng(38)
+    for k in (12, 15, 18):
+        masks = t.level_masks(k)
+        picked = gen.choice(masks, size=min(20, len(masks)), replace=False)
+        for mask in {*picked.tolist(), int(masks[-1])}:
+            minor = SignMatrix(m.entries[:k][:, bits_of(mask)])
+            assert t.value(mask) == permanent_ryser(minor), (k, mask)
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_add_level_rejects_non_sign_entries(bad):
+    t = MinorTable(4)
+    row = np.array([1, -1, bad, 1])
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        t.add_level(row)
+    assert t.k_max == 0
+    t.add_level(np.array([1, -1, -1, 1]))
+    assert t.k_max == 1
+
+
+def test_memory_guard_names_the_estimate(monkeypatch):
+    # 16 * 2**n bytes: the int64 table plus the cached level masks
+    monkeypatch.setattr(lattice, "_physical_memory_bytes", lambda: (16 << 10) - 1)
+    with pytest.raises(CapError, match="16384 bytes"):
+        MinorTable(10)
+    MinorTable(9)
+    monkeypatch.setattr(lattice, "_physical_memory_bytes", lambda: None)
+    MinorTable(10)
 
 
 def test_lattice_matches_brute_minors():
