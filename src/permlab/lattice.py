@@ -11,29 +11,41 @@ in one flat int64 array indexed by mask; the handful of subsets on higher
 levels (n = 21, 22) are kept as Python ints.  Heaviness thresholds compare
 an integer |value| against a real threshold, which is exact after rounding
 the threshold up to the next integer.
+
+The int64 levels are built by one small C function (`_levels.c`): for each
+mask of the level it walks the mask's set bits and sums the signed values
+one level down.  It is compiled with gcc on first use into a per-user cache,
+$XDG_CACHE_HOME/permlab (default ~/.cache/permlab), under a name that carries
+the SHA-256 of the source and the compiler flags, and loaded with ctypes; a
+missing gcc, a failed compile or an unwritable cache is an OSError that names
+the compiler or the path.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import hashlib
 import math
 import os
+import subprocess
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from .matrices import CapError, RowPrefix, SignMatrix
-from .subsets import bits_of, full_mask, masks_by_level, popcount, subsets_of_size
+from .subsets import bits_of, full_mask, masks_by_level, subsets_of_size
 
 DEFAULT_MAX_N = 22  # 2**22 int64 entries ~ 34 MB
 _INT64_LEVEL_MAX = 20
 _DUMP_MAX_N = 12
-# Level masks per gather block in add_level: keeps each column's gather and
-# accumulator temporaries small and in cache at n = 20..22; at n <= 16 every
-# level is one block.
-_LEVEL_BLOCK = 1 << 14
+_KERNEL_SOURCE = Path(__file__).with_name("_levels.c")
+_KERNEL_CC = ("gcc", "-O2", "-shared", "-fPIC")
 
 
 def threshold_int(threshold) -> int:
@@ -45,6 +57,46 @@ def threshold_int(threshold) -> int:
     if isinstance(threshold, (int, np.integer)):
         return int(threshold)
     return math.ceil(Fraction(threshold))
+
+
+@functools.cache
+def _level_kernel():
+    """The compiled level builder, compiled once per cache and loaded once per process.
+
+    The library is compiled under a temporary name in the cache directory and
+    renamed into place, so processes that race to build it all end up loading
+    one complete file.
+    """
+    source = _KERNEL_SOURCE.read_bytes()
+    digest = hashlib.sha256(source + " ".join(_KERNEL_CC).encode()).hexdigest()
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "permlab"
+    lib = cache / f"_levels-{digest}.so"
+    if not lib.exists():
+        try:
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=cache, prefix=".levels-", suffix=".tmp")
+        except OSError as exc:
+            raise OSError(f"cannot write the lattice kernel cache {cache}: {exc}") from None
+        os.close(fd)
+        try:
+            subprocess.run([*_KERNEL_CC, "-x", "c", "-", "-o", tmp],
+                           input=source, capture_output=True, check=True)
+        except FileNotFoundError:
+            raise OSError(f"the lattice kernel needs the C compiler {_KERNEL_CC[0]},"
+                          " which is not on PATH") from None
+        except subprocess.CalledProcessError as exc:
+            raise OSError(f"{_KERNEL_CC[0]} failed to compile {_KERNEL_SOURCE}:"
+                          f" {exc.stderr.decode(errors='replace').strip()}") from None
+        else:
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    kernel = ctypes.CDLL(str(lib)).add_level
+    int64s = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    kernel.argtypes = [int64s, int64s, ctypes.c_int64, int64s]
+    kernel.restype = None
+    return kernel
 
 
 def _physical_memory_bytes() -> int | None:
@@ -81,30 +133,14 @@ class MinorTable:
         k = self.k_max + 1
         if k > self.n:
             raise ValueError("all levels already built")
-        row = np.asarray(row, dtype=np.int64).reshape(-1)
+        row = np.ascontiguousarray(row, dtype=np.int64).reshape(-1)
         if row.shape[0] != self.n:
             raise ValueError(f"row has length {row.shape[0]}, expected {self.n}")
         if not np.all(np.abs(row) == 1):
             raise ValueError("row entries must be -1 or +1")
         masks = self._levels[k]
         if k <= _INT64_LEVEL_MAX:
-            # One gather per column over the whole block, added or subtracted
-            # by the sign of the entry.  For a mask without bit i the gather
-            # lands on level k+1, which is still all 0 (the table starts
-            # zeroed, levels are built in order and levels 21-22 never touch
-            # _vals), so it adds nothing.  Every partial sum is bounded by
-            # k! <= 20! < 2**63.
-            signs = row.tolist()
-            for lo in range(0, len(masks), _LEVEL_BLOCK):
-                block = masks[lo : lo + _LEVEL_BLOCK]
-                acc = np.zeros(len(block), dtype=np.int64)
-                for i, sign in enumerate(signs):
-                    term = self._vals[block ^ (1 << i)]
-                    if sign > 0:
-                        acc += term
-                    else:
-                        acc -= term
-                self._vals[block] = acc
+            _level_kernel()(self._vals, masks, len(masks), row)  # exact: see _levels.c
         else:
             for mask in subsets_of_size(self.n, k):
                 total = 0
@@ -116,12 +152,12 @@ class MinorTable:
     def value(self, mask: int) -> int:
         """Exact permanent of the minor indexed by this column mask."""
         mask = int(mask)
-        level = popcount(mask)
+        level = mask.bit_count()
         if level > self.k_max:
             raise ValueError(f"level {level} not built (k_max={self.k_max})")
         if level > _INT64_LEVEL_MAX:
             return self._big[mask]
-        return int(self._vals[mask])
+        return self._vals.item(mask)
 
     def level_masks(self, k: int) -> np.ndarray:
         return self._levels[k]

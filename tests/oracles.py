@@ -2,13 +2,17 @@
 
 Everything here is deliberately written the slow, obvious way (itertools
 loops over permutations / sign assignments / subsets) so it shares no code
-path with the engines it checks.
+path with the engines it checks.  The one exception, `numpy_level_table`,
+builds the whole minor lattice with numpy gathers, independently of the
+compiled kernel that builds it in the program.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations, permutations, product
+
+import numpy as np
 
 
 def brute_permanent(entries) -> int:
@@ -36,6 +40,33 @@ def brute_minor_permanent(matrix, cols) -> int:
     cols = sorted(cols)
     sub = [[int(matrix.entries[r][c]) for c in cols] for r in range(len(cols))]
     return brute_permanent(sub)
+
+
+def numpy_level_table(matrix) -> np.ndarray:
+    """Flat int64 table of every minor permanent, indexed by column mask (n <= 20).
+
+    Level k is the cofactor recursion over row k-1: one gather per column,
+    added or subtracted by the sign of that row's entry.  For a mask without
+    bit i the gather lands on level k+1, which is still all 0, so it adds
+    nothing.  Every partial sum is bounded by k! <= 20! < 2**63.
+    """
+    entries = np.asarray(matrix.entries, dtype=np.int64)
+    n = entries.shape[0]
+    all_masks = np.arange(1 << n, dtype=np.int64)
+    popc = np.bitwise_count(all_masks)
+    table = np.zeros(1 << n, dtype=np.int64)
+    table[0] = 1
+    for k in range(1, n + 1):
+        masks = all_masks[popc == k]
+        acc = np.zeros(len(masks), dtype=np.int64)
+        for i, sign in enumerate(entries[k - 1].tolist()):
+            term = table[masks ^ (1 << i)]
+            if sign > 0:
+                acc += term
+            else:
+                acc -= term
+        table[masks] = acc
+    return table
 
 
 def brute_heavy_sets(matrix, k: int, threshold) -> list[int]:

@@ -231,13 +231,15 @@ def test_criterion_8_growth_process_structure():
                 continue
             increments.setdefault(rec.k, []).append(recs[idx + 1].potential - rec.potential)
             # independent recount of the exact heavy counts behind the type
+            t_same = threshold_int(rec.threshold)
+            t_grown = threshold_int(rec.grown_threshold)
             at_same = sum(
                 1 for mask in subsets_of_size(n, rec.k + 1)
-                if abs(table.value(mask)) >= threshold_int(rec.threshold)
+                if abs(table.value(mask)) >= t_same
             )
             at_grown = sum(
                 1 for mask in subsets_of_size(n, rec.k + 1)
-                if abs(table.value(mask)) >= threshold_int(rec.grown_threshold)
+                if abs(table.value(mask)) >= t_grown
             )
             explode = count_threshold(n**cfg.eps * rec.tracked / 4)
             keep = count_threshold(cfg.keep_frac() * rec.tracked)

@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +35,12 @@ from permlab.matrices import (
 from permlab.rng import RngStream
 from permlab.subsets import bits_of, full_mask, mask_of, popcount, subsets_of_size
 
-from oracles import brute_minor_permanent, brute_heavy_sets, brute_parent_counts
+from oracles import (
+    brute_heavy_sets,
+    brute_minor_permanent,
+    brute_parent_counts,
+    numpy_level_table,
+)
 
 
 def test_threshold_int_exact():
@@ -97,9 +106,9 @@ def test_partial_builds_match_brute_minors(n):
 
 
 def test_multi_block_levels_match_ryser_n18():
-    # levels 6..12 at n = 18 hold more than 2**14 masks, so add_level builds
-    # them block by block; sampled minors on levels 12, 15 and 18 (plus the
-    # last mask of each level) are checked against the pure-Python subset scan
+    # the wide levels of an n = 18 table (up to 48620 masks), checked against
+    # the pure-Python subset scan, which shares nothing with the compiled
+    # kernel: sampled minors on levels 12, 15 and 18 plus the last mask of each
     n = 18
     m = sample_sign_matrix(n, RngStream(38))
     t = build_lattice(m)
@@ -110,6 +119,88 @@ def test_multi_block_levels_match_ryser_n18():
         for mask in {*picked.tolist(), int(masks[-1])}:
             minor = SignMatrix(m.entries[:k][:, bits_of(mask)])
             assert t.value(mask) == permanent_ryser(minor), (k, mask)
+
+
+def test_full_table_matches_numpy_oracle():
+    for n in range(1, 19):
+        m = sample_sign_matrix(n, RngStream(39, n))
+        assert np.array_equal(build_lattice(m)._vals, numpy_level_table(m)), n
+
+
+@pytest.mark.parametrize("signs", [[1] * 12, [-1] * 12, [1, -1] * 6])
+def test_constant_rows_n12(signs):
+    # row r is all signs[r], so every size-k minor is k! * signs[0] * ... * signs[k-1]
+    m = SignMatrix(np.outer(signs, np.ones(12, dtype=np.int64)))
+    t = build_lattice(m)
+    assert np.array_equal(t._vals, numpy_level_table(m))
+    for k in range(13):
+        expected = math.factorial(k) * math.prod(signs[:k])
+        assert set(t._vals[t.level_masks(k)].tolist()) == {expected}
+
+
+def _build_n10_table(barrier, out_path):
+    barrier.wait()
+    m = sample_sign_matrix(10, RngStream(40))
+    np.save(out_path, build_lattice(m)._vals)
+
+
+def test_concurrent_first_builds_share_one_library(tmp_path, monkeypatch):
+    # three fresh processes compile the kernel at once into one empty cache
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(3)
+    outs = [tmp_path / f"table{j}.npy" for j in range(3)]
+    procs = [ctx.Process(target=_build_n10_table, args=(barrier, out)) for out in outs]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=120)
+    codes = [p.exitcode for p in procs]
+    for p in procs:
+        if p.is_alive():
+            p.kill()
+    assert codes == [0, 0, 0]
+    tables = [np.load(out) for out in outs]
+    assert all(np.array_equal(tables[0], t) for t in tables[1:])
+    assert np.array_equal(tables[0], numpy_level_table(sample_sign_matrix(10, RngStream(40))))
+    files = sorted(os.listdir(tmp_path / "cache" / "permlab"))
+    assert len(files) == 1 and files[0].startswith("_levels-") and files[0].endswith(".so"), files
+
+
+def _compute_random_8(tmp_path, **env):
+    return subprocess.run(
+        [sys.executable, "-m", "permlab.cli", "compute", "--random", "8"],
+        capture_output=True, text=True,
+        env={**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"), **env},
+    )
+
+
+def test_missing_compiler_is_clean_error(tmp_path):
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    res = _compute_random_8(tmp_path, PATH=str(empty))
+    assert res.returncode == 2
+    assert "gcc" in res.stderr and "Traceback" not in res.stderr, res.stderr
+    assert not os.listdir(tmp_path / "cache" / "permlab")  # no temporary file left
+
+
+def test_unwritable_kernel_cache_is_clean_error(tmp_path):
+    (tmp_path / "cache").write_text("a file, not a directory")
+    res = _compute_random_8(tmp_path)
+    assert res.returncode == 2
+    assert str(tmp_path / "cache") in res.stderr and "Traceback" not in res.stderr, res.stderr
+
+
+def test_failed_compile_names_the_compiler(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(lattice, "_KERNEL_CC", (*lattice._KERNEL_CC, "-no-such-flag"))
+    lattice._level_kernel.cache_clear()
+    try:
+        with pytest.raises(OSError, match="gcc failed to compile"):
+            build_lattice(all_ones(3))
+    finally:
+        lattice._level_kernel.cache_clear()
+    assert not os.listdir(tmp_path / "permlab")
 
 
 @pytest.mark.parametrize("bad", [0, 2])
