@@ -8,7 +8,6 @@ verification suite of enumeration identities and seeded Monte Carlo checks.
 from .engines import determinant_exact, permanent, permanent_mod, permanent_naive, permanent_ryser
 from .growth import ProcessConfig, ProcessTrace, StepType, is_successful, run_growth
 from .lattice import (
-    HeavyFamily,
     MinorTable,
     ParentHistogram,
     SplitVerdict,
@@ -18,7 +17,6 @@ from .lattice import (
 )
 from .matrices import (
     CapError,
-    RowPrefix,
     SignMatrix,
     enumerate_all_sign_matrices,
     from_text,
@@ -32,13 +30,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapError",
-    "HeavyFamily",
     "MinorTable",
     "ParentHistogram",
     "ProcessConfig",
     "ProcessTrace",
     "RngStream",
-    "RowPrefix",
     "SignMatrix",
     "SplitVerdict",
     "StepType",

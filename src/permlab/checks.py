@@ -543,13 +543,12 @@ def check_maintain_grow_events(n: int, trials: int, cfg: ProcessConfig | None = 
     }
     for t in range(trials):
         m = sample_sign_matrix(n, rng.substream(t))
-        trace = run_growth(m, cfg, keep_table=True)
-        table = trace.table
+        trace = run_growth(m, cfg)
         for rec in trace.records[:-1]:
             if rec.step_type is None:
                 continue
             tracked, lam, k = rec.tracked, rec.threshold, rec.k
-            at_same = table.heavy_count(k + 1, lam)
+            at_same = rec.next_at_threshold
             counts["keep"][0] += 1
             if at_same >= count_threshold(cfg.eps * tracked / 6):
                 counts["keep"][1] += 1
@@ -560,7 +559,7 @@ def check_maintain_grow_events(n: int, trials: int, cfg: ProcessConfig | None = 
             else:
                 counts["grow"][0] += 1
                 grown = n ** (0.5 - c) * lam
-                if table.heavy_count(k + 1, grown) >= count_threshold(cfg.eps * tracked / 4):
+                if trace.table.heavy_count(k + 1, grown) >= count_threshold(cfg.eps * tracked / 4):
                     counts["grow"][1] += 1
     freqs = {
         key: (hits / cond if cond else float("nan")) for key, (cond, hits) in counts.items()

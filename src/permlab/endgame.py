@@ -1,7 +1,8 @@
 """Endgame runs: carry heaviness from a mid-size minor to the full matrix.
 
-Each stage builds the minor table of a row prefix of a matrix and extends
-it one exposed row of that matrix at a time:
+Each stage takes the first k rows of a matrix (`SignMatrix.prefix(k)`) and
+the matrix itself, builds the minor table of those rows and extends it one
+exposed row of the matrix at a time:
 
 - a path run extends one heavy column set level by level, preferring
   columns outside a protected block so the final set covers everything
@@ -23,7 +24,7 @@ import numpy as np
 
 from .growth import ProcessConfig
 from .lattice import MinorTable, build_lattice, threshold_int
-from .matrices import RowPrefix, SignMatrix
+from .matrices import SignMatrix
 from .subsets import bits_of, full_mask, popcount
 
 
@@ -31,11 +32,12 @@ class PreconditionError(ValueError):
     """A documented run precondition does not hold for the given inputs."""
 
 
-def _table(prefix: RowPrefix, source: SignMatrix) -> MinorTable:
-    """Minor table of the prefix; the stage exposes later rows of source."""
-    if source.n != prefix.n or not np.array_equal(source.entries[: prefix.k], prefix.rows):
+def _exposed(prefix: np.ndarray, source: SignMatrix) -> int:
+    """Number k of prefix rows, checked to be the first k rows of source."""
+    k = len(prefix)
+    if not np.array_equal(source.entries[:k], prefix):
         raise ValueError("matrix row source disagrees with the prefix rows")
-    return build_lattice(prefix)
+    return k
 
 
 @dataclass(frozen=True)
@@ -89,9 +91,8 @@ def _choose_extension(table: MinorTable, current: int, protected: int,
     return bits_of(full_mask(n) & ~current)[0], "fallback"
 
 
-def _grow_sets(prefix: RowPrefix, blocks: list[int], depth: int, tint: int,
-               source: SignMatrix, steps: Optional[list[PathStep]] = None,
-               ) -> tuple[MinorTable, list[int]]:
+def _grow_sets(source: SignMatrix, k: int, blocks: list[int], depth: int, tint: int,
+               steps: Optional[list[PathStep]] = None) -> tuple[MinorTable, list[int]]:
     """Grow the leading k-column set once per block, one column per exposed row.
 
     Rows k..n-depth-1 of source are exposed in turn; after each, every
@@ -99,8 +100,8 @@ def _grow_sets(prefix: RowPrefix, blocks: list[int], depth: int, tint: int,
     (single-block runs) each extension is recorded.  Returns the table and
     the final sets.
     """
-    n, k = prefix.n, prefix.k
-    table = _table(prefix, source)
+    n = source.n
+    table = build_lattice(source, k)
     start = (1 << k) - 1
     if abs(table.value(start)) < tint:
         raise PreconditionError("the leading k-column set is not heavy at the threshold")
@@ -123,7 +124,7 @@ def _heavy_cover(table: MinorTable, current: int, block: int, tint: int) -> Opti
     return current if covers and abs(table.value(current)) >= tint else None
 
 
-def run_endgame_path(prefix: RowPrefix, protected: int, threshold, cfg: ProcessConfig,
+def run_endgame_path(prefix: np.ndarray, protected: int, threshold, cfg: ProcessConfig,
                      source: SignMatrix) -> PathResult:
     """Grow the leading k-column set to size n-L, avoiding the protected block.
 
@@ -134,15 +135,14 @@ def run_endgame_path(prefix: RowPrefix, protected: int, threshold, cfg: ProcessC
     set; heavy_set is set only when it is verified heavy and contains every
     non-block column.
     """
-    n = prefix.n
-    k = prefix.k
+    n, k = source.n, _exposed(prefix, source)
     depth = cfg.endgame_depth(n)
     if k > n - depth:
         raise PreconditionError(f"start level {k} is above the target level {n - depth}")
     _validate_block(n, k, protected, depth)
     tint = threshold_int(threshold)
     steps: list[PathStep] = []
-    table, (final,) = _grow_sets(prefix, [protected], depth, tint, source, steps)
+    table, (final,) = _grow_sets(source, k, [protected], depth, tint, steps)
     return PathResult(
         n=n, start_k=k, depth=depth, protected=protected, threshold=float(threshold),
         final_set=final, heavy_set=_heavy_cover(table, final, protected, tint), steps=steps,
@@ -164,7 +164,7 @@ class FamilyResult:
         return len(self.members) == len(self.blocks)
 
 
-def find_disjoint_heavy_family(prefix: RowPrefix, threshold, count: int, L: int,
+def find_disjoint_heavy_family(prefix: np.ndarray, threshold, count: int, L: int,
                                cfg: ProcessConfig, source: SignMatrix) -> FamilyResult:
     """Run `count` path constructions over disjoint blocks, sharing rows.
 
@@ -172,8 +172,7 @@ def find_disjoint_heavy_family(prefix: RowPrefix, threshold, count: int, L: int,
     paths see the same exposed rows.  Returned members are re-verified heavy
     and their complements re-verified pairwise disjoint.
     """
-    n = prefix.n
-    k = prefix.k
+    n, k = source.n, _exposed(prefix, source)
     if count < 1:
         raise ValueError("count must be at least 1")
     if count * 2 * L > n - k:
@@ -183,7 +182,7 @@ def find_disjoint_heavy_family(prefix: RowPrefix, threshold, count: int, L: int,
     cols = list(range(k, n))
     blocks = [sum(1 << c for c in cols[2 * L * b : 2 * L * (b + 1)]) for b in range(count)]
     tint = threshold_int(threshold)
-    table, current = _grow_sets(prefix, blocks, L, tint, source)
+    table, current = _grow_sets(source, k, blocks, L, tint)
     per_block = [_heavy_cover(table, cur, block, tint) for cur, block in zip(current, blocks)]
     members = [m for m in per_block if m is not None]
     _verify_family(table, members, tint, n)
@@ -223,7 +222,7 @@ class PropagateResult:
         return len(self.kept) / len(self.children) if self.children else 0.0
 
 
-def propagate_down(prefix: RowPrefix, members, threshold, cfg: ProcessConfig,
+def propagate_down(prefix: np.ndarray, members, threshold, cfg: ProcessConfig,
                    source: SignMatrix) -> PropagateResult:
     """Expose one row and push a complement-disjoint family up one level.
 
@@ -232,18 +231,18 @@ def propagate_down(prefix: RowPrefix, members, threshold, cfg: ProcessConfig,
     reduced threshold; their complements stay disjoint by construction and
     are re-verified.
     """
-    n = prefix.n
+    n, k = source.n, _exposed(prefix, source)
     members = [int(m) for m in members]
-    if prefix.k >= n:
+    if k >= n:
         raise ValueError("no next row: all rows exposed")
     for m in members:
-        if popcount(m) != prefix.k:
+        if popcount(m) != k:
             raise ValueError("family members must sit at the exposed level")
     if not complements_disjoint(members, n):
         raise PreconditionError("family complements must be pairwise disjoint")
 
-    table = _table(prefix, source)
-    table.add_level(source.row(prefix.k))
+    table = build_lattice(source, k)
+    table.add_level(source.row(k))
     new_threshold = Fraction(threshold) / n
     tint = threshold_int(new_threshold)
 
@@ -278,12 +277,13 @@ class FinalRowResult:
     threshold: float
 
 
-def final_row_heaviness(prefix: RowPrefix, threshold_final, source: SignMatrix) -> FinalRowResult:
+def final_row_heaviness(prefix: np.ndarray, threshold_final,
+                        source: SignMatrix) -> FinalRowResult:
     """Expose the last row and close the full permanent via the cofactor step."""
-    n = prefix.n
-    if prefix.k != n - 1:
-        raise ValueError(f"final-row step needs exactly n-1 = {n - 1} rows, got {prefix.k}")
-    table = _table(prefix, source)
+    n, k = source.n, _exposed(prefix, source)
+    if k != n - 1:
+        raise ValueError(f"final-row step needs exactly n-1 = {n - 1} rows, got {k}")
+    table = build_lattice(source, k)
     table.add_level(source.row(n - 1))
     per = table.top_value()
     heavy = abs(per) >= threshold_int(threshold_final)

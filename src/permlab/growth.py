@@ -22,15 +22,13 @@ from typing import Optional
 
 from .lattice import (
     DEFAULT_MAX_N,
-    HeavyFamily,
     MinorTable,
     SplitVerdict,
     build_lattice,
     parent_histogram,
     split_events,
 )
-from .matrices import RowPrefix, SignMatrix, sample_sign_matrix
-from .rng import RngStream
+from .matrices import SignMatrix
 
 
 class StepType(str, Enum):
@@ -116,26 +114,58 @@ class ProcessConfig:
 
 
 @dataclass(frozen=True)
-class StepOutcome:
-    step_type: StepType
-    branch: SplitVerdict
-    new_tracked: int
-    new_threshold: float
-    # exact counts the classification consulted
-    next_at_threshold: int
-    next_at_grown: int
-    grown_threshold: float
-    explode_count: int  # count target for a type-I step
-    keep_count: int  # count target for the keep event
+class LevelRecord:
+    """State at one level, plus the classification of the step leaving it."""
+
+    k: int
+    tracked: int
+    true_heavy: int
+    threshold: float
+    potential: float
+    step_type: Optional[StepType]
+    branch: Optional[SplitVerdict] = None
+    next_at_threshold: Optional[int] = None
+    next_at_grown: Optional[int] = None
+    grown_threshold: Optional[float] = None
+
+
+@dataclass
+class ProcessTrace:
+    n: int
+    cfg: ProcessConfig
+    table: MinorTable
+    records: list[LevelRecord] = field(default_factory=list)
+    successful: bool = False
+
+    @property
+    def final(self) -> LevelRecord:
+        return self.records[-1]
+
+    def step_type_counts(self) -> dict[str, int]:
+        counts = {t.value: 0 for t in StepType}
+        for rec in self.records:
+            if rec.step_type is not None:
+                counts[rec.step_type.value] += 1
+        return counts
+
+
+def potential_increment(step_type: StepType, cfg: ProcessConfig) -> float:
+    inc = 1 - cfg.eps / 2
+    if step_type is StepType.I:
+        inc -= 3
+    elif step_type is StepType.III:
+        inc -= 1
+    return inc
 
 
 def classify_step(table: MinorTable, k: int, tracked: int, threshold: float,
-                  cfg: ProcessConfig) -> StepOutcome:
+                  cfg: ProcessConfig, potential: float) -> tuple[LevelRecord, int, float]:
     """Classify the step from level k given the tracked heavy family.
 
     The family is the `tracked` lexicographically-smallest heavy masks (any
     witness set is allowed; the smallest ones make runs reproducible).
     Exactly one type is returned; V is the fallback with tracked count 0.
+    Returns the level's record and the next tracked count and threshold.
     """
     if tracked < 1:
         raise ValueError("classification needs a nonempty tracked family")
@@ -143,8 +173,7 @@ def classify_step(table: MinorTable, k: int, tracked: int, threshold: float,
     masks = table.heavy_masks(k, threshold)
     if len(masks) < tracked:
         raise ValueError(f"tracked count {tracked} exceeds exact heavy count {len(masks)}")
-    family = HeavyFamily(k=k, threshold=threshold, members=masks[:tracked])
-    hist = parent_histogram(table, family)
+    hist = parent_histogram(table, k, masks[:tracked])
     branch = split_events(hist, cfg.eps, cfg.eff_c(), tracked)
 
     grown_threshold = cfg.lam_grow_factor(n) * threshold
@@ -169,118 +198,55 @@ def classify_step(table: MinorTable, k: int, tracked: int, threshold: float,
         else:
             step, new = StepType.V, (0, threshold)
 
-    return StepOutcome(
+    record = LevelRecord(
+        k=k,
+        tracked=tracked,
+        true_heavy=len(masks),
+        threshold=threshold,
+        potential=potential,
         step_type=step,
         branch=branch,
-        new_tracked=new[0],
-        new_threshold=new[1],
         next_at_threshold=next_at_threshold,
         next_at_grown=next_at_grown,
         grown_threshold=grown_threshold,
-        explode_count=explode_count,
-        keep_count=keep_count,
     )
+    return record, new[0], new[1]
 
 
-@dataclass(frozen=True)
-class LevelRecord:
-    """State at one level, plus the classification of the step leaving it."""
-
-    k: int
-    tracked: int
-    true_heavy: int
-    threshold: float
-    potential: float
-    step_type: Optional[StepType]
-    branch: Optional[SplitVerdict] = None
-    next_at_threshold: Optional[int] = None
-    next_at_grown: Optional[int] = None
-    grown_threshold: Optional[float] = None
-
-
-@dataclass
-class ProcessTrace:
-    n: int
-    cfg: ProcessConfig
-    records: list[LevelRecord] = field(default_factory=list)
-    successful: bool = False
-    table: Optional[MinorTable] = None
-
-    @property
-    def final(self) -> LevelRecord:
-        return self.records[-1]
-
-    def step_type_counts(self) -> dict[str, int]:
-        counts = {t.value: 0 for t in StepType}
-        for rec in self.records:
-            if rec.step_type is not None:
-                counts[rec.step_type.value] += 1
-        return counts
-
-
-def potential_increment(step_type: StepType, cfg: ProcessConfig) -> float:
-    inc = 1 - cfg.eps / 2
-    if step_type is StepType.I:
-        inc -= 3
-    elif step_type is StepType.III:
-        inc -= 1
-    return inc
-
-
-def run_growth(matrix: SignMatrix | RowPrefix, cfg: ProcessConfig,
-               keep_table: bool = False, max_n: int | None = None) -> ProcessTrace:
-    """Run one growth pass over a fixed matrix (or a prefix with >= k1 rows).
+def run_growth(matrix: SignMatrix, cfg: ProcessConfig,
+               max_n: int | None = None) -> ProcessTrace:
+    """Run one growth pass over a fixed matrix.
 
     Start: the tracked count is 1 if some level-k0 minor has |value| >= 1,
     else 0 and the run can only fail.  A zero tracked count propagates
     unchanged to k1 (no classification happens on those levels).  Success at
     k1 requires a nonzero tracked count and potential <= eps' * n / 2.
     """
-    prefix = matrix.prefix(matrix.n) if isinstance(matrix, SignMatrix) else matrix
-    n = prefix.n
+    n = matrix.n
     k0 = cfg.start_level(n)
     k1 = cfg.end_level(n)
     if not 1 <= k0 <= k1 <= n:
         raise ValueError(f"bad level range k0={k0}, k1={k1} for n={n}")
-    if prefix.k < k1:
-        raise ValueError(f"need {k1} exposed rows, prefix has {prefix.k}")
 
-    table = build_lattice(prefix, k1, max_n=max_n if max_n is not None else DEFAULT_MAX_N)
+    table = build_lattice(matrix, k1, max_n=max_n if max_n is not None else DEFAULT_MAX_N)
     tracked = 1 if table.heavy_count(k0, 1) >= 1 else 0
     threshold = 1.0
     potential = 0.0
 
-    trace = ProcessTrace(n=n, cfg=cfg)
+    trace = ProcessTrace(n=n, cfg=cfg, table=table)
     for k in range(k0, k1):
-        true_heavy = table.heavy_count(k, threshold)
         if tracked == 0:
+            true_heavy = table.heavy_count(k, threshold)
             trace.records.append(LevelRecord(k, 0, true_heavy, threshold, potential, None))
             continue
-        out = classify_step(table, k, tracked, threshold, cfg)
-        trace.records.append(
-            LevelRecord(
-                k=k,
-                tracked=tracked,
-                true_heavy=true_heavy,
-                threshold=threshold,
-                potential=potential,
-                step_type=out.step_type,
-                branch=out.branch,
-                next_at_threshold=out.next_at_threshold,
-                next_at_grown=out.next_at_grown,
-                grown_threshold=out.grown_threshold,
-            )
-        )
-        tracked = out.new_tracked
-        threshold = out.new_threshold
-        potential += potential_increment(out.step_type, cfg)
+        rec, tracked, threshold = classify_step(table, k, tracked, threshold, cfg, potential)
+        trace.records.append(rec)
+        potential += potential_increment(rec.step_type, cfg)
 
     trace.records.append(
         LevelRecord(k1, tracked, table.heavy_count(k1, threshold), threshold, potential, None)
     )
     trace.successful = is_successful(trace, cfg)
-    if keep_table:
-        trace.table = table
     return trace
 
 
@@ -288,43 +254,6 @@ def is_successful(trace: ProcessTrace, cfg: ProcessConfig) -> bool:
     """Nonzero tracked count at k1 and potential at most eps' * n / 2 (inclusive)."""
     last = trace.records[-1]
     return last.tracked != 0 and last.potential <= cfg.eff_eps_prime() * trace.n / 2
-
-
-def replay_records(trace: ProcessTrace) -> list[tuple[int, float, float]]:
-    """Re-derive (tracked, threshold, potential) per level from the step log.
-
-    Bookkeeping identity used by tests: replaying the update rules from each
-    record must reproduce the next record exactly.
-    """
-    cfg = trace.cfg
-    n = trace.n
-    out = []
-    rec0 = trace.records[0]
-    tracked, threshold, potential = rec0.tracked, rec0.threshold, rec0.potential
-    out.append((tracked, threshold, potential))
-    for rec in trace.records[:-1]:
-        st = rec.step_type
-        if st is None:
-            pass  # zero tracked count propagates unchanged
-        else:
-            if st is StepType.I:
-                tracked = count_threshold(n**cfg.eps * rec.tracked / 4)
-            elif st in (StepType.II, StepType.III, StepType.IV):
-                tracked = count_threshold(cfg.eff_eps_prime() * rec.tracked)
-            else:
-                tracked = 0
-            if st is StepType.III:
-                threshold = cfg.lam_grow_factor(n) * rec.threshold
-            potential += potential_increment(st, cfg)
-        out.append((tracked, threshold, potential))
-    return out
-
-
-def sample_growth(n: int, cfg: ProcessConfig, rng: RngStream,
-                  keep_table: bool = False) -> tuple[ProcessTrace, SignMatrix]:
-    """Sample one matrix from the stream and run growth on it."""
-    matrix = sample_sign_matrix(n, rng)
-    return run_growth(matrix, cfg, keep_table=keep_table), matrix
 
 
 def trace_header(trace: ProcessTrace, seed: int | None = None,

@@ -38,8 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrices import CapError, RowPrefix, SignMatrix
-from .subsets import bits_of, full_mask, masks_by_level, subsets_of_size
+from .matrices import CapError, SignMatrix
+from .subsets import bits_of, full_mask, masks_by_level
 
 DEFAULT_MAX_N = 22  # 2**22 int64 entries ~ 34 MB
 _INT64_LEVEL_MAX = 20
@@ -142,16 +142,18 @@ class MinorTable:
         if k <= _INT64_LEVEL_MAX:
             _level_kernel()(self._vals, masks, len(masks), row)  # exact: see _levels.c
         else:
-            for mask in subsets_of_size(self.n, k):
+            for mask in masks.tolist():
                 total = 0
                 for i in bits_of(mask):
                     total += int(row[i]) * self.value(mask ^ (1 << i))
-                self._big[int(mask)] = total
+                self._big[mask] = total
         self.k_max = k
 
     def value(self, mask: int) -> int:
         """Exact permanent of the minor indexed by this column mask."""
         mask = int(mask)
+        if mask < 0 or mask >> self.n:
+            raise ValueError(f"mask {mask} is outside [0, 2**{self.n})")
         level = mask.bit_count()
         if level > self.k_max:
             raise ValueError(f"level {level} not built (k_max={self.k_max})")
@@ -174,21 +176,18 @@ class MinorTable:
             return math.comb(self.n, k)
         if t > math.factorial(k):  # |value| <= k! always
             return 0
-        if k > _INT64_LEVEL_MAX:
-            return sum(1 for m in subsets_of_size(self.n, k) if abs(self._big[m]) >= t)
         masks = self._levels[k]
+        if k > _INT64_LEVEL_MAX:
+            return sum(abs(self._big[m]) >= t for m in masks.tolist())
         return int(np.count_nonzero(np.abs(self._vals[masks]) >= t))
 
     def heavy_masks(self, k: int, threshold) -> np.ndarray:
         """Masks of the heavy size-k sets, ascending."""
         self._check_level(k)
         t = threshold_int(threshold)
-        if k > _INT64_LEVEL_MAX:
-            return np.array(
-                [m for m in subsets_of_size(self.n, k) if abs(self._big[m]) >= t],
-                dtype=np.int64,
-            )
         masks = self._levels[k]
+        if k > _INT64_LEVEL_MAX:
+            return masks[[abs(self._big[m]) >= t for m in masks.tolist()]]
         if t <= 0:
             return masks.copy()
         return masks[np.abs(self._vals[masks]) >= t]
@@ -200,32 +199,17 @@ class MinorTable:
         return self.value(full_mask(self.n))
 
 
-def build_lattice(prefix: RowPrefix | SignMatrix, k_max: int | None = None,
+def build_lattice(matrix: SignMatrix, k_max: int | None = None,
                   max_n: int = DEFAULT_MAX_N) -> MinorTable:
-    """Build the minor table through level k_max from exposed rows."""
-    if isinstance(prefix, SignMatrix):
-        prefix = prefix.prefix(prefix.n)
+    """Build the minor table through level k_max (default n) from the first rows."""
     if k_max is None:
-        k_max = prefix.k
-    if k_max > prefix.k:
-        raise ValueError(f"k_max={k_max} exceeds exposed rows k={prefix.k}")
-    table = MinorTable(prefix.n, max_n=max_n)
+        k_max = matrix.n
+    if k_max > matrix.n:
+        raise ValueError(f"k_max={k_max} exceeds the {matrix.n} rows")
+    table = MinorTable(matrix.n, max_n=max_n)
     for j in range(k_max):
-        table.add_level(prefix.row(j))
+        table.add_level(matrix.row(j))
     return table
-
-
-@dataclass(frozen=True)
-class HeavyFamily:
-    """Distinct size-k column sets whose minors reach a common threshold."""
-
-    k: int
-    threshold: float
-    members: np.ndarray  # masks, ascending
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -251,13 +235,13 @@ class ParentHistogram:
         return int((np.arange(self.n + 1) * self.counts).sum())
 
 
-def parent_histogram(table: MinorTable, family: HeavyFamily) -> ParentHistogram:
-    """Histogram of heavy-parent multiplicities over the family's children."""
+def parent_histogram(table: MinorTable, k: int, members) -> ParentHistogram:
+    """Histogram of heavy-parent multiplicities over the children of a
+    family of distinct size-k column sets (masks)."""
     n = table.n
-    k = family.k
     if k + 1 > n:
         raise ValueError("family is at the top level; no children exist")
-    members = np.asarray(family.members, dtype=np.int64)
+    members = np.asarray(members, dtype=np.int64)
     counts = np.zeros(n + 1, dtype=np.int64)
     if len(members) == 0:
         return ParentHistogram(n=n, k=k, counts=counts)

@@ -1,9 +1,8 @@
-"""Sign matrices, row prefixes, seeded sampling, and the text fixture format.
+"""Sign matrices, seeded sampling, and the text fixture format.
 
-A sign matrix is an n x n array with entries in {-1, +1}.  The row prefix
-type holds the first k rows of such a matrix; everything downstream (minor
-lattice, growth runs) consumes prefixes so that "expose one more row" is a
-first-class operation.
+A sign matrix is an n x n array with entries in {-1, +1}.  Its first k rows
+(`SignMatrix.prefix(k)`) are a read-only k x n array; the minor lattice and
+the growth and endgame runs expose the rows of one matrix one at a time.
 """
 
 from __future__ import annotations
@@ -59,11 +58,11 @@ class SignMatrix:
     def row(self, i: int) -> np.ndarray:
         return self.entries[i]
 
-    def prefix(self, k: int) -> "RowPrefix":
-        """First k rows as a RowPrefix."""
+    def prefix(self, k: int) -> np.ndarray:
+        """First k rows, a read-only k x n view."""
         if not 0 <= k <= self.n:
             raise ValueError(f"prefix length must be in 0..{self.n}")
-        return RowPrefix(self.n, self.entries[:k])
+        return self.entries[:k]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SignMatrix) and np.array_equal(self.entries, other.entries)
@@ -73,44 +72,6 @@ class SignMatrix:
 
     def __repr__(self) -> str:
         return f"SignMatrix(n={self.n})"
-
-
-@dataclass(frozen=True, eq=False)
-class RowPrefix:
-    """The first k exposed rows of a (future) n x n sign matrix."""
-
-    n: int
-    rows: np.ndarray
-
-    def __init__(self, n: int, rows) -> None:
-        _check_dimension(n)
-        arr = np.asarray(rows, dtype=np.int8).reshape(-1, n) if np.size(rows) else np.zeros((0, n), np.int8)
-        if arr.shape[0] > n:
-            raise ValueError(f"prefix has {arr.shape[0]} rows but n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", _as_sign_array(arr, arr.shape[0], n) if arr.size else arr)
-
-    @property
-    def k(self) -> int:
-        return self.rows.shape[0]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.rows[i]
-
-    def as_matrix(self) -> SignMatrix:
-        if self.k != self.n:
-            raise ValueError(f"prefix has {self.k} of {self.n} rows, not a full matrix")
-        return SignMatrix(self.rows)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RowPrefix)
-            and self.n == other.n
-            and np.array_equal(self.rows, other.rows)
-        )
-
-    def __repr__(self) -> str:
-        return f"RowPrefix(n={self.n}, k={self.k})"
 
 
 def sample_row(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:

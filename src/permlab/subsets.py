@@ -8,7 +8,6 @@ canonical iteration order everywhere in this package.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -36,22 +35,6 @@ def mask_of(cols) -> int:
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
-
-
-def subsets_of_size(n: int, k: int) -> Iterator[int]:
-    """All masks over n bits with exactly k bits set, ascending (Gosper's hack)."""
-    if k == 0:
-        yield 0
-        return
-    if k > n:
-        return
-    m = (1 << k) - 1
-    top = 1 << n
-    while m < top:
-        yield m
-        low = m & -m
-        ripple = m + low
-        m = ripple | (((m ^ ripple) >> 2) // low)
 
 
 @lru_cache(maxsize=4)

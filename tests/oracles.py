@@ -4,13 +4,15 @@ Everything here is deliberately written the slow, obvious way (itertools
 loops over permutations / sign assignments / subsets) so it shares no code
 path with the engines it checks.  The one exception, `numpy_level_table`,
 builds the whole minor lattice with numpy gathers, independently of the
-compiled kernel that builds it in the program.
+compiled kernel that builds it in the program.  `subsets_of_size` walks the
+masks of one level with Gosper's hack, independently of `masks_by_level`.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations, permutations, product
+from typing import Iterator
 
 import numpy as np
 
@@ -67,6 +69,22 @@ def numpy_level_table(matrix) -> np.ndarray:
                 acc -= term
         table[masks] = acc
     return table
+
+
+def subsets_of_size(n: int, k: int) -> Iterator[int]:
+    """All masks over n bits with exactly k bits set, ascending (Gosper's hack)."""
+    if k == 0:
+        yield 0
+        return
+    if k > n:
+        return
+    m = (1 << k) - 1
+    top = 1 << n
+    while m < top:
+        yield m
+        low = m & -m
+        ripple = m + low
+        m = ripple | (((m ^ ripple) >> 2) // low)
 
 
 def brute_heavy_sets(matrix, k: int, threshold) -> list[int]:

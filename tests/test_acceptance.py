@@ -39,9 +39,9 @@ from permlab.growth import ProcessConfig, StepType, count_threshold, run_growth
 from permlab.lattice import SplitVerdict, build_lattice, threshold_int
 from permlab.matrices import SignMatrix, enumerate_all_sign_matrices, sample_sign_matrix
 from permlab.rng import RngStream
-from permlab.subsets import bits_of, full_mask, popcount, subsets_of_size
+from permlab.subsets import bits_of, full_mask, popcount
 
-from oracles import brute_permanent
+from oracles import brute_permanent, subsets_of_size
 
 SEED = 0
 ALON_RECOUNT_DRAWS = 8
@@ -223,7 +223,7 @@ def test_criterion_8_growth_process_structure():
     reverify_failures = 0
     for t in range(trials):
         matrix = sample_sign_matrix(n, RngStream(SEED, (8 << 20) | t))
-        trace = run_growth(matrix, cfg, keep_table=True)
+        trace = run_growth(matrix, cfg)
         table = trace.table
         recs = trace.records
         for idx, rec in enumerate(recs[:-1]):

@@ -219,7 +219,7 @@ def test_all_ones_maintain_event_deterministic():
     # run manually on all-ones to pin the deterministic instance
     from permlab.growth import run_growth, count_threshold
 
-    trace = run_growth(all_ones(10), ProcessConfig(), keep_table=True)
+    trace = run_growth(all_ones(10), ProcessConfig())
     table = trace.table
     for rec in trace.records[:-1]:
         if rec.step_type is None:

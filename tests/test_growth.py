@@ -6,23 +6,52 @@ import pytest
 
 from permlab.growth import (
     ProcessConfig,
+    ProcessTrace,
     StepType,
     count_threshold,
     is_successful,
     potential_increment,
-    replay_records,
     run_growth,
-    sample_growth,
     trace_level_dicts,
     write_trace_jsonl,
 )
-from permlab.lattice import SplitVerdict, build_lattice
+from permlab.lattice import MinorTable, SplitVerdict
 from permlab.matrices import all_ones, sample_sign_matrix
 from permlab.rng import RngStream
 
 from reference_growth import reference_trace
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trace_n16_seed0.jsonl"
+
+
+def replay_records(trace: ProcessTrace) -> list[tuple[int, float, float]]:
+    """Re-derive (tracked, threshold, potential) per level from the step log.
+
+    Replaying the update rules from each record must reproduce the next
+    record exactly.
+    """
+    cfg = trace.cfg
+    n = trace.n
+    out = []
+    rec0 = trace.records[0]
+    tracked, threshold, potential = rec0.tracked, rec0.threshold, rec0.potential
+    out.append((tracked, threshold, potential))
+    for rec in trace.records[:-1]:
+        st = rec.step_type
+        if st is None:
+            pass  # zero tracked count propagates unchanged
+        else:
+            if st is StepType.I:
+                tracked = count_threshold(n**cfg.eps * rec.tracked / 4)
+            elif st in (StepType.II, StepType.III, StepType.IV):
+                tracked = count_threshold(cfg.eff_eps_prime() * rec.tracked)
+            else:
+                tracked = 0
+            if st is StepType.III:
+                threshold = cfg.lam_grow_factor(n) * rec.threshold
+            potential += potential_increment(st, cfg)
+        out.append((tracked, threshold, potential))
+    return out
 
 
 def test_config_validation():
@@ -65,7 +94,7 @@ def test_all_ones_never_type_v():
 def test_replay_identity_random():
     cfg = ProcessConfig()
     for t in range(10):
-        trace, _ = sample_growth(12, cfg, RngStream(40, t))
+        trace = run_growth(sample_sign_matrix(12, RngStream(40, t)), cfg)
         replayed = replay_records(trace)
         stored = [(r.tracked, r.threshold, r.potential) for r in trace.records]
         assert replayed == stored
@@ -80,7 +109,7 @@ def test_potential_update_rule():
 
 def test_success_boundary_inclusive():
     cfg = ProcessConfig()
-    trace, _ = sample_growth(10, cfg, RngStream(41, 0))
+    trace = run_growth(sample_sign_matrix(10, RngStream(41, 0)), cfg)
     last = trace.records[-1]
     # literal evaluation: equality on the potential bound counts as success
     bound = cfg.eff_eps_prime() * trace.n / 2
@@ -121,7 +150,7 @@ def test_type_soundness_recount():
     cfg = ProcessConfig()
     for t in range(10):
         matrix = sample_sign_matrix(14, RngStream(43, t))
-        trace = run_growth(matrix, cfg, keep_table=True)
+        trace = run_growth(matrix, cfg)
         table = trace.table
         n = trace.n
         for rec in trace.records[:-1]:
@@ -147,7 +176,7 @@ def test_type_soundness_recount():
 def test_tracked_below_true_heavy():
     cfg = ProcessConfig()
     for t in range(10):
-        trace, _ = sample_growth(12, cfg, RngStream(44, t))
+        trace = run_growth(sample_sign_matrix(12, RngStream(44, t)), cfg)
         for rec in trace.records:
             assert rec.tracked <= rec.true_heavy
 
@@ -181,6 +210,27 @@ def test_matches_reference_n16_seed0():
     assert trace.successful == ref_success
 
 
+def test_one_heavy_set_query_per_level(monkeypatch):
+    # a classified level reads its heavy set once (heavy_masks, whose length
+    # is the exact count) plus the two next-level counts; every other level
+    # and the start condition make one count each
+    calls = []
+    for name in ("heavy_count", "heavy_masks"):
+        query = getattr(MinorTable, name)
+
+        def counted(self, *args, _query=query, _name=name):
+            calls.append(_name)
+            return _query(self, *args)
+
+        monkeypatch.setattr(MinorTable, name, counted)
+    cfg = ProcessConfig()
+    trace = run_growth(sample_sign_matrix(16, RngStream(0, 0)), cfg)
+    levels = len(trace.records)
+    classified = sum(rec.step_type is not None for rec in trace.records)
+    assert (levels, classified) == (8, 7)
+    assert len(calls) == 1 + levels + 2 * classified == 23
+
+
 def test_golden_trace_fixture():
     cfg = ProcessConfig()
     matrix = sample_sign_matrix(16, RngStream(0, 0))
@@ -193,7 +243,7 @@ def test_golden_trace_fixture():
 
 def test_trace_jsonl_roundtrip(tmp_path):
     cfg = ProcessConfig()
-    trace, _ = sample_growth(10, cfg, RngStream(46, 1))
+    trace = run_growth(sample_sign_matrix(10, RngStream(46, 1)), cfg)
     path = tmp_path / "trace.jsonl"
     write_trace_jsonl(trace, path, seed=46, stream=1)
     lines = path.read_text().splitlines()

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from permlab import lattice
 from permlab.engines import permanent_ryser
 from permlab.lattice import (
-    HeavyFamily,
     MinorTable,
     ParentHistogram,
     SplitVerdict,
@@ -33,13 +32,14 @@ from permlab.matrices import (
     sample_sign_matrix,
 )
 from permlab.rng import RngStream
-from permlab.subsets import bits_of, full_mask, mask_of, popcount, subsets_of_size
+from permlab.subsets import bits_of, full_mask, mask_of, popcount
 
 from oracles import (
     brute_heavy_sets,
     brute_minor_permanent,
     brute_parent_counts,
     numpy_level_table,
+    subsets_of_size,
 )
 
 
@@ -67,6 +67,15 @@ def test_empty_minor_value():
     assert t.value(0) == 1
     with pytest.raises(ValueError):
         t.value(0b11)  # level not built
+
+
+def test_value_rejects_masks_outside_the_table():
+    n = 4
+    t = build_lattice(all_ones(n))
+    assert t.value(full_mask(n)) == math.factorial(n)
+    for mask in (-1, -2, 1 << n):
+        with pytest.raises(ValueError, match="outside"):
+            t.value(mask)
 
 
 def test_hand_value_n2():
@@ -266,19 +275,18 @@ def test_heavy_count_matches_members():
 def test_parent_histogram_complete_family():
     n = 6
     t = build_lattice(all_ones(n))
-    fam = HeavyFamily(1, 1, t.heavy_masks(1, 1))  # all singletons
-    hist = parent_histogram(t, fam)
+    members = t.heavy_masks(1, 1)  # all singletons
+    hist = parent_histogram(t, 1, members)
     # every 2-set has exactly 2 parents
     assert hist.counts[2] == math.comb(n, 2)
     assert hist.counts[1] == 0
-    assert hist.weighted_total() == fam.size * (n - 1)
+    assert hist.weighted_total() == len(members) * (n - 1)
 
 
 def test_parent_histogram_single_member():
     n = 6
     t = build_lattice(all_ones(n))
-    fam = HeavyFamily(k=3, threshold=1, members=np.array([mask_of([0, 1, 2])]))
-    hist = parent_histogram(t, fam)
+    hist = parent_histogram(t, 3, np.array([mask_of([0, 1, 2])]))
     assert hist.counts[1] == n - 3
     assert hist.weighted_total() == n - 3
 
@@ -286,13 +294,13 @@ def test_parent_histogram_single_member():
 def test_parent_histogram_against_brute():
     m = sample_sign_matrix(6, RngStream(35, 4))
     t = build_lattice(m)
-    fam = HeavyFamily(3, 2, t.heavy_masks(3, 2))
-    hist = parent_histogram(t, fam)
-    counts = brute_parent_counts([int(x) for x in fam.members], 6)
+    members = t.heavy_masks(3, 2)
+    hist = parent_histogram(t, 3, members)
+    counts = brute_parent_counts([int(x) for x in members], 6)
     for l in range(1, 7):
         assert hist.counts[l] == sum(1 for c in counts.values() if c == l)
     # double-count identity
-    assert hist.weighted_total() == fam.size * (6 - 3)
+    assert hist.weighted_total() == len(members) * (6 - 3)
 
 
 def test_split_events_trivial_cases():
@@ -321,19 +329,20 @@ def test_split_dichotomy_always_decides():
         m = sample_sign_matrix(12, RngStream(36, t))
         table = build_lattice(m, 6)
         k = 4
-        fam = HeavyFamily(k, 1, table.heavy_masks(k, 1))
-        if fam.size == 0:
+        members = table.heavy_masks(k, 1)
+        size = len(members)
+        if size == 0:
             continue
-        hist = parent_histogram(table, fam)
-        verdict = split_events(hist, eps, c, fam.size)
+        hist = parent_histogram(table, k, members)
+        verdict = split_events(hist, eps, c, size)
         cut = split_cut(12, eps, c)
         low = hist.mass_up_to(cut)
         high = hist.mass_above(cut)
         if verdict is SplitVerdict.PRIME:
-            assert low >= Fraction(eps) * 12 * fam.size / (2 * cut)
+            assert low >= Fraction(eps) * 12 * size / (2 * cut)
         else:
             # the counting argument guarantees the other side
-            assert high >= Fraction(eps) * fam.size / 2
+            assert high >= Fraction(eps) * size / 2
 
 
 def test_python_int_levels_n22():

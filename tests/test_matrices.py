@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from permlab.matrices import (
     CapError,
-    RowPrefix,
     SignMatrix,
     all_ones,
     enumerate_all_sign_matrices,
@@ -85,9 +84,12 @@ def test_stream_pairwise_correlation():
 
 def test_prefix_of_matrix_roundtrip():
     m = sample_sign_matrix(5, RngStream(9))
-    p = m.prefix(5)
-    assert p.as_matrix() == m
-    assert m.prefix(2).k == 2
+    assert SignMatrix(m.prefix(5)) == m
+    p = m.prefix(2)
+    assert p.shape == (2, 5) and np.array_equal(p, m.entries[:2])
+    assert not p.flags.writeable
+    with pytest.raises(ValueError):
+        m.prefix(6)
 
 
 @pytest.mark.parametrize("n,count", [(1, 2), (2, 16)])
@@ -138,10 +140,3 @@ def test_text_rejects_garbage():
 def test_text_roundtrip_random(bits, n):
     m = matrix_from_counter(n, bits & ((1 << (n * n)) - 1))
     assert from_text(to_text(m)) == m
-
-
-def test_row_prefix_validation():
-    with pytest.raises(ValueError):
-        RowPrefix(2, [[1, 1], [1, -1], [1, 1]])  # too many rows
-    with pytest.raises(ValueError):
-        RowPrefix(2, [[1, 2]])
