@@ -7,14 +7,7 @@ verification suite of enumeration identities and seeded Monte Carlo checks.
 
 from .engines import determinant_exact, permanent, permanent_mod, permanent_naive, permanent_ryser
 from .growth import ProcessConfig, ProcessTrace, StepType, is_successful, run_growth
-from .lattice import (
-    MinorTable,
-    ParentHistogram,
-    SplitVerdict,
-    build_lattice,
-    parent_histogram,
-    split_events,
-)
+from .lattice import MinorTable, SplitVerdict, build_lattice, parent_histogram, split_events
 from .matrices import (
     CapError,
     SignMatrix,
@@ -31,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapError",
     "MinorTable",
-    "ParentHistogram",
     "ProcessConfig",
     "ProcessTrace",
     "RngStream",

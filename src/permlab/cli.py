@@ -41,8 +41,6 @@ from .lattice import DEFAULT_MAX_N, build_lattice, dump_lattice_csv
 from .matrices import CapError, SignMatrix, from_text, sample_sign_matrix
 from .rng import RngStream
 
-ENSEMBLE_MAX_N = 22
-
 
 def _thread_count() -> int:
     """Worker processes from PERMLAB_THREADS, clamped to 1..os.cpu_count()."""
@@ -306,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--unsafe-max-n", type=_positive_int, default=ENSEMBLE_MAX_N, dest="unsafe_max_n",
+    p.add_argument("--unsafe-max-n", type=_positive_int, default=DEFAULT_MAX_N, dest="unsafe_max_n",
                    help="raise the n <= 22 lattice cap (memory grows as 2**n)")
     p.set_defaults(func=cmd_ensemble)
     return parser

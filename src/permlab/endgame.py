@@ -241,8 +241,7 @@ def propagate_down(prefix: np.ndarray, members, threshold, cfg: ProcessConfig,
     if not complements_disjoint(members, n):
         raise PreconditionError("family complements must be pairwise disjoint")
 
-    table = build_lattice(source, k)
-    table.add_level(source.row(k))
+    table = build_lattice(source, k + 1)
     new_threshold = Fraction(threshold) / n
     tint = threshold_int(new_threshold)
 
@@ -283,8 +282,7 @@ def final_row_heaviness(prefix: np.ndarray, threshold_final,
     n, k = source.n, _exposed(prefix, source)
     if k != n - 1:
         raise ValueError(f"final-row step needs exactly n-1 = {n - 1} rows, got {k}")
-    table = build_lattice(source, k)
-    table.add_level(source.row(n - 1))
+    table = build_lattice(source, k + 1)
     per = table.top_value()
     heavy = abs(per) >= threshold_int(threshold_final)
     return FinalRowResult(permanent=per, heavy=heavy, threshold=float(threshold_final))

@@ -9,7 +9,10 @@ the threshold-growing and count-exploding step types, so a low final
 potential certifies that the threshold grew on most levels.
 
 The tracked count is deliberately a lower-bound token: the exact heavy count
-from the lattice is logged next to it at every level.
+from the lattice is logged next to it at every level.  Each level's heavy
+set is read from the lattice once: classifying level k reads level k+1 at
+the current and at the grown threshold, and the set at the threshold the
+step keeps is carried forward as level k+1's heavy set.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
+
+import numpy as np
 
 from .lattice import (
     DEFAULT_MAX_N,
@@ -158,27 +163,31 @@ def potential_increment(step_type: StepType, cfg: ProcessConfig) -> float:
     return inc
 
 
-def classify_step(table: MinorTable, k: int, tracked: int, threshold: float,
-                  cfg: ProcessConfig, potential: float) -> tuple[LevelRecord, int, float]:
-    """Classify the step from level k given the tracked heavy family.
+def classify_step(table: MinorTable, k: int, masks: np.ndarray, tracked: int, threshold: float,
+                  cfg: ProcessConfig, potential: float
+                  ) -> tuple[LevelRecord, int, float, np.ndarray]:
+    """Classify the step from level k given the level's heavy set.
 
-    The family is the `tracked` lexicographically-smallest heavy masks (any
-    witness set is allowed; the smallest ones make runs reproducible).
-    Exactly one type is returned; V is the fallback with tracked count 0.
-    Returns the level's record and the next tracked count and threshold.
+    `masks` is heavy_masks(k, threshold).  The family is its `tracked`
+    lexicographically-smallest members (any witness set is allowed; the
+    smallest ones make runs reproducible).  Exactly one type is returned;
+    V is the fallback with tracked count 0.  Returns the level's record, the
+    next tracked count and threshold, and the heavy set of level k+1 at that
+    threshold.
     """
     if tracked < 1:
         raise ValueError("classification needs a nonempty tracked family")
     n = table.n
-    masks = table.heavy_masks(k, threshold)
     if len(masks) < tracked:
         raise ValueError(f"tracked count {tracked} exceeds exact heavy count {len(masks)}")
-    hist = parent_histogram(table, k, masks[:tracked])
-    branch = split_events(hist, cfg.eps, cfg.eff_c(), tracked)
+    counts = parent_histogram(table, k, masks[:tracked])
+    branch = split_events(counts, cfg.eps, cfg.eff_c(), tracked)
 
     grown_threshold = cfg.lam_grow_factor(n) * threshold
-    next_at_threshold = table.heavy_count(k + 1, threshold)
-    next_at_grown = table.heavy_count(k + 1, grown_threshold)
+    heavy_next = table.heavy_masks(k + 1, threshold)
+    heavy_grown = table.heavy_masks(k + 1, grown_threshold)
+    next_at_threshold = len(heavy_next)
+    next_at_grown = len(heavy_grown)
     explode_count = count_threshold(n**cfg.eps * tracked / 4)
     keep_count = count_threshold(cfg.keep_frac() * tracked)
     shrunk = count_threshold(cfg.eff_eps_prime() * tracked)
@@ -210,7 +219,8 @@ def classify_step(table: MinorTable, k: int, tracked: int, threshold: float,
         next_at_grown=next_at_grown,
         grown_threshold=grown_threshold,
     )
-    return record, new[0], new[1]
+    next_heavy = heavy_grown if step is StepType.III else heavy_next
+    return record, new[0], new[1], next_heavy
 
 
 def run_growth(matrix: SignMatrix, cfg: ProcessConfig,
@@ -229,23 +239,23 @@ def run_growth(matrix: SignMatrix, cfg: ProcessConfig,
         raise ValueError(f"bad level range k0={k0}, k1={k1} for n={n}")
 
     table = build_lattice(matrix, k1, max_n=max_n if max_n is not None else DEFAULT_MAX_N)
-    tracked = 1 if table.heavy_count(k0, 1) >= 1 else 0
     threshold = 1.0
+    heavy = table.heavy_masks(k0, threshold)
+    tracked = 1 if len(heavy) else 0
     potential = 0.0
 
     trace = ProcessTrace(n=n, cfg=cfg, table=table)
     for k in range(k0, k1):
         if tracked == 0:
-            true_heavy = table.heavy_count(k, threshold)
-            trace.records.append(LevelRecord(k, 0, true_heavy, threshold, potential, None))
+            trace.records.append(LevelRecord(k, 0, len(heavy), threshold, potential, None))
+            heavy = table.heavy_masks(k + 1, threshold)
             continue
-        rec, tracked, threshold = classify_step(table, k, tracked, threshold, cfg, potential)
+        rec, tracked, threshold, heavy = classify_step(
+            table, k, heavy, tracked, threshold, cfg, potential)
         trace.records.append(rec)
         potential += potential_increment(rec.step_type, cfg)
 
-    trace.records.append(
-        LevelRecord(k1, tracked, table.heavy_count(k1, threshold), threshold, potential, None)
-    )
+    trace.records.append(LevelRecord(k1, tracked, len(heavy), threshold, potential, None))
     trace.successful = is_successful(trace, cfg)
     return trace
 

@@ -10,7 +10,11 @@ A level-k value is bounded by k!, and 20! < 2**63, so levels up to 20 live
 in one flat int64 array indexed by mask; the handful of subsets on higher
 levels (n = 21, 22) are kept as Python ints.  Heaviness thresholds compare
 an integer |value| against a real threshold, which is exact after rounding
-the threshold up to the next integer.
+the threshold up to the next integer.  Both queries, heavy_count and
+heavy_masks, read one boolean selector over the level.  parent_histogram
+returns, for a family of size-k sets, the plain length-(n+1) array of how
+many children have exactly l family parents; split_events reads n and the
+low-multiplicity mass from that array.
 
 The int64 levels are built by one small C function (`_levels.c`): for each
 mask of the level it walks the mask's set bits and sums the signed values
@@ -31,7 +35,6 @@ import math
 import os
 import subprocess
 import tempfile
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -164,33 +167,28 @@ class MinorTable:
     def level_masks(self, k: int) -> np.ndarray:
         return self._levels[k]
 
-    def _check_level(self, k: int) -> None:
+    def _heavy_selector(self, k: int, threshold) -> np.ndarray:
+        """Boolean array over level_masks(k): which sets have |value| >= threshold.
+
+        Python-int levels compare through an object array, which numpy also
+        turns into a bool array; every heaviness query goes through here.
+        """
         if not 0 <= k <= self.k_max:
             raise ValueError(f"level {k} not built (k_max={self.k_max})")
+        masks = self._levels[k]
+        if k > _INT64_LEVEL_MAX:
+            values = np.array([self._big[m] for m in masks.tolist()], dtype=object)
+        else:
+            values = self._vals[masks]
+        return np.abs(values) >= threshold_int(threshold)
 
     def heavy_count(self, k: int, threshold) -> int:
         """Number of size-k column sets whose |value| reaches the threshold."""
-        self._check_level(k)
-        t = threshold_int(threshold)
-        if t <= 0:
-            return math.comb(self.n, k)
-        if t > math.factorial(k):  # |value| <= k! always
-            return 0
-        masks = self._levels[k]
-        if k > _INT64_LEVEL_MAX:
-            return sum(abs(self._big[m]) >= t for m in masks.tolist())
-        return int(np.count_nonzero(np.abs(self._vals[masks]) >= t))
+        return int(np.count_nonzero(self._heavy_selector(k, threshold)))
 
     def heavy_masks(self, k: int, threshold) -> np.ndarray:
         """Masks of the heavy size-k sets, ascending."""
-        self._check_level(k)
-        t = threshold_int(threshold)
-        masks = self._levels[k]
-        if k > _INT64_LEVEL_MAX:
-            return masks[[abs(self._big[m]) >= t for m in masks.tolist()]]
-        if t <= 0:
-            return masks.copy()
-        return masks[np.abs(self._vals[masks]) >= t]
+        return self._levels[k][self._heavy_selector(k, threshold)]
 
     def top_value(self) -> int:
         """Permanent of the full matrix; requires all levels built."""
@@ -212,49 +210,22 @@ def build_lattice(matrix: SignMatrix, k_max: int | None = None,
     return table
 
 
-@dataclass(frozen=True)
-class ParentHistogram:
-    """counts[l] = number of size-(k+1) sets with exactly l parents in a family.
+def parent_histogram(table: MinorTable, k: int, members) -> np.ndarray:
+    """counts[l] = number of size-(k+1) sets with exactly l parents in a
+    family of distinct size-k column sets (masks); length n+1.
 
     A parent of A' is any A = A' minus one element that belongs to the
-    family; counts[0] is unused (children with no family parent are not
+    family; counts[0] stays 0 (children with no family parent are not
     tracked).
     """
-
-    n: int
-    k: int  # parent level; children live at k+1
-    counts: np.ndarray  # length n+1, index l
-
-    def mass_up_to(self, k_cut: int) -> int:
-        return int(self.counts[1 : k_cut + 1].sum())
-
-    def mass_above(self, k_cut: int) -> int:
-        return int(self.counts[k_cut + 1 :].sum())
-
-    def weighted_total(self) -> int:
-        return int((np.arange(self.n + 1) * self.counts).sum())
-
-
-def parent_histogram(table: MinorTable, k: int, members) -> ParentHistogram:
-    """Histogram of heavy-parent multiplicities over the children of a
-    family of distinct size-k column sets (masks)."""
     n = table.n
     if k + 1 > n:
         raise ValueError("family is at the top level; no children exist")
     members = np.asarray(members, dtype=np.int64)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    if len(members) == 0:
-        return ParentHistogram(n=n, k=k, counts=counts)
-    children = []
-    for i in range(n):
-        absent = members[(members >> i) & 1 == 0]
-        if len(absent):
-            children.append(absent | (1 << i))
-    all_children = np.concatenate(children)
-    _, multiplicity = np.unique(all_children, return_counts=True)
-    hist = np.bincount(multiplicity, minlength=n + 1)
-    counts[: len(hist)] = hist[: n + 1]
-    return ParentHistogram(n=n, k=k, counts=counts)
+    children = [members[(members >> i) & 1 == 0] | (1 << i) for i in range(n)]
+    _, multiplicity = np.unique(np.concatenate(children), return_counts=True)
+    # a child has at most k+1 <= n parents, so the bincount has length n+1
+    return np.bincount(multiplicity, minlength=n + 1)
 
 
 class SplitVerdict(Enum):
@@ -277,16 +248,18 @@ def split_cut(n: int, eps: float, c: float) -> int:
     return max(1, math.floor((eps / 8.0) * n ** (1.0 - c)))
 
 
-def split_events(hist: ParentHistogram, eps: float, c: float, family_size: int) -> SplitVerdict:
-    """Decide the dichotomy: PRIME iff the low-multiplicity mass is large.
+def split_events(counts: np.ndarray, eps: float, c: float, family_size: int) -> SplitVerdict:
+    """Decide the dichotomy on a parent_histogram: PRIME iff the
+    low-multiplicity mass is large.
 
-    PRIME means counts[1..K] >= eps*n*N / (2K); otherwise DOUBLE_PRIME.
+    n is len(counts) - 1.  PRIME means counts[1..K] >= eps*n*N / (2K);
+    otherwise DOUBLE_PRIME.
     When every family member has at least eps*n children, at least one side
     always holds, so a verdict is always returned.
     """
-    n = hist.n
+    n = len(counts) - 1
     cut = split_cut(n, eps, c)
-    low_mass = hist.mass_up_to(cut)
+    low_mass = int(counts[1 : cut + 1].sum())
     # Exact comparison: eps enters as its binary-float value.
     bound = Fraction(eps) * n * family_size / (2 * cut)
     return SplitVerdict.PRIME if low_mass >= bound else SplitVerdict.DOUBLE_PRIME

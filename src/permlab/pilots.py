@@ -55,7 +55,6 @@ def pilot_growth_rate(n: int = 16, trials: int = 500) -> dict:
 
 
 def pilot_growth_success(n: int = 16, trials: int = 200) -> dict:
-    rng = RngStream(PILOT_SEED)
     cfg = ProcessConfig()
     successes = 0
     for t in range(trials):

@@ -182,9 +182,16 @@ def test_tracked_below_true_heavy():
 
 
 def test_matches_reference_implementation():
-    cfg = ProcessConfig()
-    for t in range(4):
-        matrix = sample_sign_matrix(12, RngStream(45, t))
+    # default runs at n=12, plus a type III run, a type V followed by
+    # untracked levels, and a V after two III steps
+    cases = [(12, ProcessConfig(), RngStream(45, t)) for t in range(4)] + [
+        (12, ProcessConfig(eps=0.9, k0=3, k1=10), RngStream(45, 0)),
+        (5, ProcessConfig(k0=1, k1=5), RngStream(45, 41)),
+        (5, ProcessConfig(eps=0.9, k0=1, k1=5), RngStream(45, 14)),
+    ]
+    seen = set()
+    for n, cfg, rng in cases:
+        matrix = sample_sign_matrix(n, rng)
         trace = run_growth(matrix, cfg)
         ref_records, ref_success = reference_trace(matrix, cfg)
         got = [
@@ -194,6 +201,8 @@ def test_matches_reference_implementation():
         ]
         assert got == ref_records
         assert trace.successful == ref_success
+        seen.update(r.step_type for r in trace.records)
+    assert {StepType.I, StepType.III, StepType.V, None} <= seen
 
 
 def test_matches_reference_n16_seed0():
@@ -211,9 +220,9 @@ def test_matches_reference_n16_seed0():
 
 
 def test_one_heavy_set_query_per_level(monkeypatch):
-    # a classified level reads its heavy set once (heavy_masks, whose length
-    # is the exact count) plus the two next-level counts; every other level
-    # and the start condition make one count each
+    # the start reads level k0's heavy set; each classified level reads
+    # level k+1 at the threshold and at the grown threshold and carries one
+    # of them forward, so no heavy set is read twice
     calls = []
     for name in ("heavy_count", "heavy_masks"):
         query = getattr(MinorTable, name)
@@ -228,7 +237,7 @@ def test_one_heavy_set_query_per_level(monkeypatch):
     levels = len(trace.records)
     classified = sum(rec.step_type is not None for rec in trace.records)
     assert (levels, classified) == (8, 7)
-    assert len(calls) == 1 + levels + 2 * classified == 23
+    assert len(calls) == 1 + 2 * classified == 15
 
 
 def test_golden_trace_fixture():

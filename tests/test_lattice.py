@@ -14,7 +14,6 @@ from permlab import lattice
 from permlab.engines import permanent_ryser
 from permlab.lattice import (
     MinorTable,
-    ParentHistogram,
     SplitVerdict,
     build_lattice,
     dump_lattice_csv,
@@ -276,43 +275,44 @@ def test_parent_histogram_complete_family():
     n = 6
     t = build_lattice(all_ones(n))
     members = t.heavy_masks(1, 1)  # all singletons
-    hist = parent_histogram(t, 1, members)
+    counts = parent_histogram(t, 1, members)
+    assert len(counts) == n + 1
     # every 2-set has exactly 2 parents
-    assert hist.counts[2] == math.comb(n, 2)
-    assert hist.counts[1] == 0
-    assert hist.weighted_total() == len(members) * (n - 1)
+    assert counts[2] == math.comb(n, 2)
+    assert counts[1] == 0
+    # double count: sum of l * counts[l] = |family| * (n - k)
+    assert int(np.arange(n + 1) @ counts) == len(members) * (n - 1)
 
 
 def test_parent_histogram_single_member():
     n = 6
     t = build_lattice(all_ones(n))
-    hist = parent_histogram(t, 3, np.array([mask_of([0, 1, 2])]))
-    assert hist.counts[1] == n - 3
-    assert hist.weighted_total() == n - 3
+    counts = parent_histogram(t, 3, np.array([mask_of([0, 1, 2])]))
+    assert counts[1] == n - 3
+    assert int(np.arange(n + 1) @ counts) == n - 3
+    assert parent_histogram(t, 3, []).tolist() == [0] * (n + 1)
 
 
 def test_parent_histogram_against_brute():
     m = sample_sign_matrix(6, RngStream(35, 4))
     t = build_lattice(m)
     members = t.heavy_masks(3, 2)
-    hist = parent_histogram(t, 3, members)
-    counts = brute_parent_counts([int(x) for x in members], 6)
+    counts = parent_histogram(t, 3, members)
+    brute = brute_parent_counts([int(x) for x in members], 6)
     for l in range(1, 7):
-        assert hist.counts[l] == sum(1 for c in counts.values() if c == l)
+        assert counts[l] == sum(1 for c in brute.values() if c == l)
     # double-count identity
-    assert hist.weighted_total() == len(members) * (6 - 3)
+    assert int(np.arange(7) @ counts) == len(members) * (6 - 3)
 
 
 def test_split_events_trivial_cases():
     n = 12
     counts = np.zeros(n + 1, dtype=np.int64)
     counts[1] = 10**6
-    hist = ParentHistogram(n=n, k=4, counts=counts)
-    assert split_events(hist, 0.3, 0.5, 10) is SplitVerdict.PRIME
+    assert split_events(counts, 0.3, 0.5, 10) is SplitVerdict.PRIME
     counts2 = np.zeros(n + 1, dtype=np.int64)
     counts2[n] = 10**6
-    hist2 = ParentHistogram(n=n, k=4, counts=counts2)
-    assert split_events(hist2, 0.3, 0.5, 10) is SplitVerdict.DOUBLE_PRIME
+    assert split_events(counts2, 0.3, 0.5, 10) is SplitVerdict.DOUBLE_PRIME
 
 
 def test_split_cut_clamped():
@@ -333,11 +333,12 @@ def test_split_dichotomy_always_decides():
         size = len(members)
         if size == 0:
             continue
-        hist = parent_histogram(table, k, members)
-        verdict = split_events(hist, eps, c, size)
+        counts = parent_histogram(table, k, members)
+        assert int(np.arange(13) @ counts) == size * (12 - k)
+        verdict = split_events(counts, eps, c, size)
         cut = split_cut(12, eps, c)
-        low = hist.mass_up_to(cut)
-        high = hist.mass_above(cut)
+        low = int(counts[1 : cut + 1].sum())
+        high = int(counts[cut + 1 :].sum())
         if verdict is SplitVerdict.PRIME:
             assert low >= Fraction(eps) * 12 * size / (2 * cut)
         else:
@@ -358,6 +359,12 @@ def test_python_int_levels_n22():
     assert t.heavy_count(21, f(21)) == 1
     assert t.heavy_masks(21, f(21)).tolist() == [full ^ 1]
     assert t.value(full ^ 2) == f(21) - 2 * f(20)
+    # threshold 0 selects every set and k!+1 none, on both Python-int levels
+    for k in (21, 22):
+        assert t.heavy_count(k, 0) == math.comb(n, k)
+        assert t.heavy_masks(k, 0).tolist() == t.level_masks(k).tolist()
+        assert t.heavy_count(k, f(k) + 1) == 0
+        assert t.heavy_masks(k, f(k) + 1).tolist() == []
 
 
 def test_lattice_cap():
