@@ -24,7 +24,7 @@ import numpy as np
 
 from .engines import permanent, permanent_mod, ryser_batch
 from .growth import ProcessConfig, count_threshold, run_growth
-from .lattice import DEFAULT_MAX_N, SplitVerdict
+from .lattice import SplitVerdict
 from .matrices import CapError, SignMatrix, sample_sign_matrix
 from .rng import RngStream
 
@@ -277,6 +277,8 @@ def check_parent_child(trials: int, n: int, rng: RngStream | None = None) -> Che
     instance (a failure is a bug, not bad luck); sub-check (b) tests that
     the realized sign wins with frequency >= 1/2 - 3*SE.
     """
+    if n < 2:
+        raise ValueError(f"parent-child check needs n >= 2 (a level k in 1..n-1), got n={n}")
     t0 = time.monotonic()
     rng = rng or RngStream(0)
     gen = rng.generator()
@@ -464,8 +466,6 @@ def check_growth_rate(n_list, trials: int, rng: RngStream | None = None) -> Chec
     all_passed = True
     any_banded = False
     for n in n_list:
-        if n > DEFAULT_MAX_N:
-            raise CapError(f"growth-rate check is capped at n <= {DEFAULT_MAX_N}, got n={n}")
         target = math.factorial(n)
         logs = []
         ratios = []

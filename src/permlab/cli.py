@@ -37,7 +37,7 @@ from .checks import (
 )
 from .engines import determinant_exact, permanent, permanent_mod, permanent_naive, permanent_ryser
 from .growth import ProcessConfig, run_growth, write_trace_jsonl
-from .lattice import DEFAULT_MAX_N, build_lattice, dump_lattice_csv
+from .lattice import LATTICE_MAX_N, build_lattice, dump_lattice_csv
 from .matrices import CapError, SignMatrix, from_text, sample_sign_matrix
 from .rng import RngStream
 
@@ -77,15 +77,19 @@ def _nonnegative_float(text: str) -> float:
 
 
 def _size_list(text: str) -> list[int]:
-    """argparse type for --n-list: a non-empty comma-separated list of sizes >= 1."""
+    """argparse type for --n-list: comma-separated sizes in 1..LATTICE_MAX_N, at least one."""
     tokens = [tok for tok in text.split(",") if tok.strip()]
     if not tokens:
         raise argparse.ArgumentTypeError(f"needs at least one size, got {text!r}")
     try:
-        return [_positive_int(tok) for tok in tokens]
+        sizes = [_positive_int(tok) for tok in tokens]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be comma-separated integers >= 1, got {text!r}") from None
+    for n in sizes:
+        if n > LATTICE_MAX_N:
+            raise argparse.ArgumentTypeError(f"ensemble is capped at n <= {LATTICE_MAX_N}, got n={n}")
+    return sizes
 
 
 def _write_manifest(path: Path, subcommand: str, config: dict, seed: int | None,
@@ -105,7 +109,7 @@ def _load_matrix(args) -> SignMatrix:
     if args.matrix is not None:
         return from_text(Path(args.matrix).read_text())
     if args.random is None:
-        raise SystemExit("either a matrix file or --random N is required")
+        raise ValueError("either a matrix file or --random N is required")
     return sample_sign_matrix(args.random, RngStream(args.seed, args.stream))
 
 
@@ -120,9 +124,9 @@ def cmd_compute(args) -> int:
         per = permanent_ryser(matrix)
     else:
         if args.dump_lattice:
-            dump_lattice_csv(build_lattice(matrix, max_n=args.unsafe_max_n), args.dump_lattice)
+            dump_lattice_csv(build_lattice(matrix), args.dump_lattice)
         try:
-            per = permanent(matrix, max_n=args.unsafe_max_n)
+            per = permanent(matrix)
         except CapError as exc:
             raise CapError(f"{exc}; use --engine ryser, which keeps no table") from exc
     print(per)
@@ -133,8 +137,8 @@ def cmd_compute(args) -> int:
 
 def _growth_trial(payload: tuple) -> tuple[str, dict]:
     """Run one trial, write its trace file; return the path and the summary row."""
-    seed, trial, n, cfg, max_n, out = payload
-    trace = run_growth(sample_sign_matrix(n, RngStream(seed, trial)), cfg, max_n=max_n)
+    seed, trial, n, cfg, out = payload
+    trace = run_growth(sample_sign_matrix(n, RngStream(seed, trial)), cfg)
     path = out / f"trace_{trial:05d}.jsonl"
     write_trace_jsonl(trace, path, seed=seed, stream=trial)
     final = trace.final
@@ -152,7 +156,7 @@ def cmd_growth(args) -> int:
     cfg = ProcessConfig(eps=args.eps, eps_prime=args.eps_prime, c=args.c)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payloads = [(args.seed, t, args.n, cfg, args.unsafe_max_n, out) for t in range(args.trials)]
+    payloads = [(args.seed, t, args.n, cfg, out) for t in range(args.trials)]
     results = _map_trials(_growth_trial, payloads)
     trace_paths = [path for path, _ in results]
     summary_rows = [row for _, row in results]
@@ -193,10 +197,6 @@ _CHECK_BUILDERS = {
 
 
 def cmd_verify(args) -> int:
-    if args.suite != "all" and args.suite not in _CHECK_BUILDERS:
-        raise SystemExit(
-            f"unknown check {args.suite!r}; known: all, {', '.join(sorted(_CHECK_BUILDERS))}"
-        )
     # The report is opened before the checks run, so an unwritable --out
     # fails at once instead of after the whole suite.
     with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
@@ -222,9 +222,9 @@ def cmd_verify(args) -> int:
 
 
 def _ensemble_trial(payload: tuple) -> tuple[int, int, str, str]:
-    seed, n, trial, max_n = payload
+    seed, n, trial = payload
     matrix = sample_sign_matrix(n, RngStream(seed, (n << 32) | trial))
-    per = permanent(matrix, max_n=max_n)
+    per = permanent(matrix)
     det = determinant_exact(matrix)
     per_log = "ZERO" if per == 0 else f"{math.log(abs(per)):.10g}"
     det_log = "ZERO" if det == 0 else f"{math.log(abs(det)):.10g}"
@@ -233,14 +233,7 @@ def _ensemble_trial(payload: tuple) -> tuple[int, int, str, str]:
 
 def cmd_ensemble(args) -> int:
     n_list = args.n_list
-    cap = args.unsafe_max_n
-    for n in n_list:
-        if n > cap:
-            raise SystemExit(
-                f"ensemble is capped at n <= {cap}, got n={n}"
-                " (raise with --unsafe-max-n at your own memory cost)"
-            )
-    payloads = [(args.seed, n, t, cap) for n in n_list for t in range(args.trials)]
+    payloads = [(args.seed, n, t) for n in n_list for t in range(args.trials)]
     out = Path(args.out)
     # Opened before the trials run, so an unwritable --out fails at once.
     with open(out, "w", newline="") as fh:
@@ -270,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det", action="store_true", help="also print the determinant")
     p.add_argument("--mod", type=int, help="print the permanent residue mod M")
     p.add_argument("--dump-lattice", metavar="CSV", help="dump the minor lattice (engine=lattice, n <= 12)")
-    p.add_argument("--unsafe-max-n", type=_positive_int, default=DEFAULT_MAX_N, dest="unsafe_max_n",
-                   help="raise the n <= 22 lattice cap (memory grows as 2**n)")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("growth", help="growth-run ensemble with JSONL traces")
@@ -282,12 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-prime", type=float, default=None, dest="eps_prime")
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--unsafe-max-n", type=_positive_int, default=DEFAULT_MAX_N, dest="unsafe_max_n",
-                   help="raise the n <= 22 lattice cap (memory grows as 2**n)")
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("verify", help="run verification checks")
-    p.add_argument("--suite", default="all")
+    p.add_argument("--suite", choices=["all", *_CHECK_BUILDERS], default="all")
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -304,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--unsafe-max-n", type=_positive_int, default=DEFAULT_MAX_N, dest="unsafe_max_n",
-                   help="raise the n <= 22 lattice cap (memory grows as 2**n)")
     p.set_defaults(func=cmd_ensemble)
     return parser
 

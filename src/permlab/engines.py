@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import DEFAULT_MAX_N, build_lattice
+from .lattice import build_lattice
 from .matrices import CapError, SignMatrix
 
 NAIVE_MAX_N = 10  # n! enumeration
@@ -62,7 +62,7 @@ def permanent_naive(m: SignMatrix) -> int:
     return math.factorial(n) - 2 * odd
 
 
-def permanent_ryser(m: SignMatrix, max_n: int = RYSER_MAX_N) -> int:
+def permanent_ryser(m: SignMatrix) -> int:
     """Permanent by the inclusion-exclusion subset scan with Gray-code updates.
 
     Each step toggles one column in the current subset, updates the per-row
@@ -70,8 +70,8 @@ def permanent_ryser(m: SignMatrix, max_n: int = RYSER_MAX_N) -> int:
     exact Python ints throughout.
     """
     n = m.n
-    if n > max_n:
-        raise CapError(f"permanent_ryser is capped at n <= {max_n} (2**n subsets), got n={n}")
+    if n > RYSER_MAX_N:
+        raise CapError(f"permanent_ryser is capped at n <= {RYSER_MAX_N} (2**n subsets), got n={n}")
     cols = [[int(m.entries[r, j]) for r in range(n)] for j in range(n)]
     partial = [0] * n
     gray = 0
@@ -162,14 +162,14 @@ def permanent_mod(m: SignMatrix, modulus: int) -> int:
     return permanent_ryser(m) % modulus
 
 
-def permanent(m: SignMatrix, max_n: int = DEFAULT_MAX_N) -> int:
+def permanent(m: SignMatrix) -> int:
     """Exact permanent of the full matrix: the top value of its minor lattice.
 
     The one entry point for callers that need the permanent itself; the
     other engines serve as test oracles, batches and residues.  Capped at
-    n <= max_n by the lattice's 2**n table.
+    n <= lattice.LATTICE_MAX_N = 22 by the lattice's 2**n table.
     """
-    return build_lattice(m, max_n=max_n).top_value()
+    return build_lattice(m).top_value()
 
 
 def determinant_exact(m: SignMatrix) -> int:

@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from .lattice import (
-    DEFAULT_MAX_N,
     MinorTable,
     SplitVerdict,
     build_lattice,
@@ -223,8 +222,7 @@ def classify_step(table: MinorTable, k: int, masks: np.ndarray, tracked: int, th
     return record, new[0], new[1], next_heavy
 
 
-def run_growth(matrix: SignMatrix, cfg: ProcessConfig,
-               max_n: int | None = None) -> ProcessTrace:
+def run_growth(matrix: SignMatrix, cfg: ProcessConfig) -> ProcessTrace:
     """Run one growth pass over a fixed matrix.
 
     Start: the tracked count is 1 if some level-k0 minor has |value| >= 1,
@@ -238,7 +236,7 @@ def run_growth(matrix: SignMatrix, cfg: ProcessConfig,
     if not 1 <= k0 <= k1 <= n:
         raise ValueError(f"bad level range k0={k0}, k1={k1} for n={n}")
 
-    table = build_lattice(matrix, k1, max_n=max_n if max_n is not None else DEFAULT_MAX_N)
+    table = build_lattice(matrix, k1)
     threshold = 1.0
     heavy = table.heavy_masks(k0, threshold)
     tracked = 1 if len(heavy) else 0

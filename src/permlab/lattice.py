@@ -44,7 +44,7 @@ import numpy as np
 from .matrices import CapError, SignMatrix
 from .subsets import bits_of, full_mask, masks_by_level
 
-DEFAULT_MAX_N = 22  # 2**22 int64 entries ~ 34 MB
+LATTICE_MAX_N = 22  # a 2**n table: 26 * 2**22 bytes ~ 109 MB at its build peak
 _INT64_LEVEL_MAX = 20
 _DUMP_MAX_N = 12
 _KERNEL_SOURCE = Path(__file__).with_name("_levels.c")
@@ -113,16 +113,18 @@ def _physical_memory_bytes() -> int | None:
 class MinorTable:
     """Minor permanents for all column subsets up to a completed level."""
 
-    def __init__(self, n: int, max_n: int = DEFAULT_MAX_N):
-        if n > max_n:
-            raise CapError(f"minor lattice is capped at n <= {max_n} (2**n table), got n={n}")
-        # The int64 table and the cached masks_by_level hold 8 bytes per mask each.
-        need = 16 << n
+    def __init__(self, n: int):
+        if n > LATTICE_MAX_N:
+            raise CapError(f"minor lattice is capped at n <= {LATTICE_MAX_N} (2**n table), got n={n}")
+        # Peak bytes per mask: the int64 table (8) and, while masks_by_level
+        # builds, its full arange (8), its per-level copies (8), the popcount
+        # array (1) and the level selector (1).
+        need = 26 << n
         have = _physical_memory_bytes()
         if have is not None and need > have:
             raise CapError(
                 f"minor lattice at n={n} needs about {need / 2**30:.1f} GiB"
-                f" ({need} bytes, 16 * 2**n), more than the {have} bytes of physical memory"
+                f" ({need} bytes, 26 * 2**n), more than the {have} bytes of physical memory"
             )
         self.n = n
         self.k_max = 0
@@ -197,14 +199,13 @@ class MinorTable:
         return self.value(full_mask(self.n))
 
 
-def build_lattice(matrix: SignMatrix, k_max: int | None = None,
-                  max_n: int = DEFAULT_MAX_N) -> MinorTable:
+def build_lattice(matrix: SignMatrix, k_max: int | None = None) -> MinorTable:
     """Build the minor table through level k_max (default n) from the first rows."""
     if k_max is None:
         k_max = matrix.n
     if k_max > matrix.n:
         raise ValueError(f"k_max={k_max} exceeds the {matrix.n} rows")
-    table = MinorTable(matrix.n, max_n=max_n)
+    table = MinorTable(matrix.n)
     for j in range(k_max):
         table.add_level(matrix.row(j))
     return table

@@ -12,7 +12,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .rng import RngStream, as_generator
+from .rng import RngStream
 
 MAX_N = 63  # column sets must fit a single machine word
 ENUM_CELL_LIMIT = 20  # enumerate_all_sign_matrices walks 2**(n*n) matrices
@@ -74,18 +74,16 @@ class SignMatrix:
         return f"SignMatrix(n={self.n})"
 
 
-def sample_row(n: int, rng: RngStream | np.random.Generator) -> np.ndarray:
+def sample_row(n: int, rng: RngStream) -> np.ndarray:
     """One row of n iid uniform signs."""
     _check_dimension(n)
-    gen = as_generator(rng)
-    return (2 * gen.integers(0, 2, size=n, dtype=np.int8) - 1).astype(np.int8)
+    return (2 * rng.generator().integers(0, 2, size=n, dtype=np.int8) - 1).astype(np.int8)
 
 
-def sample_sign_matrix(n: int, rng: RngStream | np.random.Generator) -> SignMatrix:
+def sample_sign_matrix(n: int, rng: RngStream) -> SignMatrix:
     """An n x n matrix of iid uniform signs, drawn row-major."""
     _check_dimension(n)
-    gen = as_generator(rng)
-    bits = gen.integers(0, 2, size=(n, n), dtype=np.int8)
+    bits = rng.generator().integers(0, 2, size=(n, n), dtype=np.int8)
     return SignMatrix(2 * bits - 1)
 
 

@@ -50,11 +50,3 @@ class RngStream:
             h = (h * 0x9E3779B97F4A7C15 + ix + 1) % _U64
         return RngStream(self.seed, h)
 
-
-def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
-    """Accept either a stream descriptor or an already-running generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng).__name__}")

@@ -107,6 +107,12 @@ def test_singularity_exact():
     assert r4.passed and r4.statistics["zero_count"] == 21504
 
 
+def test_parent_child_rejects_n_below_2():
+    # no level k in 1..n-1 to draw from
+    with pytest.raises(ValueError, match="n=1"):
+        check_parent_child(10, 1)
+
+
 def test_parent_child_deterministic_and_statistical():
     r = check_parent_child(2000, 8, rng=RngStream(5))
     assert r.passed

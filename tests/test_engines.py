@@ -109,8 +109,8 @@ def test_naive_cap():
 
 
 def test_ryser_cap_configurable():
-    with pytest.raises(CapError):
-        permanent_ryser(all_ones(12), max_n=11)
+    with pytest.raises(CapError, match="capped at n <= 30"):
+        permanent_ryser(all_ones(31))
 
 
 @settings(max_examples=40, deadline=None)

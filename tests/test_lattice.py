@@ -223,9 +223,9 @@ def test_add_level_rejects_non_sign_entries(bad):
 
 
 def test_memory_guard_names_the_estimate(monkeypatch):
-    # 16 * 2**n bytes: the int64 table plus the cached level masks
-    monkeypatch.setattr(lattice, "_physical_memory_bytes", lambda: (16 << 10) - 1)
-    with pytest.raises(CapError, match="16384 bytes"):
+    # 26 * 2**n bytes: the int64 table plus the peak of building the level masks
+    monkeypatch.setattr(lattice, "_physical_memory_bytes", lambda: (26 << 10) - 1)
+    with pytest.raises(CapError, match="26624 bytes"):
         MinorTable(10)
     MinorTable(9)
     monkeypatch.setattr(lattice, "_physical_memory_bytes", lambda: None)
@@ -368,8 +368,8 @@ def test_python_int_levels_n22():
 
 
 def test_lattice_cap():
-    with pytest.raises(CapError):
-        build_lattice(all_ones(12), max_n=10)
+    with pytest.raises(CapError, match="capped at n <= 22"):
+        build_lattice(all_ones(23))
 
 
 def test_dump_csv(tmp_path):
