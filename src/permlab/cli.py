@@ -19,10 +19,12 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .checks import (
+    MAINTAIN_GROW_CONFIG,
     check_alon,
     check_growth_rate,
     check_littlewood_offord,
@@ -34,10 +36,11 @@ from .checks import (
     default_suite,
     suite_passed,
     summary_lines,
+    timed,
 )
 from .engines import determinant_exact, permanent, permanent_mod, permanent_naive, permanent_ryser
 from .growth import ProcessConfig, run_growth, write_trace_jsonl
-from .lattice import LATTICE_MAX_N, build_lattice, dump_lattice_csv
+from .lattice import DUMP_MAX_N, LATTICE_MAX_N, build_lattice, dump_lattice_csv
 from .matrices import CapError, SignMatrix, from_text, sample_sign_matrix
 from .rng import RngStream
 
@@ -113,7 +116,19 @@ def _load_matrix(args) -> SignMatrix:
     return sample_sign_matrix(args.random, RngStream(args.seed, args.stream))
 
 
+def _refuse_ignored_flags(args) -> None:
+    """Reject compute flag pairs where one flag would otherwise be ignored."""
+    if args.mod is not None:
+        for flag, given in (("--det", args.det), ("--engine", args.engine),
+                            ("--dump-lattice", args.dump_lattice)):
+            if given:
+                raise ValueError(f"--mod prints only the residue; it cannot be combined with {flag}")
+    if args.dump_lattice and args.engine not in (None, "lattice"):
+        raise ValueError(f"--dump-lattice needs the lattice engine, not --engine {args.engine}")
+
+
 def cmd_compute(args) -> int:
+    _refuse_ignored_flags(args)
     matrix = _load_matrix(args)
     if args.mod is not None:
         print(permanent_mod(matrix, args.mod))
@@ -123,12 +138,15 @@ def cmd_compute(args) -> int:
     elif args.engine == "ryser":
         per = permanent_ryser(matrix)
     else:
-        if args.dump_lattice:
-            dump_lattice_csv(build_lattice(matrix), args.dump_lattice)
+        if args.dump_lattice and matrix.n > DUMP_MAX_N:
+            raise CapError(f"--dump-lattice is capped at n <= {DUMP_MAX_N}, got n={matrix.n}")
         try:
-            per = permanent(matrix)
+            table = build_lattice(matrix)
         except CapError as exc:
             raise CapError(f"{exc}; use --engine ryser, which keeps no table") from exc
+        if args.dump_lattice:
+            dump_lattice_csv(table, args.dump_lattice)
+        per = table.top_value()
     print(per)
     if args.det:
         print(determinant_exact(matrix))
@@ -188,11 +206,11 @@ _CHECK_BUILDERS = {
         a.trials or 10_000, a.n or 14, a.i_size, rng=rng),
     "littlewood_offord": lambda a, rng: check_littlewood_offord(
         [1.0] * a.m, 1.0, x=a.x, mode=a.mode, trials=a.trials or 20_000, rng=rng),
-    "growth_rate": lambda a, rng: check_growth_rate([a.n or 16], a.trials or 500, rng=rng),
+    "growth_rate": lambda a, rng: check_growth_rate(a.n or 16, a.trials or 500, rng=rng),
     "singularity": lambda a, rng: check_singularity(
         a.n or 3, mode=a.mode, trials=a.trials or 2000, rng=rng),
     "maintain_grow": lambda a, rng: check_maintain_grow_events(
-        a.n or 14, a.trials or 300, cfg=ProcessConfig(eps=0.3, c=0.5), rng=rng),
+        a.n or 14, a.trials or 300, cfg=MAINTAIN_GROW_CONFIG, rng=rng),
 }
 
 
@@ -203,10 +221,10 @@ def cmd_verify(args) -> int:
         if args.suite == "all":
             reports = default_suite(args.seed)
         else:
-            reports = [_CHECK_BUILDERS[args.suite](args, RngStream(args.seed))]
+            reports = [timed(partial(_CHECK_BUILDERS[args.suite], args, RngStream(args.seed)))]
         if fh is not None:
             for r in reports:
-                fh.write(r.to_json(stable=True) + "\n")
+                fh.write(r.to_json() + "\n")
     if args.out:
         out = Path(args.out)
         _write_manifest(
@@ -259,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, metavar="N", help="sample a random N x N matrix")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--engine", choices=["naive", "ryser", "lattice"], default="lattice")
+    p.add_argument("--engine", choices=["naive", "ryser", "lattice"], default=None,
+                   help="permanent engine (default: lattice)")
     p.add_argument("--det", action="store_true", help="also print the determinant")
     p.add_argument("--mod", type=int, help="print the permanent residue mod M")
     p.add_argument("--dump-lattice", metavar="CSV", help="dump the minor lattice (engine=lattice, n <= 12)")

@@ -51,12 +51,7 @@ class PathStep:
 
 @dataclass
 class PathResult:
-    n: int
-    start_k: int
-    depth: int
     protected: int  # block mask
-    threshold: float
-    final_set: int
     heavy_set: Optional[int]  # final set iff heavy and it covers all non-block columns
     steps: list[PathStep] = field(default_factory=list)
 
@@ -131,9 +126,9 @@ def run_endgame_path(prefix: np.ndarray, protected: int, threshold, cfg: Process
     Requires the set of the first k columns to be heavy at the threshold
     (callers relabel columns to arrange this) and a block of 2L columns
     drawn from outside the first k.  Further rows come from the matrix
-    `source`, whose first k rows must be the prefix.  Returns the final
-    set; heavy_set is set only when it is verified heavy and contains every
-    non-block column.
+    `source`, whose first k rows must be the prefix.  heavy_set is the
+    final set when it is verified heavy and contains every non-block column,
+    else None.
     """
     n, k = source.n, _exposed(prefix, source)
     depth = cfg.endgame_depth(n)
@@ -143,18 +138,12 @@ def run_endgame_path(prefix: np.ndarray, protected: int, threshold, cfg: Process
     tint = threshold_int(threshold)
     steps: list[PathStep] = []
     table, (final,) = _grow_sets(source, k, [protected], depth, tint, steps)
-    return PathResult(
-        n=n, start_k=k, depth=depth, protected=protected, threshold=float(threshold),
-        final_set=final, heavy_set=_heavy_cover(table, final, protected, tint), steps=steps,
-    )
+    return PathResult(protected=protected, heavy_set=_heavy_cover(table, final, protected, tint),
+                      steps=steps)
 
 
 @dataclass
 class FamilyResult:
-    n: int
-    start_k: int
-    depth: int
-    threshold: float
     blocks: list[int]
     members: list[int]  # heavy sets found, one per successful block
     per_block: list[Optional[int]] = field(default_factory=list)
@@ -186,10 +175,7 @@ def find_disjoint_heavy_family(prefix: np.ndarray, threshold, count: int, L: int
     per_block = [_heavy_cover(table, cur, block, tint) for cur, block in zip(current, blocks)]
     members = [m for m in per_block if m is not None]
     _verify_family(table, members, tint, n)
-    return FamilyResult(
-        n=n, start_k=k, depth=L, threshold=float(threshold), blocks=blocks, members=members,
-        per_block=per_block,
-    )
+    return FamilyResult(blocks=blocks, members=members, per_block=per_block)
 
 
 def _verify_family(table: MinorTable, members: list[int], tint: int, n: int) -> None:
@@ -215,7 +201,6 @@ class PropagateResult:
     children: list[int]  # one chosen child per input member
     kept: list[int]  # children heavy at the reduced threshold
     new_threshold: Fraction
-    good_children: int  # children with at least t_good heavy parents (diagnostic)
 
     @property
     def retained_fraction(self) -> float:
@@ -229,7 +214,8 @@ def propagate_down(prefix: np.ndarray, members, threshold, cfg: ProcessConfig,
     Each member gets one child (smallest absent column); the new threshold
     is the old one divided by n.  Returns the children found heavy at the
     reduced threshold; their complements stay disjoint by construction and
-    are re-verified.
+    are re-verified.  `cfg` is not read; it stays in the positional
+    signature that the pilots and the endgame benchmark workload call.
     """
     n, k = source.n, _exposed(prefix, source)
     members = [int(m) for m in members]
@@ -252,28 +238,13 @@ def propagate_down(prefix: np.ndarray, members, threshold, cfg: ProcessConfig,
     kept = [ch for ch in children if abs(table.value(ch)) >= tint]
     if not complements_disjoint(kept, n):
         raise AssertionError("kept children lost complement disjointness")
-
-    t_good = cfg.good_child_threshold(n)
-    good = 0
-    for ch in children:
-        heavy_parents = sum(
-            1 for i in bits_of(ch) if abs(table.value(ch ^ (1 << i))) >= tint
-        )
-        if heavy_parents >= t_good:
-            good += 1
-    return PropagateResult(
-        children=children,
-        kept=kept,
-        new_threshold=new_threshold,
-        good_children=good,
-    )
+    return PropagateResult(children=children, kept=kept, new_threshold=new_threshold)
 
 
 @dataclass(frozen=True)
 class FinalRowResult:
     permanent: int
     heavy: bool
-    threshold: float
 
 
 def final_row_heaviness(prefix: np.ndarray, threshold_final,
@@ -284,5 +255,4 @@ def final_row_heaviness(prefix: np.ndarray, threshold_final,
         raise ValueError(f"final-row step needs exactly n-1 = {n - 1} rows, got {k}")
     table = build_lattice(source, k + 1)
     per = table.top_value()
-    heavy = abs(per) >= threshold_int(threshold_final)
-    return FinalRowResult(permanent=per, heavy=heavy, threshold=float(threshold_final))
+    return FinalRowResult(permanent=per, heavy=abs(per) >= threshold_int(threshold_final))

@@ -46,7 +46,7 @@ from .subsets import bits_of, full_mask, masks_by_level
 
 LATTICE_MAX_N = 22  # a 2**n table: 26 * 2**22 bytes ~ 109 MB at its build peak
 _INT64_LEVEL_MAX = 20
-_DUMP_MAX_N = 12
+DUMP_MAX_N = 12
 _KERNEL_SOURCE = Path(__file__).with_name("_levels.c")
 _KERNEL_CC = ("gcc", "-O2", "-shared", "-fPIC")
 
@@ -268,8 +268,8 @@ def split_events(counts: np.ndarray, eps: float, c: float, family_size: int) -> 
 
 def dump_lattice_csv(table: MinorTable, path) -> None:
     """Write (mask, level, value) rows for every built subset; n <= 12 only."""
-    if table.n > _DUMP_MAX_N:
-        raise CapError(f"lattice dump is capped at n <= {_DUMP_MAX_N}, got n={table.n}")
+    if table.n > DUMP_MAX_N:
+        raise CapError(f"lattice dump is capped at n <= {DUMP_MAX_N}, got n={table.n}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mask", "level", "value"])

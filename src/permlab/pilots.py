@@ -16,10 +16,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
+from .checks import growth_rate_statistics, sample_permanents
 from .endgame import PreconditionError, find_disjoint_heavy_family, propagate_down, run_endgame_path
-from .engines import permanent
 from .growth import ProcessConfig, run_growth
 from .matrices import sample_sign_matrix
 from .rng import RngStream
@@ -33,22 +31,14 @@ def _freq_threshold(p: float, trials: int) -> float:
 
 
 def pilot_growth_rate(n: int = 16, trials: int = 500) -> dict:
-    rng = RngStream(PILOT_SEED)
-    logs = []
-    zeros = 0
-    for t in range(trials):
-        m = sample_sign_matrix(n, rng.substream(n, t))
-        per = permanent(m)
-        if per == 0:
-            zeros += 1
-        else:
-            logs.append(math.log(abs(per)))
-    med = float(np.median(logs))
-    ratio = 2 * med / math.log(math.factorial(n))
+    """growth_rate's own statistics, on the draws check_growth_rate makes at the pilot seed."""
+    pers = sample_permanents(n, trials, RngStream(PILOT_SEED).substream(n))
+    stats = growth_rate_statistics(n, pers)
+    ratio = stats["median_log_per2_over_log_nfact"]
     return {
         "trials": trials,
         "pilot_median_log_ratio": round(ratio, 6),
-        "pilot_nonzero_fraction": 1 - zeros / trials,
+        "pilot_nonzero_fraction": stats["nonzero_fraction"],
         "median_log_ratio_band": [round(ratio - 0.06, 4), round(ratio + 0.06, 4)],
         "min_nonzero_fraction": 0.99,
     }

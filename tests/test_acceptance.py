@@ -199,7 +199,7 @@ def test_criterion_6_cofactor_consistency():
 
 
 def test_criterion_7_growth_rate():
-    r = check_growth_rate([16], 500, rng=RngStream(SEED))
+    r = check_growth_rate(16, 500, rng=RngStream(SEED))
     stats = r.statistics["per_n"]["16"]
     band = pilot_bands()["growth_rate"]["16"]
     ok_nonzero = stats["nonzero_fraction"] >= 0.99

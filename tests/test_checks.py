@@ -180,7 +180,7 @@ def test_littlewood_offord_validation():
 
 
 def test_growth_rate_descriptive_without_band():
-    r = check_growth_rate([8], 50, rng=RngStream(9))
+    r = check_growth_rate(8, 50, rng=RngStream(9))
     assert r.descriptive
     assert r.passed
     stats = r.statistics["per_n"]["8"]
@@ -211,7 +211,7 @@ def test_report_serialization():
 
 def test_suite_exit_logic():
     r_pass = check_second_moment(2, mode="exact")
-    r_desc = check_growth_rate([8], 10, rng=RngStream(11))
+    r_desc = check_growth_rate(8, 10, rng=RngStream(11))
     assert suite_passed([r_pass, r_desc])
     r_fail = check_alon(7, trials=5, rng=RngStream(12))
     assert not suite_passed([r_pass, r_fail])

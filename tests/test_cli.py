@@ -9,7 +9,9 @@ import pytest
 
 from permlab import cli, lattice
 from permlab.cli import _thread_count
-from permlab.matrices import all_ones, to_text
+from permlab.engines import permanent_ryser
+from permlab.matrices import all_ones, sample_sign_matrix, to_text
+from permlab.rng import RngStream
 
 CLI = [sys.executable, "-m", "permlab.cli"]
 
@@ -148,6 +150,54 @@ def test_compute_lattice_dump(tmp_path, ones3):
     rows = out.read_text().strip().splitlines()
     assert rows[0] == "mask,level,value"
     assert len(rows) == 9
+
+
+@pytest.mark.parametrize("args, flags", [
+    (["--mod", "7", "--det"], ("--mod", "--det")),
+    (["--mod", "7", "--engine", "ryser"], ("--mod", "--engine")),
+    (["--mod", "7", "--dump-lattice", "{tmp}/x.csv"], ("--mod", "--dump-lattice")),
+    (["--engine", "ryser", "--dump-lattice", "{tmp}/x.csv"], ("--dump-lattice", "--engine")),
+    (["--engine", "naive", "--dump-lattice", "{tmp}/x.csv"], ("--dump-lattice", "--engine")),
+], ids=["mod-det", "mod-engine", "mod-dump", "ryser-dump", "naive-dump"])
+def test_compute_ignored_flag_pairs_rejected(tmp_path, capsys, args, flags):
+    argv = ["compute", "--random", "5", *(a.format(tmp=tmp_path) for a in args)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert all(flag in err for flag in flags)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def _count_tables(monkeypatch) -> list:
+    built = []
+    init = lattice.MinorTable.__init__
+
+    def counted(self, n):
+        built.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(lattice.MinorTable, "__init__", counted)
+    return built
+
+
+def test_compute_dump_builds_one_table(tmp_path, monkeypatch, capsys):
+    built = _count_tables(monkeypatch)
+    out = tmp_path / "lat.csv"
+    assert cli.main(["compute", "--random", "6", "--dump-lattice", str(out)]) == 0
+    assert built == [6]
+    per = int(capsys.readouterr().out)
+    assert per == permanent_ryser(sample_sign_matrix(6, RngStream(0, 0)))
+    top = out.read_text().strip().splitlines()[-1]
+    assert top == f"{(1 << 6) - 1},6,{per}"
+
+
+def test_compute_dump_cap_checked_before_building(tmp_path, monkeypatch, capsys):
+    built = _count_tables(monkeypatch)
+    out = tmp_path / "lat.csv"
+    assert cli.main(["compute", "--random", "13", "--dump-lattice", str(out)]) == 2
+    assert built == []
+    assert "--dump-lattice is capped at n <= 12" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_growth_outputs_and_determinism(tmp_path):
