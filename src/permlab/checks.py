@@ -124,11 +124,17 @@ def sample_permanents(n: int, trials: int, rng: RngStream) -> list[int]:
 
 
 def per2_ratio_mean_se(pers: list[int], n: int) -> tuple[float, float]:
-    """Sample mean of Per**2 / n! and its standard error (inf below two draws)."""
+    """Sample mean of Per**2 / n! and its standard error.
+
+    One draw has no standard error, and a verdict of "within 3*SE" would
+    then pass vacuously, so fewer than two draws are refused.
+    """
+    if len(pers) < 2:
+        raise ValueError(f"a Monte Carlo mean needs at least two draws (--trials 2 or more),"
+                         f" got {len(pers)}")
     target = math.factorial(n)
     ratios = np.array([float(per) ** 2 / target for per in pers])
-    se = float(ratios.std(ddof=1) / math.sqrt(len(pers))) if len(pers) > 1 else float("inf")
-    return float(ratios.mean()), se
+    return float(ratios.mean()), float(ratios.std(ddof=1) / math.sqrt(len(pers)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +296,7 @@ def check_parent_child(trials: int, n: int, rng: RngStream | None = None) -> Che
         batch = int(np.count_nonzero(ks == k))
         if batch == 0:
             continue
-        mats = (2 * gen.integers(0, 2, size=(batch, k + 1, k + 1), dtype=np.int8) - 1).astype(np.int64)
+        mats = 2 * gen.integers(0, 2, size=(batch, k + 1, k + 1), dtype=np.int8) - 1
         parents = ryser_batch(mats[:, :k, :k])
         plus = mats.copy()
         plus[:, k, k] = 1
@@ -343,7 +349,7 @@ def check_many_children(trials: int, n: int, i_size: int,
     done = 0
     while done < trials:
         batch = min(chunk, trials - done)
-        mats = (2 * gen.integers(0, 2, size=(batch, k + 1, k + i_size), dtype=np.int8) - 1).astype(np.int64)
+        mats = 2 * gen.integers(0, 2, size=(batch, k + 1, k + i_size), dtype=np.int8) - 1
         parents = np.abs(ryser_batch(mats[:, :k, :k]))
         ok_counts = np.zeros(batch, dtype=np.int64)
         for i in range(i_size):

@@ -1,9 +1,10 @@
 """Exact permanent and determinant engines for sign matrices.
 
-Every public result is a plain Python int, so arithmetic is exact and can
-never overflow.  Vectorized int64 paths exist only where a proven bound
-keeps all intermediates below 2**63; they are cross-checked against the
-pure-Python engines in the test suite.
+Every scalar result is a plain Python int, so arithmetic is exact and can
+never overflow.  The batch and modular engines run Ryser's formula in the
+compiled `ryser` kernel (`_kernels.c`), in int64 only under the bounds
+stated there; they are cross-checked against the pure-Python engines in the
+test suite.
 """
 
 from __future__ import annotations
@@ -13,16 +14,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import build_lattice
+from .lattice import _kernels, build_lattice
 from .matrices import CapError, SignMatrix
 
 NAIVE_MAX_N = 10  # n! enumeration
 RYSER_MAX_N = 30  # 2**n subset scan
-# Batched Ryser accumulates |sum| <= 2**n * n**n, which fits int64 through n=13.
+# Exact Ryser accumulates |sum| <= 2**n * n**n, which fits int64 through n=13.
 _BATCH_MAX_N = 13
-# Vectorized modular path holds one 2**n work array per step.
-_MOD_VECTOR_MAX_N = 20
-_MOD_VECTOR_MAX_MODULUS = 1 << 31
+# The modular kernel keeps every residue below 2**31 (see _kernels.c).
+_KERNEL_MAX_MODULUS = 1 << 31
 
 
 @lru_cache(maxsize=3)
@@ -96,69 +96,41 @@ def permanent_ryser(m: SignMatrix) -> int:
     return total
 
 
-def _subset_sum_products(mats: np.ndarray, reduce_mod: int | None = None) -> np.ndarray:
-    """(B, n, n) -> (B, 2**n) products over rows of subset column sums."""
-    b, n, _ = mats.shape
-    prods = np.ones((b, 1 << n), dtype=np.int64)
-    for r in range(n):
-        sums = np.zeros((b, 1), dtype=np.int64)
-        for j in range(n):
-            sums = np.concatenate([sums, sums + mats[:, r, j : j + 1]], axis=1)
-        if reduce_mod is not None:
-            prods = (prods * (sums % reduce_mod)) % reduce_mod
-        else:
-            prods *= sums
-    return prods
-
-
-def _ryser_sign_vector(n: int) -> np.ndarray:
-    """(-1)**(n - |S|) for every subset mask S of n columns."""
-    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
-    return np.where((n - sizes) % 2 == 0, 1, -1).astype(np.int64)
-
-
 def ryser_batch(mats: np.ndarray) -> np.ndarray:
-    """Exact permanents for a batch of small sign matrices, vectorized.
+    """Exact permanents for a batch of small sign matrices, in one kernel call.
 
     Input (B, n, n) with entries in {-1,+1}; returns (B,) int64.  Capped at
     n <= 13 so every intermediate provably fits int64.
     """
-    mats = np.asarray(mats, dtype=np.int64)
+    mats = np.asarray(mats)
     b, n, n2 = mats.shape
     if n != n2:
         raise ValueError("matrices must be square")
     if n > _BATCH_MAX_N:
         raise CapError(f"ryser_batch is capped at n <= {_BATCH_MAX_N}, got n={n}")
-    if n == 0:
-        return np.ones(b, dtype=np.int64)
-    sign = _ryser_sign_vector(n)
+    if not np.all(np.abs(mats) == 1):
+        raise ValueError("matrix entries must be -1 or +1")
     out = np.empty(b, dtype=np.int64)
-    chunk = max(1, (1 << 23) // (1 << n))
-    for lo in range(0, b, chunk):
-        prods = _subset_sum_products(mats[lo : lo + chunk])
-        out[lo : lo + chunk] = prods @ sign
+    _kernels().ryser(np.ascontiguousarray(mats, dtype=np.int8), b, n, 0, out)
     return out
 
 
 def permanent_mod(m: SignMatrix, modulus: int) -> int:
     """Permanent residue in [0, modulus).
 
-    Within the int64 bound (n <= 20, modulus < 2**31) a vectorized
-    subset-sum table reduces every product mod `modulus`.  Outside it the
-    exact permanent_ryser value is reduced, which keeps every residue
-    independent of the minor lattice.
+    For modulus < 2**31 the compiled Ryser kernel reduces every product mod
+    `modulus`; a larger modulus reduces the exact permanent_ryser value.
+    Neither path reads the minor lattice, so residues can check it.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     n = m.n
     if n > RYSER_MAX_N:
         raise CapError(f"permanent_mod is capped at n <= {RYSER_MAX_N} (2**n subsets), got n={n}")
-    if n <= _MOD_VECTOR_MAX_N and modulus < _MOD_VECTOR_MAX_MODULUS:
-        prods = _subset_sum_products(m.entries[None, :, :].astype(np.int64), reduce_mod=modulus)[0]
-        sign = _ryser_sign_vector(n)
-        # Residues are in [0, modulus); 2**n of them stay below 2**63 here.
-        total = int(np.where(sign > 0, prods, (-prods) % modulus).sum(dtype=np.int64))
-        return total % modulus
+    if modulus < _KERNEL_MAX_MODULUS:
+        out = np.empty(1, dtype=np.int64)
+        _kernels().ryser(m.entries, 1, n, modulus, out)
+        return out.item()
     return permanent_ryser(m) % modulus
 
 

@@ -16,13 +16,14 @@ returns, for a family of size-k sets, the plain length-(n+1) array of how
 many children have exactly l family parents; split_events reads n and the
 low-multiplicity mass from that array.
 
-The int64 levels are built by one small C function (`_levels.c`): for each
-mask of the level it walks the mask's set bits and sums the signed values
-one level down.  It is compiled with gcc on first use into a per-user cache,
-$XDG_CACHE_HOME/permlab (default ~/.cache/permlab), under a name that carries
-the SHA-256 of the source and the compiler flags, and loaded with ctypes; a
-missing gcc, a failed compile or an unwritable cache is an OSError that names
-the compiler or the path.
+The int64 levels are built by one small C function, `add_level` in
+`_kernels.c`: for each mask of the level it walks the mask's set bits and
+sums the signed values one level down.  That file also holds the Ryser
+kernel of the batch and modular engines.  It is compiled with gcc on first
+use into a per-user cache, $XDG_CACHE_HOME/permlab (default
+~/.cache/permlab), under a name that carries the SHA-256 of the source and
+the compiler flags, and loaded with ctypes; a missing gcc, a failed compile
+or an unwritable cache is an OSError that names the compiler or the path.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .subsets import bits_of, full_mask, masks_by_level
 LATTICE_MAX_N = 22  # a 2**n table: 26 * 2**22 bytes ~ 109 MB at its build peak
 _INT64_LEVEL_MAX = 20
 DUMP_MAX_N = 12
-_KERNEL_SOURCE = Path(__file__).with_name("_levels.c")
+_KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 _KERNEL_CC = ("gcc", "-O2", "-shared", "-fPIC")
 
 
@@ -63,8 +64,8 @@ def threshold_int(threshold) -> int:
 
 
 @functools.cache
-def _level_kernel():
-    """The compiled level builder, compiled once per cache and loaded once per process.
+def _kernels() -> ctypes.CDLL:
+    """The compiled kernels, compiled once per cache and loaded once per process.
 
     The library is compiled under a temporary name in the cache directory and
     renamed into place, so processes that race to build it all end up loading
@@ -73,19 +74,19 @@ def _level_kernel():
     source = _KERNEL_SOURCE.read_bytes()
     digest = hashlib.sha256(source + " ".join(_KERNEL_CC).encode()).hexdigest()
     cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "permlab"
-    lib = cache / f"_levels-{digest}.so"
+    lib = cache / f"_kernels-{digest}.so"
     if not lib.exists():
         try:
             cache.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cache, prefix=".levels-", suffix=".tmp")
+            fd, tmp = tempfile.mkstemp(dir=cache, prefix=".kernels-", suffix=".tmp")
         except OSError as exc:
-            raise OSError(f"cannot write the lattice kernel cache {cache}: {exc}") from None
+            raise OSError(f"cannot write the kernel cache {cache}: {exc}") from None
         os.close(fd)
         try:
             subprocess.run([*_KERNEL_CC, "-x", "c", "-", "-o", tmp],
                            input=source, capture_output=True, check=True)
         except FileNotFoundError:
-            raise OSError(f"the lattice kernel needs the C compiler {_KERNEL_CC[0]},"
+            raise OSError(f"the permlab kernels need the C compiler {_KERNEL_CC[0]},"
                           " which is not on PATH") from None
         except subprocess.CalledProcessError as exc:
             raise OSError(f"{_KERNEL_CC[0]} failed to compile {_KERNEL_SOURCE}:"
@@ -95,11 +96,13 @@ def _level_kernel():
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    kernel = ctypes.CDLL(str(lib)).add_level
+    kernels = ctypes.CDLL(str(lib))
     int64s = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    kernel.argtypes = [int64s, int64s, ctypes.c_int64, int64s]
-    kernel.restype = None
-    return kernel
+    int8s = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
+    kernels.add_level.argtypes = [int64s, int64s, ctypes.c_int64, int64s]
+    kernels.ryser.argtypes = [int8s, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, int64s]
+    kernels.add_level.restype = kernels.ryser.restype = None
+    return kernels
 
 
 def _physical_memory_bytes() -> int | None:
@@ -145,7 +148,7 @@ class MinorTable:
             raise ValueError("row entries must be -1 or +1")
         masks = self._levels[k]
         if k <= _INT64_LEVEL_MAX:
-            _level_kernel()(self._vals, masks, len(masks), row)  # exact: see _levels.c
+            _kernels().add_level(self._vals, masks, len(masks), row)  # exact: see _kernels.c
         else:
             for mask in masks.tolist():
                 total = 0

@@ -91,7 +91,11 @@ def test_bad_values_rejected(tmp_path, args, flag, message):
 @pytest.mark.parametrize("args, message", [
     (["compute"], "error: either a matrix file or --random N is required"),
     (["verify", "--suite", "parent_child", "--n", "1"], "error: parent-child check needs n >= 2"),
-], ids=["compute-no-input", "parent-child-n-1"])
+    (["verify", "--suite", "second_moment", "--mode", "monte_carlo", "--n", "20", "--trials", "1"],
+     "error: a Monte Carlo mean needs at least two draws (--trials 2 or more), got 1"),
+    (["verify", "--suite", "growth_rate", "--n", "16", "--trials", "1"],
+     "error: a Monte Carlo mean needs at least two draws (--trials 2 or more), got 1"),
+], ids=["compute-no-input", "parent-child-n-1", "second-moment-one-draw", "growth-rate-one-draw"])
 def test_usage_errors_are_clean(args, message):
     res = run_cli(*args)
     assert res.returncode == 2

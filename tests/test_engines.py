@@ -70,6 +70,36 @@ def test_ryser_batch_cap():
         ryser_batch(np.ones((1, 14, 14), dtype=np.int8))
 
 
+@pytest.mark.parametrize("bad", [0, 2, 100, 257])
+def test_ryser_batch_rejects_non_sign_entries(bad):
+    # 257 would wrap to 1 in int8; 100 breaks the stated int64 bound
+    mats = np.ones((2, 13, 13), dtype=np.int64)
+    mats[1, 12, 0] = bad
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        ryser_batch(mats)
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        ryser_batch(np.full((1, 13, 13), bad))
+
+
+def test_ryser_batch_at_its_int64_bound():
+    # the all-ones matrix maximizes every column sum and every product
+    ones = np.ones((2, 13, 13), dtype=np.int8)
+    ones[1] *= -1
+    assert ryser_batch(ones).tolist() == [math.factorial(13), -math.factorial(13)]
+
+
+@pytest.mark.parametrize("n", [20, 22])
+def test_permanent_mod_at_its_overflow_bound(n):
+    p = 2**31 - 1
+    assert permanent_mod(all_ones(n), p) == math.factorial(n) % p
+
+
+def test_permanent_mod_n20_matches_lattice():
+    m = sample_sign_matrix(20, RngStream(22, 20))
+    p = 2**31 - 1
+    assert permanent_mod(m, p) == permanent(m) % p
+
+
 def test_determinant_against_brute():
     for n in range(1, 7):
         for t in range(4):

@@ -172,21 +172,27 @@ def test_concurrent_first_builds_share_one_library(tmp_path, monkeypatch):
     assert all(np.array_equal(tables[0], t) for t in tables[1:])
     assert np.array_equal(tables[0], numpy_level_table(sample_sign_matrix(10, RngStream(40))))
     files = sorted(os.listdir(tmp_path / "cache" / "permlab"))
-    assert len(files) == 1 and files[0].startswith("_levels-") and files[0].endswith(".so"), files
+    assert len(files) == 1 and files[0].startswith("_kernels-") and files[0].endswith(".so"), files
 
 
-def _compute_random_8(tmp_path, **env):
+def _run_cli(tmp_path, args=("compute", "--random", "8"), **env):
     return subprocess.run(
-        [sys.executable, "-m", "permlab.cli", "compute", "--random", "8"],
+        [sys.executable, "-m", "permlab.cli", *args],
         capture_output=True, text=True,
         env={**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"), **env},
     )
 
 
-def test_missing_compiler_is_clean_error(tmp_path):
+# the lattice engine, the modular engine and the batch engine all load the kernels
+@pytest.mark.parametrize("args", [
+    ("compute", "--random", "8"),
+    ("compute", "--random", "8", "--mod", "7"),
+    ("verify", "--suite", "parent_child", "--n", "4", "--trials", "10"),
+], ids=["compute", "compute-mod", "verify-parent-child"])
+def test_missing_compiler_is_clean_error(tmp_path, args):
     empty = tmp_path / "bin"
     empty.mkdir()
-    res = _compute_random_8(tmp_path, PATH=str(empty))
+    res = _run_cli(tmp_path, args, PATH=str(empty))
     assert res.returncode == 2
     assert "gcc" in res.stderr and "Traceback" not in res.stderr, res.stderr
     assert not os.listdir(tmp_path / "cache" / "permlab")  # no temporary file left
@@ -194,7 +200,7 @@ def test_missing_compiler_is_clean_error(tmp_path):
 
 def test_unwritable_kernel_cache_is_clean_error(tmp_path):
     (tmp_path / "cache").write_text("a file, not a directory")
-    res = _compute_random_8(tmp_path)
+    res = _run_cli(tmp_path)
     assert res.returncode == 2
     assert str(tmp_path / "cache") in res.stderr and "Traceback" not in res.stderr, res.stderr
 
@@ -202,12 +208,12 @@ def test_unwritable_kernel_cache_is_clean_error(tmp_path):
 def test_failed_compile_names_the_compiler(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(lattice, "_KERNEL_CC", (*lattice._KERNEL_CC, "-no-such-flag"))
-    lattice._level_kernel.cache_clear()
+    lattice._kernels.cache_clear()
     try:
         with pytest.raises(OSError, match="gcc failed to compile"):
             build_lattice(all_ones(3))
     finally:
-        lattice._level_kernel.cache_clear()
+        lattice._kernels.cache_clear()
     assert not os.listdir(tmp_path / "permlab")
 
 
