@@ -86,6 +86,18 @@ def _plain(obj):
     return obj
 
 
+def _two_draws(trials: int, statistic: str) -> None:
+    """Refuse a one-draw Monte Carlo verdict.
+
+    One draw has no standard error (a frequency of 0 or 1 gets SE 0, a mean
+    gets none), so a verdict of "within 3*SE" would be decided by one draw
+    or hold vacuously.
+    """
+    if trials < 2:
+        raise ValueError(f"a Monte Carlo {statistic} needs at least two draws"
+                         f" (--trials 2 or more), got {trials}")
+
+
 def _binom_se(p: float, trials: int) -> float:
     if trials <= 0:
         return float("inf")
@@ -124,14 +136,8 @@ def sample_permanents(n: int, trials: int, rng: RngStream) -> list[int]:
 
 
 def per2_ratio_mean_se(pers: list[int], n: int) -> tuple[float, float]:
-    """Sample mean of Per**2 / n! and its standard error.
-
-    One draw has no standard error, and a verdict of "within 3*SE" would
-    then pass vacuously, so fewer than two draws are refused.
-    """
-    if len(pers) < 2:
-        raise ValueError(f"a Monte Carlo mean needs at least two draws (--trials 2 or more),"
-                         f" got {len(pers)}")
+    """Sample mean of Per**2 / n! and its standard error; at least two draws."""
+    _two_draws(len(pers), "mean")
     target = math.factorial(n)
     ratios = np.array([float(per) ** 2 / target for per in pers])
     return float(ratios.mean()), float(ratios.std(ddof=1) / math.sqrt(len(pers)))
@@ -286,6 +292,7 @@ def check_parent_child(trials: int, n: int, rng: RngStream | None = None) -> Che
     """
     if n < 2:
         raise ValueError(f"parent-child check needs n >= 2 (a level k in 1..n-1), got n={n}")
+    _two_draws(trials, "frequency")
     rng = rng or RngStream(0)
     gen = rng.generator()
     ks = gen.integers(1, n, size=trials)
@@ -341,6 +348,7 @@ def check_many_children(trials: int, n: int, i_size: int,
     k = n - i_size
     if k + 1 > 13:
         raise ValueError(f"child minors of size {k + 1} exceed the batch engine cap")
+    _two_draws(trials, "frequency")
     rng = rng or RngStream(0)
     gen = rng.generator()
     any_hits = 0
@@ -436,6 +444,7 @@ def check_littlewood_offord(v, threshold: float, x: float = 1.0, mode: str = "ex
         )
     if mode != "monte_carlo":
         raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
+    _two_draws(trials, "frequency")
     rng = rng or RngStream(0)
     gen = rng.generator()
     signs = 2.0 * gen.integers(0, 2, size=(trials, m)) - 1.0

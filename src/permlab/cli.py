@@ -198,30 +198,67 @@ def cmd_growth(args) -> int:
 
 
 _CHECK_BUILDERS = {
-    "second_moment": lambda a, rng: check_second_moment(
-        a.n or 3, mode=a.mode, trials=a.trials or 2000, rng=rng),
-    "alon": lambda a, rng: check_alon(a.n or 3, trials=a.trials or 1000, rng=rng),
-    "parent_child": lambda a, rng: check_parent_child(a.trials or 10_000, a.n or 10, rng=rng),
-    "many_children": lambda a, rng: check_many_children(
-        a.trials or 10_000, a.n or 14, a.i_size, rng=rng),
+    "second_moment": lambda a, rng: check_second_moment(a.n, mode=a.mode, trials=a.trials, rng=rng),
+    "alon": lambda a, rng: check_alon(a.n, trials=a.trials, rng=rng),
+    "parent_child": lambda a, rng: check_parent_child(a.trials, a.n, rng=rng),
+    "many_children": lambda a, rng: check_many_children(a.trials, a.n, a.i_size, rng=rng),
     "littlewood_offord": lambda a, rng: check_littlewood_offord(
-        [1.0] * a.m, 1.0, x=a.x, mode=a.mode, trials=a.trials or 20_000, rng=rng),
-    "growth_rate": lambda a, rng: check_growth_rate(a.n or 16, a.trials or 500, rng=rng),
-    "singularity": lambda a, rng: check_singularity(
-        a.n or 3, mode=a.mode, trials=a.trials or 2000, rng=rng),
+        [1.0] * a.m, 1.0, x=a.x, mode=a.mode, trials=a.trials, rng=rng),
+    "growth_rate": lambda a, rng: check_growth_rate(a.n, a.trials, rng=rng),
+    "singularity": lambda a, rng: check_singularity(a.n, mode=a.mode, trials=a.trials, rng=rng),
     "maintain_grow": lambda a, rng: check_maintain_grow_events(
-        a.n or 14, a.trials or 300, cfg=MAINTAIN_GROW_CONFIG, rng=rng),
+        a.n, a.trials, cfg=MAINTAIN_GROW_CONFIG, rng=rng),
+}
+
+# The check-size flags of verify (dest -> flag), and the ones each check
+# reads, with their defaults; --suite all reads none of them.
+_VERIFY_FLAGS = {"n": "--n", "trials": "--trials", "mode": "--mode",
+                 "m": "--m", "x": "--x", "i_size": "--i-size"}
+_CHECK_FLAGS = {
+    "second_moment": {"n": 3, "mode": "exact", "trials": 2000},
+    "alon": {"n": 3, "trials": 1000},
+    "parent_child": {"n": 10, "trials": 10_000},
+    "many_children": {"n": 14, "trials": 10_000, "i_size": 6},
+    "littlewood_offord": {"m": 2, "x": 1.0, "mode": "exact", "trials": 20_000},
+    "growth_rate": {"n": 16, "trials": 500},
+    "singularity": {"n": 3, "mode": "exact", "trials": 2000},
+    "maintain_grow": {"n": 14, "trials": 300},
 }
 
 
+def _check_options(args) -> argparse.Namespace:
+    """The verify flags with the chosen check's defaults filled in.
+
+    A flag the check does not read is a ValueError that names it (the size
+    flags default to None, so a flag the user set is told apart from a
+    default).  An exact run, in exact mode or alon at n = 3, reads no
+    --trials, and its trials stay None.
+    """
+    reads = _CHECK_FLAGS.get(args.suite, {})
+    for dest, flag in _VERIFY_FLAGS.items():
+        if getattr(args, dest) is not None and dest not in reads:
+            raise ValueError(f"verify --suite {args.suite} does not read {flag}")
+    opts = argparse.Namespace(**{dest: getattr(args, dest) for dest in _VERIFY_FLAGS})
+    for dest, default in reads.items():
+        if getattr(opts, dest) is None:
+            setattr(opts, dest, default)
+    if opts.mode == "exact" or (args.suite == "alon" and opts.n == 3):
+        if args.trials is not None:
+            raise ValueError(f"verify --suite {args.suite} is exact here"
+                             " and does not read --trials")
+        opts.trials = None
+    return opts
+
+
 def cmd_verify(args) -> int:
+    opts = _check_options(args)
     # The report is opened before the checks run, so an unwritable --out
     # fails at once instead of after the whole suite.
     with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
         if args.suite == "all":
             reports = default_suite(args.seed)
         else:
-            reports = [timed(partial(_CHECK_BUILDERS[args.suite], args, RngStream(args.seed)))]
+            reports = [timed(partial(_CHECK_BUILDERS[args.suite], opts, RngStream(args.seed)))]
         if fh is not None:
             for r in reports:
                 fh.write(r.to_json() + "\n")
@@ -229,8 +266,7 @@ def cmd_verify(args) -> int:
         out = Path(args.out)
         _write_manifest(
             out.with_suffix(out.suffix + ".manifest.json"), "verify",
-            {"suite": args.suite, "n": args.n, "trials": args.trials, "mode": args.mode},
-            args.seed, [str(out)],
+            {"suite": args.suite, **vars(opts)}, args.seed, [str(out)],
         )
     for line in summary_lines(reports):
         print(line)
@@ -299,10 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["exact", "monte_carlo"], default="exact")
-    p.add_argument("--m", type=int, default=2, help="vector length for littlewood_offord")
-    p.add_argument("--x", type=_nonnegative_float, default=1.0, help="tail radius multiplier")
-    p.add_argument("--i-size", type=int, default=6, dest="i_size")
+    p.add_argument("--mode", choices=["exact", "monte_carlo"], default=None,
+                   help="second_moment, singularity, littlewood_offord (default: exact)")
+    p.add_argument("--m", type=int, default=None,
+                   help="vector length for littlewood_offord (default: 2)")
+    p.add_argument("--x", type=_nonnegative_float, default=None,
+                   help="tail radius multiplier for littlewood_offord (default: 1.0)")
+    p.add_argument("--i-size", type=int, default=None, dest="i_size",
+                   help="candidate columns for many_children (default: 6)")
     p.add_argument("--out", default=None, help="JSON-lines report file")
     p.set_defaults(func=cmd_verify)
 

@@ -11,16 +11,19 @@ in one flat int64 array indexed by mask; the handful of subsets on higher
 levels (n = 21, 22) are kept as Python ints.  Heaviness thresholds compare
 an integer |value| against a real threshold, which is exact after rounding
 the threshold up to the next integer.  Both queries, heavy_count and
-heavy_masks, read one boolean selector over the level.  parent_histogram
-returns, for a family of size-k sets, the plain length-(n+1) array of how
-many children have exactly l family parents; split_events reads n and the
-low-multiplicity mass from that array.
+heavy_masks, read the same list of heavy masks of the level.
+parent_histogram returns, for a family of size-k sets, the plain
+length-(n+1) array of how many children have exactly l family parents;
+split_events reads n and the low-multiplicity mass from that array.
 
-The int64 levels are built by one small C function, `add_level` in
-`_kernels.c`: for each mask of the level it walks the mask's set bits and
-sums the signed values one level down.  That file also holds the Ryser
-kernel of the batch and modular engines.  It is compiled with gcc on first
-use into a per-user cache, $XDG_CACHE_HOME/permlab (default
+The int64 levels and both queries on them run in C, in `_kernels.c`:
+`add_level` takes the row as the mask of its -1 columns and, for each mask
+of the level, sums the values one level down over the mask's +1 columns
+and subtracts the sum over its -1 columns; `select_heavy` writes a level's
+heavy masks in one branchless pass; `parent_histogram` counts each child's
+family parents in a 2**n-byte scratch array.  That file also holds the
+Ryser kernel of the batch and modular engines.  It is compiled with gcc on
+first use into a per-user cache, $XDG_CACHE_HOME/permlab (default
 ~/.cache/permlab), under a name that carries the SHA-256 of the source and
 the compiler flags, and loaded with ctypes; a missing gcc, a failed compile
 or an unwritable cache is an OSError that names the compiler or the path.
@@ -37,16 +40,16 @@ import os
 import subprocess
 import tempfile
 from enum import Enum
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .matrices import CapError, SignMatrix
-from .subsets import bits_of, full_mask, masks_by_level
+from .subsets import bits_of, full_mask, mask_of, masks_by_level
 
 LATTICE_MAX_N = 22  # a 2**n table: 26 * 2**22 bytes ~ 109 MB at its build peak
 _INT64_LEVEL_MAX = 20
+_INT64_MAX = 2**63 - 1
 DUMP_MAX_N = 12
 _KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 _KERNEL_CC = ("gcc", "-O2", "-shared", "-fPIC")
@@ -60,7 +63,7 @@ def threshold_int(threshold) -> int:
     """
     if isinstance(threshold, (int, np.integer)):
         return int(threshold)
-    return math.ceil(Fraction(threshold))
+    return math.ceil(threshold)  # exact for float and Fraction alike
 
 
 @functools.cache
@@ -99,9 +102,13 @@ def _kernels() -> ctypes.CDLL:
     kernels = ctypes.CDLL(str(lib))
     int64s = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     int8s = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
-    kernels.add_level.argtypes = [int64s, int64s, ctypes.c_int64, int64s]
-    kernels.ryser.argtypes = [int8s, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, int64s]
+    addr, i64 = ctypes.c_void_p, ctypes.c_int64
+    kernels.add_level.argtypes = [addr, addr, i64, ctypes.c_uint64]
+    kernels.select_heavy.argtypes = [addr, addr, i64, i64, addr]
+    kernels.parent_histogram.argtypes = [addr, i64, i64, i64, addr, addr]
+    kernels.ryser.argtypes = [int8s, i64, i64, i64, int64s]
     kernels.add_level.restype = kernels.ryser.restype = None
+    kernels.select_heavy.restype = kernels.parent_histogram.restype = i64
     return kernels
 
 
@@ -135,6 +142,12 @@ class MinorTable:
         self._vals[0] = 1  # empty minor
         self._big: dict[int, int] = {}
         self._levels = masks_by_level(n)
+        # The lattice kernels take raw addresses, since ndpointer's checks
+        # cost more per call than the work on a small level.  These arrays
+        # are C-contiguous int64 by construction and live as long as the
+        # table; every other array passed is made just before the call.
+        self._vals_at = self._vals.ctypes.data
+        self._levels_at = [masks.ctypes.data for masks in self._levels]
 
     def add_level(self, row: np.ndarray) -> None:
         """Complete level k_max+1 from the next exposed row."""
@@ -148,7 +161,8 @@ class MinorTable:
             raise ValueError("row entries must be -1 or +1")
         masks = self._levels[k]
         if k <= _INT64_LEVEL_MAX:
-            _kernels().add_level(self._vals, masks, len(masks), row)  # exact: see _kernels.c
+            neg = mask_of(np.flatnonzero(row < 0).tolist())  # the row's -1 columns
+            _kernels().add_level(self._vals_at, self._levels_at[k], len(masks), neg)  # exact
         else:
             for mask in masks.tolist():
                 total = 0
@@ -172,28 +186,33 @@ class MinorTable:
     def level_masks(self, k: int) -> np.ndarray:
         return self._levels[k]
 
-    def _heavy_selector(self, k: int, threshold) -> np.ndarray:
-        """Boolean array over level_masks(k): which sets have |value| >= threshold.
+    def _heavy(self, k: int, threshold) -> np.ndarray:
+        """Masks of level k whose |value| reaches the threshold, ascending.
 
-        Python-int levels compare through an object array, which numpy also
-        turns into a bool array; every heaviness query goes through here.
+        Every heaviness query goes through here.  The int64 levels are read
+        by the compiled select_heavy, with the threshold clamped to
+        [0, 2**63 - 1] first, because ctypes would silently truncate a larger
+        int (|value| <= 20! < 2**63 - 1, so the clamp changes no answer);
+        the Python-int levels compare in Python.
         """
         if not 0 <= k <= self.k_max:
             raise ValueError(f"level {k} not built (k_max={self.k_max})")
         masks = self._levels[k]
+        t = threshold_int(threshold)
         if k > _INT64_LEVEL_MAX:
-            values = np.array([self._big[m] for m in masks.tolist()], dtype=object)
-        else:
-            values = self._vals[masks]
-        return np.abs(values) >= threshold_int(threshold)
+            return masks[np.array([abs(self._big[m]) >= t for m in masks.tolist()], dtype=bool)]
+        out = np.empty_like(masks)
+        count = _kernels().select_heavy(self._vals_at, self._levels_at[k], len(masks),
+                                        min(max(t, 0), _INT64_MAX), out.ctypes.data)
+        return out[:count]
 
     def heavy_count(self, k: int, threshold) -> int:
         """Number of size-k column sets whose |value| reaches the threshold."""
-        return int(np.count_nonzero(self._heavy_selector(k, threshold)))
+        return len(self._heavy(k, threshold))
 
     def heavy_masks(self, k: int, threshold) -> np.ndarray:
         """Masks of the heavy size-k sets, ascending."""
-        return self._levels[k][self._heavy_selector(k, threshold)]
+        return self._heavy(k, threshold)
 
     def top_value(self) -> int:
         """Permanent of the full matrix; requires all levels built."""
@@ -220,16 +239,29 @@ def parent_histogram(table: MinorTable, k: int, members) -> np.ndarray:
 
     A parent of A' is any A = A' minus one element that belongs to the
     family; counts[0] stays 0 (children with no family parent are not
-    tracked).
+    tracked).  Counted by the compiled parent_histogram over a 2**n-byte
+    scratch array; a member outside [0, 2**n), not of size k, or repeated
+    is a ValueError.
     """
     n = table.n
     if k + 1 > n:
         raise ValueError("family is at the top level; no children exist")
-    members = np.asarray(members, dtype=np.int64)
-    children = [members[(members >> i) & 1 == 0] | (1 << i) for i in range(n)]
-    _, multiplicity = np.unique(np.concatenate(children), return_counts=True)
-    # a child has at most k+1 <= n parents, so the bincount has length n+1
-    return np.bincount(multiplicity, minlength=n + 1)
+    try:
+        members = np.ascontiguousarray(members, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        raise ValueError(f"family members must be masks in [0, 2**{n})") from None
+    counts = np.zeros(n + 1, dtype=np.int64)
+    scratch = np.zeros(1 << n, dtype=np.uint8)
+    bad = _kernels().parent_histogram(members.ctypes.data, len(members), n, k,
+                                      scratch.ctypes.data, counts.ctypes.data)
+    if bad:
+        mask = int(members[bad - 1])
+        if mask < 0 or mask >> n:
+            raise ValueError(f"family member {mask} is outside [0, 2**{n})")
+        if mask.bit_count() != k:
+            raise ValueError(f"family member {mask} is not a size-{k} set")
+        raise ValueError(f"family member {mask} is repeated")
+    return counts
 
 
 class SplitVerdict(Enum):
@@ -264,9 +296,10 @@ def split_events(counts: np.ndarray, eps: float, c: float, family_size: int) -> 
     n = len(counts) - 1
     cut = split_cut(n, eps, c)
     low_mass = int(counts[1 : cut + 1].sum())
-    # Exact comparison: eps enters as its binary-float value.
-    bound = Fraction(eps) * n * family_size / (2 * cut)
-    return SplitVerdict.PRIME if low_mass >= bound else SplitVerdict.DOUBLE_PRIME
+    # Exact comparison in integers: eps enters as its binary-float value.
+    num, den = eps.as_integer_ratio()
+    prime = low_mass * den * 2 * cut >= num * n * family_size
+    return SplitVerdict.PRIME if prime else SplitVerdict.DOUBLE_PRIME
 
 
 def dump_lattice_csv(table: MinorTable, path) -> None:

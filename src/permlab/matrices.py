@@ -28,12 +28,13 @@ def _check_dimension(n: int) -> None:
 
 
 def _as_sign_array(data, rows: int, cols: int) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.int8)
+    arr = np.asarray(data)
     if arr.shape != (rows, cols):
         raise ValueError(f"expected shape {(rows, cols)}, got {arr.shape}")
+    # checked before the int8 cast, which would wrap e.g. 257 to 1
     if not np.isin(arr, (-1, 1)).all():
         raise ValueError("entries must be -1 or +1")
-    arr = arr.copy()
+    arr = arr.astype(np.int8)
     arr.flags.writeable = False
     return arr
 

@@ -95,7 +95,12 @@ def test_bad_values_rejected(tmp_path, args, flag, message):
      "error: a Monte Carlo mean needs at least two draws (--trials 2 or more), got 1"),
     (["verify", "--suite", "growth_rate", "--n", "16", "--trials", "1"],
      "error: a Monte Carlo mean needs at least two draws (--trials 2 or more), got 1"),
-], ids=["compute-no-input", "parent-child-n-1", "second-moment-one-draw", "growth-rate-one-draw"])
+    (["verify", "--suite", "parent_child", "--n", "4", "--trials", "1"],
+     "error: a Monte Carlo frequency needs at least two draws (--trials 2 or more), got 1"),
+    (["verify", "--suite", "many_children", "--n", "8", "--trials", "1", "--i-size", "2"],
+     "error: a Monte Carlo frequency needs at least two draws (--trials 2 or more), got 1"),
+], ids=["compute-no-input", "parent-child-n-1", "second-moment-one-draw", "growth-rate-one-draw",
+        "parent-child-one-draw", "many-children-one-draw"])
 def test_usage_errors_are_clean(args, message):
     res = run_cli(*args)
     assert res.returncode == 2
@@ -105,7 +110,7 @@ def test_usage_errors_are_clean(args, message):
 @pytest.mark.parametrize("args", [
     ["compute", "--random", "12", "--dump-lattice", "{tmp}/missing/x.csv"],
     ["compute", "{tmp}/missing.txt"],
-    ["verify", "--suite", "alon", "--n", "3", "--trials", "5", "--out", "{tmp}/missing/r.jsonl"],
+    ["verify", "--suite", "alon", "--n", "3", "--out", "{tmp}/missing/r.jsonl"],
     ["ensemble", "--n-list", "3", "--trials", "2", "--out", "{tmp}/missing/e.csv"],
 ], ids=["dump-lattice", "matrix-file", "verify-out", "ensemble-out"])
 def test_missing_paths_are_clean_errors(tmp_path, args):
@@ -262,6 +267,40 @@ def test_verify_single_checks(tmp_path):
     assert res4.returncode == 0
     report = json.loads(out.read_text().splitlines()[0])
     assert report["name"] == "singularity" and report["passed"]
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--suite", "alon", "--n", "3", "--mode", "monte_carlo"], "--mode"),
+    (["--suite", "alon", "--n", "3", "--trials", "7"], "--trials"),
+    (["--suite", "alon", "--trials", "7"], "--trials"),
+    (["--suite", "second_moment", "--n", "3", "--trials", "7"], "--trials"),
+    (["--suite", "singularity", "--mode", "exact", "--trials", "7"], "--trials"),
+    (["--suite", "littlewood_offord", "--m", "4", "--trials", "7"], "--trials"),
+    (["--suite", "littlewood_offord", "--n", "5"], "--n"),
+    (["--suite", "parent_child", "--n", "8", "--i-size", "2"], "--i-size"),
+    (["--suite", "growth_rate", "--x", "2"], "--x"),
+    (["--suite", "maintain_grow", "--m", "3"], "--m"),
+    (["--suite", "all", "--n", "5"], "--n"),
+    (["--suite", "all", "--trials", "3"], "--trials"),
+], ids=["alon-mode", "alon-exact-trials", "alon-default-n-trials", "second-moment-exact-trials",
+        "singularity-exact-trials", "littlewood-offord-exact-trials", "littlewood-offord-n",
+        "parent-child-i-size", "growth-rate-x", "maintain-grow-m", "all-n", "all-trials"])
+def test_verify_refuses_flags_its_check_does_not_read(tmp_path, capsys, args, flag):
+    out = tmp_path / "r.jsonl"
+    assert cli.main(["verify", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(f"does not read {flag}"), err
+    assert not out.exists()  # refused before the report is opened
+
+
+def test_verify_manifest_records_the_options_read(tmp_path):
+    out = tmp_path / "r.jsonl"
+    argv = ["verify", "--suite", "littlewood_offord", "--mode", "monte_carlo", "--trials", "50",
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    manifest = json.loads((tmp_path / "r.jsonl.manifest.json").read_text())
+    assert manifest["config"] == {"suite": "littlewood_offord", "n": None, "trials": 50,
+                                  "mode": "monte_carlo", "m": 2, "x": 1.0, "i_size": None}
 
 
 def test_verify_report_files_are_byte_stable(tmp_path):

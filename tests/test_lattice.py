@@ -277,6 +277,46 @@ def test_heavy_count_matches_members():
             assert t.heavy_count(k, lam) == len(t.heavy_masks(k, lam))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_heavy_queries_match_brute_on_every_level(n):
+    # thresholds 2**63 and 2**64 + 1 do not fit in int64; unclamped, ctypes
+    # would pass them on truncated (2**64 + 1 as 1)
+    m = sample_sign_matrix(n, RngStream(37, n))
+    t = build_lattice(m)
+    for k in range(n + 1):
+        for lam in (0, 1, math.factorial(k), math.factorial(k) + 1, 2**63, 2**64 + 1):
+            brute = brute_heavy_sets(m, k, lam)
+            assert t.heavy_masks(k, lam).tolist() == brute, (k, lam)
+            assert t.heavy_count(k, lam) == len(brute), (k, lam)
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_parent_histogram_random_families_against_brute(n):
+    gen = np.random.default_rng(38 + n)
+    t = MinorTable(n)
+    for k in range(1, n):
+        level = t.level_masks(k)
+        members = gen.choice(level, size=gen.integers(1, len(level) + 1), replace=False)
+        counts = parent_histogram(t, k, members)
+        brute = brute_parent_counts(members.tolist(), n)
+        assert counts.tolist() == [0] + [sum(1 for c in brute.values() if c == l)
+                                         for l in range(1, n + 1)], k
+        assert parent_histogram(t, k, np.array([], dtype=np.int64)).tolist() == [0] * (n + 1)
+
+
+@pytest.mark.parametrize("member, message", [
+    (1 << 8, "outside"),  # one past the table
+    (-1, "outside"),
+    (2**64, "masks in"),  # does not fit in int64
+    (0b111, "not a size-2 set"),
+    (0b11, "repeated"),
+], ids=["past-table", "negative", "beyond-int64", "wrong-level", "repeated"])
+def test_parent_histogram_rejects_bad_members(member, message):
+    t = MinorTable(8)
+    with pytest.raises(ValueError, match=message):
+        parent_histogram(t, 2, [0b11, 0b101, member])
+
+
 def test_parent_histogram_complete_family():
     n = 6
     t = build_lattice(all_ones(n))

@@ -28,6 +28,15 @@ def test_entries_validated():
         sample_sign_matrix(64, RngStream(0))
 
 
+@pytest.mark.parametrize("entries", [
+    np.array([[257, 1], [1, -255]]),  # 1 and -1 after an int8 cast
+    np.array([[1.5, 1.0], [1.0, -1.0]]),  # 1 after an int8 cast
+], ids=["int-wraps", "float-truncates"])
+def test_entries_checked_before_the_int8_cast(entries):
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        SignMatrix(entries)
+
+
 def test_sampling_is_deterministic():
     a = sample_sign_matrix(4, RngStream(7, 0))
     b = sample_sign_matrix(4, RngStream(7, 0))
