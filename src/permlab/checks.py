@@ -1,8 +1,13 @@
 """Named verification checks: exact enumeration identities and Monte Carlo
 estimates with explicit tolerances.
 
+The tables at the end say what each check runs at: `CHECKS` holds its
+function and the options it reads, with their defaults, and `SUITE` the
+rows of `verify --suite all`.  `run_check` runs a check for both.
+
 Conventions:
 - exact-mode checks are seed-free identities; their tolerance is "exact";
+- a Monte Carlo run has no default draw count;
 - every Monte Carlo verdict uses a band of 3 standard errors computed from
   the same run;
 - checks whose target bound hides an unspecified constant are descriptive:
@@ -18,9 +23,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from importlib import resources
-from typing import Callable
 
 import numpy as np
 
@@ -31,8 +34,6 @@ from .matrices import CapError, SignMatrix, sample_sign_matrix
 from .rng import RngStream
 
 _ALON_SIZES = (3, 7, 15, 31)
-# The process configuration maintain_grow_events runs under, in the suite and from the CLI.
-MAINTAIN_GROW_CONFIG = ProcessConfig(eps=0.3, c=0.5)
 
 
 @dataclass
@@ -48,7 +49,7 @@ class CheckReport:
     tolerance: str
     passed: bool
     descriptive: bool = False
-    runtime_seconds: float = 0.0  # set by timed(); shown on the summary line only
+    runtime_seconds: float = 0.0  # set by run_check(); shown on the summary line only
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -96,6 +97,12 @@ def _two_draws(trials: int, statistic: str) -> None:
     if trials < 2:
         raise ValueError(f"a Monte Carlo {statistic} needs at least two draws"
                          f" (--trials 2 or more), got {trials}")
+
+
+def _needs_trials(check: str, trials: int | None) -> None:
+    """Refuse a Monte Carlo run without a draw count, which has no default."""
+    if trials is None:
+        raise ValueError(f"a Monte Carlo {check} run needs --trials")
 
 
 def _binom_se(p: float, trials: int) -> float:
@@ -147,7 +154,7 @@ def per2_ratio_mean_se(pers: list[int], n: int) -> tuple[float, float]:
 # Moment and counting identities
 # ---------------------------------------------------------------------------
 
-def check_second_moment(n: int, mode: str = "exact", trials: int = 2000,
+def check_second_moment(n: int, mode: str, trials: int | None = None,
                         rng: RngStream | None = None) -> CheckReport:
     """Mean of Per**2 over sign matrices equals n!.
 
@@ -175,7 +182,7 @@ def check_second_moment(n: int, mode: str = "exact", trials: int = 2000,
         raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
     if n > 20:
         raise CapError(f"monte-carlo second-moment check is capped at n <= 20, got n={n}")
-    rng = rng or RngStream(0)
+    _needs_trials("second_moment", trials)
     mean, se = per2_ratio_mean_se(sample_permanents(n, trials, rng), n)
     return CheckReport(
         name="second_moment", n=n, sample_size=trials, seed=rng.seed,
@@ -185,7 +192,7 @@ def check_second_moment(n: int, mode: str = "exact", trials: int = 2000,
     )
 
 
-def check_alon(n: int, trials: int = 1000, rng: RngStream | None = None) -> CheckReport:
+def check_alon(n: int, trials: int | None = None, rng: RngStream | None = None) -> CheckReport:
     """Stated fixed-residue claim: every permanent is (n+1)/2 mod n+1.
 
     n = 3 is checked over all 512 matrices; larger sizes over seeded samples.
@@ -206,7 +213,7 @@ def check_alon(n: int, trials: int = 1000, rng: RngStream | None = None) -> Chec
         sample_size: int | str = "exact"
         seed = None
     else:
-        rng = rng or RngStream(0)
+        _needs_trials("alon", trials)
         # n + 1 = 2**m divides two_adic_mod, so one residue answers both
         perms = np.array([permanent_mod(sample_sign_matrix(n, rng.substream(t)), two_adic_mod)
                           for t in range(trials)], dtype=np.int64)
@@ -236,7 +243,7 @@ def check_alon(n: int, trials: int = 1000, rng: RngStream | None = None) -> Chec
     )
 
 
-def check_singularity(n: int, mode: str = "exact", trials: int = 2000,
+def check_singularity(n: int, mode: str, trials: int | None = None,
                       rng: RngStream | None = None) -> CheckReport:
     """Probability that the permanent vanishes.
 
@@ -265,7 +272,7 @@ def check_singularity(n: int, mode: str = "exact", trials: int = 2000,
         )
     if mode != "monte_carlo":
         raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
-    rng = rng or RngStream(0)
+    _needs_trials("singularity", trials)
     zeros = sample_permanents(n, trials, rng).count(0)
     frac = zeros / trials
     return CheckReport(
@@ -280,7 +287,7 @@ def check_singularity(n: int, mode: str = "exact", trials: int = 2000,
 # Parent/child behaviour of minors under one exposed row
 # ---------------------------------------------------------------------------
 
-def check_parent_child(trials: int, n: int, rng: RngStream | None = None) -> CheckReport:
+def check_parent_child(trials: int, n: int, rng: RngStream) -> CheckReport:
     """A heavy minor keeps its weight in a child for the right sign choice.
 
     Per instance (random level k < n, random square child minor): flipping
@@ -293,7 +300,6 @@ def check_parent_child(trials: int, n: int, rng: RngStream | None = None) -> Che
     if n < 2:
         raise ValueError(f"parent-child check needs n >= 2 (a level k in 1..n-1), got n={n}")
     _two_draws(trials, "frequency")
-    rng = rng or RngStream(0)
     gen = rng.generator()
     ks = gen.integers(1, n, size=trials)
     flip_violations = 0
@@ -334,8 +340,7 @@ def check_parent_child(trials: int, n: int, rng: RngStream | None = None) -> Che
     )
 
 
-def check_many_children(trials: int, n: int, i_size: int,
-                        rng: RngStream | None = None) -> CheckReport:
+def check_many_children(trials: int, n: int, i_size: int, rng: RngStream) -> CheckReport:
     """One heavy parent spawns heavy children over many candidate columns.
 
     With i_size candidate columns, some child matches the parent's weight
@@ -349,7 +354,6 @@ def check_many_children(trials: int, n: int, i_size: int,
     if k + 1 > 13:
         raise ValueError(f"child minors of size {k + 1} exceed the batch engine cap")
     _two_draws(trials, "frequency")
-    rng = rng or RngStream(0)
     gen = rng.generator()
     any_hits = 0
     third_hits = 0
@@ -389,8 +393,8 @@ def check_many_children(trials: int, n: int, i_size: int,
 # Signed-sum anti-concentration
 # ---------------------------------------------------------------------------
 
-def check_littlewood_offord(v, threshold: float, x: float = 1.0, mode: str = "exact",
-                            trials: int = 20000, rng: RngStream | None = None) -> CheckReport:
+def check_littlewood_offord(v, threshold: float, x: float, mode: str,
+                            trials: int | None = None, rng: RngStream | None = None) -> CheckReport:
     """Random signed sums avoid short intervals.
 
     With k coordinates of magnitude >= threshold, no open interval of length
@@ -444,8 +448,8 @@ def check_littlewood_offord(v, threshold: float, x: float = 1.0, mode: str = "ex
         )
     if mode != "monte_carlo":
         raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
+    _needs_trials("littlewood_offord", trials)
     _two_draws(trials, "frequency")
-    rng = rng or RngStream(0)
     gen = rng.generator()
     signs = 2.0 * gen.integers(0, 2, size=(trials, m)) - 1.0
     sums = signs @ np.asarray(v)
@@ -500,13 +504,12 @@ def growth_rate_statistics(n: int, pers: list[int], band: dict | None = None) ->
     return stats
 
 
-def check_growth_rate(n: int, trials: int, rng: RngStream | None = None) -> CheckReport:
+def check_growth_rate(n: int, trials: int, rng: RngStream) -> CheckReport:
     """Distribution of log|Per| at size n against the frozen pilot band.
 
     Draw t is matrix stream rng.substream(n, t).  A size with a committed
     band gets a hard verdict; other sizes are reported descriptively.
     """
-    rng = rng or RngStream(0)
     band = pilot_bands()["growth_rate"].get(str(n))
     stats = growth_rate_statistics(n, sample_permanents(n, trials, rng.substream(n)), band)
     return CheckReport(
@@ -518,8 +521,8 @@ def check_growth_rate(n: int, trials: int, rng: RngStream | None = None) -> Chec
     )
 
 
-def check_maintain_grow_events(n: int, trials: int, cfg: ProcessConfig | None = None,
-                               rng: RngStream | None = None) -> CheckReport:
+def check_maintain_grow_events(n: int, trials: int, rng: RngStream,
+                               cfg: ProcessConfig = ProcessConfig(eps=0.3, c=0.5)) -> CheckReport:
     """Conditional frequencies of the keep/explode/grow child events.
 
     Over seeded growth runs, at every classified level: (keep) enough
@@ -531,8 +534,6 @@ def check_maintain_grow_events(n: int, trials: int, cfg: ProcessConfig | None = 
     events accrue; the other two bounds have unspecified constants and stay
     descriptive.
     """
-    cfg = cfg or ProcessConfig()
-    rng = rng or RngStream(0)
     c = cfg.eff_c()
     counts = {
         "keep": [0, 0],  # [conditioning events, event hits]
@@ -595,30 +596,62 @@ def check_maintain_grow_events(n: int, trials: int, cfg: ProcessConfig | None = 
 # Suite runner
 # ---------------------------------------------------------------------------
 
-def timed(check: Callable[[], CheckReport]) -> CheckReport:
-    """Run one check and set its runtime_seconds; checks never read the clock."""
+def _littlewood_offord_ones(m: int, **options) -> CheckReport:
+    """littlewood_offord on the all-ones vector of length m, at threshold 1."""
+    return check_littlewood_offord([1.0] * m, 1.0, **options)
+
+
+# Each check `verify --suite NAME` can run: the function, called by keyword
+# with the options and rng=, and the options it reads, with their defaults.
+# An option only Monte Carlo mode reads defaults to None; that mode refuses
+# to run without it.  Functions are named and looked up when run, so a
+# wrapper set on the module attribute (a profiler's) sees every call.
+CHECKS = {
+    "second_moment": ("check_second_moment", {"n": 3, "mode": "exact", "trials": None}),
+    "alon": ("check_alon", {"n": 3, "trials": None}),
+    "parent_child": ("check_parent_child", {"n": 10, "trials": 10_000}),
+    "many_children": ("check_many_children", {"n": 14, "trials": 10_000, "i_size": 6}),
+    "littlewood_offord": ("_littlewood_offord_ones",
+                          {"m": 2, "x": 1.0, "mode": "exact", "trials": None}),
+    "growth_rate": ("check_growth_rate", {"n": 16, "trials": 500}),
+    "singularity": ("check_singularity", {"n": 3, "mode": "exact", "trials": None}),
+    "maintain_grow": ("check_maintain_grow_events", {"n": 14, "trials": 300}),
+}
+
+# `verify --suite all` in report order: (check, options over its defaults,
+# stream).  A row draws from RngStream(seed, stream); an exact row has no
+# stream.
+SUITE = [
+    *(("second_moment", {"n": n}, None) for n in (2, 3, 4)),
+    ("alon", {"n": 3}, None),
+    ("alon", {"n": 7, "trials": 1000}, 7),
+    ("alon", {"n": 15, "trials": 100}, 15),
+    ("parent_child", {}, 10),
+    ("many_children", {}, 14),
+    *(("littlewood_offord", {"m": m}, None) for m in range(2, 15)),
+    *(("singularity", {"n": n}, None) for n in (2, 3, 4)),
+    ("growth_rate", {}, 16),
+    ("maintain_grow", {}, 140),
+]
+
+
+def run_check(name: str, options: dict, rng: RngStream | None) -> CheckReport:
+    """Check `name` run with `options` over its defaults, and timed.
+
+    The one path of a single-check request and of every suite row.  Its
+    clock read sets runtime_seconds; the checks themselves never read one.
+    """
+    func, defaults = CHECKS[name]
     t0 = time.monotonic()
-    report = check()
+    report = globals()[func](**{**defaults, **options}, rng=rng)
     report.runtime_seconds = time.monotonic() - t0
     return report
 
 
 def default_suite(seed: int) -> list[CheckReport]:
-    """The canonical `verify --suite all` run, each check timed."""
-    return [timed(check) for check in [
-        *(partial(check_second_moment, n, mode="exact") for n in (2, 3, 4)),
-        partial(check_alon, 3),
-        partial(check_alon, 7, trials=1000, rng=RngStream(seed, 7)),
-        partial(check_alon, 15, trials=100, rng=RngStream(seed, 15)),
-        partial(check_parent_child, 10_000, 10, rng=RngStream(seed, 10)),
-        partial(check_many_children, 10_000, 14, 6, rng=RngStream(seed, 14)),
-        *(partial(check_littlewood_offord, [1.0] * m, 1.0, x=1.0, mode="exact")
-          for m in range(2, 15)),
-        *(partial(check_singularity, n, mode="exact") for n in (2, 3, 4)),
-        partial(check_growth_rate, 16, 500, rng=RngStream(seed, 16)),
-        partial(check_maintain_grow_events, 14, 300, cfg=MAINTAIN_GROW_CONFIG,
-                rng=RngStream(seed, 140)),
-    ]]
+    """The canonical `verify --suite all` run: every SUITE row, in order."""
+    return [run_check(name, options, None if stream is None else RngStream(seed, stream))
+            for name, options, stream in SUITE]
 
 
 def suite_passed(reports: list[CheckReport]) -> bool:

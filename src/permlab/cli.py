@@ -3,6 +3,9 @@
 Subcommands: compute (one permanent/determinant), growth (trace ensembles),
 verify (the check suite), ensemble (growth-rate dataset).  All randomness
 flows from --seed; trial t uses stream t, so reruns are byte-identical.
+verify runs one check by name, or every row of the suite; the check table
+it reads its defaults from is `checks.CHECKS`, and the suite is
+`checks.SUITE`.
 Primary outputs (traces, CSV, reports) carry no timestamps; each command
 also writes a manifest JSON holding the full configuration, the code
 version, the output paths and the wall-clock time of the run.
@@ -19,25 +22,10 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .checks import (
-    MAINTAIN_GROW_CONFIG,
-    check_alon,
-    check_growth_rate,
-    check_littlewood_offord,
-    check_maintain_grow_events,
-    check_many_children,
-    check_parent_child,
-    check_second_moment,
-    check_singularity,
-    default_suite,
-    suite_passed,
-    summary_lines,
-    timed,
-)
+from .checks import CHECKS, _needs_trials, default_suite, run_check, suite_passed, summary_lines
 from .engines import determinant_exact, permanent, permanent_mod, permanent_naive, permanent_ryser
 from .growth import ProcessConfig, run_growth, write_trace_jsonl
 from .lattice import DUMP_MAX_N, LATTICE_MAX_N, build_lattice, dump_lattice_csv
@@ -197,56 +185,31 @@ def cmd_growth(args) -> int:
     return 0
 
 
-_CHECK_BUILDERS = {
-    "second_moment": lambda a, rng: check_second_moment(a.n, mode=a.mode, trials=a.trials, rng=rng),
-    "alon": lambda a, rng: check_alon(a.n, trials=a.trials, rng=rng),
-    "parent_child": lambda a, rng: check_parent_child(a.trials, a.n, rng=rng),
-    "many_children": lambda a, rng: check_many_children(a.trials, a.n, a.i_size, rng=rng),
-    "littlewood_offord": lambda a, rng: check_littlewood_offord(
-        [1.0] * a.m, 1.0, x=a.x, mode=a.mode, trials=a.trials, rng=rng),
-    "growth_rate": lambda a, rng: check_growth_rate(a.n, a.trials, rng=rng),
-    "singularity": lambda a, rng: check_singularity(a.n, mode=a.mode, trials=a.trials, rng=rng),
-    "maintain_grow": lambda a, rng: check_maintain_grow_events(
-        a.n, a.trials, cfg=MAINTAIN_GROW_CONFIG, rng=rng),
-}
-
-# The check-size flags of verify (dest -> flag), and the ones each check
-# reads, with their defaults; --suite all reads none of them.
+# The check-size flags of verify (dest -> flag); --suite all reads none of them.
 _VERIFY_FLAGS = {"n": "--n", "trials": "--trials", "mode": "--mode",
                  "m": "--m", "x": "--x", "i_size": "--i-size"}
-_CHECK_FLAGS = {
-    "second_moment": {"n": 3, "mode": "exact", "trials": 2000},
-    "alon": {"n": 3, "trials": 1000},
-    "parent_child": {"n": 10, "trials": 10_000},
-    "many_children": {"n": 14, "trials": 10_000, "i_size": 6},
-    "littlewood_offord": {"m": 2, "x": 1.0, "mode": "exact", "trials": 20_000},
-    "growth_rate": {"n": 16, "trials": 500},
-    "singularity": {"n": 3, "mode": "exact", "trials": 2000},
-    "maintain_grow": {"n": 14, "trials": 300},
-}
 
 
-def _check_options(args) -> argparse.Namespace:
-    """The verify flags with the chosen check's defaults filled in.
+def _check_options(args) -> dict:
+    """The options the chosen check reads: its defaults, overridden by the flags given.
 
     A flag the check does not read is a ValueError that names it (the size
     flags default to None, so a flag the user set is told apart from a
     default).  An exact run, in exact mode or alon at n = 3, reads no
-    --trials, and its trials stay None.
+    --trials; a Monte Carlo run needs it.  Both are refused here, before
+    --out is opened.
     """
-    reads = _CHECK_FLAGS.get(args.suite, {})
-    for dest, flag in _VERIFY_FLAGS.items():
-        if getattr(args, dest) is not None and dest not in reads:
-            raise ValueError(f"verify --suite {args.suite} does not read {flag}")
-    opts = argparse.Namespace(**{dest: getattr(args, dest) for dest in _VERIFY_FLAGS})
-    for dest, default in reads.items():
-        if getattr(opts, dest) is None:
-            setattr(opts, dest, default)
-    if opts.mode == "exact" or (args.suite == "alon" and opts.n == 3):
-        if args.trials is not None:
-            raise ValueError(f"verify --suite {args.suite} is exact here"
-                             " and does not read --trials")
-        opts.trials = None
+    _, reads = CHECKS.get(args.suite, (None, {}))
+    given = {dest: getattr(args, dest) for dest in _VERIFY_FLAGS if getattr(args, dest) is not None}
+    for dest in given:
+        if dest not in reads:
+            raise ValueError(f"verify --suite {args.suite} does not read {_VERIFY_FLAGS[dest]}")
+    opts = {**reads, **given}
+    if opts.get("mode") == "exact" or (args.suite == "alon" and opts["n"] == 3):
+        if "trials" in given:
+            raise ValueError(f"verify --suite {args.suite} is exact here and does not read --trials")
+    elif "trials" in reads:
+        _needs_trials(args.suite, opts["trials"])
     return opts
 
 
@@ -258,7 +221,7 @@ def cmd_verify(args) -> int:
         if args.suite == "all":
             reports = default_suite(args.seed)
         else:
-            reports = [timed(partial(_CHECK_BUILDERS[args.suite], opts, RngStream(args.seed)))]
+            reports = [run_check(args.suite, opts, RngStream(args.seed))]
         if fh is not None:
             for r in reports:
                 fh.write(r.to_json() + "\n")
@@ -266,7 +229,7 @@ def cmd_verify(args) -> int:
         out = Path(args.out)
         _write_manifest(
             out.with_suffix(out.suffix + ".manifest.json"), "verify",
-            {"suite": args.suite, **vars(opts)}, args.seed, [str(out)],
+            {"suite": args.suite, **dict.fromkeys(_VERIFY_FLAGS), **opts}, args.seed, [str(out)],
         )
     for line in summary_lines(reports):
         print(line)
@@ -331,18 +294,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("verify", help="run verification checks")
-    p.add_argument("--suite", choices=["all", *_CHECK_BUILDERS], default="all")
+    p.add_argument("--suite", choices=["all", *CHECKS], default="all")
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
+    lo, mc = CHECKS["littlewood_offord"][1], CHECKS["many_children"][1]
     p.add_argument("--mode", choices=["exact", "monte_carlo"], default=None,
-                   help="second_moment, singularity, littlewood_offord (default: exact)")
+                   help=f"second_moment, singularity, littlewood_offord (default: {lo['mode']})")
     p.add_argument("--m", type=int, default=None,
-                   help="vector length for littlewood_offord (default: 2)")
+                   help=f"vector length for littlewood_offord (default: {lo['m']})")
     p.add_argument("--x", type=_nonnegative_float, default=None,
-                   help="tail radius multiplier for littlewood_offord (default: 1.0)")
+                   help=f"tail radius multiplier for littlewood_offord (default: {lo['x']})")
     p.add_argument("--i-size", type=int, default=None, dest="i_size",
-                   help="candidate columns for many_children (default: 6)")
+                   help=f"candidate columns for many_children (default: {mc['i_size']})")
     p.add_argument("--out", default=None, help="JSON-lines report file")
     p.set_defaults(func=cmd_verify)
 

@@ -110,8 +110,9 @@ def ryser_batch(mats: np.ndarray) -> np.ndarray:
         raise CapError(f"ryser_batch is capped at n <= {_BATCH_MAX_N}, got n={n}")
     if not np.all(np.abs(mats) == 1):
         raise ValueError("matrix entries must be -1 or +1")
+    mats = np.ascontiguousarray(mats, dtype=np.int8)
     out = np.empty(b, dtype=np.int64)
-    _kernels().ryser(np.ascontiguousarray(mats, dtype=np.int8), b, n, 0, out)
+    _kernels().ryser(mats.ctypes.data, b, n, 0, out.ctypes.data)
     return out
 
 
@@ -129,7 +130,7 @@ def permanent_mod(m: SignMatrix, modulus: int) -> int:
         raise CapError(f"permanent_mod is capped at n <= {RYSER_MAX_N} (2**n subsets), got n={n}")
     if modulus < _KERNEL_MAX_MODULUS:
         out = np.empty(1, dtype=np.int64)
-        _kernels().ryser(m.entries, 1, n, modulus, out)
+        _kernels().ryser(m.entries.ctypes.data, 1, n, modulus, out.ctypes.data)  # C-ordered int8
         return out.item()
     return permanent_ryser(m) % modulus
 

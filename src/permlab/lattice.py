@@ -100,13 +100,14 @@ def _kernels() -> ctypes.CDLL:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     kernels = ctypes.CDLL(str(lib))
-    int64s = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    int8s = np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS")
+    # Every kernel takes raw addresses, since numpy's ndpointer checks cost
+    # more per call than the work on a small level or matrix; each caller
+    # passes C-contiguous arrays of the kernel's element type.
     addr, i64 = ctypes.c_void_p, ctypes.c_int64
     kernels.add_level.argtypes = [addr, addr, i64, ctypes.c_uint64]
     kernels.select_heavy.argtypes = [addr, addr, i64, i64, addr]
     kernels.parent_histogram.argtypes = [addr, i64, i64, i64, addr, addr]
-    kernels.ryser.argtypes = [int8s, i64, i64, i64, int64s]
+    kernels.ryser.argtypes = [addr, i64, i64, i64, addr]
     kernels.add_level.restype = kernels.ryser.restype = None
     kernels.select_heavy.restype = kernels.parent_histogram.restype = i64
     return kernels
@@ -142,8 +143,7 @@ class MinorTable:
         self._vals[0] = 1  # empty minor
         self._big: dict[int, int] = {}
         self._levels = masks_by_level(n)
-        # The lattice kernels take raw addresses, since ndpointer's checks
-        # cost more per call than the work on a small level.  These arrays
+        # Kernel arguments are raw addresses (see _kernels).  These arrays
         # are C-contiguous int64 by construction and live as long as the
         # table; every other array passed is made just before the call.
         self._vals_at = self._vals.ctypes.data

@@ -27,18 +27,6 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"dimension must be in 1..{MAX_N}, got {n}")
 
 
-def _as_sign_array(data, rows: int, cols: int) -> np.ndarray:
-    arr = np.asarray(data)
-    if arr.shape != (rows, cols):
-        raise ValueError(f"expected shape {(rows, cols)}, got {arr.shape}")
-    # checked before the int8 cast, which would wrap e.g. 257 to 1
-    if not np.isin(arr, (-1, 1)).all():
-        raise ValueError("entries must be -1 or +1")
-    arr = arr.astype(np.int8)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class SignMatrix:
     """Immutable n x n matrix with entries in {-1, +1}."""
@@ -50,7 +38,13 @@ class SignMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("entries must be a square 2-d array")
         _check_dimension(arr.shape[0])
-        object.__setattr__(self, "entries", _as_sign_array(arr, *arr.shape))
+        # checked before the int8 cast, which would wrap e.g. 257 to 1
+        if not np.isin(arr, (-1, 1)).all():
+            raise ValueError("entries must be -1 or +1")
+        # a C-ordered int8 copy: the compiled kernels read it row by row
+        arr = np.array(arr, dtype=np.int8, order="C")
+        arr.flags.writeable = False
+        object.__setattr__(self, "entries", arr)
 
     @property
     def n(self) -> int:

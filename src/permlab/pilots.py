@@ -13,30 +13,48 @@ Margins, chosen once and documented here:
 from __future__ import annotations
 
 import json
-import math
 import sys
 
-from .checks import growth_rate_statistics, sample_permanents
+from .checks import _binom_se, growth_rate_statistics, sample_permanents
 from .endgame import PreconditionError, find_disjoint_heavy_family, propagate_down, run_endgame_path
 from .growth import ProcessConfig, run_growth
 from .matrices import sample_sign_matrix
 from .rng import RngStream
 
 PILOT_SEED = 0xC0FFEE
+# The sizes the pilots run at; each pilot records its own in its output.
+GROWTH_N, GROWTH_RATE_TRIALS = 16, 500  # growth_rate and growth_success
+ENDGAME_N, PROPAGATE_N = 18, 16  # endgame_path and disjoint_family; propagate
+TRIALS = 200  # every pilot but growth_rate
+L, THRESHOLD, COUNT = 2, 1, 3  # endgame depth, heaviness threshold, family size
+FAMILY_START_K, PROPAGATE_START_K = 6, 4
+_ENDGAME_CFG = ProcessConfig(L=L)
 
 
 def _freq_threshold(p: float, trials: int) -> float:
-    se = math.sqrt(max(p * (1 - p), 0.0) / trials)
-    return round(max(0.0, p - max(0.10, 4 * se)), 4)
+    return round(max(0.0, p - max(0.10, 4 * _binom_se(p, trials))), 4)
 
 
-def pilot_growth_rate(n: int = 16, trials: int = 500) -> dict:
+def _endgame_trials(n: int, stage) -> tuple[list, int]:
+    """stage(m) on the TRIALS pilot matrices of size n: the results of the
+    draws whose run precondition held, and the count of those where it failed."""
+    results = []
+    failures = 0
+    for t in range(TRIALS):
+        try:
+            results.append(stage(sample_sign_matrix(n, RngStream(PILOT_SEED, t))))
+        except PreconditionError:
+            failures += 1
+    return results, failures
+
+
+def pilot_growth_rate() -> dict:
     """growth_rate's own statistics, on the draws check_growth_rate makes at the pilot seed."""
-    pers = sample_permanents(n, trials, RngStream(PILOT_SEED).substream(n))
-    stats = growth_rate_statistics(n, pers)
+    pers = sample_permanents(GROWTH_N, GROWTH_RATE_TRIALS, RngStream(PILOT_SEED).substream(GROWTH_N))
+    stats = growth_rate_statistics(GROWTH_N, pers)
     ratio = stats["median_log_per2_over_log_nfact"]
     return {
-        "trials": trials,
+        "trials": GROWTH_RATE_TRIALS,
         "pilot_median_log_ratio": round(ratio, 6),
         "pilot_nonzero_fraction": stats["nonzero_fraction"],
         "median_log_ratio_band": [round(ratio - 0.06, 4), round(ratio + 0.06, 4)],
@@ -44,107 +62,81 @@ def pilot_growth_rate(n: int = 16, trials: int = 500) -> dict:
     }
 
 
-def pilot_growth_success(n: int = 16, trials: int = 200) -> dict:
+def pilot_growth_success() -> dict:
     cfg = ProcessConfig()
-    successes = 0
-    for t in range(trials):
-        m = sample_sign_matrix(n, RngStream(PILOT_SEED, t))
-        if run_growth(m, cfg).successful:
-            successes += 1
+    successes = sum(run_growth(sample_sign_matrix(GROWTH_N, RngStream(PILOT_SEED, t)), cfg).successful
+                    for t in range(TRIALS))
     return {
-        "trials": trials,
+        "trials": TRIALS,
         "seed": PILOT_SEED,
         "success_count": successes,
-        "success_fraction": successes / trials,
+        "success_fraction": successes / TRIALS,
     }
 
 
-def pilot_endgame_path(n: int = 18, L: int = 2, threshold: int = 1,
-                       start_k: int | None = None, trials: int = 200) -> dict:
-    cfg = ProcessConfig(L=L)
-    k = start_k if start_k is not None else cfg.end_level(n)
+def pilot_endgame_path() -> dict:
+    k = _ENDGAME_CFG.end_level(ENDGAME_N)
     block = sum(1 << i for i in range(k, k + 2 * L))
-    successes = 0
-    precondition_failures = 0
-    for t in range(trials):
-        m = sample_sign_matrix(n, RngStream(PILOT_SEED, t))
-        try:
-            res = run_endgame_path(m.prefix(k), block, threshold, cfg, m)
-        except PreconditionError:
-            precondition_failures += 1
-            continue
-        if res.succeeded:
-            successes += 1
-    p = successes / trials
+    results, failures = _endgame_trials(ENDGAME_N, lambda m: run_endgame_path(
+        m.prefix(k), block, THRESHOLD, _ENDGAME_CFG, m).succeeded)
+    successes = sum(results)
+    p = successes / TRIALS
     return {
-        "trials": trials,
+        "trials": TRIALS,
         "L": L,
-        "threshold": threshold,
+        "threshold": THRESHOLD,
         "start_k": k,
         "success_count": successes,
-        "precondition_failures": precondition_failures,
+        "precondition_failures": failures,
         "success_fraction": p,
-        "min_success_fraction": _freq_threshold(p, trials),
+        "min_success_fraction": _freq_threshold(p, TRIALS),
     }
 
 
-def pilot_disjoint_family(n: int = 18, L: int = 2, threshold: int = 1, start_k: int = 6,
-                          count: int = 3, trials: int = 200) -> dict:
-    cfg = ProcessConfig(L=L)
-    complete = 0
-    precondition_failures = 0
-    for t in range(trials):
-        m = sample_sign_matrix(n, RngStream(PILOT_SEED, t))
-        try:
-            fam = find_disjoint_heavy_family(m.prefix(start_k), threshold, count, L, cfg, m)
-        except PreconditionError:
-            precondition_failures += 1
-            continue
-        if fam.complete:
-            complete += 1
-    p = complete / trials
+def _family(m, start_k: int):
+    return find_disjoint_heavy_family(m.prefix(start_k), THRESHOLD, COUNT, L, _ENDGAME_CFG, m)
+
+
+def pilot_disjoint_family() -> dict:
+    results, failures = _endgame_trials(ENDGAME_N, lambda m: _family(m, FAMILY_START_K).complete)
+    complete = sum(results)
+    p = complete / TRIALS
     return {
-        "trials": trials,
+        "trials": TRIALS,
         "L": L,
-        "threshold": threshold,
-        "start_k": start_k,
-        "count": count,
+        "threshold": THRESHOLD,
+        "start_k": FAMILY_START_K,
+        "count": COUNT,
         "complete_count": complete,
-        "precondition_failures": precondition_failures,
+        "precondition_failures": failures,
         "complete_fraction": p,
-        "min_complete_fraction": _freq_threshold(p, trials),
+        "min_complete_fraction": _freq_threshold(p, TRIALS),
     }
 
 
-def pilot_propagate(n: int = 16, L: int = 2, threshold: int = 1, start_k: int = 4,
-                    count: int = 3, trials: int = 200) -> dict:
+def _propagated(m) -> bool | None:
+    """Whether one downward step keeps a tenth of the family; None without a family."""
+    fam = _family(m, PROPAGATE_START_K)
+    if not fam.members:
+        return None
+    res = propagate_down(m.prefix(PROPAGATE_N - L), fam.members, THRESHOLD, _ENDGAME_CFG, m)
+    return res.retained_fraction >= 0.1
+
+
+def pilot_propagate() -> dict:
     """Family at level n-L via disjoint blocks, then one downward step."""
-    cfg = ProcessConfig(L=L)
-    with_family = 0
-    retained_ok = 0
-    precondition_failures = 0
-    for t in range(trials):
-        m = sample_sign_matrix(n, RngStream(PILOT_SEED, t))
-        try:
-            fam = find_disjoint_heavy_family(m.prefix(start_k), threshold, count, L, cfg, m)
-        except PreconditionError:
-            precondition_failures += 1
-            continue
-        if not fam.members:
-            continue
-        with_family += 1
-        res = propagate_down(m.prefix(n - L), fam.members, threshold, cfg, m)
-        if res.retained_fraction >= 0.1:
-            retained_ok += 1
+    results, failures = _endgame_trials(PROPAGATE_N, _propagated)
+    with_family = sum(r is not None for r in results)
+    retained_ok = sum(r is True for r in results)
     p = retained_ok / with_family if with_family else 0.0
     return {
-        "trials": trials,
+        "trials": TRIALS,
         "L": L,
-        "threshold": threshold,
-        "start_k": start_k,
-        "count": count,
+        "threshold": THRESHOLD,
+        "start_k": PROPAGATE_START_K,
+        "count": COUNT,
         "trials_with_family": with_family,
-        "precondition_failures": precondition_failures,
+        "precondition_failures": failures,
         "retained_ok_count": retained_ok,
         "retained_ok_fraction": p,
         "min_retained_ok_fraction": _freq_threshold(p, with_family if with_family else 1),
@@ -161,11 +153,11 @@ def run_all_pilots() -> dict:
             ),
             "margins": "frequencies: pilot - max(0.10, 4*SE); median-log-ratio: pilot +/- 0.06",
         },
-        "growth_rate": {"16": pilot_growth_rate(16, 500)},
-        "growth_success": {"16": pilot_growth_success(16, 200)},
-        "endgame_path": {"18": pilot_endgame_path(18, 2, 1, None, 200)},
-        "disjoint_family": {"18": pilot_disjoint_family(18, 2, 1, 6, 3, 200)},
-        "propagate": {"16": pilot_propagate(16, 2, 1, 4, 3, 200)},
+        "growth_rate": {str(GROWTH_N): pilot_growth_rate()},
+        "growth_success": {str(GROWTH_N): pilot_growth_success()},
+        "endgame_path": {str(ENDGAME_N): pilot_endgame_path()},
+        "disjoint_family": {str(ENDGAME_N): pilot_disjoint_family()},
+        "propagate": {str(PROPAGATE_N): pilot_propagate()},
     }
 
 

@@ -5,7 +5,10 @@ from importlib import resources
 
 import pytest
 
+from permlab import checks
 from permlab.checks import (
+    CHECKS,
+    SUITE,
     check_alon,
     check_growth_rate,
     check_littlewood_offord,
@@ -14,6 +17,7 @@ from permlab.checks import (
     check_parent_child,
     check_second_moment,
     check_singularity,
+    run_check,
     suite_passed,
     summary_lines,
 )
@@ -110,7 +114,7 @@ def test_singularity_exact():
 def test_parent_child_rejects_n_below_2():
     # no level k in 1..n-1 to draw from
     with pytest.raises(ValueError, match="n=1"):
-        check_parent_child(10, 1)
+        check_parent_child(10, 1, rng=RngStream(0))
 
 
 def test_parent_child_deterministic_and_statistical():
@@ -172,11 +176,11 @@ def test_littlewood_offord_monte_carlo():
 
 def test_littlewood_offord_validation():
     with pytest.raises(ValueError):
-        check_littlewood_offord([0.5, 0.2], 1.0)  # nothing reaches the threshold
+        check_littlewood_offord([0.5, 0.2], 1.0, x=1.0, mode="exact")  # nothing reaches the threshold
     with pytest.raises(ValueError):
-        check_littlewood_offord([1.0], 0.0)
+        check_littlewood_offord([1.0], 0.0, x=1.0, mode="exact")
     with pytest.raises(CapError):
-        check_littlewood_offord([1.0] * 21, 1.0, mode="exact")
+        check_littlewood_offord([1.0] * 21, 1.0, x=1.0, mode="exact")
 
 
 def test_growth_rate_descriptive_without_band():
@@ -185,6 +189,39 @@ def test_growth_rate_descriptive_without_band():
     assert r.passed
     stats = r.statistics["per_n"]["8"]
     assert stats["zero_count"] + round(stats["nonzero_fraction"] * 50) == 50
+
+
+@pytest.mark.parametrize("run", [
+    lambda **kw: check_second_moment(3, "monte_carlo", **kw),
+    lambda **kw: check_alon(7, **kw),
+    lambda **kw: check_singularity(3, "monte_carlo", **kw),
+    lambda **kw: check_littlewood_offord([1.0] * 4, 1.0, x=1.0, mode="monte_carlo", **kw),
+], ids=["second_moment", "alon", "singularity", "littlewood_offord"])
+def test_monte_carlo_runs_have_no_default_draw_count(run):
+    with pytest.raises(ValueError, match="needs --trials"):
+        run(rng=RngStream(0))
+
+
+def test_suite_rows_read_only_their_checks_options():
+    for name, options, stream in SUITE:
+        func, defaults = CHECKS[name]
+        assert set(options) <= set(defaults), name
+        assert callable(getattr(checks, func))
+
+
+def test_run_check_calls_the_module_attribute(monkeypatch):
+    # a wrapper set on the module attribute (a profiler's) sees the call
+    seen = []
+    orig = checks.check_alon
+
+    def wrapped(**kwargs):
+        seen.append(kwargs)
+        return orig(**kwargs)
+
+    monkeypatch.setattr(checks, "check_alon", wrapped)
+    report = run_check("alon", {"n": 7, "trials": 4}, RngStream(0))
+    assert seen == [{"n": 7, "trials": 4, "rng": RngStream(0)}]
+    assert report.sample_size == 4 and report.runtime_seconds >= 0
 
 
 def test_maintain_grow_events_small():

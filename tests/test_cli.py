@@ -99,8 +99,12 @@ def test_bad_values_rejected(tmp_path, args, flag, message):
      "error: a Monte Carlo frequency needs at least two draws (--trials 2 or more), got 1"),
     (["verify", "--suite", "many_children", "--n", "8", "--trials", "1", "--i-size", "2"],
      "error: a Monte Carlo frequency needs at least two draws (--trials 2 or more), got 1"),
+    (["verify", "--suite", "second_moment", "--mode", "monte_carlo"],
+     "error: a Monte Carlo second_moment run needs --trials"),
+    (["verify", "--suite", "alon", "--n", "7"], "error: a Monte Carlo alon run needs --trials"),
 ], ids=["compute-no-input", "parent-child-n-1", "second-moment-one-draw", "growth-rate-one-draw",
-        "parent-child-one-draw", "many-children-one-draw"])
+        "parent-child-one-draw", "many-children-one-draw", "second-moment-no-trials",
+        "alon-no-trials"])
 def test_usage_errors_are_clean(args, message):
     res = run_cli(*args)
     assert res.returncode == 2
@@ -130,9 +134,23 @@ def test_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys, args
 
     monkeypatch.setattr(cli, "_map_trials", never)
     monkeypatch.setattr(cli, "default_suite", never)
-    monkeypatch.setattr(cli, "_CHECK_BUILDERS", dict.fromkeys(cli._CHECK_BUILDERS, never))
+    monkeypatch.setattr(cli, "run_check", never)
     assert cli.main([a.format(tmp=tmp_path) for a in args]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--suite", "alon", "--n", "7"],
+    ["verify", "--suite", "second_moment", "--mode", "monte_carlo"],
+], ids=["alon", "second-moment"])
+def test_missing_trials_leaves_out_untouched(tmp_path, monkeypatch, capsys, args):
+    # refused before --out is opened, so an earlier report survives
+    out = tmp_path / "r.jsonl"
+    out.write_text("earlier report\n")
+    monkeypatch.setattr(cli, "run_check", lambda *_a, **_k: pytest.fail("the check ran"))
+    assert cli.main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: a Monte Carlo ")
+    assert out.read_text() == "earlier report\n"
 
 
 def test_lattice_memory_estimate_is_clean_error(monkeypatch, capsys):

@@ -128,6 +128,20 @@ def test_permanent_mod_matches_exact():
         assert permanent_mod(m, modulus) == brute_permanent(e) % modulus
 
 
+def test_kernels_read_c_ordered_entries():
+    # The kernels take raw addresses, so SignMatrix must store its entries
+    # C-contiguous whatever the input's layout; a strided view read as raw
+    # memory would be a different matrix.
+    a = sample_sign_matrix(9, RngStream(23))
+    big = sample_sign_matrix(18, RngStream(24)).entries
+    for m, ref in ((SignMatrix(a.entries.T), permanent(a)),
+                   (SignMatrix(big[::2, ::2]), permanent_ryser(SignMatrix(big[::2, ::2].copy())))):
+        assert m.entries.flags.c_contiguous
+        for p in (97, 2_147_483_647):
+            assert permanent_mod(m, p) == ref % p
+        assert ryser_batch(m.entries[None])[0] == ref
+
+
 def test_permanent_mod_validates():
     with pytest.raises(ValueError):
         permanent_mod(all_ones(2), 1)

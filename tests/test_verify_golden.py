@@ -1,12 +1,13 @@
-"""Golden verify reports: small single-check requests at seed 0, replayed
-in process through `cli.main`, must write the committed report bytes and
-exit with the committed codes.
+"""Golden verify reports at seed 0, replayed in process through `cli.main`:
+small single-check requests and the whole `verify --suite all` run must
+write the committed report bytes and exit with the committed codes.
 
-The fixture was generated before the checks were restructured, so it pins
-every check's statistics, verdict and JSON layout.  Regenerate it only when
-a report is meant to change:
+Each fixture was generated before the checks it pins were restructured, so
+it pins every check's statistics, verdict and JSON layout.  Regenerate one
+only when a report is meant to change:
 
     PYTHONPATH=src python tests/test_verify_golden.py > tests/data/golden_verify_seed0.jsonl
+    PYTHONPATH=src python tests/test_verify_golden.py all > tests/data/golden_verify_all_seed0.jsonl
 """
 
 import json
@@ -15,6 +16,9 @@ from pathlib import Path
 from permlab import cli
 
 GOLDEN = Path(__file__).parent / "data" / "golden_verify_seed0.jsonl"
+# First line {"argv": ..., "exit": ...}; then the report file, one check a line.
+GOLDEN_ALL = Path(__file__).parent / "data" / "golden_verify_all_seed0.jsonl"
+SUITE_ALL = ["--suite", "all"]
 
 REQUESTS = [
     ["--suite", "second_moment", "--n", "3", "--mode", "exact"],
@@ -46,13 +50,27 @@ def test_verify_reports_match_golden(tmp_path):
         assert (code, report) == (g["exit"], g["report"]), g["argv"]
 
 
+def test_verify_suite_all_matches_golden(tmp_path):
+    header, reports = GOLDEN_ALL.read_text().split("\n", 1)
+    assert json.loads(header)["argv"] == SUITE_ALL
+    code, report = _run(SUITE_ALL, tmp_path / "all.jsonl")
+    assert (code, report) == (json.loads(header)["exit"], reports)
+
+
 if __name__ == "__main__":
     import contextlib
     import io
+    import sys
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for i, argv in enumerate(REQUESTS):
+        if sys.argv[1:] == ["all"]:
             with contextlib.redirect_stdout(io.StringIO()):
-                code, report = _run(argv, Path(tmp) / f"r{i}.jsonl")
-            print(json.dumps({"argv": argv, "exit": code, "report": report}))
+                code, report = _run(SUITE_ALL, Path(tmp) / "all.jsonl")
+            print(json.dumps({"argv": SUITE_ALL, "exit": code}))
+            print(report, end="")
+        else:
+            for i, argv in enumerate(REQUESTS):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code, report = _run(argv, Path(tmp) / f"r{i}.jsonl")
+                print(json.dumps({"argv": argv, "exit": code, "report": report}))
