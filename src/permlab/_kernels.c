@@ -1,7 +1,8 @@
 /* The compiled kernels of permlab, loaded together by permlab.lattice._kernels:
    the level build and the two per-level queries of the minor lattice
-   (add_level, select_heavy, parent_histogram), and Ryser's formula for the
-   batch and modular engines (ryser). */
+   (add_level, select_heavy, parent_histogram), Ryser's formula for the
+   batch and modular engines (ryser), and the walk over all permutations of
+   the naive engine (naive_odd). */
 #include <stdint.h>
 
 /* One level of the minor lattice (permlab.lattice.MinorTable.add_level).
@@ -137,4 +138,39 @@ void ryser(const int8_t *mats, int64_t count, int64_t n, int64_t modulus, int64_
         }
         out[b] = modulus == 0 ? total : (total % modulus + modulus) % modulus;
     }
+}
+
+/* The number of ways to give rows row .. last distinct columns from free so
+   that the -1 entries picked, together with the parity carried in, are odd
+   in number.  Each row takes a free column in turn; the last two rows are
+   unrolled, since two free columns leave exactly two ways to finish. */
+static int64_t naive_walk(const uint64_t *neg, int64_t row, int64_t last, uint64_t free,
+                          uint64_t parity)
+{
+    if (row == last - 1) {
+        uint64_t a = free & -free, b = free ^ a, x = neg[row], y = neg[last];
+        return (parity ^ !!(x & a) ^ !!(y & b)) + (parity ^ !!(x & b) ^ !!(y & a));
+    }
+    int64_t odd = 0;
+    for (uint64_t rest = free; rest; rest &= rest - 1) {
+        uint64_t col = rest & -rest;
+        odd += naive_walk(neg, row + 1, last, free ^ col, parity ^ !!(neg[row] & col));
+    }
+    return odd;
+}
+
+/* The number of permutations sigma of {0 .. n-1} that pick an odd number of
+   -1 entries, where neg[r] is the mask of row r's -1 columns
+   (permlab.engines.permanent_naive, which returns n! - 2 * odd).
+
+   The walk is depth first over the rows and carries the parity of the -1
+   entries picked so far; it shares no code with the lattice or Ryser
+   kernels, so the naive engine stays an independent oracle for them.
+   1 <= n <= 10 (the caller's cap): odd <= n! <= 10! fits int64 many times
+   over, and the recursion is at most n deep. */
+int64_t naive_odd(const uint64_t *neg, int64_t n)
+{
+    if (n == 1)
+        return neg[0] & 1;
+    return naive_walk(neg, 0, n - 1, ((uint64_t)1 << n) - 1, 0);
 }

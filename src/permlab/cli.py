@@ -213,11 +213,26 @@ def _check_options(args) -> dict:
     return opts
 
 
+@contextlib.contextmanager
+def _replace_when_done(path: Path):
+    """A text file beside path, opened before the block runs so that an
+    unwritable path fails at once, that replaces path only if the block returns."""
+    if path.is_dir():
+        raise IsADirectoryError(f"{path} is a directory")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def cmd_verify(args) -> int:
     opts = _check_options(args)
-    # The report is opened before the checks run, so an unwritable --out
-    # fails at once instead of after the whole suite.
-    with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
+    out = Path(args.out) if args.out else None
+    with _replace_when_done(out) if out else contextlib.nullcontext() as fh:
         if args.suite == "all":
             reports = default_suite(args.seed)
         else:
@@ -225,8 +240,7 @@ def cmd_verify(args) -> int:
         if fh is not None:
             for r in reports:
                 fh.write(r.to_json() + "\n")
-    if args.out:
-        out = Path(args.out)
+    if out:
         _write_manifest(
             out.with_suffix(out.suffix + ".manifest.json"), "verify",
             {"suite": args.suite, **dict.fromkeys(_VERIFY_FLAGS), **opts}, args.seed, [str(out)],
@@ -252,8 +266,7 @@ def cmd_ensemble(args) -> int:
     n_list = args.n_list
     payloads = [(args.seed, n, t) for n in n_list for t in range(args.trials)]
     out = Path(args.out)
-    # Opened before the trials run, so an unwritable --out fails at once.
-    with open(out, "w", newline="") as fh:
+    with _replace_when_done(out) as fh:
         rows = _map_trials(_ensemble_trial, payloads)
         rows.sort(key=lambda r: (r[0], r[1]))
         writer = csv.writer(fh)

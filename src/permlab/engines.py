@@ -4,13 +4,13 @@ Every scalar result is a plain Python int, so arithmetic is exact and can
 never overflow.  The batch and modular engines run Ryser's formula in the
 compiled `ryser` kernel (`_kernels.c`), in int64 only under the bounds
 stated there; they are cross-checked against the pure-Python engines in the
-test suite.
+test suite.  The naive engine's kernel, `naive_odd`, walks every permutation
+and shares no code with the others, so it stays their ground truth.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,41 +25,20 @@ _BATCH_MAX_N = 13
 _KERNEL_MAX_MODULUS = 1 << 31
 
 
-@lru_cache(maxsize=3)
-def _flat_permutation_table(n: int) -> np.ndarray:
-    """All n! permutations sigma of range(n) as an (n, n!) uint8 array of r*n + sigma(r).
-
-    Column p holds permutation p as flat indices into an n x n array (at
-    most 99 for n <= 10); rows are contiguous, so a parity reduces over
-    axis 0 one whole row at a time.
-    """
-    table = np.zeros((1, 1), dtype=np.int8)
-    for k in range(2, n + 1):
-        blocks = []
-        for lead in range(k):
-            rest = np.where(table >= lead, table + 1, table)
-            lead_row = np.full((1, table.shape[1]), lead, dtype=np.int8)
-            blocks.append(np.vstack([lead_row, rest]))
-        table = np.hstack(blocks)
-    table += np.arange(0, n * n, n, dtype=np.int8)[:, None]
-    return table.view(np.uint8)
-
-
 def permanent_naive(m: SignMatrix) -> int:
     """Permanent as the defining sum over all n! permutations.
 
     For sign entries each permutation contributes +1 or -1, decided by the
-    parity of the -1 entries it picks, so the sum reduces to a parity count
-    over the full permutation table.  Ground-truth oracle for the other
-    engines; capped at n <= 10.
+    parity of the -1 entries it picks, so the sum is n! - 2 * (the number of
+    odd permutations).  The compiled `naive_odd` counts them in one
+    depth-first walk over the rows, which takes each row's -1 columns as a
+    mask.  Ground-truth oracle for the other engines; capped at n <= 10.
     """
     n = m.n
     if n > NAIVE_MAX_N:
         raise CapError(f"permanent_naive is capped at n <= {NAIVE_MAX_N} (n! terms), got n={n}")
-    neg = (m.entries < 0).astype(np.uint8).reshape(-1)
-    picks = neg[_flat_permutation_table(n)]
-    odd = int(np.count_nonzero(np.bitwise_xor.reduce(picks, axis=0)))
-    return math.factorial(n) - 2 * odd
+    neg = ((m.entries < 0) << np.arange(n, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+    return math.factorial(n) - 2 * _kernels().naive_odd(neg.ctypes.data, n)
 
 
 def permanent_ryser(m: SignMatrix) -> int:

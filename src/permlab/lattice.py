@@ -22,11 +22,12 @@ of the level, sums the values one level down over the mask's +1 columns
 and subtracts the sum over its -1 columns; `select_heavy` writes a level's
 heavy masks in one branchless pass; `parent_histogram` counts each child's
 family parents in a 2**n-byte scratch array.  That file also holds the
-Ryser kernel of the batch and modular engines.  It is compiled with gcc on
-first use into a per-user cache, $XDG_CACHE_HOME/permlab (default
-~/.cache/permlab), under a name that carries the SHA-256 of the source and
-the compiler flags, and loaded with ctypes; a missing gcc, a failed compile
-or an unwritable cache is an OSError that names the compiler or the path.
+Ryser kernel of the batch and modular engines and the permutation walk of
+the naive engine.  It is compiled with gcc on first use into a per-user
+cache, $XDG_CACHE_HOME/permlab (default ~/.cache/permlab), under a name
+that carries the SHA-256 of the source and the compiler flags, and loaded
+with ctypes; a missing gcc, a failed compile or an unwritable cache is an
+OSError that names the compiler or the path.
 """
 
 from __future__ import annotations
@@ -108,9 +109,18 @@ def _kernels() -> ctypes.CDLL:
     kernels.select_heavy.argtypes = [addr, addr, i64, i64, addr]
     kernels.parent_histogram.argtypes = [addr, i64, i64, i64, addr, addr]
     kernels.ryser.argtypes = [addr, i64, i64, i64, addr]
+    kernels.naive_odd.argtypes = [addr, i64]
     kernels.add_level.restype = kernels.ryser.restype = None
-    kernels.select_heavy.restype = kernels.parent_histogram.restype = i64
+    kernels.select_heavy.restype = kernels.parent_histogram.restype = kernels.naive_odd.restype = i64
     return kernels
+
+
+@functools.lru_cache(maxsize=4)
+def _level_masks(n: int) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
+    """masks_by_level(n) and the kernel address of each level's array, cached
+    together once per n, so an address lives exactly as long as its array."""
+    levels = masks_by_level(n)
+    return levels, tuple(masks.ctypes.data for masks in levels)
 
 
 def _physical_memory_bytes() -> int | None:
@@ -142,12 +152,11 @@ class MinorTable:
         self._vals = np.zeros(1 << n, dtype=np.int64)
         self._vals[0] = 1  # empty minor
         self._big: dict[int, int] = {}
-        self._levels = masks_by_level(n)
         # Kernel arguments are raw addresses (see _kernels).  These arrays
         # are C-contiguous int64 by construction and live as long as the
         # table; every other array passed is made just before the call.
+        self._levels, self._levels_at = _level_masks(n)
         self._vals_at = self._vals.ctypes.data
-        self._levels_at = [masks.ctypes.data for masks in self._levels]
 
     def add_level(self, row: np.ndarray) -> None:
         """Complete level k_max+1 from the next exposed row."""

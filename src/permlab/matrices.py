@@ -39,7 +39,7 @@ class SignMatrix:
             raise ValueError("entries must be a square 2-d array")
         _check_dimension(arr.shape[0])
         # checked before the int8 cast, which would wrap e.g. 257 to 1
-        if not np.isin(arr, (-1, 1)).all():
+        if not ((arr == 1) | (arr == -1)).all():
             raise ValueError("entries must be -1 or +1")
         # a C-ordered int8 copy: the compiled kernels read it row by row
         arr = np.array(arr, dtype=np.int8, order="C")

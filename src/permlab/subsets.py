@@ -7,8 +7,6 @@ canonical iteration order everywhere in this package.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 
@@ -37,9 +35,8 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-@lru_cache(maxsize=4)
 def masks_by_level(n: int) -> tuple[np.ndarray, ...]:
-    """Masks over n bits grouped by popcount; each array ascending. Cached per n."""
+    """Masks over n bits grouped by popcount; each array ascending."""
     all_masks = np.arange(1 << n, dtype=np.int64)
     popc = np.bitwise_count(all_masks)
     return tuple(all_masks[popc == k] for k in range(n + 1))

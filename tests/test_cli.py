@@ -126,8 +126,10 @@ def test_missing_paths_are_clean_errors(tmp_path, args):
 @pytest.mark.parametrize("args", [
     ["verify", "--suite", "all", "--out", "{tmp}/missing/r.jsonl"],
     ["verify", "--suite", "growth_rate", "--out", "{tmp}/missing/r.jsonl"],
+    ["verify", "--suite", "growth_rate", "--out", "{tmp}"],
     ["ensemble", "--n-list", "16", "--trials", "200", "--out", "{tmp}/missing/e.csv"],
-], ids=["verify-all", "verify-one", "ensemble"])
+    ["ensemble", "--n-list", "16", "--trials", "200", "--out", "{tmp}"],
+], ids=["verify-all", "verify-one", "verify-directory", "ensemble", "ensemble-directory"])
 def test_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys, args):
     def never(*_args, **_kwargs):
         raise AssertionError("the run started before --out was opened")
@@ -151,6 +153,23 @@ def test_missing_trials_leaves_out_untouched(tmp_path, monkeypatch, capsys, args
     assert cli.main([*args, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: a Monte Carlo ")
     assert out.read_text() == "earlier report\n"
+
+
+@pytest.mark.parametrize("args, error", [
+    (["verify", "--suite", "parent_child", "--n", "1"], "error: parent-child check needs n >= 2"),
+    (["ensemble", "--n-list", "12", "--trials", "1"], "error: minor lattice at n=12 needs about"),
+], ids=["verify", "ensemble"])
+def test_late_error_leaves_out_untouched(tmp_path, monkeypatch, capsys, args, error):
+    # raised inside the run, after the output file is opened; the memory
+    # probe is patched, so no large table is ever requested
+    monkeypatch.setattr(lattice, "_physical_memory_bytes", lambda: (26 << 12) - 1)
+    monkeypatch.delenv("PERMLAB_THREADS", raising=False)
+    out = tmp_path / "r.out"
+    out.write_text("earlier output\n")
+    assert cli.main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(error)
+    assert out.read_text() == "earlier output\n"
+    assert os.listdir(tmp_path) == ["r.out"]  # no temporary file left
 
 
 def test_lattice_memory_estimate_is_clean_error(monkeypatch, capsys):

@@ -36,6 +36,8 @@ def test_hand_values():
     assert determinant_exact(m) == -2
     neg = SignMatrix([[-1] * 3] * 3)
     assert permanent_naive(neg) == -6
+    assert permanent_naive(SignMatrix([[1]])) == 1
+    assert permanent_naive(SignMatrix([[-1]])) == -1
     assert determinant_exact(all_ones(3)) == 0
     assert permanent_mod(all_ones(2), 5) == 2
 
@@ -54,6 +56,20 @@ def test_engines_agree_random(n):
         m = sample_sign_matrix(n, RngStream(20, n * 100 + t))
         values = {engine.__name__: engine(m) for engine in EXACT_ENGINES}
         assert len(set(values.values())) == 1, values
+
+
+def test_naive_matches_brute_random():
+    for n in range(1, 9):
+        for t in range(3):
+            m = sample_sign_matrix(n, RngStream(25, n * 10 + t))
+            assert permanent_naive(m) == brute_permanent(m.entries.tolist())
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_naive_at_its_cap(n):
+    # every permutation has the same sign, so no term cancels
+    assert permanent_naive(all_ones(n)) == math.factorial(n)
+    assert permanent_naive(SignMatrix(-all_ones(n).entries)) == (-1) ** n * math.factorial(n)
 
 
 def test_ryser_batch_matches_scalar():
@@ -148,7 +164,7 @@ def test_permanent_mod_validates():
 
 
 def test_naive_cap():
-    with pytest.raises(CapError):
+    with pytest.raises(CapError, match=r"^permanent_naive is capped at n <= 10 \(n! terms\), got n=11$"):
         permanent_naive(all_ones(11))
 
 

@@ -183,12 +183,13 @@ def _run_cli(tmp_path, args=("compute", "--random", "8"), **env):
     )
 
 
-# the lattice engine, the modular engine and the batch engine all load the kernels
+# the lattice, modular, naive and batch engines all load the kernels
 @pytest.mark.parametrize("args", [
     ("compute", "--random", "8"),
     ("compute", "--random", "8", "--mod", "7"),
+    ("compute", "--random", "8", "--engine", "naive"),
     ("verify", "--suite", "parent_child", "--n", "4", "--trials", "10"),
-], ids=["compute", "compute-mod", "verify-parent-child"])
+], ids=["compute", "compute-mod", "compute-naive", "verify-parent-child"])
 def test_missing_compiler_is_clean_error(tmp_path, args):
     empty = tmp_path / "bin"
     empty.mkdir()

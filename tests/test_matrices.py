@@ -31,7 +31,9 @@ def test_entries_validated():
 @pytest.mark.parametrize("entries", [
     np.array([[257, 1], [1, -255]]),  # 1 and -1 after an int8 cast
     np.array([[1.5, 1.0], [1.0, -1.0]]),  # 1 after an int8 cast
-], ids=["int-wraps", "float-truncates"])
+    [["1", "-1"], ["1", "1"]],
+    [[None, 1], [1, -1]],
+], ids=["int-wraps", "float-truncates", "string", "none"])
 def test_entries_checked_before_the_int8_cast(entries):
     with pytest.raises(ValueError, match="-1 or \\+1"):
         SignMatrix(entries)
