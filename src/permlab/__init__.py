@@ -11,7 +11,6 @@ from .lattice import MinorTable, SplitVerdict, build_lattice, parent_histogram, 
 from .matrices import (
     CapError,
     SignMatrix,
-    enumerate_all_sign_matrices,
     from_text,
     sample_row,
     sample_sign_matrix,
@@ -32,7 +31,6 @@ __all__ = [
     "StepType",
     "build_lattice",
     "determinant_exact",
-    "enumerate_all_sign_matrices",
     "from_text",
     "is_successful",
     "parent_histogram",

@@ -21,19 +21,22 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 
-from .engines import permanent, permanent_mod, ryser_batch
+from .engines import _BATCH_MAX_N, permanent, permanent_mod, ryser_batch
 from .growth import ProcessConfig, count_threshold, run_growth
 from .lattice import SplitVerdict
-from .matrices import CapError, SignMatrix, sample_sign_matrix
+from .matrices import MAX_N, CapError, sample_sign_matrix
 from .rng import RngStream
 
 _ALON_SIZES = (3, 7, 15, 31)
+_EXACT_MAX_N = 4  # exact modes enumerate all 2**(n*n) sign matrices
+_DRAW_BLOCK = 2048  # rows drawn at once, so memory does not grow with the draw count
+_MAINTAIN_GROW_CFG = ProcessConfig(eps=0.3, c=0.5)
 
 
 @dataclass
@@ -55,18 +58,9 @@ class CheckReport:
     def to_dict(self) -> dict:
         """Plain-JSON form.  The runtime is left out, so report files are
         byte-identical across reruns; only the summary line shows it."""
-        return {
-            "name": self.name,
-            "n": self.n,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-            "statistics": _plain(self.statistics),
-            "bound": _plain(self.bound),
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "descriptive": self.descriptive,
-            "notes": self.notes,
-        }
+        out = _plain(asdict(self))
+        del out["runtime_seconds"]
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -103,6 +97,22 @@ def _needs_trials(check: str, trials: int | None) -> None:
     """Refuse a Monte Carlo run without a draw count, which has no default."""
     if trials is None:
         raise ValueError(f"a Monte Carlo {check} run needs --trials")
+
+
+def _sampled(check: str, mode: str, trials: int | None) -> bool:
+    """Whether `check` runs in Monte Carlo mode, which needs a draw count, or exact mode."""
+    if mode == "exact":
+        return False
+    if mode != "monte_carlo":
+        raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
+    _needs_trials(check, trials)
+    return True
+
+
+def _draw_blocks(trials: int):
+    """Row counts of the consecutive draws that make up `trials` rows."""
+    for start in range(0, trials, _DRAW_BLOCK):
+        yield min(_DRAW_BLOCK, trials - start)
 
 
 def _binom_se(p: float, trials: int) -> float:
@@ -142,6 +152,16 @@ def sample_permanents(n: int, trials: int, rng: RngStream) -> list[int]:
     return [permanent(sample_sign_matrix(n, rng.substream(t))) for t in range(trials)]
 
 
+def _permanents(check: str, n: int, mode: str, trials: int | None, rng: RngStream | None):
+    """The permanents `check` reads: every n x n sign matrix's in exact mode
+    (n <= _EXACT_MAX_N), or those of `trials` seeded draws in Monte Carlo mode."""
+    if _sampled(check, mode, trials):
+        return sample_permanents(n, trials, rng)
+    if n > _EXACT_MAX_N:
+        raise CapError(f"exact {check.replace('_', '-')} check is capped at n <= {_EXACT_MAX_N}, got n={n}")
+    return exact_permanents(n)
+
+
 def per2_ratio_mean_se(pers: list[int], n: int) -> tuple[float, float]:
     """Sample mean of Per**2 / n! and its standard error; at least two draws."""
     _two_draws(len(pers), "mean")
@@ -163,10 +183,11 @@ def check_second_moment(n: int, mode: str, trials: int | None = None,
     checks the sample mean of Per**2 / n! against 1 within 3 standard errors.
     """
     target = math.factorial(n)
+    if mode == "monte_carlo" and n > 20:
+        raise CapError(f"monte-carlo second-moment check is capped at n <= 20, got n={n}")
+    pers = _permanents("second_moment", n, mode, trials, rng)
     if mode == "exact":
-        if n > 4:
-            raise CapError(f"exact second-moment check is capped at n <= 4, got n={n}")
-        total = int(np.sum(exact_permanents(n).astype(object) ** 2))
+        total = int(np.sum(pers.astype(object) ** 2))
         expected = target * (1 << (n * n))
         stats = {
             "sum_per_squared": total,
@@ -178,12 +199,7 @@ def check_second_moment(n: int, mode: str, trials: int | None = None,
             statistics=stats, bound={"mean_equals": target}, tolerance="exact",
             passed=total == expected,
         )
-    if mode != "monte_carlo":
-        raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
-    if n > 20:
-        raise CapError(f"monte-carlo second-moment check is capped at n <= 20, got n={n}")
-    _needs_trials("second_moment", trials)
-    mean, se = per2_ratio_mean_se(sample_permanents(n, trials, rng), n)
+    mean, se = per2_ratio_mean_se(pers, n)
     return CheckReport(
         name="second_moment", n=n, sample_size=trials, seed=rng.seed,
         statistics={"mean_ratio": mean, "se": se},
@@ -251,10 +267,8 @@ def check_singularity(n: int, mode: str, trials: int | None = None,
     against the committed counts; Monte Carlo mode reports the empirical
     zero fraction (descriptive; no bench-scale bound exists).
     """
+    perms = _permanents("singularity", n, mode, trials, rng)
     if mode == "exact":
-        if n > 4:
-            raise CapError(f"exact singularity check is capped at n <= 4, got n={n}")
-        perms = exact_permanents(n)
         zeros = int(np.count_nonzero(perms == 0))
         total = len(perms)
         committed = load_fixture("exact_fixtures.json")["singular_permanent_counts"].get(str(n))
@@ -270,10 +284,7 @@ def check_singularity(n: int, mode: str, trials: int | None = None,
             passed=(committed is None) or zeros == committed,
             descriptive=committed is None,
         )
-    if mode != "monte_carlo":
-        raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
-    _needs_trials("singularity", trials)
-    zeros = sample_permanents(n, trials, rng).count(0)
+    zeros = perms.count(0)
     frac = zeros / trials
     return CheckReport(
         name="singularity", n=n, sample_size=trials, seed=rng.seed,
@@ -299,6 +310,8 @@ def check_parent_child(trials: int, n: int, rng: RngStream) -> CheckReport:
     """
     if n < 2:
         raise ValueError(f"parent-child check needs n >= 2 (a level k in 1..n-1), got n={n}")
+    if n > _BATCH_MAX_N:  # level k = n-1 has n x n children, which ryser_batch takes up to its cap
+        raise CapError(f"parent-child check is capped at --n <= {_BATCH_MAX_N}, got n={n}")
     _two_draws(trials, "frequency")
     gen = rng.generator()
     ks = gen.integers(1, n, size=trials)
@@ -348,19 +361,18 @@ def check_many_children(trials: int, n: int, i_size: int, rng: RngStream) -> Che
     a third of the candidates match most of the time (reported only; the
     failure rate's constant is not pinned down).
     """
+    if n > MAX_N:
+        raise CapError(f"many-children check is capped at --n <= {MAX_N}, got n={n}")
     if not 1 <= i_size <= n - 1:
         raise ValueError(f"i_size must be in 1..n-1, got {i_size}")
     k = n - i_size
-    if k + 1 > 13:
+    if k + 1 > _BATCH_MAX_N:
         raise ValueError(f"child minors of size {k + 1} exceed the batch engine cap")
     _two_draws(trials, "frequency")
     gen = rng.generator()
     any_hits = 0
     third_hits = 0
-    chunk = 2048
-    done = 0
-    while done < trials:
-        batch = min(chunk, trials - done)
+    for batch in _draw_blocks(trials):
         mats = 2 * gen.integers(0, 2, size=(batch, k + 1, k + i_size), dtype=np.int8) - 1
         parents = np.abs(ryser_batch(mats[:, :k, :k]))
         ok_counts = np.zeros(batch, dtype=np.int64)
@@ -369,7 +381,6 @@ def check_many_children(trials: int, n: int, i_size: int, rng: RngStream) -> Che
             ok_counts += (np.abs(ryser_batch(child)) >= parents).astype(np.int64)
         any_hits += int(np.count_nonzero(ok_counts >= 1))
         third_hits += int(np.count_nonzero(3 * ok_counts >= i_size))
-        done += batch
     freq_any = any_hits / trials
     freq_third = third_hits / trials
     se_any = _binom_se(freq_any, trials)
@@ -400,7 +411,8 @@ def check_littlewood_offord(v, threshold: float, x: float, mode: str,
     With k coordinates of magnitude >= threshold, no open interval of length
     2*threshold captures more than C(k, k//2) / 2**k of the probability, and
     P(|sum| <= x*threshold) <= (ceil(x)+1) * C(k, k//2) / 2**k.  Exact mode
-    (m <= 20) enumerates all sign vectors and compares counts as integers.
+    (m <= 20) enumerates all sign vectors and compares counts as integers;
+    Monte Carlo mode (m <= 63) draws sign vectors in blocks of _DRAW_BLOCK.
     """
     v = [float(val) for val in v]
     m = len(v)
@@ -415,7 +427,7 @@ def check_littlewood_offord(v, threshold: float, x: float, mode: str,
     interval_bound = Fraction(binom, 1 << k_eff)
     tail_bound = min(Fraction(1), (math.ceil(x) + 1) * interval_bound)
 
-    if mode == "exact":
+    if not _sampled("littlewood_offord", mode, trials):
         if m > 20:
             raise CapError(f"exact enumeration is capped at m <= 20, got m={m}")
         sums = np.zeros(1, dtype=np.float64)
@@ -446,14 +458,15 @@ def check_littlewood_offord(v, threshold: float, x: float, mode: str,
             },
             tolerance="exact", passed=passed,
         )
-    if mode != "monte_carlo":
-        raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
-    _needs_trials("littlewood_offord", trials)
+    if m > MAX_N:
+        raise CapError(f"monte-carlo littlewood-offord check is capped at --m <= {MAX_N}, got m={m}")
     _two_draws(trials, "frequency")
     gen = rng.generator()
-    signs = 2.0 * gen.integers(0, 2, size=(trials, m)) - 1.0
-    sums = signs @ np.asarray(v)
-    tail_freq = float(np.count_nonzero(np.abs(sums) <= x * threshold)) / trials
+    tail_count = 0
+    for rows in _draw_blocks(trials):
+        sums = (2.0 * gen.integers(0, 2, size=(rows, m)) - 1.0) @ np.asarray(v)
+        tail_count += int(np.count_nonzero(np.abs(sums) <= x * threshold))
+    tail_freq = tail_count / trials
     se = _binom_se(tail_freq, trials)
     return CheckReport(
         name="littlewood_offord", n=m, sample_size=trials, seed=rng.seed,
@@ -521,8 +534,7 @@ def check_growth_rate(n: int, trials: int, rng: RngStream) -> CheckReport:
     )
 
 
-def check_maintain_grow_events(n: int, trials: int, rng: RngStream,
-                               cfg: ProcessConfig = ProcessConfig(eps=0.3, c=0.5)) -> CheckReport:
+def check_maintain_grow_events(n: int, trials: int, rng: RngStream) -> CheckReport:
     """Conditional frequencies of the keep/explode/grow child events.
 
     Over seeded growth runs, at every classified level: (keep) enough
@@ -532,9 +544,9 @@ def check_maintain_grow_events(n: int, trials: int, rng: RngStream,
     tracked count survives a threshold raised by n**(1/2-c).  The explode
     event's absolute 1/3 bound gets a hard verdict once 500 conditioning
     events accrue; the other two bounds have unspecified constants and stay
-    descriptive.
+    descriptive.  Every run uses _MAINTAIN_GROW_CFG (eps = 0.3, c = 1/2).
     """
-    c = cfg.eff_c()
+    c = _MAINTAIN_GROW_CFG.eff_c()
     counts = {
         "keep": [0, 0],  # [conditioning events, event hits]
         "explode": [0, 0],
@@ -542,14 +554,14 @@ def check_maintain_grow_events(n: int, trials: int, rng: RngStream,
     }
     for t in range(trials):
         m = sample_sign_matrix(n, rng.substream(t))
-        trace = run_growth(m, cfg)
+        trace = run_growth(m, _MAINTAIN_GROW_CFG)
         for rec in trace.records[:-1]:
             if rec.step_type is None:
                 continue
             tracked, lam, k = rec.tracked, rec.threshold, rec.k
             at_same = rec.next_at_threshold
             counts["keep"][0] += 1
-            if at_same >= count_threshold(cfg.eps * tracked / 6):
+            if at_same >= count_threshold(_MAINTAIN_GROW_CFG.eps * tracked / 6):
                 counts["keep"][1] += 1
             if rec.branch is SplitVerdict.PRIME:
                 counts["explode"][0] += 1
@@ -558,7 +570,8 @@ def check_maintain_grow_events(n: int, trials: int, rng: RngStream,
             else:
                 counts["grow"][0] += 1
                 grown = n ** (0.5 - c) * lam
-                if trace.table.heavy_count(k + 1, grown) >= count_threshold(cfg.eps * tracked / 4):
+                if trace.table.heavy_count(k + 1, grown) >= count_threshold(
+                        _MAINTAIN_GROW_CFG.eps * tracked / 4):
                     counts["grow"][1] += 1
     freqs = {
         key: (hits / cond if cond else float("nan")) for key, (cond, hits) in counts.items()

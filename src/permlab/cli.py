@@ -34,11 +34,12 @@ from .rng import RngStream
 
 
 def _thread_count() -> int:
-    """Worker processes from PERMLAB_THREADS, clamped to 1..os.cpu_count()."""
+    """Worker processes from PERMLAB_THREADS, an integer clamped to 1..os.cpu_count()."""
+    text = os.environ.get("PERMLAB_THREADS", "1")
     try:
-        requested = int(os.environ.get("PERMLAB_THREADS", "1"))
+        requested = int(text)
     except ValueError:
-        return 1
+        raise ValueError(f"PERMLAB_THREADS must be an integer, got {text!r}") from None
     return max(1, min(requested, os.cpu_count() or 1))
 
 
@@ -168,10 +169,8 @@ def cmd_growth(args) -> int:
     summary_rows = [row for _, row in results]
 
     summary_path = out / "summary.csv"
-    fields = ["trial", "successful", "N_k1", "W_k1",
-              "type_I", "type_II", "type_III", "type_IV", "type_V"]
     with open(summary_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=list(summary_rows[0]))
         writer.writeheader()
         writer.writerows(summary_rows)
 

@@ -16,6 +16,7 @@ exposed row of the matrix at a time:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -23,9 +24,9 @@ from typing import Optional
 import numpy as np
 
 from .growth import ProcessConfig
-from .lattice import MinorTable, build_lattice, threshold_int
+from .lattice import MinorTable, build_lattice
 from .matrices import SignMatrix
-from .subsets import bits_of, full_mask, popcount
+from .subsets import bits_of
 
 
 class PreconditionError(ValueError):
@@ -65,9 +66,9 @@ def _validate_block(n: int, k: int, protected: int, depth: int) -> None:
         raise PreconditionError("protected block has bits outside the column range")
     if protected & ((1 << k) - 1):
         raise PreconditionError("protected block must avoid the first k columns")
-    if popcount(protected) != 2 * depth:
+    if protected.bit_count() != 2 * depth:
         raise PreconditionError(
-            f"protected block must have exactly {2 * depth} columns, got {popcount(protected)}"
+            f"protected block must have exactly {2 * depth} columns, got {protected.bit_count()}"
         )
 
 
@@ -76,14 +77,14 @@ def _choose_extension(table: MinorTable, current: int, protected: int,
     """Smallest eligible column, preferring heavy outside, then heavy in the
     block, then any column at all (ties broken by index for determinism)."""
     n = table.n
-    outside = full_mask(n) & ~(protected | current)
+    outside = ((1 << n) - 1) & ~(protected | current)
     for i in bits_of(outside):
         if abs(table.value(current | (1 << i))) >= tint:
             return i, "outside"
     for i in bits_of(protected & ~current):
         if abs(table.value(current | (1 << i))) >= tint:
             return i, "protected"
-    return bits_of(full_mask(n) & ~current)[0], "fallback"
+    return bits_of(((1 << n) - 1) & ~current)[0], "fallback"
 
 
 def _grow_sets(source: SignMatrix, k: int, blocks: list[int], depth: int, tint: int,
@@ -109,13 +110,13 @@ def _grow_sets(source: SignMatrix, k: int, blocks: list[int], depth: int, tint: 
             if steps is not None:
                 heavy = abs(table.value(current[b])) >= tint
                 steps.append(PathStep(j=j, chosen=i, rule=rule, heavy=heavy,
-                                      remaining=n - popcount(block | current[b])))
+                                      remaining=n - (block | current[b]).bit_count()))
     return table, current
 
 
 def _heavy_cover(table: MinorTable, current: int, block: int, tint: int) -> Optional[int]:
     """The set if it contains every column outside the block and is heavy, else None."""
-    covers = (full_mask(table.n) & ~block) & ~current == 0
+    covers = ((1 << table.n) - 1) & ~(block | current) == 0
     return current if covers and abs(table.value(current)) >= tint else None
 
 
@@ -135,7 +136,7 @@ def run_endgame_path(prefix: np.ndarray, protected: int, threshold, cfg: Process
     if k > n - depth:
         raise PreconditionError(f"start level {k} is above the target level {n - depth}")
     _validate_block(n, k, protected, depth)
-    tint = threshold_int(threshold)
+    tint = math.ceil(threshold)
     steps: list[PathStep] = []
     table, (final,) = _grow_sets(source, k, [protected], depth, tint, steps)
     return PathResult(protected=protected, heavy_set=_heavy_cover(table, final, protected, tint),
@@ -170,7 +171,7 @@ def find_disjoint_heavy_family(prefix: np.ndarray, threshold, count: int, L: int
         )
     cols = list(range(k, n))
     blocks = [sum(1 << c for c in cols[2 * L * b : 2 * L * (b + 1)]) for b in range(count)]
-    tint = threshold_int(threshold)
+    tint = math.ceil(threshold)
     table, current = _grow_sets(source, k, blocks, L, tint)
     per_block = [_heavy_cover(table, cur, block, tint) for cur, block in zip(current, blocks)]
     members = [m for m in per_block if m is not None]
@@ -190,10 +191,10 @@ def complements_disjoint(members, n: int) -> bool:
     union = 0
     total = 0
     for m in members:
-        comp = full_mask(n) & ~int(m)
+        comp = ((1 << n) - 1) & ~int(m)
         union |= comp
-        total += popcount(comp)
-    return popcount(union) == total
+        total += comp.bit_count()
+    return union.bit_count() == total
 
 
 @dataclass
@@ -222,18 +223,18 @@ def propagate_down(prefix: np.ndarray, members, threshold, cfg: ProcessConfig,
     if k >= n:
         raise ValueError("no next row: all rows exposed")
     for m in members:
-        if popcount(m) != k:
+        if m.bit_count() != k:
             raise ValueError("family members must sit at the exposed level")
     if not complements_disjoint(members, n):
         raise PreconditionError("family complements must be pairwise disjoint")
 
     table = build_lattice(source, k + 1)
     new_threshold = Fraction(threshold) / n
-    tint = threshold_int(new_threshold)
+    tint = math.ceil(new_threshold)
 
     children = []
     for m in members:
-        missing = bits_of(full_mask(n) & ~m)[0]
+        missing = bits_of(((1 << n) - 1) & ~m)[0]
         children.append(m | (1 << missing))
     kept = [ch for ch in children if abs(table.value(ch)) >= tint]
     if not complements_disjoint(kept, n):
@@ -255,4 +256,4 @@ def final_row_heaviness(prefix: np.ndarray, threshold_final,
         raise ValueError(f"final-row step needs exactly n-1 = {n - 1} rows, got {k}")
     table = build_lattice(source, k + 1)
     per = table.top_value()
-    return FinalRowResult(permanent=per, heavy=abs(per) >= threshold_int(threshold_final))
+    return FinalRowResult(permanent=per, heavy=abs(per) >= math.ceil(threshold_final))

@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .matrices import CapError, SignMatrix
-from .subsets import bits_of, full_mask, mask_of, masks_by_level
+from .subsets import bits_of, mask_of, masks_by_level
 
 LATTICE_MAX_N = 22  # a 2**n table: 26 * 2**22 bytes ~ 109 MB at its build peak
 _INT64_LEVEL_MAX = 20
@@ -54,17 +54,6 @@ _INT64_MAX = 2**63 - 1
 DUMP_MAX_N = 12
 _KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 _KERNEL_CC = ("gcc", "-O2", "-shared", "-fPIC")
-
-
-def threshold_int(threshold) -> int:
-    """Smallest integer t with (|value| >= threshold) == (|value| >= t).
-
-    Values are integers, so any real threshold can be replaced by its
-    ceiling; int, float and Fraction inputs are all handled exactly.
-    """
-    if isinstance(threshold, (int, np.integer)):
-        return int(threshold)
-    return math.ceil(threshold)  # exact for float and Fraction alike
 
 
 @functools.cache
@@ -207,7 +196,7 @@ class MinorTable:
         if not 0 <= k <= self.k_max:
             raise ValueError(f"level {k} not built (k_max={self.k_max})")
         masks = self._levels[k]
-        t = threshold_int(threshold)
+        t = math.ceil(threshold)  # exact, and a Python int, for int, numpy int, float and Fraction
         if k > _INT64_LEVEL_MAX:
             return masks[np.array([abs(self._big[m]) >= t for m in masks.tolist()], dtype=bool)]
         out = np.empty_like(masks)
@@ -227,7 +216,7 @@ class MinorTable:
         """Permanent of the full matrix; requires all levels built."""
         if self.k_max != self.n:
             raise ValueError("table incomplete; top value needs k_max = n")
-        return self.value(full_mask(self.n))
+        return self.value((1 << self.n) - 1)
 
 
 def build_lattice(matrix: SignMatrix, k_max: int | None = None) -> MinorTable:

@@ -8,14 +8,12 @@ the growth and endgame runs expose the rows of one matrix one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .rng import RngStream
 
 MAX_N = 63  # column sets must fit a single machine word
-ENUM_CELL_LIMIT = 20  # enumerate_all_sign_matrices walks 2**(n*n) matrices
 
 
 class CapError(ValueError):
@@ -80,21 +78,6 @@ def sample_sign_matrix(n: int, rng: RngStream) -> SignMatrix:
     _check_dimension(n)
     bits = rng.generator().integers(0, 2, size=(n, n), dtype=np.int8)
     return SignMatrix(2 * bits - 1)
-
-
-def matrix_from_counter(n: int, counter: int) -> SignMatrix:
-    """Canonical enumeration: entry (i, j) is bit i*n+j of the counter, 0 -> -1, 1 -> +1."""
-    bits = (counter >> np.arange(n * n, dtype=np.int64)) & 1
-    return SignMatrix((2 * bits - 1).astype(np.int8).reshape(n, n))
-
-
-def enumerate_all_sign_matrices(n: int) -> Iterator[SignMatrix]:
-    """Every n x n sign matrix exactly once, in canonical counter order."""
-    _check_dimension(n)
-    if n * n > ENUM_CELL_LIMIT:
-        raise CapError(f"enumeration is capped at n*n <= {ENUM_CELL_LIMIT} cells, got n={n}")
-    for counter in range(1 << (n * n)):
-        yield matrix_from_counter(n, counter)
 
 
 def all_ones(n: int) -> SignMatrix:

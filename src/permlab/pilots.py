@@ -35,9 +35,10 @@ def _freq_threshold(p: float, trials: int) -> float:
     return round(max(0.0, p - max(0.10, 4 * _binom_se(p, trials))), 4)
 
 
-def _endgame_trials(n: int, stage) -> tuple[list, int]:
+def _endgame_trials(n: int, start_k: int, stage) -> tuple[list, dict]:
     """stage(m) on the TRIALS pilot matrices of size n: the results of the
-    draws whose run precondition held, and the count of those where it failed."""
+    draws whose run precondition held, and the fields every endgame pilot
+    reports, precondition_failures counting the other draws."""
     results = []
     failures = 0
     for t in range(TRIALS):
@@ -45,7 +46,8 @@ def _endgame_trials(n: int, stage) -> tuple[list, int]:
             results.append(stage(sample_sign_matrix(n, RngStream(PILOT_SEED, t))))
         except PreconditionError:
             failures += 1
-    return results, failures
+    return results, {"trials": TRIALS, "L": L, "threshold": THRESHOLD, "start_k": start_k,
+                     "precondition_failures": failures}
 
 
 def pilot_growth_rate() -> dict:
@@ -77,17 +79,13 @@ def pilot_growth_success() -> dict:
 def pilot_endgame_path() -> dict:
     k = _ENDGAME_CFG.end_level(ENDGAME_N)
     block = sum(1 << i for i in range(k, k + 2 * L))
-    results, failures = _endgame_trials(ENDGAME_N, lambda m: run_endgame_path(
+    results, shared = _endgame_trials(ENDGAME_N, k, lambda m: run_endgame_path(
         m.prefix(k), block, THRESHOLD, _ENDGAME_CFG, m).succeeded)
     successes = sum(results)
     p = successes / TRIALS
     return {
-        "trials": TRIALS,
-        "L": L,
-        "threshold": THRESHOLD,
-        "start_k": k,
+        **shared,
         "success_count": successes,
-        "precondition_failures": failures,
         "success_fraction": p,
         "min_success_fraction": _freq_threshold(p, TRIALS),
     }
@@ -98,17 +96,14 @@ def _family(m, start_k: int):
 
 
 def pilot_disjoint_family() -> dict:
-    results, failures = _endgame_trials(ENDGAME_N, lambda m: _family(m, FAMILY_START_K).complete)
+    results, shared = _endgame_trials(ENDGAME_N, FAMILY_START_K,
+                                      lambda m: _family(m, FAMILY_START_K).complete)
     complete = sum(results)
     p = complete / TRIALS
     return {
-        "trials": TRIALS,
-        "L": L,
-        "threshold": THRESHOLD,
-        "start_k": FAMILY_START_K,
+        **shared,
         "count": COUNT,
         "complete_count": complete,
-        "precondition_failures": failures,
         "complete_fraction": p,
         "min_complete_fraction": _freq_threshold(p, TRIALS),
     }
@@ -125,18 +120,14 @@ def _propagated(m) -> bool | None:
 
 def pilot_propagate() -> dict:
     """Family at level n-L via disjoint blocks, then one downward step."""
-    results, failures = _endgame_trials(PROPAGATE_N, _propagated)
+    results, shared = _endgame_trials(PROPAGATE_N, PROPAGATE_START_K, _propagated)
     with_family = sum(r is not None for r in results)
     retained_ok = sum(r is True for r in results)
     p = retained_ok / with_family if with_family else 0.0
     return {
-        "trials": TRIALS,
-        "L": L,
-        "threshold": THRESHOLD,
-        "start_k": PROPAGATE_START_K,
+        **shared,
         "count": COUNT,
         "trials_with_family": with_family,
-        "precondition_failures": failures,
         "retained_ok_count": retained_ok,
         "retained_ok_fraction": p,
         "min_retained_ok_fraction": _freq_threshold(p, with_family if with_family else 1),

@@ -10,10 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def bits_of(mask: int) -> list[int]:
     """Set bit positions, ascending."""
     out = []
@@ -29,10 +25,6 @@ def mask_of(cols) -> int:
     for c in cols:
         m |= 1 << c
     return m
-
-
-def full_mask(n: int) -> int:
-    return (1 << n) - 1
 
 
 def masks_by_level(n: int) -> tuple[np.ndarray, ...]:

@@ -6,6 +6,8 @@ path with the engines it checks.  The one exception, `numpy_level_table`,
 builds the whole minor lattice with numpy gathers, independently of the
 compiled kernel that builds it in the program.  `subsets_of_size` walks the
 masks of one level with Gosper's hack, independently of `masks_by_level`.
+`enumerate_all_sign_matrices` builds the canonical counter order one matrix
+at a time, independently of the exact checks' batch enumeration.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from typing import Iterator
 
 import numpy as np
 
+from permlab.matrices import SignMatrix
+
+ENUM_CELL_LIMIT = 20  # enumerate_all_sign_matrices walks 2**(n*n) matrices
+
 
 def brute_permanent(entries) -> int:
     """Sum over all permutations of the product of picked entries."""
@@ -24,6 +30,20 @@ def brute_permanent(entries) -> int:
         math.prod(entries[i][sigma[i]] for i in range(n))
         for sigma in permutations(range(n))
     )
+
+
+def matrix_from_counter(n: int, counter: int) -> SignMatrix:
+    """Canonical counter order: entry (i, j) is +1 if bit i*n+j of the counter is set, else -1."""
+    return SignMatrix([[1 if (counter >> (i * n + j)) & 1 else -1 for j in range(n)]
+                       for i in range(n)])
+
+
+def enumerate_all_sign_matrices(n: int) -> Iterator[SignMatrix]:
+    """Every n x n sign matrix exactly once, in canonical counter order."""
+    if n * n > ENUM_CELL_LIMIT:
+        raise ValueError(f"enumeration is capped at n*n <= {ENUM_CELL_LIMIT} cells, got n={n}")
+    for counter in range(1 << (n * n)):
+        yield matrix_from_counter(n, counter)
 
 
 def brute_determinant(entries) -> int:

@@ -1,8 +1,10 @@
 """Straightforward dict-and-loop reimplementation of the growth run.
 
-Independent oracle for golden traces: no numpy, no shared code with
-permlab.growth beyond the configuration object.  Same documented choices
-(lexicographically-smallest witnesses, ceil-with-floor-1 counts, K clamp).
+Independent oracle for golden traces: no numpy and no shared code with
+permlab.growth.  It reads only the fields of the configuration (eps,
+eps_prime, c, k0, k1) and derives every default and rate from them with its
+own formulas.  Same documented choices (lexicographically-smallest
+witnesses, ceil-with-floor-1 counts, K clamp).
 """
 
 from __future__ import annotations
@@ -40,12 +42,12 @@ def reference_trace(matrix, cfg):
     """Per-level tuples (k, tracked, true_heavy, lam, w, step_type_or_None)."""
     n = matrix.n
     eps = cfg.eps
-    eps_prime = cfg.eff_eps_prime()
-    c = cfg.eff_c()
-    k0 = cfg.start_level(n)
-    k1 = cfg.end_level(n)
-    grow_factor = cfg.lam_grow_factor(n)
-    keep_frac = cfg.keep_frac()
+    eps_prime = eps / 6 if cfg.eps_prime is None else cfg.eps_prime
+    c = eps if cfg.c is None else cfg.c
+    k0 = math.floor(eps * n) + 1 if cfg.k0 is None else cfg.k0
+    k1 = math.floor((1 - eps) * n) if cfg.k1 is None else cfg.k1
+    grow_factor = float(n) ** (0.5 - eps)
+    keep_frac = eps / 6
     levels = minor_levels(matrix, k1)
 
     tracked = 1 if len(heavy_masks_at(levels[k0], 1)) >= 1 else 0

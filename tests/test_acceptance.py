@@ -36,12 +36,12 @@ from permlab.endgame import (
 )
 from permlab.engines import permanent_naive, permanent_ryser
 from permlab.growth import ProcessConfig, StepType, count_threshold, run_growth
-from permlab.lattice import SplitVerdict, build_lattice, threshold_int
-from permlab.matrices import SignMatrix, enumerate_all_sign_matrices, sample_sign_matrix
+from permlab.lattice import SplitVerdict, build_lattice
+from permlab.matrices import SignMatrix, sample_sign_matrix
 from permlab.rng import RngStream
-from permlab.subsets import bits_of, full_mask, popcount
+from permlab.subsets import bits_of
 
-from oracles import brute_permanent, subsets_of_size
+from oracles import brute_permanent, enumerate_all_sign_matrices, subsets_of_size
 
 SEED = 0
 ALON_RECOUNT_DRAWS = 8
@@ -231,8 +231,8 @@ def test_criterion_8_growth_process_structure():
                 continue
             increments.setdefault(rec.k, []).append(recs[idx + 1].potential - rec.potential)
             # independent recount of the exact heavy counts behind the type
-            t_same = threshold_int(rec.threshold)
-            t_grown = threshold_int(rec.grown_threshold)
+            t_same = math.ceil(rec.threshold)
+            t_grown = math.ceil(rec.grown_threshold)
             at_same = sum(
                 1 for mask in subsets_of_size(n, rec.k + 1)
                 if abs(table.value(mask)) >= t_same
@@ -297,8 +297,8 @@ def test_criterion_9_endgame_structure():
             continue
         if res.succeeded:
             # re-verify the contract on every returned set
-            assert popcount(res.heavy_set) == n - L
-            assert (full_mask(n) & ~block) & ~res.heavy_set == 0
+            assert res.heavy_set.bit_count() == n - L
+            assert ((1 << n) - 1) & ~(block | res.heavy_set) == 0
             successes += 1
     path_freq = successes / trials
     ok_path = path_freq >= bands["endgame_path"]["18"]["min_success_fraction"]

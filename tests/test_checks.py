@@ -174,6 +174,16 @@ def test_littlewood_offord_monte_carlo():
     assert r.passed
 
 
+def test_checks_run_at_their_size_caps():
+    # the largest sizes the caps let through still run: parent_child's top
+    # level hands 13 x 13 children to ryser_batch, many_children and the
+    # Monte Carlo littlewood_offord take 63 columns
+    assert check_parent_child(50, 13, rng=RngStream(3)).statistics["flip_identity_violations"] == 0
+    assert check_many_children(3, 63, 58, rng=RngStream(3)).sample_size == 3
+    r = check_littlewood_offord([1.0] * 63, 1.0, x=1.0, mode="monte_carlo", trials=3, rng=RngStream(3))
+    assert r.statistics["m"] == 63
+
+
 def test_littlewood_offord_validation():
     with pytest.raises(ValueError):
         check_littlewood_offord([0.5, 0.2], 1.0, x=1.0, mode="exact")  # nothing reaches the threshold
@@ -225,8 +235,7 @@ def test_run_check_calls_the_module_attribute(monkeypatch):
 
 
 def test_maintain_grow_events_small():
-    r = check_maintain_grow_events(12, 40, cfg=ProcessConfig(eps=0.3, c=0.5),
-                                   rng=RngStream(10))
+    r = check_maintain_grow_events(12, 40, rng=RngStream(10))
     freqs = r.statistics["conditional_frequencies"]
     cond = r.statistics["conditioning_events"]
     assert cond["keep"] > 0
@@ -258,7 +267,6 @@ def test_suite_exit_logic():
 
 def test_all_ones_maintain_event_deterministic():
     # on the all-ones matrix every minor is heavy, so the keep event always fires
-    r = check_maintain_grow_events(10, 1, cfg=ProcessConfig(), rng=RngStream(13))
     # run manually on all-ones to pin the deterministic instance
     from permlab.growth import run_growth, count_threshold
 

@@ -189,6 +189,29 @@ def test_thread_count_clamped_to_cpus(monkeypatch):
     assert _thread_count() == 1
 
 
+def test_thread_count_that_is_not_an_integer_is_refused(tmp_path):
+    res = run_cli("growth", "--n", "6", "--trials", "2", "--out", str(tmp_path / "g"),
+                  env=dict(os.environ, PERMLAB_THREADS="two"))
+    assert res.returncode == 2
+    assert res.stderr == "error: PERMLAB_THREADS must be an integer, got 'two'\n"
+    assert not (tmp_path / "g" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["parent_child", "--n", "14", "--trials", "2"], "parent-child check is capped at --n <= 13, got n=14"),
+    (["parent_child", "--n", "40", "--trials", "2"], "parent-child check is capped at --n <= 13, got n=40"),
+    (["many_children", "--n", "100000", "--i-size", "99990", "--trials", "3000"],
+     "many-children check is capped at --n <= 63, got n=100000"),
+    (["littlewood_offord", "--m", "100000", "--mode", "monte_carlo", "--trials", "10000"],
+     "monte-carlo littlewood-offord check is capped at --m <= 63, got m=100000"),
+], ids=["parent-child-14", "parent-child-40", "many-children", "littlewood-offord"])
+def test_oversized_checks_refused_before_drawing(monkeypatch, capsys, args, message):
+    # no generator is ever made, so no draw, large or small, is requested
+    monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew before refusing"))
+    assert cli.main(["verify", "--suite", *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_compute_lattice_dump(tmp_path, ones3):
     out = tmp_path / "lat.csv"
     res = run_cli("compute", str(ones3), "--engine", "lattice", "--dump-lattice", str(out))

@@ -16,7 +16,7 @@ from permlab.engines import permanent_ryser
 from permlab.growth import ProcessConfig
 from permlab.matrices import SignMatrix, all_ones, sample_sign_matrix
 from permlab.rng import RngStream
-from permlab.subsets import full_mask, mask_of, popcount
+from permlab.subsets import mask_of
 
 
 def block_after(k, L):
@@ -47,9 +47,9 @@ def test_all_ones_path_succeeds():
     k = 5
     res = run_endgame_path(m.prefix(k), block_after(k, L), 1, cfg, m)
     assert res.succeeded
-    assert popcount(res.heavy_set) == n - L
+    assert res.heavy_set.bit_count() == n - L
     # the result always contains every non-block column
-    assert (full_mask(n) & ~res.protected) & ~res.heavy_set == 0
+    assert ((1 << n) - 1) & ~(res.protected | res.heavy_set) == 0
     # every step found a heavy extension (all minors of all-ones are heavy)
     assert all(s.heavy for s in res.steps)
     assert all(s.rule in ("outside", "protected") for s in res.steps)
@@ -152,8 +152,8 @@ def test_disjoint_family_postconditions():
         found += len(fam.members)
         assert complements_disjoint(fam.members, 14)
         for mask in fam.members:
-            assert popcount(mask) == 12
-            comp = full_mask(14) & ~mask
+            assert mask.bit_count() == 12
+            comp = ((1 << 14) - 1) & ~mask
             # complement sits inside the block that produced the member
             assert any(comp & ~b == 0 for b in fam.blocks)
     assert found > 0
@@ -178,7 +178,7 @@ def test_propagate_all_ones_keeps_everything():
     n = 12
     m = all_ones(n)
     cfg = ProcessConfig()
-    members = [full_mask(n) ^ mask_of([a, b]) for a, b in [(0, 1), (2, 3), (4, 5)]]
+    members = [((1 << n) - 1) ^ mask_of([a, b]) for a, b in [(0, 1), (2, 3), (4, 5)]]
     res = propagate_down(m.prefix(n - 2), members, math.factorial(n - 2), cfg, m)
     assert len(res.kept) == 3
     assert res.new_threshold == Fraction(math.factorial(n - 2), n)
@@ -190,13 +190,13 @@ def test_propagate_all_ones_keeps_everything():
 def test_propagate_validates_input():
     m = all_ones(8)
     cfg = ProcessConfig()
-    overlapping = [full_mask(8) ^ mask_of([0, 1]), full_mask(8) ^ mask_of([1, 2])]
+    overlapping = [((1 << 8) - 1) ^ mask_of([0, 1]), ((1 << 8) - 1) ^ mask_of([1, 2])]
     with pytest.raises(PreconditionError):
         propagate_down(m.prefix(6), overlapping, 1, cfg, m)
     with pytest.raises(ValueError):
         propagate_down(m.prefix(6), [mask_of([0, 1, 2])], 1, cfg, m)  # wrong level
     with pytest.raises(ValueError):
-        propagate_down(m.prefix(8), [full_mask(8)], 1, cfg, m)  # no next row
+        propagate_down(m.prefix(8), [(1 << 8) - 1], 1, cfg, m)  # no next row
 
 
 def test_propagate_kept_children_verified():

@@ -13,17 +13,10 @@ from permlab.engines import (
     permanent_ryser,
     ryser_batch,
 )
-from permlab.matrices import (
-    CapError,
-    SignMatrix,
-    all_ones,
-    enumerate_all_sign_matrices,
-    matrix_from_counter,
-    sample_sign_matrix,
-)
+from permlab.matrices import CapError, SignMatrix, all_ones, sample_sign_matrix
 from permlab.rng import RngStream
 
-from oracles import brute_determinant, brute_permanent
+from oracles import brute_determinant, brute_permanent, enumerate_all_sign_matrices, matrix_from_counter
 
 EXACT_ENGINES = (permanent_naive, permanent_ryser, permanent)
 

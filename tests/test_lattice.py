@@ -20,37 +20,33 @@ from permlab.lattice import (
     parent_histogram,
     split_cut,
     split_events,
-    threshold_int,
 )
-from permlab.matrices import (
-    CapError,
-    SignMatrix,
-    all_ones,
-    enumerate_all_sign_matrices,
-    matrix_from_counter,
-    sample_sign_matrix,
-)
+from permlab.matrices import CapError, SignMatrix, all_ones, sample_sign_matrix
 from permlab.rng import RngStream
-from permlab.subsets import bits_of, full_mask, mask_of, popcount
+from permlab.subsets import bits_of, mask_of
 
 from oracles import (
     brute_heavy_sets,
     brute_minor_permanent,
     brute_parent_counts,
+    enumerate_all_sign_matrices,
+    matrix_from_counter,
     numpy_level_table,
     subsets_of_size,
 )
 
 
-def test_threshold_int_exact():
-    assert threshold_int(3) == 3
-    assert threshold_int(3.0) == 3
-    assert threshold_int(2.5) == 3
-    assert threshold_int(Fraction(7, 2)) == 4
-    assert threshold_int(0) == 0
-    assert threshold_int(-1.5) == -1
-    # |v| >= lam iff |v| >= ceil(lam) for integer v: spot-check the boundary
-    assert (2 >= threshold_int(2.0)) and not (1 >= threshold_int(1.5))
+def test_heavy_query_rounds_threshold_up():
+    # every level-2 minor of the all-ones matrix has permanent 2, and an
+    # integer |value| reaches a real threshold iff it reaches its ceiling
+    t = build_lattice(all_ones(4), 2)
+    level = t.level_masks(2).tolist()
+    for threshold in (2, np.int64(2), 2.0, np.float64(1.5), Fraction(3, 2), 0, -1.5):
+        assert t.heavy_count(2, threshold) == 6
+        assert t.heavy_masks(2, threshold).tolist() == level
+    for threshold in (2.5, np.float32(2.5), Fraction(5, 2), 3, 2**70):
+        assert t.heavy_count(2, threshold) == 0
+        assert t.heavy_masks(2, threshold).tolist() == []
 
 
 def test_level_one_is_first_row():
@@ -71,7 +67,7 @@ def test_empty_minor_value():
 def test_value_rejects_masks_outside_the_table():
     n = 4
     t = build_lattice(all_ones(n))
-    assert t.value(full_mask(n)) == math.factorial(n)
+    assert t.value((1 << n) - 1) == math.factorial(n)
     for mask in (-1, -2, 1 << n):
         with pytest.raises(ValueError, match="outside"):
             t.value(mask)
@@ -399,7 +395,7 @@ def test_python_int_levels_n22():
     entries = np.ones((n, n), dtype=np.int8)
     entries[0, 0] = -1
     t = build_lattice(SignMatrix(entries))
-    full = full_mask(n)
+    full = (1 << n) - 1
     f = math.factorial
     assert t.top_value() == f(22) - 2 * f(21)
     # only the 21-set without column 0 avoids the -1 entry

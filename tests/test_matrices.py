@@ -3,18 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permlab.matrices import (
-    CapError,
-    SignMatrix,
-    all_ones,
-    enumerate_all_sign_matrices,
-    from_text,
-    matrix_from_counter,
-    sample_row,
-    sample_sign_matrix,
-    to_text,
-)
+from permlab.checks import _enumerate_batch
+from permlab.matrices import SignMatrix, all_ones, from_text, sample_row, sample_sign_matrix, to_text
 from permlab.rng import RngStream
+
+from oracles import enumerate_all_sign_matrices, matrix_from_counter
 
 
 def test_entries_validated():
@@ -123,8 +116,15 @@ def test_enumeration_canonical_order():
     assert m2.entries[1, 1] == 1 and m2.entries[0, 0] == -1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_enumeration_matches_batch_order(n):
+    # the exact checks' batch enumeration lists the matrices in the same order
+    one_by_one = np.stack([m.entries for m in enumerate_all_sign_matrices(n)])
+    assert np.array_equal(_enumerate_batch(n), one_by_one)
+
+
 def test_enumeration_cap():
-    with pytest.raises(CapError):
+    with pytest.raises(ValueError, match="capped at n\\*n <= 20"):
         list(enumerate_all_sign_matrices(5))
 
 

@@ -29,6 +29,7 @@ REQUESTS = [
     ["--suite", "many_children", "--n", "10", "--trials", "500", "--i-size", "4"],
     ["--suite", "littlewood_offord", "--m", "6", "--x", "1.5", "--mode", "exact"],
     ["--suite", "littlewood_offord", "--m", "6", "--mode", "monte_carlo", "--trials", "2000"],
+    ["--suite", "littlewood_offord", "--m", "6", "--mode", "monte_carlo", "--trials", "5000"],
     ["--suite", "singularity", "--n", "3", "--mode", "exact"],
     ["--suite", "singularity", "--n", "5", "--mode", "monte_carlo", "--trials", "200"],
     ["--suite", "growth_rate", "--n", "16", "--trials", "20"],
