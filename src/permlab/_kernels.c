@@ -1,8 +1,10 @@
 /* The compiled kernels of permlab, loaded together by permlab.lattice._kernels:
    the level build and the two per-level queries of the minor lattice
-   (add_level, select_heavy, parent_histogram), Ryser's formula for the
-   batch and modular engines (ryser), and the walk over all permutations of
-   the naive engine (naive_odd). */
+   (add_level, select_heavy, parent_histogram), Ryser's formula (ryser) for
+   the batch and modular engines and, on a block with one row more than
+   columns, for the row-deleted cofactors that many_children expands its
+   children along, and the walk over all permutations of the naive engine
+   (naive_odd). */
 #include <stdint.h>
 
 /* One level of the minor lattice (permlab.lattice.MinorTable.add_level).
@@ -92,52 +94,92 @@ int64_t parent_histogram(const int64_t *members, int64_t count, int64_t n, int64
     return 0;
 }
 
-/* Permanents of count n x n sign matrices, stored row-major one after another
-   in mats (permlab.engines.ryser_batch and permanent_mod).
+/* Ryser's formula over the row sets of count rows x cols sign blocks, stored
+   row-major one after another in mats.  Row sets S are visited in Gray-code
+   order (Nijenhuis-Wilf): step s toggles row ctz(s), so the column sums
+   colsum_S[j] = sum over i in S of a[i][j] are updated from one contiguous
+   row, and |colsum_S[j]| <= |S|.  Each S has the term
+       t_S = (-1)**(cols - |S|) * prod over j of colsum_S[j].
 
-   Ryser's formula over the rows, Per(A) = Per(A^T) =
-       sum over row sets S of (-1)**(n - |S|) * prod over j of (sum over i in S of a[i][j]),
-   visits S in Gray-code order (Nijenhuis-Wilf): step s toggles row ctz(s),
-   so the column sums are updated from one contiguous row.  Each |sum| <= n.
-
+   cols == rows (permlab.engines.ryser_batch and permanent_mod): out[b] is the
+   permanent of square matrix b, Per(A) = Per(A^T) = sum over all S of t_S.
    modulus == 0: exact.  Each product is at most n**n and the total at most
    2**n * n**n, which is below 2**63 for n <= 13.
    2 <= modulus < 2**31: out[b] is the residue in [0, modulus).  The product
    is reduced after every 6 factors, so it stays below 2**31 * 30**6 < 2**61;
    each reduced product is below 2**31, so the total stays below
-   2**n * 2**31 <= 2**61 for n <= 30. */
-void ryser(const int8_t *mats, int64_t count, int64_t n, int64_t modulus, int64_t *out)
+   2**n * 2**31 <= 2**61 for n <= 30.
+
+   cols == rows - 1 (permlab.engines.ryser_cofactors; exact only, modulus 0):
+   out[b * rows + r] is the permanent of block b without row r,
+       sum over S not containing r of t_S,
+   all rows of them from the one sweep.  A row's membership in S changes only
+   at the steps that toggle it, so between two such steps every term lands
+   on the same side of it: when row i joins S, the terms added to the running
+   total since it last moved (total - mark[i]) were all outside it, and go to
+   cof[i]; after the last step every row but rows - 1 is outside.  By Laplace
+   expansion along an added column c, the square matrix [block | c] has
+   permanent sum over r of c[r] * out[b * rows + r].  The running total and
+   each of its stretches sum at most 2**rows terms of size at most
+   rows**cols, and 2**13 * 13**12 < 2**63, so the path is exact for
+   rows <= 13.
+
+   The subset loop is written once, in ryser_sweep; ryser inlines it once
+   per shape, so the square path has no per-step shape test. */
+static inline __attribute__((always_inline)) void
+ryser_sweep(const int8_t *mats, int64_t count, int64_t rows, int64_t cols, int64_t modulus,
+            const int cofactors, int64_t *out)
 {
     for (int64_t b = 0; b < count; b++) {
-        const int8_t *a = mats + b * n * n;
+        const int8_t *a = mats + b * rows * cols;
         int64_t sums[64] = {0};
-        int64_t total = n == 0;  /* the empty set's term; 0 once n >= 1 */
-        for (uint64_t s = 1; s >> n == 0; s++) {
+        int64_t total = cols == 0;  /* the empty set's term; 0 once cols >= 1 */
+        int64_t cof[64] = {0}, mark[64] = {0};
+        for (uint64_t s = 1; s >> rows == 0; s++) {
             int i = __builtin_ctzll(s);
-            const int8_t *row = a + i * n;
-            if ((s ^ s >> 1) >> i & 1)  /* row i is in S = gray(s) */
-                for (int64_t j = 0; j < n; j++)
+            const int8_t *row = a + i * cols;
+            int joins = (s ^ s >> 1) >> i & 1;  /* row i is in S = gray(s) */
+            if (joins)
+                for (int64_t j = 0; j < cols; j++)
                     sums[j] += row[j];
             else
-                for (int64_t j = 0; j < n; j++)
+                for (int64_t j = 0; j < cols; j++)
                     sums[j] -= row[j];
+            if (cofactors) {
+                if (joins)
+                    cof[i] += total - mark[i];
+                mark[i] = total;
+            }
             int64_t prod = 1;
             if (modulus == 0) {
-                for (int64_t j = 0; j < n; j++)
+                for (int64_t j = 0; j < cols; j++)
                     prod *= sums[j];
             } else {
-                for (int64_t j = 0; j < n; j += 6) {
-                    int64_t end = j + 6 < n ? j + 6 : n;
+                for (int64_t j = 0; j < cols; j += 6) {
+                    int64_t end = j + 6 < cols ? j + 6 : cols;
                     for (int64_t k = j; k < end; k++)
                         prod *= sums[k];
                     prod %= modulus;
                 }
             }
             /* one row joins or leaves S per step, so |S| = s (mod 2) */
-            total += (n ^ s) & 1 ? -prod : prod;
+            total += (cols ^ s) & 1 ? -prod : prod;
         }
-        out[b] = modulus == 0 ? total : (total % modulus + modulus) % modulus;
+        if (cofactors)  /* the last S is {rows - 1}: every other row is outside */
+            for (int64_t r = 0; r < rows; r++)
+                out[b * rows + r] = r == rows - 1 ? cof[r] : cof[r] + total - mark[r];
+        else
+            out[b] = modulus == 0 ? total : (total % modulus + modulus) % modulus;
     }
+}
+
+void ryser(const int8_t *mats, int64_t count, int64_t rows, int64_t cols, int64_t modulus,
+           int64_t *out)
+{
+    if (cols == rows)
+        ryser_sweep(mats, count, rows, cols, modulus, 0, out);
+    else
+        ryser_sweep(mats, count, rows, cols, 0, 1, out);
 }
 
 /* The number of ways to give rows row .. last distinct columns from free so

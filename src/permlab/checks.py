@@ -27,7 +27,7 @@ from importlib import resources
 
 import numpy as np
 
-from .engines import _BATCH_MAX_N, permanent, permanent_mod, ryser_batch
+from .engines import _BATCH_MAX_N, permanent, permanent_mod, ryser_batch, ryser_cofactors
 from .growth import ProcessConfig, count_threshold, run_growth
 from .lattice import SplitVerdict
 from .matrices import MAX_N, CapError, sample_sign_matrix
@@ -366,19 +366,23 @@ def check_many_children(trials: int, n: int, i_size: int, rng: RngStream) -> Che
     if not 1 <= i_size <= n - 1:
         raise ValueError(f"i_size must be in 1..n-1, got {i_size}")
     k = n - i_size
-    if k + 1 > _BATCH_MAX_N:
-        raise ValueError(f"child minors of size {k + 1} exceed the batch engine cap")
+    if k + 1 > _BATCH_MAX_N:  # the children are (k+1) x (k+1), expanded along k+1 cofactors
+        raise CapError(f"many-children check is capped at --n - --i-size + 1 <= {_BATCH_MAX_N}"
+                       f" (the child minor size), got {k + 1} (--n {n}, --i-size {i_size})")
     _two_draws(trials, "frequency")
     gen = rng.generator()
     any_hits = 0
     third_hits = 0
     for batch in _draw_blocks(trials):
         mats = 2 * gen.integers(0, 2, size=(batch, k + 1, k + i_size), dtype=np.int8) - 1
-        parents = np.abs(ryser_batch(mats[:, :k, :k]))
-        ok_counts = np.zeros(batch, dtype=np.int64)
-        for i in range(i_size):
-            child = np.concatenate([mats[:, :, :k], mats[:, :, k + i : k + i + 1]], axis=2)
-            ok_counts += (np.abs(ryser_batch(child)) >= parents).astype(np.int64)
+        # Child i is the parent block's k columns plus column k+i; by Laplace
+        # expansion along that column its permanent is sum over r of
+        # mats[r, k+i] * cof[r], at most (k+1)! in absolute value.  Row k's
+        # cofactor is the k x k parent itself.
+        cof = ryser_cofactors(mats[:, :, :k])
+        parents = np.abs(cof[:, k])
+        children = np.abs(np.einsum("brc,br->bc", mats[:, :, k:], cof))
+        ok_counts = np.count_nonzero(children >= parents[:, None], axis=1)
         any_hits += int(np.count_nonzero(ok_counts >= 1))
         third_hits += int(np.count_nonzero(3 * ok_counts >= i_size))
     freq_any = any_hits / trials

@@ -61,10 +61,12 @@ def _positive_int(text: str) -> int:
 
 
 def _nonnegative_float(text: str) -> float:
-    """argparse type for radii: a real number >= 0."""
+    """argparse type for radii: a finite real number >= 0."""
     value = float(text)
     if not value >= 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    if math.isinf(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     return value
 
 

@@ -4,8 +4,11 @@ Every scalar result is a plain Python int, so arithmetic is exact and can
 never overflow.  The batch and modular engines run Ryser's formula in the
 compiled `ryser` kernel (`_kernels.c`), in int64 only under the bounds
 stated there; they are cross-checked against the pure-Python engines in the
-test suite.  The naive engine's kernel, `naive_odd`, walks every permutation
-and shares no code with the others, so it stays their ground truth.
+test suite.  On a (k+1) x k block the same kernel's one subset scan gives all
+k+1 row-deleted permanents (`ryser_cofactors`), along which
+`checks.check_many_children` expands every child of a parent.  The naive
+engine's kernel, `naive_odd`, walks every permutation and shares no code with
+the others, so it stays their ground truth.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from .matrices import CapError, SignMatrix
 
 NAIVE_MAX_N = 10  # n! enumeration
 RYSER_MAX_N = 30  # 2**n subset scan
-# Exact Ryser accumulates |sum| <= 2**n * n**n, which fits int64 through n=13.
+# Exact Ryser accumulates |sum| <= 2**n * n**n, which fits int64 through n=13,
+# and the cofactor scan of a 13 x 12 block at most 2**13 * 13**12.
 _BATCH_MAX_N = 13
 # The modular kernel keeps every residue below 2**31 (see _kernels.c).
 _KERNEL_MAX_MODULUS = 1 << 31
@@ -75,6 +79,16 @@ def permanent_ryser(m: SignMatrix) -> int:
     return total
 
 
+def _ryser_blocks(blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Run the exact `ryser` kernel on a (B, rows, cols) batch of sign blocks into `out`."""
+    b, rows, cols = blocks.shape
+    if not np.all(np.abs(blocks) == 1):
+        raise ValueError("matrix entries must be -1 or +1")
+    blocks = np.ascontiguousarray(blocks, dtype=np.int8)
+    _kernels().ryser(blocks.ctypes.data, b, rows, cols, 0, out.ctypes.data)
+    return out
+
+
 def ryser_batch(mats: np.ndarray) -> np.ndarray:
     """Exact permanents for a batch of small sign matrices, in one kernel call.
 
@@ -87,12 +101,25 @@ def ryser_batch(mats: np.ndarray) -> np.ndarray:
         raise ValueError("matrices must be square")
     if n > _BATCH_MAX_N:
         raise CapError(f"ryser_batch is capped at n <= {_BATCH_MAX_N}, got n={n}")
-    if not np.all(np.abs(mats) == 1):
-        raise ValueError("matrix entries must be -1 or +1")
-    mats = np.ascontiguousarray(mats, dtype=np.int8)
-    out = np.empty(b, dtype=np.int64)
-    _kernels().ryser(mats.ctypes.data, b, n, 0, out.ctypes.data)
-    return out
+    return _ryser_blocks(mats, np.empty(b, dtype=np.int64))
+
+
+def ryser_cofactors(blocks: np.ndarray) -> np.ndarray:
+    """Exact row-deleted permanents for a batch of (k+1) x k sign blocks, in one kernel call.
+
+    Input (B, k+1, k) with entries in {-1,+1}; returns (B, k+1) int64 whose
+    [b, r] entry is the permanent of block b without row r.  One subset scan
+    of the block gives all k+1 of them.  By Laplace expansion along an added
+    column c, Per([block b | c]) = sum over r of c[r] * out[b, r].  Capped at
+    k+1 <= 13 rows, like ryser_batch.
+    """
+    blocks = np.asarray(blocks)
+    b, rows, cols = blocks.shape
+    if cols != rows - 1:
+        raise ValueError(f"blocks must have one row more than columns, got {rows} x {cols}")
+    if rows > _BATCH_MAX_N:
+        raise CapError(f"ryser_cofactors is capped at {_BATCH_MAX_N} rows, got {rows}")
+    return _ryser_blocks(blocks, np.empty((b, rows), dtype=np.int64))
 
 
 def permanent_mod(m: SignMatrix, modulus: int) -> int:
@@ -109,7 +136,7 @@ def permanent_mod(m: SignMatrix, modulus: int) -> int:
         raise CapError(f"permanent_mod is capped at n <= {RYSER_MAX_N} (2**n subsets), got n={n}")
     if modulus < _KERNEL_MAX_MODULUS:
         out = np.empty(1, dtype=np.int64)
-        _kernels().ryser(m.entries.ctypes.data, 1, n, modulus, out.ctypes.data)  # C-ordered int8
+        _kernels().ryser(m.entries.ctypes.data, 1, n, n, modulus, out.ctypes.data)  # C-ordered int8
         return out.item()
     return permanent_ryser(m) % modulus
 

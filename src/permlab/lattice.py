@@ -22,12 +22,15 @@ of the level, sums the values one level down over the mask's +1 columns
 and subtracts the sum over its -1 columns; `select_heavy` writes a level's
 heavy masks in one branchless pass; `parent_histogram` counts each child's
 family parents in a 2**n-byte scratch array.  That file also holds the
-Ryser kernel of the batch and modular engines and the permutation walk of
-the naive engine.  It is compiled with gcc on first use into a per-user
-cache, $XDG_CACHE_HOME/permlab (default ~/.cache/permlab), under a name
-that carries the SHA-256 of the source and the compiler flags, and loaded
-with ctypes; a missing gcc, a failed compile or an unwritable cache is an
-OSError that names the compiler or the path.
+Ryser kernel, which scans the row subsets of a square matrix for the batch
+and modular engines or of a (k+1) x k block for its k+1 row-deleted
+cofactors (`engines.ryser_cofactors`, read by `checks.check_many_children`),
+and the permutation walk of the naive engine.  It is compiled with gcc on
+first use into a per-user cache, $XDG_CACHE_HOME/permlab (default
+~/.cache/permlab), under a name that carries the SHA-256 of the source and
+the compiler flags, and loaded with ctypes; a missing gcc, a failed
+compile or an unwritable cache is an OSError that names the compiler or the
+path.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ def _kernels() -> ctypes.CDLL:
     kernels.add_level.argtypes = [addr, addr, i64, ctypes.c_uint64]
     kernels.select_heavy.argtypes = [addr, addr, i64, i64, addr]
     kernels.parent_histogram.argtypes = [addr, i64, i64, i64, addr, addr]
-    kernels.ryser.argtypes = [addr, i64, i64, i64, addr]
+    kernels.ryser.argtypes = [addr, i64, i64, i64, i64, addr]
     kernels.naive_odd.argtypes = [addr, i64]
     kernels.add_level.restype = kernels.ryser.restype = None
     kernels.select_heavy.restype = kernels.parent_histogram.restype = kernels.naive_odd.restype = i64

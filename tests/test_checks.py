@@ -134,6 +134,30 @@ def test_many_children_bound():
     assert r1.passed
 
 
+@pytest.mark.parametrize("n, i_size, trials", [(10, 4, 2100), (12, 1, 600), (13, 12, 2100), (18, 6, 200)],
+                         ids=["k6", "one-child", "k1", "children-13x13"])
+def test_many_children_matches_child_by_child_permanents(n, i_size, trials):
+    # the same seeded draws, each child's permanent computed on its own
+    import numpy as np
+    from permlab.engines import ryser_batch
+
+    rng = RngStream(41, n)
+    k = n - i_size
+    gen = rng.generator()
+    any_hits = third_hits = 0
+    for start in range(0, trials, checks._DRAW_BLOCK):
+        batch = min(checks._DRAW_BLOCK, trials - start)
+        mats = 2 * gen.integers(0, 2, size=(batch, k + 1, k + i_size), dtype=np.int8) - 1
+        parents = np.abs(ryser_batch(mats[:, :k, :k]))
+        ok = sum(np.abs(ryser_batch(np.concatenate([mats[:, :, :k], mats[:, :, k + i : k + i + 1]], axis=2)))
+                 >= parents for i in range(i_size))
+        any_hits += int(np.count_nonzero(ok >= 1))
+        third_hits += int(np.count_nonzero(3 * ok >= i_size))
+    stats = check_many_children(trials, n, i_size, rng=rng).statistics
+    assert stats["some_child_frequency"] == any_hits / trials
+    assert stats["third_of_children_frequency"] == third_hits / trials
+
+
 def test_littlewood_offord_hand_cases():
     # v=(1,1): P(sum=0) = 1/2 and the binomial bound is tight
     r = check_littlewood_offord([1.0, 1.0], 1.0, x=0.0, mode="exact")

@@ -76,11 +76,13 @@ def test_counts_below_one_rejected(tmp_path, args, flag):
 
 @pytest.mark.parametrize("args, flag, message", [
     (["verify", "--suite", "littlewood_offord", "--x", "-1"], "--x", "must be at least 0"),
+    (["verify", "--suite", "littlewood_offord", "--x", "inf"], "--x", "must be finite, got inf"),
     (["ensemble", "--n-list", "8,x", "--out", "{tmp}/e.csv"], "--n-list", "must be comma-separated"),
     (["ensemble", "--n-list", ",", "--out", "{tmp}/e.csv"], "--n-list", "needs at least one size"),
     (["ensemble", "--n-list", "8,23", "--out", "{tmp}/e.csv"], "--n-list", "ensemble is capped at n <= 22"),
     (["verify", "--suite", "nope", "--out", "{tmp}/e.csv"], "--suite", "invalid choice: 'nope'"),
-], ids=["verify-x-negative", "n-list-not-int", "n-list-empty", "n-list-above-cap", "verify-unknown-suite"])
+], ids=["verify-x-negative", "verify-x-infinite", "n-list-not-int", "n-list-empty",
+        "n-list-above-cap", "verify-unknown-suite"])
 def test_bad_values_rejected(tmp_path, args, flag, message):
     res = run_cli(*(a.format(tmp=tmp_path) for a in args))
     assert res.returncode == 2
@@ -202,9 +204,13 @@ def test_thread_count_that_is_not_an_integer_is_refused(tmp_path):
     (["parent_child", "--n", "40", "--trials", "2"], "parent-child check is capped at --n <= 13, got n=40"),
     (["many_children", "--n", "100000", "--i-size", "99990", "--trials", "3000"],
      "many-children check is capped at --n <= 63, got n=100000"),
+    (["many_children", "--n", "20", "--i-size", "2", "--trials", "3000"],
+     "many-children check is capped at --n - --i-size + 1 <= 13 (the child minor size),"
+     " got 19 (--n 20, --i-size 2)"),
     (["littlewood_offord", "--m", "100000", "--mode", "monte_carlo", "--trials", "10000"],
      "monte-carlo littlewood-offord check is capped at --m <= 63, got m=100000"),
-], ids=["parent-child-14", "parent-child-40", "many-children", "littlewood-offord"])
+], ids=["parent-child-14", "parent-child-40", "many-children", "many-children-child-size",
+        "littlewood-offord"])
 def test_oversized_checks_refused_before_drawing(monkeypatch, capsys, args, message):
     # no generator is ever made, so no draw, large or small, is requested
     monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew before refusing"))

@@ -12,6 +12,7 @@ from permlab.engines import (
     permanent_naive,
     permanent_ryser,
     ryser_batch,
+    ryser_cofactors,
 )
 from permlab.matrices import CapError, SignMatrix, all_ones, sample_sign_matrix
 from permlab.rng import RngStream
@@ -95,6 +96,62 @@ def test_ryser_batch_at_its_int64_bound():
     ones = np.ones((2, 13, 13), dtype=np.int8)
     ones[1] *= -1
     assert ryser_batch(ones).tolist() == [math.factorial(13), -math.factorial(13)]
+
+
+def _sign_blocks(gen, count: int, rows: int) -> np.ndarray:
+    return 2 * gen.integers(0, 2, size=(count, rows, rows - 1), dtype=np.int8) - 1
+
+
+@pytest.mark.parametrize("rows", range(2, 12))
+def test_ryser_cofactors_match_naive_row_deleted_blocks(rows):
+    gen = RngStream(31, rows).generator()
+    blocks = _sign_blocks(gen, 2 if rows == 11 else 6, rows)
+    cof = ryser_cofactors(blocks)
+    assert cof.shape == (len(blocks), rows) and cof.dtype == np.int64
+    for block, got in zip(blocks, cof):
+        assert got.tolist() == [permanent_naive(SignMatrix(np.delete(block, r, axis=0)))
+                                for r in range(rows)]
+
+
+@pytest.mark.parametrize("rows", range(2, 14))
+def test_ryser_cofactors_match_ryser_batch(rows):
+    gen = RngStream(32, rows).generator()
+    blocks = _sign_blocks(gen, 8, rows)
+    cof = ryser_cofactors(blocks)
+    for r in range(rows):
+        assert np.array_equal(cof[:, r], ryser_batch(np.delete(blocks, r, axis=1)))
+    # Laplace expansion along an added column gives the square permanent
+    column = 2 * gen.integers(0, 2, size=(8, rows, 1), dtype=np.int8) - 1
+    square = np.concatenate([blocks, column], axis=2)
+    assert np.array_equal((cof * column[:, :, 0]).sum(axis=1), ryser_batch(square))
+
+
+def test_ryser_cofactors_at_their_int64_bound():
+    # every column sum and product is as large as it gets; a negated column
+    # negates every row-deleted minor
+    ones = np.ones((3, 13, 12), dtype=np.int8)
+    ones[1] *= -1
+    ones[2, :, 5] = -1
+    f12 = math.factorial(12)
+    assert ryser_cofactors(ones).tolist() == [[f12] * 13, [f12] * 13, [-f12] * 13]
+
+
+def test_ryser_cofactors_of_a_one_by_zero_block():
+    # deleting the one row leaves the empty matrix, whose permanent is 1
+    assert ryser_cofactors(np.ones((2, 1, 0), dtype=np.int8)).tolist() == [[1], [1]]
+
+
+def test_ryser_cofactors_refusals():
+    with pytest.raises(CapError, match="capped at 13 rows, got 14"):
+        ryser_cofactors(np.ones((1, 14, 13), dtype=np.int8))
+    for bad in (0, 2, 257):
+        blocks = np.ones((2, 5, 4), dtype=np.int64)
+        blocks[1, 4, 3] = bad
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            ryser_cofactors(blocks)
+    for shape in ((1, 4, 4), (1, 4, 2), (1, 3, 5)):
+        with pytest.raises(ValueError, match="one row more than columns"):
+            ryser_cofactors(np.ones(shape, dtype=np.int8))
 
 
 @pytest.mark.parametrize("n", [20, 22])
