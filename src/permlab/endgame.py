@@ -1,8 +1,11 @@
 """Endgame runs: carry heaviness from a mid-size minor to the full matrix.
 
 Each stage takes the first k rows of a matrix (`SignMatrix.prefix(k)`) and
-the matrix itself, builds the minor table of those rows and extends it one
-exposed row of the matrix at a time:
+the matrix itself, and reads the one minor table of that matrix, extended
+one exposed row at a time.  The table outlives a stage: the next stage on
+the same matrix object extends it further instead of rebuilding its
+prefix, so a matrix taken through all stages builds each level once.
+Stages still read only the levels of the rows they expose.
 
 - a path run extends one heavy column set level by level, preferring
   columns outside a protected block so the final set covers everything
@@ -17,6 +20,7 @@ exposed row of the matrix at a time:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -24,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .growth import ProcessConfig
-from .lattice import MinorTable, build_lattice
+from .lattice import MinorTable
 from .matrices import SignMatrix
 from .subsets import bits_of
 
@@ -39,6 +43,32 @@ def _exposed(prefix: np.ndarray, source: SignMatrix) -> int:
     if not np.array_equal(source.entries[:k], prefix):
         raise ValueError("matrix row source disagrees with the prefix rows")
     return k
+
+
+class _Slot(threading.local):
+    source: Optional[SignMatrix] = None
+    table: Optional[MinorTable] = None
+
+
+_slot = _Slot()
+
+
+def _table(source: SignMatrix, k: int) -> MinorTable:
+    """The minor table of source, built through at least level k.
+
+    One table is kept (per thread), for the matrix object last passed
+    (`is`, never equal content, so two draws never share a table).  A new
+    matrix drops the old table before its own is allocated, so at most one
+    table is alive.
+    """
+    if _slot.source is not source:
+        _slot.source = _slot.table = None
+        _slot.table = MinorTable(source.n)
+        _slot.source = source
+    table = _slot.table
+    while table.k_max < k:
+        table.add_level(source.row(table.k_max))
+    return table
 
 
 @dataclass(frozen=True)
@@ -91,19 +121,19 @@ def _grow_sets(source: SignMatrix, k: int, blocks: list[int], depth: int, tint: 
                steps: Optional[list[PathStep]] = None) -> tuple[MinorTable, list[int]]:
     """Grow the leading k-column set once per block, one column per exposed row.
 
-    Rows k..n-depth-1 of source are exposed in turn; after each, every
-    block's set gains the column `_choose_extension` picks.  With `steps`
-    (single-block runs) each extension is recorded.  Returns the table and
-    the final sets.
+    Rows k..n-depth-1 of source are exposed in turn, each extending the
+    matrix's one table (`_table`); after each, every block's set gains the
+    column `_choose_extension` picks.  With `steps` (single-block runs) each
+    extension is recorded.  Returns the table and the final sets.
     """
     n = source.n
-    table = build_lattice(source, k)
+    table = _table(source, k)
     start = (1 << k) - 1
     if abs(table.value(start)) < tint:
         raise PreconditionError("the leading k-column set is not heavy at the threshold")
     current = [start] * len(blocks)
     for j in range(k, n - depth):
-        table.add_level(source.row(j))
+        table = _table(source, j + 1)
         for b, block in enumerate(blocks):
             i, rule = _choose_extension(table, current[b], block, tint)
             current[b] |= 1 << i
@@ -228,7 +258,7 @@ def propagate_down(prefix: np.ndarray, members, threshold, cfg: ProcessConfig,
     if not complements_disjoint(members, n):
         raise PreconditionError("family complements must be pairwise disjoint")
 
-    table = build_lattice(source, k + 1)
+    table = _table(source, k + 1)
     new_threshold = Fraction(threshold) / n
     tint = math.ceil(new_threshold)
 
@@ -254,6 +284,6 @@ def final_row_heaviness(prefix: np.ndarray, threshold_final,
     n, k = source.n, _exposed(prefix, source)
     if k != n - 1:
         raise ValueError(f"final-row step needs exactly n-1 = {n - 1} rows, got {k}")
-    table = build_lattice(source, k + 1)
+    table = _table(source, k + 1)
     per = table.top_value()
     return FinalRowResult(permanent=per, heavy=abs(per) >= math.ceil(threshold_final))

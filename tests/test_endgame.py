@@ -1,9 +1,11 @@
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from permlab import endgame
 from permlab.endgame import (
     PreconditionError,
     complements_disjoint,
@@ -14,6 +16,7 @@ from permlab.endgame import (
 )
 from permlab.engines import permanent_ryser
 from permlab.growth import ProcessConfig
+from permlab.lattice import MinorTable
 from permlab.matrices import SignMatrix, all_ones, sample_sign_matrix
 from permlab.rng import RngStream
 from permlab.subsets import mask_of
@@ -259,3 +262,130 @@ def test_propagate_ensemble_meets_pilot_band():
             retained_ok += 1
     assert with_family > 0
     assert retained_ok / with_family >= band["min_retained_ok_fraction"]
+
+
+def endgame_sequence(m, fresh=False):
+    """The endgame on one matrix, with the benchmark op's parameters: path
+    from cfg.end_level(n), family from k = 6 with 3 blocks (L = 2),
+    propagate at n - L when the family has members, final row at n - 1.
+
+    Returns each stage's result, None where it did not run.  With `fresh`,
+    every stage reads a new content-equal copy of m, so it builds its own
+    table from row 0.
+    """
+    n, L = m.n, 2
+    cfg = ProcessConfig(L=L)
+    k = cfg.end_level(n)
+
+    def source():
+        return SignMatrix(m.entries) if fresh else m
+
+    path = outcome(run_endgame_path, m.prefix(k), block_after(k, L), 1, cfg, source())
+    family = outcome(find_disjoint_heavy_family, m.prefix(6), 1, 3, L, cfg, source())
+    propagated = None
+    if family is not None and family.members:
+        propagated = propagate_down(m.prefix(n - L), family.members, 1, cfg, source())
+    return [path, family, propagated, final_row_heaviness(m.prefix(n - 1), 1, source())]
+
+
+# Draws 0 and 8 of RngStream(18, i) at n = 18: all four stages run on the
+# first; on the second the family stage stops on its precondition.
+@pytest.mark.parametrize("draw, family_runs", [(0, True), (8, False)])
+def test_endgame_sequence_builds_each_level_once(monkeypatch, draw, family_runs):
+    m = sample_sign_matrix(18, RngStream(18, draw))
+    built = []
+    add_level = MinorTable.add_level
+
+    def counted(table, row):
+        built.append(table.k_max + 1)
+        add_level(table, row)
+
+    monkeypatch.setattr(MinorTable, "add_level", counted)
+    shared = endgame_sequence(m)
+    assert built == list(range(1, 19))  # 18 calls, each level once
+    path, family, propagated, _ = shared
+    assert path is not None and path.steps
+    assert (family is not None) == family_runs
+    assert (propagated is not None) == family_runs
+    assert shared == endgame_sequence(m, fresh=True)
+
+
+def test_stages_read_only_the_levels_of_their_exposed_rows(monkeypatch):
+    # The table a stage reads may already be built past its rows by an
+    # earlier stage; no stage may read a level it has not asked for.
+    n, L = 18, 2
+    cfg = ProcessConfig(L=L)
+    k = cfg.end_level(n)
+    m = sample_sign_matrix(n, RngStream(18, 0))
+    asked = [0]  # highest level the running stage has asked _table for
+    table_of, value = endgame._table, MinorTable.value
+
+    def tracked(source, level):
+        asked[0] = max(asked[0], level)
+        return table_of(source, level)
+
+    def checked(table, mask):
+        assert int(mask).bit_count() <= asked[0]
+        return value(table, mask)
+
+    monkeypatch.setattr(endgame, "_table", tracked)
+    monkeypatch.setattr(MinorTable, "value", checked)
+
+    def run(stage, *args):
+        asked[0] = 0
+        result = stage(*args)
+        return result, asked[0]
+
+    for _ in range(2):  # the second pass starts with all n levels built
+        _, top = run(run_endgame_path, m.prefix(k), block_after(k, L), 1, cfg, m)
+        assert top == n - L
+        family, top = run(find_disjoint_heavy_family, m.prefix(6), 1, 3, L, cfg, m)
+        assert top == n - L and family.members
+        _, top = run(propagate_down, m.prefix(n - L), family.members, 1, cfg, m)
+        assert top == n - L + 1
+        _, top = run(final_row_heaviness, m.prefix(n - 1), 1, m)
+        assert top == n
+
+
+def test_table_slot_holds_one_matrix_at_a_time(monkeypatch):
+    n, L = 18, 2
+    cfg = ProcessConfig(L=L)
+    k = cfg.end_level(n)
+    a, b = (sample_sign_matrix(n, RngStream(18, i)) for i in (0, 1))
+    want = {a: endgame_sequence(a, fresh=True), b: endgame_sequence(b, fresh=True)}
+    stages = [
+        lambda m: run_endgame_path(m.prefix(k), block_after(k, L), 1, cfg, m),
+        lambda m: find_disjoint_heavy_family(m.prefix(6), 1, 3, L, cfg, m),
+        lambda m: propagate_down(m.prefix(n - L), want[m][1].members, 1, cfg, m),
+        lambda m: final_row_heaviness(m.prefix(n - 1), 1, m),
+    ]
+    for s, stage in enumerate(stages):  # A, then B, then A again at every stage
+        for m in (a, b, a):
+            assert stage(m) == want[m][s]
+
+    # A new matrix object, even a content-equal copy, gets its own table,
+    # allocated only after the old one is gone.
+    init = MinorTable.__init__
+    alive_at_alloc = []
+
+    def tracked_init(table, size):
+        alive_at_alloc.append(old() is not None)
+        init(table, size)
+
+    monkeypatch.setattr(MinorTable, "__init__", tracked_init)
+    copy = SignMatrix(b.entries)
+    for m in (b, copy):
+        old = weakref.ref(endgame._slot.table)
+        assert stages[3](m) == want[b][3]
+        assert old() is None and endgame._slot.source is m
+    assert alive_at_alloc == [False, False]
+
+    # The prefix check still refuses a mismatched pair while the slot holds
+    # the source's table, and leaves that table in place.
+    held = endgame._slot.table
+    with pytest.raises(ValueError, match="disagrees with the prefix rows"):
+        final_row_heaviness(a.prefix(n - 1), 1, copy)
+    with pytest.raises(ValueError, match="disagrees with the prefix rows"):
+        run_endgame_path(a.prefix(k), block_after(k, L), 1, cfg, copy)
+    assert endgame._slot.table is held and endgame._slot.source is copy
+    assert stages[3](copy) == want[b][3]
