@@ -1,10 +1,11 @@
 /* The compiled kernels of permlab, loaded together by permlab.lattice._kernels:
    the level build and the two per-level queries of the minor lattice
-   (add_level, select_heavy, parent_histogram), Ryser's formula (ryser) for
-   the batch and modular engines and, on a block with one row more than
-   columns, for the row-deleted cofactors that many_children expands its
-   children along, and the walk over all permutations of the naive engine
-   (naive_odd). */
+   (add_level, select_heavy, parent_histogram), Glynn's formula (glynn) for
+   every exact square permanent, Ryser's formula (ryser) for the modular
+   engine and, on a block with one row more than columns, for the row-deleted
+   cofactors that many_children expands its children along, and the walk
+   over all permutations of the naive engine (naive_odd).  glynn, ryser and
+   naive_odd share no code, so each can check the others. */
 #include <stdint.h>
 
 /* One level of the minor lattice (permlab.lattice.MinorTable.add_level).
@@ -94,6 +95,107 @@ int64_t parent_histogram(const int64_t *members, int64_t count, int64_t n, int64
     return 0;
 }
 
+/* Glynn's formula (D. G. Glynn, "The permanent of a square matrix",
+   European J. Combin. 31, 2010) over count n x n sign matrices, stored
+   row-major one after another in mats (permlab.engines.permanent,
+   permanents and ryser_batch).  With delta ranging over the sign vectors
+   with delta_0 = +1,
+       2**(n-1) * Per(A) = sum over delta of prod_k delta_k
+                                          * prod over columns j of s_j,
+   s_j = sum over i of delta_i * a[i][j].  The deltas are visited in
+   Gray-code order: step s flips delta_{i+1}, i = ctz(s), so each s_j moves
+   by -+2 a[i+1][j] and the sign prod_k delta_k alternates with s.  For even
+   n every s_j is a sum of an even number of signs, so the lanes hold s_j / 2,
+   which moves by -+a[i+1][j], and the total is 2**(n-1) Per / 2**n = Per / 2.
+   For odd n the lanes hold s_j and the total is 2**(n-1) Per.
+
+   The lanes have a fixed width, 16 for n <= 16 and 32 above, so every loop
+   over them has a constant trip count; a lane j >= n holds 1 and never
+   moves.  Every step is a ring operation on unsigned words, which wrap and
+   have no undefined overflow, so the total is exact modulo 2**64 (or
+   2**128), and its signed reading is exact whenever the true total lies in
+   [-2**63, 2**63) (or [-2**127, 2**127)):
+   - even n <= 20: |Per / 2| <= n! / 2 <= 20! / 2 < 2**63;
+   - odd n <= 15: |2**(n-1) Per| <= 2**14 * 15! < 2**55;
+   - every other n <= 22 sums in unsigned __int128: |2**(n-1) Per| <=
+     2**20 * 21! < 2**86 and |Per / 2| <= 22! / 2 < 2**70.
+   Each product runs as four independent chains, p[k] over the lanes
+   j = k (mod 4).  In 128 bits, p[0] * p[1] covers at most 12 of the n <= 22
+   moving lanes and p[2] * p[3] at most 10, and a lane is at most 21 (odd n)
+   or 11 (n = 22, halved) in absolute value, so both are exact as int64
+   (21**12 < 2**53) and one signed 64 x 64 -> 128 multiply of the two is
+   exact too (21**22 < 2**97).
+
+   out[2b] and out[2b+1] are the low and high words of Per(A_b) in two's
+   complement (the high word is 0 or -1 for n <= 20, where |Per| <= 20!).
+   0 <= n <= 22 (the caller's cap); the empty matrix has permanent 1. */
+static inline __attribute__((always_inline)) void
+glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const int wide,
+            int64_t *out)
+{
+    const int64_t div = 2 - n % 2;  /* the lanes hold s_j / div */
+    for (int64_t b = 0; b < count; b++) {
+        const int8_t *a = mats + b * n * n;
+        /* step[1][i - 1] is what delta_i going from +1 to -1 adds to the
+           lanes, step[0][i - 1] what going back adds */
+        uint64_t step[2][21][32], sums[32];
+        for (int j = 0; j < lanes; j++) {
+            int64_t col = 0;
+            for (int64_t i = 0; i < n; i++) {
+                int64_t entry = j < n ? a[i * n + j] : 0;
+                col += entry;
+                if (i) {
+                    step[0][i - 1][j] = (uint64_t)(2 * entry / div);
+                    step[1][i - 1][j] = -step[0][i - 1][j];
+                }
+            }
+            sums[j] = j < n ? (uint64_t)(col / div) : 1;
+        }
+        uint64_t total = 0;
+        unsigned __int128 total128 = 0;
+        for (uint64_t s = 0; s >> (n - 1) == 0; s++) {
+            if (s) {
+                int i = __builtin_ctzll(s);
+                const uint64_t *d = step[(s ^ s >> 1) >> i & 1][i];
+                for (int j = 0; j < lanes; j++)
+                    sums[j] += d[j];
+            }
+            /* four independent chains of multiplies, not one */
+            uint64_t p[4] = {1, 1, 1, 1};
+#pragma GCC unroll 32
+            for (int j = 0; j < lanes; j++)
+                p[j % 4] *= sums[j];
+            if (wide) {
+                unsigned __int128 prod = (__int128)(int64_t)(p[0] * p[1]) * (int64_t)(p[2] * p[3]);
+                total128 = s & 1 ? total128 - prod : total128 + prod;
+            } else {
+                uint64_t prod = p[0] * p[1] * (p[2] * p[3]);
+                total = s & 1 ? total - prod : total + prod;
+            }
+        }
+        __int128 per;
+        if (wide)
+            per = n % 2 ? (__int128)total128 / ((__int128)1 << (n - 1)) : 2 * (__int128)total128;
+        else
+            per = n % 2 ? (int64_t)total / ((int64_t)1 << (n - 1)) : 2 * (int64_t)total;
+        out[2 * b] = (int64_t)(uint64_t)per;
+        out[2 * b + 1] = (int64_t)(uint64_t)((unsigned __int128)per >> 64);
+    }
+}
+
+void glynn(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
+{
+    if (n == 0)
+        for (int64_t b = 0; b < count; b++)
+            out[2 * b] = 1, out[2 * b + 1] = 0;
+    else if (n <= 16)
+        glynn_sweep(mats, count, n, 16, 0, out);
+    else if (n % 2 == 0 && n <= 20)
+        glynn_sweep(mats, count, n, 32, 0, out);
+    else
+        glynn_sweep(mats, count, n, 32, 1, out);
+}
+
 /* Ryser's formula over the row sets of count rows x cols sign blocks, stored
    row-major one after another in mats.  Row sets S are visited in Gray-code
    order (Nijenhuis-Wilf): step s toggles row ctz(s), so the column sums
@@ -101,14 +203,13 @@ int64_t parent_histogram(const int64_t *members, int64_t count, int64_t n, int64
    row, and |colsum_S[j]| <= |S|.  Each S has the term
        t_S = (-1)**(cols - |S|) * prod over j of colsum_S[j].
 
-   cols == rows (permlab.engines.ryser_batch and permanent_mod): out[b] is the
+   cols == rows (permlab.engines.permanent_mod; modular only,
+   2 <= modulus < 2**31): out[b] is the residue in [0, modulus) of the
    permanent of square matrix b, Per(A) = Per(A^T) = sum over all S of t_S.
-   modulus == 0: exact.  Each product is at most n**n and the total at most
-   2**n * n**n, which is below 2**63 for n <= 13.
-   2 <= modulus < 2**31: out[b] is the residue in [0, modulus).  The product
-   is reduced after every 6 factors, so it stays below 2**31 * 30**6 < 2**61;
-   each reduced product is below 2**31, so the total stays below
-   2**n * 2**31 <= 2**61 for n <= 30.
+   The product is reduced after every 6 factors, so it stays below
+   2**31 * 30**6 < 2**61; each reduced product is below 2**31, so the total
+   stays below 2**n * 2**31 <= 2**61 for n <= 30.  Exact square permanents
+   come from glynn; these residues are the oracle that checks it.
 
    cols == rows - 1 (permlab.engines.ryser_cofactors; exact only, modulus 0):
    out[b * rows + r] is the permanent of block b without row r,
@@ -125,7 +226,7 @@ int64_t parent_histogram(const int64_t *members, int64_t count, int64_t n, int64
    rows <= 13.
 
    The subset loop is written once, in ryser_sweep; ryser inlines it once
-   per shape, so the square path has no per-step shape test. */
+   per shape, so neither path has a per-step shape test. */
 static inline __attribute__((always_inline)) void
 ryser_sweep(const int8_t *mats, int64_t count, int64_t rows, int64_t cols, int64_t modulus,
             const int cofactors, int64_t *out)
@@ -151,7 +252,7 @@ ryser_sweep(const int8_t *mats, int64_t count, int64_t rows, int64_t cols, int64
                 mark[i] = total;
             }
             int64_t prod = 1;
-            if (modulus == 0) {
+            if (cofactors) {
                 for (int64_t j = 0; j < cols; j++)
                     prod *= sums[j];
             } else {
@@ -169,7 +270,7 @@ ryser_sweep(const int8_t *mats, int64_t count, int64_t rows, int64_t cols, int64
             for (int64_t r = 0; r < rows; r++)
                 out[b * rows + r] = r == rows - 1 ? cof[r] : cof[r] + total - mark[r];
         else
-            out[b] = modulus == 0 ? total : (total % modulus + modulus) % modulus;
+            out[b] = (total % modulus + modulus) % modulus;
     }
 }
 

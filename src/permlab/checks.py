@@ -24,10 +24,11 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
+from itertools import islice
 
 import numpy as np
 
-from .engines import _BATCH_MAX_N, permanent, permanent_mod, ryser_batch, ryser_cofactors
+from .engines import _BATCH_MAX_N, permanents, ryser_batch, ryser_cofactors
 from .growth import ProcessConfig, count_threshold, run_growth
 from .lattice import SplitVerdict
 from .matrices import MAX_N, CapError, sample_sign_matrix
@@ -148,8 +149,15 @@ def exact_permanents(n: int) -> np.ndarray:
 
 
 def sample_permanents(n: int, trials: int, rng: RngStream) -> list[int]:
-    """Exact permanents of `trials` seeded n x n sign matrices; draw t uses rng.substream(t)."""
-    return [permanent(sample_sign_matrix(n, rng.substream(t))) for t in range(trials)]
+    """Exact permanents of `trials` seeded n x n sign matrices; draw t uses rng.substream(t).
+
+    The draws go to the kernel _DRAW_BLOCK at a time, one call per block.
+    """
+    draws = (sample_sign_matrix(n, rng.substream(t)).entries for t in range(trials))
+    pers = []
+    for rows in _draw_blocks(trials):
+        pers += permanents(np.stack(list(islice(draws, rows))))
+    return pers
 
 
 def _permanents(check: str, n: int, mode: str, trials: int | None, rng: RngStream | None):
@@ -230,9 +238,8 @@ def check_alon(n: int, trials: int | None = None, rng: RngStream | None = None) 
         seed = None
     else:
         _needs_trials("alon", trials)
-        # n + 1 = 2**m divides two_adic_mod, so one residue answers both
-        perms = np.array([permanent_mod(sample_sign_matrix(n, rng.substream(t)), two_adic_mod)
-                          for t in range(trials)], dtype=np.int64)
+        # exact permanents, which fit int64 at n <= 15; both residues are read off them
+        perms = np.array(sample_permanents(n, trials, rng), dtype=np.int64)
         sample_size = trials
         seed = rng.seed
     bad = int(np.count_nonzero(perms % modulus != expected))

@@ -20,17 +20,23 @@ import json
 import math
 import os
 import sys
+from collections import Counter, deque
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
 from .checks import CHECKS, _needs_trials, default_suite, run_check, suite_passed, summary_lines
-from .engines import determinant_exact, permanent, permanent_mod, permanent_naive, permanent_ryser
+from .engines import (PERMANENT_MAX_N, determinant_exact, permanent, permanent_mod, permanent_naive,
+                      permanent_ryser)
 from .growth import ProcessConfig, run_growth, write_trace_jsonl
-from .lattice import DUMP_MAX_N, LATTICE_MAX_N, build_lattice, dump_lattice_csv
+from .lattice import DUMP_MAX_N, build_lattice, dump_lattice_csv
 from .matrices import CapError, SignMatrix, from_text, sample_sign_matrix
 from .rng import RngStream
+
+_WINDOW = 4  # trials in flight per worker process
 
 
 def _thread_count() -> int:
@@ -43,13 +49,24 @@ def _thread_count() -> int:
     return max(1, min(requested, os.cpu_count() or 1))
 
 
-def _map_trials(fn, payloads: list) -> list:
-    """fn applied to each payload, in payload order, on _thread_count() workers."""
+def _map_trials(fn, payloads: Iterable) -> Iterator:
+    """fn applied to each payload, yielded in payload order, on _thread_count() workers.
+
+    Payloads are drawn from the iterable only as results are taken, at most
+    _WINDOW per worker ahead, so memory does not grow with the trial count.
+    """
     threads = _thread_count()
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, payloads))
-    return [fn(p) for p in payloads]
+    if threads == 1:
+        yield from map(fn, payloads)
+        return
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        pending: deque = deque()
+        for payload in payloads:
+            if len(pending) == threads * _WINDOW:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, payload))
+        while pending:
+            yield pending.popleft().result()
 
 
 def _positive_int(text: str) -> int:
@@ -71,7 +88,7 @@ def _nonnegative_float(text: str) -> float:
 
 
 def _size_list(text: str) -> list[int]:
-    """argparse type for --n-list: comma-separated sizes in 1..LATTICE_MAX_N, at least one."""
+    """argparse type for --n-list: comma-separated sizes in 1..PERMANENT_MAX_N, at least one."""
     tokens = [tok for tok in text.split(",") if tok.strip()]
     if not tokens:
         raise argparse.ArgumentTypeError(f"needs at least one size, got {text!r}")
@@ -81,22 +98,32 @@ def _size_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"must be comma-separated integers >= 1, got {text!r}") from None
     for n in sizes:
-        if n > LATTICE_MAX_N:
-            raise argparse.ArgumentTypeError(f"ensemble is capped at n <= {LATTICE_MAX_N}, got n={n}")
+        if n > PERMANENT_MAX_N:
+            raise argparse.ArgumentTypeError(f"ensemble is capped at n <= {PERMANENT_MAX_N}, got n={n}")
     return sizes
 
 
 def _write_manifest(path: Path, subcommand: str, config: dict, seed: int | None,
-                    outputs: list[str]) -> None:
+                    outputs: Iterable[str]) -> None:
+    """The run's manifest: what json.dumps(..., indent=2, sort_keys=True)
+    writes, with the outputs written one at a time as they are iterated, so
+    a run of many trace files never holds all their names."""
     manifest = {
         "subcommand": subcommand,
         "config": config,
         "seed": seed,
         "version": __version__,
-        "outputs": outputs,
+        "outputs": [],
         "created": datetime.now(timezone.utc).isoformat(),
     }
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    head, tail = json.dumps(manifest, indent=2, sort_keys=True).split('"outputs": []')
+    with open(path, "w") as fh:
+        fh.write(head + '"outputs": [')
+        empty = True
+        for name in outputs:
+            fh.write(("\n    " if empty else ",\n    ") + json.dumps(name))
+            empty = False
+        fh.write(("]" if empty else "\n  ]") + tail + "\n")
 
 
 def _load_matrix(args) -> SignMatrix:
@@ -144,44 +171,50 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _growth_trial(payload: tuple) -> tuple[str, dict]:
-    """Run one trial, write its trace file; return the path and the summary row."""
-    seed, trial, n, cfg, out = payload
+def _trace_paths(out: Path, trials: int) -> Iterator[str]:
+    """Each trial's trace file, in trial order.  "trace_" has no separator,
+    so it joins `out` exactly as each full file name would."""
+    prefix = str(out / "trace_")
+    return (f"{prefix}{trial:05d}.jsonl" for trial in range(trials))
+
+
+def _growth_trial(payload: tuple) -> dict:
+    """Run one trial, write its trace file; return its summary row."""
+    seed, trial, n, cfg, path = payload
     trace = run_growth(sample_sign_matrix(n, RngStream(seed, trial)), cfg)
-    path = out / f"trace_{trial:05d}.jsonl"
     write_trace_jsonl(trace, path, seed=seed, stream=trial)
     final = trace.final
-    summary = {
+    return {
         "trial": trial,
         "successful": int(trace.successful),
         "N_k1": final.tracked,
         "W_k1": final.potential,
         **{f"type_{t}": c for t, c in trace.step_type_counts().items()},
     }
-    return str(path), summary
 
 
 def cmd_growth(args) -> int:
     cfg = ProcessConfig(eps=args.eps, eps_prime=args.eps_prime, c=args.c)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payloads = [(args.seed, t, args.n, cfg, out) for t in range(args.trials)]
-    results = _map_trials(_growth_trial, payloads)
-    trace_paths = [path for path, _ in results]
-    summary_rows = [row for _, row in results]
-
+    payloads = ((args.seed, t, args.n, cfg, path)
+                for t, path in enumerate(_trace_paths(out, args.trials)))
     summary_path = out / "summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(summary_rows[0]))
-        writer.writeheader()
-        writer.writerows(summary_rows)
+    successes = 0
+    with _replace_when_done(summary_path) as fh:
+        writer = None
+        for row in _map_trials(_growth_trial, payloads):  # each row as its trial ends
+            if writer is None:
+                writer = csv.DictWriter(fh, fieldnames=list(row))
+                writer.writeheader()
+            writer.writerow(row)
+            successes += row["successful"]
 
     _write_manifest(
         out / "manifest.json", "growth",
         {"n": args.n, "trials": args.trials, **cfg.describe(args.n)},
-        args.seed, trace_paths + [str(summary_path)],
+        args.seed, chain(_trace_paths(out, args.trials), [str(summary_path)]),
     )
-    successes = sum(r["successful"] for r in summary_rows)
     print(f"{args.trials} runs, {successes} successful ({successes / args.trials:.3f})")
     return 0
 
@@ -265,19 +298,23 @@ def _ensemble_trial(payload: tuple) -> tuple[int, int, str, str]:
 
 def cmd_ensemble(args) -> int:
     n_list = args.n_list
-    payloads = [(args.seed, n, t) for n in n_list for t in range(args.trials)]
+    # rows go out in (n, trial) order; a size listed twice gives each of its rows twice
+    times = Counter(n_list)
+    payloads = ((args.seed, n, t) for n in sorted(times) for t in range(args.trials)
+                for _ in range(times[n]))
     out = Path(args.out)
+    rows = 0
     with _replace_when_done(out) as fh:
-        rows = _map_trials(_ensemble_trial, payloads)
-        rows.sort(key=lambda r: (r[0], r[1]))
         writer = csv.writer(fh)
         writer.writerow(["n", "trial", "per_abs_log", "det_abs_log"])
-        writer.writerows(rows)
+        for row in _map_trials(_ensemble_trial, payloads):
+            writer.writerow(row)
+            rows += 1
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"), "ensemble",
         {"n_list": n_list, "trials": args.trials}, args.seed, [str(out)],
     )
-    print(f"wrote {len(rows)} rows to {out}")
+    print(f"wrote {rows} rows to {out}")
     return 0
 
 

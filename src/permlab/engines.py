@@ -1,14 +1,17 @@
 """Exact permanent and determinant engines for sign matrices.
 
 Every scalar result is a plain Python int, so arithmetic is exact and can
-never overflow.  The batch and modular engines run Ryser's formula in the
-compiled `ryser` kernel (`_kernels.c`), in int64 only under the bounds
-stated there; they are cross-checked against the pure-Python engines in the
-test suite.  On a (k+1) x k block the same kernel's one subset scan gives all
-k+1 row-deleted permanents (`ryser_cofactors`), along which
-`checks.check_many_children` expands every child of a parent.  The naive
-engine's kernel, `naive_odd`, walks every permutation and shares no code with
-the others, so it stays their ground truth.
+never overflow.  Every exact square permanent the program reads, from
+`permanent`, `permanents` and `ryser_batch`, comes from one compiled kernel,
+`glynn` (`_kernels.c`), which runs Glynn's formula in wrapping arithmetic
+that is exact under the bounds stated there.  The `ryser` kernel keeps two
+sweeps that share no code with it: the modular one behind `permanent_mod`,
+whose residues are the CRT oracle for `glynn` and the lattice, and, on a
+(k+1) x k block, the one subset scan that gives all k+1 row-deleted
+permanents (`ryser_cofactors`), along which `checks.check_many_children`
+expands every child of a parent.  The naive engine's kernel, `naive_odd`,
+walks every permutation and shares no code with the others, so it stays
+their ground truth, with the pure-Python `permanent_ryser`.
 """
 
 from __future__ import annotations
@@ -17,14 +20,16 @@ import math
 
 import numpy as np
 
-from .lattice import _kernels, build_lattice
+from .lattice import _kernels
 from .matrices import CapError, SignMatrix
 
 NAIVE_MAX_N = 10  # n! enumeration
 RYSER_MAX_N = 30  # 2**n subset scan
-# Exact Ryser accumulates |sum| <= 2**n * n**n, which fits int64 through n=13,
-# and the cofactor scan of a 13 x 12 block at most 2**13 * 13**12.
+PERMANENT_MAX_N = 22  # the glynn kernel's stated bound (see _kernels.c)
+# ryser_batch returns int64, and the cofactor scan of a 13 x 12 block sums
+# at most 2**13 * 13**12 < 2**63.
 _BATCH_MAX_N = 13
+_WORD = 2**64 - 1
 # The modular kernel keeps every residue below 2**31 (see _kernels.c).
 _KERNEL_MAX_MODULUS = 1 << 31
 
@@ -79,29 +84,49 @@ def permanent_ryser(m: SignMatrix) -> int:
     return total
 
 
-def _ryser_blocks(blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Run the exact `ryser` kernel on a (B, rows, cols) batch of sign blocks into `out`."""
-    b, rows, cols = blocks.shape
-    if not np.all(np.abs(blocks) == 1):
+def _sign_entries(mats: np.ndarray) -> np.ndarray:
+    """A batch of sign blocks as the C-ordered int8 array the kernels read."""
+    if not np.all(np.abs(mats) == 1):
         raise ValueError("matrix entries must be -1 or +1")
-    blocks = np.ascontiguousarray(blocks, dtype=np.int8)
-    _kernels().ryser(blocks.ctypes.data, b, rows, cols, 0, out.ctypes.data)
-    return out
+    return np.ascontiguousarray(mats, dtype=np.int8)
 
 
-def ryser_batch(mats: np.ndarray) -> np.ndarray:
-    """Exact permanents for a batch of small sign matrices, in one kernel call.
-
-    Input (B, n, n) with entries in {-1,+1}; returns (B,) int64.  Capped at
-    n <= 13 so every intermediate provably fits int64.
-    """
+def _glynn(mats: np.ndarray) -> np.ndarray:
+    """The `glynn` kernel's (B, 2) int64 low and high words of the
+    permanents of a (B, n, n) batch of sign matrices."""
     mats = np.asarray(mats)
     b, n, n2 = mats.shape
     if n != n2:
         raise ValueError("matrices must be square")
+    if n > PERMANENT_MAX_N:
+        raise CapError(f"permanent is capped at n <= {PERMANENT_MAX_N}"
+                       f" (2**(n-1) sign vectors), got n={n}")
+    mats = _sign_entries(mats)
+    out = np.empty((b, 2), dtype=np.int64)
+    _kernels().glynn(mats.ctypes.data, b, n, out.ctypes.data)
+    return out
+
+
+def permanents(mats: np.ndarray) -> list[int]:
+    """Exact permanents of a (B, n, n) batch of sign matrices, in one kernel call.
+
+    Python ints, since they pass int64 above n = 20; capped at
+    n <= PERMANENT_MAX_N = 22.
+    """
+    return [hi << 64 | lo & _WORD for lo, hi in _glynn(mats).tolist()]
+
+
+def ryser_batch(mats: np.ndarray) -> np.ndarray:
+    """Exact permanents for a batch of small sign matrices, in one `glynn` call.
+
+    Input (B, n, n) with entries in {-1,+1}; returns (B,) int64.  Capped at
+    n <= 13, where |Per| <= 13!, so the kernel's low word is the permanent.
+    (The name predates the kernel, which runs Glynn's formula, not Ryser's.)
+    """
+    n = np.shape(mats)[1]
     if n > _BATCH_MAX_N:
         raise CapError(f"ryser_batch is capped at n <= {_BATCH_MAX_N}, got n={n}")
-    return _ryser_blocks(mats, np.empty(b, dtype=np.int64))
+    return _glynn(mats)[:, 0].copy()
 
 
 def ryser_cofactors(blocks: np.ndarray) -> np.ndarray:
@@ -111,7 +136,7 @@ def ryser_cofactors(blocks: np.ndarray) -> np.ndarray:
     [b, r] entry is the permanent of block b without row r.  One subset scan
     of the block gives all k+1 of them.  By Laplace expansion along an added
     column c, Per([block b | c]) = sum over r of c[r] * out[b, r].  Capped at
-    k+1 <= 13 rows, like ryser_batch.
+    k+1 <= 13 rows.
     """
     blocks = np.asarray(blocks)
     b, rows, cols = blocks.shape
@@ -119,7 +144,9 @@ def ryser_cofactors(blocks: np.ndarray) -> np.ndarray:
         raise ValueError(f"blocks must have one row more than columns, got {rows} x {cols}")
     if rows > _BATCH_MAX_N:
         raise CapError(f"ryser_cofactors is capped at {_BATCH_MAX_N} rows, got {rows}")
-    return _ryser_blocks(blocks, np.empty((b, rows), dtype=np.int64))
+    out = np.empty((b, rows), dtype=np.int64)
+    _kernels().ryser(_sign_entries(blocks).ctypes.data, b, rows, cols, 0, out.ctypes.data)
+    return out
 
 
 def permanent_mod(m: SignMatrix, modulus: int) -> int:
@@ -127,7 +154,8 @@ def permanent_mod(m: SignMatrix, modulus: int) -> int:
 
     For modulus < 2**31 the compiled Ryser kernel reduces every product mod
     `modulus`; a larger modulus reduces the exact permanent_ryser value.
-    Neither path reads the minor lattice, so residues can check it.
+    Neither path reads the minor lattice or the `glynn` kernel, so residues
+    can check both.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
@@ -142,13 +170,13 @@ def permanent_mod(m: SignMatrix, modulus: int) -> int:
 
 
 def permanent(m: SignMatrix) -> int:
-    """Exact permanent of the full matrix: the top value of its minor lattice.
+    """Exact permanent of the full matrix, from the compiled `glynn` kernel.
 
     The one entry point for callers that need the permanent itself; the
     other engines serve as test oracles, batches and residues.  Capped at
-    n <= lattice.LATTICE_MAX_N = 22 by the lattice's 2**n table.
+    n <= PERMANENT_MAX_N = 22, the kernel's stated bound.
     """
-    return build_lattice(m).top_value()
+    return permanents(m.entries[None])[0]
 
 
 def determinant_exact(m: SignMatrix) -> int:

@@ -81,7 +81,7 @@ def test_criterion_2_second_moment_identity():
 
 
 def _exact_permanents(n: int) -> list[int]:
-    """Permanents computed without `permanent_mod`, which the check relies on.
+    """Permanents computed without the `glynn` kernel, which the check relies on.
 
     All 512 matrices at n = 3; otherwise the first draws of the stream the
     check samples from, by brute force at n = 7 and pure-Python Ryser at n = 15.

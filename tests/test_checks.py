@@ -76,8 +76,8 @@ def test_alon_rejects_bad_n():
 
 
 def test_alon_31_exceeds_engine_cap():
-    # n+1 = 32 is admissible in principle but needs 2**31 subset terms,
-    # beyond the modular engine's documented cap
+    # n+1 = 32 is admissible in principle but needs 31 x 31 permanents,
+    # beyond the exact engine's documented cap of n <= 22
     with pytest.raises(CapError):
         check_alon(31, trials=1, rng=RngStream(0))
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -159,16 +160,21 @@ def test_missing_trials_leaves_out_untouched(tmp_path, monkeypatch, capsys, args
 
 @pytest.mark.parametrize("args, error", [
     (["verify", "--suite", "parent_child", "--n", "1"], "error: parent-child check needs n >= 2"),
-    (["ensemble", "--n-list", "12", "--trials", "1"], "error: minor lattice at n=12 needs about"),
+    (["ensemble", "--n-list", "12", "--trials", "1"], "error: gcc failed to compile"),
 ], ids=["verify", "ensemble"])
 def test_late_error_leaves_out_untouched(tmp_path, monkeypatch, capsys, args, error):
-    # raised inside the run, after the output file is opened; the memory
-    # probe is patched, so no large table is ever requested
-    monkeypatch.setattr(lattice, "_physical_memory_bytes", lambda: (26 << 12) - 1)
+    # raised inside the run, after the output file is opened: the check
+    # refuses its size, or the kernels, compiled on first use by the first
+    # permanent, fail to compile under a bad flag
+    monkeypatch.setattr(lattice, "_KERNEL_CC", (*lattice._KERNEL_CC, "-no-such-flag"))
     monkeypatch.delenv("PERMLAB_THREADS", raising=False)
     out = tmp_path / "r.out"
     out.write_text("earlier output\n")
-    assert cli.main([*args, "--out", str(out)]) == 2
+    lattice._kernels.cache_clear()
+    try:
+        assert cli.main([*args, "--out", str(out)]) == 2
+    finally:
+        lattice._kernels.cache_clear()
     assert capsys.readouterr().err.startswith(error)
     assert out.read_text() == "earlier output\n"
     assert os.listdir(tmp_path) == ["r.out"]  # no temporary file left
@@ -182,6 +188,36 @@ def test_lattice_memory_estimate_is_clean_error(monkeypatch, capsys):
     assert err.startswith("error: ") and f"{26 << 12} bytes" in err and "physical memory" in err
     assert cli.main(["compute", "--random", "11"]) == 0
     assert capsys.readouterr().out.strip().lstrip("-").isdigit()
+
+
+def _growth_peak_rss_kb(out: Path, trials: int) -> int:
+    """Peak RSS of `growth --n 4` over `trials` trials, run in a forked child
+    that first caps its own address space at 1.5 GiB."""
+    pid = os.fork()
+    if pid == 0:
+        code = 3
+        try:
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            code = cli.main(["growth", "--n", "4", "--trials", str(trials), "--out", str(out)])
+        finally:
+            os._exit(code)
+    _, status, usage = os.wait4(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss
+
+
+def test_growth_memory_does_not_grow_with_trials(tmp_path, monkeypatch):
+    # trials are drawn as they run and rows written as they end, so 8x the
+    # trials keeps the same peak; a list of every trial's payload and row
+    # costs about 1 kB a trial, 3.5 MB here
+    monkeypatch.delenv("PERMLAB_THREADS", raising=False)
+    few = _growth_peak_rss_kb(tmp_path / "few", 500)
+    many = _growth_peak_rss_kb(tmp_path / "many", 4000)
+    assert many - few < 2048, (few, many)
+    with open(tmp_path / "many" / "summary.csv", newline="") as fh:
+        assert [int(row["trial"]) for row in csv.DictReader(fh)] == list(range(4000))
+    assert len(json.loads((tmp_path / "many" / "manifest.json").read_text())["outputs"]) == 4001
 
 
 def test_thread_count_clamped_to_cpus(monkeypatch):

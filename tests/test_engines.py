@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permlab import cli
 from permlab.engines import (
     determinant_exact,
     permanent,
     permanent_mod,
     permanent_naive,
     permanent_ryser,
+    permanents,
     ryser_batch,
     ryser_cofactors,
 )
+from permlab.lattice import build_lattice
 from permlab.matrices import CapError, SignMatrix, all_ones, sample_sign_matrix
 from permlab.rng import RngStream
 
@@ -98,6 +101,70 @@ def test_ryser_batch_at_its_int64_bound():
     assert ryser_batch(ones).tolist() == [math.factorial(13), -math.factorial(13)]
 
 
+def _signed_ones(n: int) -> np.ndarray:
+    """All-ones, all-minus-ones and all-ones with row 0 negated: permanents
+    n!, (-1)**n * n! and -n!, with every lane of the glynn kernel as large
+    as it gets."""
+    ones = np.ones((3, n, n), dtype=np.int8)
+    ones[1] *= -1
+    ones[2, 0] *= -1
+    return ones
+
+
+# 15: the last odd n summed in 64 bits; 16: the last 16-lane n; 17: the first
+# odd n in 128 bits; 20: the last even n in 64 bits; 21 and 22: the
+# permanent passes int64 and comes back a Python int
+@pytest.mark.parametrize("n", [15, 16, 17, 20, 21, 22])
+def test_permanent_at_the_glynn_kernel_boundaries(n):
+    m = sample_sign_matrix(n, RngStream(27, n))
+    got = permanent(m)
+    assert type(got) is int and got == build_lattice(m).top_value()
+    f = math.factorial(n)
+    assert permanents(_signed_ones(n)) == [f, (-1) ** n * f, -f]
+
+
+def test_permanents_match_the_lattice_at_every_size():
+    # one kernel call per size, three matrices each; 15..17 and 20..22 above
+    for n in [*range(1, 15), 18, 19]:
+        mats = [sample_sign_matrix(n, RngStream(28, n).substream(t)) for t in range(3)]
+        got = permanents(np.stack([m.entries for m in mats]))
+        assert got == [build_lattice(m).top_value() for m in mats], n
+
+
+def test_permanent_of_one_and_two_rows():
+    assert [permanent(SignMatrix([[v]])) for v in (1, -1)] == [1, -1]
+    for m in enumerate_all_sign_matrices(2):
+        assert permanent(m) == brute_permanent(m.entries.tolist())
+    mats = np.stack([m.entries for m in enumerate_all_sign_matrices(2)])
+    assert permanents(mats) == ryser_batch(mats).tolist() == [brute_permanent(a.tolist()) for a in mats]
+    # the empty matrix has permanent 1
+    assert permanents(np.ones((2, 0, 0), dtype=np.int8)) == [1, 1]
+
+
+@pytest.mark.parametrize("bad", [0, 2, 257, -128])
+def test_permanents_refuse_non_sign_entries(bad):
+    # 257 would wrap to 1 in int8
+    for n in (2, 16, 21):
+        mats = np.ones((2, n, n), dtype=np.int64)
+        mats[1, n - 1, 0] = bad
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            permanents(mats)
+    with pytest.raises(ValueError, match="must be square"):
+        permanents(np.ones((1, 4, 5), dtype=np.int8))
+
+
+def test_permanent_cap_names_the_cap(capsys):
+    with pytest.raises(CapError, match=r"^permanent is capped at n <= 22 \(2\*\*\(n-1\) sign vectors\), got n=23$"):
+        permanent(all_ones(23))
+    with pytest.raises(CapError, match="capped at n <= 22"):
+        permanents(np.ones((1, 30, 30), dtype=np.int8))
+    # a request above the cap is a clean exit 2 that names it
+    for args in (["--suite", "growth_rate", "--n", "23", "--trials", "2"],
+                 ["--suite", "singularity", "--mode", "monte_carlo", "--n", "23", "--trials", "2"]):
+        assert cli.main(["verify", *args]) == 2
+        assert capsys.readouterr().err == "error: permanent is capped at n <= 22 (2**(n-1) sign vectors), got n=23\n"
+
+
 def _sign_blocks(gen, count: int, rows: int) -> np.ndarray:
     return 2 * gen.integers(0, 2, size=(count, rows, rows - 1), dtype=np.int8) - 1
 
@@ -163,7 +230,7 @@ def test_permanent_mod_at_its_overflow_bound(n):
 def test_permanent_mod_n20_matches_lattice():
     m = sample_sign_matrix(20, RngStream(22, 20))
     p = 2**31 - 1
-    assert permanent_mod(m, p) == permanent(m) % p
+    assert permanent_mod(m, p) == build_lattice(m).top_value() % p
 
 
 def test_determinant_against_brute():
@@ -200,7 +267,7 @@ def test_kernels_read_c_ordered_entries():
     # memory would be a different matrix.
     a = sample_sign_matrix(9, RngStream(23))
     big = sample_sign_matrix(18, RngStream(24)).entries
-    for m, ref in ((SignMatrix(a.entries.T), permanent(a)),
+    for m, ref in ((SignMatrix(a.entries.T), build_lattice(a).top_value()),
                    (SignMatrix(big[::2, ::2]), permanent_ryser(SignMatrix(big[::2, ::2].copy())))):
         assert m.entries.flags.c_contiguous
         for p in (97, 2_147_483_647):
