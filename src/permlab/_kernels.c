@@ -10,19 +10,26 @@
 
 /* One level of the minor lattice (permlab.lattice.MinorTable.add_level).
 
-   The row is passed as neg, the mask of its -1 columns.  For each level-k
-   mask m in masks[0 .. count-1]:
+   row holds the exposed row's n int8 entries: an entry other than -1 or +1
+   stops the kernel before any write, returning its index + 1.  With neg the
+   mask of the -1 columns, for each level-k mask m in masks[0 .. count-1]:
        vals[m] = sum over i in m & ~neg of vals[m ^ (1 << i)]
                - sum over i in m &  neg of vals[m ^ (1 << i)],
-   the cofactor recursion over the row with no multiply.
+   the cofactor recursion over the row with no multiply.  Returns 0.
 
    Exact in int64: a level-(k-1) value is at most (k-1)! in absolute value
    and each partial sum has at most k terms, so each is at most
    k * (k-1)! = k! <= 20! < 2**63, and so is their difference, which is a
    level-k value.  Reads touch only level k-1 and writes only level k, so the
    masks may be visited in any order. */
-void add_level(int64_t *vals, const int64_t *masks, int64_t count, uint64_t neg)
+int64_t add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8_t *row, int64_t n)
 {
+    uint64_t neg = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (row[i] == -1)
+            neg |= (uint64_t)1 << i;
+        else if (row[i] != 1)
+            return i + 1;
     for (int64_t j = 0; j < count; j++) {
         uint64_t m = (uint64_t)masks[j];
         int64_t plus = 0, minus = 0;
@@ -32,16 +39,17 @@ void add_level(int64_t *vals, const int64_t *masks, int64_t count, uint64_t neg)
             minus += vals[m ^ ((uint64_t)1 << __builtin_ctzll(rest))];
         vals[m] = plus - minus;
     }
+    return 0;
 }
 
 /* The masks of one level whose |value| reaches t, in the order given
    (permlab.lattice.MinorTable.heavy_masks and heavy_count).
 
-   Writes them to out[0 .. c-1] and returns c.  Each mask is stored and the
-   count advanced by the comparison, with no branch: about half the masks of
-   a level are heavy, so a branch would mispredict about half the time.
-   0 <= t < 2**63 (the caller clamps), and |value| <= 20!, so the negation
-   cannot overflow. */
+   Writes them to out[0 .. c-1], unless out is NULL, and returns c.  Each
+   mask is stored and the count advanced by the comparison, with no branch:
+   about half the masks of a level are heavy, so a branch would mispredict
+   about half the time.  0 <= t < 2**63 (the caller clamps), and |value| <=
+   20!, so the negation cannot overflow. */
 int64_t select_heavy(const int64_t *vals, const int64_t *masks, int64_t count, int64_t t,
                      int64_t *out)
 {
@@ -49,7 +57,8 @@ int64_t select_heavy(const int64_t *vals, const int64_t *masks, int64_t count, i
     for (int64_t j = 0; j < count; j++) {
         int64_t m = masks[j];
         int64_t v = vals[m];
-        out[c] = m;
+        if (out)
+            out[c] = m;
         c += (v < 0 ? -v : v) >= t;
     }
     return c;
@@ -58,24 +67,28 @@ int64_t select_heavy(const int64_t *vals, const int64_t *masks, int64_t count, i
 /* hist[l] = number of size-(k+1) sets with exactly l parents among the
    count distinct size-k masks in members (permlab.lattice.parent_histogram).
 
-   scratch is 2**n zeroed bytes and hist n+1 zeroed counts.  The members are
-   checked first: a member outside [0, 2**n), off level k, or repeated stops
-   the kernel, which returns its index + 1 (the repeat is found by marking
-   each member in scratch; members and children lie on different levels, so
-   the marks never meet the child counts).  Then each member adds 1 at each
-   of its children, and a second pass over the same children reads each
-   count into hist and clears it; the later visits of a child read the
-   cleared 0, so hist[0] collects them and is reset at the end.  A child
-   has at most k+1 <= n distinct parents, so no count wraps its byte or
-   indexes past hist[n].  Returns 0. */
+   scratch is 2**n bytes that are zero on entry and on return, and hist n+1
+   zeroed counts.  The members are checked first: a member outside
+   [0, 2**n), off level k, or repeated stops the kernel, which clears the
+   marks it has set and returns the member's index + 1 (the repeat is found
+   by marking each member in scratch; members and children lie on different
+   levels, so the marks never meet the child counts).  Then each member adds
+   1 at each of its children, and a second pass clears the member's mark and
+   reads each count of the same children into hist and clears it; the later
+   visits of a child read the cleared 0, so hist[0] collects them and is
+   reset at the end.  A child has at most k+1 <= n distinct parents, so no
+   count wraps its byte or indexes past hist[n].  Returns 0. */
 int64_t parent_histogram(const int64_t *members, int64_t count, int64_t n, int64_t k,
                          uint8_t *scratch, int64_t *hist)
 {
     const uint64_t full = ((uint64_t)1 << n) - 1;
     for (int64_t j = 0; j < count; j++) {
         uint64_t m = (uint64_t)members[j];
-        if (m & ~full || __builtin_popcountll(m) != k || scratch[m])
+        if (m & ~full || __builtin_popcountll(m) != k || scratch[m]) {
+            for (int64_t i = 0; i < j; i++)
+                scratch[members[i]] = 0;
             return j + 1;
+        }
         scratch[m] = 1;
     }
     for (int64_t j = 0; j < count; j++) {
@@ -85,6 +98,7 @@ int64_t parent_histogram(const int64_t *members, int64_t count, int64_t n, int64
     }
     for (int64_t j = 0; j < count; j++) {
         uint64_t m = (uint64_t)members[j];
+        scratch[m] = 0;
         for (uint64_t rest = ~m & full; rest; rest &= rest - 1) {
             uint64_t child = m | (rest & -rest);
             hist[scratch[child]]++;

@@ -534,6 +534,8 @@ def check_growth_rate(n: int, trials: int, rng: RngStream) -> CheckReport:
     Draw t is matrix stream rng.substream(n, t).  A size with a committed
     band gets a hard verdict; other sizes are reported descriptively.
     """
+    if n < 2:  # the median log ratio divides by log(n!), which is 0 at n = 1
+        raise ValueError(f"growth-rate check needs --n >= 2, got n={n}")
     band = pilot_bands()["growth_rate"].get(str(n))
     stats = growth_rate_statistics(n, sample_permanents(n, trials, rng.substream(n)), band)
     return CheckReport(

@@ -17,11 +17,13 @@ length-(n+1) array of how many children have exactly l family parents;
 split_events reads n and the low-multiplicity mass from that array.
 
 The int64 levels and both queries on them run in C, in `_kernels.c`:
-`add_level` takes the row as the mask of its -1 columns and, for each mask
-of the level, sums the values one level down over the mask's +1 columns
-and subtracts the sum over its -1 columns; `select_heavy` writes a level's
-heavy masks in one branchless pass; `parent_histogram` counts each child's
-family parents in a 2**n-byte scratch array.  That file also holds the
+`add_level` takes the row's n int8 entries, refuses any but -1 and +1
+before it writes, and, for each mask of the level, sums the values one
+level down over the mask's +1 columns and subtracts the sum over its -1
+columns; `select_heavy` writes a level's heavy masks in one branchless
+pass, or only counts them; `parent_histogram` counts each child's family
+parents in a 2**n-byte scratch array that the table keeps and the kernel
+leaves zeroed.  That file also holds the
 engines' kernels: Glynn's formula, which gives every exact square
 permanent (`engines.permanent`, `permanents`, `ryser_batch`); the Ryser
 kernel, which scans the row subsets of a square matrix for the modular
@@ -51,7 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from .matrices import CapError, SignMatrix
-from .subsets import bits_of, mask_of, masks_by_level
+from .subsets import bits_of, masks_by_level
 
 LATTICE_MAX_N = 22  # a 2**n table: 26 * 2**22 bytes ~ 109 MB at its build peak
 _INT64_LEVEL_MAX = 20
@@ -99,14 +101,15 @@ def _kernels() -> ctypes.CDLL:
     # more per call than the work on a small level or matrix; each caller
     # passes C-contiguous arrays of the kernel's element type.
     addr, i64 = ctypes.c_void_p, ctypes.c_int64
-    kernels.add_level.argtypes = [addr, addr, i64, ctypes.c_uint64]
+    kernels.add_level.argtypes = [addr, addr, i64, addr, i64]
     kernels.select_heavy.argtypes = [addr, addr, i64, i64, addr]
     kernels.parent_histogram.argtypes = [addr, i64, i64, i64, addr, addr]
     kernels.ryser.argtypes = [addr, i64, i64, i64, i64, addr]
     kernels.glynn.argtypes = [addr, i64, i64, addr]
     kernels.naive_odd.argtypes = [addr, i64]
-    kernels.add_level.restype = kernels.ryser.restype = kernels.glynn.restype = None
-    kernels.select_heavy.restype = kernels.parent_histogram.restype = kernels.naive_odd.restype = i64
+    kernels.ryser.restype = kernels.glynn.restype = None
+    kernels.add_level.restype = kernels.select_heavy.restype = i64
+    kernels.parent_histogram.restype = kernels.naive_odd.restype = i64
     return kernels
 
 
@@ -147,27 +150,31 @@ class MinorTable:
         self._vals = np.zeros(1 << n, dtype=np.int64)
         self._vals[0] = 1  # empty minor
         self._big: dict[int, int] = {}
+        self._row = np.empty(n, dtype=np.int8)  # add_level's copy of its row
         # Kernel arguments are raw addresses (see _kernels).  These arrays
-        # are C-contiguous int64 by construction and live as long as the
-        # table; every other array passed is made just before the call.
+        # are C-contiguous by construction and live as long as the table;
+        # every other array passed is made just before the call.
         self._levels, self._levels_at = _level_masks(n)
-        self._vals_at = self._vals.ctypes.data
+        self._vals_at, self._row_at = self._vals.ctypes.data, self._row.ctypes.data
 
     def add_level(self, row: np.ndarray) -> None:
         """Complete level k_max+1 from the next exposed row."""
         k = self.k_max + 1
         if k > self.n:
             raise ValueError("all levels already built")
-        row = np.ascontiguousarray(row, dtype=np.int64).reshape(-1)
-        if row.shape[0] != self.n:
-            raise ValueError(f"row has length {row.shape[0]}, expected {self.n}")
-        if not np.all(np.abs(row) == 1):
+        row = np.asarray(row).reshape(-1)
+        if len(row) != self.n:
+            raise ValueError(f"row has {len(row)} entries, expected {self.n}")
+        # The kernel checks an int8 row (and above level 20 only checks it); a
+        # wider one is checked before the cast, which would wrap 257 to 1.
+        if row.dtype != np.int8 and not ((row == 1) | (row == -1)).all():
             raise ValueError("row entries must be -1 or +1")
-        masks = self._levels[k]
-        if k <= _INT64_LEVEL_MAX:
-            neg = mask_of(np.flatnonzero(row < 0).tolist())  # the row's -1 columns
-            _kernels().add_level(self._vals_at, self._levels_at[k], len(masks), neg)  # exact
-        else:
+        self._row[:] = row
+        masks, big = self._levels[k], k > _INT64_LEVEL_MAX
+        count = 0 if big else len(masks)
+        if _kernels().add_level(self._vals_at, self._levels_at[k], count, self._row_at, self.n):
+            raise ValueError("row entries must be -1 or +1")
+        if big:
             for mask in masks.tolist():
                 total = 0
                 for i in bits_of(mask):
@@ -190,8 +197,9 @@ class MinorTable:
     def level_masks(self, k: int) -> np.ndarray:
         return self._levels[k]
 
-    def _heavy(self, k: int, threshold) -> np.ndarray:
-        """Masks of level k whose |value| reaches the threshold, ascending.
+    def _heavy(self, k: int, threshold, keep: bool = True):
+        """Masks of level k whose |value| reaches the threshold, ascending;
+        only their number unless keep.
 
         Every heaviness query goes through here.  The int64 levels are read
         by the compiled select_heavy, with the threshold clamped to
@@ -204,19 +212,27 @@ class MinorTable:
         masks = self._levels[k]
         t = math.ceil(threshold)  # exact, and a Python int, for int, numpy int, float and Fraction
         if k > _INT64_LEVEL_MAX:
-            return masks[np.array([abs(self._big[m]) >= t for m in masks.tolist()], dtype=bool)]
-        out = np.empty_like(masks)
+            heavy = masks[np.array([abs(self._big[m]) >= t for m in masks.tolist()], dtype=bool)]
+            return heavy if keep else len(heavy)
+        out = np.empty_like(masks) if keep else None
         count = _kernels().select_heavy(self._vals_at, self._levels_at[k], len(masks),
-                                        min(max(t, 0), _INT64_MAX), out.ctypes.data)
-        return out[:count]
+                                        min(max(t, 0), _INT64_MAX), out.ctypes.data if keep else None)
+        return out[:count] if keep else count
 
     def heavy_count(self, k: int, threshold) -> int:
         """Number of size-k column sets whose |value| reaches the threshold."""
-        return len(self._heavy(k, threshold))
+        return self._heavy(k, threshold, keep=False)
 
     def heavy_masks(self, k: int, threshold) -> np.ndarray:
         """Masks of the heavy size-k sets, ascending."""
         return self._heavy(k, threshold)
+
+    @functools.cached_property
+    def _scratch_at(self) -> int:
+        """parent_histogram's 2**n bytes, made on first use; its kernel leaves
+        them zero, so two calls on one table must not overlap."""
+        self._scratch = np.zeros(1 << self.n, dtype=np.uint8)
+        return self._scratch.ctypes.data
 
     def top_value(self) -> int:
         """Permanent of the full matrix; requires all levels built."""
@@ -243,9 +259,9 @@ def parent_histogram(table: MinorTable, k: int, members) -> np.ndarray:
 
     A parent of A' is any A = A' minus one element that belongs to the
     family; counts[0] stays 0 (children with no family parent are not
-    tracked).  Counted by the compiled parent_histogram over a 2**n-byte
-    scratch array; a member outside [0, 2**n), not of size k, or repeated
-    is a ValueError.
+    tracked).  Counted by the compiled parent_histogram over the table's
+    2**n-byte scratch array; a member outside [0, 2**n), not of size k, or
+    repeated is a ValueError.
     """
     n = table.n
     if k + 1 > n:
@@ -255,9 +271,8 @@ def parent_histogram(table: MinorTable, k: int, members) -> np.ndarray:
     except OverflowError:
         raise ValueError(f"family members must be masks in [0, 2**{n})") from None
     counts = np.zeros(n + 1, dtype=np.int64)
-    scratch = np.zeros(1 << n, dtype=np.uint8)
     bad = _kernels().parent_histogram(members.ctypes.data, len(members), n, k,
-                                      scratch.ctypes.data, counts.ctypes.data)
+                                      table._scratch_at, counts.ctypes.data)
     if bad:
         mask = int(members[bad - 1])
         if mask < 0 or mask >> n:

@@ -20,13 +20,6 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
-def mask_of(cols) -> int:
-    m = 0
-    for c in cols:
-        m |= 1 << c
-    return m
-
-
 def masks_by_level(n: int) -> tuple[np.ndarray, ...]:
     """Masks over n bits grouped by popcount; each array ascending."""
     all_masks = np.arange(1 << n, dtype=np.int64)

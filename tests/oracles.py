@@ -23,6 +23,14 @@ from permlab.matrices import SignMatrix
 ENUM_CELL_LIMIT = 20  # enumerate_all_sign_matrices walks 2**(n*n) matrices
 
 
+def mask_of(cols) -> int:
+    """The mask of a set of columns."""
+    m = 0
+    for c in cols:
+        m |= 1 << c
+    return m
+
+
 def brute_permanent(entries) -> int:
     """Sum over all permutations of the product of picked entries."""
     n = len(entries)

@@ -105,9 +105,11 @@ def test_bad_values_rejected(tmp_path, args, flag, message):
     (["verify", "--suite", "second_moment", "--mode", "monte_carlo"],
      "error: a Monte Carlo second_moment run needs --trials"),
     (["verify", "--suite", "alon", "--n", "7"], "error: a Monte Carlo alon run needs --trials"),
+    (["verify", "--suite", "growth_rate", "--n", "1", "--trials", "2"],
+     "error: growth-rate check needs --n >= 2"),
 ], ids=["compute-no-input", "parent-child-n-1", "second-moment-one-draw", "growth-rate-one-draw",
         "parent-child-one-draw", "many-children-one-draw", "second-moment-no-trials",
-        "alon-no-trials"])
+        "alon-no-trials", "growth-rate-n-1"])
 def test_usage_errors_are_clean(args, message):
     res = run_cli(*args)
     assert res.returncode == 2

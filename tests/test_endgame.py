@@ -19,7 +19,8 @@ from permlab.growth import ProcessConfig
 from permlab.lattice import MinorTable
 from permlab.matrices import SignMatrix, all_ones, sample_sign_matrix
 from permlab.rng import RngStream
-from permlab.subsets import mask_of
+
+from oracles import mask_of
 
 
 def block_after(k, L):

@@ -35,8 +35,23 @@ _AT_THE_BOUNDS = textwrap.dedent("""
     assert engines.permanent_naive(all_ones(10)) == f(10)
     table = lattice.build_lattice(all_ones(20))
     assert table.value((1 << 20) - 1) == f(20)
+    for bad in (0, 2):
+        try:
+            lattice.build_lattice(all_ones(4), 2).add_level(np.array([1, 1, bad, 1], dtype=np.int8))
+        except ValueError:
+            pass
+        else:
+            raise AssertionError(f"add_level took the int8 entry {bad}")
+    # heavy_count reads no output buffer
     assert table.heavy_count(20, f(20)) == 1 and table.heavy_count(10, 2**70) == 0
+    assert table.heavy_count(10, 0) == math.comb(20, 10)
     family = table.level_masks(10)[:1000]
+    try:
+        lattice.parent_histogram(table, 10, np.append(family, family[0]))
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("parent_histogram took a repeated member")
     assert lattice.parent_histogram(table, 10, family)[1:].sum() > 0
 """)
 

@@ -23,13 +23,14 @@ from permlab.lattice import (
 )
 from permlab.matrices import CapError, SignMatrix, all_ones, sample_sign_matrix
 from permlab.rng import RngStream
-from permlab.subsets import bits_of, mask_of
+from permlab.subsets import bits_of
 
 from oracles import (
     brute_heavy_sets,
     brute_minor_permanent,
     brute_parent_counts,
     enumerate_all_sign_matrices,
+    mask_of,
     matrix_from_counter,
     numpy_level_table,
     subsets_of_size,
@@ -214,8 +215,10 @@ def test_failed_compile_names_the_compiler(tmp_path, monkeypatch):
     assert not os.listdir(tmp_path / "permlab")
 
 
-@pytest.mark.parametrize("bad", [0, 2])
+@pytest.mark.parametrize("bad", [0, 2, 257, -255, 1.5])
 def test_add_level_rejects_non_sign_entries(bad):
+    # a wider row is checked before the int8 cast: 257 and -255 would wrap
+    # to 1, and 1.5 would truncate to 1
     t = MinorTable(4)
     row = np.array([1, -1, bad, 1])
     with pytest.raises(ValueError, match="-1 or \\+1"):
@@ -223,6 +226,34 @@ def test_add_level_rejects_non_sign_entries(bad):
     assert t.k_max == 0
     t.add_level(np.array([1, -1, -1, 1]))
     assert t.k_max == 1
+
+
+@pytest.mark.parametrize("bad", [0, 2, -128, 127])
+def test_add_level_kernel_refuses_an_int8_row_before_any_write(bad):
+    t = build_lattice(all_ones(4), 2)
+    before = [t.value(mask) for mask in range(16) if mask.bit_count() <= 2]
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        t.add_level(np.array([1, -1, bad, 1], dtype=np.int8))
+    assert t.k_max == 2 and t._vals[t.level_masks(3)].tolist() == [0] * 4
+    assert [t.value(mask) for mask in range(16) if mask.bit_count() <= 2] == before
+
+
+def test_every_row_form_builds_the_same_table():
+    # the int8 row as the matrix holds it, a wider copy, a (1, n) array, a
+    # list, and non-contiguous int8 columns (giving the transpose's table)
+    m = sample_sign_matrix(9, RngStream(39))
+    tables = [MinorTable(9) for _ in range(5)]
+    for i in range(9):
+        row = m.row(i)
+        for t, form in zip(tables, (row, row.astype(np.int64), row.reshape(1, -1), row.tolist())):
+            t.add_level(form)
+        tables[4].add_level(m.entries[:, i])
+    values = [[t.value(mask) for mask in range(1 << 9)] for t in tables]
+    assert values[1:4] == values[:1] * 3
+    transpose = build_lattice(SignMatrix(m.entries.T))
+    assert values[4] == [transpose.value(mask) for mask in range(1 << 9)]
+    with pytest.raises(ValueError, match="8 entries, expected 9"):
+        MinorTable(9).add_level(m.row(0)[:8])
 
 
 def test_memory_guard_names_the_estimate(monkeypatch):
@@ -312,6 +343,23 @@ def test_parent_histogram_rejects_bad_members(member, message):
     t = MinorTable(8)
     with pytest.raises(ValueError, match=message):
         parent_histogram(t, 2, [0b11, 0b101, member])
+
+
+@pytest.mark.parametrize("member", [1 << 8, 0b111, 0b11], ids=["past-table", "wrong-level",
+                                                                "repeated"])
+def test_parent_histogram_after_a_refused_family(member):
+    # the table keeps one scratch array; a refused family clears its marks,
+    # so the next family on the same table is counted from zero
+    t = MinorTable(8)
+    family = [0b11, 0b101, 0b1001, 0b110, 0b11000000]
+    with pytest.raises(ValueError):
+        parent_histogram(t, 2, [*family, member])
+    for _ in range(2):
+        counts = parent_histogram(t, 2, family)
+        brute = brute_parent_counts(family, 8)
+        assert counts.tolist() == [0] + [sum(1 for c in brute.values() if c == l)
+                                         for l in range(1, 9)]
+        assert not t._scratch.any()
 
 
 def test_parent_histogram_complete_family():
