@@ -3,6 +3,9 @@
 Subcommands: compute (one permanent/determinant), growth (trace ensembles),
 verify (the check suite), ensemble (growth-rate dataset).  All randomness
 flows from --seed; trial t uses stream t, so reruns are byte-identical.
+compute reads its permanents and residues from `engines.permanent`, the
+compiled Glynn kernel, up to its cap n <= 22; the lattice engine is asked
+for by name (--engine lattice, --dump-lattice).
 verify runs one check by name, or every row of the suite; the check table
 it reads its defaults from is `checks.CHECKS`, and the suite is
 `checks.SUITE`.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -146,15 +150,27 @@ def _refuse_ignored_flags(args) -> None:
 
 
 def cmd_compute(args) -> int:
+    """Print one matrix's permanent (and determinant, with --det) or residue (--mod).
+
+    Within PERMANENT_MAX_N the default engine and --mod read `permanent()`,
+    the compiled Glynn kernel; --mod beyond it runs `permanent_mod`'s Ryser
+    sweep, and the default engine beyond it reaches the lattice's cap error.
+    --engine lattice and --dump-lattice build the minor lattice.
+    """
     _refuse_ignored_flags(args)
     matrix = _load_matrix(args)
+    glynn = matrix.n <= PERMANENT_MAX_N
     if args.mod is not None:
-        print(permanent_mod(matrix, args.mod))
+        if args.mod < 2:
+            raise ValueError(f"modulus must be >= 2, got {args.mod}")
+        print(permanent(matrix) % args.mod if glynn else permanent_mod(matrix, args.mod))
         return 0
     if args.engine == "naive":
         per = permanent_naive(matrix)
     elif args.engine == "ryser":
         per = permanent_ryser(matrix)
+    elif args.engine is None and not args.dump_lattice and glynn:
+        per = permanent(matrix)
     else:
         if args.dump_lattice and matrix.n > DUMP_MAX_N:
             raise CapError(f"--dump-lattice is capped at n <= {DUMP_MAX_N}, got n={matrix.n}")
@@ -318,7 +334,10 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The permlab parser, built once per process; main() picks each
+    subcommand's cmd_* function by name when it runs."""
     parser = argparse.ArgumentParser(prog="permlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -328,11 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
     p.add_argument("--engine", choices=["naive", "ryser", "lattice"], default=None,
-                   help="permanent engine (default: lattice)")
+                   help="permanent engine (default: the compiled Glynn kernel, n <= 22)")
     p.add_argument("--det", action="store_true", help="also print the determinant")
     p.add_argument("--mod", type=int, help="print the permanent residue mod M")
     p.add_argument("--dump-lattice", metavar="CSV", help="dump the minor lattice (engine=lattice, n <= 12)")
-    p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("growth", help="growth-run ensemble with JSONL traces")
     p.add_argument("--n", type=_positive_int, required=True)
@@ -342,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-prime", type=float, default=None, dest="eps_prime")
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("verify", help="run verification checks")
     p.add_argument("--suite", choices=["all", *CHECKS], default="all")
@@ -359,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i-size", type=int, default=None, dest="i_size",
                    help=f"candidate columns for many_children (default: {mc['i_size']})")
     p.add_argument("--out", default=None, help="JSON-lines report file")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ensemble", help="growth-rate dataset over several sizes")
     p.add_argument("--n-list", type=_size_list, required=True, dest="n_list",
@@ -367,14 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_ensemble)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:  # CapError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ import pytest
 
 from permlab import cli, lattice
 from permlab.cli import _thread_count
-from permlab.engines import permanent_ryser
+from permlab.engines import permanent_mod, permanent_ryser
 from permlab.matrices import all_ones, sample_sign_matrix, to_text
 from permlab.rng import RngStream
 
@@ -59,6 +59,86 @@ def test_compute_default_engine_cap_is_clean_error():
     res = run_cli("compute", "--random", "23")
     assert res.returncode == 2
     assert "capped" in res.stderr and "--engine ryser" in res.stderr
+
+
+def _compute(capsys, n: int, *flags: str) -> str:
+    """stdout of an in-process `compute --random n` request that must exit 0."""
+    assert cli.main(["compute", "--random", str(n), *flags]) == 0
+    return capsys.readouterr().out
+
+
+_PRIME = 2**31 - 1  # the largest modulus the compiled Ryser sweep takes
+
+
+@pytest.mark.parametrize("n", [15, 16, 21, 22])
+def test_compute_mod_matches_the_modular_ryser_sweep(capsys, n):
+    # n = 15, 16 sum in the Glynn kernel's 64-bit words, n = 21, 22 in its 128-bit ones
+    matrix = sample_sign_matrix(n, RngStream(0, 0))
+    assert _compute(capsys, n, "--mod", str(_PRIME)) == f"{permanent_mod(matrix, _PRIME)}\n"
+
+
+def test_compute_mod_above_the_glynn_cap_runs_the_modular_sweep(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "permanent", lambda m: pytest.fail("the Glynn kernel ran at n=23"))
+    matrix = sample_sign_matrix(23, RngStream(0, 0))
+    assert _compute(capsys, 23, "--mod", "7") == f"{permanent_mod(matrix, 7)}\n"
+
+
+def test_compute_mod_of_a_wide_modulus_matches_python_ryser(capsys):
+    modulus = 2**61 - 1
+    matrix = sample_sign_matrix(12, RngStream(0, 0))
+    assert _compute(capsys, 12, "--mod", str(modulus)) == f"{permanent_ryser(matrix) % modulus}\n"
+
+
+@pytest.mark.parametrize("n", [16, 22])
+def test_compute_default_engine_matches_the_lattice(capsys, n):
+    top = lattice.build_lattice(sample_sign_matrix(n, RngStream(0, 0))).top_value()
+    assert _compute(capsys, n) == f"{top}\n"
+
+
+def test_compute_default_and_mod_build_no_table(monkeypatch, capsys):
+    def refuse(self, n):
+        raise AssertionError(f"a minor table was built at n={n}")
+
+    monkeypatch.setattr(lattice.MinorTable, "__init__", refuse)
+    per = int(_compute(capsys, 22))
+    assert int(_compute(capsys, 22, "--mod", str(_PRIME))) == per % _PRIME
+
+
+def test_compute_default_engine_beyond_the_glynn_cap_names_it(capsys):
+    assert cli.main(["compute", "--random", "23"]) == 2
+    err = capsys.readouterr().err
+    assert "capped at n <= 22" in err and "--engine ryser" in err
+
+
+@pytest.mark.parametrize("n", [5, 23])
+@pytest.mark.parametrize("modulus", [1, 0, -7])
+def test_compute_mod_below_two_refused_before_any_kernel(monkeypatch, capsys, n, modulus):
+    for name in ("permanent", "permanent_mod"):
+        monkeypatch.setattr(cli, name, lambda *_a: pytest.fail("a kernel ran"))
+    assert cli.main(["compute", "--random", str(n), "--mod", str(modulus)]) == 2
+    assert capsys.readouterr() == ("", f"error: modulus must be >= 2, got {modulus}\n")
+
+
+def test_parser_is_built_once_and_dispatches_at_call_time(monkeypatch, capsys):
+    assert cli.main(["compute", "--random", "4"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_compute", lambda args: calls.append(args.random) or 0)
+    assert cli.main(["compute", "--random", "5"]) == 0
+    assert calls == [5]
+
+
+@pytest.mark.parametrize("argv", [[], ["compute"], ["growth"], ["verify"], ["ensemble"]],
+                         ids=["top", "compute", "growth", "verify", "ensemble"])
+def test_cached_parser_help_matches_a_fresh_one(capsys, argv):
+    def help_text(parser) -> str:
+        with pytest.raises(SystemExit):
+            parser.parse_args([*argv, "--help"])
+        return capsys.readouterr().out
+
+    cached = help_text(cli.build_parser())
+    assert cached == help_text(cli.build_parser.__wrapped__())
+    assert cached == help_text(cli.build_parser())
 
 
 @pytest.mark.parametrize("args, flag", [
@@ -185,10 +265,10 @@ def test_late_error_leaves_out_untouched(tmp_path, monkeypatch, capsys, args, er
 def test_lattice_memory_estimate_is_clean_error(monkeypatch, capsys):
     # the probe is patched, so no large table is ever requested
     monkeypatch.setattr(lattice, "_physical_memory_bytes", lambda: (26 << 12) - 1)
-    assert cli.main(["compute", "--random", "12"]) == 2
+    assert cli.main(["compute", "--random", "12", "--engine", "lattice"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{26 << 12} bytes" in err and "physical memory" in err
-    assert cli.main(["compute", "--random", "11"]) == 0
+    assert cli.main(["compute", "--random", "11", "--engine", "lattice"]) == 0
     assert capsys.readouterr().out.strip().lstrip("-").isdigit()
 
 
