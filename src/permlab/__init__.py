@@ -5,7 +5,7 @@ level-by-level growth and endgame runs driven by the lattice, and a
 verification suite of enumeration identities and seeded Monte Carlo checks.
 """
 
-from .engines import determinant_exact, permanent, permanent_mod, permanent_naive, permanent_ryser
+from .engines import determinant_exact, permanent, permanent_mod, permanent_naive
 from .growth import ProcessConfig, ProcessTrace, StepType, is_successful, run_growth
 from .lattice import MinorTable, SplitVerdict, build_lattice, parent_histogram, split_events
 from .matrices import (
@@ -37,7 +37,6 @@ __all__ = [
     "permanent",
     "permanent_mod",
     "permanent_naive",
-    "permanent_ryser",
     "run_growth",
     "sample_row",
     "sample_sign_matrix",

@@ -1,11 +1,11 @@
 /* The compiled kernels of permlab, loaded together by permlab.lattice._kernels:
    the level build and the two per-level queries of the minor lattice
    (add_level, select_heavy, parent_histogram), Glynn's formula (glynn) for
-   every exact square permanent, Ryser's formula (ryser) for the modular
-   engine and, on a block with one row more than columns, for the row-deleted
-   cofactors that many_children expands its children along, and the walk
-   over all permutations of the naive engine (naive_odd).  glynn, ryser and
-   naive_odd share no code, so each can check the others. */
+   every exact square permanent up to n = 30, Ryser's formula (ryser) for the
+   modular engine and, on a block with one row more than columns, for the
+   row-deleted cofactors that many_children expands its children along, and
+   the walk over all permutations of the naive engine (naive_odd).  glynn,
+   ryser and naive_odd share no code, so each can check the others. */
 #include <stdint.h>
 
 /* One level of the minor lattice (permlab.lattice.MinorTable.add_level).
@@ -126,23 +126,21 @@ int64_t parent_histogram(const int64_t *members, int64_t count, int64_t n, int64
    The lanes have a fixed width, 16 for n <= 16 and 32 above, so every loop
    over them has a constant trip count; a lane j >= n holds 1 and never
    moves.  Every step is a ring operation on unsigned words, which wrap and
-   have no undefined overflow, so the total is exact modulo 2**64 (or
-   2**128), and its signed reading is exact whenever the true total lies in
-   [-2**63, 2**63) (or [-2**127, 2**127)):
-   - even n <= 20: |Per / 2| <= n! / 2 <= 20! / 2 < 2**63;
-   - odd n <= 15: |2**(n-1) Per| <= 2**14 * 15! < 2**55;
-   - every other n <= 22 sums in unsigned __int128: |2**(n-1) Per| <=
-     2**20 * 21! < 2**86 and |Per / 2| <= 22! / 2 < 2**70.
+   have no undefined overflow, so the total is exact modulo 2**64 (even
+   n <= 20, odd n <= 15) or 2**128 (every other n), and its signed reading
+   is exact iff the true total lies in [-2**63, 2**63) or [-2**127, 2**127):
+   - even n: |Per / 2| <= n! / 2, below 2**63 for n <= 20, 2**107 for n <= 30;
+   - odd n: |2**(n-1) Per| <= 2**(n-1) n!, below 2**55 for n <= 15, 2**120
+     for n <= 27, but 2**130 or more at n = 29, which the caller
+     (permlab.engines.permanents) borders to 30 x 30 instead.
    Each product runs as four independent chains, p[k] over the lanes
-   j = k (mod 4).  In 128 bits, p[0] * p[1] covers at most 12 of the n <= 22
-   moving lanes and p[2] * p[3] at most 10, and a lane is at most 21 (odd n)
-   or 11 (n = 22, halved) in absolute value, so both are exact as int64
-   (21**12 < 2**53) and one signed 64 x 64 -> 128 multiply of the two is
-   exact too (21**22 < 2**97).
+   j = k (mod 4).  In 128 bits a chain has at most 8 lanes of absolute value
+   at most 29, so it is exact as int64 (29**8 < 2**39); p[0] * p[1] and
+   p[2] * p[3] are exact as int128, and their product wraps like the total.
 
    out[2b] and out[2b+1] are the low and high words of Per(A_b) in two's
    complement (the high word is 0 or -1 for n <= 20, where |Per| <= 20!).
-   0 <= n <= 22 (the caller's cap); the empty matrix has permanent 1. */
+   0 <= n <= 30, n != 29 (the caller's cap); the empty matrix has permanent 1. */
 static inline __attribute__((always_inline)) void
 glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const int wide,
             int64_t *out)
@@ -152,7 +150,7 @@ glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const
         const int8_t *a = mats + b * n * n;
         /* step[1][i - 1] is what delta_i going from +1 to -1 adds to the
            lanes, step[0][i - 1] what going back adds */
-        uint64_t step[2][21][32], sums[32];
+        uint64_t step[2][29][32], sums[32];
         for (int j = 0; j < lanes; j++) {
             int64_t col = 0;
             for (int64_t i = 0; i < n; i++) {
@@ -180,7 +178,8 @@ glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const
             for (int j = 0; j < lanes; j++)
                 p[j % 4] *= sums[j];
             if (wide) {
-                unsigned __int128 prod = (__int128)(int64_t)(p[0] * p[1]) * (int64_t)(p[2] * p[3]);
+                unsigned __int128 half = (__int128)(int64_t)p[0] * (int64_t)p[1];
+                unsigned __int128 prod = half * ((__int128)(int64_t)p[2] * (int64_t)p[3]);
                 total128 = s & 1 ? total128 - prod : total128 + prod;
             } else {
                 uint64_t prod = p[0] * p[1] * (p[2] * p[3]);
@@ -197,6 +196,13 @@ glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const
     }
 }
 
+/* Kept out of glynn: inlined there, it slowed the 64-bit sweeps 10-15%. */
+static __attribute__((noinline)) void
+glynn_wide(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
+{
+    glynn_sweep(mats, count, n, 32, 1, out);
+}
+
 void glynn(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
 {
     if (n == 0)
@@ -207,7 +213,7 @@ void glynn(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
     else if (n % 2 == 0 && n <= 20)
         glynn_sweep(mats, count, n, 32, 0, out);
     else
-        glynn_sweep(mats, count, n, 32, 1, out);
+        glynn_wide(mats, count, n, out);
 }
 
 /* Ryser's formula over the row sets of count rows x cols sign blocks, stored

@@ -4,8 +4,8 @@ Subcommands: compute (one permanent/determinant), growth (trace ensembles),
 verify (the check suite), ensemble (growth-rate dataset).  All randomness
 flows from --seed; trial t uses stream t, so reruns are byte-identical.
 compute reads its permanents and residues from `engines.permanent`, the
-compiled Glynn kernel, up to its cap n <= 22; the lattice engine is asked
-for by name (--engine lattice, --dump-lattice).
+compiled Glynn kernel, up to its cap n <= 30; the naive and lattice engines
+are asked for by name (--engine naive, --engine lattice, --dump-lattice).
 verify runs one check by name, or every row of the suite; the check table
 it reads its defaults from is `checks.CHECKS`, and the suite is
 `checks.SUITE`.
@@ -33,8 +33,7 @@ from pathlib import Path
 
 from . import __version__
 from .checks import CHECKS, _needs_trials, default_suite, run_check, suite_passed, summary_lines
-from .engines import (PERMANENT_MAX_N, determinant_exact, permanent, permanent_mod, permanent_naive,
-                      permanent_ryser)
+from .engines import PERMANENT_MAX_N, determinant_exact, permanent, permanent_naive
 from .growth import ProcessConfig, run_growth, write_trace_jsonl
 from .lattice import DUMP_MAX_N, build_lattice, dump_lattice_csv
 from .matrices import CapError, SignMatrix, from_text, sample_sign_matrix
@@ -152,32 +151,24 @@ def _refuse_ignored_flags(args) -> None:
 def cmd_compute(args) -> int:
     """Print one matrix's permanent (and determinant, with --det) or residue (--mod).
 
-    Within PERMANENT_MAX_N the default engine and --mod read `permanent()`,
-    the compiled Glynn kernel; --mod beyond it runs `permanent_mod`'s Ryser
-    sweep, and the default engine beyond it reaches the lattice's cap error.
-    --engine lattice and --dump-lattice build the minor lattice.
+    The default engine and --mod read `permanent()`, the compiled Glynn
+    kernel; --engine lattice and --dump-lattice build the minor lattice.
     """
     _refuse_ignored_flags(args)
     matrix = _load_matrix(args)
-    glynn = matrix.n <= PERMANENT_MAX_N
     if args.mod is not None:
         if args.mod < 2:
             raise ValueError(f"modulus must be >= 2, got {args.mod}")
-        print(permanent(matrix) % args.mod if glynn else permanent_mod(matrix, args.mod))
+        print(permanent(matrix) % args.mod)
         return 0
     if args.engine == "naive":
         per = permanent_naive(matrix)
-    elif args.engine == "ryser":
-        per = permanent_ryser(matrix)
-    elif args.engine is None and not args.dump_lattice and glynn:
+    elif args.engine is None and not args.dump_lattice:
         per = permanent(matrix)
     else:
         if args.dump_lattice and matrix.n > DUMP_MAX_N:
             raise CapError(f"--dump-lattice is capped at n <= {DUMP_MAX_N}, got n={matrix.n}")
-        try:
-            table = build_lattice(matrix)
-        except CapError as exc:
-            raise CapError(f"{exc}; use --engine ryser, which keeps no table") from exc
+        table = build_lattice(matrix)
         if args.dump_lattice:
             dump_lattice_csv(table, args.dump_lattice)
         per = table.top_value()
@@ -346,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, metavar="N", help="sample a random N x N matrix")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
-    p.add_argument("--engine", choices=["naive", "ryser", "lattice"], default=None,
-                   help="permanent engine (default: the compiled Glynn kernel, n <= 22)")
+    p.add_argument("--engine", choices=["naive", "lattice"], default=None,
+                   help="permanent engine (default: the compiled Glynn kernel, n <= 30)")
     p.add_argument("--det", action="store_true", help="also print the determinant")
     p.add_argument("--mod", type=int, help="print the permanent residue mod M")
     p.add_argument("--dump-lattice", metavar="CSV", help="dump the minor lattice (engine=lattice, n <= 12)")

@@ -23,11 +23,11 @@ level down over the mask's +1 columns and subtracts the sum over its -1
 columns; `select_heavy` writes a level's heavy masks in one branchless
 pass, or only counts them; `parent_histogram` counts each child's family
 parents in a 2**n-byte scratch array that the table keeps and the kernel
-leaves zeroed.  That file also holds the
-engines' kernels: Glynn's formula, which gives every exact square
-permanent (`engines.permanent`, `permanents`, `ryser_batch`); the Ryser
-kernel, which scans the row subsets of a square matrix for the modular
-engine or of a (k+1) x k block for its k+1 row-deleted cofactors
+leaves zeroed.  That file also holds the engines' kernels: Glynn's
+formula, which gives every exact square permanent through n = 30
+(`engines.permanent`, `permanents`, `ryser_batch`); the Ryser kernel,
+which scans the row subsets of a square matrix for the modular engine or
+of a (k+1) x k block for its k+1 row-deleted cofactors
 (`engines.ryser_cofactors`, read by `checks.check_many_children`); and the
 permutation walk of the naive engine.  It is compiled with gcc on
 first use into a per-user cache, $XDG_CACHE_HOME/permlab (default
@@ -69,7 +69,10 @@ def _kernels() -> ctypes.CDLL:
 
     The library is compiled under a temporary name in the cache directory and
     renamed into place, so processes that race to build it all end up loading
-    one complete file.
+    one complete file.  Kernels take raw addresses of C-contiguous arrays
+    (ndpointer's checks cost more than a small level's work), and an address
+    handed to a kernel comes from a name bound in the calling frame: in
+    `f(np.ascontiguousarray(x).ctypes.data)` a copy is freed before f runs.
     """
     source = _KERNEL_SOURCE.read_bytes()
     digest = hashlib.sha256(source + " ".join(_KERNEL_CC).encode()).hexdigest()
@@ -97,9 +100,6 @@ def _kernels() -> ctypes.CDLL:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     kernels = ctypes.CDLL(str(lib))
-    # Every kernel takes raw addresses, since numpy's ndpointer checks cost
-    # more per call than the work on a small level or matrix; each caller
-    # passes C-contiguous arrays of the kernel's element type.
     addr, i64 = ctypes.c_void_p, ctypes.c_int64
     kernels.add_level.argtypes = [addr, addr, i64, addr, i64]
     kernels.select_heavy.argtypes = [addr, addr, i64, i64, addr]
@@ -151,9 +151,8 @@ class MinorTable:
         self._vals[0] = 1  # empty minor
         self._big: dict[int, int] = {}
         self._row = np.empty(n, dtype=np.int8)  # add_level's copy of its row
-        # Kernel arguments are raw addresses (see _kernels).  These arrays
-        # are C-contiguous by construction and live as long as the table;
-        # every other array passed is made just before the call.
+        # Kernel arguments that the table holds, so they outlive every call
+        # (see _kernels); each is C-contiguous by construction.
         self._levels, self._levels_at = _level_masks(n)
         self._vals_at, self._row_at = self._vals.ctypes.data, self._row.ctypes.data
 

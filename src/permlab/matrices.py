@@ -80,10 +80,6 @@ def sample_sign_matrix(n: int, rng: RngStream) -> SignMatrix:
     return SignMatrix(2 * bits - 1)
 
 
-def all_ones(n: int) -> SignMatrix:
-    return SignMatrix(np.ones((n, n), np.int8))
-
-
 # Text fixture format: first line is n, then n lines of n space-separated
 # entries; "1", "+1" and "-1" are accepted on input, "1"/"-1" are printed.
 

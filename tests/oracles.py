@@ -5,13 +5,16 @@ loops over permutations / sign assignments / subsets) so it shares no code
 path with the engines it checks.  The one exception, `numpy_level_table`,
 builds the whole minor lattice with numpy gathers, independently of the
 compiled kernel that builds it in the program.  `subsets_of_size` walks the
-masks of one level with Gosper's hack, independently of `masks_by_level`.
+masks of one level with Gosper's hack, independently of `masks_by_level`,
+and `level_values` reads a built table's values at those masks straight
+from its storage, independently of the compiled heaviness queries.
 `enumerate_all_sign_matrices` builds the canonical counter order one matrix
 at a time, independently of the exact checks' batch enumeration.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations, permutations, product
 from typing import Iterator
@@ -29,6 +32,11 @@ def mask_of(cols) -> int:
     for c in cols:
         m |= 1 << c
     return m
+
+
+def all_ones(n: int) -> SignMatrix:
+    """The n x n all-ones matrix, whose permanent is n!."""
+    return SignMatrix(np.ones((n, n), np.int8))
 
 
 def brute_permanent(entries) -> int:
@@ -113,6 +121,22 @@ def subsets_of_size(n: int, k: int) -> Iterator[int]:
         low = m & -m
         ripple = m + low
         m = ripple | (((m ^ ripple) >> 2) // low)
+
+
+@functools.cache
+def _gosper_masks(n: int, k: int) -> np.ndarray:
+    masks = np.fromiter(subsets_of_size(n, k), dtype=np.int64)
+    masks.flags.writeable = False
+    return masks
+
+
+def level_values(table, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The masks of level k <= 20 of a built MinorTable, ascending, and their
+    minor permanents, gathered from the table's flat int64 storage."""
+    if not 0 <= k <= min(table.k_max, 20):
+        raise ValueError(f"level {k} is not a built int64 level (k_max={table.k_max})")
+    masks = _gosper_masks(table.n, k)
+    return masks, table._vals[masks]
 
 
 def brute_heavy_sets(matrix, k: int, threshold) -> list[int]:

@@ -41,7 +41,7 @@ from permlab.matrices import SignMatrix, sample_sign_matrix
 from permlab.rng import RngStream
 from permlab.subsets import bits_of
 
-from oracles import brute_permanent, enumerate_all_sign_matrices, subsets_of_size
+from oracles import brute_permanent, enumerate_all_sign_matrices, level_values, subsets_of_size
 
 SEED = 0
 ALON_RECOUNT_DRAWS = 8
@@ -230,17 +230,14 @@ def test_criterion_8_growth_process_structure():
             if rec.step_type is None:
                 continue
             increments.setdefault(rec.k, []).append(recs[idx + 1].potential - rec.potential)
-            # independent recount of the exact heavy counts behind the type
-            t_same = math.ceil(rec.threshold)
-            t_grown = math.ceil(rec.grown_threshold)
-            at_same = sum(
-                1 for mask in subsets_of_size(n, rec.k + 1)
-                if abs(table.value(mask)) >= t_same
-            )
-            at_grown = sum(
-                1 for mask in subsets_of_size(n, rec.k + 1)
-                if abs(table.value(mask)) >= t_grown
-            )
+            # independent recount of the exact heavy counts behind the type,
+            # over every level-(k+1) mask; |value| <= 16!, so a threshold
+            # clamped to int64 counts the same
+            magnitudes = np.abs(level_values(table, rec.k + 1)[1])
+            t_same = min(math.ceil(rec.threshold), 2**63 - 1)
+            t_grown = min(math.ceil(rec.grown_threshold), 2**63 - 1)
+            at_same = int((magnitudes >= t_same).sum())
+            at_grown = int((magnitudes >= t_grown).sum())
             explode = count_threshold(n**cfg.eps * rec.tracked / 4)
             keep = count_threshold(cfg.keep_frac() * rec.tracked)
             shrunk = count_threshold(cfg.eff_eps_prime() * rec.tracked)
@@ -255,7 +252,8 @@ def test_criterion_8_growth_process_structure():
                     and at_grown < shrunk and at_same >= keep)
                 or st is StepType.V
             )
-            if not sound:
+            # and the counts the step read are the recounted ones
+            if not sound or (at_same, at_grown) != (rec.next_at_threshold, rec.next_at_grown):
                 reverify_failures += 1
             if rec.branch is SplitVerdict.PRIME:
                 explode_cond += 1

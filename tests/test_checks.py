@@ -22,11 +22,11 @@ from permlab.checks import (
     summary_lines,
 )
 from permlab.growth import ProcessConfig
-from permlab.matrices import CapError, all_ones
+from permlab.matrices import CapError
 from permlab.pilots import run_all_pilots
 from permlab.rng import RngStream
 
-from oracles import brute_max_interval_count, brute_signed_sums
+from oracles import all_ones, brute_max_interval_count, brute_signed_sums
 
 
 def test_second_moment_exact_small():
@@ -77,7 +77,7 @@ def test_alon_rejects_bad_n():
 
 def test_alon_31_exceeds_engine_cap():
     # n+1 = 32 is admissible in principle but needs 31 x 31 permanents,
-    # beyond the exact engine's documented cap of n <= 22
+    # beyond the exact engine's documented cap of n <= 30
     with pytest.raises(CapError):
         check_alon(31, trials=1, rng=RngStream(0))
 

@@ -11,8 +11,10 @@ import pytest
 from permlab import cli, lattice
 from permlab.cli import _thread_count
 from permlab.engines import permanent_mod, permanent_ryser
-from permlab.matrices import all_ones, sample_sign_matrix, to_text
+from permlab.matrices import sample_sign_matrix, to_text
 from permlab.rng import RngStream
+
+from oracles import all_ones
 
 CLI = [sys.executable, "-m", "permlab.cli"]
 
@@ -29,10 +31,13 @@ def ones3(tmp_path):
 
 
 def test_compute_engines_agree(ones3):
-    for engine in ("naive", "ryser", "lattice"):
-        res = run_cli("compute", str(ones3), "--engine", engine)
+    for flags in ([], ["--engine", "naive"], ["--engine", "lattice"]):
+        res = run_cli("compute", str(ones3), *flags)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "6"
+    # the pure-Python Ryser scan is no engine of the CLI
+    res = run_cli("compute", str(ones3), "--engine", "ryser")
+    assert res.returncode == 2 and "invalid choice: 'ryser'" in res.stderr
 
 
 def test_compute_det_and_mod(ones3):
@@ -55,10 +60,10 @@ def test_compute_cap_is_clean_error(ones3):
 
 
 def test_compute_default_engine_cap_is_clean_error():
-    # the default lattice engine refuses n=23 before allocating its table
-    res = run_cli("compute", "--random", "23")
+    # the default engine, the Glynn kernel, refuses n=31
+    res = run_cli("compute", "--random", "31")
     assert res.returncode == 2
-    assert "capped" in res.stderr and "--engine ryser" in res.stderr
+    assert res.stderr == "error: permanent is capped at n <= 30 (2**(n-1) sign vectors), got n=31\n"
 
 
 def _compute(capsys, n: int, *flags: str) -> str:
@@ -77,8 +82,7 @@ def test_compute_mod_matches_the_modular_ryser_sweep(capsys, n):
     assert _compute(capsys, n, "--mod", str(_PRIME)) == f"{permanent_mod(matrix, _PRIME)}\n"
 
 
-def test_compute_mod_above_the_glynn_cap_runs_the_modular_sweep(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "permanent", lambda m: pytest.fail("the Glynn kernel ran at n=23"))
+def test_compute_mod_above_22_reads_the_glynn_kernel(capsys):
     matrix = sample_sign_matrix(23, RngStream(0, 0))
     assert _compute(capsys, 23, "--mod", "7") == f"{permanent_mod(matrix, 7)}\n"
 
@@ -105,16 +109,18 @@ def test_compute_default_and_mod_build_no_table(monkeypatch, capsys):
 
 
 def test_compute_default_engine_beyond_the_glynn_cap_names_it(capsys):
-    assert cli.main(["compute", "--random", "23"]) == 2
-    err = capsys.readouterr().err
-    assert "capped at n <= 22" in err and "--engine ryser" in err
+    for flags in ([], ["--mod", "7"]):
+        assert cli.main(["compute", "--random", "31", *flags]) == 2
+        assert capsys.readouterr().err.startswith("error: permanent is capped at n <= 30")
+    # the lattice keeps its own cap
+    assert cli.main(["compute", "--random", "23", "--engine", "lattice"]) == 2
+    assert capsys.readouterr().err.startswith("error: minor lattice is capped at n <= 22")
 
 
 @pytest.mark.parametrize("n", [5, 23])
 @pytest.mark.parametrize("modulus", [1, 0, -7])
 def test_compute_mod_below_two_refused_before_any_kernel(monkeypatch, capsys, n, modulus):
-    for name in ("permanent", "permanent_mod"):
-        monkeypatch.setattr(cli, name, lambda *_a: pytest.fail("a kernel ran"))
+    monkeypatch.setattr(cli, "permanent", lambda *_a: pytest.fail("a kernel ran"))
     assert cli.main(["compute", "--random", str(n), "--mod", str(modulus)]) == 2
     assert capsys.readouterr() == ("", f"error: modulus must be >= 2, got {modulus}\n")
 
@@ -160,7 +166,7 @@ def test_counts_below_one_rejected(tmp_path, args, flag):
     (["verify", "--suite", "littlewood_offord", "--x", "inf"], "--x", "must be finite, got inf"),
     (["ensemble", "--n-list", "8,x", "--out", "{tmp}/e.csv"], "--n-list", "must be comma-separated"),
     (["ensemble", "--n-list", ",", "--out", "{tmp}/e.csv"], "--n-list", "needs at least one size"),
-    (["ensemble", "--n-list", "8,23", "--out", "{tmp}/e.csv"], "--n-list", "ensemble is capped at n <= 22"),
+    (["ensemble", "--n-list", "8,31", "--out", "{tmp}/e.csv"], "--n-list", "ensemble is capped at n <= 30"),
     (["verify", "--suite", "nope", "--out", "{tmp}/e.csv"], "--suite", "invalid choice: 'nope'"),
 ], ids=["verify-x-negative", "verify-x-infinite", "n-list-not-int", "n-list-empty",
         "n-list-above-cap", "verify-unknown-suite"])
@@ -347,11 +353,10 @@ def test_compute_lattice_dump(tmp_path, ones3):
 
 @pytest.mark.parametrize("args, flags", [
     (["--mod", "7", "--det"], ("--mod", "--det")),
-    (["--mod", "7", "--engine", "ryser"], ("--mod", "--engine")),
+    (["--mod", "7", "--engine", "lattice"], ("--mod", "--engine")),
     (["--mod", "7", "--dump-lattice", "{tmp}/x.csv"], ("--mod", "--dump-lattice")),
-    (["--engine", "ryser", "--dump-lattice", "{tmp}/x.csv"], ("--dump-lattice", "--engine")),
     (["--engine", "naive", "--dump-lattice", "{tmp}/x.csv"], ("--dump-lattice", "--engine")),
-], ids=["mod-det", "mod-engine", "mod-dump", "ryser-dump", "naive-dump"])
+], ids=["mod-det", "mod-engine", "mod-dump", "naive-dump"])
 def test_compute_ignored_flag_pairs_rejected(tmp_path, capsys, args, flags):
     argv = ["compute", "--random", "5", *(a.format(tmp=tmp_path) for a in args)]
     assert cli.main(argv) == 2

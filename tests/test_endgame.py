@@ -17,10 +17,10 @@ from permlab.endgame import (
 from permlab.engines import permanent_ryser
 from permlab.growth import ProcessConfig
 from permlab.lattice import MinorTable
-from permlab.matrices import SignMatrix, all_ones, sample_sign_matrix
+from permlab.matrices import SignMatrix, sample_sign_matrix
 from permlab.rng import RngStream
 
-from oracles import mask_of
+from oracles import all_ones, mask_of
 
 
 def block_after(k, L):

@@ -17,10 +17,11 @@ from permlab.engines import (
     ryser_cofactors,
 )
 from permlab.lattice import build_lattice
-from permlab.matrices import CapError, SignMatrix, all_ones, sample_sign_matrix
+from permlab.matrices import CapError, SignMatrix, sample_sign_matrix
 from permlab.rng import RngStream
 
-from oracles import brute_determinant, brute_permanent, enumerate_all_sign_matrices, matrix_from_counter
+from oracles import (all_ones, brute_determinant, brute_permanent, enumerate_all_sign_matrices,
+                     matrix_from_counter)
 
 EXACT_ENGINES = (permanent_naive, permanent_ryser, permanent)
 
@@ -123,6 +124,40 @@ def test_permanent_at_the_glynn_kernel_boundaries(n):
     assert permanents(_signed_ones(n)) == [f, (-1) ** n * f, -f]
 
 
+# Primes below 2**31, the modular sweep's bound; their product, about 2**93,
+# passes 2 * 25!, so the CRT of the residues is the permanent for n <= 25.
+_CRT_PRIMES = (2**31 - 1, 2**31 - 19, 2**31 - 61)
+
+
+def _crt_permanent(m: SignMatrix) -> int:
+    """The permanent rebuilt from its permanent_mod residues, which share no
+    code with the glynn kernel: the residue class's member nearest 0."""
+    x, mod = 0, 1
+    for p in _CRT_PRIMES:
+        x += mod * ((permanent_mod(m, p) - x) * pow(mod, -1, p) % p)
+        mod *= p
+    return x if 2 * x <= mod else x - mod
+
+
+# 23 and 24: an odd and an even n above the lattice's cap, in 128 bits
+@pytest.mark.parametrize("n", [23, 24])
+def test_permanent_matches_the_crt_of_permanent_mod(n):
+    m = sample_sign_matrix(n, RngStream(33, n))
+    assert permanent(m) == _crt_permanent(m)
+
+
+@pytest.mark.slow
+def test_permanent_through_its_cap_of_30():
+    # n = 25 against the residues; at n = 27, 28 and 30 the all-ones and
+    # negated-row matrices make the 128-bit total as large as it gets, and
+    # n = 29 runs as two bordered 30 x 30 matrices
+    m = sample_sign_matrix(25, RngStream(33, 25))
+    assert permanent(m) == _crt_permanent(m)
+    for n in (27, 28, 29, 30):
+        f = math.factorial(n)
+        assert permanents(_signed_ones(n)[[0, 2]]) == [f, -f], n
+
+
 def test_permanents_match_the_lattice_at_every_size():
     # one kernel call per size, three matrices each; 15..17 and 20..22 above
     for n in [*range(1, 15), 18, 19]:
@@ -154,15 +189,15 @@ def test_permanents_refuse_non_sign_entries(bad):
 
 
 def test_permanent_cap_names_the_cap(capsys):
-    with pytest.raises(CapError, match=r"^permanent is capped at n <= 22 \(2\*\*\(n-1\) sign vectors\), got n=23$"):
-        permanent(all_ones(23))
-    with pytest.raises(CapError, match="capped at n <= 22"):
-        permanents(np.ones((1, 30, 30), dtype=np.int8))
+    with pytest.raises(CapError, match=r"^permanent is capped at n <= 30 \(2\*\*\(n-1\) sign vectors\), got n=31$"):
+        permanent(all_ones(31))
+    with pytest.raises(CapError, match="capped at n <= 30"):
+        permanents(np.ones((1, 40, 40), dtype=np.int8))
     # a request above the cap is a clean exit 2 that names it
-    for args in (["--suite", "growth_rate", "--n", "23", "--trials", "2"],
-                 ["--suite", "singularity", "--mode", "monte_carlo", "--n", "23", "--trials", "2"]):
+    for args in (["--suite", "growth_rate", "--n", "31", "--trials", "2"],
+                 ["--suite", "singularity", "--mode", "monte_carlo", "--n", "31", "--trials", "2"]):
         assert cli.main(["verify", *args]) == 2
-        assert capsys.readouterr().err == "error: permanent is capped at n <= 22 (2**(n-1) sign vectors), got n=23\n"
+        assert capsys.readouterr().err == "error: permanent is capped at n <= 30 (2**(n-1) sign vectors), got n=31\n"
 
 
 def _sign_blocks(gen, count: int, rows: int) -> np.ndarray:
@@ -251,14 +286,8 @@ def test_permanent_mod_matches_exact():
     for n in (3, 5, 7, 12, 15):
         m = sample_sign_matrix(n, RngStream(22, n))
         exact = permanent_ryser(m)
-        for modulus in (2, 4, 7, 8, 97):
+        for modulus in (2, 4, 7, 8, 97, 2**31 - 1):
             assert permanent_mod(m, modulus) == exact % modulus
-    # a modulus of 2**31 or more takes the exact-value fallback
-    modulus = 2**61 - 1
-    for n in (3, 6, 8):
-        m = sample_sign_matrix(n, RngStream(22, 100 + n))
-        e = [[int(v) for v in row] for row in m.entries]
-        assert permanent_mod(m, modulus) == brute_permanent(e) % modulus
 
 
 def test_kernels_read_c_ordered_entries():
@@ -276,8 +305,13 @@ def test_kernels_read_c_ordered_entries():
 
 
 def test_permanent_mod_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be >= 2, got 1"):
         permanent_mod(all_ones(2), 1)
+    # the modular sweep's residues stay below 2**31; a wider modulus has no
+    # exact fallback here (its residue is permanent(m) % modulus)
+    for modulus in (2**31, 2**61 - 1):
+        with pytest.raises(ValueError, match=f"^permanent_mod takes a modulus below 2\\*\\*31, got {modulus}$"):
+            permanent_mod(all_ones(2), modulus)
 
 
 def test_naive_cap():

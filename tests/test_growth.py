@@ -16,9 +16,10 @@ from permlab.growth import (
     write_trace_jsonl,
 )
 from permlab.lattice import MinorTable, SplitVerdict
-from permlab.matrices import all_ones, sample_sign_matrix
+from permlab.matrices import sample_sign_matrix
 from permlab.rng import RngStream
 
+from oracles import all_ones
 from reference_growth import reference_trace
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trace_n16_seed0.jsonl"

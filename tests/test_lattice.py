@@ -21,11 +21,12 @@ from permlab.lattice import (
     split_cut,
     split_events,
 )
-from permlab.matrices import CapError, SignMatrix, all_ones, sample_sign_matrix
+from permlab.matrices import CapError, SignMatrix, sample_sign_matrix
 from permlab.rng import RngStream
 from permlab.subsets import bits_of
 
 from oracles import (
+    all_ones,
     brute_heavy_sets,
     brute_minor_permanent,
     brute_parent_counts,

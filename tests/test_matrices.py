@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permlab.checks import _enumerate_batch
-from permlab.matrices import SignMatrix, all_ones, from_text, sample_row, sample_sign_matrix, to_text
+from permlab.matrices import SignMatrix, from_text, sample_row, sample_sign_matrix, to_text
 from permlab.rng import RngStream
 
-from oracles import enumerate_all_sign_matrices, matrix_from_counter
+from oracles import all_ones, enumerate_all_sign_matrices, matrix_from_counter
 
 
 def test_entries_validated():
