@@ -1,11 +1,13 @@
-/* The compiled kernels of permlab, loaded together by permlab.lattice._kernels:
+/* The compiled kernels of permlab, loaded together by permlab.compiled._kernels:
    the level build and the two per-level queries of the minor lattice
    (add_level, select_heavy, parent_histogram), Glynn's formula (glynn) for
    every exact square permanent up to n = 30, Ryser's formula (ryser) for the
    modular engine and, on a block with one row more than columns, for the
-   row-deleted cofactors that many_children expands its children along, and
-   the walk over all permutations of the naive engine (naive_odd).  glynn,
-   ryser and naive_odd share no code, so each can check the others. */
+   row-deleted cofactors that many_children expands its children along, the
+   walk over all permutations of the naive engine (naive_odd), and the
+   Philox4x64-10 sign draws of every seeded matrix and row (sign_draws).
+   glynn, both ryser sweeps and naive_odd share no code, so each can check
+   the others. */
 #include <stdint.h>
 
 /* One level of the minor lattice (permlab.lattice.MinorTable.add_level).
@@ -123,10 +125,10 @@ int64_t parent_histogram(const int64_t *members, int64_t count, int64_t n, int64
    which moves by -+a[i+1][j], and the total is 2**(n-1) Per / 2**n = Per / 2.
    For odd n the lanes hold s_j and the total is 2**(n-1) Per.
 
-   The lanes have a fixed width, 16 for n <= 16 and 32 above, so every loop
-   over them has a constant trip count; a lane j >= n holds 1 and never
-   moves.  Every step is a ring operation on unsigned words, which wrap and
-   have no undefined overflow, so the total is exact modulo 2**64 (even
+   The lanes have a fixed width, the least of 4, 8, 16 and 32 that holds n,
+   so every loop over them has a constant trip count; a lane j >= n holds 1
+   and never moves.  Every step is a ring operation on unsigned words, which
+   wrap and have no undefined overflow, so the total is exact modulo 2**64 (even
    n <= 20, odd n <= 15) or 2**128 (every other n), and its signed reading
    is exact iff the true total lies in [-2**63, 2**63) or [-2**127, 2**127):
    - even n: |Per / 2| <= n! / 2, below 2**63 for n <= 20, 2**107 for n <= 30;
@@ -169,6 +171,7 @@ glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const
             if (s) {
                 int i = __builtin_ctzll(s);
                 const uint64_t *d = step[(s ^ s >> 1) >> i & 1][i];
+#pragma GCC unroll 16
                 for (int j = 0; j < lanes; j++)
                     sums[j] += d[j];
             }
@@ -196,22 +199,33 @@ glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const
     }
 }
 
-/* Kept out of glynn: inlined there, it slowed the 64-bit sweeps 10-15%. */
-static __attribute__((noinline)) void
-glynn_wide(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
-{
-    glynn_sweep(mats, count, n, 32, 1, out);
-}
+/* Each width is its own function, kept out of glynn: inlined there together,
+   the sweeps slowed one another by 10-25%. */
+#define GLYNN_WIDTH(name, lanes, wide)                                        \
+    static __attribute__((noinline)) void                                     \
+    name(const int8_t *mats, int64_t count, int64_t n, int64_t *out)          \
+    {                                                                         \
+        glynn_sweep(mats, count, n, lanes, wide, out);                        \
+    }
+GLYNN_WIDTH(glynn_4, 4, 0)
+GLYNN_WIDTH(glynn_8, 8, 0)
+GLYNN_WIDTH(glynn_16, 16, 0)
+GLYNN_WIDTH(glynn_32, 32, 0)
+GLYNN_WIDTH(glynn_wide, 32, 1)
 
 void glynn(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
 {
     if (n == 0)
         for (int64_t b = 0; b < count; b++)
             out[2 * b] = 1, out[2 * b + 1] = 0;
+    else if (n <= 4)
+        glynn_4(mats, count, n, out);
+    else if (n <= 8)
+        glynn_8(mats, count, n, out);
     else if (n <= 16)
-        glynn_sweep(mats, count, n, 16, 0, out);
+        glynn_16(mats, count, n, out);
     else if (n % 2 == 0 && n <= 20)
-        glynn_sweep(mats, count, n, 32, 0, out);
+        glynn_32(mats, count, n, out);
     else
         glynn_wide(mats, count, n, out);
 }
@@ -221,7 +235,8 @@ void glynn(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
    order (Nijenhuis-Wilf): step s toggles row ctz(s), so the column sums
    colsum_S[j] = sum over i in S of a[i][j] are updated from one contiguous
    row, and |colsum_S[j]| <= |S|.  Each S has the term
-       t_S = (-1)**(cols - |S|) * prod over j of colsum_S[j].
+       t_S = (-1)**(cols - |S|) * prod over j of colsum_S[j],
+   and one row joins or leaves S per step, so |S| = s (mod 2).
 
    cols == rows (permlab.engines.permanent_mod; modular only,
    2 <= modulus < 2**31): out[b] is the residue in [0, modulus) of the
@@ -231,8 +246,40 @@ void glynn(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
    stays below 2**n * 2**31 <= 2**61 for n <= 30.  Exact square permanents
    come from glynn; these residues are the oracle that checks it.
 
-   cols == rows - 1 (permlab.engines.ryser_cofactors; exact only, modulus 0):
-   out[b * rows + r] is the permanent of block b without row r,
+   cols == rows - 1 (permlab.engines.ryser_cofactors; exact only):
+   cofactor_sweep below. */
+static void ryser_mod(const int8_t *mats, int64_t count, int64_t n, int64_t modulus,
+                      int64_t *out)
+{
+    for (int64_t b = 0; b < count; b++) {
+        const int8_t *a = mats + b * n * n;
+        int64_t sums[64] = {0};
+        int64_t total = n == 0;  /* the empty set's term; 0 once n >= 1 */
+        for (uint64_t s = 1; s >> n == 0; s++) {
+            int i = __builtin_ctzll(s);
+            const int8_t *row = a + i * n;
+            if ((s ^ s >> 1) >> i & 1)  /* row i joins S = gray(s) */
+                for (int64_t j = 0; j < n; j++)
+                    sums[j] += row[j];
+            else
+                for (int64_t j = 0; j < n; j++)
+                    sums[j] -= row[j];
+            int64_t prod = 1;
+            for (int64_t j = 0; j < n; j += 6) {
+                int64_t end = j + 6 < n ? j + 6 : n;
+                for (int64_t k = j; k < end; k++)
+                    prod *= sums[k];
+                prod %= modulus;
+            }
+            total += (n ^ s) & 1 ? -prod : prod;
+        }
+        out[b] = (total % modulus + modulus) % modulus;
+    }
+}
+
+/* The row-deleted cofactors of count (cols + 1) x cols sign blocks by
+   Ryser's formula (permlab.engines.ryser_cofactors): out[b * rows + r] is
+   the permanent of block b without row r,
        sum over S not containing r of t_S,
    all rows of them from the one sweep.  A row's membership in S changes only
    at the steps that toggle it, so between two such steps every term lands
@@ -240,67 +287,70 @@ void glynn(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
    total since it last moved (total - mark[i]) were all outside it, and go to
    cof[i]; after the last step every row but rows - 1 is outside.  By Laplace
    expansion along an added column c, the square matrix [block | c] has
-   permanent sum over r of c[r] * out[b * rows + r].  The running total and
-   each of its stretches sum at most 2**rows terms of size at most
-   rows**cols, and 2**13 * 13**12 < 2**63, so the path is exact for
-   rows <= 13.
+   permanent sum over r of c[r] * out[b * rows + r].
 
-   The subset loop is written once, in ryser_sweep; ryser inlines it once
-   per shape, so neither path has a per-step shape test. */
+   The column sums sit in a fixed number of lanes, 8 or 16, so every loop over
+   them has a constant trip count; a lane j >= cols holds 1 and never moves.
+   A table of each row's entries and their negations gives the step, with no
+   branch on its direction, and the product runs as four independent chains,
+   p[k] over the lanes j = k (mod 4).  The running total and each of its
+   stretches sum at most 2**rows terms of size at most rows**cols, and
+   2**13 * 13**12 < 2**63, so the sweep is exact for 1 <= rows <= 13.  It
+   shares no code with glynn_sweep, so the children that many_children
+   expands along these cofactors are checked by an engine of their own. */
 static inline __attribute__((always_inline)) void
-ryser_sweep(const int8_t *mats, int64_t count, int64_t rows, int64_t cols, int64_t modulus,
-            const int cofactors, int64_t *out)
+cofactor_sweep(const int8_t *mats, int64_t count, int64_t rows, const int lanes,
+               int64_t *out)
 {
+    const int64_t cols = rows - 1;
     for (int64_t b = 0; b < count; b++) {
         const int8_t *a = mats + b * rows * cols;
-        int64_t sums[64] = {0};
+        /* step[1][i] is what row i joining S adds to the lanes, step[0][i]
+           what its leaving adds */
+        int64_t step[2][13][16], sums[16];
+        for (int64_t i = 0; i < rows; i++)
+            for (int j = 0; j < lanes; j++) {
+                step[1][i][j] = j < cols ? a[i * cols + j] : 0;
+                step[0][i][j] = -step[1][i][j];
+            }
+        for (int j = 0; j < lanes; j++)
+            sums[j] = j >= cols;
         int64_t total = cols == 0;  /* the empty set's term; 0 once cols >= 1 */
-        int64_t cof[64] = {0}, mark[64] = {0};
+        int64_t cof[13] = {0}, mark[13] = {0};
         for (uint64_t s = 1; s >> rows == 0; s++) {
             int i = __builtin_ctzll(s);
-            const int8_t *row = a + i * cols;
             int joins = (s ^ s >> 1) >> i & 1;  /* row i is in S = gray(s) */
+            const int64_t *d = step[joins][i];
+#pragma GCC unroll 16
+            for (int j = 0; j < lanes; j++)
+                sums[j] += d[j];
             if (joins)
-                for (int64_t j = 0; j < cols; j++)
-                    sums[j] += row[j];
-            else
-                for (int64_t j = 0; j < cols; j++)
-                    sums[j] -= row[j];
-            if (cofactors) {
-                if (joins)
-                    cof[i] += total - mark[i];
-                mark[i] = total;
-            }
-            int64_t prod = 1;
-            if (cofactors) {
-                for (int64_t j = 0; j < cols; j++)
-                    prod *= sums[j];
-            } else {
-                for (int64_t j = 0; j < cols; j += 6) {
-                    int64_t end = j + 6 < cols ? j + 6 : cols;
-                    for (int64_t k = j; k < end; k++)
-                        prod *= sums[k];
-                    prod %= modulus;
-                }
-            }
-            /* one row joins or leaves S per step, so |S| = s (mod 2) */
+                cof[i] += total - mark[i];
+            mark[i] = total;
+            int64_t p[4] = {1, 1, 1, 1};
+#pragma GCC unroll 16
+            for (int j = 0; j < lanes; j++)
+                p[j % 4] *= sums[j];
+            int64_t prod = p[0] * p[1] * (p[2] * p[3]);
             total += (cols ^ s) & 1 ? -prod : prod;
         }
-        if (cofactors)  /* the last S is {rows - 1}: every other row is outside */
-            for (int64_t r = 0; r < rows; r++)
-                out[b * rows + r] = r == rows - 1 ? cof[r] : cof[r] + total - mark[r];
-        else
-            out[b] = (total % modulus + modulus) % modulus;
+        /* the last S is {rows - 1}: every other row is outside */
+        for (int64_t r = 0; r < rows; r++)
+            out[b * rows + r] = r == rows - 1 ? cof[r] : cof[r] + total - mark[r];
     }
 }
 
+/* cols == rows: the residues of ryser_mod, 0 <= n <= 30.  cols == rows - 1:
+   the cofactors of cofactor_sweep, 1 <= rows <= 13 (modulus unread). */
 void ryser(const int8_t *mats, int64_t count, int64_t rows, int64_t cols, int64_t modulus,
            int64_t *out)
 {
     if (cols == rows)
-        ryser_sweep(mats, count, rows, cols, modulus, 0, out);
+        ryser_mod(mats, count, rows, modulus, out);
+    else if (cols <= 8)
+        cofactor_sweep(mats, count, rows, 8, out);
     else
-        ryser_sweep(mats, count, rows, cols, 0, 1, out);
+        cofactor_sweep(mats, count, rows, 16, out);
 }
 
 /* The number of ways to give rows row .. last distinct columns from free so
@@ -336,4 +386,52 @@ int64_t naive_odd(const uint64_t *neg, int64_t n)
     if (n == 1)
         return neg[0] & 1;
     return naive_walk(neg, 0, n - 1, ((uint64_t)1 << n) - 1, 0);
+}
+
+/* count draws of cells iid uniform signs each, out[b * cells + c] in {-1, +1}
+   (permlab.matrices.sample_sign_matrix, sample_sign_matrices and sample_row).
+
+   Draw b is what numpy's Generator(Philox(key=[keys[2b], keys[2b+1]]))
+   .integers(0, 2, size=cells, dtype=int8) returns, times 2, minus 1:
+   Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers:
+   as easy as 1, 2, 3", SC 2011) with that key and a 256-bit counter that
+   starts at 0 and is incremented before each block of four uint64; each
+   uint64 gives two uint32, low half first; each uint32 gives four bytes, low
+   byte first; and Lemire's rule with range 2 takes the top bit of each byte,
+   with no rejection (its threshold, (255 - 1) % 2, is 0).  So the draw's
+   bytes are the words of the blocks in order, each read from its low byte
+   up.  cells <= 63 * 63 needs at most 125 blocks, so the counter's low word
+   never carries. */
+static inline uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
+{
+    unsigned __int128 p = (unsigned __int128)a * b;
+    *hi = (uint64_t)(p >> 64);
+    return (uint64_t)p;
+}
+
+void sign_draws(const uint64_t *keys, int64_t count, int64_t cells, int8_t *out)
+{
+    for (int64_t b = 0; b < count; b++) {
+        int8_t *o = out + b * cells;
+        for (int64_t c = 0, done = 0; done < cells; c++) {
+            uint64_t x[4] = {(uint64_t)c + 1, 0, 0, 0};
+            uint64_t k0 = keys[2 * b], k1 = keys[2 * b + 1];
+            for (int round = 0; round < 10; round++) {
+                if (round) {
+                    k0 += 0x9E3779B97F4A7C15u;
+                    k1 += 0xBB67AE8584CAA73Bu;
+                }
+                uint64_t hi0, hi1;
+                uint64_t lo0 = mulhilo(0xD2E7470EE14C6C93u, x[0], &hi0);
+                uint64_t lo1 = mulhilo(0xCA5A826395121157u, x[2], &hi1);
+                x[0] = hi1 ^ x[1] ^ k0;
+                x[1] = lo1;
+                x[2] = hi0 ^ x[3] ^ k1;
+                x[3] = lo0;
+            }
+            for (int w = 0; w < 4; w++)
+                for (int byte = 0; byte < 8 && done < cells; byte++, done++)
+                    o[done] = (int8_t)(2 * (int)(x[w] >> (8 * byte + 7) & 1) - 1);
+        }
+    }
 }

@@ -31,7 +31,7 @@ import numpy as np
 from .engines import _BATCH_MAX_N, permanents, ryser_batch, ryser_cofactors
 from .growth import ProcessConfig, count_threshold, run_growth
 from .lattice import SplitVerdict
-from .matrices import MAX_N, CapError, sample_sign_matrix
+from .matrices import MAX_N, CapError, sample_sign_matrices, sample_sign_matrix
 from .rng import RngStream
 
 _ALON_SIZES = (3, 7, 15, 31)
@@ -134,15 +134,15 @@ def pilot_bands() -> dict:
 def _enumerate_batch(n: int) -> np.ndarray:
     """All 2**(n*n) sign matrices in canonical counter order, as one array."""
     cells = n * n
-    counters = np.arange(1 << cells, dtype=np.int64)
-    bits = (counters[:, None] >> np.arange(cells, dtype=np.int64)[None, :]) & 1
-    return (2 * bits - 1).astype(np.int8).reshape(-1, n, n)
+    counters = np.arange(1 << cells, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(counters, axis=1, count=cells, bitorder="little")
+    return (2 * bits.view(np.int8) - 1).reshape(-1, n, n)
 
 
 def exact_permanents(n: int) -> np.ndarray:
     """Permanents (int64) of all 2**(n*n) sign matrices in canonical counter order.
 
-    The int64 bit array is freed when _enumerate_batch returns, so it does
+    The bit array is freed when _enumerate_batch returns, so it does
     not sit beside the batch engine's own arrays.
     """
     return ryser_batch(_enumerate_batch(n))
@@ -151,12 +151,13 @@ def exact_permanents(n: int) -> np.ndarray:
 def sample_permanents(n: int, trials: int, rng: RngStream) -> list[int]:
     """Exact permanents of `trials` seeded n x n sign matrices; draw t uses rng.substream(t).
 
-    The draws go to the kernel _DRAW_BLOCK at a time, one call per block.
+    Draws are made _DRAW_BLOCK at a time: one call of the draw kernel and
+    one of the permanent kernel per block.
     """
-    draws = (sample_sign_matrix(n, rng.substream(t)).entries for t in range(trials))
+    streams = (rng.substream(t) for t in range(trials))
     pers = []
     for rows in _draw_blocks(trials):
-        pers += permanents(np.stack(list(islice(draws, rows))))
+        pers += permanents(sample_sign_matrices(n, list(islice(streams, rows))))
     return pers
 
 
@@ -539,7 +540,7 @@ def check_growth_rate(n: int, trials: int, rng: RngStream) -> CheckReport:
     band = pilot_bands()["growth_rate"].get(str(n))
     stats = growth_rate_statistics(n, sample_permanents(n, trials, rng.substream(n)), band)
     return CheckReport(
-        name="growth_rate", n=None, sample_size=trials, seed=rng.seed,
+        name="growth_rate", n=n, sample_size=trials, seed=rng.seed,
         statistics={"per_n": {str(n): stats}},
         bound={"mean_per2_ratio": "1 within 3*SE", "median_log_ratio": "committed pilot band"},
         tolerance="3*SE and pilot bands",

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .lattice import _kernels
+from .compiled import _kernels
 from .matrices import CapError, SignMatrix
 
 NAIVE_MAX_N = 10  # n! enumeration

@@ -28,30 +28,24 @@ formula, which gives every exact square permanent through n = 30
 (`engines.permanent`, `permanents`, `ryser_batch`); the Ryser kernel,
 which scans the row subsets of a square matrix for the modular engine or
 of a (k+1) x k block for its k+1 row-deleted cofactors
-(`engines.ryser_cofactors`, read by `checks.check_many_children`); and the
-permutation walk of the naive engine.  It is compiled with gcc on
-first use into a per-user cache, $XDG_CACHE_HOME/permlab (default
-~/.cache/permlab), under a name that carries the SHA-256 of the source and
-the compiler flags, and loaded with ctypes; a missing gcc, a failed
-compile or an unwritable cache is an OSError that names the compiler or the
-path.
+(`engines.ryser_cofactors`, read by `checks.check_many_children`); the
+permutation walk of the naive engine; and the Philox sign draws of
+`matrices.sample_sign_matrix`, `sample_sign_matrices` and `sample_row`.
+`compiled._kernels` builds and loads the library; `lattice._kernels` is
+that same cached function.
 """
 
 from __future__ import annotations
 
 import csv
-import ctypes
 import functools
-import hashlib
 import math
 import os
-import subprocess
-import tempfile
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
+from .compiled import _kernels
 from .matrices import CapError, SignMatrix
 from .subsets import bits_of, masks_by_level
 
@@ -59,58 +53,6 @@ LATTICE_MAX_N = 22  # a 2**n table: 26 * 2**22 bytes ~ 109 MB at its build peak
 _INT64_LEVEL_MAX = 20
 _INT64_MAX = 2**63 - 1
 DUMP_MAX_N = 12
-_KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
-_KERNEL_CC = ("gcc", "-O2", "-shared", "-fPIC")
-
-
-@functools.cache
-def _kernels() -> ctypes.CDLL:
-    """The compiled kernels, compiled once per cache and loaded once per process.
-
-    The library is compiled under a temporary name in the cache directory and
-    renamed into place, so processes that race to build it all end up loading
-    one complete file.  Kernels take raw addresses of C-contiguous arrays
-    (ndpointer's checks cost more than a small level's work), and an address
-    handed to a kernel comes from a name bound in the calling frame: in
-    `f(np.ascontiguousarray(x).ctypes.data)` a copy is freed before f runs.
-    """
-    source = _KERNEL_SOURCE.read_bytes()
-    digest = hashlib.sha256(source + " ".join(_KERNEL_CC).encode()).hexdigest()
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "permlab"
-    lib = cache / f"_kernels-{digest}.so"
-    if not lib.exists():
-        try:
-            cache.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=cache, prefix=".kernels-", suffix=".tmp")
-        except OSError as exc:
-            raise OSError(f"cannot write the kernel cache {cache}: {exc}") from None
-        os.close(fd)
-        try:
-            subprocess.run([*_KERNEL_CC, "-x", "c", "-", "-o", tmp],
-                           input=source, capture_output=True, check=True)
-        except FileNotFoundError:
-            raise OSError(f"the permlab kernels need the C compiler {_KERNEL_CC[0]},"
-                          " which is not on PATH") from None
-        except subprocess.CalledProcessError as exc:
-            raise OSError(f"{_KERNEL_CC[0]} failed to compile {_KERNEL_SOURCE}:"
-                          f" {exc.stderr.decode(errors='replace').strip()}") from None
-        else:
-            os.replace(tmp, lib)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    kernels = ctypes.CDLL(str(lib))
-    addr, i64 = ctypes.c_void_p, ctypes.c_int64
-    kernels.add_level.argtypes = [addr, addr, i64, addr, i64]
-    kernels.select_heavy.argtypes = [addr, addr, i64, i64, addr]
-    kernels.parent_histogram.argtypes = [addr, i64, i64, i64, addr, addr]
-    kernels.ryser.argtypes = [addr, i64, i64, i64, i64, addr]
-    kernels.glynn.argtypes = [addr, i64, i64, addr]
-    kernels.naive_odd.argtypes = [addr, i64]
-    kernels.ryser.restype = kernels.glynn.restype = None
-    kernels.add_level.restype = kernels.select_heavy.restype = i64
-    kernels.parent_histogram.restype = kernels.naive_odd.restype = i64
-    return kernels
 
 
 @functools.lru_cache(maxsize=4)

@@ -3,6 +3,12 @@
 A sign matrix is an n x n array with entries in {-1, +1}.  Its first k rows
 (`SignMatrix.prefix(k)`) are a read-only k x n array; the minor lattice and
 the growth and endgame runs expose the rows of one matrix one at a time.
+
+Seeded draws run in the compiled `sign_draws` kernel (`_kernels.c`): the
+draw of stream (seed, stream) is bit for bit what numpy's
+`Generator(Philox(key=[seed, stream])).integers(0, 2, dtype=int8)` gives,
+times 2, minus 1.  The tests hold the kernel to that Generator, which is
+its oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compiled import _kernels
 from .rng import RngStream
 
 MAX_N = 63  # column sets must fit a single machine word
@@ -67,17 +74,31 @@ class SignMatrix:
         return f"SignMatrix(n={self.n})"
 
 
+def _sign_draws(cells: int, rngs) -> np.ndarray:
+    """A (len(rngs), cells) int8 array of iid uniform signs, row b drawn from rngs[b]."""
+    keys = np.array([(rng.seed, rng.stream) for rng in rngs], dtype=np.uint64)
+    out = np.empty((len(keys), cells), dtype=np.int8)
+    _kernels().sign_draws(keys.ctypes.data, len(keys), cells, out.ctypes.data)
+    return out
+
+
 def sample_row(n: int, rng: RngStream) -> np.ndarray:
     """One row of n iid uniform signs."""
     _check_dimension(n)
-    return (2 * rng.generator().integers(0, 2, size=n, dtype=np.int8) - 1).astype(np.int8)
+    return _sign_draws(n, [rng])[0]
 
 
 def sample_sign_matrix(n: int, rng: RngStream) -> SignMatrix:
     """An n x n matrix of iid uniform signs, drawn row-major."""
     _check_dimension(n)
-    bits = rng.generator().integers(0, 2, size=(n, n), dtype=np.int8)
-    return SignMatrix(2 * bits - 1)
+    return SignMatrix(_sign_draws(n * n, [rng]).reshape(n, n))
+
+
+def sample_sign_matrices(n: int, rngs) -> np.ndarray:
+    """A (len(rngs), n, n) int8 array of sign matrices, matrix b drawn from
+    rngs[b] as sample_sign_matrix(n, rngs[b]) draws it, in one kernel call."""
+    _check_dimension(n)
+    return _sign_draws(n * n, rngs).reshape(-1, n, n)
 
 
 # Text fixture format: first line is n, then n lines of n space-separated

@@ -5,6 +5,14 @@ entire draw sequence, with no dependence on thread count or on how many
 other streams were consumed first.  Trial t of an experiment uses stream t
 (or a documented mix of indices), so reruns are bit-stable and trials can be
 executed in any order or in parallel.
+
+Seeded sign matrices and rows (`matrices.sample_sign_matrix`,
+`sample_sign_matrices`, `sample_row`) are drawn by the compiled
+`sign_draws` kernel in `_kernels.c`, which runs Philox4x64-10 on the
+(seed, stream) key itself and draws what numpy's Generator on that key
+draws with `integers(0, 2, dtype=int8)`; numpy's Generator is its test
+oracle.  `generator()` is that Generator, for the checks that draw other
+shapes.
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ and `level_values` reads a built table's values at those masks straight
 from its storage, independently of the compiled heaviness queries.
 `enumerate_all_sign_matrices` builds the canonical counter order one matrix
 at a time, independently of the exact checks' batch enumeration.
+`numpy_sign_draw` is numpy's own Philox draw, which the compiled sign draws
+must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -60,6 +62,17 @@ def enumerate_all_sign_matrices(n: int) -> Iterator[SignMatrix]:
         raise ValueError(f"enumeration is capped at n*n <= {ENUM_CELL_LIMIT} cells, got n={n}")
     for counter in range(1 << (n * n)):
         yield matrix_from_counter(n, counter)
+
+
+def numpy_sign_draw(seed: int, stream: int, shape) -> np.ndarray:
+    """2 * Generator(Philox(key=[seed, stream])).integers(0, 2, size=shape, dtype=int8) - 1.
+
+    The key is an explicit uint64 array: numpy would coerce a list through
+    float64 above 2**63 and collapse adjacent streams.
+    """
+    key = np.array([seed, stream], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    return 2 * gen.integers(0, 2, size=shape, dtype=np.int8) - 1
 
 
 def brute_determinant(entries) -> int:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from permlab import cli, lattice
+from permlab import cli, compiled, lattice
 from permlab.cli import _thread_count
 from permlab.engines import permanent_mod, permanent_ryser
 from permlab.matrices import sample_sign_matrix, to_text
@@ -253,8 +253,8 @@ def test_missing_trials_leaves_out_untouched(tmp_path, monkeypatch, capsys, args
 def test_late_error_leaves_out_untouched(tmp_path, monkeypatch, capsys, args, error):
     # raised inside the run, after the output file is opened: the check
     # refuses its size, or the kernels, compiled on first use by the first
-    # permanent, fail to compile under a bad flag
-    monkeypatch.setattr(lattice, "_KERNEL_CC", (*lattice._KERNEL_CC, "-no-such-flag"))
+    # draw, fail to compile under a bad flag
+    monkeypatch.setattr(compiled, "_KERNEL_CC", (*compiled._KERNEL_CC, "-no-such-flag"))
     monkeypatch.delenv("PERMLAB_THREADS", raising=False)
     out = tmp_path / "r.out"
     out.write_text("earlier output\n")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from permlab import lattice
+from permlab import compiled
 
 _TESTS = str(Path(__file__).parent)
 
@@ -23,19 +23,27 @@ _TESTS = str(Path(__file__).parent)
 _AT_THE_BOUNDS = textwrap.dedent("""
     import math
     import numpy as np
-    from permlab import engines, lattice
-    from oracles import all_ones
+    from permlab import compiled, engines, lattice, matrices
+    from permlab.rng import RngStream
+    from oracles import all_ones, numpy_sign_draw
 
-    lattice._KERNEL_CC = (*lattice._KERNEL_CC, "-fsanitize=undefined", "-fno-sanitize-recover=all")
+    compiled._KERNEL_CC = (*compiled._KERNEL_CC, "-fsanitize=undefined", "-fno-sanitize-recover=all")
     f = math.factorial
-    for n in (15, 16, 20, 22, 23, 24):
+    # each lane width at its widest n and at the first n past it
+    for n in (4, 5, 8, 9, 15, 16, 20, 22, 23, 24):
         ones = np.ones((3, n, n), dtype=np.int8)
         ones[1] *= -1
         ones[2, 0] *= -1
         assert engines.permanents(ones) == [f(n), (-1) ** n * f(n), -f(n)], n
-    blocks = np.ones((2, 13, 12), dtype=np.int8)
-    blocks[1, :, 5] = -1
-    assert engines.ryser_cofactors(blocks).tolist() == [[f(12)] * 13, [-f(12)] * 13]
+    # the widest block of 8 lanes, the first of 16, and the cap
+    for rows in (9, 10, 13):
+        blocks = np.ones((2, rows, rows - 1), dtype=np.int8)
+        blocks[1, :, 5] = -1
+        want = [[f(rows - 1)] * rows, [-f(rows - 1)] * rows]
+        assert engines.ryser_cofactors(blocks).tolist() == want, rows
+    top = 2**64 - 1
+    draw = matrices.sample_sign_matrix(63, RngStream(top, top)).entries
+    assert np.array_equal(draw, numpy_sign_draw(top, top, (63, 63)))
     p = 2**31 - 1
     assert engines.permanent_mod(all_ones(20), p) == f(20) % p
     assert engines.permanent_naive(all_ones(10)) == f(10)
@@ -69,10 +77,11 @@ _AT_THE_BOUNDS = textwrap.dedent("""
 # freed copy goes back to malloc, where the sanitizer poisons it.
 _COPIED_INPUTS = textwrap.dedent("""
     import numpy as np
-    from permlab import engines, lattice
+    from permlab import compiled, engines, lattice, matrices
     from permlab.matrices import SignMatrix
+    from permlab.rng import RngStream
 
-    lattice._KERNEL_CC = (*lattice._KERNEL_CC, "-fsanitize=address", "-fno-omit-frame-pointer")
+    compiled._KERNEL_CC = (*compiled._KERNEL_CC, "-fsanitize=address", "-fno-omit-frame-pointer")
 
     def layouts(a, dtypes):
         yield np.repeat(a, 2, axis=-1)[..., ::2]  # strided slice
@@ -90,10 +99,20 @@ _COPIED_INPUTS = textwrap.dedent("""
 
     gen = np.random.default_rng(0)
     signs = lambda *shape: 2 * gen.integers(0, 2, size=shape, dtype=np.int8) - 1
+    agree(engines.permanents, signs(600, 4, 4))
+    agree(engines.permanents, signs(200, 8, 8))
     agree(engines.permanents, signs(8, 16, 16))
     agree(engines.permanents, signs(2, 21, 21))
     agree(engines.ryser_batch, signs(40, 12, 12))
+    agree(engines.ryser_cofactors, signs(100, 9, 8))
     agree(engines.ryser_cofactors, signs(100, 12, 11))
+
+    # the streams as a list, a tuple and an iterator; each batch's keys and
+    # draws exceed the small-block cache
+    rngs = [RngStream(2**64 - 1 - t, t) for t in range(400)]
+    want = np.stack([matrices.sample_sign_matrix(16, rng).entries for rng in rngs])
+    for streams in (rngs, tuple(rngs), iter(rngs)):
+        assert np.array_equal(matrices.sample_sign_matrices(16, streams), want)
     agree(lambda a: engines.permanent(SignMatrix(a)), signs(20, 20))
     agree(lambda a: engines.permanent_mod(SignMatrix(a), 2**31 - 1), signs(16, 16))
     agree(lambda a: engines.permanent_naive(SignMatrix(a)), signs(9, 9))
@@ -132,7 +151,7 @@ def _sanitized_child(tmp_path, runtime: str, script: str, **env) -> None:
 
 def test_kernels_compile_without_warnings():
     res = subprocess.run(["gcc", "-O2", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-                          str(lattice._KERNEL_SOURCE)], capture_output=True, text=True)
+                          str(compiled._KERNEL_SOURCE)], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
 
 

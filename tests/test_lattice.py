@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permlab import lattice
+from permlab import compiled, lattice
 from permlab.engines import permanent_ryser
 from permlab.lattice import (
     MinorTable,
@@ -181,7 +181,7 @@ def _run_cli(tmp_path, args=("compute", "--random", "8"), **env):
     )
 
 
-# the lattice, modular, naive and batch engines all load the kernels
+# the sign draws of --random and the batch engine of parent_child load the kernels
 @pytest.mark.parametrize("args", [
     ("compute", "--random", "8"),
     ("compute", "--random", "8", "--mod", "7"),
@@ -206,7 +206,7 @@ def test_unwritable_kernel_cache_is_clean_error(tmp_path):
 
 def test_failed_compile_names_the_compiler(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(lattice, "_KERNEL_CC", (*lattice._KERNEL_CC, "-no-such-flag"))
+    monkeypatch.setattr(compiled, "_KERNEL_CC", (*compiled._KERNEL_CC, "-no-such-flag"))
     lattice._kernels.cache_clear()
     try:
         with pytest.raises(OSError, match="gcc failed to compile"):

@@ -4,10 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permlab.checks import _enumerate_batch
-from permlab.matrices import SignMatrix, from_text, sample_row, sample_sign_matrix, to_text
+from permlab.matrices import (
+    SignMatrix,
+    from_text,
+    sample_row,
+    sample_sign_matrices,
+    sample_sign_matrix,
+    to_text,
+)
 from permlab.rng import RngStream
 
-from oracles import all_ones, enumerate_all_sign_matrices, matrix_from_counter
+from oracles import all_ones, enumerate_all_sign_matrices, matrix_from_counter, numpy_sign_draw
 
 
 def test_entries_validated():
@@ -44,6 +51,28 @@ def test_sample_row_shape_and_determinism():
     assert r1.shape == (3,)
     assert set(np.unique(r1)) <= {-1, 1}
     assert np.array_equal(r1, r2)
+
+
+def test_sign_draws_equal_numpy_philox():
+    # every size, and keys at both ends of the 64-bit range in each key word,
+    # with adjacent streams that a float64 key would collapse
+    top = 2**64 - 1
+    keys = []
+    for key in (0, 1, 2**63 - 1, 2**63, top):
+        keys += [(key, 1), (1, key), (1, (key + 1) & top)]
+    rngs = [RngStream(seed, stream) for seed, stream in keys]
+    for n in range(1, 64):
+        draws = []
+        for (seed, stream), rng in zip(keys, rngs):
+            m = sample_sign_matrix(n, rng).entries
+            assert np.array_equal(m, numpy_sign_draw(seed, stream, (n, n))), (n, seed, stream)
+            row = sample_row(n, rng)
+            assert row.dtype == np.int8 and row.shape == (n,)
+            assert np.array_equal(row, numpy_sign_draw(seed, stream, n)), (n, seed, stream)
+            draws.append(m)
+        batch = sample_sign_matrices(n, rngs)
+        assert batch.dtype == np.int8 and np.array_equal(batch, np.stack(draws)), n
+    assert sample_sign_matrices(5, []).shape == (0, 5, 5)
 
 
 def test_adjacent_streams_differ():
