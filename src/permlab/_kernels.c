@@ -1,13 +1,13 @@
 /* The compiled kernels of permlab, loaded together by permlab.compiled._kernels:
    the level build and the two per-level queries of the minor lattice
    (add_level, select_heavy, parent_histogram), Glynn's formula (glynn) for
-   every exact square permanent up to n = 30, Ryser's formula (ryser) for the
-   modular engine and, on a block with one row more than columns, for the
-   row-deleted cofactors that many_children expands its children along, the
-   walk over all permutations of the naive engine (naive_odd), and the
-   Philox4x64-10 sign draws of every seeded matrix and row (sign_draws).
-   glynn, both ryser sweeps and naive_odd share no code, so each can check
-   the others. */
+   every exact square permanent up to n = 30, Ryser's formula for the
+   modular engine (ryser_mod) and, on a block with one row more than
+   columns, for the row-deleted cofactors that many_children expands its
+   children along (ryser_cofactors), the walk over all permutations of the
+   naive engine (naive_odd), and the Philox4x64-10 sign draws of every
+   seeded matrix and row (sign_draws).  glynn, both Ryser sweeps and
+   naive_odd share no code, so each can check the others. */
 #include <stdint.h>
 
 /* One level of the minor lattice (permlab.lattice.MinorTable.add_level).
@@ -23,8 +23,11 @@
    and each partial sum has at most k terms, so each is at most
    k * (k-1)! = k! <= 20! < 2**63, and so is their difference, which is a
    level-k value.  Reads touch only level k-1 and writes only level k, so the
-   masks may be visited in any order. */
-int64_t add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8_t *row, int64_t n)
+   masks may be visited in any order.  The kernel starts on a cache line, so
+   its loop's layout does not move with the size of the library's symbol
+   table: shifted 48 bytes, it built lattices 3-5% slower. */
+__attribute__((aligned(64))) int64_t
+add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8_t *row, int64_t n)
 {
     uint64_t neg = 0;
     for (int64_t i = 0; i < n; i++)
@@ -118,52 +121,51 @@ int64_t parent_histogram(const int64_t *members, int64_t count, int64_t n, int64
    with delta_0 = +1,
        2**(n-1) * Per(A) = sum over delta of prod_k delta_k
                                           * prod over columns j of s_j,
-   s_j = sum over i of delta_i * a[i][j].  The deltas are visited in
-   Gray-code order: step s flips delta_{i+1}, i = ctz(s), so each s_j moves
-   by -+2 a[i+1][j] and the sign prod_k delta_k alternates with s.  For even
-   n every s_j is a sum of an even number of signs, so the lanes hold s_j / 2,
-   which moves by -+a[i+1][j], and the total is 2**(n-1) Per / 2**n = Per / 2.
-   For odd n the lanes hold s_j and the total is 2**(n-1) Per.
+   s_j = sum over i of delta_i * a[i][j].  The sweep runs it on B = A at even
+   n and, at odd n, on B = A with row 0 counted twice, so Per(B) = 2 Per(A),
+   the permanent being linear in each row.  Then at every n each s_j is a sum
+   of an even number of signs, so the lanes hold s_j / 2 and the total is
+   2**(n-1) Per(B) / 2**n = Per(B) / 2: Per(A) at odd n, Per(A) / 2 at even
+   n.  The deltas are visited in Gray-code order: step s flips
+   delta_{i+1}, i = ctz(s), so each lane moves by -+a[i+1][j] and the sign
+   prod_k delta_k alternates with s.
 
    The lanes have a fixed width, the least of 4, 8, 16 and 32 that holds n,
    so every loop over them has a constant trip count; a lane j >= n holds 1
    and never moves.  Every step is a ring operation on unsigned words, which
-   wrap and have no undefined overflow, so the total is exact modulo 2**64 (even
-   n <= 20, odd n <= 15) or 2**128 (every other n), and its signed reading
-   is exact iff the true total lies in [-2**63, 2**63) or [-2**127, 2**127):
-   - even n: |Per / 2| <= n! / 2, below 2**63 for n <= 20, 2**107 for n <= 30;
-   - odd n: |2**(n-1) Per| <= 2**(n-1) n!, below 2**55 for n <= 15, 2**120
-     for n <= 27, but 2**130 or more at n = 29, which the caller
-     (permlab.engines.permanents) borders to 30 x 30 instead.
-   Each product runs as four independent chains, p[k] over the lanes
-   j = k (mod 4).  In 128 bits a chain has at most 8 lanes of absolute value
-   at most 29, so it is exact as int64 (29**8 < 2**39); p[0] * p[1] and
-   p[2] * p[3] are exact as int128, and their product wraps like the total.
+   wrap and have no undefined overflow, so the total is exact modulo 2**64
+   (n <= 20) or 2**128 (n > 20), and its signed reading is exact while
+   |total| stays below 2**63 or 2**127: |Per| <= 19! < 2**63 at odd n <= 19
+   and |Per / 2| <= 20! / 2 < 2**63 at even n <= 20, and every total through
+   n = 30 is below 30! / 2 < 2**107.  Each product runs as four independent
+   chains, p[k] over the lanes j = k (mod 4).  A lane is at most 15 in
+   absolute value at n <= 30 and a chain has at most 8 lanes, so in 128 bits
+   p[0] * p[1] and p[2] * p[3] are exact in int64 (15**16 < 2**63), and
+   their product is one exact signed 64 x 64 -> 128 multiply.
 
    out[2b] and out[2b+1] are the low and high words of Per(A_b) in two's
    complement (the high word is 0 or -1 for n <= 20, where |Per| <= 20!).
-   0 <= n <= 30, n != 29 (the caller's cap); the empty matrix has permanent 1. */
+   0 <= n <= 30 (the caller's cap); the empty matrix has permanent 1. */
 static inline __attribute__((always_inline)) void
 glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const int wide,
             int64_t *out)
 {
-    const int64_t div = 2 - n % 2;  /* the lanes hold s_j / div */
     for (int64_t b = 0; b < count; b++) {
         const int8_t *a = mats + b * n * n;
         /* step[1][i - 1] is what delta_i going from +1 to -1 adds to the
            lanes, step[0][i - 1] what going back adds */
         uint64_t step[2][29][32], sums[32];
         for (int j = 0; j < lanes; j++) {
-            int64_t col = 0;
+            int64_t col = j < n ? n % 2 * a[j] : 0;  /* row 0 once more at odd n */
             for (int64_t i = 0; i < n; i++) {
                 int64_t entry = j < n ? a[i * n + j] : 0;
                 col += entry;
                 if (i) {
-                    step[0][i - 1][j] = (uint64_t)(2 * entry / div);
+                    step[0][i - 1][j] = (uint64_t)entry;
                     step[1][i - 1][j] = -step[0][i - 1][j];
                 }
             }
-            sums[j] = j < n ? (uint64_t)(col / div) : 1;
+            sums[j] = j < n ? (uint64_t)(col / 2) : 1;
         }
         uint64_t total = 0;
         unsigned __int128 total128 = 0;
@@ -181,19 +183,15 @@ glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const
             for (int j = 0; j < lanes; j++)
                 p[j % 4] *= sums[j];
             if (wide) {
-                unsigned __int128 half = (__int128)(int64_t)p[0] * (int64_t)p[1];
-                unsigned __int128 prod = half * ((__int128)(int64_t)p[2] * (int64_t)p[3]);
+                unsigned __int128 prod = (__int128)(int64_t)(p[0] * p[1]) * (int64_t)(p[2] * p[3]);
                 total128 = s & 1 ? total128 - prod : total128 + prod;
             } else {
                 uint64_t prod = p[0] * p[1] * (p[2] * p[3]);
                 total = s & 1 ? total - prod : total + prod;
             }
         }
-        __int128 per;
-        if (wide)
-            per = n % 2 ? (__int128)total128 / ((__int128)1 << (n - 1)) : 2 * (__int128)total128;
-        else
-            per = n % 2 ? (int64_t)total / ((int64_t)1 << (n - 1)) : 2 * (int64_t)total;
+        __int128 per = wide ? (__int128)total128 : (int64_t)total;
+        per *= 2 - n % 2;
         out[2 * b] = (int64_t)(uint64_t)per;
         out[2 * b + 1] = (int64_t)(uint64_t)((unsigned __int128)per >> 64);
     }
@@ -224,32 +222,30 @@ void glynn(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
         glynn_8(mats, count, n, out);
     else if (n <= 16)
         glynn_16(mats, count, n, out);
-    else if (n % 2 == 0 && n <= 20)
+    else if (n <= 20)
         glynn_32(mats, count, n, out);
     else
         glynn_wide(mats, count, n, out);
 }
 
 /* Ryser's formula over the row sets of count rows x cols sign blocks, stored
-   row-major one after another in mats.  Row sets S are visited in Gray-code
-   order (Nijenhuis-Wilf): step s toggles row ctz(s), so the column sums
-   colsum_S[j] = sum over i in S of a[i][j] are updated from one contiguous
-   row, and |colsum_S[j]| <= |S|.  Each S has the term
+   row-major one after another in mats, in two sweeps: ryser_mod for square
+   blocks and ryser_cofactors for blocks with one row more than columns.  Row
+   sets S are visited in Gray-code order (Nijenhuis-Wilf): step s toggles row
+   ctz(s), so the column sums colsum_S[j] = sum over i in S of a[i][j] are
+   updated from one contiguous row, and |colsum_S[j]| <= |S|.  Each S has the
+   term
        t_S = (-1)**(cols - |S|) * prod over j of colsum_S[j],
    and one row joins or leaves S per step, so |S| = s (mod 2).
 
-   cols == rows (permlab.engines.permanent_mod; modular only,
+   ryser_mod (permlab.engines.permanent_mod; 0 <= n <= 30,
    2 <= modulus < 2**31): out[b] is the residue in [0, modulus) of the
    permanent of square matrix b, Per(A) = Per(A^T) = sum over all S of t_S.
    The product is reduced after every 6 factors, so it stays below
    2**31 * 30**6 < 2**61; each reduced product is below 2**31, so the total
    stays below 2**n * 2**31 <= 2**61 for n <= 30.  Exact square permanents
-   come from glynn; these residues are the oracle that checks it.
-
-   cols == rows - 1 (permlab.engines.ryser_cofactors; exact only):
-   cofactor_sweep below. */
-static void ryser_mod(const int8_t *mats, int64_t count, int64_t n, int64_t modulus,
-                      int64_t *out)
+   come from glynn; these residues are the oracle that checks it. */
+void ryser_mod(const int8_t *mats, int64_t count, int64_t n, int64_t modulus, int64_t *out)
 {
     for (int64_t b = 0; b < count; b++) {
         const int8_t *a = mats + b * n * n;
@@ -340,14 +336,11 @@ cofactor_sweep(const int8_t *mats, int64_t count, int64_t rows, const int lanes,
     }
 }
 
-/* cols == rows: the residues of ryser_mod, 0 <= n <= 30.  cols == rows - 1:
-   the cofactors of cofactor_sweep, 1 <= rows <= 13 (modulus unread). */
-void ryser(const int8_t *mats, int64_t count, int64_t rows, int64_t cols, int64_t modulus,
-           int64_t *out)
+/* The cofactors of cofactor_sweep, 1 <= rows <= 13, in the fewest lanes
+   that hold rows - 1 columns. */
+void ryser_cofactors(const int8_t *mats, int64_t count, int64_t rows, int64_t *out)
 {
-    if (cols == rows)
-        ryser_mod(mats, count, rows, modulus, out);
-    else if (cols <= 8)
+    if (rows <= 9)
         cofactor_sweep(mats, count, rows, 8, out);
     else
         cofactor_sweep(mats, count, rows, 16, out);

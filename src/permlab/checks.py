@@ -18,6 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -34,7 +35,7 @@ from .lattice import SplitVerdict
 from .matrices import MAX_N, CapError, sample_sign_matrices, sample_sign_matrix
 from .rng import RngStream
 
-_ALON_SIZES = (3, 7, 15, 31)
+_ALON_SIZES = (3, 7, 15)
 _EXACT_MAX_N = 4  # exact modes enumerate all 2**(n*n) sign matrices
 _DRAW_BLOCK = 2048  # rows drawn at once, so memory does not grow with the draw count
 _MAINTAIN_GROW_CFG = ProcessConfig(eps=0.3, c=0.5)
@@ -139,13 +140,18 @@ def _enumerate_batch(n: int) -> np.ndarray:
     return (2 * bits.view(np.int8) - 1).reshape(-1, n, n)
 
 
+@functools.cache
 def exact_permanents(n: int) -> np.ndarray:
     """Permanents (int64) of all 2**(n*n) sign matrices in canonical counter order.
 
-    The bit array is freed when _enumerate_batch returns, so it does
-    not sit beside the batch engine's own arrays.
+    Enumerated once per n and process, so the exact second_moment and
+    singularity rows of one suite share it; the array is read-only.  The bit
+    array is freed when _enumerate_batch returns, so it does not sit beside
+    the batch engine's own arrays.
     """
-    return ryser_batch(_enumerate_batch(n))
+    pers = ryser_batch(_enumerate_batch(n))
+    pers.flags.writeable = False
+    return pers
 
 
 def sample_permanents(n: int, trials: int, rng: RngStream) -> list[int]:
@@ -228,7 +234,7 @@ def check_alon(n: int, trials: int | None = None, rng: RngStream | None = None) 
     is tallied alongside as a diagnostic; it still forces per != 0.
     """
     if n not in _ALON_SIZES:
-        raise ValueError(f"n+1 must be a power of two in {{4,8,16,32}}, got n={n}")
+        raise ValueError(f"n+1 must be a power of two in {{4,8,16}}, got n={n}")
     modulus = n + 1
     expected = modulus // 2
     two_adic_mod = 1 << (n - math.ceil(math.log2(n)) + 1)

@@ -4,12 +4,13 @@ Every scalar result is a plain Python int, so arithmetic is exact and can
 never overflow.  Every exact square permanent the program reads, from
 `permanent`, `permanents` and `ryser_batch`, comes from one compiled kernel,
 `glynn` (`_kernels.c`), which runs Glynn's formula in wrapping arithmetic
-that is exact under the bounds stated there, for every n <= 30.  The `ryser`
-kernel keeps two sweeps that share no code with it: the modular one behind
-`permanent_mod`, whose residues are the CRT oracle for `glynn` and the
-lattice, and, on a (k+1) x k block, the one subset scan that gives all k+1
-row-deleted permanents (`ryser_cofactors`), along which
-`checks.check_many_children` expands every child of a parent.  The naive
+that is exact under the bounds stated there, for every n <= 30: its lanes
+hold half-column sums at every n, so one 64-bit sweep serves n <= 20 and one
+128-bit sweep the rest.  Two Ryser kernels share no code with it:
+`ryser_mod`, the modular sweep behind `permanent_mod`, whose residues are the
+CRT oracle for `glynn` and the lattice, and `ryser_cofactors`, the one subset
+scan of a (k+1) x k block that gives all k+1 row-deleted permanents, along
+which `checks.check_many_children` expands every child of a parent.  The naive
 engine's kernel, `naive_odd`, walks every permutation and shares no code
 with the others, so it stays their ground truth, with the pure-Python
 `permanent_ryser`.
@@ -94,7 +95,7 @@ def _sign_entries(mats: np.ndarray) -> np.ndarray:
 
 def _glynn(mats: np.ndarray) -> np.ndarray:
     """The `glynn` kernel's (B, 2) int64 low and high words of the
-    permanents of a (B, n, n) batch of sign matrices, n != 29 (see permanents)."""
+    permanents of a (B, n, n) batch of sign matrices, n <= 30."""
     mats = np.asarray(mats)
     b, n, n2 = mats.shape
     if n != n2:
@@ -111,17 +112,8 @@ def _glynn(mats: np.ndarray) -> np.ndarray:
 def permanents(mats: np.ndarray) -> list[int]:
     """Exact permanents of a (B, n, n) batch of sign matrices, in one kernel call.
 
-    Python ints, since they pass int64 above n = 20; n <= 30.  At n = 29, past
-    the kernel's 128-bit total, each A is bordered to 30 x 30 by a last row and
-    column of +1 with corner +1 or -1: the two permanents differ by 2 Per(A).
+    Python ints, since they pass int64 above n = 20; n <= 30.
     """
-    mats = np.asarray(mats)
-    if mats.shape[1:] == (29, 29):
-        bordered = np.ones((len(mats), 2, 30, 30), dtype=np.result_type(mats, np.int8))
-        bordered[:, :, :29, :29] = mats[:, None]
-        bordered[:, 1, 29, 29] = -1
-        pers = permanents(bordered.reshape(-1, 30, 30))
-        return [(plus - minus) // 2 for plus, minus in zip(pers[::2], pers[1::2])]
     return [hi << 64 | lo & _WORD for lo, hi in _glynn(mats).tolist()]
 
 
@@ -155,14 +147,14 @@ def ryser_cofactors(blocks: np.ndarray) -> np.ndarray:
         raise CapError(f"ryser_cofactors is capped at {_BATCH_MAX_N} rows, got {rows}")
     blocks = _sign_entries(blocks)  # bound here, so the copy outlives the call
     out = np.empty((b, rows), dtype=np.int64)
-    _kernels().ryser(blocks.ctypes.data, b, rows, cols, 0, out.ctypes.data)
+    _kernels().ryser_cofactors(blocks.ctypes.data, b, rows, out.ctypes.data)
     return out
 
 
 def permanent_mod(m: SignMatrix, modulus: int) -> int:
     """Permanent residue in [0, modulus), for 2 <= modulus < 2**31.
 
-    The compiled Ryser kernel reduces every product mod `modulus`.  It reads
+    The compiled `ryser_mod` kernel reduces every product mod `modulus`.  It reads
     neither the minor lattice nor the `glynn` kernel, so residues can check
     both: their CRT over primes whose product passes 2 n! is the permanent.
     """
@@ -174,7 +166,7 @@ def permanent_mod(m: SignMatrix, modulus: int) -> int:
     if n > RYSER_MAX_N:
         raise CapError(f"permanent_mod is capped at n <= {RYSER_MAX_N} (2**n subsets), got n={n}")
     out = np.empty(1, dtype=np.int64)
-    _kernels().ryser(m.entries.ctypes.data, 1, n, n, modulus, out.ctypes.data)  # C-ordered int8
+    _kernels().ryser_mod(m.entries.ctypes.data, 1, n, modulus, out.ctypes.data)  # C-ordered int8
     return out.item()
 
 

@@ -71,15 +71,26 @@ def test_alon_stated_residue_refuted_at_7():
 
 
 def test_alon_rejects_bad_n():
-    with pytest.raises(ValueError):
-        check_alon(5)
+    # n+1 = 32 would need 31 x 31 permanents, past the engine's cap of n <= 30
+    for n in (5, 31):
+        with pytest.raises(ValueError, match=fr"^n\+1 must be a power of two in \{{4,8,16\}}, got n={n}$"):
+            check_alon(n, trials=2, rng=RngStream(0))
 
 
-def test_alon_31_exceeds_engine_cap():
-    # n+1 = 32 is admissible in principle but needs 31 x 31 permanents,
-    # beyond the exact engine's documented cap of n <= 30
-    with pytest.raises(CapError):
-        check_alon(31, trials=1, rng=RngStream(0))
+def test_one_suite_enumerates_each_exact_size_once(monkeypatch):
+    # second_moment, alon and singularity share the exact permanents of a size
+    calls = []
+    enumerate_batch = checks._enumerate_batch
+
+    def counted(n):
+        calls.append(n)
+        return enumerate_batch(n)
+
+    monkeypatch.setattr(checks, "_enumerate_batch", counted)
+    checks.exact_permanents.cache_clear()
+    checks.default_suite(0)
+    assert sorted(calls) == [2, 3, 4]
+    assert not checks.exact_permanents(4).flags.writeable
 
 
 @pytest.mark.slow

@@ -193,9 +193,11 @@ def test_bad_values_rejected(tmp_path, args, flag, message):
     (["verify", "--suite", "alon", "--n", "7"], "error: a Monte Carlo alon run needs --trials"),
     (["verify", "--suite", "growth_rate", "--n", "1", "--trials", "2"],
      "error: growth-rate check needs --n >= 2"),
+    (["verify", "--suite", "alon", "--n", "31", "--trials", "2"],
+     "error: n+1 must be a power of two in {4,8,16}, got n=31"),
 ], ids=["compute-no-input", "parent-child-n-1", "second-moment-one-draw", "growth-rate-one-draw",
         "parent-child-one-draw", "many-children-one-draw", "second-moment-no-trials",
-        "alon-no-trials", "growth-rate-n-1"])
+        "alon-no-trials", "growth-rate-n-1", "alon-n-31"])
 def test_usage_errors_are_clean(args, message):
     res = run_cli(*args)
     assert res.returncode == 2

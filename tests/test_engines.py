@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permlab import cli
+from permlab import cli, engines
 from permlab.engines import (
     determinant_exact,
     permanent,
@@ -147,15 +147,24 @@ def test_permanent_matches_the_crt_of_permanent_mod(n):
 
 
 @pytest.mark.slow
-def test_permanent_through_its_cap_of_30():
-    # n = 25 against the residues; at n = 27, 28 and 30 the all-ones and
-    # negated-row matrices make the 128-bit total as large as it gets, and
-    # n = 29 runs as two bordered 30 x 30 matrices
+def test_permanent_through_its_cap_of_30(monkeypatch):
+    # n = 25 against the residues; at n = 27..30 the all-ones and
+    # negated-row matrices make the 128-bit total as large as it gets, each
+    # batch in one kernel call
     m = sample_sign_matrix(25, RngStream(33, 25))
     assert permanent(m) == _crt_permanent(m)
+    shapes = []
+    glynn = engines._glynn
+
+    def spy(mats):
+        shapes.append(np.shape(mats))
+        return glynn(mats)
+
+    monkeypatch.setattr(engines, "_glynn", spy)
     for n in (27, 28, 29, 30):
         f = math.factorial(n)
         assert permanents(_signed_ones(n)[[0, 2]]) == [f, -f], n
+    assert shapes == [(2, n, n) for n in (27, 28, 29, 30)]
 
 
 def test_permanents_match_the_lattice_at_every_size():

@@ -29,8 +29,10 @@ _AT_THE_BOUNDS = textwrap.dedent("""
 
     compiled._KERNEL_CC = (*compiled._KERNEL_CC, "-fsanitize=undefined", "-fno-sanitize-recover=all")
     f = math.factorial
-    # each lane width at its widest n and at the first n past it
-    for n in (4, 5, 8, 9, 15, 16, 20, 22, 23, 24):
+    # each lane width at its widest n and at the first n past it, the widest
+    # odd n in 64 bits (19), and odd and even n in 128 bits; n = 29 stays out,
+    # at about 3 s a matrix unsanitized
+    for n in (4, 5, 8, 9, 15, 16, 17, 19, 20, 21, 22, 23, 24):
         ones = np.ones((3, n, n), dtype=np.int8)
         ones[1] *= -1
         ones[2, 0] *= -1
