@@ -1,13 +1,17 @@
-/* The compiled kernels of permlab, loaded together by permlab.compiled._kernels:
-   the level build and the two per-level queries of the minor lattice
-   (add_level, select_heavy, parent_histogram), Glynn's formula (glynn) for
-   every exact square permanent up to n = 30, Ryser's formula for the
-   modular engine (ryser_mod) and, on a block with one row more than
-   columns, for the row-deleted cofactors that many_children expands its
-   children along (ryser_cofactors), the walk over all permutations of the
-   naive engine (naive_odd), and the Philox4x64-10 sign draws of every
-   seeded matrix and row (sign_draws).  glynn, both Ryser sweeps and
-   naive_odd share no code, so each can check the others. */
+/* The compiled kernels of permlab, loaded together by permlab.compiled._kernels.
+   This is the one list of them:
+   - add_level, select_heavy and parent_histogram: the level build and the
+     two per-level queries of the minor lattice;
+   - glynn: Glynn's formula for every exact square permanent up to n = 30,
+     and glynn_cofactors: the same sweep on blocks with one row more than
+     columns, for the row-deleted cofactors that many_children expands its
+     children along;
+   - ryser_mod: Ryser's formula modulo m < 2**31, whose residues are the CRT
+     oracle for glynn and the lattice;
+   - naive_odd: the walk over all permutations of the naive engine;
+   - sign_draws: the Philox4x64-10 sign draws of every seeded matrix and row.
+   ryser_mod and naive_odd share no code with glynn's sweep or with each
+   other, so each can check the others. */
 #include <stdint.h>
 
 /* One level of the minor lattice (permlab.lattice.MinorTable.add_level).
@@ -145,29 +149,45 @@ int64_t parent_histogram(const int64_t *members, int64_t count, int64_t n, int64
 
    out[2b] and out[2b+1] are the low and high words of Per(A_b) in two's
    complement (the high word is 0 or -1 for n <= 20, where |Per| <= 20!).
-   0 <= n <= 30 (the caller's cap); the empty matrix has permanent 1. */
+   0 <= n <= 30 (the caller's cap); the empty matrix has permanent 1.
+
+   With cofactors set, each block is n x (n - 1), one row more than columns
+   (permlab.engines.cofactors), out[b * n + r] is the permanent of block b
+   without row r, and a lane j >= n - 1 holds 1.  For any added column x,
+   Per([A | x]) = sum over r of x_r * cof_r, and the formula over that square
+   matrix is linear in x; its n - 1 lanes, h_j = s_j / 2, cancel the
+   2**(n-1), so for B as above
+       cof_r = sum over delta of prod_k delta_k * delta_r * prod_j h_j:
+   at odd n, every cof_r with r >= 1 keeps the doubled row 0, so it comes
+   out doubled and is halved at the end.  delta_r changes only at the steps
+   that flip it, so each row's accumulator takes the stretch of the running
+   total since that row last flipped (total - mark[r]), with the sign the row
+   had over it.  Row 0 never flips, so its accumulator is the total; after
+   the last step only delta_{n-1} is -1.  Every final accumulator is at most
+   2 * 12! < 2**63, so the wrapping sums are exact for 1 <= n <= 13. */
 static inline __attribute__((always_inline)) void
 glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const int wide,
-            int64_t *out)
+            const int cofactors, int64_t *out)
 {
+    const int64_t cols = n - cofactors;
     for (int64_t b = 0; b < count; b++) {
-        const int8_t *a = mats + b * n * n;
+        const int8_t *a = mats + b * n * cols;
         /* step[1][i - 1] is what delta_i going from +1 to -1 adds to the
            lanes, step[0][i - 1] what going back adds */
         uint64_t step[2][29][32], sums[32];
         for (int j = 0; j < lanes; j++) {
-            int64_t col = j < n ? n % 2 * a[j] : 0;  /* row 0 once more at odd n */
+            int64_t col = j < cols ? n % 2 * a[j] : 0;  /* row 0 once more at odd n */
             for (int64_t i = 0; i < n; i++) {
-                int64_t entry = j < n ? a[i * n + j] : 0;
+                int64_t entry = j < cols ? a[i * cols + j] : 0;
                 col += entry;
                 if (i) {
                     step[0][i - 1][j] = (uint64_t)entry;
                     step[1][i - 1][j] = -step[0][i - 1][j];
                 }
             }
-            sums[j] = j < n ? (uint64_t)(col / 2) : 1;
+            sums[j] = j < cols ? (uint64_t)(col / 2) : 1;
         }
-        uint64_t total = 0;
+        uint64_t total = 0, cof[13] = {0}, mark[13] = {0};
         unsigned __int128 total128 = 0;
         for (uint64_t s = 0; s >> (n - 1) == 0; s++) {
             if (s) {
@@ -176,6 +196,13 @@ glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const
 #pragma GCC unroll 16
                 for (int j = 0; j < lanes; j++)
                     sums[j] += d[j];
+                if (cofactors) {
+                    /* the terms since delta_{i+1} last flipped had its old
+                       sign: +1 if it now goes to -1 */
+                    cof[i + 1] += (s ^ s >> 1) >> i & 1 ? total - mark[i + 1]
+                                                        : mark[i + 1] - total;
+                    mark[i + 1] = total;
+                }
             }
             /* four independent chains of multiplies, not one */
             uint64_t p[4] = {1, 1, 1, 1};
@@ -190,6 +217,15 @@ glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const
                 total = s & 1 ? total - prod : total + prod;
             }
         }
+        if (cofactors) {
+            for (int64_t r = 0; r < n; r++) {
+                uint64_t acc = r == 0       ? total
+                               : r == n - 1 ? cof[r] + mark[r] - total
+                                            : cof[r] + total - mark[r];
+                out[b * n + r] = r && n % 2 ? (int64_t)acc / 2 : (int64_t)acc;
+            }
+            continue;
+        }
         __int128 per = wide ? (__int128)total128 : (int64_t)total;
         per *= 2 - n % 2;
         out[2 * b] = (int64_t)(uint64_t)per;
@@ -199,17 +235,19 @@ glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const
 
 /* Each width is its own function, kept out of glynn: inlined there together,
    the sweeps slowed one another by 10-25%. */
-#define GLYNN_WIDTH(name, lanes, wide)                                        \
+#define GLYNN_WIDTH(name, lanes, wide, cofactors)                             \
     static __attribute__((noinline)) void                                     \
     name(const int8_t *mats, int64_t count, int64_t n, int64_t *out)          \
     {                                                                         \
-        glynn_sweep(mats, count, n, lanes, wide, out);                        \
+        glynn_sweep(mats, count, n, lanes, wide, cofactors, out);             \
     }
-GLYNN_WIDTH(glynn_4, 4, 0)
-GLYNN_WIDTH(glynn_8, 8, 0)
-GLYNN_WIDTH(glynn_16, 16, 0)
-GLYNN_WIDTH(glynn_32, 32, 0)
-GLYNN_WIDTH(glynn_wide, 32, 1)
+GLYNN_WIDTH(glynn_4, 4, 0, 0)
+GLYNN_WIDTH(glynn_8, 8, 0, 0)
+GLYNN_WIDTH(glynn_16, 16, 0, 0)
+GLYNN_WIDTH(glynn_32, 32, 0, 0)
+GLYNN_WIDTH(glynn_wide, 32, 1, 0)
+GLYNN_WIDTH(cofactors_8, 8, 0, 1)
+GLYNN_WIDTH(cofactors_16, 16, 0, 1)
 
 void glynn(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
 {
@@ -228,23 +266,29 @@ void glynn(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
         glynn_wide(mats, count, n, out);
 }
 
-/* Ryser's formula over the row sets of count rows x cols sign blocks, stored
-   row-major one after another in mats, in two sweeps: ryser_mod for square
-   blocks and ryser_cofactors for blocks with one row more than columns.  Row
-   sets S are visited in Gray-code order (Nijenhuis-Wilf): step s toggles row
-   ctz(s), so the column sums colsum_S[j] = sum over i in S of a[i][j] are
-   updated from one contiguous row, and |colsum_S[j]| <= |S|.  Each S has the
-   term
-       t_S = (-1)**(cols - |S|) * prod over j of colsum_S[j],
-   and one row joins or leaves S per step, so |S| = s (mod 2).
+/* The cofactors of count rows x (rows - 1) blocks, 1 <= rows <= 13, in the
+   fewest lanes that hold rows - 1 columns. */
+void glynn_cofactors(const int8_t *mats, int64_t count, int64_t rows, int64_t *out)
+{
+    if (rows <= 9)
+        cofactors_8(mats, count, rows, out);
+    else
+        cofactors_16(mats, count, rows, out);
+}
 
-   ryser_mod (permlab.engines.permanent_mod; 0 <= n <= 30,
-   2 <= modulus < 2**31): out[b] is the residue in [0, modulus) of the
-   permanent of square matrix b, Per(A) = Per(A^T) = sum over all S of t_S.
-   The product is reduced after every 6 factors, so it stays below
-   2**31 * 30**6 < 2**61; each reduced product is below 2**31, so the total
-   stays below 2**n * 2**31 <= 2**61 for n <= 30.  Exact square permanents
-   come from glynn; these residues are the oracle that checks it. */
+/* Ryser's formula over the row sets S of count n x n sign matrices, stored
+   row-major one after another in mats (permlab.engines.permanent_mod;
+   0 <= n <= 30, 2 <= modulus < 2**31): out[b] is the residue in
+   [0, modulus) of Per(A_b) = Per(A_b^T) = sum over all S of
+       (-1)**(n - |S|) * prod over j of colsum_S[j],
+   colsum_S[j] = sum over i in S of a[i][j].  Row sets are visited in
+   Gray-code order (Nijenhuis-Wilf): step s toggles row ctz(s), so the column
+   sums are updated from one contiguous row, |colsum_S[j]| <= n, and
+   |S| = s (mod 2).  The product is reduced after every 6 factors, so it
+   stays below 2**31 * 30**6 < 2**61; each reduced product is below 2**31,
+   so the total stays below 2**n * 2**31 <= 2**61 for n <= 30.  Exact square
+   permanents come from glynn; these residues are the oracle that checks
+   it. */
 void ryser_mod(const int8_t *mats, int64_t count, int64_t n, int64_t modulus, int64_t *out)
 {
     for (int64_t b = 0; b < count; b++) {
@@ -273,79 +317,6 @@ void ryser_mod(const int8_t *mats, int64_t count, int64_t n, int64_t modulus, in
     }
 }
 
-/* The row-deleted cofactors of count (cols + 1) x cols sign blocks by
-   Ryser's formula (permlab.engines.ryser_cofactors): out[b * rows + r] is
-   the permanent of block b without row r,
-       sum over S not containing r of t_S,
-   all rows of them from the one sweep.  A row's membership in S changes only
-   at the steps that toggle it, so between two such steps every term lands
-   on the same side of it: when row i joins S, the terms added to the running
-   total since it last moved (total - mark[i]) were all outside it, and go to
-   cof[i]; after the last step every row but rows - 1 is outside.  By Laplace
-   expansion along an added column c, the square matrix [block | c] has
-   permanent sum over r of c[r] * out[b * rows + r].
-
-   The column sums sit in a fixed number of lanes, 8 or 16, so every loop over
-   them has a constant trip count; a lane j >= cols holds 1 and never moves.
-   A table of each row's entries and their negations gives the step, with no
-   branch on its direction, and the product runs as four independent chains,
-   p[k] over the lanes j = k (mod 4).  The running total and each of its
-   stretches sum at most 2**rows terms of size at most rows**cols, and
-   2**13 * 13**12 < 2**63, so the sweep is exact for 1 <= rows <= 13.  It
-   shares no code with glynn_sweep, so the children that many_children
-   expands along these cofactors are checked by an engine of their own. */
-static inline __attribute__((always_inline)) void
-cofactor_sweep(const int8_t *mats, int64_t count, int64_t rows, const int lanes,
-               int64_t *out)
-{
-    const int64_t cols = rows - 1;
-    for (int64_t b = 0; b < count; b++) {
-        const int8_t *a = mats + b * rows * cols;
-        /* step[1][i] is what row i joining S adds to the lanes, step[0][i]
-           what its leaving adds */
-        int64_t step[2][13][16], sums[16];
-        for (int64_t i = 0; i < rows; i++)
-            for (int j = 0; j < lanes; j++) {
-                step[1][i][j] = j < cols ? a[i * cols + j] : 0;
-                step[0][i][j] = -step[1][i][j];
-            }
-        for (int j = 0; j < lanes; j++)
-            sums[j] = j >= cols;
-        int64_t total = cols == 0;  /* the empty set's term; 0 once cols >= 1 */
-        int64_t cof[13] = {0}, mark[13] = {0};
-        for (uint64_t s = 1; s >> rows == 0; s++) {
-            int i = __builtin_ctzll(s);
-            int joins = (s ^ s >> 1) >> i & 1;  /* row i is in S = gray(s) */
-            const int64_t *d = step[joins][i];
-#pragma GCC unroll 16
-            for (int j = 0; j < lanes; j++)
-                sums[j] += d[j];
-            if (joins)
-                cof[i] += total - mark[i];
-            mark[i] = total;
-            int64_t p[4] = {1, 1, 1, 1};
-#pragma GCC unroll 16
-            for (int j = 0; j < lanes; j++)
-                p[j % 4] *= sums[j];
-            int64_t prod = p[0] * p[1] * (p[2] * p[3]);
-            total += (cols ^ s) & 1 ? -prod : prod;
-        }
-        /* the last S is {rows - 1}: every other row is outside */
-        for (int64_t r = 0; r < rows; r++)
-            out[b * rows + r] = r == rows - 1 ? cof[r] : cof[r] + total - mark[r];
-    }
-}
-
-/* The cofactors of cofactor_sweep, 1 <= rows <= 13, in the fewest lanes
-   that hold rows - 1 columns. */
-void ryser_cofactors(const int8_t *mats, int64_t count, int64_t rows, int64_t *out)
-{
-    if (rows <= 9)
-        cofactor_sweep(mats, count, rows, 8, out);
-    else
-        cofactor_sweep(mats, count, rows, 16, out);
-}
-
 /* The number of ways to give rows row .. last distinct columns from free so
    that the -1 entries picked, together with the parity carried in, are odd
    in number.  Each row takes a free column in turn; the last two rows are
@@ -370,7 +341,7 @@ static int64_t naive_walk(const uint64_t *neg, int64_t row, int64_t last, uint64
    (permlab.engines.permanent_naive, which returns n! - 2 * odd).
 
    The walk is depth first over the rows and carries the parity of the -1
-   entries picked so far; it shares no code with the lattice or Ryser
+   entries picked so far; it shares no code with the lattice, Glynn or Ryser
    kernels, so the naive engine stays an independent oracle for them.
    1 <= n <= 10 (the caller's cap): odd <= n! <= 10! fits int64 many times
    over, and the recursion is at most n deep. */

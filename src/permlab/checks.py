@@ -29,7 +29,7 @@ from itertools import islice
 
 import numpy as np
 
-from .engines import _BATCH_MAX_N, permanents, ryser_batch, ryser_cofactors
+from .engines import _BATCH_MAX_N, cofactors, permanents, ryser_batch
 from .growth import ProcessConfig, count_threshold, run_growth
 from .lattice import SplitVerdict
 from .matrices import MAX_N, CapError, sample_sign_matrices, sample_sign_matrix
@@ -328,28 +328,30 @@ def check_parent_child(trials: int, n: int, rng: RngStream) -> CheckReport:
         raise CapError(f"parent-child check is capped at --n <= {_BATCH_MAX_N}, got n={n}")
     _two_draws(trials, "frequency")
     gen = rng.generator()
-    ks = gen.integers(1, n, size=trials)
     flip_violations = 0
     max_violations = 0
     wins = 0
-    for k in range(1, n):
-        batch = int(np.count_nonzero(ks == k))
-        if batch == 0:
-            continue
-        mats = 2 * gen.integers(0, 2, size=(batch, k + 1, k + 1), dtype=np.int8) - 1
-        parents = ryser_batch(mats[:, :k, :k])
-        plus = mats.copy()
-        plus[:, k, k] = 1
-        minus = mats.copy()
-        minus[:, k, k] = -1
-        per_plus = ryser_batch(plus)
-        per_minus = ryser_batch(minus)
-        flip_violations += int(np.count_nonzero(np.abs(per_plus - per_minus) != 2 * np.abs(parents)))
-        max_violations += int(
-            np.count_nonzero(np.maximum(np.abs(per_plus), np.abs(per_minus)) < np.abs(parents))
-        )
-        realized = np.where(mats[:, k, k] > 0, per_plus, per_minus)
-        wins += int(np.count_nonzero(np.abs(realized) >= np.abs(parents)))
+    # each block of trials draws its levels, then one batch of matrices per level
+    for block in _draw_blocks(trials):
+        ks = gen.integers(1, n, size=block)
+        for k in range(1, n):
+            batch = int(np.count_nonzero(ks == k))
+            if batch == 0:
+                continue
+            mats = 2 * gen.integers(0, 2, size=(batch, k + 1, k + 1), dtype=np.int8) - 1
+            parents = np.abs(ryser_batch(mats[:, :k, :k]))
+            plus = mats.copy()
+            plus[:, k, k] = 1
+            minus = mats.copy()
+            minus[:, k, k] = -1
+            per_plus = ryser_batch(plus)
+            per_minus = ryser_batch(minus)
+            flip_violations += int(np.count_nonzero(np.abs(per_plus - per_minus) != 2 * parents))
+            max_violations += int(
+                np.count_nonzero(np.maximum(np.abs(per_plus), np.abs(per_minus)) < parents)
+            )
+            realized = np.where(mats[:, k, k] > 0, per_plus, per_minus)
+            wins += int(np.count_nonzero(np.abs(realized) >= parents))
     freq = wins / trials
     se = _binom_se(freq, trials)
     passed = flip_violations == 0 and max_violations == 0 and freq >= 0.5 - 3 * se
@@ -393,7 +395,7 @@ def check_many_children(trials: int, n: int, i_size: int, rng: RngStream) -> Che
         # expansion along that column its permanent is sum over r of
         # mats[r, k+i] * cof[r], at most (k+1)! in absolute value.  Row k's
         # cofactor is the k x k parent itself.
-        cof = ryser_cofactors(mats[:, :, :k])
+        cof = cofactors(mats[:, :, :k])
         parents = np.abs(cof[:, k])
         children = np.abs(np.einsum("brc,br->bc", mats[:, :, k:], cof))
         ok_counts = np.count_nonzero(children >= parents[:, None], axis=1)

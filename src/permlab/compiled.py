@@ -64,11 +64,11 @@ def _kernels() -> ctypes.CDLL:
     kernels.select_heavy.argtypes = [addr, addr, i64, i64, addr]
     kernels.parent_histogram.argtypes = [addr, i64, i64, i64, addr, addr]
     kernels.ryser_mod.argtypes = [addr, i64, i64, i64, addr]
-    kernels.ryser_cofactors.argtypes = [addr, i64, i64, addr]
+    kernels.glynn_cofactors.argtypes = [addr, i64, i64, addr]
     kernels.glynn.argtypes = [addr, i64, i64, addr]
     kernels.naive_odd.argtypes = [addr, i64]
     kernels.sign_draws.argtypes = [addr, i64, i64, addr]
-    kernels.ryser_mod.restype = kernels.ryser_cofactors.restype = None
+    kernels.ryser_mod.restype = kernels.glynn_cofactors.restype = None
     kernels.glynn.restype = kernels.sign_draws.restype = None
     kernels.add_level.restype = kernels.select_heavy.restype = i64
     kernels.parent_histogram.restype = kernels.naive_odd.restype = i64

@@ -2,18 +2,11 @@
 
 Every scalar result is a plain Python int, so arithmetic is exact and can
 never overflow.  Every exact square permanent the program reads, from
-`permanent`, `permanents` and `ryser_batch`, comes from one compiled kernel,
-`glynn` (`_kernels.c`), which runs Glynn's formula in wrapping arithmetic
-that is exact under the bounds stated there, for every n <= 30: its lanes
-hold half-column sums at every n, so one 64-bit sweep serves n <= 20 and one
-128-bit sweep the rest.  Two Ryser kernels share no code with it:
-`ryser_mod`, the modular sweep behind `permanent_mod`, whose residues are the
-CRT oracle for `glynn` and the lattice, and `ryser_cofactors`, the one subset
-scan of a (k+1) x k block that gives all k+1 row-deleted permanents, along
-which `checks.check_many_children` expands every child of a parent.  The naive
-engine's kernel, `naive_odd`, walks every permutation and shares no code
-with the others, so it stays their ground truth, with the pure-Python
-`permanent_ryser`.
+`permanent`, `permanents` and `ryser_batch`, and the row-deleted permanents
+of `cofactors`, come from one compiled Glynn sweep (`_kernels.c`), exact
+under the bounds stated there.  `permanent_mod` and `permanent_naive` run
+kernels that share no code with it, so their residues and counts check it;
+with the pure-Python `permanent_ryser` they are the oracles.
 """
 
 from __future__ import annotations
@@ -28,8 +21,8 @@ from .matrices import CapError, SignMatrix
 NAIVE_MAX_N = 10  # n! enumeration
 RYSER_MAX_N = 30  # 2**n subset scan
 PERMANENT_MAX_N = 30  # the glynn kernel's stated bound (see _kernels.c)
-# ryser_batch returns int64, and the cofactor scan of a 13 x 12 block sums
-# at most 2**13 * 13**12 < 2**63.
+# ryser_batch and cofactors return int64, and the Glynn cofactor sweep of a
+# 13 x 12 block holds at most 2 * 12! < 2**63 (see _kernels.c).
 _BATCH_MAX_N = 13
 _WORD = 2**64 - 1
 # The modular kernel keeps every residue below 2**31 (see _kernels.c).
@@ -130,11 +123,11 @@ def ryser_batch(mats: np.ndarray) -> np.ndarray:
     return _glynn(mats)[:, 0].copy()
 
 
-def ryser_cofactors(blocks: np.ndarray) -> np.ndarray:
+def cofactors(blocks: np.ndarray) -> np.ndarray:
     """Exact row-deleted permanents for a batch of (k+1) x k sign blocks, in one kernel call.
 
     Input (B, k+1, k) with entries in {-1,+1}; returns (B, k+1) int64 whose
-    [b, r] entry is the permanent of block b without row r.  One subset scan
+    [b, r] entry is the permanent of block b without row r.  One Glynn sweep
     of the block gives all k+1 of them.  By Laplace expansion along an added
     column c, Per([block b | c]) = sum over r of c[r] * out[b, r].  Capped at
     k+1 <= 13 rows.
@@ -144,10 +137,10 @@ def ryser_cofactors(blocks: np.ndarray) -> np.ndarray:
     if cols != rows - 1:
         raise ValueError(f"blocks must have one row more than columns, got {rows} x {cols}")
     if rows > _BATCH_MAX_N:
-        raise CapError(f"ryser_cofactors is capped at {_BATCH_MAX_N} rows, got {rows}")
+        raise CapError(f"cofactors is capped at {_BATCH_MAX_N} rows, got {rows}")
     blocks = _sign_entries(blocks)  # bound here, so the copy outlives the call
     out = np.empty((b, rows), dtype=np.int64)
-    _kernels().ryser_cofactors(blocks.ctypes.data, b, rows, out.ctypes.data)
+    _kernels().glynn_cofactors(blocks.ctypes.data, b, rows, out.ctypes.data)
     return out
 
 

@@ -23,14 +23,7 @@ level down over the mask's +1 columns and subtracts the sum over its -1
 columns; `select_heavy` writes a level's heavy masks in one branchless
 pass, or only counts them; `parent_histogram` counts each child's family
 parents in a 2**n-byte scratch array that the table keeps and the kernel
-leaves zeroed.  That file also holds the engines' kernels: Glynn's
-formula, which gives every exact square permanent through n = 30
-(`engines.permanent`, `permanents`, `ryser_batch`); two Ryser kernels,
-which scan the row subsets of a square matrix for the modular engine
-(`ryser_mod`) or of a (k+1) x k block for its k+1 row-deleted cofactors
-(`ryser_cofactors`, read by `checks.check_many_children`); the
-permutation walk of the naive engine; and the Philox sign draws of
-`matrices.sample_sign_matrix`, `sample_sign_matrices` and `sample_row`.
+leaves zeroed.  That file's header lists every kernel.
 `compiled._kernels` builds and loads the library; `lattice._kernels` is
 that same cached function.
 """

@@ -280,16 +280,16 @@ def test_lattice_memory_estimate_is_clean_error(monkeypatch, capsys):
     assert capsys.readouterr().out.strip().lstrip("-").isdigit()
 
 
-def _growth_peak_rss_kb(out: Path, trials: int) -> int:
-    """Peak RSS of `growth --n 4` over `trials` trials, run in a forked child
-    that first caps its own address space at 1.5 GiB."""
+def _peak_rss_kb(*argv: str) -> int:
+    """Peak RSS of `permlab argv`, run in a forked child that first caps its
+    own address space at 1.5 GiB."""
     pid = os.fork()
     if pid == 0:
         code = 3
         try:
             resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
             os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-            code = cli.main(["growth", "--n", "4", "--trials", str(trials), "--out", str(out)])
+            code = cli.main(list(argv))
         finally:
             os._exit(code)
     _, status, usage = os.wait4(pid, 0)
@@ -302,12 +302,22 @@ def test_growth_memory_does_not_grow_with_trials(tmp_path, monkeypatch):
     # trials keeps the same peak; a list of every trial's payload and row
     # costs about 1 kB a trial, 3.5 MB here
     monkeypatch.delenv("PERMLAB_THREADS", raising=False)
-    few = _growth_peak_rss_kb(tmp_path / "few", 500)
-    many = _growth_peak_rss_kb(tmp_path / "many", 4000)
+    few = _peak_rss_kb("growth", "--n", "4", "--trials", "500", "--out", str(tmp_path / "few"))
+    many = _peak_rss_kb("growth", "--n", "4", "--trials", "4000", "--out", str(tmp_path / "many"))
     assert many - few < 2048, (few, many)
     with open(tmp_path / "many" / "summary.csv", newline="") as fh:
         assert [int(row["trial"]) for row in csv.DictReader(fh)] == list(range(4000))
     assert len(json.loads((tmp_path / "many" / "manifest.json").read_text())["outputs"]) == 4001
+
+
+def test_parent_child_memory_does_not_grow_with_trials():
+    # trials are drawn a block at a time, so 20x the trials keeps the same
+    # peak; drawing every trial's level and matrices at once costs about
+    # 50 bytes a trial at n = 4, 19 MB here
+    argv = ["verify", "--suite", "parent_child", "--n", "4", "--trials"]
+    few = _peak_rss_kb(*argv, "20000")
+    many = _peak_rss_kb(*argv, "400000")
+    assert many - few < 2048, (few, many)
 
 
 def test_thread_count_clamped_to_cpus(monkeypatch):

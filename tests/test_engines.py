@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from permlab import cli, engines
 from permlab.engines import (
+    cofactors,
     determinant_exact,
     permanent,
     permanent_mod,
@@ -14,7 +15,6 @@ from permlab.engines import (
     permanent_ryser,
     permanents,
     ryser_batch,
-    ryser_cofactors,
 )
 from permlab.lattice import build_lattice
 from permlab.matrices import CapError, SignMatrix, sample_sign_matrix
@@ -217,7 +217,7 @@ def _sign_blocks(gen, count: int, rows: int) -> np.ndarray:
 def test_ryser_cofactors_match_naive_row_deleted_blocks(rows):
     gen = RngStream(31, rows).generator()
     blocks = _sign_blocks(gen, 2 if rows == 11 else 6, rows)
-    cof = ryser_cofactors(blocks)
+    cof = cofactors(blocks)
     assert cof.shape == (len(blocks), rows) and cof.dtype == np.int64
     for block, got in zip(blocks, cof):
         assert got.tolist() == [permanent_naive(SignMatrix(np.delete(block, r, axis=0)))
@@ -228,9 +228,19 @@ def test_ryser_cofactors_match_naive_row_deleted_blocks(rows):
 def test_ryser_cofactors_match_ryser_batch(rows):
     gen = RngStream(32, rows).generator()
     blocks = _sign_blocks(gen, 8, rows)
-    cof = ryser_cofactors(blocks)
+    cof = cofactors(blocks)
     for r in range(rows):
         assert np.array_equal(cof[:, r], ryser_batch(np.delete(blocks, r, axis=1)))
+    if rows >= 12:
+        # past the naive engine's reach, the modular Ryser kernel, which shares
+        # no code with the Glynn sweep of both cofactors and ryser_batch, is the
+        # reference: |Per| <= 12! < p / 2, so one residue read in (-p/2, p/2)
+        # is the permanent
+        p = 2**31 - 1
+        for block, got in zip(blocks, cof):
+            residues = [permanent_mod(SignMatrix(np.delete(block, r, axis=0)), p)
+                        for r in range(rows)]
+            assert got.tolist() == [x - p if x > p // 2 else x for x in residues]
     # Laplace expansion along an added column gives the square permanent
     column = 2 * gen.integers(0, 2, size=(8, rows, 1), dtype=np.int8) - 1
     square = np.concatenate([blocks, column], axis=2)
@@ -244,25 +254,25 @@ def test_ryser_cofactors_at_their_int64_bound():
     ones[1] *= -1
     ones[2, :, 5] = -1
     f12 = math.factorial(12)
-    assert ryser_cofactors(ones).tolist() == [[f12] * 13, [f12] * 13, [-f12] * 13]
+    assert cofactors(ones).tolist() == [[f12] * 13, [f12] * 13, [-f12] * 13]
 
 
 def test_ryser_cofactors_of_a_one_by_zero_block():
     # deleting the one row leaves the empty matrix, whose permanent is 1
-    assert ryser_cofactors(np.ones((2, 1, 0), dtype=np.int8)).tolist() == [[1], [1]]
+    assert cofactors(np.ones((2, 1, 0), dtype=np.int8)).tolist() == [[1], [1]]
 
 
 def test_ryser_cofactors_refusals():
     with pytest.raises(CapError, match="capped at 13 rows, got 14"):
-        ryser_cofactors(np.ones((1, 14, 13), dtype=np.int8))
+        cofactors(np.ones((1, 14, 13), dtype=np.int8))
     for bad in (0, 2, 257):
         blocks = np.ones((2, 5, 4), dtype=np.int64)
         blocks[1, 4, 3] = bad
         with pytest.raises(ValueError, match="-1 or \\+1"):
-            ryser_cofactors(blocks)
+            cofactors(blocks)
     for shape in ((1, 4, 4), (1, 4, 2), (1, 3, 5)):
         with pytest.raises(ValueError, match="one row more than columns"):
-            ryser_cofactors(np.ones(shape, dtype=np.int8))
+            cofactors(np.ones(shape, dtype=np.int8))
 
 
 @pytest.mark.parametrize("n", [20, 22])

@@ -37,12 +37,18 @@ _AT_THE_BOUNDS = textwrap.dedent("""
         ones[1] *= -1
         ones[2, 0] *= -1
         assert engines.permanents(ones) == [f(n), (-1) ** n * f(n), -f(n)], n
-    # the widest block of 8 lanes, the first of 16, and the cap
-    for rows in (9, 10, 13):
-        blocks = np.ones((2, rows, rows - 1), dtype=np.int8)
-        blocks[1, :, 5] = -1
-        want = [[f(rows - 1)] * rows, [-f(rows - 1)] * rows]
-        assert engines.ryser_cofactors(blocks).tolist() == want, rows
+    # cofactors at every row count, so both lane widths and both parities of
+    # the row count (odd ones halve their doubled cofactors) are run: all
+    # ones, a negated first column (none at one row), which negates every
+    # cofactor, and a negated row, which negates all but its own
+    for rows in range(1, 14):
+        blocks = np.ones((3, rows, rows - 1), dtype=np.int8)
+        blocks[1, :, :1] = -1
+        blocks[2, rows // 2] = -1
+        top = f(rows - 1)
+        want = [[top] * rows, [-top if rows > 1 else top] * rows,
+                [top if r == rows // 2 else -top for r in range(rows)]]
+        assert engines.cofactors(blocks).tolist() == want, rows
     top = 2**64 - 1
     draw = matrices.sample_sign_matrix(63, RngStream(top, top)).entries
     assert np.array_equal(draw, numpy_sign_draw(top, top, (63, 63)))
@@ -106,8 +112,9 @@ _COPIED_INPUTS = textwrap.dedent("""
     agree(engines.permanents, signs(8, 16, 16))
     agree(engines.permanents, signs(2, 21, 21))
     agree(engines.ryser_batch, signs(40, 12, 12))
-    agree(engines.ryser_cofactors, signs(100, 9, 8))
-    agree(engines.ryser_cofactors, signs(100, 12, 11))
+    agree(engines.cofactors, signs(100, 9, 8))
+    agree(engines.cofactors, signs(100, 12, 11))
+    agree(engines.cofactors, signs(40, 13, 12))
 
     # the streams as a list, a tuple and an iterator; each batch's keys and
     # draws exceed the small-block cache
