@@ -6,8 +6,9 @@ function and the options it reads, with their defaults, and `SUITE` the
 rows of `verify --suite all`.  `run_check` runs a check for both.
 
 Conventions:
-- exact-mode checks are seed-free identities; their tolerance is "exact";
-- a Monte Carlo run has no default draw count;
+- a check given no draw count runs exact: a seed-free identity over every
+  sign matrix (or vector), whose tolerance is "exact"; given one, it runs
+  Monte Carlo over that many seeded draws, which has no default count;
 - every Monte Carlo verdict uses a band of 3 standard errors computed from
   the same run;
 - checks whose target bound hides an unspecified constant are descriptive:
@@ -36,7 +37,7 @@ from .matrices import MAX_N, CapError, sample_sign_matrices, sample_sign_matrix
 from .rng import RngStream
 
 _ALON_SIZES = (3, 7, 15)
-_EXACT_MAX_N = 4  # exact modes enumerate all 2**(n*n) sign matrices
+_EXACT_MAX_N = 4  # exact runs enumerate all 2**(n*n) sign matrices
 _DRAW_BLOCK = 2048  # rows drawn at once, so memory does not grow with the draw count
 _MAINTAIN_GROW_CFG = ProcessConfig(eps=0.3, c=0.5)
 
@@ -95,22 +96,6 @@ def _two_draws(trials: int, statistic: str) -> None:
                          f" (--trials 2 or more), got {trials}")
 
 
-def _needs_trials(check: str, trials: int | None) -> None:
-    """Refuse a Monte Carlo run without a draw count, which has no default."""
-    if trials is None:
-        raise ValueError(f"a Monte Carlo {check} run needs --trials")
-
-
-def _sampled(check: str, mode: str, trials: int | None) -> bool:
-    """Whether `check` runs in Monte Carlo mode, which needs a draw count, or exact mode."""
-    if mode == "exact":
-        return False
-    if mode != "monte_carlo":
-        raise ValueError(f"mode must be 'exact' or 'monte_carlo', got {mode!r}")
-    _needs_trials(check, trials)
-    return True
-
-
 def _draw_blocks(trials: int):
     """Row counts of the consecutive draws that make up `trials` rows."""
     for start in range(0, trials, _DRAW_BLOCK):
@@ -167,13 +152,14 @@ def sample_permanents(n: int, trials: int, rng: RngStream) -> list[int]:
     return pers
 
 
-def _permanents(check: str, n: int, mode: str, trials: int | None, rng: RngStream | None):
-    """The permanents `check` reads: every n x n sign matrix's in exact mode
-    (n <= _EXACT_MAX_N), or those of `trials` seeded draws in Monte Carlo mode."""
-    if _sampled(check, mode, trials):
+def _permanents(check: str, n: int, trials: int | None, rng: RngStream | None):
+    """The permanents `check` reads: with no draw count, every n x n sign
+    matrix's (n <= _EXACT_MAX_N); otherwise those of `trials` seeded draws."""
+    if trials is not None:
         return sample_permanents(n, trials, rng)
     if n > _EXACT_MAX_N:
-        raise CapError(f"exact {check.replace('_', '-')} check is capped at n <= {_EXACT_MAX_N}, got n={n}")
+        raise CapError(f"exact {check.replace('_', '-')} check is capped at n <= {_EXACT_MAX_N},"
+                       f" got n={n}; a Monte Carlo run needs --trials")
     return exact_permanents(n)
 
 
@@ -189,19 +175,17 @@ def per2_ratio_mean_se(pers: list[int], n: int) -> tuple[float, float]:
 # Moment and counting identities
 # ---------------------------------------------------------------------------
 
-def check_second_moment(n: int, mode: str, trials: int | None = None,
+def check_second_moment(n: int, trials: int | None = None,
                         rng: RngStream | None = None) -> CheckReport:
     """Mean of Per**2 over sign matrices equals n!.
 
-    Exact mode enumerates all 2**(n*n) matrices (n <= 4) and demands exact
-    integer equality of sum(Per**2) and n! * 2**(n*n).  Monte Carlo mode
+    With no draw count, enumerates all 2**(n*n) matrices (n <= 4) and demands
+    exact integer equality of sum(Per**2) and n! * 2**(n*n).  With `trials`,
     checks the sample mean of Per**2 / n! against 1 within 3 standard errors.
     """
     target = math.factorial(n)
-    if mode == "monte_carlo" and n > 20:
-        raise CapError(f"monte-carlo second-moment check is capped at n <= 20, got n={n}")
-    pers = _permanents("second_moment", n, mode, trials, rng)
-    if mode == "exact":
+    pers = _permanents("second_moment", n, trials, rng)
+    if trials is None:
         total = int(np.sum(pers.astype(object) ** 2))
         expected = target * (1 << (n * n))
         stats = {
@@ -226,7 +210,8 @@ def check_second_moment(n: int, mode: str, trials: int | None = None,
 def check_alon(n: int, trials: int | None = None, rng: RngStream | None = None) -> CheckReport:
     """Stated fixed-residue claim: every permanent is (n+1)/2 mod n+1.
 
-    n = 3 is checked over all 512 matrices; larger sizes over seeded samples.
+    With no draw count, n = 3 is checked over all 512 matrices; with
+    `trials`, any size is checked over seeded samples.
     A single counterexample fails the check.  The claim is true at n = 3 but
     refutable at n = 7 and n = 15 (the all-ones matrix already violates it:
     7! = 5040 = 0 mod 8); there this check honestly reports FAIL.  The
@@ -239,16 +224,8 @@ def check_alon(n: int, trials: int | None = None, rng: RngStream | None = None) 
     expected = modulus // 2
     two_adic_mod = 1 << (n - math.ceil(math.log2(n)) + 1)
     two_adic_ref = math.factorial(n) % two_adic_mod
-    if n == 3:
-        perms = exact_permanents(3)
-        sample_size: int | str = "exact"
-        seed = None
-    else:
-        _needs_trials("alon", trials)
-        # exact permanents, which fit int64 at n <= 15; both residues are read off them
-        perms = np.array(sample_permanents(n, trials, rng), dtype=np.int64)
-        sample_size = trials
-        seed = rng.seed
+    # exact permanents, which fit int64 at n <= 15; both residues are read off them
+    perms = np.asarray(_permanents("alon", n, trials, rng), dtype=np.int64)
     bad = int(np.count_nonzero(perms % modulus != expected))
     bad_two_adic = int(np.count_nonzero(perms % two_adic_mod != two_adic_ref))
     notes = []
@@ -259,7 +236,8 @@ def check_alon(n: int, trials: int | None = None, rng: RngStream | None = None) 
             f"{two_adic_ref} mod {two_adic_mod} held on every draw and still forces per != 0"
         )
     return CheckReport(
-        name="alon", n=n, sample_size=sample_size, seed=seed,
+        name="alon", n=n, sample_size="exact" if trials is None else trials,
+        seed=None if trials is None else rng.seed,
         statistics={
             "checked": len(perms),
             "mismatches": bad,
@@ -273,16 +251,16 @@ def check_alon(n: int, trials: int | None = None, rng: RngStream | None = None) 
     )
 
 
-def check_singularity(n: int, mode: str, trials: int | None = None,
+def check_singularity(n: int, trials: int | None = None,
                       rng: RngStream | None = None) -> CheckReport:
     """Probability that the permanent vanishes.
 
-    Exact mode (n <= 4) counts zeros over the full enumeration and compares
-    against the committed counts; Monte Carlo mode reports the empirical
-    zero fraction (descriptive; no bench-scale bound exists).
+    With no draw count (n <= 4), counts zeros over the full enumeration and
+    compares against the committed counts; with `trials`, reports the
+    empirical zero fraction (descriptive; no bench-scale bound exists).
     """
-    perms = _permanents("singularity", n, mode, trials, rng)
-    if mode == "exact":
+    perms = _permanents("singularity", n, trials, rng)
+    if trials is None:
         zeros = int(np.count_nonzero(perms == 0))
         total = len(perms)
         committed = load_fixture("exact_fixtures.json")["singular_permanent_counts"].get(str(n))
@@ -340,12 +318,11 @@ def check_parent_child(trials: int, n: int, rng: RngStream) -> CheckReport:
                 continue
             mats = 2 * gen.integers(0, 2, size=(batch, k + 1, k + 1), dtype=np.int8) - 1
             parents = np.abs(ryser_batch(mats[:, :k, :k]))
-            plus = mats.copy()
-            plus[:, k, k] = 1
-            minus = mats.copy()
-            minus[:, k, k] = -1
-            per_plus = ryser_batch(plus)
-            per_minus = ryser_batch(minus)
+            # both signs of the new corner entry, scored in one batch
+            signed = np.concatenate([mats, mats])
+            signed[:batch, k, k] = 1
+            signed[batch:, k, k] = -1
+            per_plus, per_minus = np.split(ryser_batch(signed), 2)
             flip_violations += int(np.count_nonzero(np.abs(per_plus - per_minus) != 2 * parents))
             max_violations += int(
                 np.count_nonzero(np.maximum(np.abs(per_plus), np.abs(per_minus)) < parents)
@@ -424,15 +401,16 @@ def check_many_children(trials: int, n: int, i_size: int, rng: RngStream) -> Che
 # Signed-sum anti-concentration
 # ---------------------------------------------------------------------------
 
-def check_littlewood_offord(v, threshold: float, x: float, mode: str,
+def check_littlewood_offord(v, threshold: float, x: float,
                             trials: int | None = None, rng: RngStream | None = None) -> CheckReport:
     """Random signed sums avoid short intervals.
 
     With k coordinates of magnitude >= threshold, no open interval of length
     2*threshold captures more than C(k, k//2) / 2**k of the probability, and
-    P(|sum| <= x*threshold) <= (ceil(x)+1) * C(k, k//2) / 2**k.  Exact mode
-    (m <= 20) enumerates all sign vectors and compares counts as integers;
-    Monte Carlo mode (m <= 63) draws sign vectors in blocks of _DRAW_BLOCK.
+    P(|sum| <= x*threshold) <= (ceil(x)+1) * C(k, k//2) / 2**k.  With no draw
+    count (m <= 20), enumerates all sign vectors and compares counts as
+    integers; with `trials` (m <= 63), draws sign vectors in blocks of
+    _DRAW_BLOCK.
     """
     v = [float(val) for val in v]
     m = len(v)
@@ -447,9 +425,10 @@ def check_littlewood_offord(v, threshold: float, x: float, mode: str,
     interval_bound = Fraction(binom, 1 << k_eff)
     tail_bound = min(Fraction(1), (math.ceil(x) + 1) * interval_bound)
 
-    if not _sampled("littlewood_offord", mode, trials):
+    if trials is None:
         if m > 20:
-            raise CapError(f"exact enumeration is capped at m <= 20, got m={m}")
+            raise CapError(f"exact enumeration is capped at m <= 20, got m={m};"
+                           " a Monte Carlo run needs --trials")
         sums = np.zeros(1, dtype=np.float64)
         for val in v:
             sums = np.concatenate([sums + val, sums - val])
@@ -638,18 +617,17 @@ def _littlewood_offord_ones(m: int, **options) -> CheckReport:
 
 # Each check `verify --suite NAME` can run: the function, called by keyword
 # with the options and rng=, and the options it reads, with their defaults.
-# An option only Monte Carlo mode reads defaults to None; that mode refuses
-# to run without it.  Functions are named and looked up when run, so a
+# A check whose draw count defaults to None runs exact unless given trials.
+# Functions are named and looked up when run, so a
 # wrapper set on the module attribute (a profiler's) sees every call.
 CHECKS = {
-    "second_moment": ("check_second_moment", {"n": 3, "mode": "exact", "trials": None}),
+    "second_moment": ("check_second_moment", {"n": 3, "trials": None}),
     "alon": ("check_alon", {"n": 3, "trials": None}),
     "parent_child": ("check_parent_child", {"n": 10, "trials": 10_000}),
     "many_children": ("check_many_children", {"n": 14, "trials": 10_000, "i_size": 6}),
-    "littlewood_offord": ("_littlewood_offord_ones",
-                          {"m": 2, "x": 1.0, "mode": "exact", "trials": None}),
+    "littlewood_offord": ("_littlewood_offord_ones", {"m": 2, "x": 1.0, "trials": None}),
     "growth_rate": ("check_growth_rate", {"n": 16, "trials": 500}),
-    "singularity": ("check_singularity", {"n": 3, "mode": "exact", "trials": None}),
+    "singularity": ("check_singularity", {"n": 3, "trials": None}),
     "maintain_grow": ("check_maintain_grow_events", {"n": 14, "trials": 300}),
 }
 

@@ -32,7 +32,7 @@ from itertools import chain
 from pathlib import Path
 
 from . import __version__
-from .checks import CHECKS, _needs_trials, default_suite, run_check, suite_passed, summary_lines
+from .checks import CHECKS, default_suite, run_check, suite_passed, summary_lines
 from .engines import PERMANENT_MAX_N, determinant_exact, permanent, permanent_naive
 from .growth import ProcessConfig, run_growth, write_trace_jsonl
 from .lattice import DUMP_MAX_N, build_lattice, dump_lattice_csv
@@ -236,22 +236,22 @@ def _check_options(args) -> dict:
 
     A flag the check does not read is a ValueError that names it (the size
     flags default to None, so a flag the user set is told apart from a
-    default).  An exact run, in exact mode or alon at n = 3, reads no
-    --trials; a Monte Carlo run needs it.  Both are refused here, before
-    --out is opened.
+    default).  A check runs exact when it gets no draw count, so --trials
+    alone asks for a Monte Carlo run; --mode, read by the checks whose draw
+    count defaults to None, must agree with --trials.  Both refusals come
+    here, before --out is opened.
     """
     _, reads = CHECKS.get(args.suite, (None, {}))
     given = {dest: getattr(args, dest) for dest in _VERIFY_FLAGS if getattr(args, dest) is not None}
     for dest in given:
-        if dest not in reads:
+        if not (dest in reads or (dest == "mode" and reads.get("trials", 0) is None)):
             raise ValueError(f"verify --suite {args.suite} does not read {_VERIFY_FLAGS[dest]}")
-    opts = {**reads, **given}
-    if opts.get("mode") == "exact" or (args.suite == "alon" and opts["n"] == 3):
-        if "trials" in given:
-            raise ValueError(f"verify --suite {args.suite} is exact here and does not read --trials")
-    elif "trials" in reads:
-        _needs_trials(args.suite, opts["trials"])
-    return opts
+    mode = given.pop("mode", None)
+    if mode == "exact" and "trials" in given:
+        raise ValueError(f"verify --suite {args.suite} is exact here and does not read --trials")
+    if mode == "monte_carlo" and "trials" not in given:
+        raise ValueError(f"a Monte Carlo {args.suite} run needs --trials")
+    return {**reads, **given}
 
 
 @contextlib.contextmanager
@@ -359,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     lo, mc = CHECKS["littlewood_offord"][1], CHECKS["many_children"][1]
     p.add_argument("--mode", choices=["exact", "monte_carlo"], default=None,
-                   help=f"second_moment, singularity, littlewood_offord (default: {lo['mode']})")
+                   help="second_moment, alon, singularity, littlewood_offord: optional;"
+                        " must agree with --trials")
     p.add_argument("--m", type=int, default=None,
                    help=f"vector length for littlewood_offord (default: {lo['m']})")
     p.add_argument("--x", type=_nonnegative_float, default=None,

@@ -74,7 +74,7 @@ def test_criterion_1_engine_equivalence():
 def test_criterion_2_second_moment_identity():
     ok = True
     for n, mean in ((2, 2), (3, 6), (4, 24)):
-        r = check_second_moment(n, mode="exact")
+        r = check_second_moment(n)
         ok = ok and r.passed and r.statistics["mean_per_squared"] == str(mean)
     report("2", "second moment identity", ok)
     assert ok
@@ -107,7 +107,7 @@ def test_criterion_3_alon_residue(n, trials):
     residue_n1 = math.factorial(n) % (n + 1)
     assert (residue_n1 == stated) == (n == 3)
 
-    r = check_alon(n, trials=trials or 0, rng=RngStream(SEED, n))
+    r = check_alon(n, trials=trials, rng=RngStream(SEED, n))
     stats = r.statistics
     ok = (
         stats["two_adic_mismatches"] == 0
@@ -171,7 +171,7 @@ def test_criterion_5_littlewood_offord_enumeration():
     violations = 0
     for m in range(2, 15):
         for v in ([1.0] * m, [1.0 + (i % 3) for i in range(m)]):
-            r = check_littlewood_offord(v, 1.0, x=1.0, mode="exact")
+            r = check_littlewood_offord(v, 1.0, x=1.0)
             if not r.passed:
                 violations += 1
     ok = violations == 0

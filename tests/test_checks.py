@@ -30,22 +30,29 @@ from oracles import all_ones, brute_max_interval_count, brute_signed_sums
 
 
 def test_second_moment_exact_small():
-    r2 = check_second_moment(2, mode="exact")
+    r2 = check_second_moment(2)
     assert r2.passed and r2.statistics["mean_per_squared"] == "2"
-    r3 = check_second_moment(3, mode="exact")
+    r3 = check_second_moment(3)
     assert r3.passed and r3.statistics["mean_per_squared"] == "6"
     assert r3.statistics["sum_per_squared"] == 6 * 512
 
 
 def test_second_moment_exact_cap():
     with pytest.raises(CapError):
-        check_second_moment(5, mode="exact")
+        check_second_moment(5)
 
 
 def test_second_moment_monte_carlo():
-    r = check_second_moment(6, mode="monte_carlo", trials=400, rng=RngStream(3))
+    r = check_second_moment(6, trials=400, rng=RngStream(3))
     assert r.passed
     assert r.sample_size == 400
+
+
+def test_second_moment_monte_carlo_runs_past_n_20():
+    # capped only by permanent's n <= 30, like growth_rate and singularity
+    r = check_second_moment(21, trials=2, rng=RngStream(3))
+    assert r.sample_size == 2 and r.n == 21
+    assert math.isfinite(r.statistics["mean_ratio"])
 
 
 def test_alon_n3_exact_passes():
@@ -119,11 +126,11 @@ def test_many_children_all_ones_instance():
 
 
 def test_singularity_exact():
-    r2 = check_singularity(2, mode="exact")
+    r2 = check_singularity(2)
     assert r2.passed and r2.statistics["probability"] == "1/2"
-    r3 = check_singularity(3, mode="exact")
+    r3 = check_singularity(3)
     assert r3.passed and r3.statistics["zero_count"] == 0
-    r4 = check_singularity(4, mode="exact")
+    r4 = check_singularity(4)
     assert r4.passed and r4.statistics["zero_count"] == 21504
 
 
@@ -176,13 +183,13 @@ def test_many_children_matches_child_by_child_permanents(n, i_size, trials):
 
 def test_littlewood_offord_hand_cases():
     # v=(1,1): P(sum=0) = 1/2 and the binomial bound is tight
-    r = check_littlewood_offord([1.0, 1.0], 1.0, x=0.0, mode="exact")
+    r = check_littlewood_offord([1.0, 1.0], 1.0, x=0.0)
     assert r.passed
     assert r.statistics["max_interval_probability"] == 0.5
     assert Fraction(1, 2) == r.statistics["max_interval_probability_exact"]
     # v=(1,1,1): max open-length-2 window holds three of eight sums (bound tight),
     # and P(|sum| <= 1) = 6/8 meets the two-window tail bound exactly
-    r3 = check_littlewood_offord([1.0, 1.0, 1.0], 1.0, x=1.0, mode="exact")
+    r3 = check_littlewood_offord([1.0, 1.0, 1.0], 1.0, x=1.0)
     assert r3.passed
     assert r3.statistics["max_interval_probability_exact"] == Fraction(3, 8)
     assert r3.statistics["tail_probability_exact"] == Fraction(6, 8)
@@ -192,7 +199,7 @@ def test_littlewood_offord_hand_cases():
 def test_littlewood_offord_against_brute():
     vecs = [[1.0, 2.0, 1.0, 3.0], [1.5, 1.5, 2.5], [1.0] * 6]
     for v in vecs:
-        r = check_littlewood_offord(v, 1.0, x=2.0, mode="exact")
+        r = check_littlewood_offord(v, 1.0, x=2.0)
         sums = brute_signed_sums(v)
         max_count = brute_max_interval_count(sums, 2.0)
         assert r.statistics["max_interval_probability_exact"] == Fraction(max_count, 2 ** len(v))
@@ -203,14 +210,13 @@ def test_littlewood_offord_against_brute():
 
 def test_littlewood_offord_partial_heavy_support():
     # only two coordinates reach the threshold; the bound uses those two
-    r = check_littlewood_offord([1.0, 1.0, 0.25], 1.0, x=1.0, mode="exact")
+    r = check_littlewood_offord([1.0, 1.0, 0.25], 1.0, x=1.0)
     assert r.statistics["k_heavy"] == 2
     assert r.passed
 
 
 def test_littlewood_offord_monte_carlo():
-    r = check_littlewood_offord([1.0] * 24, 1.0, x=1.0, mode="monte_carlo",
-                                trials=5000, rng=RngStream(8))
+    r = check_littlewood_offord([1.0] * 24, 1.0, x=1.0, trials=5000, rng=RngStream(8))
     assert r.passed
 
 
@@ -220,17 +226,17 @@ def test_checks_run_at_their_size_caps():
     # Monte Carlo littlewood_offord take 63 columns
     assert check_parent_child(50, 13, rng=RngStream(3)).statistics["flip_identity_violations"] == 0
     assert check_many_children(3, 63, 58, rng=RngStream(3)).sample_size == 3
-    r = check_littlewood_offord([1.0] * 63, 1.0, x=1.0, mode="monte_carlo", trials=3, rng=RngStream(3))
+    r = check_littlewood_offord([1.0] * 63, 1.0, x=1.0, trials=3, rng=RngStream(3))
     assert r.statistics["m"] == 63
 
 
 def test_littlewood_offord_validation():
     with pytest.raises(ValueError):
-        check_littlewood_offord([0.5, 0.2], 1.0, x=1.0, mode="exact")  # nothing reaches the threshold
+        check_littlewood_offord([0.5, 0.2], 1.0, x=1.0)  # nothing reaches the threshold
     with pytest.raises(ValueError):
-        check_littlewood_offord([1.0], 0.0, x=1.0, mode="exact")
+        check_littlewood_offord([1.0], 0.0, x=1.0)
     with pytest.raises(CapError):
-        check_littlewood_offord([1.0] * 21, 1.0, x=1.0, mode="exact")
+        check_littlewood_offord([1.0] * 21, 1.0, x=1.0)
 
 
 def test_growth_rate_descriptive_without_band():
@@ -242,13 +248,15 @@ def test_growth_rate_descriptive_without_band():
 
 
 @pytest.mark.parametrize("run", [
-    lambda **kw: check_second_moment(3, "monte_carlo", **kw),
+    lambda **kw: check_second_moment(5, **kw),
     lambda **kw: check_alon(7, **kw),
-    lambda **kw: check_singularity(3, "monte_carlo", **kw),
-    lambda **kw: check_littlewood_offord([1.0] * 4, 1.0, x=1.0, mode="monte_carlo", **kw),
+    lambda **kw: check_singularity(5, **kw),
+    lambda **kw: check_littlewood_offord([1.0] * 21, 1.0, x=1.0, **kw),
 ], ids=["second_moment", "alon", "singularity", "littlewood_offord"])
 def test_monte_carlo_runs_have_no_default_draw_count(run):
-    with pytest.raises(ValueError, match="needs --trials"):
+    # with no draw count a check runs exact, so a size past the exact cap is
+    # refused, and the refusal names the flag that asks for a Monte Carlo run
+    with pytest.raises(CapError, match="a Monte Carlo run needs --trials$"):
         run(rng=RngStream(0))
 
 
@@ -288,7 +296,7 @@ def test_maintain_grow_events_small():
 
 
 def test_report_serialization():
-    r = check_second_moment(2, mode="exact")
+    r = check_second_moment(2)
     blob = json.loads(r.to_json())
     assert blob["name"] == "second_moment"
     assert blob["passed"] is True
@@ -296,7 +304,7 @@ def test_report_serialization():
 
 
 def test_suite_exit_logic():
-    r_pass = check_second_moment(2, mode="exact")
+    r_pass = check_second_moment(2)
     r_desc = check_growth_rate(8, 10, rng=RngStream(11))
     assert suite_passed([r_pass, r_desc])
     r_fail = check_alon(7, trials=5, rng=RngStream(12))

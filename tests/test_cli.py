@@ -190,7 +190,8 @@ def test_bad_values_rejected(tmp_path, args, flag, message):
      "error: a Monte Carlo frequency needs at least two draws (--trials 2 or more), got 1"),
     (["verify", "--suite", "second_moment", "--mode", "monte_carlo"],
      "error: a Monte Carlo second_moment run needs --trials"),
-    (["verify", "--suite", "alon", "--n", "7"], "error: a Monte Carlo alon run needs --trials"),
+    (["verify", "--suite", "alon", "--n", "7"],
+     "error: exact alon check is capped at n <= 4, got n=7; a Monte Carlo run needs --trials"),
     (["verify", "--suite", "growth_rate", "--n", "1", "--trials", "2"],
      "error: growth-rate check needs --n >= 2"),
     (["verify", "--suite", "alon", "--n", "31", "--trials", "2"],
@@ -234,17 +235,18 @@ def test_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys, args
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("args", [
-    ["verify", "--suite", "alon", "--n", "7"],
-    ["verify", "--suite", "second_moment", "--mode", "monte_carlo"],
+@pytest.mark.parametrize("args, error", [
+    (["verify", "--suite", "alon", "--n", "7"], "error: exact alon check is capped at n <= 4"),
+    (["verify", "--suite", "second_moment", "--mode", "monte_carlo"],
+     "error: a Monte Carlo second_moment run needs --trials"),
 ], ids=["alon", "second-moment"])
-def test_missing_trials_leaves_out_untouched(tmp_path, monkeypatch, capsys, args):
-    # refused before --out is opened, so an earlier report survives
+def test_missing_trials_leaves_out_untouched(tmp_path, capsys, args, error):
+    # refused by the check before it enumerates (alon), or by the options
+    # before --out is opened (--mode); either way an earlier report survives
     out = tmp_path / "r.jsonl"
     out.write_text("earlier report\n")
-    monkeypatch.setattr(cli, "run_check", lambda *_a, **_k: pytest.fail("the check ran"))
     assert cli.main([*args, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: a Monte Carlo ")
+    assert capsys.readouterr().err.startswith(error)
     assert out.read_text() == "earlier report\n"
 
 
@@ -456,7 +458,7 @@ def test_growth_rejects_bad_eps_prime(tmp_path):
 
 
 def test_verify_single_checks(tmp_path):
-    res = run_cli("verify", "--suite", "second_moment", "--n", "3", "--mode", "exact")
+    res = run_cli("verify", "--suite", "second_moment", "--n", "3")
     assert res.returncode == 0
     assert "PASS second_moment" in res.stdout
     res2 = run_cli("verify", "--suite", "alon", "--n", "3")
@@ -470,38 +472,48 @@ def test_verify_single_checks(tmp_path):
     assert report["name"] == "singularity" and report["passed"]
 
 
-@pytest.mark.parametrize("args, flag", [
-    (["--suite", "alon", "--n", "3", "--mode", "monte_carlo"], "--mode"),
-    (["--suite", "alon", "--n", "3", "--trials", "7"], "--trials"),
-    (["--suite", "alon", "--trials", "7"], "--trials"),
-    (["--suite", "second_moment", "--n", "3", "--trials", "7"], "--trials"),
-    (["--suite", "singularity", "--mode", "exact", "--trials", "7"], "--trials"),
-    (["--suite", "littlewood_offord", "--m", "4", "--trials", "7"], "--trials"),
-    (["--suite", "littlewood_offord", "--n", "5"], "--n"),
-    (["--suite", "parent_child", "--n", "8", "--i-size", "2"], "--i-size"),
-    (["--suite", "growth_rate", "--x", "2"], "--x"),
-    (["--suite", "maintain_grow", "--m", "3"], "--m"),
-    (["--suite", "all", "--n", "5"], "--n"),
-    (["--suite", "all", "--trials", "3"], "--trials"),
+@pytest.mark.parametrize("args, error", [
+    (["--suite", "alon", "--n", "3", "--mode", "monte_carlo"], "a Monte Carlo alon run needs --trials"),
+    (["--suite", "alon", "--n", "3", "--trials", "7"], None),
+    (["--suite", "alon", "--trials", "7"], None),
+    (["--suite", "second_moment", "--n", "3", "--trials", "7"], None),
+    (["--suite", "singularity", "--mode", "exact", "--trials", "7"],
+     "verify --suite singularity is exact here and does not read --trials"),
+    (["--suite", "littlewood_offord", "--m", "4", "--trials", "7"], None),
+    (["--suite", "littlewood_offord", "--n", "5"], "verify --suite littlewood_offord does not read --n"),
+    (["--suite", "parent_child", "--n", "8", "--i-size", "2"],
+     "verify --suite parent_child does not read --i-size"),
+    (["--suite", "parent_child", "--mode", "monte_carlo", "--trials", "7"],
+     "verify --suite parent_child does not read --mode"),
+    (["--suite", "growth_rate", "--x", "2"], "verify --suite growth_rate does not read --x"),
+    (["--suite", "maintain_grow", "--m", "3"], "verify --suite maintain_grow does not read --m"),
+    (["--suite", "all", "--n", "5"], "verify --suite all does not read --n"),
+    (["--suite", "all", "--trials", "3"], "verify --suite all does not read --trials"),
 ], ids=["alon-mode", "alon-exact-trials", "alon-default-n-trials", "second-moment-exact-trials",
         "singularity-exact-trials", "littlewood-offord-exact-trials", "littlewood-offord-n",
-        "parent-child-i-size", "growth-rate-x", "maintain-grow-m", "all-n", "all-trials"])
-def test_verify_refuses_flags_its_check_does_not_read(tmp_path, capsys, args, flag):
+        "parent-child-i-size", "parent-child-mode", "growth-rate-x", "maintain-grow-m", "all-n", "all-trials"])
+def test_verify_refuses_flags_its_check_does_not_read(tmp_path, capsys, args, error):
+    # a check with no default draw count reads --trials, which makes its run
+    # Monte Carlo (error None: the request runs and writes its report), and
+    # reads --mode only to check that it agrees with --trials
     out = tmp_path / "r.jsonl"
-    assert cli.main(["verify", *args, "--out", str(out)]) == 2
+    code = cli.main(["verify", *args, "--out", str(out)])
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.rstrip().endswith(f"does not read {flag}"), err
-    assert not out.exists()  # refused before the report is opened
+    if error is None:
+        assert code in (0, 1) and err == ""
+        assert json.loads(out.read_text())["sample_size"] == int(args[-1])
+    else:
+        assert code == 2 and err == f"error: {error}\n"
+        assert not out.exists()  # refused before the report is opened
 
 
 def test_verify_manifest_records_the_options_read(tmp_path):
     out = tmp_path / "r.jsonl"
-    argv = ["verify", "--suite", "littlewood_offord", "--mode", "monte_carlo", "--trials", "50",
-            "--out", str(out)]
+    argv = ["verify", "--suite", "littlewood_offord", "--trials", "50", "--out", str(out)]
     assert cli.main(argv) == 0
     manifest = json.loads((tmp_path / "r.jsonl.manifest.json").read_text())
     assert manifest["config"] == {"suite": "littlewood_offord", "n": None, "trials": 50,
-                                  "mode": "monte_carlo", "m": 2, "x": 1.0, "i_size": None}
+                                  "mode": None, "m": 2, "x": 1.0, "i_size": None}
 
 
 def test_verify_report_files_are_byte_stable(tmp_path):

@@ -204,7 +204,8 @@ def test_permanent_cap_names_the_cap(capsys):
         permanents(np.ones((1, 40, 40), dtype=np.int8))
     # a request above the cap is a clean exit 2 that names it
     for args in (["--suite", "growth_rate", "--n", "31", "--trials", "2"],
-                 ["--suite", "singularity", "--mode", "monte_carlo", "--n", "31", "--trials", "2"]):
+                 ["--suite", "singularity", "--mode", "monte_carlo", "--n", "31", "--trials", "2"],
+                 ["--suite", "second_moment", "--n", "31", "--trials", "2"]):
         assert cli.main(["verify", *args]) == 2
         assert capsys.readouterr().err == "error: permanent is capped at n <= 30 (2**(n-1) sign vectors), got n=31\n"
 

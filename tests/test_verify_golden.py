@@ -44,11 +44,18 @@ def _run(argv, out: Path) -> tuple[int, str]:
 
 
 def test_verify_reports_match_golden(tmp_path):
+    # --mode only has to agree with --trials, so each request also gives
+    # the same report and exit code without its --mode pair
     golden = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
     assert [g["argv"] for g in golden] == REQUESTS
     for i, g in enumerate(golden):
-        code, report = _run(g["argv"], tmp_path / f"r{i}.jsonl")
-        assert (code, report) == (g["exit"], g["report"]), g["argv"]
+        argvs = [g["argv"]]
+        if "--mode" in g["argv"]:
+            at = g["argv"].index("--mode")
+            argvs.append(g["argv"][:at] + g["argv"][at + 2:])
+        for argv in argvs:
+            code, report = _run(argv, tmp_path / f"r{i}.jsonl")
+            assert (code, report) == (g["exit"], g["report"]), argv
 
 
 def test_verify_suite_all_matches_golden(tmp_path):
