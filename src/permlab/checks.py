@@ -9,6 +9,8 @@ Conventions:
 - a check given no draw count runs exact: a seed-free identity over every
   sign matrix (or vector), whose tolerance is "exact"; given one, it runs
   Monte Carlo over that many seeded draws, which has no default count;
+  trial t draws from `rng.substream(t)` (`matrices.sample_sign_matrices`),
+  _DRAW_BLOCK trials at a time, a block size that bounds memory only;
 - every Monte Carlo verdict uses a band of 3 standard errors computed from
   the same run;
 - checks whose target bound hides an unspecified constant are descriptive:
@@ -26,7 +28,6 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
-from itertools import islice
 
 import numpy as np
 
@@ -38,7 +39,9 @@ from .rng import RngStream
 
 _ALON_SIZES = (3, 7, 15)
 _EXACT_MAX_N = 4  # exact runs enumerate all 2**(n*n) sign matrices
-_DRAW_BLOCK = 2048  # rows drawn at once, so memory does not grow with the draw count
+# trials drawn at once, so memory does not grow with the draw count; trial t
+# draws from rng.substream(t) whatever the block, so no result depends on it
+_DRAW_BLOCK = 2048
 _MAINTAIN_GROW_CFG = ProcessConfig(eps=0.3, c=0.5)
 
 
@@ -97,9 +100,9 @@ def _two_draws(trials: int, statistic: str) -> None:
 
 
 def _draw_blocks(trials: int):
-    """Row counts of the consecutive draws that make up `trials` rows."""
+    """The trial indices 0 .. trials-1, in consecutive blocks of at most _DRAW_BLOCK."""
     for start in range(0, trials, _DRAW_BLOCK):
-        yield min(_DRAW_BLOCK, trials - start)
+        yield np.arange(start, min(start + _DRAW_BLOCK, trials))
 
 
 def _binom_se(p: float, trials: int) -> float:
@@ -140,22 +143,21 @@ def exact_permanents(n: int) -> np.ndarray:
 
 
 def sample_permanents(n: int, trials: int, rng: RngStream) -> list[int]:
-    """Exact permanents of `trials` seeded n x n sign matrices; draw t uses rng.substream(t).
-
-    Draws are made _DRAW_BLOCK at a time: one call of the draw kernel and
-    one of the permanent kernel per block.
-    """
-    streams = (rng.substream(t) for t in range(trials))
+    """Exact permanents of `trials` seeded n x n sign matrices, draw t from
+    rng.substream(t): one draw and one permanent kernel call per block."""
     pers = []
-    for rows in _draw_blocks(trials):
-        pers += permanents(sample_sign_matrices(n, list(islice(streams, rows))))
+    for ts in _draw_blocks(trials):
+        pers += permanents(sample_sign_matrices(n, rng, ts))
     return pers
 
 
 def _permanents(check: str, n: int, trials: int | None, rng: RngStream | None):
     """The permanents `check` reads: with no draw count, every n x n sign
-    matrix's (n <= _EXACT_MAX_N); otherwise those of `trials` seeded draws."""
+    matrix's (n <= _EXACT_MAX_N); otherwise those of `trials` >= 1 seeded draws."""
     if trials is not None:
+        if trials < 1:
+            raise ValueError(f"a Monte Carlo {check.replace('_', '-')} run needs --trials 1 or more,"
+                             f" got {trials}")
         return sample_permanents(n, trials, rng)
     if n > _EXACT_MAX_N:
         raise CapError(f"exact {check.replace('_', '-')} check is capped at n <= {_EXACT_MAX_N},"
@@ -293,35 +295,31 @@ def check_singularity(n: int, trials: int | None = None,
 def check_parent_child(trials: int, n: int, rng: RngStream) -> CheckReport:
     """A heavy minor keeps its weight in a child for the right sign choice.
 
-    Per instance (random level k < n, random square child minor): flipping
-    the new row's entry over the added column moves the child permanent by
-    exactly twice the parent permanent, so one of the two signs gives
-    |child| >= |parent|.  Sub-check (a) verifies both facts exactly on every
-    instance (a failure is a bug, not bad luck); sub-check (b) tests that
-    the realized sign wins with frequency >= 1/2 - 3*SE.
+    Trial t's instance is the leading (k+1) x (k+1) minor of
+    sample_sign_matrix(n, rng.substream(t)), at level k = 1 + (t mod (n-1)):
+    stratified, with a uniform level's mean frequency and no more variance.
+    Flipping the new row's entry over the added column moves the child
+    permanent by exactly twice the parent permanent, so one of the two signs
+    gives |child| >= |parent|.  Sub-check (a) verifies both facts exactly on
+    every instance (a failure is a bug, not bad luck); sub-check (b) tests
+    that the realized sign wins with frequency >= 1/2 - 3*SE.
     """
     if n < 2:
         raise ValueError(f"parent-child check needs n >= 2 (a level k in 1..n-1), got n={n}")
     if n > _BATCH_MAX_N:  # level k = n-1 has n x n children, which ryser_batch takes up to its cap
         raise CapError(f"parent-child check is capped at --n <= {_BATCH_MAX_N}, got n={n}")
     _two_draws(trials, "frequency")
-    gen = rng.generator()
     flip_violations = 0
     max_violations = 0
     wins = 0
-    # each block of trials draws its levels, then one batch of matrices per level
-    for block in _draw_blocks(trials):
-        ks = gen.integers(1, n, size=block)
+    for ts in _draw_blocks(trials):
+        levels = 1 + ts % (n - 1)
         for k in range(1, n):
-            batch = int(np.count_nonzero(ks == k))
-            if batch == 0:
-                continue
-            mats = 2 * gen.integers(0, 2, size=(batch, k + 1, k + 1), dtype=np.int8) - 1
+            mats = sample_sign_matrices(n, rng, ts[levels == k], rows=k + 1)[:, :, :k + 1]
             parents = np.abs(ryser_batch(mats[:, :k, :k]))
             # both signs of the new corner entry, scored in one batch
             signed = np.concatenate([mats, mats])
-            signed[:batch, k, k] = 1
-            signed[batch:, k, k] = -1
+            signed[:, k, k] = np.repeat(np.int8([1, -1]), len(mats))
             per_plus, per_minus = np.split(ryser_batch(signed), 2)
             flip_violations += int(np.count_nonzero(np.abs(per_plus - per_minus) != 2 * parents))
             max_violations += int(
@@ -363,11 +361,12 @@ def check_many_children(trials: int, n: int, i_size: int, rng: RngStream) -> Che
         raise CapError(f"many-children check is capped at --n - --i-size + 1 <= {_BATCH_MAX_N}"
                        f" (the child minor size), got {k + 1} (--n {n}, --i-size {i_size})")
     _two_draws(trials, "frequency")
-    gen = rng.generator()
     any_hits = 0
     third_hits = 0
-    for batch in _draw_blocks(trials):
-        mats = 2 * gen.integers(0, 2, size=(batch, k + 1, k + i_size), dtype=np.int8) - 1
+    for ts in _draw_blocks(trials):
+        # trial t's parent block and candidate columns: the first k+1 rows
+        # of sample_sign_matrix(n, rng.substream(t))
+        mats = sample_sign_matrices(n, rng, ts, rows=k + 1)
         # Child i is the parent block's k columns plus column k+i; by Laplace
         # expansion along that column its permanent is sum over r of
         # mats[r, k+i] * cof[r], at most (k+1)! in absolute value.  Row k's
@@ -409,8 +408,8 @@ def check_littlewood_offord(v, threshold: float, x: float,
     2*threshold captures more than C(k, k//2) / 2**k of the probability, and
     P(|sum| <= x*threshold) <= (ceil(x)+1) * C(k, k//2) / 2**k.  With no draw
     count (m <= 20), enumerates all sign vectors and compares counts as
-    integers; with `trials` (m <= 63), draws sign vectors in blocks of
-    _DRAW_BLOCK.
+    integers; with `trials` (m <= 63), trial t's signs are
+    sample_row(m, rng.substream(t)).
     """
     v = [float(val) for val in v]
     m = len(v)
@@ -460,10 +459,9 @@ def check_littlewood_offord(v, threshold: float, x: float,
     if m > MAX_N:
         raise CapError(f"monte-carlo littlewood-offord check is capped at --m <= {MAX_N}, got m={m}")
     _two_draws(trials, "frequency")
-    gen = rng.generator()
     tail_count = 0
-    for rows in _draw_blocks(trials):
-        sums = (2.0 * gen.integers(0, 2, size=(rows, m)) - 1.0) @ np.asarray(v)
+    for ts in _draw_blocks(trials):
+        sums = sample_sign_matrices(m, rng, ts, rows=1)[:, 0] @ np.asarray(v)
         tail_count += int(np.count_nonzero(np.abs(sums) <= x * threshold))
     tail_freq = tail_count / trials
     se = _binom_se(tail_freq, trials)

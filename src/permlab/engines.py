@@ -19,7 +19,6 @@ from .compiled import _kernels
 from .matrices import CapError, SignMatrix
 
 NAIVE_MAX_N = 10  # n! enumeration
-RYSER_MAX_N = 30  # 2**n subset scan
 PERMANENT_MAX_N = 30  # the glynn kernel's stated bound (see _kernels.c)
 # ryser_batch and cofactors return int64, and the Glynn cofactor sweep of a
 # 13 x 12 block holds at most 2 * 12! < 2**63 (see _kernels.c).
@@ -53,8 +52,8 @@ def permanent_ryser(m: SignMatrix) -> int:
     exact Python ints throughout.
     """
     n = m.n
-    if n > RYSER_MAX_N:
-        raise CapError(f"permanent_ryser is capped at n <= {RYSER_MAX_N} (2**n subsets), got n={n}")
+    if n > PERMANENT_MAX_N:
+        raise CapError(f"permanent_ryser is capped at n <= {PERMANENT_MAX_N} (2**n subsets), got n={n}")
     cols = [[int(m.entries[r, j]) for r in range(n)] for j in range(n)]
     partial = [0] * n
     gray = 0
@@ -156,8 +155,8 @@ def permanent_mod(m: SignMatrix, modulus: int) -> int:
     if modulus >= _KERNEL_MAX_MODULUS:
         raise ValueError(f"permanent_mod takes a modulus below 2**31, got {modulus}")
     n = m.n
-    if n > RYSER_MAX_N:
-        raise CapError(f"permanent_mod is capped at n <= {RYSER_MAX_N} (2**n subsets), got n={n}")
+    if n > PERMANENT_MAX_N:
+        raise CapError(f"permanent_mod is capped at n <= {PERMANENT_MAX_N} (2**n subsets), got n={n}")
     out = np.empty(1, dtype=np.int64)
     _kernels().ryser_mod(m.entries.ctypes.data, 1, n, modulus, out.ctypes.data)  # C-ordered int8
     return out.item()

@@ -4,11 +4,11 @@ A sign matrix is an n x n array with entries in {-1, +1}.  Its first k rows
 (`SignMatrix.prefix(k)`) are a read-only k x n array; the minor lattice and
 the growth and endgame runs expose the rows of one matrix one at a time.
 
-Seeded draws run in the compiled `sign_draws` kernel (`_kernels.c`): the
-draw of stream (seed, stream) is bit for bit what numpy's
+Every seeded draw runs in the compiled `sign_draws` kernel (`_kernels.c`):
+stream (seed, stream) draws bit for bit what numpy's
 `Generator(Philox(key=[seed, stream])).integers(0, 2, dtype=int8)` gives,
-times 2, minus 1.  The tests hold the kernel to that Generator, which is
-its oracle (`tests/oracles.py`).
+times 2, minus 1; a shorter draw is a prefix of a longer one.  That
+Generator is only the tests' oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -74,9 +74,10 @@ class SignMatrix:
         return f"SignMatrix(n={self.n})"
 
 
-def _sign_draws(cells: int, rngs) -> np.ndarray:
-    """A (len(rngs), cells) int8 array of iid uniform signs, row b drawn from rngs[b]."""
-    keys = np.array([(rng.seed, rng.stream) for rng in rngs], dtype=np.uint64)
+def _sign_draws(cells: int, keys: np.ndarray) -> np.ndarray:
+    """A (len(keys), cells) int8 array of iid uniform signs, row b drawn from
+    the uint64 (seed, stream) key keys[b]."""
+    keys = np.ascontiguousarray(keys, dtype=np.uint64)
     out = np.empty((len(keys), cells), dtype=np.int8)
     _kernels().sign_draws(keys.ctypes.data, len(keys), cells, out.ctypes.data)
     return out
@@ -85,20 +86,21 @@ def _sign_draws(cells: int, rngs) -> np.ndarray:
 def sample_row(n: int, rng: RngStream) -> np.ndarray:
     """One row of n iid uniform signs."""
     _check_dimension(n)
-    return _sign_draws(n, [rng])[0]
+    return _sign_draws(n, [(rng.seed, rng.stream)])[0]
 
 
 def sample_sign_matrix(n: int, rng: RngStream) -> SignMatrix:
     """An n x n matrix of iid uniform signs, drawn row-major."""
     _check_dimension(n)
-    return SignMatrix(_sign_draws(n * n, [rng]).reshape(n, n))
+    return SignMatrix(_sign_draws(n * n, [(rng.seed, rng.stream)]).reshape(n, n))
 
 
-def sample_sign_matrices(n: int, rngs) -> np.ndarray:
-    """A (len(rngs), n, n) int8 array of sign matrices, matrix b drawn from
-    rngs[b] as sample_sign_matrix(n, rngs[b]) draws it, in one kernel call."""
+def sample_sign_matrices(n: int, rng: RngStream, trials, rows: int | None = None) -> np.ndarray:
+    """A (len(trials), rows, n) int8 array, in one kernel call: entry b is the
+    first `rows` (default n) rows of sample_sign_matrix(n, rng.substream(trials[b]))."""
     _check_dimension(n)
-    return _sign_draws(n * n, rngs).reshape(-1, n, n)
+    rows = rows or n
+    return _sign_draws(rows * n, rng.substream_keys(trials)).reshape(-1, rows, n)
 
 
 # Text fixture format: first line is n, then n lines of n space-separated

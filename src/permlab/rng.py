@@ -3,16 +3,17 @@
 Philox is a counter-based generator: the (seed, stream) key alone fixes the
 entire draw sequence, with no dependence on thread count or on how many
 other streams were consumed first.  Trial t of an experiment uses stream t
-(or a documented mix of indices), so reruns are bit-stable and trials can be
-executed in any order or in parallel.
+or a documented mix of indices (every Monte Carlo check draws trial t from
+`rng.substream(t)`; `substream_keys` gives many trials' keys at once), so
+reruns are bit-stable, trials can run in any order or in parallel, and no
+result depends on how trials are grouped.
 
-Seeded sign matrices and rows (`matrices.sample_sign_matrix`,
-`sample_sign_matrices`, `sample_row`) are drawn by the compiled
-`sign_draws` kernel in `_kernels.c`, which runs Philox4x64-10 on the
-(seed, stream) key itself and draws what numpy's Generator on that key
-draws with `integers(0, 2, dtype=int8)`; numpy's Generator is its test
-oracle.  `generator()` is that Generator, for the checks that draw other
-shapes.
+Every seeded draw (`matrices.sample_sign_matrix`, `sample_sign_matrices`,
+`sample_row`) is made by the compiled `sign_draws` kernel in `_kernels.c`,
+which runs Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC 2011) on the (seed, stream) key itself and draws what
+numpy's Generator on that key draws with `integers(0, 2, dtype=int8)`.
+That Generator is only the tests' oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _U64 = 1 << 64
+_FOLD = 0x9E3779B97F4A7C15
 
 
 @dataclass(frozen=True)
@@ -37,24 +39,20 @@ class RngStream:
         if not 0 <= self.stream < _U64:
             raise ValueError("stream must be a 64-bit unsigned integer")
 
-    def generator(self) -> np.random.Generator:
-        """Fresh generator positioned at the start of this stream."""
-        # The key must be an explicit uint64 array: a plain list would be
-        # coerced through float64 for values above 2**63 and collapse
-        # adjacent streams.
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
     def substream(self, *indices: int) -> "RngStream":
-        """Derive a child stream from nonnegative indices (documented mixing).
-
-        The mix is a fixed multiply-xor fold, so (seed, stream, indices)
-        always names the same sequence across runs and platforms.
-        """
+        """The child stream of nonnegative indices, by a fixed multiply-add fold, so
+        (seed, stream, indices) names the same sequence across runs and platforms."""
         h = self.stream
         for ix in indices:
             if ix < 0:
                 raise ValueError("substream indices must be nonnegative")
-            h = (h * 0x9E3779B97F4A7C15 + ix + 1) % _U64
+            h = (h * _FOLD + ix + 1) % _U64
         return RngStream(self.seed, h)
 
+    def substream_keys(self, trials) -> np.ndarray:
+        """The uint64 keys (seed, stream) of substream(t), one row per t in `trials`."""
+        if np.asarray(trials).min(initial=0) < 0:
+            raise ValueError("substream indices must be nonnegative")
+        # uint64 array arithmetic wraps mod 2**64, as the fold does
+        streams = np.asarray(trials, dtype=np.uint64) + np.uint64((self.stream * _FOLD + 1) % _U64)
+        return np.stack([np.full_like(streams, self.seed), streams], axis=1)

@@ -10,8 +10,9 @@ and `level_values` reads a built table's values at those masks straight
 from its storage, independently of the compiled heaviness queries.
 `enumerate_all_sign_matrices` builds the canonical counter order one matrix
 at a time, independently of the exact checks' batch enumeration.
-`numpy_sign_draw` is numpy's own Philox draw, which the compiled sign draws
-must reproduce bit for bit.
+`generator` is numpy's own Philox Generator on a stream's key, and
+`numpy_sign_draw` its sign draw, which the compiled sign draws must
+reproduce bit for bit; the program itself never calls numpy's Generator.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from permlab.matrices import SignMatrix
+from permlab.rng import RngStream
 
 ENUM_CELL_LIMIT = 20  # enumerate_all_sign_matrices walks 2**(n*n) matrices
 
@@ -64,15 +66,19 @@ def enumerate_all_sign_matrices(n: int) -> Iterator[SignMatrix]:
         yield matrix_from_counter(n, counter)
 
 
-def numpy_sign_draw(seed: int, stream: int, shape) -> np.ndarray:
-    """2 * Generator(Philox(key=[seed, stream])).integers(0, 2, size=shape, dtype=int8) - 1.
+def generator(rng: RngStream) -> np.random.Generator:
+    """numpy's Generator(Philox(key=[seed, stream])) at the start of rng's stream.
 
     The key is an explicit uint64 array: numpy would coerce a list through
     float64 above 2**63 and collapse adjacent streams.
     """
-    key = np.array([seed, stream], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return 2 * gen.integers(0, 2, size=shape, dtype=np.int8) - 1
+    key = np.array([rng.seed, rng.stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def numpy_sign_draw(seed: int, stream: int, shape) -> np.ndarray:
+    """2 * generator(RngStream(seed, stream)).integers(0, 2, size=shape, dtype=int8) - 1."""
+    return 2 * generator(RngStream(seed, stream)).integers(0, 2, size=shape, dtype=np.int8) - 1
 
 
 def brute_determinant(entries) -> int:

@@ -25,6 +25,7 @@ from permlab.checks import (
     check_alon,
     check_growth_rate,
     check_littlewood_offord,
+    check_parent_child,
     check_second_moment,
     pilot_bands,
 )
@@ -142,18 +143,18 @@ def test_criterion_3_alon_residue(n, trials):
 
 
 def test_criterion_4_parent_child_identity():
+    # trial t rebuilt from sample_sign_matrix(n, rng.substream(t)): its
+    # instance is the leading (k+1) x (k+1) minor, at level k = 1 + t mod (n-1)
+    from permlab.engines import ryser_batch
+
     trials = 10_000
     n = 10
-    gen = RngStream(SEED, 4).generator()
-    ks = gen.integers(1, n, size=trials)
+    rng = RngStream(SEED, 4)
+    draws = [sample_sign_matrix(n, rng.substream(t)).entries for t in range(trials)]
     violations = 0
+    wins = 0
     for k in range(1, n):
-        batch = int(np.count_nonzero(ks == k))
-        if batch == 0:
-            continue
-        mats = (2 * gen.integers(0, 2, size=(batch, k + 1, k + 1), dtype=np.int8) - 1).astype(np.int64)
-        from permlab.engines import ryser_batch
-
+        mats = np.stack(draws[k - 1::n - 1])[:, :k + 1, :k + 1].astype(np.int64)
         parents = ryser_batch(mats[:, :k, :k])
         plus = mats.copy()
         plus[:, k, k] = 1
@@ -162,9 +163,12 @@ def test_criterion_4_parent_child_identity():
         pp, pm = ryser_batch(plus), ryser_batch(minus)
         violations += int(np.count_nonzero(np.abs(pp - pm) != 2 * np.abs(parents)))
         violations += int(np.count_nonzero(np.maximum(np.abs(pp), np.abs(pm)) < np.abs(parents)))
-    ok = violations == 0
+        wins += int(np.count_nonzero(np.abs(ryser_batch(mats)) >= np.abs(parents)))
+    stats = check_parent_child(trials, n, rng).statistics
+    ok = violations == 0 and stats["child_at_least_parent_frequency"] == wins / trials
     report("4", "parent-child flip identity", ok)
     assert violations == 0, f"{violations} violations in {trials} instances"
+    assert stats["child_at_least_parent_frequency"] == wins / trials
 
 
 def test_criterion_5_littlewood_offord_enumeration():

@@ -22,7 +22,7 @@ from permlab.checks import (
     summary_lines,
 )
 from permlab.growth import ProcessConfig
-from permlab.matrices import CapError
+from permlab.matrices import CapError, sample_sign_matrix
 from permlab.pilots import run_all_pilots
 from permlab.rng import RngStream
 
@@ -87,6 +87,31 @@ def test_alon_31_exceeds_engine_cap():
     # so n = 31 is refused up front like any other inadmissible size
     with pytest.raises(ValueError, match=r"^n\+1 must be a power of two in \{4,8,16\}, got n=31$"):
         check_alon(31, trials=2, rng=RngStream(0))
+
+
+@pytest.mark.parametrize("check, args", [
+    ("alon", (7,)), ("singularity", (5,)), ("second_moment", (6,)),
+])
+def test_monte_carlo_runs_refuse_no_draws(check, args):
+    # a verdict over no draws would hold vacuously, and a zero fraction
+    # over them would divide by zero
+    with pytest.raises(ValueError, match=f"^a Monte Carlo {check.replace('_', '-')} run"
+                                         r" needs --trials 1 or more, got 0$"):
+        getattr(checks, f"check_{check}")(*args, trials=0, rng=RngStream(0))
+
+
+@pytest.mark.parametrize("run", [
+    lambda rng: check_parent_child(3000, 8, rng),
+    lambda rng: check_many_children(3000, 10, 4, rng),
+    lambda rng: check_littlewood_offord([1.0] * 9, 1.0, x=1.0, trials=3000, rng=rng),
+], ids=["parent_child", "many_children", "littlewood_offord"])
+def test_reports_do_not_depend_on_the_draw_block(monkeypatch, run):
+    # trial t draws from rng.substream(t) however the trials are blocked
+    reports = set()
+    for block in (2048, 500, 7):
+        monkeypatch.setattr(checks, "_DRAW_BLOCK", block)
+        reports.add(run(RngStream(0)).to_json())
+    assert len(reports) == 1
 
 
 def test_one_suite_enumerates_each_exact_size_once(monkeypatch):
@@ -160,22 +185,19 @@ def test_many_children_bound():
 @pytest.mark.parametrize("n, i_size, trials", [(10, 4, 2100), (12, 1, 600), (13, 12, 2100), (18, 6, 200)],
                          ids=["k6", "one-child", "k1", "children-13x13"])
 def test_many_children_matches_child_by_child_permanents(n, i_size, trials):
-    # the same seeded draws, each child's permanent computed on its own
+    # trial t rebuilt from sample_sign_matrix(n, rng.substream(t)), each
+    # child's permanent computed on its own
     import numpy as np
     from permlab.engines import ryser_batch
 
     rng = RngStream(41, n)
     k = n - i_size
-    gen = rng.generator()
-    any_hits = third_hits = 0
-    for start in range(0, trials, checks._DRAW_BLOCK):
-        batch = min(checks._DRAW_BLOCK, trials - start)
-        mats = 2 * gen.integers(0, 2, size=(batch, k + 1, k + i_size), dtype=np.int8) - 1
-        parents = np.abs(ryser_batch(mats[:, :k, :k]))
-        ok = sum(np.abs(ryser_batch(np.concatenate([mats[:, :, :k], mats[:, :, k + i : k + i + 1]], axis=2)))
-                 >= parents for i in range(i_size))
-        any_hits += int(np.count_nonzero(ok >= 1))
-        third_hits += int(np.count_nonzero(3 * ok >= i_size))
+    mats = np.stack([sample_sign_matrix(n, rng.substream(t)).entries[:k + 1] for t in range(trials)])
+    parents = np.abs(ryser_batch(mats[:, :k, :k]))
+    ok = sum(np.abs(ryser_batch(np.concatenate([mats[:, :, :k], mats[:, :, k + i : k + i + 1]], axis=2)))
+             >= parents for i in range(i_size))
+    any_hits = int(np.count_nonzero(ok >= 1))
+    third_hits = int(np.count_nonzero(3 * ok >= i_size))
     stats = check_many_children(trials, n, i_size, rng=rng).statistics
     assert stats["some_child_frequency"] == any_hits / trials
     assert stats["third_of_children_frequency"] == third_hits / trials

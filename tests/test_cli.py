@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from permlab import cli, compiled, lattice
+from permlab import cli, compiled, lattice, matrices
 from permlab.cli import _thread_count
 from permlab.engines import permanent_mod, permanent_ryser
 from permlab.matrices import sample_sign_matrix, to_text
@@ -314,7 +314,7 @@ def test_growth_memory_does_not_grow_with_trials(tmp_path, monkeypatch):
 
 def test_parent_child_memory_does_not_grow_with_trials():
     # trials are drawn a block at a time, so 20x the trials keeps the same
-    # peak; drawing every trial's level and matrices at once costs about
+    # peak; holding every trial's level and matrix at once costs about
     # 50 bytes a trial at n = 4, 19 MB here
     argv = ["verify", "--suite", "parent_child", "--n", "4", "--trials"]
     few = _peak_rss_kb(*argv, "20000")
@@ -350,8 +350,8 @@ def test_thread_count_that_is_not_an_integer_is_refused(tmp_path):
 ], ids=["parent-child-14", "parent-child-40", "many-children", "many-children-child-size",
         "littlewood-offord"])
 def test_oversized_checks_refused_before_drawing(monkeypatch, capsys, args, message):
-    # no generator is ever made, so no draw, large or small, is requested
-    monkeypatch.setattr(RngStream, "generator", lambda self: pytest.fail("drew before refusing"))
+    # the draw kernel is never called, so no draw, large or small, is requested
+    monkeypatch.setattr(matrices, "_sign_draws", lambda *args: pytest.fail("drew before refusing"))
     assert cli.main(["verify", "--suite", *args]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

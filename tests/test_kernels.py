@@ -2,8 +2,8 @@
 build; every kernel run at its stated bound with undefined-behaviour
 sanitizing on, and every kernel entry point fed inputs that its caller must
 copy with address sanitizing on, each in a child process with its own
-kernel cache; and the golden verify reports replayed on a heap whose freed
-blocks glibc overwrites."""
+kernel cache; and the golden verify reports and a batch of seeded draws
+replayed on a heap whose freed blocks glibc overwrites."""
 
 import os
 import subprocess
@@ -116,12 +116,15 @@ _COPIED_INPUTS = textwrap.dedent("""
     agree(engines.cofactors, signs(100, 12, 11))
     agree(engines.cofactors, signs(40, 13, 12))
 
-    # the streams as a list, a tuple and an iterator; each batch's keys and
-    # draws exceed the small-block cache
-    rngs = [RngStream(2**64 - 1 - t, t) for t in range(400)]
-    want = np.stack([matrices.sample_sign_matrix(16, rng).entries for rng in rngs])
-    for streams in (rngs, tuple(rngs), iter(rngs)):
-        assert np.array_equal(matrices.sample_sign_matrices(16, streams), want)
+    # trials as a list, a tuple, a uint64 array and a strided view, with keys
+    # up to 2**64 - 1 (stream 0's trial t has key t + 1); each batch's keys
+    # and draws exceed the small-block cache
+    rng = RngStream(2**64 - 1)
+    top = np.arange(2**64 - 401, 2**64 - 1, dtype=np.uint64)
+    want = np.stack([matrices.sample_sign_matrix(16, rng.substream(t)).entries for t in top.tolist()])
+    for trials in (top.tolist(), tuple(top.tolist()), top, np.repeat(top, 2)[::2]):
+        assert np.array_equal(matrices.sample_sign_matrices(16, rng, trials), want)
+        assert np.array_equal(matrices.sample_sign_matrices(16, rng, trials, rows=3), want[:, :3])
     agree(lambda a: engines.permanent(SignMatrix(a)), signs(20, 20))
     agree(lambda a: engines.permanent_mod(SignMatrix(a), 2**31 - 1), signs(16, 16))
     agree(lambda a: engines.permanent_naive(SignMatrix(a)), signs(9, 9))
@@ -175,8 +178,10 @@ def test_kernels_read_no_freed_copy_under_asan(tmp_path):
 
 def test_verify_golden_on_a_perturbed_heap():
     # glibc fills every freed block with 165's complement, so a kernel that
-    # reads a freed copy sees other signs and a golden report changes
+    # reads a freed copy sees other signs and a golden report or a batch of
+    # draws near the top keys changes
     res = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                          os.path.join(_TESTS, "test_verify_golden.py")],
+                          os.path.join(_TESTS, "test_verify_golden.py"),
+                          os.path.join(_TESTS, "test_matrices.py::test_sample_sign_matrices_near_the_top_keys")],
                          capture_output=True, text=True, env={**os.environ, "MALLOC_PERTURB_": "165"})
     assert res.returncode == 0, res.stdout + res.stderr

@@ -60,19 +60,51 @@ def test_sign_draws_equal_numpy_philox():
     keys = []
     for key in (0, 1, 2**63 - 1, 2**63, top):
         keys += [(key, 1), (1, key), (1, (key + 1) & top)]
-    rngs = [RngStream(seed, stream) for seed, stream in keys]
+    trials = [0, 1, top - 1, top]
     for n in range(1, 64):
-        draws = []
-        for (seed, stream), rng in zip(keys, rngs):
+        for seed, stream in keys:
+            rng = RngStream(seed, stream)
             m = sample_sign_matrix(n, rng).entries
             assert np.array_equal(m, numpy_sign_draw(seed, stream, (n, n))), (n, seed, stream)
             row = sample_row(n, rng)
             assert row.dtype == np.int8 and row.shape == (n,)
             assert np.array_equal(row, numpy_sign_draw(seed, stream, n)), (n, seed, stream)
-            draws.append(m)
-        batch = sample_sign_matrices(n, rngs)
-        assert batch.dtype == np.int8 and np.array_equal(batch, np.stack(draws)), n
-    assert sample_sign_matrices(5, []).shape == (0, 5, 5)
+            # trial t of a batch is sample_sign_matrix(n, rng.substream(t)),
+            # and its first row is sample_row(n, rng.substream(t))
+            want = np.stack([numpy_sign_draw(seed, rng.substream(t).stream, (n, n)) for t in trials])
+            batch = sample_sign_matrices(n, rng, trials)
+            assert batch.dtype == np.int8 and np.array_equal(batch, want), (n, seed, stream)
+            assert np.array_equal(sample_sign_matrices(n, rng, trials, rows=1), want[:, :1]), n
+    assert sample_sign_matrices(5, RngStream(0), []).shape == (0, 5, 5)
+
+
+@pytest.mark.parametrize("stream", [0, 2**63, 2**64 - 1])
+def test_substream_keys_equal_substream(stream):
+    rng = RngStream(2**64 - 1, stream)
+    trials = np.append(np.arange(0, 10**6, 487), 10**6)
+    keys = rng.substream_keys(trials)
+    assert keys.dtype == np.uint64 and keys.shape == (len(trials), 2)
+    assert [(int(s), int(h)) for s, h in keys] == [
+        (rng.substream(t).seed, rng.substream(t).stream) for t in trials.tolist()]
+    # Python ints past 2**63, which numpy would hold as float64 without the uint64 cast
+    top = [2**64 - 1, 2**64 - 2, 2**63 + 1]
+    assert [int(h) for h in rng.substream_keys(top)[:, 1]] == [rng.substream(t).stream for t in top]
+    assert rng.substream_keys([]).shape == (0, 2)
+    for bad in ([3, -1], np.array([-2])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rng.substream_keys(bad)
+
+
+def test_sample_sign_matrices_near_the_top_keys():
+    # stream 0's trial t has key t + 1, so these trials' keys end at 2**64 - 1;
+    # the trials come as a list, a tuple, a uint64 array and a strided view
+    rng = RngStream(2**64 - 1)
+    top = np.arange(2**64 - 401, 2**64 - 1, dtype=np.uint64)
+    assert int(rng.substream_keys(top)[-1, 1]) == 2**64 - 1
+    want = np.stack([sample_sign_matrix(16, rng.substream(t)).entries for t in top.tolist()])
+    for trials in (top.tolist(), tuple(top.tolist()), top, np.repeat(top, 2)[::2]):
+        assert np.array_equal(sample_sign_matrices(16, rng, trials), want)
+        assert np.array_equal(sample_sign_matrices(16, rng, trials, rows=3), want[:, :3])
 
 
 def test_adjacent_streams_differ():
@@ -88,30 +120,23 @@ def test_adjacent_streams_differ():
 
 def test_plus_fraction_near_half():
     # 60000 trials at n=6: 2.16e6 entries, tolerance 0.01 is ~30 binomial SE.
-    total = 0
-    count = 0
-    for t in range(60000 // 100):
-        gen = RngStream(3, t).generator()
-        bits = gen.integers(0, 2, size=(100, 6), dtype=np.int8)
-        total += int(bits.sum())
-        count += bits.size
-    frac = total / count
+    draws = sample_sign_matrices(6, RngStream(3), np.arange(60000))
+    frac = np.count_nonzero(draws == 1) / draws.size
     assert abs(frac - 0.5) < 0.01
 
 
 def test_row_coordinate_means_near_zero():
     # 80000 rows at n=8, per-coordinate tolerance 0.02 is ~5.7 SE.
-    gen = RngStream(11, 0).generator()
-    rows = 2 * gen.integers(0, 2, size=(80000, 8), dtype=np.int8) - 1
+    rows = sample_sign_matrices(8, RngStream(11, 0), np.arange(80000), rows=1)[:, 0]
     means = rows.mean(axis=0)
     assert np.all(np.abs(means) < 0.02)
 
 
 def test_stream_pairwise_correlation():
-    n_draws = 10_000
-    a = RngStream(5, 0).generator().integers(0, 2, size=n_draws).astype(float)
-    b = RngStream(5, 1).generator().integers(0, 2, size=n_draws).astype(float)
-    corr = np.corrcoef(a, b)[0, 1]
+    # 10000 draws from each of streams 0 and 1, in rows of 50
+    a, b = (np.concatenate([sample_row(50, RngStream(5, stream).substream(t)) for t in range(200)])
+            for stream in (0, 1))
+    corr = np.corrcoef(a.astype(float), b.astype(float))[0, 1]
     assert abs(corr) < 0.05
 
 
