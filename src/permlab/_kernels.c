@@ -134,7 +134,7 @@ int64_t parent_histogram(const int64_t *members, int64_t count, int64_t n, int64
    delta_{i+1}, i = ctz(s), so each lane moves by -+a[i+1][j] and the sign
    prod_k delta_k alternates with s.
 
-   The lanes have a fixed width, the least of 4, 8, 16 and 32 that holds n,
+   The lanes have a fixed width, the least of 8, 16 and 32 that holds n,
    so every loop over them has a constant trip count; a lane j >= n holds 1
    and never moves.  Every step is a ring operation on unsigned words, which
    wrap and have no undefined overflow, so the total is exact modulo 2**64
@@ -241,7 +241,6 @@ glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const
     {                                                                         \
         glynn_sweep(mats, count, n, lanes, wide, cofactors, out);             \
     }
-GLYNN_WIDTH(glynn_4, 4, 0, 0)
 GLYNN_WIDTH(glynn_8, 8, 0, 0)
 GLYNN_WIDTH(glynn_16, 16, 0, 0)
 GLYNN_WIDTH(glynn_32, 32, 0, 0)
@@ -254,8 +253,6 @@ void glynn(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
     if (n == 0)
         for (int64_t b = 0; b < count; b++)
             out[2 * b] = 1, out[2 * b + 1] = 0;
-    else if (n <= 4)
-        glynn_4(mats, count, n, out);
     else if (n <= 8)
         glynn_8(mats, count, n, out);
     else if (n <= 16)

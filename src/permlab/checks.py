@@ -87,6 +87,13 @@ def _plain(obj):
     return obj
 
 
+def _some_draws(trials: int, check: str) -> None:
+    """Refuse a Monte Carlo run over no draws, whose verdict would hold vacuously."""
+    if trials < 1:
+        raise ValueError(f"a Monte Carlo {check.replace('_', '-')} run needs --trials 1 or more,"
+                         f" got {trials}")
+
+
 def _two_draws(trials: int, statistic: str) -> None:
     """Refuse a one-draw Monte Carlo verdict.
 
@@ -155,9 +162,7 @@ def _permanents(check: str, n: int, trials: int | None, rng: RngStream | None):
     """The permanents `check` reads: with no draw count, every n x n sign
     matrix's (n <= _EXACT_MAX_N); otherwise those of `trials` >= 1 seeded draws."""
     if trials is not None:
-        if trials < 1:
-            raise ValueError(f"a Monte Carlo {check.replace('_', '-')} run needs --trials 1 or more,"
-                             f" got {trials}")
+        _some_draws(trials, check)
         return sample_permanents(n, trials, rng)
     if n > _EXACT_MAX_N:
         raise CapError(f"exact {check.replace('_', '-')} check is capped at n <= {_EXACT_MAX_N},"
@@ -545,7 +550,8 @@ def check_maintain_grow_events(n: int, trials: int, rng: RngStream) -> CheckRepo
     events accrue; the other two bounds have unspecified constants and stay
     descriptive.  Every run uses _MAINTAIN_GROW_CFG (eps = 0.3, c = 1/2).
     """
-    c = _MAINTAIN_GROW_CFG.eff_c()
+    _some_draws(trials, "maintain_grow_events")
+    c = _MAINTAIN_GROW_CFG.c
     counts = {
         "keep": [0, 0],  # [conditioning events, event hits]
         "explode": [0, 0],

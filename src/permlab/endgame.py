@@ -190,7 +190,9 @@ def find_disjoint_heavy_family(prefix: np.ndarray, threshold, count: int, L: int
 
     Blocks are consecutive 2L-column slices of the non-leading columns.  All
     paths see the same exposed rows.  Returned members are re-verified heavy
-    and their complements re-verified pairwise disjoint.
+    and their complements re-verified pairwise disjoint.  `cfg` is not read;
+    it stays in the positional signature that the pilots and the endgame
+    benchmark workload call.
     """
     n, k = source.n, _exposed(prefix, source)
     if count < 1:

@@ -52,10 +52,11 @@ def count_threshold(x: float) -> int:
 class ProcessConfig:
     """Knobs for growth and endgame runs.
 
-    eps_prime and c default to eps/6 and eps; k0, k1 and L default to the
-    bench-scale formulas below, which keep every branch reachable at n <= 22
-    (the asymptotic formulas collapse to 0 there).  The good-child
-    threshold, grow factor and keep fraction are fixed formulas.
+    eps_prime and c default to eps/6 and eps, set once on construction; k0,
+    k1 and L default to the bench-scale formulas below, which keep every
+    branch reachable at n <= 22 (the asymptotic formulas collapse to 0
+    there).  The good-child threshold, grow factor and keep fraction are
+    fixed formulas.
     """
 
     eps: float = 0.25
@@ -66,23 +67,20 @@ class ProcessConfig:
     L: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.eps_prime is None:
+            object.__setattr__(self, "eps_prime", self.eps / 6)
+        if self.c is None:
+            object.__setattr__(self, "c", self.eps)
         if not 0 < self.eps < 1:
             raise ValueError(f"eps must be in (0, 1), got {self.eps}")
-        if self.eps_prime is not None:
-            if not 0 < self.eps_prime:
-                raise ValueError("eps_prime must be positive")
-            if self.eps_prime > self.eps / 6:
-                raise ValueError(
-                    f"eps_prime must be at most eps/6 = {self.eps / 6:.6g}, got {self.eps_prime}"
-                )
-        if self.c is not None and not 0 < self.c < 1:
+        if not 0 < self.eps_prime:
+            raise ValueError("eps_prime must be positive")
+        if self.eps_prime > self.eps / 6:
+            raise ValueError(
+                f"eps_prime must be at most eps/6 = {self.eps / 6:.6g}, got {self.eps_prime}"
+            )
+        if not 0 < self.c < 1:
             raise ValueError(f"c must be in (0, 1), got {self.c}")
-
-    def eff_eps_prime(self) -> float:
-        return self.eps_prime if self.eps_prime is not None else self.eps / 6
-
-    def eff_c(self) -> float:
-        return self.c if self.c is not None else self.eps
 
     def start_level(self, n: int) -> int:
         return self.k0 if self.k0 is not None else math.floor(self.eps * n) + 1
@@ -94,9 +92,6 @@ class ProcessConfig:
         # Bench-scale stand-in for log(n)/100, which is 0 for any feasible n.
         return self.L if self.L is not None else max(1, math.floor(math.log(n)) - 1)
 
-    def good_child_threshold(self, n: int) -> int:
-        return max(2, math.floor(n**0.1))
-
     def lam_grow_factor(self, n: int) -> float:
         return float(n) ** (0.5 - self.eps)
 
@@ -106,12 +101,12 @@ class ProcessConfig:
     def describe(self, n: int) -> dict:
         return {
             "eps": self.eps,
-            "eps_prime": self.eff_eps_prime(),
-            "c": self.eff_c(),
+            "eps_prime": self.eps_prime,
+            "c": self.c,
             "k0": self.start_level(n),
             "k1": self.end_level(n),
             "L": self.endgame_depth(n),
-            "t_good": self.good_child_threshold(n),
+            "t_good": max(2, math.floor(n**0.1)),
             "grow_factor": self.lam_grow_factor(n),
             "keep_fraction": self.keep_frac(),
         }
@@ -180,7 +175,7 @@ def classify_step(table: MinorTable, k: int, masks: np.ndarray, tracked: int, th
     if len(masks) < tracked:
         raise ValueError(f"tracked count {tracked} exceeds exact heavy count {len(masks)}")
     counts = parent_histogram(table, k, masks[:tracked])
-    branch = split_events(counts, cfg.eps, cfg.eff_c(), tracked)
+    branch = split_events(counts, cfg.eps, cfg.c, tracked)
 
     grown_threshold = cfg.lam_grow_factor(n) * threshold
     heavy_next = table.heavy_masks(k + 1, threshold)
@@ -189,7 +184,7 @@ def classify_step(table: MinorTable, k: int, masks: np.ndarray, tracked: int, th
     next_at_grown = len(heavy_grown)
     explode_count = count_threshold(n**cfg.eps * tracked / 4)
     keep_count = count_threshold(cfg.keep_frac() * tracked)
-    shrunk = count_threshold(cfg.eff_eps_prime() * tracked)
+    shrunk = count_threshold(cfg.eps_prime * tracked)
 
     if branch is SplitVerdict.PRIME:
         if next_at_threshold >= explode_count:
@@ -261,17 +256,7 @@ def run_growth(matrix: SignMatrix, cfg: ProcessConfig) -> ProcessTrace:
 def is_successful(trace: ProcessTrace, cfg: ProcessConfig) -> bool:
     """Nonzero tracked count at k1 and potential at most eps' * n / 2 (inclusive)."""
     last = trace.records[-1]
-    return last.tracked != 0 and last.potential <= cfg.eff_eps_prime() * trace.n / 2
-
-
-def trace_header(trace: ProcessTrace, seed: int | None = None,
-                 stream: int | None = None) -> dict:
-    header: dict = {"record": "header", "n": trace.n, "config": trace.cfg.describe(trace.n)}
-    if seed is not None:
-        header["seed"] = seed
-    if stream is not None:
-        header["stream"] = stream
-    return header
+    return last.tracked != 0 and last.potential <= cfg.eps_prime * trace.n / 2
 
 
 def trace_level_dicts(trace: ProcessTrace) -> list[dict]:
@@ -291,10 +276,11 @@ def trace_level_dicts(trace: ProcessTrace) -> list[dict]:
     return rows
 
 
-def write_trace_jsonl(trace: ProcessTrace, path, seed: int | None = None,
-                      stream: int | None = None) -> None:
+def write_trace_jsonl(trace: ProcessTrace, path, seed: int, stream: int) -> None:
     """One header record, then one record per level; bit-stable per (seed, config)."""
+    header = {"record": "header", "n": trace.n, "config": trace.cfg.describe(trace.n),
+              "seed": seed, "stream": stream}
     with open(path, "w") as fh:
-        fh.write(json.dumps(trace_header(trace, seed, stream), sort_keys=True) + "\n")
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
         for row in trace_level_dicts(trace):
             fh.write(json.dumps(row, sort_keys=True) + "\n")

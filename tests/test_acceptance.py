@@ -244,7 +244,7 @@ def test_criterion_8_growth_process_structure():
             at_grown = int((magnitudes >= t_grown).sum())
             explode = count_threshold(n**cfg.eps * rec.tracked / 4)
             keep = count_threshold(cfg.keep_frac() * rec.tracked)
-            shrunk = count_threshold(cfg.eff_eps_prime() * rec.tracked)
+            shrunk = count_threshold(cfg.eps_prime * rec.tracked)
             st = rec.step_type
             sound = (
                 (st is StepType.I and rec.branch is SplitVerdict.PRIME and at_same >= explode)
@@ -261,7 +261,7 @@ def test_criterion_8_growth_process_structure():
                 reverify_failures += 1
             if rec.branch is SplitVerdict.PRIME:
                 explode_cond += 1
-                if at_same >= count_threshold(n**cfg.eff_c() * rec.tracked):
+                if at_same >= count_threshold(n**cfg.c * rec.tracked):
                     explode_hits += 1
 
     ok_mean = True

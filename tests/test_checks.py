@@ -91,10 +91,12 @@ def test_alon_31_exceeds_engine_cap():
 
 @pytest.mark.parametrize("check, args", [
     ("alon", (7,)), ("singularity", (5,)), ("second_moment", (6,)),
+    ("maintain_grow_events", (12,)),
 ])
 def test_monte_carlo_runs_refuse_no_draws(check, args):
     # a verdict over no draws would hold vacuously, and a zero fraction
-    # over them would divide by zero
+    # over them would divide by zero; maintain_grow_events draws its own
+    # matrices and would pass over none
     with pytest.raises(ValueError, match=f"^a Monte Carlo {check.replace('_', '-')} run"
                                          r" needs --trials 1 or more, got 0$"):
         getattr(checks, f"check_{check}")(*args, trials=0, rng=RngStream(0))

@@ -45,7 +45,7 @@ def replay_records(trace: ProcessTrace) -> list[tuple[int, float, float]]:
             if st is StepType.I:
                 tracked = count_threshold(n**cfg.eps * rec.tracked / 4)
             elif st in (StepType.II, StepType.III, StepType.IV):
-                tracked = count_threshold(cfg.eff_eps_prime() * rec.tracked)
+                tracked = count_threshold(cfg.eps_prime * rec.tracked)
             else:
                 tracked = 0
             if st is StepType.III:
@@ -63,8 +63,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProcessConfig(c=1.5)
     cfg = ProcessConfig(eps=0.3)
-    assert cfg.eff_eps_prime() == pytest.approx(0.05)
-    assert cfg.eff_c() == 0.3
+    assert cfg.eps_prime == pytest.approx(0.05)
+    assert cfg.c == 0.3
 
 
 def test_config_defaults_at_16():
@@ -72,7 +72,7 @@ def test_config_defaults_at_16():
     assert cfg.start_level(16) == math.floor(0.25 * 16) + 1 == 5
     assert cfg.end_level(16) == math.floor(0.75 * 16) == 12
     assert cfg.endgame_depth(16) == max(1, math.floor(math.log(16)) - 1)
-    assert cfg.good_child_threshold(16) == 2
+    assert cfg.describe(16)["t_good"] == 2
 
 
 def test_count_threshold():
@@ -113,7 +113,7 @@ def test_success_boundary_inclusive():
     trace = run_growth(sample_sign_matrix(10, RngStream(41, 0)), cfg)
     last = trace.records[-1]
     # literal evaluation: equality on the potential bound counts as success
-    bound = cfg.eff_eps_prime() * trace.n / 2
+    bound = cfg.eps_prime * trace.n / 2
     assert is_successful(trace, cfg) == (last.tracked != 0 and last.potential <= bound)
     # synthetic boundary trace: potential exactly at the bound passes
     boundary = trace
@@ -161,7 +161,7 @@ def test_type_soundness_recount():
             at_grown = table.heavy_count(rec.k + 1, rec.grown_threshold)
             explode = count_threshold(n**cfg.eps * rec.tracked / 4)
             keep = count_threshold(cfg.keep_frac() * rec.tracked)
-            shrunk = count_threshold(cfg.eff_eps_prime() * rec.tracked)
+            shrunk = count_threshold(cfg.eps_prime * rec.tracked)
             assert at_same == rec.next_at_threshold
             assert at_grown == rec.next_at_grown
             if rec.step_type is StepType.I:
@@ -241,7 +241,7 @@ def test_one_heavy_set_query_per_level(monkeypatch):
     assert len(calls) == 1 + 2 * classified == 15
 
 
-def test_golden_trace_fixture():
+def test_golden_trace_fixture(tmp_path):
     cfg = ProcessConfig()
     matrix = sample_sign_matrix(16, RngStream(0, 0))
     trace = run_growth(matrix, cfg)
@@ -249,6 +249,10 @@ def test_golden_trace_fixture():
     header, levels = rows[0], rows[1:]
     assert header["n"] == 16 and header["seed"] == 0
     assert trace_level_dicts(trace) == levels
+    # the writer's bytes, header included
+    path = tmp_path / "trace.jsonl"
+    write_trace_jsonl(trace, path, seed=0, stream=0)
+    assert path.read_bytes() == GOLDEN.read_bytes()
 
 
 def test_trace_jsonl_roundtrip(tmp_path):

@@ -2,10 +2,13 @@
 build; every kernel run at its stated bound with undefined-behaviour
 sanitizing on, and every kernel entry point fed inputs that its caller must
 copy with address sanitizing on, each in a child process with its own
-kernel cache; and the golden verify reports and a batch of seeded draws
-replayed on a heap whose freed blocks glibc overwrites."""
+kernel cache; the golden verify reports and a batch of seeded draws
+replayed on a heap whose freed blocks glibc overwrites; and each size cap
+recomputed from the bound its kernel states."""
 
+import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from permlab import compiled
+from permlab import compiled, engines, lattice
 
 _TESTS = str(Path(__file__).parent)
 
@@ -29,10 +32,11 @@ _AT_THE_BOUNDS = textwrap.dedent("""
 
     compiled._KERNEL_CC = (*compiled._KERNEL_CC, "-fsanitize=undefined", "-fno-sanitize-recover=all")
     f = math.factorial
-    # each lane width at its widest n and at the first n past it, the widest
-    # odd n in 64 bits (19), and odd and even n in 128 bits; n = 29 stays out,
-    # at about 3 s a matrix unsanitized
-    for n in (4, 5, 8, 9, 15, 16, 17, 19, 20, 21, 22, 23, 24):
+    # n = 1, whose 8 lanes are all padding but one, each lane width at its
+    # widest n and at the first n past it, the widest odd n in 64 bits (19),
+    # and odd and even n in 128 bits; n = 29 stays out, at about 3 s a
+    # matrix unsanitized
+    for n in (1, 8, 9, 15, 16, 17, 19, 20, 21, 22, 23, 24):
         ones = np.ones((3, n, n), dtype=np.int8)
         ones[1] *= -1
         ones[2, 0] *= -1
@@ -159,6 +163,39 @@ def _sanitized_child(tmp_path, runtime: str, script: str, **env) -> None:
                               "PYTHONPATH": os.pathsep.join([_TESTS, os.environ["PYTHONPATH"]]), **env})
     assert res.returncode == 0, res.stderr
     assert os.listdir(tmp_path / "permlab")  # the sanitized build, not a cached one
+
+
+def test_each_cap_is_the_largest_its_bound_allows():
+    # each inequality stated in _kernels.c, recomputed in Python integers
+    f = math.factorial
+    largest = lambda ok: max(n for n in range(64) if ok(n))
+    source = compiled._KERNEL_SOURCE.read_text()
+    # a level-k minor is at most k! in absolute value: 20! < 2**63 <= 21!
+    assert lattice._INT64_LEVEL_MAX == largest(lambda k: f(k) < 2**63) == 20
+    # a glynn lane is at most ceil(n/2) in absolute value, and the 16 lanes of
+    # two chains multiply in int64: 15**16 < 2**63 <= 16**16; the sweep holds
+    # the n - 1 flippable rows of n <= 30 in 32 lanes
+    assert engines.PERMANENT_MAX_N == largest(lambda n: ((n + 1) // 2) ** 16 < 2**63) == 30
+    assert f(engines.PERMANENT_MAX_N) // 2 < 2**107
+    assert f"step[2][{engines.PERMANENT_MAX_N - 1}][32]" in source
+    # ryser_mod reduces its product after every 6 factors |colsum| <= n:
+    # 2**31 * 30**6 < 2**61, and 2**n reduced products stay below 2**61
+    modulus = engines._KERNEL_MAX_MODULUS
+    assert modulus == 2 ** largest(lambda b: 2**b * engines.PERMANENT_MAX_N**6 < 2**61) == 2**31
+    assert 2**engines.PERMANENT_MAX_N * modulus <= 2**61
+    # _BATCH_MAX_N is below what int64 allows (ryser_batch's low word is the
+    # permanent through 20! < 2**63, and cofactor accumulators stay below
+    # 2 * 12! < 2**63): glynn_sweep keeps one cof and one mark per row, 13 each
+    assert engines._BATCH_MAX_N < largest(lambda n: f(n) < 2**63) == 20
+    assert 2 * f(engines._BATCH_MAX_N - 1) < 2**63
+    arrays = re.search(r"cof\[(\d+)\] = \{0\}, mark\[(\d+)\] = \{0\}", source).groups()
+    assert arrays == (str(engines._BATCH_MAX_N),) * 2
+    # a memory cap: the lattice's 2**n table takes 26 bytes a subset at its
+    # build peak, about 109 MB at n = 22, and its levels past 20 are Python ints
+    assert 26 * 2**lattice.LATTICE_MAX_N < 110 * 10**6 < 26 * 2 ** (lattice.LATTICE_MAX_N + 1)
+    # a time cap: naive_odd's count of n! permutations fits int64 through
+    # n = 20, but it walks them one by one, 3.6 million at n = 10
+    assert engines.NAIVE_MAX_N == 10 < largest(lambda n: f(n) < 2**63)
 
 
 def test_kernels_compile_without_warnings():
