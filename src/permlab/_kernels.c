@@ -1,7 +1,8 @@
 /* The compiled kernels of permlab, loaded together by permlab.compiled._kernels.
    This is the one list of them:
-   - add_level, select_heavy and parent_histogram: the level build and the
-     two per-level queries of the minor lattice;
+   - add_level, add_heavy_level, select_heavy and parent_histogram: the
+     level build of the minor lattice, alone or with the new level's heavy
+     sets selected in the same pass, and the two queries of a built level;
    - glynn: Glynn's formula for every exact square permanent up to n = 30,
      and glynn_cofactors: the same sweep on blocks with one row more than
      columns, for the row-deleted cofactors that many_children expands its
@@ -14,7 +15,9 @@
    other, so each can check the others. */
 #include <stdint.h>
 
-/* One level of the minor lattice (permlab.lattice.MinorTable.add_level).
+/* One level of the minor lattice (permlab.lattice.MinorTable.add_level):
+   add_level builds it, and add_heavy_level also selects its heavy sets at
+   one or two thresholds in the same pass.
 
    row holds the exposed row's n int8 entries: an entry other than -1 or +1
    stops the kernel before any write, returning its index + 1.  With neg the
@@ -23,22 +26,24 @@
                - sum over i in m &  neg of vals[m ^ (1 << i)],
    the cofactor recursion over the row with no multiply.  Returns 0.
 
+   add_heavy_level takes one threshold, or two when out1 is not NULL.  On
+   entry t[h] holds threshold h, in [0, 2**63) (the caller clamps); each
+   mask whose new |value| reaches it is written, in the order given, to
+   out0 (h = 0) or out1 (h = 1), each with room for count masks, and t[h] is
+   replaced by how many were written.  As in select_heavy, each mask is
+   stored and the count advanced by the comparison, with no branch.
+
    Exact in int64: a level-(k-1) value is at most (k-1)! in absolute value
    and each partial sum has at most k terms, so each is at most
    k * (k-1)! = k! <= 20! < 2**63, and so is their difference, which is a
-   level-k value.  Reads touch only level k-1 and writes only level k, so the
-   masks may be visited in any order.  The kernel starts on a cache line, so
-   its loop's layout does not move with the size of the library's symbol
-   table: shifted 48 bytes, it built lattices 3-5% slower. */
-__attribute__((aligned(64))) int64_t
-add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8_t *row, int64_t n)
+   level-k value and can be negated.  Reads touch only level k-1 and writes
+   only level k, so the masks may be visited in any order. */
+static inline __attribute__((always_inline)) void
+level_sweep(int64_t *vals, const int64_t *masks, int64_t count, uint64_t neg, const int heavy,
+            int64_t *t, int64_t *restrict out0, int64_t *restrict out1)
 {
-    uint64_t neg = 0;
-    for (int64_t i = 0; i < n; i++)
-        if (row[i] == -1)
-            neg |= (uint64_t)1 << i;
-        else if (row[i] != 1)
-            return i + 1;
+    const int64_t t0 = heavy > 0 ? t[0] : 0, t1 = heavy > 1 ? t[1] : 0;
+    int64_t c0 = 0, c1 = 0;
     for (int64_t j = 0; j < count; j++) {
         uint64_t m = (uint64_t)masks[j];
         int64_t plus = 0, minus = 0;
@@ -46,9 +51,68 @@ add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8_t *row,
             plus += vals[m ^ ((uint64_t)1 << __builtin_ctzll(rest))];
         for (uint64_t rest = m & neg; rest; rest &= rest - 1)
             minus += vals[m ^ ((uint64_t)1 << __builtin_ctzll(rest))];
-        vals[m] = plus - minus;
+        int64_t v = plus - minus;
+        vals[m] = v;
+        if (heavy > 0) {
+            int64_t a = v < 0 ? -v : v;
+            out0[c0] = (int64_t)m;
+            c0 += a >= t0;
+            if (heavy > 1) {
+                out1[c1] = (int64_t)m;
+                c1 += a >= t1;
+            }
+        }
     }
+    if (heavy > 0)
+        t[0] = c0;
+    if (heavy > 1)
+        t[1] = c1;
+}
+
+/* Each number of thresholds is its own sweep, starting on a cache line, so
+   the loop's layout does not move with the size of the library's symbol
+   table: shifted 48 bytes, the plain sweep built lattices 3-5% slower. */
+#define LEVEL_SWEEP(name, heavy)                                              \
+    static __attribute__((noinline, aligned(64))) void                        \
+    name(int64_t *vals, const int64_t *masks, int64_t count, uint64_t neg,    \
+         int64_t *t, int64_t *out0, int64_t *out1)                            \
+    {                                                                         \
+        level_sweep(vals, masks, count, neg, heavy, t, out0, out1);           \
+    }
+LEVEL_SWEEP(level_plain, 0)
+LEVEL_SWEEP(level_heavy_1, 1)
+LEVEL_SWEEP(level_heavy_2, 2)
+
+/* 0 and neg the mask of the row's -1 entries, or the index + 1 of its first
+   entry other than -1 or +1. */
+static int64_t row_signs(const int8_t *row, int64_t n, uint64_t *neg)
+{
+    *neg = 0;
+    for (int64_t i = 0; i < n; i++)
+        if (row[i] == -1)
+            *neg |= (uint64_t)1 << i;
+        else if (row[i] != 1)
+            return i + 1;
     return 0;
+}
+
+int64_t add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8_t *row, int64_t n)
+{
+    uint64_t neg;
+    int64_t bad = row_signs(row, n, &neg);
+    if (!bad)
+        level_plain(vals, masks, count, neg, 0, 0, 0);
+    return bad;
+}
+
+int64_t add_heavy_level(int64_t *vals, const int64_t *masks, int64_t count, const int8_t *row,
+                        int64_t n, int64_t *t, int64_t *out0, int64_t *out1)
+{
+    uint64_t neg;
+    int64_t bad = row_signs(row, n, &neg);
+    if (!bad)
+        (out1 ? level_heavy_2 : level_heavy_1)(vals, masks, count, neg, t, out0, out1);
+    return bad;
 }
 
 /* The masks of one level whose |value| reaches t, in the order given

@@ -61,6 +61,7 @@ def _kernels() -> ctypes.CDLL:
     kernels = ctypes.CDLL(str(lib))
     addr, i64 = ctypes.c_void_p, ctypes.c_int64
     kernels.add_level.argtypes = [addr, addr, i64, addr, i64]
+    kernels.add_heavy_level.argtypes = [addr, addr, i64, addr, i64, addr, addr, addr]
     kernels.select_heavy.argtypes = [addr, addr, i64, i64, addr]
     kernels.parent_histogram.argtypes = [addr, i64, i64, i64, addr, addr]
     kernels.ryser_mod.argtypes = [addr, i64, i64, i64, addr]
@@ -70,6 +71,7 @@ def _kernels() -> ctypes.CDLL:
     kernels.sign_draws.argtypes = [addr, i64, i64, addr]
     kernels.ryser_mod.restype = kernels.glynn_cofactors.restype = None
     kernels.glynn.restype = kernels.sign_draws.restype = None
-    kernels.add_level.restype = kernels.select_heavy.restype = i64
+    kernels.add_level.restype = kernels.add_heavy_level.restype = i64
+    kernels.select_heavy.restype = i64
     kernels.parent_histogram.restype = kernels.naive_odd.restype = i64
     return kernels

@@ -9,10 +9,12 @@ the threshold-growing and count-exploding step types, so a low final
 potential certifies that the threshold grew on most levels.
 
 The tracked count is deliberately a lower-bound token: the exact heavy count
-from the lattice is logged next to it at every level.  Each level's heavy
-set is read from the lattice once: classifying level k reads level k+1 at
-the current and at the grown threshold, and the set at the threshold the
-step keeps is carried forward as level k+1's heavy set.
+from the lattice is logged next to it at every level.  No heavy set is
+queried from a finished level: from k0 on, each level is built with its
+heavy sets selected in the same pass (MinorTable.add_heavy_level).
+Classifying level k builds level k+1 at the current and at the grown
+threshold, and the set at the threshold the step keeps is carried forward
+as level k+1's heavy set.
 """
 
 from __future__ import annotations
@@ -157,17 +159,19 @@ def potential_increment(step_type: StepType, cfg: ProcessConfig) -> float:
     return inc
 
 
-def classify_step(table: MinorTable, k: int, masks: np.ndarray, tracked: int, threshold: float,
-                  cfg: ProcessConfig, potential: float
-                  ) -> tuple[LevelRecord, int, float, np.ndarray]:
-    """Classify the step from level k given the level's heavy set.
+def classify_step(table: MinorTable, k: int, masks: np.ndarray, heavy_next: np.ndarray,
+                  heavy_grown: np.ndarray, tracked: int, threshold: float, cfg: ProcessConfig,
+                  potential: float) -> tuple[LevelRecord, int, float, np.ndarray]:
+    """Classify the step from level k given the heavy sets of levels k and k+1.
 
-    `masks` is heavy_masks(k, threshold).  The family is its `tracked`
-    lexicographically-smallest members (any witness set is allowed; the
-    smallest ones make runs reproducible).  Exactly one type is returned;
-    V is the fallback with tracked count 0.  Returns the level's record, the
-    next tracked count and threshold, and the heavy set of level k+1 at that
-    threshold.
+    `masks` is heavy_masks(k, threshold), and `heavy_next` and `heavy_grown`
+    are level k+1's heavy masks at the threshold and at the grown threshold
+    cfg.lam_grow_factor(n) * threshold.  The family is the `tracked`
+    lexicographically-smallest members of `masks` (any witness set is
+    allowed; the smallest ones make runs reproducible).  Exactly one type is
+    returned; V is the fallback with tracked count 0.  Returns the level's
+    record, the next tracked count and threshold, and the heavy set of level
+    k+1 at that threshold.
     """
     if tracked < 1:
         raise ValueError("classification needs a nonempty tracked family")
@@ -178,8 +182,6 @@ def classify_step(table: MinorTable, k: int, masks: np.ndarray, tracked: int, th
     branch = split_events(counts, cfg.eps, cfg.c, tracked)
 
     grown_threshold = cfg.lam_grow_factor(n) * threshold
-    heavy_next = table.heavy_masks(k + 1, threshold)
-    heavy_grown = table.heavy_masks(k + 1, grown_threshold)
     next_at_threshold = len(heavy_next)
     next_at_grown = len(heavy_grown)
     explode_count = count_threshold(n**cfg.eps * tracked / 4)
@@ -231,9 +233,11 @@ def run_growth(matrix: SignMatrix, cfg: ProcessConfig) -> ProcessTrace:
     if not 1 <= k0 <= k1 <= n:
         raise ValueError(f"bad level range k0={k0}, k1={k1} for n={n}")
 
-    table = build_lattice(matrix, k1)
+    # Levels below k0 are built plain; level k0 at threshold 1, and each next
+    # level at the threshold and the grown threshold it is classified by.
+    table = build_lattice(matrix, k0 - 1)
     threshold = 1.0
-    heavy = table.heavy_masks(k0, threshold)
+    (heavy,) = table.add_heavy_level(matrix.row(k0 - 1), (threshold,))
     tracked = 1 if len(heavy) else 0
     potential = 0.0
 
@@ -241,10 +245,12 @@ def run_growth(matrix: SignMatrix, cfg: ProcessConfig) -> ProcessTrace:
     for k in range(k0, k1):
         if tracked == 0:
             trace.records.append(LevelRecord(k, 0, len(heavy), threshold, potential, None))
-            heavy = table.heavy_masks(k + 1, threshold)
+            (heavy,) = table.add_heavy_level(matrix.row(k), (threshold,))
             continue
+        grown = cfg.lam_grow_factor(n) * threshold
+        heavy_next, heavy_grown = table.add_heavy_level(matrix.row(k), (threshold, grown))
         rec, tracked, threshold, heavy = classify_step(
-            table, k, heavy, tracked, threshold, cfg, potential)
+            table, k, heavy, heavy_next, heavy_grown, tracked, threshold, cfg, potential)
         trace.records.append(rec)
         potential += potential_increment(rec.step_type, cfg)
 

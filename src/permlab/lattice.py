@@ -10,7 +10,9 @@ A level-k value is bounded by k!, and 20! < 2**63, so levels up to 20 live
 in one flat int64 array indexed by mask; the handful of subsets on higher
 levels (n = 21, 22) are kept as Python ints.  Heaviness thresholds compare
 an integer |value| against a real threshold, which is exact after rounding
-the threshold up to the next integer.  Both queries, heavy_count and
+the threshold up to the next integer (_threshold_at, the one rounding).
+add_heavy_level builds a level and selects its heavy masks at one or two
+thresholds in the same pass; the queries of a built level, heavy_count and
 heavy_masks, read the same list of heavy masks of the level.
 parent_histogram returns, for a family of size-k sets, the plain
 length-(n+1) array of how many children have exactly l family parents;
@@ -20,10 +22,12 @@ The int64 levels and both queries on them run in C, in `_kernels.c`:
 `add_level` takes the row's n int8 entries, refuses any but -1 and +1
 before it writes, and, for each mask of the level, sums the values one
 level down over the mask's +1 columns and subtracts the sum over its -1
-columns; `select_heavy` writes a level's heavy masks in one branchless
-pass, or only counts them; `parent_histogram` counts each child's family
-parents in a 2**n-byte scratch array that the table keeps and the kernel
-leaves zeroed.  That file's header lists every kernel.
+columns; `add_heavy_level` does the same and, as it writes each value,
+stores the mask branch-free into the heavy list of each of its thresholds;
+`select_heavy` writes a built level's heavy masks in one branchless pass,
+or only counts them; `parent_histogram` counts each child's family parents
+in a 2**n-byte scratch array that the table keeps and the kernel leaves
+zeroed.  That file's header lists every kernel.
 `compiled._kernels` builds and loads the library; `lattice._kernels` is
 that same cached function.
 """
@@ -56,6 +60,17 @@ def _level_masks(n: int) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
     return levels, tuple(masks.ctypes.data for masks in levels)
 
 
+def _threshold_at(k: int, threshold) -> int:
+    """The integer a level-k |value| must reach to be heavy: ceil(threshold),
+    exact for int, numpy int, float and Fraction.  On the int64 levels it is
+    clamped to [0, 2**63 - 1] for the kernels, because ctypes would silently
+    truncate a larger int (|value| <= 20! < 2**63 - 1, so the clamp changes
+    no answer); the Python-int levels, whose values pass 2**63, take it as is.
+    """
+    t = math.ceil(threshold)
+    return t if k > _INT64_LEVEL_MAX else min(max(t, 0), _INT64_MAX)
+
+
 def _physical_memory_bytes() -> int | None:
     """Installed physical memory, or None where the OS does not report it."""
     try:
@@ -86,13 +101,18 @@ class MinorTable:
         self._vals[0] = 1  # empty minor
         self._big: dict[int, int] = {}
         self._row = np.empty(n, dtype=np.int8)  # add_level's copy of its row
+        self._select: tuple[int, ...] = ()  # add_heavy_level's rounded thresholds
         # Kernel arguments that the table holds, so they outlive every call
         # (see _kernels); each is C-contiguous by construction.
         self._levels, self._levels_at = _level_masks(n)
         self._vals_at, self._row_at = self._vals.ctypes.data, self._row.ctypes.data
 
-    def add_level(self, row: np.ndarray) -> None:
-        """Complete level k_max+1 from the next exposed row."""
+    def add_level(self, row: np.ndarray) -> list[np.ndarray]:
+        """Complete level k_max+1 from the next exposed row.
+
+        Returns the new level's heavy masks at each threshold that
+        add_heavy_level set, or [] for a plain build.
+        """
         k = self.k_max + 1
         if k > self.n:
             raise ValueError("all levels already built")
@@ -104,9 +124,23 @@ class MinorTable:
         if row.dtype != np.int8 and not ((row == 1) | (row == -1)).all():
             raise ValueError("row entries must be -1 or +1")
         self._row[:] = row
-        masks, big = self._levels[k], k > _INT64_LEVEL_MAX
+        masks, big, select = self._levels[k], k > _INT64_LEVEL_MAX, self._select
         count = 0 if big else len(masks)
-        if _kernels().add_level(self._vals_at, self._levels_at[k], count, self._row_at, self.n):
+        if select and not big:
+            # The kernel takes each threshold in t and leaves there the number
+            # of masks it wrote to that threshold's array in outs.  One array
+            # per threshold, not one (2, count) block that a carried-forward
+            # list would keep whole: with the block, an n = 16 growth run's
+            # heap crossed malloc's trim threshold, and each run faulted its
+            # table in anew (220 page faults, 25% slower).
+            t = np.array(select, dtype=np.int64)
+            outs = [np.empty(count, dtype=np.int64) for _ in select]
+            bad = _kernels().add_heavy_level(self._vals_at, self._levels_at[k], count, self._row_at,
+                                             self.n, t.ctypes.data, outs[0].ctypes.data,
+                                             outs[1].ctypes.data if len(outs) > 1 else None)
+        else:
+            bad = _kernels().add_level(self._vals_at, self._levels_at[k], count, self._row_at, self.n)
+        if bad:
             raise ValueError("row entries must be -1 or +1")
         if big:
             for mask in masks.tolist():
@@ -114,7 +148,28 @@ class MinorTable:
                 for i in bits_of(mask):
                     total += int(row[i]) * self.value(mask ^ (1 << i))
                 self._big[mask] = total
+            selected = [self._big_heavy(k, threshold) for threshold in select]
+        else:
+            selected = [out[:found] for out, found in zip(outs, t.tolist())] if select else []
         self.k_max = k
+        return selected
+
+    def add_heavy_level(self, row: np.ndarray, thresholds) -> list[np.ndarray]:
+        """add_level(row), and the new level's heavy masks at each of one or
+        two thresholds, as heavy_masks gives them, selected while the build
+        writes each value.
+
+        The thresholds reach add_level through the table, not an argument, so
+        that every level, fused or plain, is built by one add_level(row) call.
+        """
+        if not 1 <= len(thresholds) <= 2:
+            raise ValueError(f"add_heavy_level takes one or two thresholds, got {len(thresholds)}")
+        k = self.k_max + 1
+        self._select = tuple(_threshold_at(k, threshold) for threshold in thresholds)
+        try:
+            return self.add_level(row)
+        finally:
+            self._select = ()
 
     def value(self, mask: int) -> int:
         """Exact permanent of the minor indexed by this column mask."""
@@ -131,26 +186,28 @@ class MinorTable:
     def level_masks(self, k: int) -> np.ndarray:
         return self._levels[k]
 
+    def _big_heavy(self, k: int, t: int) -> np.ndarray:
+        """Masks of a Python-int level k whose |value| reaches the integer t."""
+        masks = self._levels[k]
+        return masks[np.array([abs(self._big[m]) >= t for m in masks.tolist()], dtype=bool)]
+
     def _heavy(self, k: int, threshold, keep: bool = True):
         """Masks of level k whose |value| reaches the threshold, ascending;
         only their number unless keep.
 
-        Every heaviness query goes through here.  The int64 levels are read
-        by the compiled select_heavy, with the threshold clamped to
-        [0, 2**63 - 1] first, because ctypes would silently truncate a larger
-        int (|value| <= 20! < 2**63 - 1, so the clamp changes no answer);
-        the Python-int levels compare in Python.
+        Every heaviness query goes through here: the int64 levels are read by
+        the compiled select_heavy, the Python-int levels compare in Python.
         """
         if not 0 <= k <= self.k_max:
             raise ValueError(f"level {k} not built (k_max={self.k_max})")
-        masks = self._levels[k]
-        t = math.ceil(threshold)  # exact, and a Python int, for int, numpy int, float and Fraction
+        t = _threshold_at(k, threshold)
         if k > _INT64_LEVEL_MAX:
-            heavy = masks[np.array([abs(self._big[m]) >= t for m in masks.tolist()], dtype=bool)]
+            heavy = self._big_heavy(k, t)
             return heavy if keep else len(heavy)
+        masks = self._levels[k]
         out = np.empty_like(masks) if keep else None
-        count = _kernels().select_heavy(self._vals_at, self._levels_at[k], len(masks),
-                                        min(max(t, 0), _INT64_MAX), out.ctypes.data if keep else None)
+        count = _kernels().select_heavy(self._vals_at, self._levels_at[k], len(masks), t,
+                                        out.ctypes.data if keep else None)
         return out[:count] if keep else count
 
     def heavy_count(self, k: int, threshold) -> int:

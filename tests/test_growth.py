@@ -221,16 +221,15 @@ def test_matches_reference_n16_seed0():
 
 
 def test_one_heavy_set_query_per_level(monkeypatch):
-    # the start reads level k0's heavy set; each classified level reads
-    # level k+1 at the threshold and at the grown threshold and carries one
-    # of them forward, so no heavy set is read twice
+    # every heavy set a run reads is selected by the build of its level: one
+    # add_level call per level through k1, and no query of a built level
     calls = []
-    for name in ("heavy_count", "heavy_masks"):
-        query = getattr(MinorTable, name)
+    for name in ("add_level", "heavy_count", "heavy_masks"):
+        method = getattr(MinorTable, name)
 
-        def counted(self, *args, _query=query, _name=name):
+        def counted(self, *args, _method=method, _name=name):
             calls.append(_name)
-            return _query(self, *args)
+            return _method(self, *args)
 
         monkeypatch.setattr(MinorTable, name, counted)
     cfg = ProcessConfig()
@@ -238,7 +237,22 @@ def test_one_heavy_set_query_per_level(monkeypatch):
     levels = len(trace.records)
     classified = sum(rec.step_type is not None for rec in trace.records)
     assert (levels, classified) == (8, 7)
-    assert len(calls) == 1 + 2 * classified == 15
+    assert calls == ["add_level"] * cfg.end_level(16) == ["add_level"] * 12
+
+
+def test_growth_selection_on_python_int_levels():
+    # k1 = 21 at n = 21: the last step is built on a Python-int level; each
+    # count the run logs equals the post-hoc query of its finished table
+    cfg = ProcessConfig(k0=19, k1=21)
+    for t in range(3):
+        trace = run_growth(sample_sign_matrix(21, RngStream(49, t)), cfg)
+        table = trace.table
+        assert table.k_max == 21 and [rec.k for rec in trace.records] == [19, 20, 21]
+        for rec in trace.records:
+            assert rec.true_heavy == table.heavy_count(rec.k, rec.threshold)
+            if rec.step_type is not None:
+                assert rec.next_at_threshold == table.heavy_count(rec.k + 1, rec.threshold)
+                assert rec.next_at_grown == table.heavy_count(rec.k + 1, rec.grown_threshold)
 
 
 def test_golden_trace_fixture(tmp_path):

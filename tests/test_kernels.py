@@ -71,6 +71,16 @@ _AT_THE_BOUNDS = textwrap.dedent("""
     # heavy_count reads no output buffer
     assert table.heavy_count(20, f(20)) == 1 and table.heavy_count(10, 2**70) == 0
     assert table.heavy_count(10, 0) == math.comb(20, 10)
+    # the fused build: level 20 from a negated row, whose one value is -20!,
+    # at 20! and at 2**70 (clamped); and level 10 at t = 0, which fills both
+    # output buffers to their last slot; both rows int16
+    fused = lattice.build_lattice(all_ones(20), 19)
+    heavy = fused.add_heavy_level(-np.ones(20, dtype=np.int16), (f(20), 2**70))
+    assert [h.tolist() for h in heavy] == [[(1 << 20) - 1], []]
+    assert fused.top_value() == -f(20)
+    fused = lattice.build_lattice(all_ones(20), 9)
+    heavy = fused.add_heavy_level(np.ones(20, dtype=np.int16), (0, 0))
+    assert all(np.array_equal(h, table.level_masks(10)) for h in heavy)
     family = table.level_masks(10)[:1000]
     try:
         lattice.parent_histogram(table, 10, np.append(family, family[0]))
@@ -146,6 +156,14 @@ _COPIED_INPUTS = textwrap.dedent("""
     for k in (8, 12):
         heavy = table.heavy_masks(k, 100)
         assert table.heavy_count(k, 100) == len(heavy) > 0
+    # the fused build from the same rows; t = 0 fills its second buffer
+    def fused_of(rows):
+        table = lattice.MinorTable(16)
+        return [[h.tolist() for h in table.add_heavy_level(row, (100, 0))] for row in rows]
+    want = fused_of(rows)
+    assert want[7] == [table.heavy_masks(8, 100).tolist(), table.level_masks(8).tolist()]
+    for other in layouts(rows, (np.int16, np.int64)):
+        assert fused_of(other) == want
     family = table.level_masks(8)[:600]
     agree(lambda a: lattice.parent_histogram(table, 8, a), family, (np.int32, np.uint32))
 """)
