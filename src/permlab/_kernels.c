@@ -1,8 +1,8 @@
 /* The compiled kernels of permlab, loaded together by permlab.compiled._kernels.
    This is the one list of them:
-   - add_level, add_heavy_level, select_heavy and parent_histogram: the
-     level build of the minor lattice, alone or with the new level's heavy
-     sets selected in the same pass, and the two queries of a built level;
+   - add_level: the level build of the minor lattice, with the new level's
+     heavy sets at one or two thresholds selected in the same pass or none;
+   - parent_histogram: the parent counts of a family of a built level;
    - glynn: Glynn's formula for every exact square permanent up to n = 30,
      and glynn_cofactors: the same sweep on blocks with one row more than
      columns, for the row-deleted cofactors that many_children expands its
@@ -15,9 +15,8 @@
    other, so each can check the others. */
 #include <stdint.h>
 
-/* One level of the minor lattice (permlab.lattice.MinorTable.add_level):
-   add_level builds it, and add_heavy_level also selects its heavy sets at
-   one or two thresholds in the same pass.
+/* One level of the minor lattice (permlab.lattice.MinorTable.add_level),
+   built and, unless t is NULL, its heavy sets selected in the same pass.
 
    row holds the exposed row's n int8 entries: an entry other than -1 or +1
    stops the kernel before any write, returning its index + 1.  With neg the
@@ -26,12 +25,13 @@
                - sum over i in m &  neg of vals[m ^ (1 << i)],
    the cofactor recursion over the row with no multiply.  Returns 0.
 
-   add_heavy_level takes one threshold, or two when out1 is not NULL.  On
-   entry t[h] holds threshold h, in [0, 2**63) (the caller clamps); each
+   With t not NULL there is one threshold, or two when out1 is not NULL.
+   On entry t[h] holds threshold h, in [0, 2**63) (the caller clamps); each
    mask whose new |value| reaches it is written, in the order given, to
    out0 (h = 0) or out1 (h = 1), each with room for count masks, and t[h] is
-   replaced by how many were written.  As in select_heavy, each mask is
-   stored and the count advanced by the comparison, with no branch.
+   replaced by how many were written.  Each mask is stored and the count
+   advanced by the comparison, with no branch: about half the masks of a
+   level are heavy, so a branch would mispredict about half the time.
 
    Exact in int64: a level-(k-1) value is at most (k-1)! in absolute value
    and each partial sum has at most k terms, so each is at most
@@ -83,58 +83,17 @@ LEVEL_SWEEP(level_plain, 0)
 LEVEL_SWEEP(level_heavy_1, 1)
 LEVEL_SWEEP(level_heavy_2, 2)
 
-/* 0 and neg the mask of the row's -1 entries, or the index + 1 of its first
-   entry other than -1 or +1. */
-static int64_t row_signs(const int8_t *row, int64_t n, uint64_t *neg)
+int64_t add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8_t *row, int64_t n,
+                  int64_t *t, int64_t *out0, int64_t *out1)
 {
-    *neg = 0;
+    uint64_t neg = 0;
     for (int64_t i = 0; i < n; i++)
         if (row[i] == -1)
-            *neg |= (uint64_t)1 << i;
+            neg |= (uint64_t)1 << i;
         else if (row[i] != 1)
             return i + 1;
+    (!t ? level_plain : out1 ? level_heavy_2 : level_heavy_1)(vals, masks, count, neg, t, out0, out1);
     return 0;
-}
-
-int64_t add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8_t *row, int64_t n)
-{
-    uint64_t neg;
-    int64_t bad = row_signs(row, n, &neg);
-    if (!bad)
-        level_plain(vals, masks, count, neg, 0, 0, 0);
-    return bad;
-}
-
-int64_t add_heavy_level(int64_t *vals, const int64_t *masks, int64_t count, const int8_t *row,
-                        int64_t n, int64_t *t, int64_t *out0, int64_t *out1)
-{
-    uint64_t neg;
-    int64_t bad = row_signs(row, n, &neg);
-    if (!bad)
-        (out1 ? level_heavy_2 : level_heavy_1)(vals, masks, count, neg, t, out0, out1);
-    return bad;
-}
-
-/* The masks of one level whose |value| reaches t, in the order given
-   (permlab.lattice.MinorTable.heavy_masks and heavy_count).
-
-   Writes them to out[0 .. c-1], unless out is NULL, and returns c.  Each
-   mask is stored and the count advanced by the comparison, with no branch:
-   about half the masks of a level are heavy, so a branch would mispredict
-   about half the time.  0 <= t < 2**63 (the caller clamps), and |value| <=
-   20!, so the negation cannot overflow. */
-int64_t select_heavy(const int64_t *vals, const int64_t *masks, int64_t count, int64_t t,
-                     int64_t *out)
-{
-    int64_t c = 0;
-    for (int64_t j = 0; j < count; j++) {
-        int64_t m = masks[j];
-        int64_t v = vals[m];
-        if (out)
-            out[c] = m;
-        c += (v < 0 ? -v : v) >= t;
-    }
-    return c;
 }
 
 /* hist[l] = number of size-(k+1) sets with exactly l parents among the

@@ -405,6 +405,16 @@ def check_many_children(trials: int, n: int, i_size: int, rng: RngStream) -> Che
 # Signed-sum anti-concentration
 # ---------------------------------------------------------------------------
 
+def _littlewood_offord_cap(m: int, trials: int | None) -> None:
+    """Refuse a vector length past its cap: 20 exact (2**m signed sums), MAX_N
+    Monte Carlo (the length of one sampled row)."""
+    if trials is None and m > 20:
+        raise CapError(f"exact enumeration is capped at m <= 20, got m={m};"
+                       " a Monte Carlo run needs --trials")
+    if trials is not None and m > MAX_N:
+        raise CapError(f"monte-carlo littlewood-offord check is capped at --m <= {MAX_N}, got m={m}")
+
+
 def check_littlewood_offord(v, threshold: float, x: float,
                             trials: int | None = None, rng: RngStream | None = None) -> CheckReport:
     """Random signed sums avoid short intervals.
@@ -429,10 +439,8 @@ def check_littlewood_offord(v, threshold: float, x: float,
     interval_bound = Fraction(binom, 1 << k_eff)
     tail_bound = min(Fraction(1), (math.ceil(x) + 1) * interval_bound)
 
+    _littlewood_offord_cap(m, trials)
     if trials is None:
-        if m > 20:
-            raise CapError(f"exact enumeration is capped at m <= 20, got m={m};"
-                           " a Monte Carlo run needs --trials")
         sums = np.zeros(1, dtype=np.float64)
         for val in v:
             sums = np.concatenate([sums + val, sums - val])
@@ -461,8 +469,6 @@ def check_littlewood_offord(v, threshold: float, x: float,
             },
             tolerance="exact", passed=passed,
         )
-    if m > MAX_N:
-        raise CapError(f"monte-carlo littlewood-offord check is capped at --m <= {MAX_N}, got m={m}")
     _two_draws(trials, "frequency")
     tail_count = 0
     for ts in _draw_blocks(trials):
@@ -615,7 +621,9 @@ def check_maintain_grow_events(n: int, trials: int, rng: RngStream) -> CheckRepo
 # ---------------------------------------------------------------------------
 
 def _littlewood_offord_ones(m: int, **options) -> CheckReport:
-    """littlewood_offord on the all-ones vector of length m, at threshold 1."""
+    """littlewood_offord on the all-ones vector of length m, at threshold 1,
+    refused past its cap before the vector is made."""
+    _littlewood_offord_cap(m, options.get("trials"))
     return check_littlewood_offord([1.0] * m, 1.0, **options)
 
 

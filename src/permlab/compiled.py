@@ -21,6 +21,19 @@ from pathlib import Path
 _KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 _KERNEL_CC = ("gcc", "-O2", "-shared", "-fPIC")
 
+_addr, _i64 = ctypes.c_void_p, ctypes.c_int64
+# Each export of `_kernels.c`, as (argtypes, restype); every kernel is bound
+# from this one table.
+_SIGNATURES = {
+    "add_level": ([_addr, _addr, _i64, _addr, _i64, _addr, _addr, _addr], _i64),
+    "parent_histogram": ([_addr, _i64, _i64, _i64, _addr, _addr], _i64),
+    "glynn": ([_addr, _i64, _i64, _addr], None),
+    "glynn_cofactors": ([_addr, _i64, _i64, _addr], None),
+    "ryser_mod": ([_addr, _i64, _i64, _i64, _addr], None),
+    "naive_odd": ([_addr, _i64], _i64),
+    "sign_draws": ([_addr, _i64, _i64, _addr], None),
+}
+
 
 @functools.cache
 def _kernels() -> ctypes.CDLL:
@@ -59,19 +72,7 @@ def _kernels() -> ctypes.CDLL:
             if os.path.exists(tmp):
                 os.unlink(tmp)
     kernels = ctypes.CDLL(str(lib))
-    addr, i64 = ctypes.c_void_p, ctypes.c_int64
-    kernels.add_level.argtypes = [addr, addr, i64, addr, i64]
-    kernels.add_heavy_level.argtypes = [addr, addr, i64, addr, i64, addr, addr, addr]
-    kernels.select_heavy.argtypes = [addr, addr, i64, i64, addr]
-    kernels.parent_histogram.argtypes = [addr, i64, i64, i64, addr, addr]
-    kernels.ryser_mod.argtypes = [addr, i64, i64, i64, addr]
-    kernels.glynn_cofactors.argtypes = [addr, i64, i64, addr]
-    kernels.glynn.argtypes = [addr, i64, i64, addr]
-    kernels.naive_odd.argtypes = [addr, i64]
-    kernels.sign_draws.argtypes = [addr, i64, i64, addr]
-    kernels.ryser_mod.restype = kernels.glynn_cofactors.restype = None
-    kernels.glynn.restype = kernels.sign_draws.restype = None
-    kernels.add_level.restype = kernels.add_heavy_level.restype = i64
-    kernels.select_heavy.restype = i64
-    kernels.parent_histogram.restype = kernels.naive_odd.restype = i64
+    for name, (argtypes, restype) in _SIGNATURES.items():
+        fn = getattr(kernels, name)
+        fn.argtypes, fn.restype = argtypes, restype
     return kernels

@@ -13,21 +13,20 @@ an integer |value| against a real threshold, which is exact after rounding
 the threshold up to the next integer (_threshold_at, the one rounding).
 add_heavy_level builds a level and selects its heavy masks at one or two
 thresholds in the same pass; the queries of a built level, heavy_count and
-heavy_masks, read the same list of heavy masks of the level.
+heavy_masks, read its values with numpy.
 parent_histogram returns, for a family of size-k sets, the plain
 length-(n+1) array of how many children have exactly l family parents;
 split_events reads n and the low-multiplicity mass from that array.
 
-The int64 levels and both queries on them run in C, in `_kernels.c`:
-`add_level` takes the row's n int8 entries, refuses any but -1 and +1
-before it writes, and, for each mask of the level, sums the values one
-level down over the mask's +1 columns and subtracts the sum over its -1
-columns; `add_heavy_level` does the same and, as it writes each value,
-stores the mask branch-free into the heavy list of each of its thresholds;
-`select_heavy` writes a built level's heavy masks in one branchless pass,
-or only counts them; `parent_histogram` counts each child's family parents
-in a 2**n-byte scratch array that the table keeps and the kernel leaves
-zeroed.  That file's header lists every kernel.
+The build of the int64 levels and parent_histogram run in C, in
+`_kernels.c`: `add_level` takes the row's n int8 entries, refuses any but
+-1 and +1 before it writes, and, for each mask of the level, sums the values
+one level down over the mask's +1 columns and subtracts the sum over its -1
+columns; given thresholds, it also stores each mask branch-free into the
+heavy list of each threshold as it writes the value.  `parent_histogram`
+counts each child's family parents in a 2**n-byte scratch array that the
+table keeps and the kernel leaves zeroed.  That file's header lists every
+kernel.
 `compiled._kernels` builds and loads the library; `lattice._kernels` is
 that same cached function.
 """
@@ -63,9 +62,10 @@ def _level_masks(n: int) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
 def _threshold_at(k: int, threshold) -> int:
     """The integer a level-k |value| must reach to be heavy: ceil(threshold),
     exact for int, numpy int, float and Fraction.  On the int64 levels it is
-    clamped to [0, 2**63 - 1] for the kernels, because ctypes would silently
-    truncate a larger int (|value| <= 20! < 2**63 - 1, so the clamp changes
-    no answer); the Python-int levels, whose values pass 2**63, take it as is.
+    clamped to [0, 2**63 - 1] for add_level's kernel, because ctypes would
+    silently truncate a larger int (|value| <= 20! < 2**63 - 1, so the clamp
+    changes no answer); the Python-int levels, whose values pass 2**63, take
+    it as is.
     """
     t = math.ceil(threshold)
     return t if k > _INT64_LEVEL_MAX else min(max(t, 0), _INT64_MAX)
@@ -102,10 +102,12 @@ class MinorTable:
         self._big: dict[int, int] = {}
         self._row = np.empty(n, dtype=np.int8)  # add_level's copy of its row
         self._select: tuple[int, ...] = ()  # add_heavy_level's rounded thresholds
+        self._counts = np.empty(2, dtype=np.int64)  # the kernel's thresholds in, counts out
         # Kernel arguments that the table holds, so they outlive every call
         # (see _kernels); each is C-contiguous by construction.
         self._levels, self._levels_at = _level_masks(n)
         self._vals_at, self._row_at = self._vals.ctypes.data, self._row.ctypes.data
+        self._counts_at = self._counts.ctypes.data
 
     def add_level(self, row: np.ndarray) -> list[np.ndarray]:
         """Complete level k_max+1 from the next exposed row.
@@ -126,20 +128,20 @@ class MinorTable:
         self._row[:] = row
         masks, big, select = self._levels[k], k > _INT64_LEVEL_MAX, self._select
         count = 0 if big else len(masks)
+        counts_at = out0 = out1 = None  # a plain build
         if select and not big:
-            # The kernel takes each threshold in t and leaves there the number
-            # of masks it wrote to that threshold's array in outs.  One array
-            # per threshold, not one (2, count) block that a carried-forward
-            # list would keep whole: with the block, an n = 16 growth run's
-            # heap crossed malloc's trim threshold, and each run faulted its
-            # table in anew (220 page faults, 25% slower).
-            t = np.array(select, dtype=np.int64)
+            # The kernel takes each threshold in _counts and leaves there the
+            # number of masks it wrote to that threshold's array in outs.  One
+            # array per threshold, not one (2, count) block that a
+            # carried-forward list would keep whole: with the block, an n = 16
+            # growth run's heap crossed malloc's trim threshold, and each run
+            # faulted its table in anew (220 page faults, 25% slower).
+            self._counts[:len(select)] = select
             outs = [np.empty(count, dtype=np.int64) for _ in select]
-            bad = _kernels().add_heavy_level(self._vals_at, self._levels_at[k], count, self._row_at,
-                                             self.n, t.ctypes.data, outs[0].ctypes.data,
-                                             outs[1].ctypes.data if len(outs) > 1 else None)
-        else:
-            bad = _kernels().add_level(self._vals_at, self._levels_at[k], count, self._row_at, self.n)
+            counts_at, out0 = self._counts_at, outs[0].ctypes.data
+            out1 = outs[1].ctypes.data if len(outs) > 1 else None
+        bad = _kernels().add_level(self._vals_at, self._levels_at[k], count, self._row_at, self.n,
+                                   counts_at, out0, out1)
         if bad:
             raise ValueError("row entries must be -1 or +1")
         if big:
@@ -150,7 +152,7 @@ class MinorTable:
                 self._big[mask] = total
             selected = [self._big_heavy(k, threshold) for threshold in select]
         else:
-            selected = [out[:found] for out, found in zip(outs, t.tolist())] if select else []
+            selected = [out[:found] for out, found in zip(outs, self._counts.tolist())] if select else []
         self.k_max = k
         return selected
 
@@ -191,28 +193,23 @@ class MinorTable:
         masks = self._levels[k]
         return masks[np.array([abs(self._big[m]) >= t for m in masks.tolist()], dtype=bool)]
 
-    def _heavy(self, k: int, threshold, keep: bool = True):
-        """Masks of level k whose |value| reaches the threshold, ascending;
-        only their number unless keep.
+    def _heavy(self, k: int, threshold) -> np.ndarray:
+        """Masks of level k whose |value| reaches the threshold, ascending.
 
-        Every heaviness query goes through here: the int64 levels are read by
-        the compiled select_heavy, the Python-int levels compare in Python.
+        Every heaviness query of a built level goes through here: the int64
+        levels are read with numpy, the Python-int levels compare in Python.
         """
         if not 0 <= k <= self.k_max:
             raise ValueError(f"level {k} not built (k_max={self.k_max})")
         t = _threshold_at(k, threshold)
         if k > _INT64_LEVEL_MAX:
-            heavy = self._big_heavy(k, t)
-            return heavy if keep else len(heavy)
+            return self._big_heavy(k, t)
         masks = self._levels[k]
-        out = np.empty_like(masks) if keep else None
-        count = _kernels().select_heavy(self._vals_at, self._levels_at[k], len(masks), t,
-                                        out.ctypes.data if keep else None)
-        return out[:count] if keep else count
+        return masks[np.abs(self._vals[masks]) >= t]
 
     def heavy_count(self, k: int, threshold) -> int:
         """Number of size-k column sets whose |value| reaches the threshold."""
-        return self._heavy(k, threshold, keep=False)
+        return len(self._heavy(k, threshold))
 
     def heavy_masks(self, k: int, threshold) -> np.ndarray:
         """Masks of the heavy size-k sets, ascending."""

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from permlab import checks
+from permlab import checks, growth
 from permlab.checks import (
     CHECKS,
     SUITE,
@@ -21,12 +21,14 @@ from permlab.checks import (
     suite_passed,
     summary_lines,
 )
-from permlab.growth import ProcessConfig
+from permlab.growth import ProcessConfig, run_growth
+from permlab.lattice import SplitVerdict
 from permlab.matrices import CapError, sample_sign_matrix
 from permlab.pilots import run_all_pilots
 from permlab.rng import RngStream
 
 from oracles import all_ones, brute_max_interval_count, brute_signed_sums
+from reference_growth import ceil_floor1, heavy_masks_at
 
 
 def test_second_moment_exact_small():
@@ -317,6 +319,30 @@ def test_maintain_grow_events_small():
     else:
         assert r.descriptive
     assert not math.isnan(freqs["keep"])
+
+
+def test_maintain_grow_events_grow_branch(monkeypatch):
+    # no draw of the suite takes the high-multiplicity branch, so every step
+    # is sent there; a grow hit is a level k+1 whose heavy count at the grown
+    # threshold, read here from the table's values, reaches eps/4 of the
+    # tracked count
+    monkeypatch.setattr(growth, "split_events", lambda *args: SplitVerdict.DOUBLE_PRIME)
+    n, trials, rng, cfg = 10, 30, RngStream(14), checks._MAINTAIN_GROW_CFG
+    stats = check_maintain_grow_events(n, trials, rng).statistics
+    cond = hits = 0
+    for t in range(trials):
+        trace = run_growth(sample_sign_matrix(n, rng.substream(t)), cfg)
+        for rec in trace.records[:-1]:
+            if rec.step_type is None:
+                continue
+            masks = trace.table.level_masks(rec.k + 1).tolist()
+            level = {mask: trace.table.value(mask) for mask in masks}
+            grown = n ** (0.5 - cfg.c) * rec.threshold
+            cond += 1
+            hits += len(heavy_masks_at(level, grown)) >= ceil_floor1(cfg.eps * rec.tracked / 4)
+    assert stats["conditioning_events"]["explode"] == 0
+    assert stats["conditioning_events"]["grow"] == stats["conditioning_events"]["keep"] == cond
+    assert stats["event_hits"]["grow"] == hits > 0
 
 
 def test_report_serialization():

@@ -347,8 +347,12 @@ def test_thread_count_that_is_not_an_integer_is_refused(tmp_path):
      " got 19 (--n 20, --i-size 2)"),
     (["littlewood_offord", "--m", "100000", "--mode", "monte_carlo", "--trials", "10000"],
      "monte-carlo littlewood-offord check is capped at --m <= 63, got m=100000"),
+    (["littlewood_offord", "--m", str(10**20), "--trials", "10000"],
+     f"monte-carlo littlewood-offord check is capped at --m <= 63, got m={10**20}"),
+    (["littlewood_offord", "--m", str(10**20)],
+     f"exact enumeration is capped at m <= 20, got m={10**20}; a Monte Carlo run needs --trials"),
 ], ids=["parent-child-14", "parent-child-40", "many-children", "many-children-child-size",
-        "littlewood-offord"])
+        "littlewood-offord", "littlewood-offord-1e20", "littlewood-offord-1e20-exact"])
 def test_oversized_checks_refused_before_drawing(monkeypatch, capsys, args, message):
     # the draw kernel is never called, so no draw, large or small, is requested
     monkeypatch.setattr(matrices, "_sign_draws", lambda *args: pytest.fail("drew before refusing"))

@@ -68,16 +68,16 @@ _AT_THE_BOUNDS = textwrap.dedent("""
             pass
         else:
             raise AssertionError(f"add_level took the int8 entry {bad}")
-    # heavy_count reads no output buffer
-    assert table.heavy_count(20, f(20)) == 1 and table.heavy_count(10, 2**70) == 0
-    assert table.heavy_count(10, 0) == math.comb(20, 10)
-    # the fused build: level 20 from a negated row, whose one value is -20!,
-    # at 20! and at 2**70 (clamped); and level 10 at t = 0, which fills both
-    # output buffers to their last slot; both rows int16
-    fused = lattice.build_lattice(all_ones(20), 19)
-    heavy = fused.add_heavy_level(-np.ones(20, dtype=np.int16), (f(20), 2**70))
-    assert [h.tolist() for h in heavy] == [[(1 << 20) - 1], []]
-    assert fused.top_value() == -f(20)
+    # add_level with one threshold and with two: level 20 from a negated
+    # row, whose one value is -20!, at 20! and at 2**70 (clamped); and level
+    # 10 at t = 0, which fills both output buffers to their last slot; all
+    # rows int16
+    full = [(1 << 20) - 1]
+    for thresholds, want in (((f(20),), [full]), ((f(20), 2**70), [full, []])):
+        fused = lattice.build_lattice(all_ones(20), 19)
+        heavy = fused.add_heavy_level(-np.ones(20, dtype=np.int16), thresholds)
+        assert [h.tolist() for h in heavy] == want
+        assert fused.top_value() == -f(20)
     fused = lattice.build_lattice(all_ones(20), 9)
     heavy = fused.add_heavy_level(np.ones(20, dtype=np.int16), (0, 0))
     assert all(np.array_equal(h, table.level_masks(10)) for h in heavy)
@@ -153,17 +153,17 @@ _COPIED_INPUTS = textwrap.dedent("""
     for other in layouts(rows, (np.int16, np.int64)):
         copy = table_of(other)
         assert all(copy.value(m) == table.value(m) for m in table.level_masks(8).tolist())
-    for k in (8, 12):
-        heavy = table.heavy_masks(k, 100)
-        assert table.heavy_count(k, 100) == len(heavy) > 0
-    # the fused build from the same rows; t = 0 fills its second buffer
-    def fused_of(rows):
+    # the build with one threshold and with two from the same rows; t = 0
+    # fills the second buffer
+    def fused_of(rows, thresholds):
         table = lattice.MinorTable(16)
-        return [[h.tolist() for h in table.add_heavy_level(row, (100, 0))] for row in rows]
-    want = fused_of(rows)
-    assert want[7] == [table.heavy_masks(8, 100).tolist(), table.level_masks(8).tolist()]
-    for other in layouts(rows, (np.int16, np.int64)):
-        assert fused_of(other) == want
+        return [[h.tolist() for h in table.add_heavy_level(row, thresholds)] for row in rows]
+    for thresholds in ((100,), (100, 0)):
+        want = fused_of(rows, thresholds)
+        level = [table.heavy_masks(8, 100).tolist(), table.level_masks(8).tolist()]
+        assert want[7] == level[:len(thresholds)]
+        for other in layouts(rows, (np.int16, np.int64)):
+            assert fused_of(other, thresholds) == want
     family = table.level_masks(8)[:600]
     agree(lambda a: lattice.parent_histogram(table, 8, a), family, (np.int32, np.uint32))
 """)
@@ -214,6 +214,42 @@ def test_each_cap_is_the_largest_its_bound_allows():
     # a time cap: naive_odd's count of n! permutations fits int64 through
     # n = 20, but it walks them one by one, 3.6 million at n = 10
     assert engines.NAIVE_MAX_N == 10 < largest(lambda n: f(n) < 2**63)
+
+
+def _c_functions(source: str) -> dict[str, bool]:
+    """Each function defined in C source, mapped to whether it is static: the
+    text between two top-level statements that opens a body and ends in a
+    parameter list, once comments, directives and macro instantiations are
+    dropped."""
+    text = re.sub(r"/\*.*?\*/", " ", source, flags=re.S)
+    text = re.sub(r"(?m)^#(?:.*\\\n)*.*$", " ", text)
+    text = re.sub(r"(?m)^[A-Z][A-Z0-9_]*\(.*\)$", " ", text)
+    found, depth, start = {}, 0, 0
+    for i, ch in enumerate(text):
+        if ch == "{":
+            head = re.search(r"(\w+)\s*\([^()]*\)\s*$", text[start:i])
+            if depth == 0 and head:
+                found[head.group(1)] = text[start:i].split()[0] == "static"
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+        if depth == 0 and ch in ";}":
+            start = i + 1
+    return found
+
+
+def test_every_export_is_bound_and_listed_once():
+    # the non-static functions of _kernels.c, the binding table and the
+    # file's header list name the same kernels
+    source = compiled._KERNEL_SOURCE.read_text()
+    functions = _c_functions(source)
+    assert {"level_sweep", "glynn_sweep", "naive_walk", "mulhilo"} <= set(functions)
+    exported = {name for name, static in functions.items() if not static}
+    header = re.match(r"/\*(.*?)\*/", source, re.S).group(1)
+    listed = set(re.findall(r"(\w+): ", header[header.index("- "):]))
+    assert exported == set(compiled._SIGNATURES) == listed == {
+        "add_level", "parent_histogram", "glynn", "glynn_cofactors", "ryser_mod", "naive_odd",
+        "sign_draws"}
 
 
 def test_kernels_compile_without_warnings():

@@ -308,8 +308,8 @@ def test_heavy_count_matches_members():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_heavy_queries_match_brute_on_every_level(n):
-    # thresholds 2**63 and 2**64 + 1 do not fit in int64; unclamped, ctypes
-    # would pass them on truncated (2**64 + 1 as 1)
+    # thresholds 2**63 and 2**64 + 1 do not fit in the int64 values they are
+    # compared with
     m = sample_sign_matrix(n, RngStream(37, n))
     t = build_lattice(m)
     for k in range(n + 1):
