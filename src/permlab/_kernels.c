@@ -2,7 +2,6 @@
    This is the one list of them:
    - add_level: the level build of the minor lattice, with the new level's
      heavy sets at one or two thresholds selected in the same pass or none;
-   - parent_histogram: the parent counts of a family of a built level;
    - glynn: Glynn's formula for every exact square permanent up to n = 30,
      and glynn_cofactors: the same sweep on blocks with one row more than
      columns, for the row-deleted cofactors that many_children expands its
@@ -93,51 +92,6 @@ int64_t add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8
         else if (row[i] != 1)
             return i + 1;
     (!t ? level_plain : out1 ? level_heavy_2 : level_heavy_1)(vals, masks, count, neg, t, out0, out1);
-    return 0;
-}
-
-/* hist[l] = number of size-(k+1) sets with exactly l parents among the
-   count distinct size-k masks in members (permlab.lattice.parent_histogram).
-
-   scratch is 2**n bytes that are zero on entry and on return, and hist n+1
-   zeroed counts.  The members are checked first: a member outside
-   [0, 2**n), off level k, or repeated stops the kernel, which clears the
-   marks it has set and returns the member's index + 1 (the repeat is found
-   by marking each member in scratch; members and children lie on different
-   levels, so the marks never meet the child counts).  Then each member adds
-   1 at each of its children, and a second pass clears the member's mark and
-   reads each count of the same children into hist and clears it; the later
-   visits of a child read the cleared 0, so hist[0] collects them and is
-   reset at the end.  A child has at most k+1 <= n distinct parents, so no
-   count wraps its byte or indexes past hist[n].  Returns 0. */
-int64_t parent_histogram(const int64_t *members, int64_t count, int64_t n, int64_t k,
-                         uint8_t *scratch, int64_t *hist)
-{
-    const uint64_t full = ((uint64_t)1 << n) - 1;
-    for (int64_t j = 0; j < count; j++) {
-        uint64_t m = (uint64_t)members[j];
-        if (m & ~full || __builtin_popcountll(m) != k || scratch[m]) {
-            for (int64_t i = 0; i < j; i++)
-                scratch[members[i]] = 0;
-            return j + 1;
-        }
-        scratch[m] = 1;
-    }
-    for (int64_t j = 0; j < count; j++) {
-        uint64_t m = (uint64_t)members[j];
-        for (uint64_t rest = ~m & full; rest; rest &= rest - 1)
-            scratch[m | (rest & -rest)]++;
-    }
-    for (int64_t j = 0; j < count; j++) {
-        uint64_t m = (uint64_t)members[j];
-        scratch[m] = 0;
-        for (uint64_t rest = ~m & full; rest; rest &= rest - 1) {
-            uint64_t child = m | (rest & -rest);
-            hist[scratch[child]]++;
-            scratch[child] = 0;
-        }
-    }
-    hist[0] = 0;
     return 0;
 }
 

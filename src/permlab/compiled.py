@@ -26,7 +26,6 @@ _addr, _i64 = ctypes.c_void_p, ctypes.c_int64
 # from this one table.
 _SIGNATURES = {
     "add_level": ([_addr, _addr, _i64, _addr, _i64, _addr, _addr, _addr], _i64),
-    "parent_histogram": ([_addr, _i64, _i64, _i64, _addr, _addr], _i64),
     "glynn": ([_addr, _i64, _i64, _addr], None),
     "glynn_cofactors": ([_addr, _i64, _i64, _addr], None),
     "ryser_mod": ([_addr, _i64, _i64, _i64, _addr], None),

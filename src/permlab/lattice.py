@@ -15,18 +15,16 @@ add_heavy_level builds a level and selects its heavy masks at one or two
 thresholds in the same pass; the queries of a built level, heavy_count and
 heavy_masks, read its values with numpy.
 parent_histogram returns, for a family of size-k sets, the plain
-length-(n+1) array of how many children have exactly l family parents;
-split_events reads n and the low-multiplicity mass from that array.
+length-(n+1) array of how many children have exactly l family parents,
+counted member by member in Python; split_events reads n and the
+low-multiplicity mass from that array.
 
-The build of the int64 levels and parent_histogram run in C, in
-`_kernels.c`: `add_level` takes the row's n int8 entries, refuses any but
--1 and +1 before it writes, and, for each mask of the level, sums the values
-one level down over the mask's +1 columns and subtracts the sum over its -1
-columns; given thresholds, it also stores each mask branch-free into the
-heavy list of each threshold as it writes the value.  `parent_histogram`
-counts each child's family parents in a 2**n-byte scratch array that the
-table keeps and the kernel leaves zeroed.  That file's header lists every
-kernel.
+The build of the int64 levels runs in C, in `_kernels.c`: `add_level` takes
+the row's n int8 entries, refuses any but -1 and +1 before it writes, and,
+for each mask of the level, sums the values one level down over the mask's
++1 columns and subtracts the sum over its -1 columns; given thresholds, it
+also stores each mask branch-free into the heavy list of each threshold as
+it writes the value.  That file's header lists every kernel.
 `compiled._kernels` builds and loads the library; `lattice._kernels` is
 that same cached function.
 """
@@ -87,7 +85,9 @@ class MinorTable:
             raise CapError(f"minor lattice is capped at n <= {LATTICE_MAX_N} (2**n table), got n={n}")
         # Peak bytes per mask: the int64 table (8) and, while masks_by_level
         # builds, its full arange (8), its per-level copies (8), the popcount
-        # array (1) and the level selector (1).
+        # array (1) and the level selector (1).  That is the whole peak of
+        # every table, growth tables included: parent_histogram keeps nothing
+        # on the table.
         need = 26 << n
         have = _physical_memory_bytes()
         if have is not None and need > have:
@@ -215,13 +215,6 @@ class MinorTable:
         """Masks of the heavy size-k sets, ascending."""
         return self._heavy(k, threshold)
 
-    @functools.cached_property
-    def _scratch_at(self) -> int:
-        """parent_histogram's 2**n bytes, made on first use; its kernel leaves
-        them zero, so two calls on one table must not overlap."""
-        self._scratch = np.zeros(1 << self.n, dtype=np.uint8)
-        return self._scratch.ctypes.data
-
     def top_value(self) -> int:
         """Permanent of the full matrix; requires all levels built."""
         if self.k_max != self.n:
@@ -247,9 +240,8 @@ def parent_histogram(table: MinorTable, k: int, members) -> np.ndarray:
 
     A parent of A' is any A = A' minus one element that belongs to the
     family; counts[0] stays 0 (children with no family parent are not
-    tracked).  Counted by the compiled parent_histogram over the table's
-    2**n-byte scratch array; a member outside [0, 2**n), not of size k, or
-    repeated is a ValueError.
+    tracked).  A member outside [0, 2**n), not of size k, or repeated is a
+    ValueError, raised for the first bad member in order.
     """
     n = table.n
     if k + 1 > n:
@@ -258,17 +250,24 @@ def parent_histogram(table: MinorTable, k: int, members) -> np.ndarray:
         members = np.ascontiguousarray(members, dtype=np.int64).reshape(-1)
     except OverflowError:
         raise ValueError(f"family members must be masks in [0, 2**{n})") from None
-    counts = np.zeros(n + 1, dtype=np.int64)
-    bad = _kernels().parent_histogram(members.ctypes.data, len(members), n, k,
-                                      table._scratch_at, counts.ctypes.data)
-    if bad:
-        mask = int(members[bad - 1])
+    family: set[int] = set()
+    children: dict[int, int] = {}  # child mask -> its parents in the family so far
+    for mask in members.tolist():
         if mask < 0 or mask >> n:
             raise ValueError(f"family member {mask} is outside [0, 2**{n})")
         if mask.bit_count() != k:
             raise ValueError(f"family member {mask} is not a size-{k} set")
-        raise ValueError(f"family member {mask} is repeated")
-    return counts
+        if mask in family:
+            raise ValueError(f"family member {mask} is repeated")
+        family.add(mask)
+        for i in range(n):
+            if not mask >> i & 1:
+                child = mask | 1 << i
+                children[child] = children.get(child, 0) + 1
+    counts = [0] * (n + 1)
+    for parents in children.values():
+        counts[parents] += 1
+    return np.array(counts, dtype=np.int64)
 
 
 class SplitVerdict(Enum):

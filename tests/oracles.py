@@ -2,12 +2,15 @@
 
 Everything here is deliberately written the slow, obvious way (itertools
 loops over permutations / sign assignments / subsets) so it shares no code
-path with the engines it checks.  The one exception, `numpy_level_table`,
-builds the whole minor lattice with numpy gathers, independently of the
-compiled kernel that builds it in the program.  `subsets_of_size` walks the
-masks of one level with Gosper's hack, independently of `masks_by_level`,
-and `level_values` reads a built table's values at those masks straight
-from its storage, independently of the compiled heaviness queries.
+path with the engines it checks.  Two exceptions use numpy:
+`numpy_level_table` builds the whole minor lattice with gathers,
+independently of the compiled kernel that builds it in the program, and
+`brute_parent_counts` counts each child's family parents from the child's
+side, independently of the program's loop over the family's members.
+`subsets_of_size` walks the masks of one level with Gosper's hack,
+independently of `masks_by_level`, and `level_values` reads a built table's
+values at those masks straight from its storage, independently of the
+compiled heaviness queries.
 `enumerate_all_sign_matrices` builds the canonical counter order one matrix
 at a time, independently of the exact checks' batch enumeration.
 `generator` is numpy's own Philox Generator on a stream's key, and
@@ -169,14 +172,24 @@ def brute_heavy_sets(matrix, k: int, threshold) -> list[int]:
 
 
 def brute_parent_counts(family_masks, n: int) -> dict[int, int]:
-    """child mask -> number of family members it extends by one column."""
-    counts: dict[int, int] = {}
-    for mask in family_masks:
-        for i in range(n):
-            if not (int(mask) >> i) & 1:
-                child = int(mask) | (1 << i)
-                counts[child] = counts.get(child, 0) + 1
-    return counts
+    """child mask -> number of family members it extends by one column, for
+    each child with at least one.
+
+    Counted from the child's side: every set one larger than the members
+    (all of one size k) looks each of its one-smaller subsets up in the
+    family, one column at a time over all such sets at once.
+    """
+    family = np.array(sorted({int(mask) for mask in family_masks}), dtype=np.int64)
+    if not len(family):
+        return {}
+    every = np.arange(1 << n, dtype=np.int64)
+    children = every[np.bitwise_count(every) == int(family[0]).bit_count() + 1]
+    parents = np.zeros(len(children), dtype=np.int64)
+    for c in range(n):
+        has = (children >> c & 1).astype(bool)
+        parents[has] += np.isin(children[has] ^ (1 << c), family)
+    found = parents > 0
+    return dict(zip(children[found].tolist(), parents[found].tolist()))
 
 
 def brute_signed_sums(v) -> list[float]:

@@ -1,7 +1,9 @@
 import json
 import math
+from itertools import islice
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from permlab.growth import (
@@ -15,11 +17,11 @@ from permlab.growth import (
     trace_level_dicts,
     write_trace_jsonl,
 )
-from permlab.lattice import MinorTable, SplitVerdict
+from permlab.lattice import MinorTable, SplitVerdict, split_events
 from permlab.matrices import sample_sign_matrix
 from permlab.rng import RngStream
 
-from oracles import all_ones
+from oracles import all_ones, brute_parent_counts, subsets_of_size
 from reference_growth import reference_trace
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trace_n16_seed0.jsonl"
@@ -253,6 +255,28 @@ def test_growth_selection_on_python_int_levels():
             if rec.step_type is not None:
                 assert rec.next_at_threshold == table.heavy_count(rec.k + 1, rec.threshold)
                 assert rec.next_at_grown == table.heavy_count(rec.k + 1, rec.grown_threshold)
+
+
+def test_two_member_family_at_n22():
+    # the one family of two that the CLI's growth runs reach: at n = 22 and
+    # eps = 0.45, n**eps / 4 > 1 lets step I grow the family, and k0 = 10,
+    # k1 = 12 leave a second step to classify it.  Each branch is recounted
+    # from a child-side histogram of the first `tracked` heavy masks, read
+    # one by one through value()
+    cfg = ProcessConfig(eps=0.45)
+    sizes = []
+    for t in range(2):
+        trace = run_growth(sample_sign_matrix(22, RngStream(51, t)), cfg)
+        for rec in trace.records:
+            if rec.step_type is None:
+                continue
+            heavy = (m for m in subsets_of_size(22, rec.k) if abs(trace.table.value(m)) >= rec.threshold)
+            family = list(islice(heavy, rec.tracked))
+            brute = brute_parent_counts(family, 22)
+            counts = [0] + [sum(1 for c in brute.values() if c == l) for l in range(1, 23)]
+            assert split_events(np.array(counts), cfg.eps, cfg.c, len(family)) is rec.branch
+            sizes.append(len(family))
+    assert 2 in sizes
 
 
 def test_golden_trace_fixture(tmp_path):

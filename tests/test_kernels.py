@@ -2,9 +2,10 @@
 build; every kernel run at its stated bound with undefined-behaviour
 sanitizing on, and every kernel entry point fed inputs that its caller must
 copy with address sanitizing on, each in a child process with its own
-kernel cache; the golden verify reports and a batch of seeded draws
-replayed on a heap whose freed blocks glibc overwrites; and each size cap
-recomputed from the bound its kernel states."""
+kernel cache, which fails if its script never calls some export; the
+golden verify reports and a batch of seeded draws replayed on a heap whose
+freed blocks glibc overwrites; and each size cap recomputed from the bound
+its kernel states."""
 
 import math
 import os
@@ -26,11 +27,10 @@ _TESTS = str(Path(__file__).parent)
 _AT_THE_BOUNDS = textwrap.dedent("""
     import math
     import numpy as np
-    from permlab import compiled, engines, lattice, matrices
+    from permlab import engines, lattice, matrices
     from permlab.rng import RngStream
     from oracles import all_ones, numpy_sign_draw
 
-    compiled._KERNEL_CC = (*compiled._KERNEL_CC, "-fsanitize=undefined", "-fno-sanitize-recover=all")
     f = math.factorial
     # n = 1, whose 8 lanes are all padding but one, each lane width at its
     # widest n and at the first n past it, the widest odd n in 64 bits (19),
@@ -81,14 +81,6 @@ _AT_THE_BOUNDS = textwrap.dedent("""
     fused = lattice.build_lattice(all_ones(20), 9)
     heavy = fused.add_heavy_level(np.ones(20, dtype=np.int16), (0, 0))
     assert all(np.array_equal(h, table.level_masks(10)) for h in heavy)
-    family = table.level_masks(10)[:1000]
-    try:
-        lattice.parent_histogram(table, 10, np.append(family, family[0]))
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("parent_histogram took a repeated member")
-    assert lattice.parent_histogram(table, 10, family)[1:].sum() > 0
 """)
 
 
@@ -99,23 +91,21 @@ _AT_THE_BOUNDS = textwrap.dedent("""
 # freed copy goes back to malloc, where the sanitizer poisons it.
 _COPIED_INPUTS = textwrap.dedent("""
     import numpy as np
-    from permlab import compiled, engines, lattice, matrices
+    from permlab import engines, lattice, matrices
     from permlab.matrices import SignMatrix
     from permlab.rng import RngStream
 
-    compiled._KERNEL_CC = (*compiled._KERNEL_CC, "-fsanitize=address", "-fno-omit-frame-pointer")
-
-    def layouts(a, dtypes):
+    def layouts(a):
         yield np.repeat(a, 2, axis=-1)[..., ::2]  # strided slice
         if a.ndim > 1:
             yield np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)  # transpose
-        for dtype in dtypes:
-            yield a.astype(dtype)
+        yield a.astype(np.int16)
+        yield a.astype(np.int64)
         yield a.tolist()
 
-    def agree(fn, a, dtypes=(np.int16, np.int64)):
+    def agree(fn, a):
         want = fn(a)
-        for other in layouts(a, dtypes):
+        for other in layouts(a):
             got = fn(other)
             assert np.array_equal(got, want), fn
 
@@ -150,7 +140,7 @@ _COPIED_INPUTS = textwrap.dedent("""
             table.add_level(row)
         return table
     table = table_of(rows)
-    for other in layouts(rows, (np.int16, np.int64)):
+    for other in layouts(rows):
         copy = table_of(other)
         assert all(copy.value(m) == table.value(m) for m in table.level_masks(8).tolist())
     # the build with one threshold and with two from the same rows; t = 0
@@ -162,21 +152,48 @@ _COPIED_INPUTS = textwrap.dedent("""
         want = fused_of(rows, thresholds)
         level = [table.heavy_masks(8, 100).tolist(), table.level_masks(8).tolist()]
         assert want[7] == level[:len(thresholds)]
-        for other in layouts(rows, (np.int16, np.int64)):
+        for other in layouts(rows):
             assert fused_of(other, thresholds) == want
-    family = table.level_masks(8)[:600]
-    agree(lambda a: lattice.parent_histogram(table, 8, a), family, (np.int32, np.uint32))
 """)
 
 
-def _sanitized_child(tmp_path, runtime: str, script: str, **env) -> None:
-    """script run in a child with the sanitizer runtime preloaded, its own
-    kernel cache, and the test oracles importable."""
+# Run before each sanitized child's script: the kernels built with the
+# sanitizer's flags, and each export wrapped with a call counter (every
+# caller looks its kernel up on the one cached library at each call).
+_COUNT_CALLS = textwrap.dedent("""
+    import collections
+    from permlab import compiled
+
+    compiled._KERNEL_CC = (*compiled._KERNEL_CC, *SANITIZER_FLAGS)
+    calls, lib = collections.Counter(), compiled._kernels()
+
+    def counted(name, kernel):
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return call
+
+    for name in compiled._SIGNATURES:
+        setattr(lib, name, counted(name, getattr(lib, name)))
+""")
+
+# Run after it: a sanitizer checks only the exports that the script ran.
+_ALL_CALLED = textwrap.dedent("""
+    uncalled = sorted(set(compiled._SIGNATURES) - set(calls))
+    assert not uncalled, f"exports never called: {uncalled}"
+""")
+
+
+def _sanitized_child(tmp_path, runtime: str, flags: tuple[str, ...], script: str, **env) -> None:
+    """script run in a child with the kernels built with flags, the
+    sanitizer runtime preloaded, its own kernel cache, and the test oracles
+    importable; the child fails if the script never calls some export."""
     lib = subprocess.run(["gcc", f"-print-file-name={runtime}"],
                          capture_output=True, text=True, check=True).stdout.strip()
     if not os.path.isabs(lib):
         pytest.skip(f"gcc has no {runtime} runtime")
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    program = "\n".join([f"SANITIZER_FLAGS = {flags!r}", _COUNT_CALLS, script, _ALL_CALLED])
+    res = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
                          env={**os.environ, "XDG_CACHE_HOME": str(tmp_path), "LD_PRELOAD": lib,
                               "PYTHONPATH": os.pathsep.join([_TESTS, os.environ["PYTHONPATH"]]), **env})
     assert res.returncode == 0, res.stderr
@@ -248,8 +265,7 @@ def test_every_export_is_bound_and_listed_once():
     header = re.match(r"/\*(.*?)\*/", source, re.S).group(1)
     listed = set(re.findall(r"(\w+): ", header[header.index("- "):]))
     assert exported == set(compiled._SIGNATURES) == listed == {
-        "add_level", "parent_histogram", "glynn", "glynn_cofactors", "ryser_mod", "naive_odd",
-        "sign_draws"}
+        "add_level", "glynn", "glynn_cofactors", "ryser_mod", "naive_odd", "sign_draws"}
 
 
 def test_kernels_compile_without_warnings():
@@ -259,12 +275,14 @@ def test_kernels_compile_without_warnings():
 
 
 def test_kernels_at_their_bounds_under_ubsan(tmp_path):
-    _sanitized_child(tmp_path, "libubsan.so", _AT_THE_BOUNDS)
+    _sanitized_child(tmp_path, "libubsan.so", ("-fsanitize=undefined", "-fno-sanitize-recover=all"),
+                     _AT_THE_BOUNDS)
 
 
 def test_kernels_read_no_freed_copy_under_asan(tmp_path):
     # Python's own allocations are never freed at exit, so leaks are not reported
-    _sanitized_child(tmp_path, "libasan.so", _COPIED_INPUTS, ASAN_OPTIONS="detect_leaks=0")
+    _sanitized_child(tmp_path, "libasan.so", ("-fsanitize=address", "-fno-omit-frame-pointer"),
+                     _COPIED_INPUTS, ASAN_OPTIONS="detect_leaks=0")
 
 
 def test_verify_golden_on_a_perturbed_heap():

@@ -396,34 +396,40 @@ def test_add_heavy_level_takes_one_or_two_thresholds():
 def test_parent_histogram_random_families_against_brute(n):
     gen = np.random.default_rng(38 + n)
     t = MinorTable(n)
-    for k in range(1, n):
+    for k in range(n):  # k = 0 is the family {empty set}
         level = t.level_masks(k)
         members = gen.choice(level, size=gen.integers(1, len(level) + 1), replace=False)
         counts = parent_histogram(t, k, members)
         brute = brute_parent_counts(members.tolist(), n)
         assert counts.tolist() == [0] + [sum(1 for c in brute.values() if c == l)
                                          for l in range(1, n + 1)], k
+        # the same family as int32, uint32, a list and a strided view
+        for other in (members.astype(np.int32), members.astype(np.uint32), members.tolist(),
+                      np.repeat(members, 2)[::2]):
+            assert np.array_equal(parent_histogram(t, k, other), counts), k
         assert parent_histogram(t, k, np.array([], dtype=np.int64)).tolist() == [0] * (n + 1)
 
 
-@pytest.mark.parametrize("member, message", [
-    (1 << 8, "outside"),  # one past the table
-    (-1, "outside"),
-    (2**64, "masks in"),  # does not fit in int64
-    (0b111, "not a size-2 set"),
-    (0b11, "repeated"),
-], ids=["past-table", "negative", "beyond-int64", "wrong-level", "repeated"])
-def test_parent_histogram_rejects_bad_members(member, message):
-    t = MinorTable(8)
+@pytest.mark.parametrize("n, k, size, member, message", [
+    (8, 2, 2, 1 << 8, "outside"),  # one past the table, after 0b11 and 0b101
+    (8, 2, 2, -1, "outside"),
+    (8, 2, 2, 2**64, "masks in"),  # does not fit in int64
+    (8, 2, 2, 0b111, "not a size-2 set"),
+    (8, 2, 2, 0b11, "repeated"),
+    (20, 10, 1000, 2**10 - 1, "repeated"),  # the first of 1,000 members, again
+], ids=["past-table", "negative", "beyond-int64", "wrong-level", "repeated",
+        "repeated-after-1000"])
+def test_parent_histogram_rejects_bad_members(n, k, size, member, message):
+    t = MinorTable(n)
     with pytest.raises(ValueError, match=message):
-        parent_histogram(t, 2, [0b11, 0b101, member])
+        parent_histogram(t, k, [*t.level_masks(k)[:size].tolist(), member])
 
 
 @pytest.mark.parametrize("member", [1 << 8, 0b111, 0b11], ids=["past-table", "wrong-level",
                                                                 "repeated"])
 def test_parent_histogram_after_a_refused_family(member):
-    # the table keeps one scratch array; a refused family clears its marks,
-    # so the next family on the same table is counted from zero
+    # a refused family leaves nothing behind: the next family on the same
+    # table is counted from zero
     t = MinorTable(8)
     family = [0b11, 0b101, 0b1001, 0b110, 0b11000000]
     with pytest.raises(ValueError):
@@ -433,7 +439,6 @@ def test_parent_histogram_after_a_refused_family(member):
         brute = brute_parent_counts(family, 8)
         assert counts.tolist() == [0] + [sum(1 for c in brute.values() if c == l)
                                          for l in range(1, 9)]
-        assert not t._scratch.any()
 
 
 def test_parent_histogram_complete_family():
