@@ -1,7 +1,7 @@
 /* The compiled kernels of permlab, loaded together by permlab.compiled._kernels.
    This is the one list of them:
-   - add_level: the level build of the minor lattice, with the new level's
-     heavy sets at one or two thresholds selected in the same pass or none;
+   - add_level: the level build of the minor lattice, with or without the
+     new level's heavy sets at one threshold selected in the same pass;
    - glynn: Glynn's formula for every exact square permanent up to n = 30,
      and glynn_cofactors: the same sweep on blocks with one row more than
      columns, for the row-deleted cofactors that many_children expands its
@@ -24,13 +24,12 @@
                - sum over i in m &  neg of vals[m ^ (1 << i)],
    the cofactor recursion over the row with no multiply.  Returns 0.
 
-   With t not NULL there is one threshold, or two when out1 is not NULL.
-   On entry t[h] holds threshold h, in [0, 2**63) (the caller clamps); each
-   mask whose new |value| reaches it is written, in the order given, to
-   out0 (h = 0) or out1 (h = 1), each with room for count masks, and t[h] is
-   replaced by how many were written.  Each mask is stored and the count
-   advanced by the comparison, with no branch: about half the masks of a
-   level are heavy, so a branch would mispredict about half the time.
+   With t not NULL, *t holds on entry the threshold, in [0, 2**63) (the
+   caller clamps); each mask whose new |value| reaches it is written, in the
+   order given, to out, which has room for count masks, and *t is replaced
+   by how many were written.  Each mask is stored and the count advanced by
+   the comparison, with no branch: about half the masks of a level are
+   heavy, so a branch would mispredict about half the time.
 
    Exact in int64: a level-(k-1) value is at most (k-1)! in absolute value
    and each partial sum has at most k terms, so each is at most
@@ -39,10 +38,10 @@
    only level k, so the masks may be visited in any order. */
 static inline __attribute__((always_inline)) void
 level_sweep(int64_t *vals, const int64_t *masks, int64_t count, uint64_t neg, const int heavy,
-            int64_t *t, int64_t *restrict out0, int64_t *restrict out1)
+            int64_t *t, int64_t *restrict out)
 {
-    const int64_t t0 = heavy > 0 ? t[0] : 0, t1 = heavy > 1 ? t[1] : 0;
-    int64_t c0 = 0, c1 = 0;
+    const int64_t threshold = heavy ? *t : 0;
+    int64_t found = 0;
     for (int64_t j = 0; j < count; j++) {
         uint64_t m = (uint64_t)masks[j];
         int64_t plus = 0, minus = 0;
@@ -52,38 +51,31 @@ level_sweep(int64_t *vals, const int64_t *masks, int64_t count, uint64_t neg, co
             minus += vals[m ^ ((uint64_t)1 << __builtin_ctzll(rest))];
         int64_t v = plus - minus;
         vals[m] = v;
-        if (heavy > 0) {
-            int64_t a = v < 0 ? -v : v;
-            out0[c0] = (int64_t)m;
-            c0 += a >= t0;
-            if (heavy > 1) {
-                out1[c1] = (int64_t)m;
-                c1 += a >= t1;
-            }
+        if (heavy) {
+            out[found] = (int64_t)m;
+            found += (v < 0 ? -v : v) >= threshold;
         }
     }
-    if (heavy > 0)
-        t[0] = c0;
-    if (heavy > 1)
-        t[1] = c1;
+    if (heavy)
+        *t = found;
 }
 
-/* Each number of thresholds is its own sweep, starting on a cache line, so
-   the loop's layout does not move with the size of the library's symbol
-   table: shifted 48 bytes, the plain sweep built lattices 3-5% slower. */
+/* The plain and the selecting sweep are each their own function, starting on
+   a cache line, so the loop's layout does not move with the size of the
+   library's symbol table: shifted 48 bytes, the plain sweep built lattices
+   3-5% slower. */
 #define LEVEL_SWEEP(name, heavy)                                              \
     static __attribute__((noinline, aligned(64))) void                        \
     name(int64_t *vals, const int64_t *masks, int64_t count, uint64_t neg,    \
-         int64_t *t, int64_t *out0, int64_t *out1)                            \
+         int64_t *t, int64_t *out)                                            \
     {                                                                         \
-        level_sweep(vals, masks, count, neg, heavy, t, out0, out1);           \
+        level_sweep(vals, masks, count, neg, heavy, t, out);                  \
     }
 LEVEL_SWEEP(level_plain, 0)
-LEVEL_SWEEP(level_heavy_1, 1)
-LEVEL_SWEEP(level_heavy_2, 2)
+LEVEL_SWEEP(level_heavy, 1)
 
 int64_t add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8_t *row, int64_t n,
-                  int64_t *t, int64_t *out0, int64_t *out1)
+                  int64_t *t, int64_t *out)
 {
     uint64_t neg = 0;
     for (int64_t i = 0; i < n; i++)
@@ -91,7 +83,7 @@ int64_t add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8
             neg |= (uint64_t)1 << i;
         else if (row[i] != 1)
             return i + 1;
-    (!t ? level_plain : out1 ? level_heavy_2 : level_heavy_1)(vals, masks, count, neg, t, out0, out1);
+    (t ? level_heavy : level_plain)(vals, masks, count, neg, t, out);
     return 0;
 }
 

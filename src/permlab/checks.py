@@ -229,7 +229,7 @@ def check_alon(n: int, trials: int | None = None, rng: RngStream | None = None) 
         raise ValueError(f"n+1 must be a power of two in {{4,8,16}}, got n={n}")
     modulus = n + 1
     expected = modulus // 2
-    two_adic_mod = 1 << (n - math.ceil(math.log2(n)) + 1)
+    two_adic_mod = 1 << (n - (n - 1).bit_length() + 1)  # ceil(log2 n), in integers
     two_adic_ref = math.factorial(n) % two_adic_mod
     # exact permanents, which fit int64 at n <= 15; both residues are read off them
     perms = np.asarray(_permanents("alon", n, trials, rng), dtype=np.int64)

@@ -9,12 +9,13 @@ the threshold-growing and count-exploding step types, so a low final
 potential certifies that the threshold grew on most levels.
 
 The tracked count is deliberately a lower-bound token: the exact heavy count
-from the lattice is logged next to it at every level.  No heavy set is
-queried from a finished level: from k0 on, each level is built with its
-heavy sets selected in the same pass (MinorTable.add_heavy_level).
-Classifying level k builds level k+1 at the current and at the grown
-threshold, and the set at the threshold the step keeps is carried forward
-as level k+1's heavy set.
+from the lattice is logged next to it at every level.  From k0 on, each
+level is built with its heavy sets at the step's threshold selected in the
+same pass (MinorTable.add_heavy_level).  Only a high-multiplicity step (type
+III or IV) reads level k+1 at the grown threshold, in one query of the built
+level, and a type III step carries that set forward.  In the runs measured
+at the CLI's configs every step was type I (see the README), so they query
+no built level.
 """
 
 from __future__ import annotations
@@ -160,18 +161,19 @@ def potential_increment(step_type: StepType, cfg: ProcessConfig) -> float:
 
 
 def classify_step(table: MinorTable, k: int, masks: np.ndarray, heavy_next: np.ndarray,
-                  heavy_grown: np.ndarray, tracked: int, threshold: float, cfg: ProcessConfig,
+                  tracked: int, threshold: float, cfg: ProcessConfig,
                   potential: float) -> tuple[LevelRecord, int, float, np.ndarray]:
     """Classify the step from level k given the heavy sets of levels k and k+1.
 
-    `masks` is heavy_masks(k, threshold), and `heavy_next` and `heavy_grown`
-    are level k+1's heavy masks at the threshold and at the grown threshold
-    cfg.lam_grow_factor(n) * threshold.  The family is the `tracked`
-    lexicographically-smallest members of `masks` (any witness set is
-    allowed; the smallest ones make runs reproducible).  Exactly one type is
-    returned; V is the fallback with tracked count 0.  Returns the level's
-    record, the next tracked count and threshold, and the heavy set of level
-    k+1 at that threshold.
+    `masks` is heavy_masks(k, threshold) and `heavy_next` level k+1's heavy
+    masks at the threshold.  A DOUBLE_PRIME step also reads level k+1, built
+    in the table, at the grown threshold cfg.lam_grow_factor(n) * threshold;
+    a PRIME step does not, and its record's next_at_grown is None.  The
+    family is the `tracked` lexicographically-smallest members of `masks`
+    (any witness set is allowed; the smallest ones make runs reproducible).
+    Exactly one type is returned; V is the fallback with tracked count 0.
+    Returns the level's record, the next tracked count and threshold, and the
+    heavy set of level k+1 at that threshold.
     """
     if tracked < 1:
         raise ValueError("classification needs a nonempty tracked family")
@@ -183,7 +185,8 @@ def classify_step(table: MinorTable, k: int, masks: np.ndarray, heavy_next: np.n
 
     grown_threshold = cfg.lam_grow_factor(n) * threshold
     next_at_threshold = len(heavy_next)
-    next_at_grown = len(heavy_grown)
+    next_at_grown = None
+    next_heavy = heavy_next
     explode_count = count_threshold(n**cfg.eps * tracked / 4)
     keep_count = count_threshold(cfg.keep_frac() * tracked)
     shrunk = count_threshold(cfg.eps_prime * tracked)
@@ -196,8 +199,11 @@ def classify_step(table: MinorTable, k: int, masks: np.ndarray, heavy_next: np.n
         else:
             step, new = StepType.V, (0, threshold)
     else:
+        heavy_grown = table.heavy_masks(k + 1, grown_threshold)
+        next_at_grown = len(heavy_grown)
         if next_at_grown >= shrunk:
             step, new = StepType.III, (shrunk, grown_threshold)
+            next_heavy = heavy_grown
         elif next_at_threshold >= keep_count:
             step, new = StepType.IV, (shrunk, threshold)
         else:
@@ -215,7 +221,6 @@ def classify_step(table: MinorTable, k: int, masks: np.ndarray, heavy_next: np.n
         next_at_grown=next_at_grown,
         grown_threshold=grown_threshold,
     )
-    next_heavy = heavy_grown if step is StepType.III else heavy_next
     return record, new[0], new[1], next_heavy
 
 
@@ -234,23 +239,22 @@ def run_growth(matrix: SignMatrix, cfg: ProcessConfig) -> ProcessTrace:
         raise ValueError(f"bad level range k0={k0}, k1={k1} for n={n}")
 
     # Levels below k0 are built plain; level k0 at threshold 1, and each next
-    # level at the threshold and the grown threshold it is classified by.
+    # level at the threshold of the level below.
     table = build_lattice(matrix, k0 - 1)
     threshold = 1.0
-    (heavy,) = table.add_heavy_level(matrix.row(k0 - 1), (threshold,))
+    heavy = table.add_heavy_level(matrix.row(k0 - 1), threshold)
     tracked = 1 if len(heavy) else 0
     potential = 0.0
 
     trace = ProcessTrace(n=n, cfg=cfg, table=table)
     for k in range(k0, k1):
+        heavy_next = table.add_heavy_level(matrix.row(k), threshold)
         if tracked == 0:
             trace.records.append(LevelRecord(k, 0, len(heavy), threshold, potential, None))
-            (heavy,) = table.add_heavy_level(matrix.row(k), (threshold,))
+            heavy = heavy_next
             continue
-        grown = cfg.lam_grow_factor(n) * threshold
-        heavy_next, heavy_grown = table.add_heavy_level(matrix.row(k), (threshold, grown))
         rec, tracked, threshold, heavy = classify_step(
-            table, k, heavy, heavy_next, heavy_grown, tracked, threshold, cfg, potential)
+            table, k, heavy, heavy_next, tracked, threshold, cfg, potential)
         trace.records.append(rec)
         potential += potential_increment(rec.step_type, cfg)
 

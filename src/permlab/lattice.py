@@ -11,8 +11,8 @@ in one flat int64 array indexed by mask; the handful of subsets on higher
 levels (n = 21, 22) are kept as Python ints.  Heaviness thresholds compare
 an integer |value| against a real threshold, which is exact after rounding
 the threshold up to the next integer (_threshold_at, the one rounding).
-add_heavy_level builds a level and selects its heavy masks at one or two
-thresholds in the same pass; the queries of a built level, heavy_count and
+add_heavy_level builds a level and selects its heavy masks at one threshold
+in the same pass; the queries of a built level, heavy_count and
 heavy_masks, read its values with numpy.
 parent_histogram returns, for a family of size-k sets, the plain
 length-(n+1) array of how many children have exactly l family parents,
@@ -22,9 +22,9 @@ low-multiplicity mass from that array.
 The build of the int64 levels runs in C, in `_kernels.c`: `add_level` takes
 the row's n int8 entries, refuses any but -1 and +1 before it writes, and,
 for each mask of the level, sums the values one level down over the mask's
-+1 columns and subtracts the sum over its -1 columns; given thresholds, it
-also stores each mask branch-free into the heavy list of each threshold as
-it writes the value.  That file's header lists every kernel.
++1 columns and subtracts the sum over its -1 columns; given a threshold, it
+also stores each mask branch-free into the heavy list as it writes the
+value.  That file's header lists every kernel.
 `compiled._kernels` builds and loads the library; `lattice._kernels` is
 that same cached function.
 """
@@ -101,19 +101,19 @@ class MinorTable:
         self._vals[0] = 1  # empty minor
         self._big: dict[int, int] = {}
         self._row = np.empty(n, dtype=np.int8)  # add_level's copy of its row
-        self._select: tuple[int, ...] = ()  # add_heavy_level's rounded thresholds
-        self._counts = np.empty(2, dtype=np.int64)  # the kernel's thresholds in, counts out
+        self._select: int | None = None  # add_heavy_level's rounded threshold
+        self._count = np.empty(1, dtype=np.int64)  # the kernel's threshold in, count out
         # Kernel arguments that the table holds, so they outlive every call
         # (see _kernels); each is C-contiguous by construction.
         self._levels, self._levels_at = _level_masks(n)
         self._vals_at, self._row_at = self._vals.ctypes.data, self._row.ctypes.data
-        self._counts_at = self._counts.ctypes.data
+        self._count_at = self._count.ctypes.data
 
-    def add_level(self, row: np.ndarray) -> list[np.ndarray]:
+    def add_level(self, row: np.ndarray) -> np.ndarray | None:
         """Complete level k_max+1 from the next exposed row.
 
-        Returns the new level's heavy masks at each threshold that
-        add_heavy_level set, or [] for a plain build.
+        Returns the new level's heavy masks at the threshold that
+        add_heavy_level set, or None for a plain build.
         """
         k = self.k_max + 1
         if k > self.n:
@@ -128,20 +128,15 @@ class MinorTable:
         self._row[:] = row
         masks, big, select = self._levels[k], k > _INT64_LEVEL_MAX, self._select
         count = 0 if big else len(masks)
-        counts_at = out0 = out1 = None  # a plain build
-        if select and not big:
-            # The kernel takes each threshold in _counts and leaves there the
-            # number of masks it wrote to that threshold's array in outs.  One
-            # array per threshold, not one (2, count) block that a
-            # carried-forward list would keep whole: with the block, an n = 16
-            # growth run's heap crossed malloc's trim threshold, and each run
-            # faulted its table in anew (220 page faults, 25% slower).
-            self._counts[:len(select)] = select
-            outs = [np.empty(count, dtype=np.int64) for _ in select]
-            counts_at, out0 = self._counts_at, outs[0].ctypes.data
-            out1 = outs[1].ctypes.data if len(outs) > 1 else None
+        count_at = out_at = None  # a plain build
+        if select is not None and not big:
+            # The kernel takes the threshold in _count and leaves there the
+            # number of masks it wrote to out.
+            self._count[0] = select
+            out = np.empty(count, dtype=np.int64)
+            count_at, out_at = self._count_at, out.ctypes.data
         bad = _kernels().add_level(self._vals_at, self._levels_at[k], count, self._row_at, self.n,
-                                   counts_at, out0, out1)
+                                   count_at, out_at)
         if bad:
             raise ValueError("row entries must be -1 or +1")
         if big:
@@ -150,28 +145,23 @@ class MinorTable:
                 for i in bits_of(mask):
                     total += int(row[i]) * self.value(mask ^ (1 << i))
                 self._big[mask] = total
-            selected = [self._big_heavy(k, threshold) for threshold in select]
-        else:
-            selected = [out[:found] for out, found in zip(outs, self._counts.tolist())] if select else []
         self.k_max = k
-        return selected
+        if select is None:
+            return None
+        return self._big_heavy(k, select) if big else out[:self._count.item()]
 
-    def add_heavy_level(self, row: np.ndarray, thresholds) -> list[np.ndarray]:
-        """add_level(row), and the new level's heavy masks at each of one or
-        two thresholds, as heavy_masks gives them, selected while the build
-        writes each value.
+    def add_heavy_level(self, row: np.ndarray, threshold) -> np.ndarray:
+        """add_level(row), and the new level's heavy masks at the threshold,
+        as heavy_masks gives them, selected while the build writes each value.
 
-        The thresholds reach add_level through the table, not an argument, so
+        The threshold reaches add_level through the table, not an argument, so
         that every level, fused or plain, is built by one add_level(row) call.
         """
-        if not 1 <= len(thresholds) <= 2:
-            raise ValueError(f"add_heavy_level takes one or two thresholds, got {len(thresholds)}")
-        k = self.k_max + 1
-        self._select = tuple(_threshold_at(k, threshold) for threshold in thresholds)
+        self._select = _threshold_at(self.k_max + 1, threshold)
         try:
             return self.add_level(row)
         finally:
-            self._select = ()
+            self._select = None
 
     def value(self, mask: int) -> int:
         """Exact permanent of the minor indexed by this column mask."""

@@ -256,8 +256,10 @@ def test_criterion_8_growth_process_structure():
                     and at_grown < shrunk and at_same >= keep)
                 or st is StepType.V
             )
-            # and the counts the step read are the recounted ones
-            if not sound or (at_same, at_grown) != (rec.next_at_threshold, rec.next_at_grown):
+            # and the counts the step read are the recounted ones; only the
+            # high-multiplicity branch reads the grown threshold
+            read_grown = at_grown if rec.branch is SplitVerdict.DOUBLE_PRIME else None
+            if not sound or (at_same, read_grown) != (rec.next_at_threshold, rec.next_at_grown):
                 reverify_failures += 1
             if rec.branch is SplitVerdict.PRIME:
                 explode_cond += 1
@@ -305,11 +307,14 @@ def test_criterion_9_endgame_structure():
     path_freq = successes / trials
     ok_path = path_freq >= bands["endgame_path"]["18"]["min_success_fraction"]
 
-    # disjoint families: every returned family passes the exact checks
+    # disjoint families: every returned family passes the exact checks, and
+    # the complete ones, over all trials as the pilot counts them, reach
+    # the band
     k_fam = bands["disjoint_family"]["18"]["start_k"]
     count = bands["disjoint_family"]["18"]["count"]
     family_checks = 0
     family_failures = 0
+    complete = 0
     for t in range(trials):
         m = sample_sign_matrix(n, RngStream(SEED, (10 << 20) | t))
         try:
@@ -317,6 +322,7 @@ def test_criterion_9_endgame_structure():
         except PreconditionError:
             continue
         family_checks += 1
+        complete += fam.complete
         if not complements_disjoint(fam.members, n):
             family_failures += 1
             continue
@@ -325,14 +331,20 @@ def test_criterion_9_endgame_structure():
             if abs(table.value(mask)) < lam:
                 family_failures += 1
     ok_family = family_failures == 0 and family_checks > 0
+    complete_freq = complete / trials
+    ok_complete = complete_freq >= bands["disjoint_family"]["18"]["min_complete_fraction"]
 
-    ok = ok_path and ok_family
+    ok = ok_path and ok_family and ok_complete
     report("9", "endgame structure n=18", ok)
     assert ok_path, (
         f"path success {path_freq:.3f} below committed "
         f"{bands['endgame_path']['18']['min_success_fraction']}"
     )
     assert ok_family, f"{family_failures} family check failures in {family_checks} families"
+    assert ok_complete, (
+        f"complete fraction {complete_freq:.3f} below committed "
+        f"{bands['disjoint_family']['18']['min_complete_fraction']}"
+    )
 
 
 def test_criterion_9_spot_check_against_ryser():

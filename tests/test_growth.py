@@ -10,6 +10,7 @@ from permlab.growth import (
     ProcessConfig,
     ProcessTrace,
     StepType,
+    classify_step,
     count_threshold,
     is_successful,
     potential_increment,
@@ -17,11 +18,11 @@ from permlab.growth import (
     trace_level_dicts,
     write_trace_jsonl,
 )
-from permlab.lattice import MinorTable, SplitVerdict, split_events
+from permlab.lattice import MinorTable, SplitVerdict, build_lattice, split_events
 from permlab.matrices import sample_sign_matrix
 from permlab.rng import RngStream
 
-from oracles import all_ones, brute_parent_counts, subsets_of_size
+from oracles import all_ones, brute_parent_counts, level_values, subsets_of_size
 from reference_growth import reference_trace
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trace_n16_seed0.jsonl"
@@ -165,7 +166,8 @@ def test_type_soundness_recount():
             keep = count_threshold(cfg.keep_frac() * rec.tracked)
             shrunk = count_threshold(cfg.eps_prime * rec.tracked)
             assert at_same == rec.next_at_threshold
-            assert at_grown == rec.next_at_grown
+            # only the high-multiplicity branch reads the grown threshold
+            assert rec.next_at_grown == (at_grown if rec.branch is SplitVerdict.DOUBLE_PRIME else None)
             if rec.step_type is StepType.I:
                 assert rec.branch is SplitVerdict.PRIME and at_same >= explode
             elif rec.step_type is StepType.II:
@@ -242,6 +244,68 @@ def test_one_heavy_set_query_per_level(monkeypatch):
     assert calls == ["add_level"] * cfg.end_level(16) == ["add_level"] * 12
 
 
+def test_cli_configs_classify_one_prime_family():
+    # the regime the CLI's growth runs are in: at the golden trace's config
+    # every level tracks one set and every step is type I on the PRIME
+    # branch, and over n and eps the CLI takes, no step is DOUBLE_PRIME, so
+    # no CLI run reads a level at the grown threshold
+    trace = run_growth(sample_sign_matrix(16, RngStream(0, 0)), ProcessConfig())
+    assert [rec.tracked for rec in trace.records] == [1] * 8
+    for rec in trace.records[:-1]:
+        assert (rec.step_type, rec.branch) == (StepType.I, SplitVerdict.PRIME)
+    classified = 0
+    for n in (8, 12, 16, 22):
+        for eps in ((0.25, 0.45) if n == 22 else (0.05, 0.15, 0.25, 0.35, 0.45)):
+            for t in range(2 if n == 22 else 3):
+                trace = run_growth(sample_sign_matrix(n, RngStream(52, t)), ProcessConfig(eps=eps))
+                for rec in trace.records:
+                    if rec.step_type is not None:
+                        classified += 1
+                        assert rec.branch is SplitVerdict.PRIME, (n, eps, t, rec)
+    assert classified > 100
+
+
+def test_grown_threshold_read_only_on_double_prime_steps(monkeypatch):
+    # a DOUBLE_PRIME step queries level k+1 at the grown threshold once, and
+    # its count is the recounted one; a PRIME step queries nothing
+    queries = []
+    heavy_masks = MinorTable.heavy_masks
+
+    def counted(self, k, threshold):
+        queries.append((k, threshold))
+        return heavy_masks(self, k, threshold)
+
+    monkeypatch.setattr(MinorTable, "heavy_masks", counted)
+    trace = run_growth(sample_sign_matrix(12, RngStream(45, 0)), ProcessConfig(eps=0.9, k0=3, k1=10))
+    monkeypatch.undo()
+    steps = trace.records[:-1]
+    double = [rec for rec in steps if rec.branch is SplitVerdict.DOUBLE_PRIME]
+    assert 0 < len(double) < len(steps)
+    assert queries == [(rec.k + 1, rec.grown_threshold) for rec in double]
+    for rec in steps:
+        if rec.branch is SplitVerdict.PRIME:
+            assert rec.next_at_grown is None
+        else:
+            magnitudes = np.abs(level_values(trace.table, rec.k + 1)[1])
+            assert rec.next_at_grown == int((magnitudes >= math.ceil(rec.grown_threshold)).sum())
+
+
+def test_type_iii_carries_the_grown_heavy_set_forward():
+    # a threshold at the median |minor| of level 11 of n = 12 leaves fewer
+    # heavy sets at the grown threshold than at it; the type III step
+    # returns the grown set as level 11's heavy set
+    cfg = ProcessConfig(eps=0.45)
+    table = build_lattice(sample_sign_matrix(12, RngStream(53, 0)), 11)
+    magnitudes = np.sort(np.abs(level_values(table, 11)[1]))
+    threshold = float(magnitudes[len(magnitudes) // 2])
+    heavy_next = table.heavy_masks(11, threshold)
+    rec, _, next_threshold, heavy = classify_step(
+        table, 10, table.heavy_masks(10, threshold), heavy_next, 1, threshold, cfg, 0.0)
+    assert rec.step_type is StepType.III and next_threshold == rec.grown_threshold
+    assert heavy.tolist() == table.heavy_masks(11, rec.grown_threshold).tolist()
+    assert len(heavy) == rec.next_at_grown < rec.next_at_threshold == len(heavy_next)
+
+
 def test_growth_selection_on_python_int_levels():
     # k1 = 21 at n = 21: the last step is built on a Python-int level; each
     # count the run logs equals the post-hoc query of its finished table
@@ -254,7 +318,10 @@ def test_growth_selection_on_python_int_levels():
             assert rec.true_heavy == table.heavy_count(rec.k, rec.threshold)
             if rec.step_type is not None:
                 assert rec.next_at_threshold == table.heavy_count(rec.k + 1, rec.threshold)
-                assert rec.next_at_grown == table.heavy_count(rec.k + 1, rec.grown_threshold)
+                if rec.branch is SplitVerdict.DOUBLE_PRIME:
+                    assert rec.next_at_grown == table.heavy_count(rec.k + 1, rec.grown_threshold)
+                else:
+                    assert rec.next_at_grown is None
 
 
 def test_two_member_family_at_n22():

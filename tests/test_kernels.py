@@ -68,19 +68,18 @@ _AT_THE_BOUNDS = textwrap.dedent("""
             pass
         else:
             raise AssertionError(f"add_level took the int8 entry {bad}")
-    # add_level with one threshold and with two: level 20 from a negated
-    # row, whose one value is -20!, at 20! and at 2**70 (clamped); and level
-    # 10 at t = 0, which fills both output buffers to their last slot; all
-    # rows int16
+    # add_level with a threshold: level 20 from a negated row, whose one
+    # value is -20!, at 0, at 20! and at 2**70 (clamped); and level 10 at
+    # t = 0, which fills the output buffer to its last slot; all rows int16
     full = [(1 << 20) - 1]
-    for thresholds, want in (((f(20),), [full]), ((f(20), 2**70), [full, []])):
+    for threshold, want in ((0, full), (f(20), full), (2**70, [])):
         fused = lattice.build_lattice(all_ones(20), 19)
-        heavy = fused.add_heavy_level(-np.ones(20, dtype=np.int16), thresholds)
-        assert [h.tolist() for h in heavy] == want
+        heavy = fused.add_heavy_level(-np.ones(20, dtype=np.int16), threshold)
+        assert heavy.tolist() == want
         assert fused.top_value() == -f(20)
     fused = lattice.build_lattice(all_ones(20), 9)
-    heavy = fused.add_heavy_level(np.ones(20, dtype=np.int16), (0, 0))
-    assert all(np.array_equal(h, table.level_masks(10)) for h in heavy)
+    heavy = fused.add_heavy_level(np.ones(20, dtype=np.int16), 0)
+    assert np.array_equal(heavy, table.level_masks(10))
 """)
 
 
@@ -143,17 +142,15 @@ _COPIED_INPUTS = textwrap.dedent("""
     for other in layouts(rows):
         copy = table_of(other)
         assert all(copy.value(m) == table.value(m) for m in table.level_masks(8).tolist())
-    # the build with one threshold and with two from the same rows; t = 0
-    # fills the second buffer
-    def fused_of(rows, thresholds):
+    # the build with a threshold from the same rows; t = 0 fills the buffer
+    def fused_of(rows, threshold):
         table = lattice.MinorTable(16)
-        return [[h.tolist() for h in table.add_heavy_level(row, thresholds)] for row in rows]
-    for thresholds in ((100,), (100, 0)):
-        want = fused_of(rows, thresholds)
-        level = [table.heavy_masks(8, 100).tolist(), table.level_masks(8).tolist()]
-        assert want[7] == level[:len(thresholds)]
+        return [table.add_heavy_level(row, threshold).tolist() for row in rows]
+    for threshold in (100, 0):
+        want = fused_of(rows, threshold)
+        assert want[7] == table.heavy_masks(8, threshold).tolist()
         for other in layouts(rows):
-            assert fused_of(other, thresholds) == want
+            assert fused_of(other, threshold) == want
 """)
 
 

@@ -326,20 +326,14 @@ _FUSED_THRESHOLDS = (0, -3, 2.5, Fraction(7, 2), np.int64(5), 2**70)
 
 @pytest.mark.parametrize("n", (3, 7, 10))
 def test_fused_selection_matches_heavy_masks(n):
-    # one threshold, and every ordered pair: equal ones, and the grown one
-    # below the other as well as above it
     m = sample_sign_matrix(n, RngStream(48, n))
     plain = build_lattice(m)
-    pairs = [(t,) for t in _FUSED_THRESHOLDS]
-    pairs += [(a, b) for a in _FUSED_THRESHOLDS for b in _FUSED_THRESHOLDS]
-    for thresholds in pairs:
+    for t in _FUSED_THRESHOLDS:
         fused = MinorTable(n)
         for k in range(1, n + 1):
-            selected = fused.add_heavy_level(m.row(k - 1), thresholds)
-            assert len(selected) == len(thresholds)
-            for t, heavy in zip(thresholds, selected):
-                assert heavy.dtype == np.int64
-                assert heavy.tolist() == plain.heavy_masks(k, t).tolist(), (k, t)
+            heavy = fused.add_heavy_level(m.row(k - 1), t)
+            assert heavy.dtype == np.int64
+            assert heavy.tolist() == plain.heavy_masks(k, t).tolist(), (k, t)
         assert np.array_equal(fused._vals, plain._vals)
 
 
@@ -356,16 +350,14 @@ def test_fused_selection_on_python_int_levels():
     assert top == f(21) - 2 * f(20) > 2**65
     thresholds = (*_FUSED_THRESHOLDS, f(20) - 2 * f(19), f(20), 2**63, top, top + 1)
     expected = {20: {f(20): [(1 << n) - 2], 2**63: []}, 21: {top: [(1 << n) - 1], top + 1: []}}
-    for a in thresholds:
-        for pair in ((a,), (a, top + 1), (top + 1, a)):
-            fused = build_lattice(m, 18)
-            for k in (19, 20, 21):
-                selected = fused.add_heavy_level(m.row(k - 1), pair)
-                for t, heavy in zip(pair, selected):
-                    assert heavy.tolist() == plain.heavy_masks(k, t).tolist(), (k, t)
-                    if t in expected.get(k, {}):
-                        assert heavy.tolist() == expected[k][t], (k, t)
-            assert fused.top_value() == top
+    for t in thresholds:
+        fused = build_lattice(m, 18)
+        for k in (19, 20, 21):
+            heavy = fused.add_heavy_level(m.row(k - 1), t)
+            assert heavy.tolist() == plain.heavy_masks(k, t).tolist(), (k, t)
+            if t in expected.get(k, {}):
+                assert heavy.tolist() == expected[k][t], (k, t)
+        assert fused.top_value() == top
 
 
 @pytest.mark.parametrize("n, k", [(6, 3), (21, 21)])
@@ -375,21 +367,12 @@ def test_fused_build_refuses_a_row_before_any_write(n, k):
     vals, big = t._vals.copy(), dict(t._big)
     bad = m.row(k - 1).copy()
     bad[n // 2] = 2
-    for thresholds in ((1,), (1, 5)):
-        with pytest.raises(ValueError, match="-1 or \\+1"):
-            t.add_heavy_level(bad, thresholds)
-        assert t.k_max == k - 1
-        assert np.array_equal(t._vals, vals) and t._big == big
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        t.add_heavy_level(bad, 1)
+    assert t.k_max == k - 1
+    assert np.array_equal(t._vals, vals) and t._big == big
     # a later plain build takes no threshold from the refused one
-    assert t.add_level(m.row(k - 1)) == []
-
-
-def test_add_heavy_level_takes_one_or_two_thresholds():
-    t = MinorTable(4)
-    for thresholds in ((), (1, 2, 3)):
-        with pytest.raises(ValueError, match="one or two thresholds"):
-            t.add_heavy_level(np.ones(4, dtype=np.int8), thresholds)
-    assert t.k_max == 0
+    assert t.add_level(m.row(k - 1)) is None
 
 
 @pytest.mark.parametrize("n", range(6, 13))
