@@ -3,6 +3,7 @@
    - add_level: the level build of the minor lattice, with or without the
      new level's heavy sets at one threshold selected in the same pass;
    - glynn: Glynn's formula for every exact square permanent up to n = 30,
+     on int8 vector lanes, skipping the Gray-code steps whose product is 0,
      and glynn_cofactors: the same sweep on blocks with one row more than
      columns, for the row-deleted cofactors that many_children expands its
      children along;
@@ -13,6 +14,7 @@
    ryser_mod and naive_odd share no code with glynn's sweep or with each
    other, so each can check the others. */
 #include <stdint.h>
+#include <string.h>
 
 /* One level of the minor lattice (permlab.lattice.MinorTable.add_level),
    built and, unless t is NULL, its heavy sets selected in the same pass.
@@ -87,6 +89,10 @@ int64_t add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8
     return 0;
 }
 
+/* Sixteen int8 lanes of the Glynn sweep, moved or compared with 0 in one
+   vector operation. */
+typedef int8_t lanes16 __attribute__((vector_size(16)));
+
 /* Glynn's formula (D. G. Glynn, "The permanent of a square matrix",
    European J. Combin. 31, 2010) over count n x n sign matrices, stored
    row-major one after another in mats (permlab.engines.permanent,
@@ -103,18 +109,35 @@ int64_t add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8
    delta_{i+1}, i = ctz(s), so each lane moves by -+a[i+1][j] and the sign
    prod_k delta_k alternates with s.
 
-   The lanes have a fixed width, the least of 8, 16 and 32 that holds n,
-   so every loop over them has a constant trip count; a lane j >= n holds 1
-   and never moves.  Every step is a ring operation on unsigned words, which
-   wrap and have no undefined overflow, so the total is exact modulo 2**64
-   (n <= 20) or 2**128 (n > 20), and its signed reading is exact while
-   |total| stays below 2**63 or 2**127: |Per| <= 19! < 2**63 at odd n <= 19
-   and |Per / 2| <= 20! / 2 < 2**63 at even n <= 20, and every total through
+   The lanes are int8, in one 16-byte vector (lanes16) at the widths 8 and
+   16 and two at 32, the least width that holds n, so every loop over them
+   has a constant trip count; a lane j >= n holds 1 and never moves.  A
+   column sum of B adds at most n + 1 <= 31 signs, so it fits int8
+   (31 < 2**7) and halving it, since it is even, is an exact shift; a lane is
+   then at most 15 in absolute value at n <= 30, and so is every lane a step
+   reaches, each being some delta's s_j / 2.  A step is one vector add per
+   vector.
+
+   A lane at 0 makes the step's product 0, so that step adds exactly 0 to
+   the total: at 16 and 32 lanes each step compares its lanes with 0 and,
+   if one is 0, goes on to the next step without multiplying.  The lanes of
+   a random sign matrix are 0 in most steps (a half-sum of 16 signs is 0
+   with probability C(16, 8) / 2**16 = 0.20).  At 8 lanes the sweep always
+   multiplies and a lane at 0 gives a product of 0: a lane there is 0 with
+   probability about 0.27, so the branch of a skip mispredicts often, and
+   with it n = 8 ran 13% and 7 x 6 cofactor blocks 45% slower.
+
+   A product that runs reads the lanes sign-extended into unsigned words,
+   and every step is a ring operation on those words, which wrap and have
+   no undefined overflow, so the total is exact modulo 2**64 (n <= 20) or
+   2**128 (n > 20), and its signed reading is exact while |total| stays
+   below 2**63 or 2**127: |Per| <= 19! < 2**63 at odd n <= 19 and
+   |Per / 2| <= 20! / 2 < 2**63 at even n <= 20, and every total through
    n = 30 is below 30! / 2 < 2**107.  Each product runs as four independent
-   chains, p[k] over the lanes j = k (mod 4).  A lane is at most 15 in
-   absolute value at n <= 30 and a chain has at most 8 lanes, so in 128 bits
-   p[0] * p[1] and p[2] * p[3] are exact in int64 (15**16 < 2**63), and
-   their product is one exact signed 64 x 64 -> 128 multiply.
+   chains, p[k] over the lanes j = k (mod 4).  A chain has at most 8 lanes
+   of at most 15, so in 128 bits p[0] * p[1] and p[2] * p[3] are exact in
+   int64 (15**16 < 2**63), and their product is one exact signed
+   64 x 64 -> 128 multiply.
 
    out[2b] and out[2b+1] are the low and high words of Per(A_b) in two's
    complement (the high word is 0 or -1 for n <= 20, where |Per| <= 20!).
@@ -131,40 +154,56 @@ int64_t add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8
    out doubled and is halved at the end.  delta_r changes only at the steps
    that flip it, so each row's accumulator takes the stretch of the running
    total since that row last flipped (total - mark[r]), with the sign the row
-   had over it.  Row 0 never flips, so its accumulator is the total; after
-   the last step only delta_{n-1} is -1.  Every final accumulator is at most
-   2 * 12! < 2**63, so the wrapping sums are exact for 1 <= n <= 13. */
+   had over it; this runs before a step is skipped, and a skipped step
+   leaves the total as adding 0 would.  Row 0 never flips, so its
+   accumulator is the total; after the last step only delta_{n-1} is -1.
+   Every final accumulator is at most 2 * 12! < 2**63, so the wrapping sums
+   are exact for 1 <= n <= 13. */
 static inline __attribute__((always_inline)) void
 glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const int wide,
             const int cofactors, int64_t *out)
 {
     const int64_t cols = n - cofactors;
+    const int vecs = lanes > 16 ? 2 : 1, skip = lanes > 8;
+    lanes16 keep[2], pad[2];  /* keep: -1 in the lanes j < cols; pad: 1 in the others */
+    for (int j = 0; j < 32; j++) {
+        keep[j / 16][j % 16] = -(j < cols);
+        pad[j / 16][j % 16] = j >= cols;
+    }
     for (int64_t b = 0; b < count; b++) {
-        const int8_t *a = mats + b * n * cols;
+        /* the block and 32 zero bytes past it, so each row is read as whole
+           vectors and its lanes j >= cols are masked off */
+        int8_t a[30 * 30 + 32];
+        memcpy(a, mats + b * n * cols, n * cols);
+        memset(a + n * cols, 0, 32);
         /* step[1][i - 1] is what delta_i going from +1 to -1 adds to the
            lanes, step[0][i - 1] what going back adds */
-        uint64_t step[2][29][32], sums[32];
-        for (int j = 0; j < lanes; j++) {
-            int64_t col = j < cols ? n % 2 * a[j] : 0;  /* row 0 once more at odd n */
-            for (int64_t i = 0; i < n; i++) {
-                int64_t entry = j < cols ? a[i * cols + j] : 0;
-                col += entry;
-                if (i) {
-                    step[0][i - 1][j] = (uint64_t)entry;
-                    step[1][i - 1][j] = -step[0][i - 1][j];
-                }
-            }
-            sums[j] = j < cols ? (uint64_t)(col / 2) : 1;
+        lanes16 step[2][29][2], sums[2];
+        memcpy(sums, a, vecs * sizeof *sums);
+        for (int v = 0; v < vecs; v++) {
+            sums[v] &= keep[v];
+            if (n % 2)
+                sums[v] += sums[v];  /* row 0 once more at odd n */
         }
+        for (int64_t i = 1; i < n; i++) {
+            lanes16 *row = step[0][i - 1];
+            memcpy(row, a + i * cols, vecs * sizeof *row);
+            for (int v = 0; v < vecs; v++) {
+                row[v] &= keep[v];
+                step[1][i - 1][v] = -row[v];
+                sums[v] += row[v];
+            }
+        }
+        for (int v = 0; v < vecs; v++)
+            sums[v] = (sums[v] >> 1) + pad[v];
         uint64_t total = 0, cof[13] = {0}, mark[13] = {0};
         unsigned __int128 total128 = 0;
         for (uint64_t s = 0; s >> (n - 1) == 0; s++) {
             if (s) {
                 int i = __builtin_ctzll(s);
-                const uint64_t *d = step[(s ^ s >> 1) >> i & 1][i];
-#pragma GCC unroll 16
-                for (int j = 0; j < lanes; j++)
-                    sums[j] += d[j];
+                const lanes16 *d = step[(s ^ s >> 1) >> i & 1][i];
+                for (int v = 0; v < vecs; v++)
+                    sums[v] += d[v];
                 if (cofactors) {
                     /* the terms since delta_{i+1} last flipped had its old
                        sign: +1 if it now goes to -1 */
@@ -173,11 +212,22 @@ glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const
                     mark[i + 1] = total;
                 }
             }
+            if (skip) {  /* a lane at 0: this step adds 0 */
+                lanes16 zero = sums[0] == 0;
+                if (vecs == 2)
+                    zero |= sums[1] == 0;
+                uint64_t word[2];
+                memcpy(word, &zero, sizeof word);
+                if (word[0] | word[1])
+                    continue;
+            }
             /* four independent chains of multiplies, not one */
             uint64_t p[4] = {1, 1, 1, 1};
+            int8_t lane[32];
+            memcpy(lane, sums, vecs * sizeof *sums);
 #pragma GCC unroll 32
             for (int j = 0; j < lanes; j++)
-                p[j % 4] *= sums[j];
+                p[j % 4] *= (uint64_t)lane[j];
             if (wide) {
                 unsigned __int128 prod = (__int128)(int64_t)(p[0] * p[1]) * (int64_t)(p[2] * p[3]);
                 total128 = s & 1 ? total128 - prod : total128 + prod;
@@ -203,7 +253,8 @@ glynn_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const
 }
 
 /* Each width is its own function, kept out of glynn: inlined there together,
-   the sweeps slowed one another by 10-25%. */
+   the sweeps slowed one another by 10-25%.  Only the widths past 8 lanes
+   skip the steps with a lane at 0. */
 #define GLYNN_WIDTH(name, lanes, wide, cofactors)                             \
     static __attribute__((noinline)) void                                     \
     name(const int8_t *mats, int64_t count, int64_t n, int64_t *out)          \

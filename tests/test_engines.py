@@ -16,7 +16,7 @@ from permlab.engines import (
     permanents,
     ryser_batch,
 )
-from permlab.lattice import build_lattice
+from permlab.lattice import MinorTable, build_lattice
 from permlab.matrices import CapError, SignMatrix, sample_sign_matrix
 from permlab.rng import RngStream
 
@@ -113,9 +113,10 @@ def _signed_ones(n: int) -> np.ndarray:
 
 
 # 8/9, 16/17: the last n of the 8- and 16-lane sweeps and the first of the
-# next width; 15: the last odd n in 16 lanes; 19 and 20: the last odd and
-# even n summed in 64 bits; 21 and 22: the first odd and even n in 128 bits,
-# where the permanent passes int64 and comes back a Python int
+# next width (9 is the first n that skips the steps with a 0 lane); 15: the
+# last odd n in 16 lanes; 19 and 20: the last odd and even n summed in 64
+# bits; 21 and 22: the first odd and even n in 128 bits, where the permanent
+# passes int64 and comes back a Python int
 @pytest.mark.parametrize("n", [8, 9, 15, 16, 17, 19, 20, 21, 22])
 def test_permanent_at_the_glynn_kernel_boundaries(n):
     m = sample_sign_matrix(n, RngStream(27, n))
@@ -174,6 +175,35 @@ def test_permanents_match_the_lattice_at_every_size():
         mats = [sample_sign_matrix(n, RngStream(28, n).substream(t)) for t in range(3)]
         got = permanents(np.stack([m.entries for m in mats]))
         assert got == [build_lattice(m).top_value() for m in mats], n
+
+
+def test_glynn_skips_only_the_steps_whose_product_is_zero():
+    # Random sign matrices put a 0 lane in most Gray-code steps past 8 lanes,
+    # where the sweep skips them, and in none of the few steps it multiplies;
+    # so a skip taken on the wrong step's lanes, or on a padding lane, changes
+    # these totals.  Every square size through the lattice's cap, 16 matrices
+    # in one kernel call each: 4 random blocks of n - 1 rows, each finished by
+    # 4 random last rows, so one minor lattice per block gives the top value
+    # of each of its 4 matrices by expansion along the last row
+    for n in range(1, 23):
+        gen = generator(RngStream(34, n))
+        mats = np.repeat(2 * gen.integers(0, 2, size=(4, n, n), dtype=np.int8) - 1, 4, axis=0)
+        mats[:, -1] = 2 * gen.integers(0, 2, size=(16, n), dtype=np.int8) - 1
+        tables = [build_lattice(SignMatrix(m), n - 1) for m in mats[::4]]
+        full = (1 << n) - 1
+        want = [sum(int(a) * tables[b // 4].value(full ^ 1 << j) for j, a in enumerate(m[-1]))
+                for b, m in enumerate(mats)]
+        assert permanents(mats) == want, n
+    # and the cofactors at every row count: row r's cofactor is the minor of
+    # the block's transpose on every column but r
+    for rows in range(1, 14):
+        blocks = _sign_blocks(generator(RngStream(35, rows)), 64, rows)
+        full = (1 << rows) - 1
+        for block, got in zip(blocks, cofactors(blocks).tolist()):
+            table = MinorTable(rows)
+            for column in block.T:
+                table.add_level(column)
+            assert got == [table.value(full ^ 1 << r) for r in range(rows)], rows
 
 
 def test_permanent_of_one_and_two_rows():

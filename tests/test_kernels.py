@@ -154,6 +154,30 @@ _COPIED_INPUTS = textwrap.dedent("""
 """)
 
 
+# Seeded random sign matrices at each width of the glynn sweep, whose steps
+# mostly skip a product with a 0 lane and sometimes multiply, so both
+# branches run in each sanitized child; checked against the modular Ryser
+# residues, which share no code with the sweep.
+_RANDOM_SWEEPS = textwrap.dedent("""
+    import numpy as np
+    from permlab import engines
+    from permlab.matrices import SignMatrix
+    from permlab.rng import RngStream
+    from oracles import generator
+
+    p = 2**31 - 1
+    residue = lambda a: engines.permanent_mod(SignMatrix(a), p)
+    for n, count in ((8, 64), (16, 16), (20, 4), (22, 2)):
+        mats = 2 * generator(RngStream(36, n)).integers(0, 2, size=(count, n, n), dtype=np.int8) - 1
+        assert [x % p for x in engines.permanents(mats)] == [residue(m) for m in mats], n
+    for rows, count in ((9, 64), (13, 16)):
+        gen = generator(RngStream(37, rows))
+        blocks = 2 * gen.integers(0, 2, size=(count, rows, rows - 1), dtype=np.int8) - 1
+        want = [[residue(np.delete(block, r, axis=0)) for r in range(rows)] for block in blocks]
+        assert (engines.cofactors(blocks) % p).tolist() == want, rows
+""")
+
+
 # Run before each sanitized child's script: the kernels built with the
 # sanitizer's flags, and each export wrapped with a call counter (every
 # caller looks its kernel up on the one cached library at each call).
@@ -205,11 +229,19 @@ def test_each_cap_is_the_largest_its_bound_allows():
     # a level-k minor is at most k! in absolute value: 20! < 2**63 <= 21!
     assert lattice._INT64_LEVEL_MAX == largest(lambda k: f(k) < 2**63) == 20
     # a glynn lane is at most ceil(n/2) in absolute value, and the 16 lanes of
-    # two chains multiply in int64: 15**16 < 2**63 <= 16**16; the sweep holds
-    # the n - 1 flippable rows of n <= 30 in 32 lanes
+    # two chains multiply in int64: 15**16 < 2**63 <= 16**16
     assert engines.PERMANENT_MAX_N == largest(lambda n: ((n + 1) // 2) ** 16 < 2**63) == 30
     assert f(engines.PERMANENT_MAX_N) // 2 < 2**107
-    assert f"step[2][{engines.PERMANENT_MAX_N - 1}][32]" in source
+    # the lanes are int8: a column sum adds at most n + 1 signs (row 0 twice
+    # at odd n), 31 < 2**7, before it is halved to a lane of at most 15; the
+    # sweep holds the n - 1 flippable rows of n <= 30 in two 16-lane vectors,
+    # and copies each n x n block followed by the up to 32 bytes that its
+    # last row's vectors read past it
+    assert engines.PERMANENT_MAX_N + 1 == 31 < 2**7 and (engines.PERMANENT_MAX_N + 1) // 2 == 15
+    assert "typedef int8_t lanes16 __attribute__((vector_size(16)));" in source
+    assert f"step[2][{engines.PERMANENT_MAX_N - 1}][2]" in source
+    assert 2 * 16 >= engines.PERMANENT_MAX_N
+    assert f"int8_t a[{engines.PERMANENT_MAX_N} * {engines.PERMANENT_MAX_N} + 32];" in source
     # ryser_mod reduces its product after every 6 factors |colsum| <= n:
     # 2**31 * 30**6 < 2**61, and 2**n reduced products stay below 2**61
     modulus = engines._KERNEL_MAX_MODULUS
@@ -273,13 +305,13 @@ def test_kernels_compile_without_warnings():
 
 def test_kernels_at_their_bounds_under_ubsan(tmp_path):
     _sanitized_child(tmp_path, "libubsan.so", ("-fsanitize=undefined", "-fno-sanitize-recover=all"),
-                     _AT_THE_BOUNDS)
+                     _AT_THE_BOUNDS + _RANDOM_SWEEPS)
 
 
 def test_kernels_read_no_freed_copy_under_asan(tmp_path):
     # Python's own allocations are never freed at exit, so leaks are not reported
     _sanitized_child(tmp_path, "libasan.so", ("-fsanitize=address", "-fno-omit-frame-pointer"),
-                     _COPIED_INPUTS, ASAN_OPTIONS="detect_leaks=0")
+                     _COPIED_INPUTS + _RANDOM_SWEEPS, ASAN_OPTIONS="detect_leaks=0")
 
 
 def test_verify_golden_on_a_perturbed_heap():
