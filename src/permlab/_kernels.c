@@ -1,7 +1,9 @@
 /* The compiled kernels of permlab, loaded together by permlab.compiled._kernels.
    This is the one list of them:
-   - add_level: the level build of the minor lattice, with or without the
-     new level's heavy sets at one threshold selected in the same pass;
+   - add_level: the level build of the minor lattice, each level stored
+     divided by the power of two that divides every sign permanent of its
+     size, with or without the new level's heavy sets at one threshold
+     selected in the same pass;
    - glynn: Glynn's formula for every exact square permanent up to n = 30,
      on int8 vector lanes, skipping the Gray-code steps whose product is 0,
      and glynn_cofactors: the same sweep on blocks with one row more than
@@ -19,28 +21,40 @@
 /* One level of the minor lattice (permlab.lattice.MinorTable.add_level),
    built and, unless t is NULL, its heavy sets selected in the same pass.
 
+   Level j of vals is stored divided by 2**s_j, s_j = j - floor(log2 j) - 1
+   (0 at j = 0): every j x j sign permanent is a multiple of 2**s_j
+   (A. R. Kraeuter and N. Seifter, "Some properties of the permanent of
+   (1,-1)-matrices", Linear and Multilinear Algebra 15, 1984).
+
    row holds the exposed row's n int8 entries: an entry other than -1 or +1
    stops the kernel before any write, returning its index + 1.  With neg the
    mask of the -1 columns, for each level-k mask m in masks[0 .. count-1]:
-       vals[m] = sum over i in m & ~neg of vals[m ^ (1 << i)]
-               - sum over i in m &  neg of vals[m ^ (1 << i)],
-   the cofactor recursion over the row with no multiply.  Returns 0.
+       vals[m] = (sum over i in m & ~neg of vals[m ^ (1 << i)]
+                - sum over i in m &  neg of vals[m ^ (1 << i)]) >> shift,
+   the cofactor recursion over the row with no multiply, where
+   shift = s_k - s_(k-1) is 0 when k is a power of two and 1 otherwise.
+   Returns 0.  The difference is Per / 2**s_(k-1) for the level-k minor,
+   a multiple of 2**shift, so the shift divides exactly; gcc shifts a
+   negative int64 arithmetically, so it divides negative values too.
 
-   With t not NULL, *t holds on entry the threshold, in [0, 2**63) (the
-   caller clamps); each mask whose new |value| reaches it is written, in the
-   order given, to out, which has room for count masks, and *t is replaced
-   by how many were written.  Each mask is stored and the count advanced by
-   the comparison, with no branch: about half the masks of a level are
-   heavy, so a branch would mispredict about half the time.
+   With t not NULL, *t holds on entry the threshold on the stored values,
+   in [0, 2**63) (the caller scales and clamps); each mask whose new |value|
+   reaches it is written, in the order given, to out, which has room for
+   count masks, and *t is replaced by how many were written.  Each mask is
+   stored and the count advanced by the comparison, with no branch: about
+   half the masks of a level are heavy, so a branch would mispredict about
+   half the time.
 
-   Exact in int64: a level-(k-1) value is at most (k-1)! in absolute value
-   and each partial sum has at most k terms, so each is at most
-   k * (k-1)! = k! <= 20! < 2**63, and so is their difference, which is a
-   level-k value and can be negated.  Reads touch only level k-1 and writes
-   only level k, so the masks may be visited in any order. */
+   Exact in int64: a stored level-(k-1) value is at most
+   (k-1)! / 2**s_(k-1) in absolute value and each partial sum has at most k
+   terms, so each, and their difference, is at most k! / 2**s_(k-1), which
+   is 22! / 2**16 < 2**54 at the lattice's cap of 22 and stays below 2**63
+   through k = 24; a stored level-k value is at most k! / 2**s_k
+   (22! / 2**17 < 2**53) and can be negated.  Reads touch only level k-1
+   and writes only level k, so the masks may be visited in any order. */
 static inline __attribute__((always_inline)) void
-level_sweep(int64_t *vals, const int64_t *masks, int64_t count, uint64_t neg, const int heavy,
-            int64_t *t, int64_t *restrict out)
+level_sweep(int64_t *vals, const int64_t *masks, int64_t count, uint64_t neg, int64_t shift,
+            const int heavy, int64_t *t, int64_t *restrict out)
 {
     const int64_t threshold = heavy ? *t : 0;
     int64_t found = 0;
@@ -51,7 +65,7 @@ level_sweep(int64_t *vals, const int64_t *masks, int64_t count, uint64_t neg, co
             plus += vals[m ^ ((uint64_t)1 << __builtin_ctzll(rest))];
         for (uint64_t rest = m & neg; rest; rest &= rest - 1)
             minus += vals[m ^ ((uint64_t)1 << __builtin_ctzll(rest))];
-        int64_t v = plus - minus;
+        int64_t v = (plus - minus) >> shift;
         vals[m] = v;
         if (heavy) {
             out[found] = (int64_t)m;
@@ -69,15 +83,15 @@ level_sweep(int64_t *vals, const int64_t *masks, int64_t count, uint64_t neg, co
 #define LEVEL_SWEEP(name, heavy)                                              \
     static __attribute__((noinline, aligned(64))) void                        \
     name(int64_t *vals, const int64_t *masks, int64_t count, uint64_t neg,    \
-         int64_t *t, int64_t *out)                                            \
+         int64_t shift, int64_t *t, int64_t *out)                             \
     {                                                                         \
-        level_sweep(vals, masks, count, neg, heavy, t, out);                  \
+        level_sweep(vals, masks, count, neg, shift, heavy, t, out);           \
     }
 LEVEL_SWEEP(level_plain, 0)
 LEVEL_SWEEP(level_heavy, 1)
 
 int64_t add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8_t *row, int64_t n,
-                  int64_t *t, int64_t *out)
+                  int64_t shift, int64_t *t, int64_t *out)
 {
     uint64_t neg = 0;
     for (int64_t i = 0; i < n; i++)
@@ -85,7 +99,7 @@ int64_t add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8
             neg |= (uint64_t)1 << i;
         else if (row[i] != 1)
             return i + 1;
-    (t ? level_heavy : level_plain)(vals, masks, count, neg, t, out);
+    (t ? level_heavy : level_plain)(vals, masks, count, neg, shift, t, out);
     return 0;
 }
 

@@ -25,7 +25,7 @@ _addr, _i64 = ctypes.c_void_p, ctypes.c_int64
 # Each export of `_kernels.c`, as (argtypes, restype); every kernel is bound
 # from this one table.
 _SIGNATURES = {
-    "add_level": ([_addr, _addr, _i64, _addr, _i64, _addr, _addr], _i64),
+    "add_level": ([_addr, _addr, _i64, _addr, _i64, _i64, _addr, _addr], _i64),
     "glynn": ([_addr, _i64, _i64, _addr], None),
     "glynn_cofactors": ([_addr, _i64, _i64, _addr], None),
     "ryser_mod": ([_addr, _i64, _i64, _i64, _addr], None),

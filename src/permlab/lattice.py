@@ -6,11 +6,17 @@ cofactor recursion over the newly exposed row:
 
     value(A) = sum over i in A of  row_k[i] * value(A minus {i}),   |A| = k.
 
-A level-k value is bounded by k!, and 20! < 2**63, so levels up to 20 live
-in one flat int64 array indexed by mask; the handful of subsets on higher
-levels (n = 21, 22) are kept as Python ints.  Heaviness thresholds compare
-an integer |value| against a real threshold, which is exact after rounding
-the threshold up to the next integer (_threshold_at, the one rounding).
+Every k x k sign matrix has a permanent divisible by 2**s_k, with
+s_k = k - floor(log2 k) - 1 = k - k.bit_length() (Kräuter and Seifter,
+1984), so level k is stored divided by 2**s_k (_SCALE[k]), every level in
+one flat int64 array indexed by mask: a stored value is at most
+k! / 2**s_k, and the kernel's sums before the division at most
+k! / 2**s_(k-1), both below 2**63 through k = 24, past LATTICE_MAX_N.
+value() is the one place that multiplies a stored value back.  Heaviness
+thresholds compare an integer |value| against a real threshold, which is
+exact after dividing the threshold by 2**s_k and rounding it up to the next
+integer (_threshold_at, the one rounding), so a stored |value| is compared
+with a threshold scaled like it.
 add_heavy_level builds a level and selects its heavy masks at one threshold
 in the same pass; the queries of a built level, heavy_count and
 heavy_masks, read its values with numpy.
@@ -19,10 +25,11 @@ length-(n+1) array of how many children have exactly l family parents,
 counted member by member in Python; split_events reads n and the
 low-multiplicity mass from that array.
 
-The build of the int64 levels runs in C, in `_kernels.c`: `add_level` takes
-the row's n int8 entries, refuses any but -1 and +1 before it writes, and,
-for each mask of the level, sums the values one level down over the mask's
-+1 columns and subtracts the sum over its -1 columns; given a threshold, it
+The build of every level runs in C, in `_kernels.c`: `add_level` takes the
+row's n int8 entries, refuses any but -1 and +1 before it writes, and, for
+each mask of the level, sums the values one level down over the mask's +1
+columns, subtracts the sum over its -1 columns, and halves the difference
+unless k is a power of two (s_k - s_(k-1) is 0 or 1); given a threshold, it
 also stores each mask branch-free into the heavy list as it writes the
 value.  That file's header lists every kernel.
 `compiled._kernels` builds and loads the library; `lattice._kernels` is
@@ -34,6 +41,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import numbers
 import os
 from enum import Enum
 
@@ -41,11 +49,13 @@ import numpy as np
 
 from .compiled import _kernels
 from .matrices import CapError, SignMatrix
-from .subsets import bits_of, masks_by_level
+from .subsets import masks_by_level
 
 LATTICE_MAX_N = 22  # a 2**n table: 26 * 2**22 bytes ~ 109 MB at its build peak
-_INT64_LEVEL_MAX = 20
 _INT64_MAX = 2**63 - 1
+# level k is stored divided by 2**_SCALE[k], the power of two that divides
+# every k x k sign permanent
+_SCALE = tuple(k - k.bit_length() for k in range(LATTICE_MAX_N + 1))
 DUMP_MAX_N = 12
 
 
@@ -58,15 +68,17 @@ def _level_masks(n: int) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
 
 
 def _threshold_at(k: int, threshold) -> int:
-    """The integer a level-k |value| must reach to be heavy: ceil(threshold),
-    exact for int, numpy int, float and Fraction.  On the int64 levels it is
-    clamped to [0, 2**63 - 1] for add_level's kernel, because ctypes would
-    silently truncate a larger int (|value| <= 20! < 2**63 - 1, so the clamp
-    changes no answer); the Python-int levels, whose values pass 2**63, take
-    it as is.
+    """The integer a stored level-k |value| must reach to be heavy:
+    ceil(threshold / 2**s) with s = _SCALE[k], computed as
+    ceil(ceil(threshold) / 2**s) in integers, exact for int, numpy int,
+    float and Fraction (an integer is taken as it is: math.ceil would round
+    a numpy int past 2**53 through a float).  It is clamped to
+    [0, 2**63 - 1] for add_level's kernel, because ctypes would silently
+    truncate a larger int (a stored |value| is at most 22! / 2**17, so the
+    clamp changes no answer).
     """
-    t = math.ceil(threshold)
-    return t if k > _INT64_LEVEL_MAX else min(max(t, 0), _INT64_MAX)
+    rounded = int(threshold) if isinstance(threshold, numbers.Integral) else math.ceil(threshold)
+    return min(max(-(-rounded >> _SCALE[k]), 0), _INT64_MAX)
 
 
 def _physical_memory_bytes() -> int | None:
@@ -83,11 +95,12 @@ class MinorTable:
     def __init__(self, n: int):
         if n > LATTICE_MAX_N:
             raise CapError(f"minor lattice is capped at n <= {LATTICE_MAX_N} (2**n table), got n={n}")
-        # Peak bytes per mask: the int64 table (8) and, while masks_by_level
-        # builds, its full arange (8), its per-level copies (8), the popcount
-        # array (1) and the level selector (1).  That is the whole peak of
-        # every table, growth tables included: parent_histogram keeps nothing
-        # on the table.
+        # Peak bytes per mask: the int64 table, which holds every level (8),
+        # and, while masks_by_level builds, its full arange (8), its
+        # per-level copies (8), the popcount array (1) and the level
+        # selector (1).  That is the whole peak of every table, n = 21 and 22
+        # and growth tables included: parent_histogram keeps nothing on the
+        # table.
         need = 26 << n
         have = _physical_memory_bytes()
         if have is not None and need > have:
@@ -99,9 +112,8 @@ class MinorTable:
         self.k_max = 0
         self._vals = np.zeros(1 << n, dtype=np.int64)
         self._vals[0] = 1  # empty minor
-        self._big: dict[int, int] = {}
         self._row = np.empty(n, dtype=np.int8)  # add_level's copy of its row
-        self._select: int | None = None  # add_heavy_level's rounded threshold
+        self._select: int | None = None  # add_heavy_level's scaled threshold
         self._count = np.empty(1, dtype=np.int64)  # the kernel's threshold in, count out
         # Kernel arguments that the table holds, so they outlive every call
         # (see _kernels); each is C-contiguous by construction.
@@ -121,34 +133,25 @@ class MinorTable:
         row = np.asarray(row).reshape(-1)
         if len(row) != self.n:
             raise ValueError(f"row has {len(row)} entries, expected {self.n}")
-        # The kernel checks an int8 row (and above level 20 only checks it); a
-        # wider one is checked before the cast, which would wrap 257 to 1.
+        # The kernel checks an int8 row; a wider one is checked before the
+        # cast, which would wrap 257 to 1.
         if row.dtype != np.int8 and not ((row == 1) | (row == -1)).all():
             raise ValueError("row entries must be -1 or +1")
         self._row[:] = row
-        masks, big, select = self._levels[k], k > _INT64_LEVEL_MAX, self._select
-        count = 0 if big else len(masks)
+        masks, select = self._levels[k], self._select
         count_at = out_at = None  # a plain build
-        if select is not None and not big:
+        if select is not None:
             # The kernel takes the threshold in _count and leaves there the
             # number of masks it wrote to out.
             self._count[0] = select
-            out = np.empty(count, dtype=np.int64)
+            out = np.empty(len(masks), dtype=np.int64)
             count_at, out_at = self._count_at, out.ctypes.data
-        bad = _kernels().add_level(self._vals_at, self._levels_at[k], count, self._row_at, self.n,
-                                   count_at, out_at)
+        bad = _kernels().add_level(self._vals_at, self._levels_at[k], len(masks), self._row_at, self.n,
+                                   _SCALE[k] - _SCALE[k - 1], count_at, out_at)
         if bad:
             raise ValueError("row entries must be -1 or +1")
-        if big:
-            for mask in masks.tolist():
-                total = 0
-                for i in bits_of(mask):
-                    total += int(row[i]) * self.value(mask ^ (1 << i))
-                self._big[mask] = total
         self.k_max = k
-        if select is None:
-            return None
-        return self._big_heavy(k, select) if big else out[:self._count.item()]
+        return None if select is None else out[:self._count.item()]
 
     def add_heavy_level(self, row: np.ndarray, threshold) -> np.ndarray:
         """add_level(row), and the new level's heavy masks at the threshold,
@@ -171,31 +174,21 @@ class MinorTable:
         level = mask.bit_count()
         if level > self.k_max:
             raise ValueError(f"level {level} not built (k_max={self.k_max})")
-        if level > _INT64_LEVEL_MAX:
-            return self._big[mask]
-        return self._vals.item(mask)
+        return self._vals.item(mask) << _SCALE[level]
 
     def level_masks(self, k: int) -> np.ndarray:
         return self._levels[k]
 
-    def _big_heavy(self, k: int, t: int) -> np.ndarray:
-        """Masks of a Python-int level k whose |value| reaches the integer t."""
-        masks = self._levels[k]
-        return masks[np.array([abs(self._big[m]) >= t for m in masks.tolist()], dtype=bool)]
-
     def _heavy(self, k: int, threshold) -> np.ndarray:
         """Masks of level k whose |value| reaches the threshold, ascending.
 
-        Every heaviness query of a built level goes through here: the int64
-        levels are read with numpy, the Python-int levels compare in Python.
+        Every heaviness query of a built level goes through here, reading
+        the stored level with numpy against the threshold scaled with it.
         """
         if not 0 <= k <= self.k_max:
             raise ValueError(f"level {k} not built (k_max={self.k_max})")
-        t = _threshold_at(k, threshold)
-        if k > _INT64_LEVEL_MAX:
-            return self._big_heavy(k, t)
         masks = self._levels[k]
-        return masks[np.abs(self._vals[masks]) >= t]
+        return masks[np.abs(self._vals[masks]) >= _threshold_at(k, threshold)]
 
     def heavy_count(self, k: int, threshold) -> int:
         """Number of size-k column sets whose |value| reaches the threshold."""

@@ -9,8 +9,9 @@ independently of the compiled kernel that builds it in the program, and
 side, independently of the program's loop over the family's members.
 `subsets_of_size` walks the masks of one level with Gosper's hack,
 independently of `masks_by_level`, and `level_values` reads a built table's
-values at those masks straight from its storage, independently of the
-compiled heaviness queries.
+values at those masks straight from its storage (through `table_values`,
+which multiplies each level back by the power of two it is stored divided
+by), independently of `MinorTable.value` and the heaviness queries.
 `enumerate_all_sign_matrices` builds the canonical counter order one matrix
 at a time, independently of the exact checks' batch enumeration.
 `generator` is numpy's own Philox Generator on a stream's key, and
@@ -152,13 +153,32 @@ def _gosper_masks(n: int, k: int) -> np.ndarray:
     return masks
 
 
+# Level k of a MinorTable is stored divided by 2**(k - floor(log2 k) - 1),
+# the power of two that divides every k x k sign permanent (Kräuter and
+# Seifter, 1984).
+_SCALES = np.array([k - k.bit_length() for k in range(64)], dtype=np.int64)
+
+
+def table_values(table, masks=None) -> np.ndarray:
+    """The minor permanents of a MinorTable at masks of levels <= 20 (default:
+    every mask of a table of n <= 20, in mask order), read from its int64
+    storage and multiplied back by each level's power of two; an unbuilt
+    level reads 0."""
+    masks = np.arange(1 << table.n, dtype=np.int64) if masks is None else np.asarray(masks)
+    levels = np.bitwise_count(masks)
+    if levels.max(initial=0) > 20:
+        raise ValueError("a level past 20 does not fit int64 unscaled")
+    return table._vals[masks] << _SCALES[levels]
+
+
 def level_values(table, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The masks of level k <= 20 of a built MinorTable, ascending, and their
-    minor permanents, gathered from the table's flat int64 storage."""
+    minor permanents, gathered from the table's flat int64 storage; above
+    level 20 the unscaled value no longer fits int64."""
     if not 0 <= k <= min(table.k_max, 20):
-        raise ValueError(f"level {k} is not a built int64 level (k_max={table.k_max})")
+        raise ValueError(f"level {k} is not a built level <= 20 (k_max={table.k_max})")
     masks = _gosper_masks(table.n, k)
-    return masks, table._vals[masks]
+    return masks, table_values(table, masks)
 
 
 def brute_heavy_sets(matrix, k: int, threshold) -> list[int]:

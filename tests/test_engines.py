@@ -169,14 +169,6 @@ def test_permanent_through_its_cap_of_30(monkeypatch):
     assert shapes == [(2, n, n) for n in (27, 28, 29, 30)]
 
 
-def test_permanents_match_the_lattice_at_every_size():
-    # one kernel call per size, three matrices each; 15..17 and 19..22 above
-    for n in [*range(1, 15), 18]:
-        mats = [sample_sign_matrix(n, RngStream(28, n).substream(t)) for t in range(3)]
-        got = permanents(np.stack([m.entries for m in mats]))
-        assert got == [build_lattice(m).top_value() for m in mats], n
-
-
 def test_glynn_skips_only_the_steps_whose_product_is_zero():
     # Random sign matrices put a 0 lane in most Gray-code steps past 8 lanes,
     # where the sweep skips them, and in none of the few steps it multiplies;
@@ -184,7 +176,8 @@ def test_glynn_skips_only_the_steps_whose_product_is_zero():
     # these totals.  Every square size through the lattice's cap, 16 matrices
     # in one kernel call each: 4 random blocks of n - 1 rows, each finished by
     # 4 random last rows, so one minor lattice per block gives the top value
-    # of each of its 4 matrices by expansion along the last row
+    # of each of its 4 matrices by expansion along the last row; and one full
+    # lattice per size, whose top level the lattice builds itself
     for n in range(1, 23):
         gen = generator(RngStream(34, n))
         mats = np.repeat(2 * gen.integers(0, 2, size=(4, n, n), dtype=np.int8) - 1, 4, axis=0)
@@ -193,7 +186,9 @@ def test_glynn_skips_only_the_steps_whose_product_is_zero():
         full = (1 << n) - 1
         want = [sum(int(a) * tables[b // 4].value(full ^ 1 << j) for j, a in enumerate(m[-1]))
                 for b, m in enumerate(mats)]
-        assert permanents(mats) == want, n
+        got = permanents(mats)
+        assert got == want, n
+        assert build_lattice(SignMatrix(mats[-1])).top_value() == got[-1], n
     # and the cofactors at every row count: row r's cofactor is the minor of
     # the block's transpose on every column but r
     for rows in range(1, 14):

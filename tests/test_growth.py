@@ -307,8 +307,9 @@ def test_type_iii_carries_the_grown_heavy_set_forward():
 
 
 def test_growth_selection_on_python_int_levels():
-    # k1 = 21 at n = 21: the last step is built on a Python-int level; each
-    # count the run logs equals the post-hoc query of its finished table
+    # k1 = 21 at n = 21: the last step is built on level 21, whose values
+    # pass 2**63 (stored divided by 2**16); each count the run logs equals
+    # the post-hoc query of its finished table
     cfg = ProcessConfig(k0=19, k1=21)
     for t in range(3):
         trace = run_growth(sample_sign_matrix(21, RngStream(49, t)), cfg)

@@ -80,6 +80,18 @@ _AT_THE_BOUNDS = textwrap.dedent("""
     fused = lattice.build_lattice(all_ones(20), 9)
     heavy = fused.add_heavy_level(np.ones(20, dtype=np.int16), 0)
     assert np.array_equal(heavy, table.level_masks(10))
+    # n = 22 through level 22, whose sum before the shift, 22! / 2**16, is
+    # the largest the lattice makes; then levels 21 and 22 with a threshold,
+    # each from a negated row (values -21! and 22!), at 0, at 22! and at
+    # 2**70, which the scaled clamp takes
+    table = lattice.build_lattice(all_ones(22))
+    assert table.top_value() == f(22)
+    full, level21 = (1 << 22) - 1, table.level_masks(21).tolist()
+    for threshold, want in ((0, (level21, [full])), (f(22), ([], [full])), (2**70, ([], []))):
+        fused = lattice.build_lattice(all_ones(22), 20)
+        heavy = [fused.add_heavy_level(-np.ones(22, dtype=np.int16), threshold).tolist()
+                 for _ in range(2)]
+        assert heavy == list(want) and fused.top_value() == f(22), threshold
 """)
 
 
@@ -226,8 +238,14 @@ def test_each_cap_is_the_largest_its_bound_allows():
     f = math.factorial
     largest = lambda ok: max(n for n in range(64) if ok(n))
     source = compiled._KERNEL_SOURCE.read_text()
-    # a level-k minor is at most k! in absolute value: 20! < 2**63 <= 21!
-    assert lattice._INT64_LEVEL_MAX == largest(lambda k: f(k) < 2**63) == 20
+    # level k is stored divided by 2**s_k, s_k = k - floor(log2 k) - 1, and
+    # add_level's sums before the shift are at most k! / 2**s_(k-1): below
+    # 2**63 through k = 24, past the lattice's cap
+    levels = range(1, lattice.LATTICE_MAX_N + 1)
+    assert lattice._SCALE == tuple(k - k.bit_length() for k in range(lattice.LATTICE_MAX_N + 1))
+    assert all(lattice._SCALE[k] == k - math.floor(math.log2(k)) - 1 for k in levels)
+    assert all(f(k) // 2 ** lattice._SCALE[k - 1] < 2**63 for k in levels)
+    assert largest(lambda k: k > 0 and f(k) // 2 ** (k - 1 - (k - 1).bit_length()) < 2**63) == 24
     # a glynn lane is at most ceil(n/2) in absolute value, and the 16 lanes of
     # two chains multiply in int64: 15**16 < 2**63 <= 16**16
     assert engines.PERMANENT_MAX_N == largest(lambda n: ((n + 1) // 2) ** 16 < 2**63) == 30
@@ -254,8 +272,8 @@ def test_each_cap_is_the_largest_its_bound_allows():
     assert 2 * f(engines._BATCH_MAX_N - 1) < 2**63
     arrays = re.search(r"cof\[(\d+)\] = \{0\}, mark\[(\d+)\] = \{0\}", source).groups()
     assert arrays == (str(engines._BATCH_MAX_N),) * 2
-    # a memory cap: the lattice's 2**n table takes 26 bytes a subset at its
-    # build peak, about 109 MB at n = 22, and its levels past 20 are Python ints
+    # a memory cap: the lattice's 2**n table, which holds every level, takes
+    # 26 bytes a subset at its build peak, about 109 MB at n = 22
     assert 26 * 2**lattice.LATTICE_MAX_N < 110 * 10**6 < 26 * 2 ** (lattice.LATTICE_MAX_N + 1)
     # a time cap: naive_odd's count of n! permutations fits int64 through
     # n = 20, but it walks them one by one, 3.6 million at n = 10

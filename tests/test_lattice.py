@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permlab import compiled, lattice
-from permlab.engines import permanent_ryser
+from permlab.engines import permanent, permanent_mod, permanent_ryser, permanents
 from permlab.lattice import (
     MinorTable,
     SplitVerdict,
@@ -35,6 +35,7 @@ from oracles import (
     matrix_from_counter,
     numpy_level_table,
     subsets_of_size,
+    table_values,
 )
 
 
@@ -49,6 +50,17 @@ def test_heavy_query_rounds_threshold_up():
     for threshold in (2.5, np.float32(2.5), Fraction(5, 2), 3, 2**70):
         assert t.heavy_count(2, threshold) == 0
         assert t.heavy_masks(2, threshold).tolist() == []
+
+
+def test_heavy_query_rounds_a_numpy_int_exactly():
+    # 20! + 1 is not a float: a numpy int past 2**53 must be rounded as an
+    # integer, on the fused build and on the queries alike
+    f = math.factorial(20)
+    for dtype in (np.int64, np.uint64):
+        for threshold, want in ((dtype(f), [(1 << 20) - 1]), (dtype(f + 1), [])):
+            t = build_lattice(all_ones(20), 19)
+            assert t.add_heavy_level(np.ones(20), threshold).tolist() == want
+            assert t.heavy_masks(20, threshold).tolist() == want
 
 
 def test_level_one_is_first_row():
@@ -130,7 +142,7 @@ def test_multi_block_levels_match_ryser_n18():
 def test_full_table_matches_numpy_oracle():
     for n in range(1, 19):
         m = sample_sign_matrix(n, RngStream(39, n))
-        assert np.array_equal(build_lattice(m)._vals, numpy_level_table(m)), n
+        assert np.array_equal(table_values(build_lattice(m)), numpy_level_table(m)), n
 
 
 @pytest.mark.parametrize("signs", [[1] * 12, [-1] * 12, [1, -1] * 6])
@@ -138,16 +150,16 @@ def test_constant_rows_n12(signs):
     # row r is all signs[r], so every size-k minor is k! * signs[0] * ... * signs[k-1]
     m = SignMatrix(np.outer(signs, np.ones(12, dtype=np.int64)))
     t = build_lattice(m)
-    assert np.array_equal(t._vals, numpy_level_table(m))
+    assert np.array_equal(table_values(t), numpy_level_table(m))
     for k in range(13):
         expected = math.factorial(k) * math.prod(signs[:k])
-        assert set(t._vals[t.level_masks(k)].tolist()) == {expected}
+        assert set(table_values(t, t.level_masks(k)).tolist()) == {expected}
 
 
 def _build_n10_table(barrier, out_path):
     barrier.wait()
     m = sample_sign_matrix(10, RngStream(40))
-    np.save(out_path, build_lattice(m)._vals)
+    np.save(out_path, table_values(build_lattice(m)))
 
 
 def test_concurrent_first_builds_share_one_library(tmp_path, monkeypatch):
@@ -235,7 +247,7 @@ def test_add_level_kernel_refuses_an_int8_row_before_any_write(bad):
     before = [t.value(mask) for mask in range(16) if mask.bit_count() <= 2]
     with pytest.raises(ValueError, match="-1 or \\+1"):
         t.add_level(np.array([1, -1, bad, 1], dtype=np.int8))
-    assert t.k_max == 2 and t._vals[t.level_masks(3)].tolist() == [0] * 4
+    assert t.k_max == 2 and table_values(t, t.level_masks(3)).tolist() == [0] * 4
     assert [t.value(mask) for mask in range(16) if mask.bit_count() <= 2] == before
 
 
@@ -337,9 +349,10 @@ def test_fused_selection_matches_heavy_masks(n):
         assert np.array_equal(fused._vals, plain._vals)
 
 
-def test_fused_selection_on_python_int_levels():
-    # levels 19-20 are int64 and level 21 of n = 21 a Python int, whose one
-    # value passes 2**63, so a threshold past 2**63 is not clamped there
+def test_fused_selection_past_level_20():
+    # level 21 of n = 21, whose one value passes 2**63 and is stored divided
+    # by 2**16, and levels 19-20 below it: a threshold past 2**63 is scaled
+    # with the level, and only then clamped
     n = 21
     entries = np.ones((n, n), dtype=np.int8)
     entries[0, 0] = -1
@@ -360,17 +373,55 @@ def test_fused_selection_on_python_int_levels():
         assert fused.top_value() == top
 
 
+def _n22_entries(which):
+    if which == "random":
+        return sample_sign_matrix(22, RngStream(52)).entries
+    entries = np.ones((22, 22), dtype=np.int8)
+    entries[0, 0] = 1 if which == "ones" else -1
+    return entries
+
+
+@pytest.mark.parametrize("which", ["ones", "one-negated", "random"])
+def test_levels_21_and_22_match_the_engines(which):
+    # the two levels past 20, stored divided by 2**16 and 2**17, against
+    # engines that share no code with the lattice: the Glynn kernel and the
+    # modular Ryser sweep
+    n, f = 22, math.factorial
+    entries = _n22_entries(which)
+    m, full = SignMatrix(entries), (1 << n) - 1
+    plain = build_lattice(m)
+    # each level-21 value is the permanent of the 21 x 21 minor on the first
+    # 21 rows
+    minors = np.stack([np.delete(entries[:21], j, axis=1) for j in range(n)])
+    assert [plain.value(full ^ 1 << j) for j in range(n)] == permanents(minors)
+    top = plain.top_value()
+    assert top == permanent(m)
+    # top mod p * q, from the CRT of its residues mod two primes below 2**31
+    p, q = 2**31 - 1, 2**31 - 19
+    rp, rq = permanent_mod(m, p), permanent_mod(m, q)
+    assert top % (p * q) == rp + p * ((rq - rp) * pow(p, -1, q) % q)
+    for t in (2**63, f(22), abs(top), abs(top) + 1):
+        fused = build_lattice(m, 20)
+        for k in (21, 22):
+            heavy = fused.add_heavy_level(m.row(k - 1), t).tolist()
+            assert heavy == plain.heavy_masks(k, t).tolist(), (k, t)
+            # and against the values as Python ints, with no threshold rounding
+            level = plain.level_masks(k).tolist()
+            assert heavy == [mask for mask in level if abs(plain.value(mask)) >= t], (k, t)
+        assert heavy == ([full] if abs(top) >= t else []), t  # level 22's one mask
+
+
 @pytest.mark.parametrize("n, k", [(6, 3), (21, 21)])
 def test_fused_build_refuses_a_row_before_any_write(n, k):
     m = sample_sign_matrix(n, RngStream(50, n))
     t = build_lattice(m, k - 1)
-    vals, big = t._vals.copy(), dict(t._big)
+    vals = t._vals.copy()
     bad = m.row(k - 1).copy()
     bad[n // 2] = 2
     with pytest.raises(ValueError, match="-1 or \\+1"):
         t.add_heavy_level(bad, 1)
     assert t.k_max == k - 1
-    assert np.array_equal(t._vals, vals) and t._big == big
+    assert np.array_equal(t._vals, vals)
     # a later plain build takes no threshold from the refused one
     assert t.add_level(m.row(k - 1)) is None
 
@@ -500,7 +551,8 @@ def test_split_dichotomy_always_decides():
 
 
 def test_python_int_levels_n22():
-    # levels 21 and 22 exceed int64 and are kept as Python ints
+    # levels 21 and 22, whose values pass 2**63: stored divided by 2**16 and
+    # 2**17, and read back as Python ints
     n = 22
     entries = np.ones((n, n), dtype=np.int8)
     entries[0, 0] = -1
@@ -512,7 +564,7 @@ def test_python_int_levels_n22():
     assert t.heavy_count(21, f(21)) == 1
     assert t.heavy_masks(21, f(21)).tolist() == [full ^ 1]
     assert t.value(full ^ 2) == f(21) - 2 * f(20)
-    # threshold 0 selects every set and k!+1 none, on both Python-int levels
+    # threshold 0 selects every set and k!+1 none, on both levels past 20
     for k in (21, 22):
         assert t.heavy_count(k, 0) == math.comb(n, k)
         assert t.heavy_masks(k, 0).tolist() == t.level_masks(k).tolist()
