@@ -2,8 +2,9 @@
    This is the one list of them:
    - add_level: the level build of the minor lattice, each level stored
      divided by the power of two that divides every sign permanent of its
-     size, with or without the new level's heavy sets at one threshold
-     selected in the same pass;
+     size, walking the level's uint32 masks (n <= LATTICE_MAX_N = 22 < 32),
+     with or without the new level's heavy sets at one threshold selected
+     in the same pass;
    - glynn: Glynn's formula for every exact square permanent up to n = 30,
      on int8 vector lanes, skipping the Gray-code steps whose product is 0,
      and glynn_cofactors: the same sweep on blocks with one row more than
@@ -27,8 +28,10 @@
    (1,-1)-matrices", Linear and Multilinear Algebra 15, 1984).
 
    row holds the exposed row's n int8 entries: an entry other than -1 or +1
-   stops the kernel before any write, returning its index + 1.  With neg the
-   mask of the -1 columns, for each level-k mask m in masks[0 .. count-1]:
+   stops the kernel before any write, returning its index + 1.  masks holds
+   the level's masks as uint32, which holds every mask because the lattice
+   has n <= LATTICE_MAX_N = 22 < 32 columns.  With neg the mask of the -1
+   columns, for each level-k mask m in masks[0 .. count-1]:
        vals[m] = (sum over i in m & ~neg of vals[m ^ (1 << i)]
                 - sum over i in m &  neg of vals[m ^ (1 << i)]) >> shift,
    the cofactor recursion over the row with no multiply, where
@@ -39,11 +42,11 @@
 
    With t not NULL, *t holds on entry the threshold on the stored values,
    in [0, 2**63) (the caller scales and clamps); each mask whose new |value|
-   reaches it is written, in the order given, to out, which has room for
-   count masks, and *t is replaced by how many were written.  Each mask is
-   stored and the count advanced by the comparison, with no branch: about
-   half the masks of a level are heavy, so a branch would mispredict about
-   half the time.
+   reaches it is written, in the order given, to out, an int64 list with
+   room for count masks, and *t is replaced by how many were written.  Each
+   mask is stored and the count advanced by the comparison, with no branch:
+   about half the masks of a level are heavy, so a branch would mispredict
+   about half the time.
 
    Exact in int64: a stored level-(k-1) value is at most
    (k-1)! / 2**s_(k-1) in absolute value and each partial sum has at most k
@@ -53,13 +56,13 @@
    (22! / 2**17 < 2**53) and can be negated.  Reads touch only level k-1
    and writes only level k, so the masks may be visited in any order. */
 static inline __attribute__((always_inline)) void
-level_sweep(int64_t *vals, const int64_t *masks, int64_t count, uint64_t neg, int64_t shift,
+level_sweep(int64_t *vals, const uint32_t *masks, int64_t count, uint64_t neg, int64_t shift,
             const int heavy, int64_t *t, int64_t *restrict out)
 {
     const int64_t threshold = heavy ? *t : 0;
     int64_t found = 0;
     for (int64_t j = 0; j < count; j++) {
-        uint64_t m = (uint64_t)masks[j];
+        uint64_t m = masks[j];
         int64_t plus = 0, minus = 0;
         for (uint64_t rest = m & ~neg; rest; rest &= rest - 1)
             plus += vals[m ^ ((uint64_t)1 << __builtin_ctzll(rest))];
@@ -82,7 +85,7 @@ level_sweep(int64_t *vals, const int64_t *masks, int64_t count, uint64_t neg, in
    3-5% slower. */
 #define LEVEL_SWEEP(name, heavy)                                              \
     static __attribute__((noinline, aligned(64))) void                        \
-    name(int64_t *vals, const int64_t *masks, int64_t count, uint64_t neg,    \
+    name(int64_t *vals, const uint32_t *masks, int64_t count, uint64_t neg,   \
          int64_t shift, int64_t *t, int64_t *out)                             \
     {                                                                         \
         level_sweep(vals, masks, count, neg, shift, heavy, t, out);           \
@@ -90,7 +93,7 @@ level_sweep(int64_t *vals, const int64_t *masks, int64_t count, uint64_t neg, in
 LEVEL_SWEEP(level_plain, 0)
 LEVEL_SWEEP(level_heavy, 1)
 
-int64_t add_level(int64_t *vals, const int64_t *masks, int64_t count, const int8_t *row, int64_t n,
+int64_t add_level(int64_t *vals, const uint32_t *masks, int64_t count, const int8_t *row, int64_t n,
                   int64_t shift, int64_t *t, int64_t *out)
 {
     uint64_t neg = 0;

@@ -12,11 +12,14 @@ s_k = k - floor(log2 k) - 1 = k - k.bit_length() (Kräuter and Seifter,
 one flat int64 array indexed by mask: a stored value is at most
 k! / 2**s_k, and the kernel's sums before the division at most
 k! / 2**s_(k-1), both below 2**63 through k = 24, past LATTICE_MAX_N.
-value() is the one place that multiplies a stored value back.  Heaviness
-thresholds compare an integer |value| against a real threshold, which is
-exact after dividing the threshold by 2**s_k and rounding it up to the next
-integer (_threshold_at, the one rounding), so a stored |value| is compared
-with a threshold scaled like it.
+value() is the one place that multiplies a stored value back.  The masks
+of each level are one ascending uint32 array (masks_by_level, built by
+doubling and cached per n; 2**22 - 1 fits 32 bits), which the kernel walks;
+the heavy masks that the queries and add_heavy_level return are int64.
+Heaviness thresholds compare an integer |value| against a real threshold,
+which is exact after dividing the threshold by 2**s_k and rounding it up to
+the next integer (_threshold_at, the one rounding), so a stored |value| is
+compared with a threshold scaled like it.
 add_heavy_level builds a level and selects its heavy masks at one threshold
 in the same pass; the queries of a built level, heavy_count and
 heavy_masks, read its values with numpy.
@@ -51,7 +54,7 @@ from .compiled import _kernels
 from .matrices import CapError, SignMatrix
 from .subsets import masks_by_level
 
-LATTICE_MAX_N = 22  # a 2**n table: 26 * 2**22 bytes ~ 109 MB at its build peak
+LATTICE_MAX_N = 22  # a 2**n table: 14 * 2**22 bytes ~ 59 MB at its build peak
 _INT64_MAX = 2**63 - 1
 # level k is stored divided by 2**_SCALE[k], the power of two that divides
 # every k x k sign permanent
@@ -61,8 +64,9 @@ DUMP_MAX_N = 12
 
 @functools.lru_cache(maxsize=4)
 def _level_masks(n: int) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
-    """masks_by_level(n) and the kernel address of each level's array, cached
-    together once per n, so an address lives exactly as long as its array."""
+    """masks_by_level(n), each level's uint32 masks, and the kernel address of
+    each level's array, cached together once per n, so an address lives
+    exactly as long as its array."""
     levels = masks_by_level(n)
     return levels, tuple(masks.ctypes.data for masks in levels)
 
@@ -96,17 +100,16 @@ class MinorTable:
         if n > LATTICE_MAX_N:
             raise CapError(f"minor lattice is capped at n <= {LATTICE_MAX_N} (2**n table), got n={n}")
         # Peak bytes per mask: the int64 table, which holds every level (8),
-        # and, while masks_by_level builds, its full arange (8), its
-        # per-level copies (8), the popcount array (1) and the level
-        # selector (1).  That is the whole peak of every table, n = 21 and 22
-        # and growth tables included: parent_histogram keeps nothing on the
-        # table.
-        need = 26 << n
+        # the uint32 level masks (4) and, while masks_by_level runs its last
+        # doubling, the levels over n - 1 bits (2).  That is the whole peak
+        # of every table, growth tables included: parent_histogram keeps
+        # nothing on the table.
+        need = 14 << n
         have = _physical_memory_bytes()
         if have is not None and need > have:
             raise CapError(
                 f"minor lattice at n={n} needs about {need / 2**30:.1f} GiB"
-                f" ({need} bytes, 26 * 2**n), more than the {have} bytes of physical memory"
+                f" ({need} bytes, 14 * 2**n), more than the {have} bytes of physical memory"
             )
         self.n = n
         self.k_max = 0
@@ -177,18 +180,22 @@ class MinorTable:
         return self._vals.item(mask) << _SCALE[level]
 
     def level_masks(self, k: int) -> np.ndarray:
+        """The masks of the size-k column sets, ascending, as uint32."""
+        if not 0 <= k <= self.n:
+            raise ValueError(f"level {k} is outside [0, {self.n}]")
         return self._levels[k]
 
     def _heavy(self, k: int, threshold) -> np.ndarray:
         """Masks of level k whose |value| reaches the threshold, ascending.
 
         Every heaviness query of a built level goes through here, reading
-        the stored level with numpy against the threshold scaled with it.
+        the stored level with numpy against the threshold scaled with it;
+        the masks are returned as int64, the dtype of add_heavy_level's.
         """
         if not 0 <= k <= self.k_max:
             raise ValueError(f"level {k} not built (k_max={self.k_max})")
         masks = self._levels[k]
-        return masks[np.abs(self._vals[masks]) >= _threshold_at(k, threshold)]
+        return masks[np.abs(self._vals[masks]) >= _threshold_at(k, threshold)].astype(np.int64)
 
     def heavy_count(self, k: int, threshold) -> int:
         """Number of size-k column sets whose |value| reaches the threshold."""

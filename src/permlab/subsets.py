@@ -21,7 +21,23 @@ def bits_of(mask: int) -> list[int]:
 
 
 def masks_by_level(n: int) -> tuple[np.ndarray, ...]:
-    """Masks over n bits grouped by popcount; each array ascending."""
-    all_masks = np.arange(1 << n, dtype=np.int64)
-    popc = np.bitwise_count(all_masks)
-    return tuple(all_masks[popc == k] for k in range(n + 1))
+    """Masks over n bits grouped by popcount; each a C-contiguous ascending
+    uint32 array (n <= 32).
+
+    Built by doubling: the size-k masks over m+1 bits are the size-k masks
+    over m bits, then the size-(k-1) ones with bit m added.  Every mask with
+    bit m clear is below every mask with it set, so each level stays
+    ascending.  The peak is the last doubling: the n-1 bit levels (2 bytes a
+    mask over n bits) and the n bit ones (4 bytes a mask).
+    """
+    levels = [np.zeros(1, dtype=np.uint32)]
+    for m in range(n):
+        bit = np.uint32(1 << m)
+        grown = [levels[0]]
+        for low, high in zip([*levels[1:], levels[0][:0]], levels):
+            level = np.empty(len(low) + len(high), dtype=np.uint32)
+            level[:len(low)] = low
+            np.add(high, bit, out=level[len(low):])
+            grown.append(level)
+        levels = grown
+    return tuple(levels)

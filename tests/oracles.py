@@ -8,10 +8,13 @@ independently of the compiled kernel that builds it in the program, and
 `brute_parent_counts` counts each child's family parents from the child's
 side, independently of the program's loop over the family's members.
 `subsets_of_size` walks the masks of one level with Gosper's hack,
-independently of `masks_by_level`, and `level_values` reads a built table's
-values at those masks straight from its storage (through `table_values`,
-which multiplies each level back by the power of two it is stored divided
-by), independently of `MinorTable.value` and the heaviness queries.
+independently of `masks_by_level`; `arange_masks_by_level` groups every
+mask by popcount with one numpy selection a level, the definition that
+`masks_by_level` must reproduce in order; and `level_values` reads a built
+table's values at those masks straight from its storage (through
+`table_values`, which multiplies each level back by the power of two it is
+stored divided by), independently of `MinorTable.value` and the heaviness
+queries.
 `enumerate_all_sign_matrices` builds the canonical counter order one matrix
 at a time, independently of the exact checks' batch enumeration.
 `generator` is numpy's own Philox Generator on a stream's key, and
@@ -144,6 +147,14 @@ def subsets_of_size(n: int, k: int) -> Iterator[int]:
         low = m & -m
         ripple = m + low
         m = ripple | (((m ^ ripple) >> 2) // low)
+
+
+def arange_masks_by_level(n: int) -> tuple[np.ndarray, ...]:
+    """Every mask over n bits, grouped by popcount with one selection a
+    level; each level ascending."""
+    all_masks = np.arange(1 << n, dtype=np.int64)
+    popc = np.bitwise_count(all_masks)
+    return tuple(all_masks[popc == k] for k in range(n + 1))
 
 
 @functools.cache

@@ -274,10 +274,10 @@ def test_late_error_leaves_out_untouched(tmp_path, monkeypatch, capsys, args, er
 
 def test_lattice_memory_estimate_is_clean_error(monkeypatch, capsys):
     # the probe is patched, so no large table is ever requested
-    monkeypatch.setattr(lattice, "_physical_memory_bytes", lambda: (26 << 12) - 1)
+    monkeypatch.setattr(lattice, "_physical_memory_bytes", lambda: (14 << 12) - 1)
     assert cli.main(["compute", "--random", "12", "--engine", "lattice"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{26 << 12} bytes" in err and "physical memory" in err
+    assert err.startswith("error: ") and f"{14 << 12} bytes" in err and "physical memory" in err
     assert cli.main(["compute", "--random", "11", "--engine", "lattice"]) == 0
     assert capsys.readouterr().out.strip().lstrip("-").isdigit()
 

@@ -61,6 +61,7 @@ _AT_THE_BOUNDS = textwrap.dedent("""
     assert engines.permanent_naive(all_ones(10)) == f(10)
     table = lattice.build_lattice(all_ones(20))
     assert table.value((1 << 20) - 1) == f(20)
+    assert all(table.level_masks(k).dtype == np.uint32 for k in range(21))
     for bad in (0, 2):
         try:
             lattice.build_lattice(all_ones(4), 2).add_level(np.array([1, 1, bad, 1], dtype=np.int8))
@@ -151,6 +152,7 @@ _COPIED_INPUTS = textwrap.dedent("""
             table.add_level(row)
         return table
     table = table_of(rows)
+    assert table.level_masks(8).dtype == np.uint32
     for other in layouts(rows):
         copy = table_of(other)
         assert all(copy.value(m) == table.value(m) for m in table.level_masks(8).tolist())
@@ -273,8 +275,10 @@ def test_each_cap_is_the_largest_its_bound_allows():
     arrays = re.search(r"cof\[(\d+)\] = \{0\}, mark\[(\d+)\] = \{0\}", source).groups()
     assert arrays == (str(engines._BATCH_MAX_N),) * 2
     # a memory cap: the lattice's 2**n table, which holds every level, takes
-    # 26 bytes a subset at its build peak, about 109 MB at n = 22
-    assert 26 * 2**lattice.LATTICE_MAX_N < 110 * 10**6 < 26 * 2 ** (lattice.LATTICE_MAX_N + 1)
+    # 14 bytes a subset at its build peak, about 59 MB at n = 22; and
+    # add_level reads each mask as a uint32
+    assert 14 * 2**lattice.LATTICE_MAX_N < 110 * 10**6 < 14 * 2 ** (lattice.LATTICE_MAX_N + 1)
+    assert lattice.LATTICE_MAX_N < 32 and "const uint32_t *masks" in source
     # a time cap: naive_odd's count of n! permutations fits int64 through
     # n = 20, but it walks them one by one, 3.6 million at n = 10
     assert engines.NAIVE_MAX_N == 10 < largest(lambda n: f(n) < 2**63)

@@ -23,10 +23,11 @@ from permlab.lattice import (
 )
 from permlab.matrices import CapError, SignMatrix, sample_sign_matrix
 from permlab.rng import RngStream
-from permlab.subsets import bits_of
+from permlab.subsets import bits_of, masks_by_level
 
 from oracles import (
     all_ones,
+    arange_masks_by_level,
     brute_heavy_sets,
     brute_minor_permanent,
     brute_parent_counts,
@@ -270,13 +271,82 @@ def test_every_row_form_builds_the_same_table():
 
 
 def test_memory_guard_names_the_estimate(monkeypatch):
-    # 26 * 2**n bytes: the int64 table plus the peak of building the level masks
-    monkeypatch.setattr(lattice, "_physical_memory_bytes", lambda: (26 << 10) - 1)
-    with pytest.raises(CapError, match="26624 bytes"):
+    # 14 * 2**n bytes: the int64 table, the uint32 level masks and the
+    # half-size levels held through the masks' last doubling
+    monkeypatch.setattr(lattice, "_physical_memory_bytes", lambda: (14 << 10) - 1)
+    with pytest.raises(CapError, match=r"14336 bytes, 14 \* 2\*\*n"):
         MinorTable(10)
     MinorTable(9)
     monkeypatch.setattr(lattice, "_physical_memory_bytes", lambda: None)
     MinorTable(10)
+
+
+# A fresh interpreter, so its peak before the build is its import, not
+# another test's arrays.  The peak is VmHWM, the high-water RSS of the
+# child's own address space: ru_maxrss outlives exec, so a child started
+# from the test runner reports at least the runner's own peak.
+_FULL_N20_BUILD = """
+from permlab.lattice import MinorTable
+from permlab.matrices import sample_sign_matrix
+from permlab.rng import RngStream
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("VmHWM:"))
+
+m = sample_sign_matrix(20, RngStream(20))
+before = peak()
+t = MinorTable(20)
+for j in range(20):
+    t.add_level(m.row(j))
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_memory_guard_charges_what_a_full_build_measures():
+    # the 14 * 2**20 byte charge bounds the peak a full n = 20 build adds,
+    # with 2 MiB of slack for the interpreter's own allocations, the kernel
+    # library and page rounding; the int64 table alone is 8 * 2**20 bytes,
+    # so a smaller rise would mean the build was not measured
+    src = os.path.dirname(os.path.dirname(lattice.__file__))
+    res = subprocess.run([sys.executable, "-c", _FULL_N20_BUILD], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    rise = int(res.stdout)
+    assert 8 << 20 <= rise <= (14 << 20) + (2 << 20), rise
+
+
+@pytest.mark.parametrize("n", range(19))
+def test_masks_by_level_matches_the_arange_oracle(n):
+    levels = masks_by_level(n)
+    assert len(levels) == n + 1
+    for k, (masks, want) in enumerate(zip(levels, arange_masks_by_level(n))):
+        assert masks.dtype == np.uint32 and masks.flags.c_contiguous
+        assert len(masks) == math.comb(n, k)
+        assert np.array_equal(masks, want), k
+
+
+def test_masks_by_level_at_the_cap():
+    n = lattice.LATTICE_MAX_N
+    levels = masks_by_level(n)
+    assert [len(masks) for masks in levels] == [math.comb(n, k) for k in range(n + 1)]
+    assert all(masks.dtype == np.uint32 and (masks[1:] > masks[:-1]).all() for masks in levels)
+
+
+def test_level_masks_refuses_a_level_outside_the_table():
+    t = MinorTable(5)
+    assert t.level_masks(0).tolist() == [0] and t.level_masks(5).tolist() == [31]
+    for k in (-1, 6):
+        with pytest.raises(ValueError, match=r"level %d is outside \[0, 5\]" % k):
+            t.level_masks(k)
+
+
+def test_heavy_masks_are_int64_over_uint32_levels():
+    t = build_lattice(all_ones(6), 3)
+    assert t.level_masks(3).dtype == np.uint32
+    assert t.heavy_masks(3, 0).dtype == np.int64
+    assert t.heavy_masks(3, 0).tolist() == t.level_masks(3).tolist()
 
 
 def test_lattice_matches_brute_minors():
