@@ -3,8 +3,9 @@
    - add_level: the level build of the minor lattice, each level stored
      divided by the power of two that divides every sign permanent of its
      size, walking the level's uint32 masks (n <= LATTICE_MAX_N = 22 < 32),
-     with or without the new level's heavy sets at one threshold selected
-     in the same pass;
+     eight at a time with AVX-512F gathers where the host has them and one
+     at a time for the rest, with or without the new level's heavy sets at
+     one threshold selected in the same pass;
    - glynn: Glynn's formula for every exact square permanent up to n = 30,
      on int8 vector lanes, skipping the Gray-code steps whose product is 0,
      and glynn_cofactors: the same sweep on blocks with one row more than
@@ -30,8 +31,9 @@
    row holds the exposed row's n int8 entries: an entry other than -1 or +1
    stops the kernel before any write, returning its index + 1.  masks holds
    the level's masks as uint32, which holds every mask because the lattice
-   has n <= LATTICE_MAX_N = 22 < 32 columns.  With neg the mask of the -1
-   columns, for each level-k mask m in masks[0 .. count-1]:
+   has n <= LATTICE_MAX_N = 22 < 32 columns; every mask of a level has the
+   same popcount k.  With neg the mask of the -1 columns, for each level-k
+   mask m in masks[0 .. count-1]:
        vals[m] = (sum over i in m & ~neg of vals[m ^ (1 << i)]
                 - sum over i in m &  neg of vals[m ^ (1 << i)]) >> shift,
    the cofactor recursion over the row with no multiply, where
@@ -43,10 +45,13 @@
    With t not NULL, *t holds on entry the threshold on the stored values,
    in [0, 2**63) (the caller scales and clamps); each mask whose new |value|
    reaches it is written, in the order given, to out, an int64 list with
-   room for count masks, and *t is replaced by how many were written.  Each
-   mask is stored and the count advanced by the comparison, with no branch:
-   about half the masks of a level are heavy, so a branch would mispredict
-   about half the time.
+   room for count masks, and *t is replaced by how many were written.
+
+   On a host with AVX-512F (gcc's run-time check), the first count & ~7
+   masks are built eight at a time by gather_sweep and the rest by
+   level_sweep; on every other host, or outside x86-64, level_sweep builds
+   them all.  Both add the same terms, shift the same sums and select by
+   the same comparison, so they write the same bytes.
 
    Exact in int64: a stored level-(k-1) value is at most
    (k-1)! / 2**s_(k-1) in absolute value and each partial sum has at most k
@@ -55,11 +60,16 @@
    through k = 24; a stored level-k value is at most k! / 2**s_k
    (22! / 2**17 < 2**53) and can be negated.  Reads touch only level k-1
    and writes only level k, so the masks may be visited in any order. */
-static inline __attribute__((always_inline)) void
+
+/* The scalar sweep, one mask at a time: a loop over the mask's +1 columns
+   and one over its -1 columns.  With heavy set, each mask is stored and the
+   count advanced by the comparison with threshold, with no branch: about
+   half the masks of a level are heavy, so a branch would mispredict about
+   half the time.  Returns the count (0 without heavy). */
+static inline __attribute__((always_inline)) int64_t
 level_sweep(int64_t *vals, const uint32_t *masks, int64_t count, uint64_t neg, int64_t shift,
-            const int heavy, int64_t *t, int64_t *restrict out)
+            const int heavy, int64_t threshold, int64_t *restrict out)
 {
-    const int64_t threshold = heavy ? *t : 0;
     int64_t found = 0;
     for (int64_t j = 0; j < count; j++) {
         uint64_t m = masks[j];
@@ -75,8 +85,7 @@ level_sweep(int64_t *vals, const uint32_t *masks, int64_t count, uint64_t neg, i
             found += (v < 0 ? -v : v) >= threshold;
         }
     }
-    if (heavy)
-        *t = found;
+    return found;
 }
 
 /* The plain and the selecting sweep are each their own function, starting on
@@ -84,14 +93,72 @@ level_sweep(int64_t *vals, const uint32_t *masks, int64_t count, uint64_t neg, i
    library's symbol table: shifted 48 bytes, the plain sweep built lattices
    3-5% slower. */
 #define LEVEL_SWEEP(name, heavy)                                              \
-    static __attribute__((noinline, aligned(64))) void                        \
+    static __attribute__((noinline, aligned(64))) int64_t                     \
     name(int64_t *vals, const uint32_t *masks, int64_t count, uint64_t neg,   \
-         int64_t shift, int64_t *t, int64_t *out)                             \
+         int64_t shift, int64_t threshold, int64_t *out)                      \
     {                                                                         \
-        level_sweep(vals, masks, count, neg, shift, heavy, t, out);           \
+        return level_sweep(vals, masks, count, neg, shift, heavy, threshold,  \
+                           out);                                              \
     }
 LEVEL_SWEEP(level_plain, 0)
 LEVEL_SWEEP(level_heavy, 1)
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+
+/* The AVX-512F sweep over count masks, count a multiple of 8, all of
+   popcount k = popcount(masks[0]) (count > 0).  Each group of 8 masks, one
+   per int64 lane, runs exactly k steps, with no loop whose trip count
+   depends on the data: a step takes each lane's lowest remaining bit
+   (rest & -rest), gathers the 8 parents vals[m ^ low] in one
+   _mm512_i64gather_epi64, negates those of the lanes whose bit is in neg
+   and adds all 8 to the lanes' sums.  Each sum is then the scalar sweep's
+   plus - minus, with every partial sum inside the same bound, and is
+   shifted arithmetically (_mm512_srai_epi64) and written back in one
+   scatter; the 8 masks of a group are distinct, so no two lanes write one
+   value.  With heavy set, the lanes whose |value| reaches threshold store
+   their masks, in lane order, with one compress-store, so out keeps the
+   order of masks.  Returns the count (0 without heavy). */
+static inline __attribute__((always_inline, target("avx512f"))) int64_t
+gather_sweep(int64_t *vals, const uint32_t *masks, int64_t count, uint64_t neg, int64_t shift,
+             const int heavy, int64_t threshold, int64_t *restrict out)
+{
+    const int k = __builtin_popcount(masks[0]);
+    const __m512i minus = _mm512_set1_epi64((int64_t)neg), least = _mm512_set1_epi64(threshold);
+    const __m512i zero = _mm512_setzero_si512();
+    int64_t found = 0;
+    for (int64_t j = 0; j < count; j += 8) {
+        __m512i m = _mm512_cvtepu32_epi64(_mm256_loadu_si256((const __m256i *)(masks + j)));
+        __m512i rest = m, acc = zero;
+        for (int step = 0; step < k; step++) {
+            __m512i low = _mm512_and_si512(rest, _mm512_sub_epi64(zero, rest));
+            __m512i parent = _mm512_i64gather_epi64(_mm512_xor_si512(m, low), vals, 8);
+            __mmask8 sub = _mm512_test_epi64_mask(low, minus);
+            acc = _mm512_add_epi64(acc, _mm512_mask_sub_epi64(parent, sub, zero, parent));
+            rest = _mm512_xor_si512(rest, low);
+        }
+        acc = _mm512_srai_epi64(acc, (unsigned)shift);
+        _mm512_i64scatter_epi64(vals, m, acc, 8);
+        if (heavy) {
+            __mmask8 big = _mm512_cmpge_epi64_mask(_mm512_abs_epi64(acc), least);
+            _mm512_mask_compressstoreu_epi64(out + found, big, m);
+            found += __builtin_popcount(big);
+        }
+    }
+    return found;
+}
+
+/* Like the scalar sweeps, each on its own cache line. */
+#define GATHER_SWEEP(name, heavy)                                                   \
+    static __attribute__((noinline, aligned(64), target("avx512f"))) int64_t        \
+    name(int64_t *vals, const uint32_t *masks, int64_t count, uint64_t neg,         \
+         int64_t shift, int64_t threshold, int64_t *out)                            \
+    {                                                                               \
+        return gather_sweep(vals, masks, count, neg, shift, heavy, threshold, out); \
+    }
+GATHER_SWEEP(gather_plain, 0)
+GATHER_SWEEP(gather_heavy, 1)
+#endif
 
 int64_t add_level(int64_t *vals, const uint32_t *masks, int64_t count, const int8_t *row, int64_t n,
                   int64_t shift, int64_t *t, int64_t *out)
@@ -102,7 +169,18 @@ int64_t add_level(int64_t *vals, const uint32_t *masks, int64_t count, const int
             neg |= (uint64_t)1 << i;
         else if (row[i] != 1)
             return i + 1;
-    (t ? level_heavy : level_plain)(vals, masks, count, neg, shift, t, out);
+    const int64_t threshold = t ? *t : 0;
+    int64_t head = 0, found = 0;
+#if defined(__x86_64__)
+    if (count >= 8 && __builtin_cpu_supports("avx512f")) {
+        head = count & ~(int64_t)7;
+        found = (t ? gather_heavy : gather_plain)(vals, masks, head, neg, shift, threshold, out);
+    }
+#endif
+    if (t)
+        *t = found + level_heavy(vals, masks + head, count - head, neg, shift, threshold, out + found);
+    else
+        level_plain(vals, masks + head, count - head, neg, shift, threshold, out);
     return 0;
 }
 

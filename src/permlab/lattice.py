@@ -33,8 +33,12 @@ row's n int8 entries, refuses any but -1 and +1 before it writes, and, for
 each mask of the level, sums the values one level down over the mask's +1
 columns, subtracts the sum over its -1 columns, and halves the difference
 unless k is a power of two (s_k - s_(k-1) is 0 or 1); given a threshold, it
-also stores each mask branch-free into the heavy list as it writes the
-value.  That file's header lists every kernel.
+also stores each heavy mask, in mask order, into the heavy list as it writes
+the value.  On a host with AVX-512F (checked at run time) it builds the
+first count & ~7 masks of a level eight at a time, one gather of eight
+parents per column, and the rest one by one; every other host builds them
+all one by one, with the same bytes.  That file's header lists every
+kernel.
 `compiled._kernels` builds and loads the library; `lattice._kernels` is
 that same cached function.
 """
@@ -66,8 +70,12 @@ DUMP_MAX_N = 12
 def _level_masks(n: int) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
     """masks_by_level(n), each level's uint32 masks, and the kernel address of
     each level's array, cached together once per n, so an address lives
-    exactly as long as its array."""
+    exactly as long as its array.  Every table of that n shares the arrays,
+    so they are read-only: a write through level_masks would change how each
+    later table is built."""
     levels = masks_by_level(n)
+    for masks in levels:
+        masks.flags.writeable = False
     return levels, tuple(masks.ctypes.data for masks in levels)
 
 
@@ -180,7 +188,8 @@ class MinorTable:
         return self._vals.item(mask) << _SCALE[level]
 
     def level_masks(self, k: int) -> np.ndarray:
-        """The masks of the size-k column sets, ascending, as uint32."""
+        """The masks of the size-k column sets, ascending, as a read-only
+        uint32 array that every table of this n shares."""
         if not 0 <= k <= self.n:
             raise ValueError(f"level {k} is outside [0, {self.n}]")
         return self._levels[k]

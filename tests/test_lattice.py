@@ -349,6 +349,42 @@ def test_heavy_masks_are_int64_over_uint32_levels():
     assert t.heavy_masks(3, 0).tolist() == t.level_masks(3).tolist()
 
 
+def test_shared_level_masks_are_read_only():
+    # every table of an n reads one cached array per level: a write through
+    # level_masks would rebuild each later table on the wrong masks
+    m = sample_sign_matrix(6, RngStream(4, 0))
+    t = build_lattice(m)
+    with pytest.raises(ValueError, match="read-only"):
+        t.level_masks(2)[0] = 5
+    assert build_lattice(m).top_value() == permanent(m)
+
+
+# levels of 1, 7, 8, 9, 45 and 165 masks: the AVX-512F sweep, where the host
+# has it, builds the first count & ~7 masks eight at a time, and the scalar
+# sweep builds the rest; level 3 is halved (shift 1) and holds negative values
+@pytest.mark.parametrize("n, k", [(7, 7), (7, 1), (8, 1), (9, 1), (10, 2), (11, 3)])
+def test_one_level_built_by_both_sweeps(n, k):
+    m = sample_sign_matrix(n, RngStream(53, n))
+    masks = masks_by_level(n)[k]
+    want = numpy_level_table(m)[masks]
+    plain = build_lattice(m, k)
+    # Python ints: multiplied back in int64, a value shifted logically would
+    # wrap round to the right one
+    assert [plain.value(mask) for mask in masks.tolist()] == want.tolist()
+    # the first group of eight whose |values| differ (else the first masks):
+    # its median and its largest |value|, which splits it
+    sizes = np.abs(want)
+    first = next((j for j in range(0, len(masks) - 7, 8) if len(set(sizes[j:j + 8])) > 1), 0)
+    group = np.sort(sizes[first:first + 8])
+    for threshold in (0, int(group[len(group) // 2]), int(group[-1]), int(sizes.max()) + 1):
+        fused = build_lattice(m, k - 1)
+        heavy = fused.add_heavy_level(m.row(k - 1), threshold).tolist()
+        assert heavy == masks[sizes >= threshold].tolist() == plain.heavy_masks(k, threshold).tolist()
+        assert heavy == sorted(heavy) and np.array_equal(fused._vals, plain._vals)
+    if n >= 10:
+        assert len(group) == 8 and group[0] < group[-1]
+
+
 def test_lattice_matches_brute_minors():
     m = sample_sign_matrix(5, RngStream(32))
     t = build_lattice(m)
