@@ -34,7 +34,7 @@ from pathlib import Path
 from . import __version__
 from .checks import CHECKS, default_suite, run_check, suite_passed, summary_lines
 from .engines import PERMANENT_MAX_N, determinant_exact, permanent, permanent_naive
-from .growth import ProcessConfig, run_growth, write_trace_jsonl
+from .growth import ProcessConfig, level_range, run_growth, write_trace_jsonl
 from .lattice import DUMP_MAX_N, build_lattice, dump_lattice_csv
 from .matrices import CapError, SignMatrix, from_text, sample_sign_matrix
 from .rng import RngStream
@@ -202,6 +202,7 @@ def _growth_trial(payload: tuple) -> dict:
 
 def cmd_growth(args) -> int:
     cfg = ProcessConfig(eps=args.eps, eps_prime=args.eps_prime, c=args.c)
+    level_range(args.n, cfg)  # refused here, before --out is made
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     payloads = ((args.seed, t, args.n, cfg, path)

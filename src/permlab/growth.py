@@ -15,11 +15,15 @@ same pass (MinorTable.add_heavy_level).  Only a high-multiplicity step (type
 III or IV) reads level k+1 at the grown threshold, in one query of the built
 level, and a type III step carries that set forward.  In the runs measured
 at the CLI's configs every step was type I (see the README), so they query
-no built level.
+no built level.  A run computes its count targets once per tracked count
+(step_targets).  Trace lines are formatted from their fixed sorted key order
+with the bytes of json.dumps(record, sort_keys=True), which
+tests/test_growth.py test_trace_writer_bytes_equal_json_dumps pins.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,14 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import (
-    MinorTable,
-    SplitVerdict,
-    build_lattice,
-    parent_histogram,
-    split_events,
-)
-from .matrices import SignMatrix
+from .lattice import LATTICE_MAX_N, MinorTable, SplitVerdict, build_lattice, parent_histogram, split_events
+from .matrices import CapError, SignMatrix
 
 
 class StepType(str, Enum):
@@ -44,6 +42,13 @@ class StepType(str, Enum):
     III = "III"
     IV = "IV"
     V = "V"
+
+
+# Each type's name, and its trace spelling, read from tables: a .value read
+# is a Python-level enum descriptor call.
+_STEP_NAMES = {t: t.value for t in StepType}
+_STEP_JSON = {None: "null", **{t: json.dumps(name) for t, name in _STEP_NAMES.items()}}
+_POTENTIAL_PAYBACK = {StepType.I: 3, StepType.III: 1}
 
 
 def count_threshold(x: float) -> int:
@@ -144,25 +149,24 @@ class ProcessTrace:
         return self.records[-1]
 
     def step_type_counts(self) -> dict[str, int]:
-        counts = {t.value: 0 for t in StepType}
-        for rec in self.records:
-            if rec.step_type is not None:
-                counts[rec.step_type.value] += 1
-        return counts
+        names = [_STEP_NAMES[rec.step_type] for rec in self.records if rec.step_type is not None]
+        return {name: names.count(name) for name in _STEP_NAMES.values()}
 
 
 def potential_increment(step_type: StepType, cfg: ProcessConfig) -> float:
-    inc = 1 - cfg.eps / 2
-    if step_type is StepType.I:
-        inc -= 3
-    elif step_type is StepType.III:
-        inc -= 1
-    return inc
+    return 1 - cfg.eps / 2 - _POTENTIAL_PAYBACK.get(step_type, 0)
+
+
+def step_targets(n: int, cfg: ProcessConfig, tracked: int) -> tuple[float, int, int, int]:
+    """A step's grow factor and its explode, keep and shrunk counts from a
+    tracked count, which run_growth computes once per run and tracked count."""
+    return (cfg.lam_grow_factor(n), count_threshold(n**cfg.eps * tracked / 4),
+            count_threshold(cfg.keep_frac() * tracked), count_threshold(cfg.eps_prime * tracked))
 
 
 def classify_step(table: MinorTable, k: int, masks: np.ndarray, heavy_next: np.ndarray,
-                  tracked: int, threshold: float, cfg: ProcessConfig,
-                  potential: float) -> tuple[LevelRecord, int, float, np.ndarray]:
+                  tracked: int, threshold: float, cfg: ProcessConfig, potential: float,
+                  targets: tuple[float, int, int, int]) -> tuple[LevelRecord, int, float, np.ndarray]:
     """Classify the step from level k given the heavy sets of levels k and k+1.
 
     `masks` is heavy_masks(k, threshold) and `heavy_next` level k+1's heavy
@@ -171,25 +175,23 @@ def classify_step(table: MinorTable, k: int, masks: np.ndarray, heavy_next: np.n
     a PRIME step does not, and its record's next_at_grown is None.  The
     family is the `tracked` lexicographically-smallest members of `masks`
     (any witness set is allowed; the smallest ones make runs reproducible).
+    `targets` is step_targets(n, cfg, tracked).
     Exactly one type is returned; V is the fallback with tracked count 0.
     Returns the level's record, the next tracked count and threshold, and the
     heavy set of level k+1 at that threshold.
     """
     if tracked < 1:
         raise ValueError("classification needs a nonempty tracked family")
-    n = table.n
     if len(masks) < tracked:
         raise ValueError(f"tracked count {tracked} exceeds exact heavy count {len(masks)}")
     counts = parent_histogram(table, k, masks[:tracked])
     branch = split_events(counts, cfg.eps, cfg.c, tracked)
 
-    grown_threshold = cfg.lam_grow_factor(n) * threshold
+    grow_factor, explode_count, keep_count, shrunk = targets
+    grown_threshold = grow_factor * threshold
     next_at_threshold = len(heavy_next)
     next_at_grown = None
     next_heavy = heavy_next
-    explode_count = count_threshold(n**cfg.eps * tracked / 4)
-    keep_count = count_threshold(cfg.keep_frac() * tracked)
-    shrunk = count_threshold(cfg.eps_prime * tracked)
 
     if branch is SplitVerdict.PRIME:
         if next_at_threshold >= explode_count:
@@ -209,19 +211,21 @@ def classify_step(table: MinorTable, k: int, masks: np.ndarray, heavy_next: np.n
         else:
             step, new = StepType.V, (0, threshold)
 
-    record = LevelRecord(
-        k=k,
-        tracked=tracked,
-        true_heavy=len(masks),
-        threshold=threshold,
-        potential=potential,
-        step_type=step,
-        branch=branch,
-        next_at_threshold=next_at_threshold,
-        next_at_grown=next_at_grown,
-        grown_threshold=grown_threshold,
-    )
+    record = LevelRecord(k, tracked, len(masks), threshold, potential, step, branch,
+                         next_at_threshold, next_at_grown, grown_threshold)
     return record, new[0], new[1], next_heavy
+
+
+def level_range(n: int, cfg: ProcessConfig) -> tuple[int, int]:
+    """A run's first and last levels (k0, k1), checked before any work; each
+    refusal names the growth flags that set it."""
+    if n > LATTICE_MAX_N:
+        raise CapError(f"minor lattice is capped at n <= {LATTICE_MAX_N} (2**n table), got --n {n}")
+    k0, k1 = cfg.start_level(n), cfg.end_level(n)
+    if not 1 <= k0 <= k1 <= n:
+        raise ValueError(f"bad level range k0={k0}, k1={k1} for n={n}: --n {n} with --eps {cfg.eps}"
+                         " leaves no level to grow through (growth needs 1 <= k0 <= k1 <= n)")
+    return k0, k1
 
 
 def run_growth(matrix: SignMatrix, cfg: ProcessConfig) -> ProcessTrace:
@@ -233,10 +237,7 @@ def run_growth(matrix: SignMatrix, cfg: ProcessConfig) -> ProcessTrace:
     k1 requires a nonzero tracked count and potential <= eps' * n / 2.
     """
     n = matrix.n
-    k0 = cfg.start_level(n)
-    k1 = cfg.end_level(n)
-    if not 1 <= k0 <= k1 <= n:
-        raise ValueError(f"bad level range k0={k0}, k1={k1} for n={n}")
+    k0, k1 = level_range(n, cfg)
 
     # Levels below k0 are built plain; level k0 at threshold 1, and each next
     # level at the threshold of the level below.
@@ -245,6 +246,7 @@ def run_growth(matrix: SignMatrix, cfg: ProcessConfig) -> ProcessTrace:
     heavy = table.add_heavy_level(matrix.row(k0 - 1), threshold)
     tracked = 1 if len(heavy) else 0
     potential = 0.0
+    by_count: dict[int, tuple] = {}  # tracked count -> its step_targets
 
     trace = ProcessTrace(n=n, cfg=cfg, table=table)
     for k in range(k0, k1):
@@ -253,8 +255,9 @@ def run_growth(matrix: SignMatrix, cfg: ProcessConfig) -> ProcessTrace:
             trace.records.append(LevelRecord(k, 0, len(heavy), threshold, potential, None))
             heavy = heavy_next
             continue
+        targets = by_count.get(tracked) or by_count.setdefault(tracked, step_targets(n, cfg, tracked))
         rec, tracked, threshold, heavy = classify_step(
-            table, k, heavy, heavy_next, tracked, threshold, cfg, potential)
+            table, k, heavy, heavy_next, tracked, threshold, cfg, potential, targets)
         trace.records.append(rec)
         potential += potential_increment(rec.step_type, cfg)
 
@@ -269,28 +272,26 @@ def is_successful(trace: ProcessTrace, cfg: ProcessConfig) -> bool:
     return last.tracked != 0 and last.potential <= cfg.eps_prime * trace.n / 2
 
 
-def trace_level_dicts(trace: ProcessTrace) -> list[dict]:
-    """Per-level dicts in the stable wire format."""
-    rows = []
-    for rec in trace.records:
-        rows.append(
-            {
-                "k": rec.k,
-                "N_k": rec.tracked,
-                "true_heavy_count": rec.true_heavy,
-                "lambda_k": rec.threshold,
-                "W_k": rec.potential,
-                "step_type": rec.step_type.value if rec.step_type is not None else None,
-            }
-        )
-    return rows
+@functools.lru_cache(maxsize=8)
+def _header_head(cfg: ProcessConfig, n: int) -> str:
+    """A trace header up to its seed: the config is serialised once per (cfg, n)."""
+    config = json.dumps(cfg.describe(n), sort_keys=True)
+    return f'{{"config": {config}, "n": {n}, "record": "header", "seed": '
+
+
+def _json_number(x: float) -> str:
+    """What json.dumps writes for x: float.__repr__ for a finite float (not
+    repr, which numpy 2 writes as "np.float64(1.0)"), else json.dumps."""
+    return float.__repr__(x) if isinstance(x, float) and math.isfinite(x) else json.dumps(x)
 
 
 def write_trace_jsonl(trace: ProcessTrace, path, seed: int, stream: int) -> None:
-    """One header record, then one record per level; bit-stable per (seed, config)."""
-    header = {"record": "header", "n": trace.n, "config": trace.cfg.describe(trace.n),
-              "seed": seed, "stream": stream}
+    """One header record, then one record per level, in one write; bit-stable per
+    (seed, config).  Each line is formatted from its fixed sorted key order."""
+    lines = [f'{_header_head(trace.cfg, trace.n)}{seed}, "stream": {stream}}}\n']
+    for rec in trace.records:
+        lines.append(f'{{"N_k": {rec.tracked}, "W_k": {_json_number(rec.potential)}, "k": {rec.k},'
+                     f' "lambda_k": {_json_number(rec.threshold)}, "step_type": {_STEP_JSON[rec.step_type]},'
+                     f' "true_heavy_count": {rec.true_heavy}}}\n')
     with open(path, "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for row in trace_level_dicts(trace):
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        fh.write("".join(lines))

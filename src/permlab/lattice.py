@@ -25,8 +25,8 @@ in the same pass; the queries of a built level, heavy_count and
 heavy_masks, read its values with numpy.
 parent_histogram returns, for a family of size-k sets, the plain
 length-(n+1) array of how many children have exactly l family parents,
-counted member by member in Python; split_events reads n and the
-low-multiplicity mass from that array.
+counted member by member in Python over each member's n - k free columns;
+split_events reads n and the low-multiplicity mass from that array.
 
 The build of every level runs in C, in `_kernels.c`: `add_level` takes the
 row's n int8 entries, refuses any but -1 and +1 before it writes, and, for
@@ -259,10 +259,11 @@ def parent_histogram(table: MinorTable, k: int, members) -> np.ndarray:
         if mask in family:
             raise ValueError(f"family member {mask} is repeated")
         family.add(mask)
-        for i in range(n):
-            if not mask >> i & 1:
-                child = mask | 1 << i
-                children[child] = children.get(child, 0) + 1
+        free = ((1 << n) - 1) ^ mask  # the n - k columns a child adds, lowest first
+        while free:
+            bit = free & -free
+            free ^= bit
+            children[mask | bit] = children.get(mask | bit, 0) + 1
     counts = [0] * (n + 1)
     for parents in children.values():
         counts[parents] += 1
@@ -300,7 +301,7 @@ def split_events(counts: np.ndarray, eps: float, c: float, family_size: int) -> 
     """
     n = len(counts) - 1
     cut = split_cut(n, eps, c)
-    low_mass = int(counts[1 : cut + 1].sum())
+    low_mass = sum(counts.tolist()[1 : cut + 1])
     # Exact comparison in integers: eps enters as its binary-float value.
     num, den = eps.as_integer_ratio()
     prime = low_mass * den * 2 * cut >= num * n * family_size

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from permlab import cli, compiled, lattice, matrices
 from permlab.cli import _thread_count
 from permlab.engines import permanent_mod, permanent_ryser
+from permlab.growth import ProcessConfig, run_growth
 from permlab.matrices import sample_sign_matrix, to_text
 from permlab.rng import RngStream
 
@@ -452,6 +454,22 @@ def test_growth_summary_potential_algebra(tmp_path):
         counts = {t: sum(1 for lv in classified if lv["step_type"] == t) for t in "I II III IV V".split()}
         for t, c in counts.items():
             assert int(row[f"type_{t}"]) == c
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "16", "--eps", "0.9"], "bad level range k0=15, k1=1 for n=16: --n 16 with --eps 0.9"),
+    (["--n", "23"], "minor lattice is capped at n <= 22 (2**n table), got --n 23"),
+])
+def test_growth_refuses_its_level_range_before_making_out(tmp_path, capsys, flags, message):
+    # the one level-range check, which run_growth also makes, runs before
+    # --out is created and names the flags
+    out = tmp_path / "runs" / "g"
+    assert cli.main(["growth", *flags, "--trials", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "runs").exists()
+    n, eps = int(flags[1]), float(flags[3]) if len(flags) > 2 else 0.25
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_growth(sample_sign_matrix(n, RngStream(0)), ProcessConfig(eps=eps))
 
 
 def test_growth_rejects_bad_eps_prime(tmp_path):

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from permlab import growth
 from permlab.growth import (
+    LevelRecord,
     ProcessConfig,
     ProcessTrace,
     StepType,
@@ -15,7 +17,7 @@ from permlab.growth import (
     is_successful,
     potential_increment,
     run_growth,
-    trace_level_dicts,
+    step_targets,
     write_trace_jsonl,
 )
 from permlab.lattice import MinorTable, SplitVerdict, build_lattice, split_events
@@ -26,6 +28,29 @@ from oracles import all_ones, brute_parent_counts, level_values, subsets_of_size
 from reference_growth import reference_trace
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trace_n16_seed0.jsonl"
+
+
+def trace_level_dicts(trace: ProcessTrace) -> list[dict]:
+    """Per-level dicts in the stable wire format: the writer's oracle."""
+    return [
+        {
+            "k": rec.k,
+            "N_k": rec.tracked,
+            "true_heavy_count": rec.true_heavy,
+            "lambda_k": rec.threshold,
+            "W_k": rec.potential,
+            "step_type": rec.step_type.value if rec.step_type is not None else None,
+        }
+        for rec in trace.records
+    ]
+
+
+def trace_jsonl_oracle(trace: ProcessTrace, seed: int, stream: int) -> bytes:
+    """One json.dumps(sort_keys=True) line per record, header included."""
+    header = {"record": "header", "n": trace.n, "config": trace.cfg.describe(trace.n),
+              "seed": seed, "stream": stream}
+    rows = [header, *trace_level_dicts(trace)]
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode()
 
 
 def replay_records(trace: ProcessTrace) -> list[tuple[int, float, float]]:
@@ -300,7 +325,8 @@ def test_type_iii_carries_the_grown_heavy_set_forward():
     threshold = float(magnitudes[len(magnitudes) // 2])
     heavy_next = table.heavy_masks(11, threshold)
     rec, _, next_threshold, heavy = classify_step(
-        table, 10, table.heavy_masks(10, threshold), heavy_next, 1, threshold, cfg, 0.0)
+        table, 10, table.heavy_masks(10, threshold), heavy_next, 1, threshold, cfg, 0.0,
+        step_targets(12, cfg, 1))
     assert rec.step_type is StepType.III and next_threshold == rec.grown_threshold
     assert heavy.tolist() == table.heavy_masks(11, rec.grown_threshold).tolist()
     assert len(heavy) == rec.next_at_grown < rec.next_at_threshold == len(heavy_next)
@@ -375,3 +401,61 @@ def test_trace_jsonl_roundtrip(tmp_path):
     assert levels == trace_level_dicts(trace)
     # terminal record never carries a step type
     assert levels[-1]["step_type"] is None
+
+
+def test_trace_writer_bytes_equal_json_dumps(tmp_path):
+    # the fixed-order writer against one json.dumps(sort_keys=True) line per
+    # record, header included: the golden config at n = 16 and, from the same
+    # config object, n = 10 (the header is cached per config and n), then
+    # built records at the edges of json's number spelling
+    cfg = ProcessConfig()
+    runs = [run_growth(sample_sign_matrix(n, RngStream(0, 0)), cfg) for n in (16, 10)]
+    built = ProcessTrace(n=16, cfg=ProcessConfig(eps=0.3, eps_prime=0.01, c=0.5), table=None)
+    built.records += [
+        LevelRecord(5, 1, 2944, 1.0, 0.0, StepType.I),
+        LevelRecord(6, 0, 0, 0.0, -0.0, None),
+        LevelRecord(7, 3, 7, 2.5, -14.875, StepType.II),
+        LevelRecord(8, 2**62, 2**62 + 1, np.float64(2.0), 1e300, StepType.III),
+        LevelRecord(9, 1, 1, np.float64(-0.0), -1e300, StepType.IV),
+        LevelRecord(10, 1, 1, math.inf, -math.inf, StepType.V),
+        LevelRecord(11, 1, 1, np.float64(math.nan), 1e-300, None),
+        LevelRecord(12, 1, 1, np.float64(math.inf), 5e-324, None),
+    ]
+    for trace, seed, stream in ((runs[0], 0, 0), (runs[1], 46, 1), (built, 2**63, 7)):
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(trace, path, seed=seed, stream=stream)
+        assert path.read_bytes() == trace_jsonl_oracle(trace, seed, stream)
+    assert GOLDEN.read_bytes() == trace_jsonl_oracle(runs[0], 0, 0)
+    assert b"NaN" in path.read_bytes() and b"-Infinity" in path.read_bytes()
+
+
+def test_step_targets_equal_the_per_step_formulas(monkeypatch):
+    # the grow factor and count targets a run computes once per tracked
+    # count equal the formulas of a step, float for float and int for int
+    cfgs = [ProcessConfig(eps=eps, eps_prime=eps / 6 * f, c=c)
+            for eps in (0.01, 0.1, 0.25, 0.3, 0.45, 0.49, 0.9)
+            for f in (1, 0.5, 0.01) for c in (None, 0.05, 0.5, 0.95)]
+    for n in range(2, 23):
+        for cfg in cfgs:
+            for tracked in range(1, 65):
+                got = step_targets(n, cfg, tracked)
+                want = (cfg.lam_grow_factor(n), count_threshold(n**cfg.eps * tracked / 4),
+                        count_threshold(cfg.keep_frac() * tracked),
+                        count_threshold(cfg.eps_prime * tracked))
+                assert got == want, (n, cfg, tracked)
+                assert list(map(type, got)) == [float, int, int, int]
+    # one computation per run and tracked count: the golden run classifies
+    # seven steps of one set, and the n = 22, eps = 0.45 run one of one set,
+    # then one of two
+    calls = []
+
+    def counted(n, cfg, tracked):
+        calls.append(tracked)
+        return step_targets(n, cfg, tracked)
+
+    monkeypatch.setattr(growth, "step_targets", counted)
+    for n, eps, seed, want in ((16, 0.25, 0, [1] * 7), (22, 0.45, 51, [1, 2])):
+        calls.clear()
+        trace = run_growth(sample_sign_matrix(n, RngStream(seed, 0)), ProcessConfig(eps=eps))
+        assert [rec.tracked for rec in trace.records if rec.step_type is not None] == want
+        assert calls == list(dict.fromkeys(want))
