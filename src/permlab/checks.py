@@ -360,7 +360,7 @@ def check_many_children(trials: int, n: int, i_size: int, rng: RngStream) -> Che
     if n > MAX_N:
         raise CapError(f"many-children check is capped at --n <= {MAX_N}, got n={n}")
     if not 1 <= i_size <= n - 1:
-        raise ValueError(f"i_size must be in 1..n-1, got {i_size}")
+        raise ValueError(f"--i-size must be in 1..--n - 1 = {n - 1}, got {i_size}")
     k = n - i_size
     if k + 1 > _BATCH_MAX_N:  # the children are (k+1) x (k+1), expanded along k+1 cofactors
         raise CapError(f"many-children check is capped at --n - --i-size + 1 <= {_BATCH_MAX_N}"
@@ -556,6 +556,8 @@ def check_maintain_grow_events(n: int, trials: int, rng: RngStream) -> CheckRepo
     events accrue; the other two bounds have unspecified constants and stay
     descriptive.  Every run uses _MAINTAIN_GROW_CFG (eps = 0.3, c = 1/2).
     """
+    if n < 2:  # at eps = 0.3, n = 1 leaves no level to grow through
+        raise ValueError(f"maintain-grow check needs --n >= 2, got n={n}")
     _some_draws(trials, "maintain_grow_events")
     c = _MAINTAIN_GROW_CFG.c
     counts = {

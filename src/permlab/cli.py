@@ -24,9 +24,8 @@ import json
 import math
 import os
 import sys
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
@@ -38,38 +37,6 @@ from .growth import ProcessConfig, level_range, run_growth, write_trace_jsonl
 from .lattice import DUMP_MAX_N, build_lattice, dump_lattice_csv
 from .matrices import CapError, SignMatrix, from_text, sample_sign_matrix
 from .rng import RngStream
-
-_WINDOW = 4  # trials in flight per worker process
-
-
-def _thread_count() -> int:
-    """Worker processes from PERMLAB_THREADS, an integer clamped to 1..os.cpu_count()."""
-    text = os.environ.get("PERMLAB_THREADS", "1")
-    try:
-        requested = int(text)
-    except ValueError:
-        raise ValueError(f"PERMLAB_THREADS must be an integer, got {text!r}") from None
-    return max(1, min(requested, os.cpu_count() or 1))
-
-
-def _map_trials(fn, payloads: Iterable) -> Iterator:
-    """fn applied to each payload, yielded in payload order, on _thread_count() workers.
-
-    Payloads are drawn from the iterable only as results are taken, at most
-    _WINDOW per worker ahead, so memory does not grow with the trial count.
-    """
-    threads = _thread_count()
-    if threads == 1:
-        yield from map(fn, payloads)
-        return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        for payload in payloads:
-            if len(pending) == threads * _WINDOW:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fn, payload))
-        while pending:
-            yield pending.popleft().result()
 
 
 def _positive_int(text: str) -> int:
@@ -185,9 +152,8 @@ def _trace_paths(out: Path, trials: int) -> Iterator[str]:
     return (f"{prefix}{trial:05d}.jsonl" for trial in range(trials))
 
 
-def _growth_trial(payload: tuple) -> dict:
+def _growth_trial(seed: int, trial: int, n: int, cfg: ProcessConfig, path: str) -> dict:
     """Run one trial, write its trace file; return its summary row."""
-    seed, trial, n, cfg, path = payload
     trace = run_growth(sample_sign_matrix(n, RngStream(seed, trial)), cfg)
     write_trace_jsonl(trace, path, seed=seed, stream=trial)
     final = trace.final
@@ -205,13 +171,12 @@ def cmd_growth(args) -> int:
     level_range(args.n, cfg)  # refused here, before --out is made
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payloads = ((args.seed, t, args.n, cfg, path)
-                for t, path in enumerate(_trace_paths(out, args.trials)))
     summary_path = out / "summary.csv"
     successes = 0
     with _replace_when_done(summary_path) as fh:
         writer = None
-        for row in _map_trials(_growth_trial, payloads):  # each row as its trial ends
+        for t, path in enumerate(_trace_paths(out, args.trials)):
+            row = _growth_trial(args.seed, t, args.n, cfg, path)  # written as its trial ends
             if writer is None:
                 writer = csv.DictWriter(fh, fieldnames=list(row))
                 writer.writeheader()
@@ -294,8 +259,7 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _ensemble_trial(payload: tuple) -> tuple[int, int, str, str]:
-    seed, n, trial = payload
+def _ensemble_trial(seed: int, n: int, trial: int) -> tuple[int, int, str, str]:
     matrix = sample_sign_matrix(n, RngStream(seed, (n << 32) | trial))
     per = permanent(matrix)
     det = determinant_exact(matrix)
@@ -305,24 +269,21 @@ def _ensemble_trial(payload: tuple) -> tuple[int, int, str, str]:
 
 
 def cmd_ensemble(args) -> int:
-    n_list = args.n_list
-    # rows go out in (n, trial) order; a size listed twice gives each of its rows twice
-    times = Counter(n_list)
-    payloads = ((args.seed, n, t) for n in sorted(times) for t in range(args.trials)
-                for _ in range(times[n]))
+    times = Counter(args.n_list)
     out = Path(args.out)
-    rows = 0
     with _replace_when_done(out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "trial", "per_abs_log", "det_abs_log"])
-        for row in _map_trials(_ensemble_trial, payloads):
-            writer.writerow(row)
-            rows += 1
+        # rows go out in (n, trial) order; a size listed twice has each of
+        # its rows computed once and written twice in a row
+        for n in sorted(times):
+            for t in range(args.trials):
+                writer.writerows([_ensemble_trial(args.seed, n, t)] * times[n])
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"), "ensemble",
-        {"n_list": n_list, "trials": args.trials}, args.seed, [str(out)],
+        {"n_list": args.n_list, "trials": args.trials}, args.seed, [str(out)],
     )
-    print(f"wrote {rows} rows to {out}")
+    print(f"wrote {len(args.n_list) * args.trials} rows to {out}")
     return 0
 
 

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from permlab import cli, compiled, lattice, matrices
-from permlab.cli import _thread_count
 from permlab.engines import permanent_mod, permanent_ryser
 from permlab.growth import ProcessConfig, run_growth
 from permlab.matrices import sample_sign_matrix, to_text
@@ -198,9 +197,14 @@ def test_bad_values_rejected(tmp_path, args, flag, message):
      "error: growth-rate check needs --n >= 2"),
     (["verify", "--suite", "alon", "--n", "31", "--trials", "2"],
      "error: n+1 must be a power of two in {4,8,16}, got n=31"),
+    (["verify", "--suite", "maintain_grow", "--n", "1", "--trials", "2"],
+     "error: maintain-grow check needs --n >= 2, got n=1"),
+    (["verify", "--suite", "many_children", "--n", "3", "--trials", "2"],
+     "error: --i-size must be in 1..--n - 1 = 2, got 6"),
 ], ids=["compute-no-input", "parent-child-n-1", "second-moment-one-draw", "growth-rate-one-draw",
         "parent-child-one-draw", "many-children-one-draw", "second-moment-no-trials",
-        "alon-no-trials", "growth-rate-n-1", "alon-n-31"])
+        "alon-no-trials", "growth-rate-n-1", "alon-n-31", "maintain-grow-n-1",
+        "many-children-i-size-default"])
 def test_usage_errors_are_clean(args, message):
     res = run_cli(*args)
     assert res.returncode == 2
@@ -230,7 +234,8 @@ def test_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys, args
     def never(*_args, **_kwargs):
         raise AssertionError("the run started before --out was opened")
 
-    monkeypatch.setattr(cli, "_map_trials", never)
+    monkeypatch.setattr(cli, "_growth_trial", never)
+    monkeypatch.setattr(cli, "_ensemble_trial", never)
     monkeypatch.setattr(cli, "default_suite", never)
     monkeypatch.setattr(cli, "run_check", never)
     assert cli.main([a.format(tmp=tmp_path) for a in args]) == 2
@@ -261,7 +266,6 @@ def test_late_error_leaves_out_untouched(tmp_path, monkeypatch, capsys, args, er
     # refuses its size, or the kernels, compiled on first use by the first
     # draw, fail to compile under a bad flag
     monkeypatch.setattr(compiled, "_KERNEL_CC", (*compiled._KERNEL_CC, "-no-such-flag"))
-    monkeypatch.delenv("PERMLAB_THREADS", raising=False)
     out = tmp_path / "r.out"
     out.write_text("earlier output\n")
     lattice._kernels.cache_clear()
@@ -301,11 +305,10 @@ def _peak_rss_kb(*argv: str) -> int:
     return usage.ru_maxrss
 
 
-def test_growth_memory_does_not_grow_with_trials(tmp_path, monkeypatch):
+def test_growth_memory_does_not_grow_with_trials(tmp_path):
     # trials are drawn as they run and rows written as they end, so 8x the
     # trials keeps the same peak; a list of every trial's payload and row
     # costs about 1 kB a trial, 3.5 MB here
-    monkeypatch.delenv("PERMLAB_THREADS", raising=False)
     few = _peak_rss_kb("growth", "--n", "4", "--trials", "500", "--out", str(tmp_path / "few"))
     many = _peak_rss_kb("growth", "--n", "4", "--trials", "4000", "--out", str(tmp_path / "many"))
     assert many - few < 2048, (few, many)
@@ -322,21 +325,6 @@ def test_parent_child_memory_does_not_grow_with_trials():
     few = _peak_rss_kb(*argv, "20000")
     many = _peak_rss_kb(*argv, "400000")
     assert many - few < 2048, (few, many)
-
-
-def test_thread_count_clamped_to_cpus(monkeypatch):
-    monkeypatch.setenv("PERMLAB_THREADS", "100000")
-    assert _thread_count() == (os.cpu_count() or 1)
-    monkeypatch.setenv("PERMLAB_THREADS", "0")
-    assert _thread_count() == 1
-
-
-def test_thread_count_that_is_not_an_integer_is_refused(tmp_path):
-    res = run_cli("growth", "--n", "6", "--trials", "2", "--out", str(tmp_path / "g"),
-                  env=dict(os.environ, PERMLAB_THREADS="two"))
-    assert res.returncode == 2
-    assert res.stderr == "error: PERMLAB_THREADS must be an integer, got 'two'\n"
-    assert not (tmp_path / "g" / "summary.csv").exists()
 
 
 @pytest.mark.parametrize("args, message", [
@@ -577,6 +565,28 @@ def test_ensemble_deterministic_and_sane(tmp_path):
     assert manifest["config"]["n_list"] == [3, 5]
 
 
+def test_ensemble_repeated_size_computes_each_row_once(tmp_path, monkeypatch, capsys):
+    calls, real = [], cli.permanent
+
+    def counted(matrix):
+        calls.append(matrix.n)
+        return real(matrix)
+
+    monkeypatch.setattr(cli, "permanent", counted)
+    out = tmp_path / "e.csv"
+    assert cli.main(["ensemble", "--n-list", "5,3,5", "--trials", "3", "--seed", "1",
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 9 rows to {out}\n"
+    assert sorted(calls) == [3, 3, 3, 5, 5, 5]  # one permanent per (n, trial)
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["n", "trial", "per_abs_log", "det_abs_log"]
+    assert [row[:2] for row in rows[1:]] == [
+        ["3", "0"], ["3", "1"], ["3", "2"],
+        ["5", "0"], ["5", "0"], ["5", "1"], ["5", "1"], ["5", "2"], ["5", "2"]]
+    assert rows[4] == rows[5] and rows[6] == rows[7] and rows[8] == rows[9]
+
+
 def test_growth_success_fraction_matches_pilot_fixture(tmp_path):
     # same-seed rerun of the committed pilot: the success fraction must
     # match the fixture exactly (zero tolerance by construction)
@@ -601,14 +611,9 @@ def test_growth_trace_matches_golden_fixture(tmp_path):
     assert got == golden.read_text().splitlines()
 
 
-def test_parallel_matches_serial(tmp_path):
-    out1 = tmp_path / "serial"
-    out2 = tmp_path / "par"
-    res = run_cli("growth", "--n", "10", "--trials", "4", "--seed", "3", "--out", str(out1))
-    assert res.returncode == 0
-    env = dict(os.environ, PERMLAB_THREADS="2")
-    res2 = run_cli("growth", "--n", "10", "--trials", "4", "--seed", "3",
-                   "--out", str(out2), env=env)
-    assert res2.returncode == 0
-    for name in ("trace_00000.jsonl", "trace_00003.jsonl", "summary.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+def test_importing_the_cli_starts_no_process_machinery():
+    # every trial runs in the calling process, so nothing loads a process pool
+    code = ("import sys, permlab.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout == "[]\n"
