@@ -7,8 +7,10 @@
      at a time for the rest, with or without the new level's heavy sets at
      one threshold selected in the same pass;
    - glynn: Glynn's formula for every exact square permanent up to n = 30,
-     on int8 vector lanes, skipping the Gray-code steps whose product is 0,
-     and glynn_cofactors: the same sweep on blocks with one row more than
+     on int8 vector lanes, which from n = 9 on a host with AVX-512BW and DQ
+     run as four or two Gray-code walks in one 512-bit vector that multiply
+     out every step, and elsewhere skip the steps whose product is 0; and
+     glynn_cofactors: the same sweep on blocks with one row more than
      columns, for the row-deleted cofactors that many_children expands its
      children along;
    - ryser_mod: Ryser's formula modulo m < 2**31, whose residues are the CRT
@@ -158,6 +160,15 @@ gather_sweep(int64_t *vals, const uint32_t *masks, int64_t count, uint64_t neg, 
     }
 GATHER_SWEEP(gather_plain, 0)
 GATHER_SWEEP(gather_heavy, 1)
+
+/* The file's one run-time CPU check (gcc's): whether the host runs the
+   AVX-512 sweeps, add_level's with AVX-512F and, with bytes set, glynn's,
+   which also needs BW for its int8 and int16 lanes and DQ for vpmullq. */
+static int host_has_avx512(int bytes)
+{
+    return __builtin_cpu_supports("avx512f") &&
+           (!bytes || (__builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512dq")));
+}
 #endif
 
 int64_t add_level(int64_t *vals, const uint32_t *masks, int64_t count, const int8_t *row, int64_t n,
@@ -172,7 +183,7 @@ int64_t add_level(int64_t *vals, const uint32_t *masks, int64_t count, const int
     const int64_t threshold = t ? *t : 0;
     int64_t head = 0, found = 0;
 #if defined(__x86_64__)
-    if (count >= 8 && __builtin_cpu_supports("avx512f")) {
+    if (count >= 8 && host_has_avx512(0)) {
         head = count & ~(int64_t)7;
         found = (t ? gather_heavy : gather_plain)(vals, masks, head, neg, shift, threshold, out);
     }
@@ -220,7 +231,9 @@ typedef int8_t lanes16 __attribute__((vector_size(16)));
    with probability C(16, 8) / 2**16 = 0.20).  At 8 lanes the sweep always
    multiplies and a lane at 0 gives a product of 0: a lane there is 0 with
    probability about 0.27, so the branch of a skip mispredicts often, and
-   with it n = 8 ran 13% and 7 x 6 cofactor blocks 45% slower.
+   with it n = 8 ran 13% and 7 x 6 cofactor blocks 45% slower.  On a host
+   with AVX-512BW and DQ, glynn gives every n >= 9 to walks_sweep instead,
+   which skips nothing.
 
    A product that runs reads the lanes sign-extended into unsigned words,
    and every step is a ring operation on those words, which wrap and have
@@ -363,8 +376,160 @@ GLYNN_WIDTH(glynn_wide, 32, 1, 0)
 GLYNN_WIDTH(cofactors_8, 8, 0, 1)
 GLYNN_WIDTH(cofactors_16, 16, 0, 1)
 
+#if defined(__x86_64__)
+/* The product of each 16-lane group of x, 64 int8 lanes of at most 15 in
+   absolute value, in both int64 lanes of its group, every partial product
+   exact: int8 pairs multiply to int16 (at most 15**2 = 225 < 2**15), int16
+   pairs to int32 in one vpmaddwd (15**4 = 50625 < 2**31), int32 pairs to
+   int64 in one vpmuldq, and the two halves of a group (15**16 < 2**63) in
+   one more vpmuldq at n <= 20, whose lanes are at most ceil(20/2) = 10 (it
+   takes each half as a signed 32-bit operand: 10**8 < 2**31 <= 15**8), and
+   in one vpmullq past 20. */
+static inline __attribute__((always_inline, target("avx512f,avx512bw,avx512dq"))) __m512i
+group_products(__m512i x, const int wide)
+{
+    __m512i even = _mm512_srai_epi16(_mm512_slli_epi16(x, 8), 8), odd = _mm512_srai_epi16(x, 8);
+    __m512i p = _mm512_mullo_epi16(even, odd);
+    p = _mm512_madd_epi16(p, _mm512_srli_epi32(p, 16));
+    p = _mm512_mul_epi32(p, _mm512_srli_epi64(p, 32));
+    __m512i halves = _mm512_shuffle_epi32(p, _MM_PERM_BADC);
+    return wide ? _mm512_mullo_epi64(p, halves) : _mm512_mul_epi32(p, halves);
+}
+
+/* A block's row, from its first byte at row, in every walk of a vector,
+   with the bytes outside keep (the lanes j >= n) set to 0. */
+static inline __attribute__((always_inline, target("avx512f,avx512bw,avx512dq"))) __m512i
+walk_row(const int8_t *row, uint64_t keep, const int lanes)
+{
+    __m512i all = lanes == 16 ? _mm512_broadcast_i32x4(_mm_loadu_si128((const __m128i *)row))
+                              : _mm512_broadcast_i64x4(_mm256_loadu_si256((const __m256i *)row));
+    return _mm512_maskz_mov_epi8(keep, all);
+}
+
+/* The walks' products at the lanes x (group_products), added to their
+   totals: each walk's in the int64 lanes of its group in acc at n <= 20,
+   where the two 16-lane products of a 32-lane walk are multiplied in one
+   vpmullq, wrapping modulo 2**64 like glynn_sweep's products; and past 20
+   in sum[w], each walk's as one exact signed 64 x 64 -> 128 multiply of
+   its two 16-lane products (15**32 < 2**127), wrapping modulo 2**128. */
+static inline __attribute__((always_inline, target("avx512f,avx512bw,avx512dq"))) void
+add_products(__m512i x, const int lanes, const int wide, __m512i *acc, unsigned __int128 *sum)
+{
+    __m512i p = group_products(x, wide);
+    if (wide) {
+        int64_t half[8];
+        _mm512_storeu_si512(half, p);
+        sum[0] += (unsigned __int128)((__int128)half[0] * half[2]);
+        sum[1] += (unsigned __int128)((__int128)half[4] * half[6]);
+        return;
+    }
+    if (lanes == 32)
+        p = _mm512_mullo_epi64(p, _mm512_permutex_epi64(p, _MM_SHUFFLE(1, 0, 3, 2)));
+    *acc = _mm512_add_epi64(*acc, p);
+}
+
+/* glynn_sweep's formula for 9 <= n <= 30 on a host with AVX-512BW and DQ,
+   with 64 / lanes Gray-code walks in one 512-bit vector of int8 lanes: four
+   walks of 16 lanes (n <= 16) or two of 32.  Walk w fixes the top
+   log2(walks) deltas, delta_(steps+1+k) = -1 exactly when bit k of w is set,
+   and the walks step together over the other steps = n - 1 - log2(walks)
+   deltas (at least 6, at n = 9), so a step is one vpaddb for every walk.
+   The lanes hold glynn_sweep's halved column sums of B, at most 15 in
+   absolute value, and 1 in each lane j >= n of a walk, and each step
+   multiplies all of them out (add_products) into the walks' totals, adding
+   or subtracting by the step's parity: the steps are taken two at a time,
+   so each pair adds its first products and subtracts its second.  A lane
+   at 0 makes its walk's product 0, so no step is tested or skipped.  Each
+   walk's total, times prod_k delta_k over its fixed deltas, sums to
+   glynn_sweep's total, and so to the same out words, exact under the same
+   bounds: in 64 bits at n <= 20 and in 128 past it (with wide).  Each block
+   is read through a copy followed by 32 zero bytes, as in glynn_sweep. */
+static inline __attribute__((always_inline, target("avx512f,avx512bw,avx512dq"))) void
+walks_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const int wide,
+            int64_t *out)
+{
+    const int walks = 64 / lanes, fixed = walks == 4 ? 2 : 1;
+    const int64_t steps = n - 1 - fixed;
+    /* keep: the bytes of lanes j < n; top[k]: the bytes of the walks whose
+       bit k is set */
+    uint64_t keep = 0, top[2] = {0, 0};
+    for (int byte = 0; byte < 64; byte++) {
+        keep |= (uint64_t)(byte % lanes < n) << byte;
+        for (int k = 0; k < fixed; k++)
+            top[k] |= (uint64_t)(byte / lanes >> k & 1) << byte;
+    }
+    const __m512i zero = _mm512_setzero_si512(), sign = _mm512_set1_epi8(-128);
+    for (int64_t b = 0; b < count; b++) {
+        int8_t a[30 * 30 + 32];
+        memcpy(a, mats + b * n * n, n * n);
+        memset(a + n * n, 0, 32);
+        /* step[1][i - 1] is what delta_i going from +1 to -1 adds to the
+           lanes, step[0][i - 1] what going back adds */
+        __m512i step[2][28], sums = walk_row(a, keep, lanes);
+        if (n % 2)
+            sums = _mm512_add_epi8(sums, sums);
+        for (int64_t i = 1; i < n; i++) {
+            __m512i row = walk_row(a + i * n, keep, lanes);
+            if (i <= steps) {
+                step[0][i - 1] = row;
+                step[1][i - 1] = _mm512_sub_epi8(zero, row);
+                sums = _mm512_add_epi8(sums, row);
+            } else {
+                sums = _mm512_mask_sub_epi8(_mm512_add_epi8(sums, row), top[i - steps - 1], sums, row);
+            }
+        }
+        /* halved: each sum is even, so a 16-bit logical shift moves a 0
+           into the top bit of each low byte, where the sign goes back */
+        sums = _mm512_or_si512(_mm512_srli_epi16(sums, 1), _mm512_and_si512(sums, sign));
+        sums = _mm512_mask_blend_epi8(keep, _mm512_set1_epi8(1), sums);
+        __m512i plus = zero, minus = zero;
+        unsigned __int128 plus_wide[2] = {0, 0}, minus_wide[2] = {0, 0};
+        for (uint64_t s = 0; s >> steps == 0; s += 2) {
+            if (s) {
+                int i = __builtin_ctzll(s);
+                sums = _mm512_add_epi8(sums, step[(s ^ s >> 1) >> i & 1][i]);
+            }
+            add_products(sums, lanes, wide, &plus, plus_wide);
+            /* step s + 1 flips delta_1, to -1 when bit 1 of s is clear */
+            sums = _mm512_add_epi8(sums, step[~s >> 1 & 1][0]);
+            add_products(sums, lanes, wide, &minus, minus_wide);
+        }
+        __int128 per;
+        if (wide) {  /* two walks: delta_(n-1) is -1 in the second */
+            per = (__int128)(plus_wide[0] - minus_wide[0] - (plus_wide[1] - minus_wide[1]));
+        } else {
+            uint64_t each[8], total = 0;
+            _mm512_storeu_si512(each, _mm512_sub_epi64(plus, minus));
+            for (int w = 0; w < walks; w++)
+                total += __builtin_parity(w) ? -each[w * lanes / 8] : each[w * lanes / 8];
+            per = (int64_t)total;
+        }
+        per *= 2 - n % 2;
+        out[2 * b] = (int64_t)(uint64_t)per;
+        out[2 * b + 1] = (int64_t)(uint64_t)((unsigned __int128)per >> 64);
+    }
+}
+
+/* Each width its own function, like glynn_sweep's. */
+#define WALKS_WIDTH(name, lanes, wide)                                              \
+    static __attribute__((noinline, target("avx512f,avx512bw,avx512dq"))) void      \
+    name(const int8_t *mats, int64_t count, int64_t n, int64_t *out)                \
+    {                                                                               \
+        walks_sweep(mats, count, n, lanes, wide, out);                              \
+    }
+WALKS_WIDTH(walks_16, 16, 0)
+WALKS_WIDTH(walks_32, 32, 0)
+WALKS_WIDTH(walks_wide, 32, 1)
+#endif
+
 void glynn(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
 {
+#if defined(__x86_64__)
+    if (n > 8 && host_has_avx512(1)) {
+        (n <= 16 ? walks_16 : n <= 20 ? walks_32 : walks_wide)(mats, count, n, out);
+        return;
+    }
+#endif
     if (n == 0)
         for (int64_t b = 0; b < count; b++)
             out[2 * b] = 1, out[2 * b + 1] = 0;

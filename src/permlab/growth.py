@@ -120,7 +120,7 @@ class ProcessConfig:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LevelRecord:
     """State at one level, plus the classification of the step leaving it."""
 

@@ -113,7 +113,8 @@ def _signed_ones(n: int) -> np.ndarray:
 
 
 # 8/9, 16/17: the last n of the 8- and 16-lane sweeps and the first of the
-# next width (9 is the first n that skips the steps with a 0 lane); 15: the
+# next width (9 is the first n of the vector sweep, or of the steps skipped
+# for a 0 lane on a host without AVX-512BW and DQ); 15: the
 # last odd n in 16 lanes; 19 and 20: the last odd and even n summed in 64
 # bits; 21 and 22: the first odd and even n in 128 bits, where the permanent
 # passes int64 and comes back a Python int
@@ -169,11 +170,13 @@ def test_permanent_through_its_cap_of_30(monkeypatch):
     assert shapes == [(2, n, n) for n in (27, 28, 29, 30)]
 
 
-def test_glynn_skips_only_the_steps_whose_product_is_zero():
-    # Random sign matrices put a 0 lane in most Gray-code steps past 8 lanes,
-    # where the sweep skips them, and in none of the few steps it multiplies;
-    # so a skip taken on the wrong step's lanes, or on a padding lane, changes
-    # these totals.  Every square size through the lattice's cap, 16 matrices
+def test_glynn_matches_the_lattice_expansion_through_22():
+    # Random sign matrices put a 0 lane in most Gray-code steps past 8 lanes:
+    # the scalar sweep skips those steps and the vector sweep (n >= 9 on a
+    # host with AVX-512BW and DQ) multiplies them out to 0, so a skip
+    # taken on the wrong step's lanes or on a padding lane, or a walk's
+    # product or sign gone wrong, changes these totals, which are checked
+    # against the minor lattice's.  Every square size through its cap, 16 matrices
     # in one kernel call each: 4 random blocks of n - 1 rows, each finished by
     # 4 random last rows, so one minor lattice per block gives the top value
     # of each of its 4 matrices by expansion along the last row; and one full

@@ -176,10 +176,12 @@ _COPIED_INPUTS = textwrap.dedent("""
 """)
 
 
-# Seeded random sign matrices at each width of the glynn sweep, whose steps
-# mostly skip a product with a 0 lane and sometimes multiply, so both
-# branches run in each sanitized child; checked against the modular Ryser
-# residues, which share no code with the sweep.
+# Seeded random sign matrices at each width of the glynn sweep, checked
+# against the modular Ryser residues, which share no code with the sweep.
+# The scalar sweep's steps past 8 lanes mostly skip a product with a 0 lane
+# and sometimes multiply; a host with AVX-512BW and DQ gives n = 16, 20 and
+# 22 to the vector sweep, which skips nothing, so the UBSan child runs the
+# script again with the run-time check compiled out.
 _RANDOM_SWEEPS = textwrap.dedent("""
     import numpy as np
     from permlab import engines
@@ -207,8 +209,7 @@ _COUNT_CALLS = textwrap.dedent("""
     import collections
     from permlab import compiled
 
-    compiled._KERNEL_CC = (*compiled._KERNEL_CC, *SANITIZER_FLAGS)
-    calls, lib = collections.Counter(), compiled._kernels()
+    calls = collections.Counter()
 
     def counted(name, kernel):
         def call(*args):
@@ -216,9 +217,18 @@ _COUNT_CALLS = textwrap.dedent("""
             return kernel(*args)
         return call
 
-    for name in compiled._SIGNATURES:
-        setattr(lib, name, counted(name, getattr(lib, name)))
+    def build(*flags):
+        compiled._KERNEL_CC = (*compiled._KERNEL_CC, *flags)
+        compiled._kernels.cache_clear()
+        lib = compiled._kernels()
+        for name in compiled._SIGNATURES:
+            setattr(lib, name, counted(name, getattr(lib, name)))
+
+    build(*SANITIZER_FLAGS)
 """)
+
+# The sanitized kernels rebuilt so that every run-time CPU check reads false.
+_SCALAR_ONLY = 'build("-D__builtin_cpu_supports(feature)=0")\n'
 
 # Run after it: a sanitizer checks only the exports that the script ran.
 _ALL_CALLED = textwrap.dedent("""
@@ -270,6 +280,26 @@ def test_each_cap_is_the_largest_its_bound_allows():
     assert f"step[2][{engines.PERMANENT_MAX_N - 1}][2]" in source
     assert 2 * 16 >= engines.PERMANENT_MAX_N
     assert f"int8_t a[{engines.PERMANENT_MAX_N} * {engines.PERMANENT_MAX_N} + 32];" in source
+    # the vector sweep (walks_sweep), from n = 9, multiplies every step out
+    # in its lanes: a lane is at most 15, a pair at most 225 < 2**15, a quad
+    # at most 50,625 < 2**31, and a 16-lane group at most 15**16 < 2**63; a
+    # vpmuldq takes two quads, or at n <= 20 two octets, as signed 32-bit
+    # operands, and an octet is at most ceil(20/2)**8 < 2**31 only through
+    # n = 20; past it, two 16-lane products multiply in 128 bits exactly
+    assert "if (n > 8 && host_has_avx512(1))" in source and "n <= 20 ? walks_32 : walks_wide" in source
+    lane = (engines.PERMANENT_MAX_N + 1) // 2
+    assert lane == 15 and lane**2 == 225 < 2**15 and lane**4 == 50_625 < 2**31 and lane**16 < 2**63
+    assert ((20 + 1) // 2) ** 8 < 2**31 <= lane**8 and lane**32 < 2**127
+    # four walks of 16 lanes fix log2(4) = 2 deltas and two of 32 fix 1,
+    # which leaves at least one delta to step at the smallest n; the steps of
+    # the largest n fill the step table, and each block is copied with the 32
+    # bytes that its last row's 32 lanes read past it, as in the scalar sweep
+    fixed = {16: 2, 32: 1}
+    assert all(2**fixed[lanes] * lanes == 64 for lanes in fixed)
+    sizes = range(9, engines.PERMANENT_MAX_N + 1)
+    assert min(n - 1 - fixed[16 if n <= 16 else 32] for n in sizes) == 6 >= 1
+    assert f"step[2][{engines.PERMANENT_MAX_N - 1 - fixed[32]}]" in source
+    assert source.count(f"int8_t a[{engines.PERMANENT_MAX_N} * {engines.PERMANENT_MAX_N} + 32];") == 2
     # ryser_mod reduces its product after every 6 factors |colsum| <= n:
     # 2**31 * 30**6 < 2**61, and 2**n reduced products stay below 2**61
     modulus = engines._KERNEL_MAX_MODULUS
@@ -335,7 +365,7 @@ def test_kernels_compile_without_warnings():
 
 def test_kernels_at_their_bounds_under_ubsan(tmp_path):
     _sanitized_child(tmp_path, "libubsan.so", ("-fsanitize=undefined", "-fno-sanitize-recover=all"),
-                     _AT_THE_BOUNDS + _RANDOM_SWEEPS)
+                     _AT_THE_BOUNDS + _RANDOM_SWEEPS + _SCALAR_ONLY + _RANDOM_SWEEPS)
 
 
 def test_kernels_read_no_freed_copy_under_asan(tmp_path):
@@ -356,12 +386,15 @@ def test_kernels_read_no_freed_copy_under_asan(tmp_path):
 
 
 # Full tables and fused selections at sizes whose levels have from 1 to
-# 12870 masks, printed as hashes: run once here and once in a child whose
-# kernels never take the AVX-512F sweep.
+# 12870 masks, and permanents at every n = 1..30 (seeded batches, and
+# through n = 24 the all-ones matrix with its first or last row negated),
+# printed as hashes: run in one child whose kernels take the host's vector
+# sweeps and one whose kernels never do.
 _SWEEP_TABLES = textwrap.dedent("""
     import hashlib
-    from permlab import lattice
-    from permlab.matrices import sample_sign_matrix
+    import numpy as np
+    from permlab import engines, lattice
+    from permlab.matrices import sample_sign_matrices, sample_sign_matrix
     from permlab.rng import RngStream
 
     digest = hashlib.sha256()
@@ -372,22 +405,35 @@ _SWEEP_TABLES = textwrap.dedent("""
             fused = lattice.MinorTable(n)
             for k in range(n):
                 digest.update(fused.add_heavy_level(m.row(k), threshold).tobytes())
+    for n in range(1, 31):
+        ones = np.ones((3 if n <= 24 else 0, n, n), dtype=np.int8)
+        ones[1:2, 0] = ones[2:, -1] = -1  # none past n = 24
+        count = 64 if n <= 16 else 8 if n <= 20 else 1
+        mats = np.concatenate([sample_sign_matrices(n, RngStream(55, n), range(count)), ones])
+        digest.update(repr(engines.permanents(mats)).encode())
     print(digest.hexdigest())
 """)
 
 
 def test_scalar_sweep_alone_builds_the_same_tables(tmp_path):
-    # a host without AVX-512F, or outside x86-64, builds every mask with the
-    # scalar sweep: the same bytes as this host's build
+    # a host without AVX-512F, BW and DQ, or outside x86-64, builds every mask
+    # and sweeps every permanent with the scalar sweeps: the same bytes as
+    # this host's build; the one helper that holds every run-time check is
+    # what the compiled-out build defines away
     source = compiled._KERNEL_SOURCE.read_text()
-    assert source.count("__builtin_cpu_supports(") == 1 and '__builtin_cpu_supports("avx512f")' in source
+    helper = re.search(r"static int host_has_avx512\(int bytes\)\n\{.*?\n\}", source, re.S).group()
+    checks = re.findall(r'__builtin_cpu_supports\("(\w+)"\)', source)
+    assert checks == re.findall(r'__builtin_cpu_supports\("(\w+)"\)', helper) == ["avx512f", "avx512bw", "avx512dq"]
     scalar = ("from permlab import compiled\n"
               "compiled._KERNEL_CC = (*compiled._KERNEL_CC, '-D__builtin_cpu_supports(feature)=0')\n")
-    runs = [subprocess.run([sys.executable, "-c", prefix + _SWEEP_TABLES], capture_output=True,
-                           text=True, env={**os.environ, "XDG_CACHE_HOME": str(tmp_path / cache)})
-            for prefix, cache in (("", "host"), (scalar, "scalar"))]
-    assert [res.returncode for res in runs] == [0, 0], [res.stderr for res in runs]
-    assert runs[0].stdout == runs[1].stdout
+    # the two children run side by side
+    children = [subprocess.Popen([sys.executable, "-c", prefix + _SWEEP_TABLES], stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True,
+                                 env={**os.environ, "XDG_CACHE_HOME": str(tmp_path / cache)})
+                for prefix, cache in (("", "host"), (scalar, "scalar"))]
+    runs = [(child.communicate(), child.returncode) for child in children]
+    assert [code for _, code in runs] == [0, 0], [err for (_, err), _ in runs]
+    assert runs[0][0][0] == runs[1][0][0]
     assert len(os.listdir(tmp_path / "scalar" / "permlab")) == 1
 
 
