@@ -7,12 +7,14 @@
      at a time for the rest, with or without the new level's heavy sets at
      one threshold selected in the same pass;
    - glynn: Glynn's formula for every exact square permanent up to n = 30,
-     on int8 vector lanes, which from n = 9 on a host with AVX-512BW and DQ
-     run as four or two Gray-code walks in one 512-bit vector that multiply
-     out every step, and elsewhere skip the steps whose product is 0; and
-     glynn_cofactors: the same sweep on blocks with one row more than
-     columns, for the row-deleted cofactors that many_children expands its
-     children along;
+     on int8 vector lanes.  On a host with AVX-512BW and DQ one 512-bit
+     vector holds eight whole matrices at n <= 8 and four or two Gray-code
+     walks of one matrix from n = 9, and every step is multiplied out;
+     elsewhere one matrix is swept at a time, and past 8 lanes the steps
+     whose product is 0 are skipped; and
+     glynn_cofactors: the same sweeps on blocks with one row more than
+     columns, eight or four blocks to a vector on such a host, for the
+     row-deleted cofactors that many_children expands its children along;
    - ryser_mod: Ryser's formula modulo m < 2**31, whose residues are the CRT
      oracle for glynn and the lattice;
    - naive_odd: the walk over all permutations of the naive engine;
@@ -162,8 +164,9 @@ GATHER_SWEEP(gather_plain, 0)
 GATHER_SWEEP(gather_heavy, 1)
 
 /* The file's one run-time CPU check (gcc's): whether the host runs the
-   AVX-512 sweeps, add_level's with AVX-512F and, with bytes set, glynn's,
-   which also needs BW for its int8 and int16 lanes and DQ for vpmullq. */
+   AVX-512 sweeps, add_level's with AVX-512F and, with bytes set, those of
+   glynn and glynn_cofactors, which also need BW for their int8 and int16
+   lanes and DQ for vpmullq. */
 static int host_has_avx512(int bytes)
 {
     return __builtin_cpu_supports("avx512f") &&
@@ -231,9 +234,10 @@ typedef int8_t lanes16 __attribute__((vector_size(16)));
    with probability C(16, 8) / 2**16 = 0.20).  At 8 lanes the sweep always
    multiplies and a lane at 0 gives a product of 0: a lane there is 0 with
    probability about 0.27, so the branch of a skip mispredicts often, and
-   with it n = 8 ran 13% and 7 x 6 cofactor blocks 45% slower.  On a host
-   with AVX-512BW and DQ, glynn gives every n >= 9 to walks_sweep instead,
-   which skips nothing.
+   with it n = 8 ran 13% and 7 x 6 cofactor blocks 45% slower.  A host with
+   AVX-512BW and DQ runs none of this sweep: glynn gives n <= 8 and
+   glynn_cofactors every block to blocks_sweep, and glynn gives n >= 9 to
+   walks_sweep, neither of which skips.
 
    A product that runs reads the lanes sign-extended into unsigned words,
    and every step is a ring operation on those words, which wrap and have
@@ -384,14 +388,17 @@ GLYNN_WIDTH(cofactors_16, 16, 0, 1)
    int64 in one vpmuldq, and the two halves of a group (15**16 < 2**63) in
    one more vpmuldq at n <= 20, whose lanes are at most ceil(20/2) = 10 (it
    takes each half as a signed 32-bit operand: 10**8 < 2**31 <= 15**8), and
-   in one vpmullq past 20. */
+   in one vpmullq past 20.  With lanes = 8 it stops after the first three
+   stages, and each int64 lane holds the product of its 8 int8 lanes. */
 static inline __attribute__((always_inline, target("avx512f,avx512bw,avx512dq"))) __m512i
-group_products(__m512i x, const int wide)
+group_products(__m512i x, const int lanes, const int wide)
 {
     __m512i even = _mm512_srai_epi16(_mm512_slli_epi16(x, 8), 8), odd = _mm512_srai_epi16(x, 8);
     __m512i p = _mm512_mullo_epi16(even, odd);
     p = _mm512_madd_epi16(p, _mm512_srli_epi32(p, 16));
     p = _mm512_mul_epi32(p, _mm512_srli_epi64(p, 32));
+    if (lanes == 8)
+        return p;
     __m512i halves = _mm512_shuffle_epi32(p, _MM_PERM_BADC);
     return wide ? _mm512_mullo_epi64(p, halves) : _mm512_mul_epi32(p, halves);
 }
@@ -415,7 +422,7 @@ walk_row(const int8_t *row, uint64_t keep, const int lanes)
 static inline __attribute__((always_inline, target("avx512f,avx512bw,avx512dq"))) void
 add_products(__m512i x, const int lanes, const int wide, __m512i *acc, unsigned __int128 *sum)
 {
-    __m512i p = group_products(x, wide);
+    __m512i p = group_products(x, 16, wide);
     if (wide) {
         int64_t half[8];
         _mm512_storeu_si512(half, p);
@@ -520,13 +527,140 @@ walks_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const
 WALKS_WIDTH(walks_16, 16, 0)
 WALKS_WIDTH(walks_32, 32, 0)
 WALKS_WIDTH(walks_wide, 32, 1)
+
+/* glynn_sweep's formula, with or without cofactors, for the small blocks
+   on a host with AVX-512BW and DQ: glynn at 1 <= n <= 8 and glynn_cofactors
+   at every row count.  One 512-bit vector of int8 lanes holds 64 / lanes
+   blocks, block w in bytes w * lanes to w * lanes + lanes - 1: eight of 8
+   lanes (n <= 8, and cofactor blocks of at most 9 rows) or four of 16
+   (10-13 rows).  The blocks of a call all have n rows, so they share the
+   Gray code and one vpaddb steps them all.  The lanes hold glynn_sweep's
+   halved column sums of B, and 1 in each lane j >= cols: a lane is at most
+   ceil(9 / 2) = 5 in absolute value with 8 lanes and ceil(13 / 2) = 7 with
+   16.  Every step multiplies every block out (group_products: with 8 lanes
+   its first three stages, which leave the block's product, at most
+   5**8 < 2**31, in its int64 lane; with 16 all four, the last a vpmuldq of
+   two octets of at most 7**8 < 2**31, whose product has at most 12 lanes
+   other than 1, 7**12 < 2**63) and adds it to its block's int64 total or
+   subtracts it by the step's parity, the steps taken two at a time as in
+   walks_sweep.  A lane at 0 makes its block's product 0, so no step is
+   tested or skipped.
+
+   With cofactors, no mark is kept.  delta_r is fixed between the steps
+   that flip it, so with T the running total when a flip happens, d_old the
+   sign that the flip ends and d_r the sign after the last step, row r's
+   accumulator, sum over steps of sign * delta_r * product, is
+       d_r * T_end + 2 * sum over the flips of row r of d_old * T.
+   So a flip of delta_r adds T to flips[1][r - 1] when it goes from +1 to
+   -1 and to flips[0][r - 1] when it goes back, one int64 vector per row
+   with one lane per block (both lanes of a 16-lane block); after the last
+   step d_r is -1 at r = n - 1 and +1 below it.  Every sum wraps modulo
+   2**64 and the values out are glynn_sweep's, so they are exact in the
+   same bounds.
+
+   Each group of blocks is read through a copy followed by 16 zero bytes,
+   from which one gather reads a row of every block; the last group of a
+   count that is not a multiple of 64 / lanes is padded with zero blocks,
+   whose results are dropped. */
+static inline __attribute__((always_inline, target("avx512f,avx512bw,avx512dq"))) void
+blocks_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const int cofactors,
+             int64_t *out)
+{
+    const int blocks = 64 / lanes;
+    const int64_t cols = n - cofactors, size = n * cols, steps = n - 1;
+    /* keep: the bytes of lanes j < cols; at[q]: where int64 lane q's 8 bytes
+       of a row start, from that row's first byte in block 0 */
+    uint64_t keep = 0;
+    int64_t at[8];
+    for (int byte = 0; byte < 64; byte++)
+        keep |= (uint64_t)(byte % lanes < cols) << byte;
+    for (int q = 0; q < 8; q++)
+        at[q] = q / (lanes / 8) * size + q % (lanes / 8) * 8;
+    const __m512i zero = _mm512_setzero_si512(), sign = _mm512_set1_epi8(-128);
+    const __m512i offsets = _mm512_loadu_si512(at);
+    for (int64_t g = 0; g < count; g += blocks) {
+        const int64_t filled = count - g < blocks ? count - g : blocks;
+        int8_t a[4 * 13 * 12 + 16];
+        memcpy(a, mats + g * size, filled * size);
+        memset(a + filled * size, 0, (blocks - filled) * size + 16);
+        /* step[1][i - 1] is what delta_i going from +1 to -1 adds to the
+           lanes, step[0][i - 1] what going back adds */
+        __m512i step[2][12], sums = zero;
+        for (int64_t i = 0; i < n; i++) {
+            __m512i row = _mm512_maskz_mov_epi8(keep, _mm512_i64gather_epi64(offsets, a + i * cols, 1));
+            if (i == 0) {
+                sums = n % 2 ? _mm512_add_epi8(row, row) : row;
+                continue;
+            }
+            step[0][i - 1] = row;
+            step[1][i - 1] = _mm512_sub_epi8(zero, row);
+            sums = _mm512_add_epi8(sums, row);
+        }
+        sums = _mm512_or_si512(_mm512_srli_epi16(sums, 1), _mm512_and_si512(sums, sign));
+        sums = _mm512_mask_blend_epi8(keep, _mm512_set1_epi8(1), sums);
+        __m512i total = zero, flips[2][12];
+        for (int64_t r = 0; cofactors && r < steps; r++)
+            flips[0][r] = flips[1][r] = zero;
+        for (uint64_t s = 0; s >> steps == 0; s += 2) {
+            if (s) {
+                int i = __builtin_ctzll(s), up = (s ^ s >> 1) >> i & 1;
+                sums = _mm512_add_epi8(sums, step[up][i]);
+                if (cofactors)
+                    flips[up][i] = _mm512_add_epi64(flips[up][i], total);
+            }
+            total = _mm512_add_epi64(total, group_products(sums, lanes, 0));
+            if (steps == 0)
+                break;
+            /* step s + 1 flips delta_1, to -1 when bit 1 of s is clear */
+            int up = ~s >> 1 & 1;
+            sums = _mm512_add_epi8(sums, step[up][0]);
+            if (cofactors)
+                flips[up][0] = _mm512_add_epi64(flips[up][0], total);
+            total = _mm512_sub_epi64(total, group_products(sums, lanes, 0));
+        }
+        int64_t each[8];
+        if (!cofactors) {
+            _mm512_storeu_si512(each, total);
+            for (int64_t w = 0; w < filled; w++) {
+                int64_t per = each[w] * (2 - n % 2);
+                out[2 * (g + w)] = per;
+                out[2 * (g + w) + 1] = per < 0 ? -1 : 0;
+            }
+            continue;
+        }
+        for (int64_t r = 0; r < n; r++) {
+            __m512i acc = total;
+            if (r) {
+                __m512i twice = _mm512_sub_epi64(flips[1][r - 1], flips[0][r - 1]);
+                twice = _mm512_add_epi64(twice, twice);
+                acc = r == n - 1 ? _mm512_sub_epi64(twice, total) : _mm512_add_epi64(twice, total);
+            }
+            _mm512_storeu_si512(each, acc);
+            for (int64_t w = 0; w < filled; w++) {
+                int64_t v = each[w * lanes / 8];
+                out[(g + w) * n + r] = r && n % 2 ? v / 2 : v;
+            }
+        }
+    }
+}
+
+/* Each width its own function, like glynn_sweep's. */
+#define BLOCKS_WIDTH(name, lanes, cofactors)                                        \
+    static __attribute__((noinline, target("avx512f,avx512bw,avx512dq"))) void      \
+    name(const int8_t *mats, int64_t count, int64_t n, int64_t *out)                \
+    {                                                                               \
+        blocks_sweep(mats, count, n, lanes, cofactors, out);                        \
+    }
+BLOCKS_WIDTH(blocks_8, 8, 0)
+BLOCKS_WIDTH(cofactor_blocks_8, 8, 1)
+BLOCKS_WIDTH(cofactor_blocks_16, 16, 1)
 #endif
 
 void glynn(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
 {
 #if defined(__x86_64__)
-    if (n > 8 && host_has_avx512(1)) {
-        (n <= 16 ? walks_16 : n <= 20 ? walks_32 : walks_wide)(mats, count, n, out);
+    if (n > 0 && host_has_avx512(1)) {
+        (n <= 8 ? blocks_8 : n <= 16 ? walks_16 : n <= 20 ? walks_32 : walks_wide)(mats, count, n, out);
         return;
     }
 #endif
@@ -544,9 +678,17 @@ void glynn(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
 }
 
 /* The cofactors of count rows x (rows - 1) blocks, 1 <= rows <= 13, in the
-   fewest lanes that hold rows - 1 columns. */
+   fewest lanes that hold rows - 1 columns: eight blocks of 8 lanes or four
+   of 16 to a 512-bit vector on a host with AVX-512BW and DQ, and one block
+   at a time on the others. */
 void glynn_cofactors(const int8_t *mats, int64_t count, int64_t rows, int64_t *out)
 {
+#if defined(__x86_64__)
+    if (host_has_avx512(1)) {
+        (rows <= 9 ? cofactor_blocks_8 : cofactor_blocks_16)(mats, count, rows, out);
+        return;
+    }
+#endif
     if (rows <= 9)
         cofactors_8(mats, count, rows, out);
     else

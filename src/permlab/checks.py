@@ -25,7 +25,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from importlib import resources
 
@@ -63,10 +63,10 @@ class CheckReport:
 
     def to_dict(self) -> dict:
         """Plain-JSON form.  The runtime is left out, so report files are
-        byte-identical across reruns; only the summary line shows it."""
-        out = _plain(asdict(self))
-        del out["runtime_seconds"]
-        return out
+        byte-identical across reruns; only the summary line shows it.
+        `_plain` builds every container anew, so no field is deep-copied."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)
+                if f.name != "runtime_seconds"}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -187,13 +187,15 @@ def check_second_moment(n: int, trials: int | None = None,
     """Mean of Per**2 over sign matrices equals n!.
 
     With no draw count, enumerates all 2**(n*n) matrices (n <= 4) and demands
-    exact integer equality of sum(Per**2) and n! * 2**(n*n).  With `trials`,
+    exact integer equality of sum(Per**2) and n! * 2**(n*n).  The sum is
+    taken in int64: it is at most (n!)**2 * 2**(n*n), below 2**63 through
+    n = 6.  With `trials`,
     checks the sample mean of Per**2 / n! against 1 within 3 standard errors.
     """
     target = math.factorial(n)
     pers = _permanents("second_moment", n, trials, rng)
     if trials is None:
-        total = int(np.sum(pers.astype(object) ** 2))
+        total = int(np.dot(pers, pers))
         expected = target * (1 << (n * n))
         stats = {
             "sum_per_squared": total,

@@ -42,6 +42,10 @@ def test_second_moment_exact_small():
 def test_second_moment_exact_cap():
     with pytest.raises(CapError):
         check_second_moment(5)
+    # the exact sum of Per**2 is taken in int64: at most (n!)**2 * 2**(n*n),
+    # below 2**63 at every exact size and through n = 6, but not at n = 7
+    fits = lambda n: math.factorial(n) ** 2 * 2 ** (n * n) < 2**63
+    assert all(fits(n) for n in range(1, checks._EXACT_MAX_N + 1)) and fits(6) and not fits(7)
 
 
 def test_second_moment_monte_carlo():

@@ -177,11 +177,13 @@ _COPIED_INPUTS = textwrap.dedent("""
 
 
 # Seeded random sign matrices at each width of the glynn sweep, checked
-# against the modular Ryser residues, which share no code with the sweep.
-# The scalar sweep's steps past 8 lanes mostly skip a product with a 0 lane
-# and sometimes multiply; a host with AVX-512BW and DQ gives n = 16, 20 and
-# 22 to the vector sweep, which skips nothing, so the UBSan child runs the
-# script again with the run-time check compiled out.
+# against the modular Ryser residues, which share no code with the sweep:
+# every n <= 8 and every cofactor row count, in batches that leave the
+# vector block sweep's last group of 8 or 4 blocks part padding.  The scalar
+# sweep's steps past 8 lanes mostly skip a product with a 0 lane and
+# sometimes multiply; a host with AVX-512BW and DQ gives every batch here to
+# the vector sweeps, which skip nothing, so the UBSan child runs the script
+# again with the run-time check compiled out.
 _RANDOM_SWEEPS = textwrap.dedent("""
     import numpy as np
     from permlab import engines
@@ -191,10 +193,10 @@ _RANDOM_SWEEPS = textwrap.dedent("""
 
     p = 2**31 - 1
     residue = lambda a: engines.permanent_mod(SignMatrix(a), p)
-    for n, count in ((8, 64), (16, 16), (20, 4), (22, 2)):
+    for n, count in [(n, 67) for n in range(1, 9)] + [(16, 16), (20, 4), (22, 2)]:
         mats = 2 * generator(RngStream(36, n)).integers(0, 2, size=(count, n, n), dtype=np.int8) - 1
         assert [x % p for x in engines.permanents(mats)] == [residue(m) for m in mats], n
-    for rows, count in ((9, 64), (13, 16)):
+    for rows, count in [(rows, 19 if rows <= 9 else 7) for rows in range(2, 14)]:
         gen = generator(RngStream(37, rows))
         blocks = 2 * gen.integers(0, 2, size=(count, rows, rows - 1), dtype=np.int8) - 1
         want = [[residue(np.delete(block, r, axis=0)) for r in range(rows)] for block in blocks]
@@ -286,7 +288,8 @@ def test_each_cap_is_the_largest_its_bound_allows():
     # vpmuldq takes two quads, or at n <= 20 two octets, as signed 32-bit
     # operands, and an octet is at most ceil(20/2)**8 < 2**31 only through
     # n = 20; past it, two 16-lane products multiply in 128 bits exactly
-    assert "if (n > 8 && host_has_avx512(1))" in source and "n <= 20 ? walks_32 : walks_wide" in source
+    assert "if (n > 0 && host_has_avx512(1))" in source
+    assert "n <= 8 ? blocks_8 : n <= 16 ? walks_16 : n <= 20 ? walks_32 : walks_wide" in source
     lane = (engines.PERMANENT_MAX_N + 1) // 2
     assert lane == 15 and lane**2 == 225 < 2**15 and lane**4 == 50_625 < 2**31 and lane**16 < 2**63
     assert ((20 + 1) // 2) ** 8 < 2**31 <= lane**8 and lane**32 < 2**127
@@ -300,6 +303,22 @@ def test_each_cap_is_the_largest_its_bound_allows():
     assert min(n - 1 - fixed[16 if n <= 16 else 32] for n in sizes) == 6 >= 1
     assert f"step[2][{engines.PERMANENT_MAX_N - 1 - fixed[32]}]" in source
     assert source.count(f"int8_t a[{engines.PERMANENT_MAX_N} * {engines.PERMANENT_MAX_N} + 32];") == 2
+    # the block sweep (blocks_sweep) holds 8 blocks of 8 lanes (n <= 8, and
+    # cofactor blocks of at most 9 rows) or 4 of 16 (10-13 rows) in a vector:
+    # a lane is at most ceil(9/2) = 5 with 8 lanes, so a block's product is
+    # at most 5**8 < 2**31, and at most ceil(13/2) = 7 with 16 lanes, so an
+    # octet is at most 7**8 < 2**31 for the vpmuldq and a block, whose lanes
+    # past its 12 columns hold 1, at most 7**12 < 2**63; its step and flip
+    # tables hold the 12 rows that flip at 13 rows, and a group's copy the
+    # larger of 8 blocks of 9 x 8 and 4 of 13 x 12, and the 16 bytes that its
+    # last row's lanes read past it
+    assert "rows <= 9 ? cofactor_blocks_8 : cofactor_blocks_16" in source
+    small, large = (9 + 1) // 2, (engines._BATCH_MAX_N + 1) // 2
+    assert (small, large) == (5, 7) and (8 + 1) // 2 <= small
+    assert small**8 < 2**31 and large**8 < 2**31 and large**12 < 2**63
+    rows = engines._BATCH_MAX_N
+    assert f"step[2][{rows - 1}]" in source and f"flips[2][{rows - 1}]" in source
+    assert 8 * 9 * 8 <= 4 * rows * (rows - 1) and "int8_t a[4 * 13 * 12 + 16];" in source
     # ryser_mod reduces its product after every 6 factors |colsum| <= n:
     # 2**31 * 30**6 < 2**61, and 2**n reduced products stay below 2**61
     modulus = engines._KERNEL_MAX_MODULUS
@@ -386,10 +405,12 @@ def test_kernels_read_no_freed_copy_under_asan(tmp_path):
 
 
 # Full tables and fused selections at sizes whose levels have from 1 to
-# 12870 masks, and permanents at every n = 1..30 (seeded batches, and
-# through n = 24 the all-ones matrix with its first or last row negated),
-# printed as hashes: run in one child whose kernels take the host's vector
-# sweeps and one whose kernels never do.
+# 12870 masks, permanents at every n = 1..30 (seeded batches, and through
+# n = 24 the all-ones matrix with its first or last row negated), and the
+# cofactors at every row count 1..13 and permanents at every n <= 8 of
+# seeded batches of 0, 1-7 and 67 blocks, so the vector block sweep's last
+# group is empty, partly padded or full, printed as hashes: run in one child
+# whose kernels take the host's vector sweeps and one whose kernels never do.
 _SWEEP_TABLES = textwrap.dedent("""
     import hashlib
     import numpy as np
@@ -411,6 +432,12 @@ _SWEEP_TABLES = textwrap.dedent("""
         count = 64 if n <= 16 else 8 if n <= 20 else 1
         mats = np.concatenate([sample_sign_matrices(n, RngStream(55, n), range(count)), ones])
         digest.update(repr(engines.permanents(mats)).encode())
+    for rows in range(1, 14):
+        for count in (0, *range(1, 8), 67):
+            draws = sample_sign_matrices(rows, RngStream(56, rows), range(count))
+            digest.update(engines.cofactors(draws[:, :, 1:]).tobytes())
+            if rows <= 8:
+                digest.update(repr(engines.permanents(draws)).encode())
     print(digest.hexdigest())
 """)
 
