@@ -17,7 +17,8 @@
      row-deleted cofactors that many_children expands its children along;
    - ryser_mod: Ryser's formula modulo m < 2**31, whose residues are the CRT
      oracle for glynn and the lattice;
-   - naive_odd: the walk over all permutations of the naive engine;
+   - naive_odd: the naive engine's count of odd permutations, by Laplace
+     expansion along the last four rows;
    - sign_draws: the Philox4x64-10 sign draws of every seeded matrix and row.
    ryser_mod and naive_odd share no code with glynn's sweep or with each
    other, so each can check the others. */
@@ -736,39 +737,71 @@ void ryser_mod(const int8_t *mats, int64_t count, int64_t n, int64_t modulus, in
     }
 }
 
-/* The number of ways to give rows row .. last distinct columns from free so
-   that the -1 entries picked, together with the parity carried in, are odd
-   in number.  Each row takes a free column in turn; the last two rows are
-   unrolled, since two free columns leave exactly two ways to finish. */
-static int64_t naive_walk(const uint64_t *neg, int64_t row, int64_t last, uint64_t free,
-                          uint64_t parity)
+/* Each way to give rows row .. stop-1 distinct columns from free adds 1 to
+   tally[2 * f + p], where f is the set of columns it leaves free and p the
+   parity of the -1 entries it picks, together with the parity carried in.
+   Depth first: each row takes a free column in turn, and the last row's
+   choices are tallied in place, with no call. */
+static void naive_tally(const uint64_t *neg, int64_t row, int64_t stop, uint64_t free,
+                        uint64_t parity, int64_t *tally)
 {
-    if (row == last - 1) {
-        uint64_t a = free & -free, b = free ^ a, x = neg[row], y = neg[last];
-        return (parity ^ !!(x & a) ^ !!(y & b)) + (parity ^ !!(x & b) ^ !!(y & a));
+    if (row == stop) {
+        tally[2 * free + parity]++;
+        return;
     }
-    int64_t odd = 0;
     for (uint64_t rest = free; rest; rest &= rest - 1) {
-        uint64_t col = rest & -rest;
-        odd += naive_walk(neg, row + 1, last, free ^ col, parity ^ !!(neg[row] & col));
+        uint64_t col = rest & -rest, odd = parity ^ !!(neg[row] & col);
+        if (row + 1 == stop)
+            tally[2 * (free ^ col) + odd]++;
+        else
+            naive_tally(neg, row + 1, stop, free ^ col, odd, tally);
     }
-    return odd;
 }
 
 /* The number of permutations sigma of {0 .. n-1} that pick an odd number of
    -1 entries, where neg[r] is the mask of row r's -1 columns
    (permlab.engines.permanent_naive, which returns n! - 2 * odd).
 
-   The walk is depth first over the rows and carries the parity of the -1
-   entries picked so far; it shares no code with the lattice, Glynn or Ryser
+   By the Laplace expansion of the permanent along its last r = min(n, 4)
+   rows (H. Minc, "Permanents", 1978), each permutation is an arrangement of
+   rows 0 .. n-r-1 that leaves a set F of r columns free, followed by one of
+   the r! arrangements of the last r rows onto F; it is odd when exactly one
+   of the two parts picks an odd number of -1 entries.  So
+       odd = sum over F of tally[F][0] * odd(F) + tally[F][1] * (r! - odd(F)),
+   where tally[F][p] counts the arrangements of the first n - r rows that
+   leave F with parity p, and odd(F) the odd arrangements of the last r rows
+   onto F.  One depth-first walk (naive_tally) fills tally, stored as
+   tally[2 * F + p]; the same walk, started at row n - r on each F with a
+   nonzero tally, counts odd(F) and r! - odd(F) from the definition into the
+   pair last (every column is taken by then, so they land at F = 0).  So the
+   last rows' completions are walked once per column set, not once per
+   prefix.  At n <= 4 the first walk is empty: it sets tally[F][0] = 1 for F
+   = every column.  The walk shares no code with the lattice, Glynn or Ryser
    kernels, so the naive engine stays an independent oracle for them.
-   1 <= n <= 10 (the caller's cap): odd <= n! <= 10! fits int64 many times
-   over, and the recursion is at most n deep. */
+
+   1 <= n <= NAIVE_MAX_N = 10 (the caller's cap), so tally takes 2**10 x 2
+   int64, 16 KiB, on the stack, and the recursion is at most n deep.  Exact
+   in int64: tally[F][p] <= (n-r)! and odd(F) <= r!, so each term is at most
+   (n-r)! * r! and, since the tallies add up to n! / r!, the sum is at most
+   n! <= 10! < 2**22. */
+#define NAIVE_MAX_N 10
+
 int64_t naive_odd(const uint64_t *neg, int64_t n)
 {
-    if (n == 1)
-        return neg[0] & 1;
-    return naive_walk(neg, 0, n - 1, ((uint64_t)1 << n) - 1, 0);
+    int64_t tally[2 << NAIVE_MAX_N];
+    int64_t r = n < 4 ? n : 4, odd = 0;
+    uint64_t every = ((uint64_t)1 << n) - 1;
+    memset(tally, 0, sizeof(tally[0]) << (n + 1));
+    naive_tally(neg, 0, n - r, every, 0, tally);
+    for (uint64_t f = 0; f <= every; f++) {
+        int64_t even_first = tally[2 * f], odd_first = tally[2 * f + 1];
+        if (!even_first && !odd_first)
+            continue;
+        int64_t last[2] = {0, 0};
+        naive_tally(neg, n - r, n, f, 0, last);
+        odd += even_first * last[1] + odd_first * last[0];
+    }
+    return odd;
 }
 
 /* count draws of cells iid uniform signs each, out[b * cells + c] in {-1, +1}

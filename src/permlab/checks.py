@@ -34,7 +34,7 @@ import numpy as np
 from .engines import _BATCH_MAX_N, cofactors, permanents, ryser_batch
 from .growth import ProcessConfig, count_threshold, run_growth
 from .lattice import SplitVerdict
-from .matrices import MAX_N, CapError, sample_sign_matrices, sample_sign_matrix
+from .matrices import MAX_N, CapError, SignMatrix, sample_sign_matrices
 from .rng import RngStream
 
 _ALON_SIZES = (3, 7, 15)
@@ -376,11 +376,13 @@ def check_many_children(trials: int, n: int, i_size: int, rng: RngStream) -> Che
         mats = sample_sign_matrices(n, rng, ts, rows=k + 1)
         # Child i is the parent block's k columns plus column k+i; by Laplace
         # expansion along that column its permanent is sum over r of
-        # mats[r, k+i] * cof[r], at most (k+1)! in absolute value.  Row k's
-        # cofactor is the k x k parent itself.
+        # cof[r] * mats[r, k+i], one batched row-times-matrix product.  Row
+        # k's cofactor is the k x k parent itself.  numpy multiplies int64 by
+        # int8 in int64, with no BLAS: each product is +-cof[r], at most k!,
+        # and each partial sum at most (k+1) * k! = (k+1)! <= 13! < 2**63.
         cof = cofactors(mats[:, :, :k])
         parents = np.abs(cof[:, k])
-        children = np.abs(np.einsum("brc,br->bc", mats[:, :, k:], cof))
+        children = np.abs((cof[:, None, :] @ mats[:, :, k:])[:, 0])
         ok_counts = np.count_nonzero(children >= parents[:, None], axis=1)
         any_hits += int(np.count_nonzero(ok_counts >= 1))
         third_hits += int(np.count_nonzero(3 * ok_counts >= i_size))
@@ -567,9 +569,9 @@ def check_maintain_grow_events(n: int, trials: int, rng: RngStream) -> CheckRepo
         "explode": [0, 0],
         "grow": [0, 0],
     }
-    for t in range(trials):
-        m = sample_sign_matrix(n, rng.substream(t))
-        trace = run_growth(m, _MAINTAIN_GROW_CFG)
+    draws = (entries for ts in _draw_blocks(trials) for entries in sample_sign_matrices(n, rng, ts))
+    for entries in draws:
+        trace = run_growth(SignMatrix(entries), _MAINTAIN_GROW_CFG)
         for rec in trace.records[:-1]:
             if rec.step_type is None:
                 continue

@@ -33,9 +33,16 @@ def permanent_naive(m: SignMatrix) -> int:
 
     For sign entries each permutation contributes +1 or -1, decided by the
     parity of the -1 entries it picks, so the sum is n! - 2 * (the number of
-    odd permutations).  The compiled `naive_odd` counts them in one
-    depth-first walk over the rows, which takes each row's -1 columns as a
-    mask.  Ground-truth oracle for the other engines; capped at n <= 10.
+    odd permutations).  The compiled `naive_odd` counts them by Laplace
+    expansion along the last r = min(n, 4) rows: with tally[F][p] the
+    arrangements of the first n - r rows that leave the column set F free
+    and pick -1 entries of parity p, and odd(F) the odd arrangements of the
+    last r rows onto F, the count is the sum over F of
+    tally[F][0] * odd(F) + tally[F][1] * (r! - odd(F)).  Both are counted
+    from the definition by one depth-first walk over the rows, which takes
+    each row's -1 columns as a mask.  Each term is at most (n-r)! * r! and
+    the sum at most n! <= 10!, so int64 holds them.  Ground-truth oracle for
+    the other engines; capped at n <= 10.
     """
     n = m.n
     if n > NAIVE_MAX_N:

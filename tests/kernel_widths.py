@@ -1,7 +1,9 @@
-"""Kernel speed per width: ns per matrix of `glynn` at every n = 1-30 and ns
-per block of `glynn_cofactors` at every row count 2-13, for this host's
-build and for the build with every run-time CPU check compiled out (the
-scalar sweeps that hosts without AVX-512BW and DQ run), side by side.
+"""Kernel speed per width: ns per matrix of `glynn` at every n = 1-30, ns
+per block of `glynn_cofactors` at every row count 2-13 and ns per
+`permanent_naive` call at every n = 4-10, for this host's build and for the
+build with every run-time CPU check compiled out (the scalar sweeps that
+hosts without AVX-512BW and DQ run), side by side.  The naive walk has no
+run-time check, so its two columns time the same code.
 
     python3 tests/kernel_widths.py
 
@@ -39,8 +41,10 @@ def _best_ns(call, items: int) -> float:
 
 
 def _measure() -> dict:
-    """ns per matrix and per block of this process's kernel build."""
+    """ns per matrix, per block and per naive call of this process's kernel build."""
     from permlab.compiled import _kernels
+    from permlab.engines import permanent_naive
+    from permlab.matrices import SignMatrix
 
     kernels = _kernels()
     gen = np.random.default_rng(0)
@@ -56,6 +60,9 @@ def _measure() -> dict:
         blocks, out = signs(count, rows, rows - 1), np.empty((count, rows), dtype=np.int64)
         found[f"cofactors rows={rows}"] = _best_ns(
             lambda: kernels.glynn_cofactors(blocks.ctypes.data, count, rows, out.ctypes.data), count)
+    for n in range(4, 11):
+        calls, m = 2 ** (14 - n), SignMatrix(signs(n, n))
+        found[f"naive n={n}"] = _best_ns(lambda: [permanent_naive(m) for _ in range(calls)], calls)
     return found
 
 

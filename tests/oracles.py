@@ -16,7 +16,11 @@ table's values at those masks straight from its storage (through
 stored divided by), independently of `MinorTable.value` and the heaviness
 queries.
 `enumerate_all_sign_matrices` builds the canonical counter order one matrix
-at a time, independently of the exact checks' batch enumeration.
+at a time, independently of the exact checks' batch enumeration;
+`all_sign_matrices` builds the same order as one array, and
+`definition_permanents` sums a batch's permanents over all n! permutations,
+one numpy product per permutation, independently of the naive engine's
+walk.
 `generator` is numpy's own Philox Generator on a stream's key, and
 `numpy_sign_draw` its sign draw, which the compiled sign draws must
 reproduce bit for bit; the program itself never calls numpy's Generator.
@@ -71,6 +75,28 @@ def enumerate_all_sign_matrices(n: int) -> Iterator[SignMatrix]:
         raise ValueError(f"enumeration is capped at n*n <= {ENUM_CELL_LIMIT} cells, got n={n}")
     for counter in range(1 << (n * n)):
         yield matrix_from_counter(n, counter)
+
+
+def all_sign_matrices(n: int) -> np.ndarray:
+    """Every n x n sign matrix as one (2**(n*n), n, n) int8 array, in
+    canonical counter order (n*n <= 20)."""
+    if n * n > ENUM_CELL_LIMIT:
+        raise ValueError(f"enumeration is capped at n*n <= {ENUM_CELL_LIMIT} cells, got n={n}")
+    counters = np.arange(1 << (n * n), dtype=np.int64)
+    bits = counters[:, None] >> np.arange(n * n) & 1
+    return (2 * bits - 1).astype(np.int8).reshape(-1, n, n)
+
+
+def definition_permanents(mats) -> np.ndarray:
+    """Permanents of a (B, n, n) batch as int64: the sum over all n!
+    permutations sigma of the product of entries [i, sigma(i)], taken for
+    the whole batch at once, one permutation at a time."""
+    mats = np.asarray(mats, dtype=np.int64)
+    n = mats.shape[1]
+    total = np.zeros(len(mats), dtype=np.int64)
+    for sigma in permutations(range(n)):
+        total += mats[:, np.arange(n), sigma].prod(axis=1)
+    return total
 
 
 def generator(rng: RngStream) -> np.random.Generator:

@@ -20,8 +20,9 @@ from permlab.lattice import MinorTable, build_lattice
 from permlab.matrices import CapError, SignMatrix, sample_sign_matrix
 from permlab.rng import RngStream
 
-from oracles import (all_ones, brute_determinant, brute_permanent, enumerate_all_sign_matrices,
-                     generator, matrix_from_counter)
+from oracles import (all_ones, all_sign_matrices, brute_determinant, brute_permanent,
+                     definition_permanents, enumerate_all_sign_matrices, generator,
+                     matrix_from_counter)
 
 EXACT_ENGINES = (permanent_naive, permanent_ryser, permanent)
 
@@ -63,11 +64,33 @@ def test_naive_matches_brute_random():
             assert permanent_naive(m) == brute_permanent(m.entries.tolist())
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_naive_on_every_sign_matrix_through_n_4(n):
+    # at n <= 4 the last min(n, 4) rows are the whole matrix: 65,536 at n = 4
+    mats = all_sign_matrices(n)
+    assert [permanent_naive(SignMatrix(m)) for m in mats] == definition_permanents(mats).tolist()
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_naive_matches_the_modular_oracle_random(n):
+    # |Per| <= 10! < (2**31 - 1) / 2, so one residue fixes each permanent
+    p = 2**31 - 1
+    for t in range(20):
+        m = sample_sign_matrix(n, RngStream(40, n * 100 + t))
+        assert permanent_naive(m) % p == permanent_mod(m, p)
+
+
 @pytest.mark.parametrize("n", [9, 10])
 def test_naive_at_its_cap(n):
-    # every permutation has the same sign, so no term cancels
-    assert permanent_naive(all_ones(n)) == math.factorial(n)
-    assert permanent_naive(SignMatrix(-all_ones(n).entries)) == (-1) ** n * math.factorial(n)
+    # every permutation has the same sign, so no term cancels; negating rows
+    # among the tallied first n - 4, the expanded last 4, or both, negates
+    # every term once per row
+    f = math.factorial(n)
+    assert permanent_naive(all_ones(n)) == f
+    for rows in ([0], [n - 5], [n - 1], [n - 5, n - 4], list(range(n - 4, n)), list(range(n))):
+        entries = np.ones((n, n), np.int8)
+        entries[rows] = -1
+        assert permanent_naive(SignMatrix(entries)) == (-1) ** len(rows) * f, rows
 
 
 def test_ryser_batch_matches_scalar():

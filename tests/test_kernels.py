@@ -58,7 +58,13 @@ _AT_THE_BOUNDS = textwrap.dedent("""
     assert np.array_equal(draw, numpy_sign_draw(top, top, (63, 63)))
     p = 2**31 - 1
     assert engines.permanent_mod(all_ones(20), p) == f(20) % p
-    assert engines.permanent_naive(all_ones(10)) == f(10)
+    # the naive walk at every n, with a row negated in its tallied first rows
+    # from n = 5 and one in its expanded last four
+    for n in range(1, 11):
+        ones = np.ones((2, n, n), dtype=np.int8)
+        ones[1, list({0, n - 1})] = -1
+        want = [f(n), (-1) ** len({0, n - 1}) * f(n)]
+        assert [engines.permanent_naive(matrices.SignMatrix(a)) for a in ones] == want, n
     table = lattice.build_lattice(all_ones(20))
     assert table.value((1 << 20) - 1) == f(20)
     assert all(table.level_masks(k).dtype == np.uint32 for k in range(21))
@@ -337,8 +343,14 @@ def test_each_cap_is_the_largest_its_bound_allows():
     assert 14 * 2**lattice.LATTICE_MAX_N < 110 * 10**6 < 14 * 2 ** (lattice.LATTICE_MAX_N + 1)
     assert lattice.LATTICE_MAX_N < 32 and "const uint32_t *masks" in source
     # a time cap: naive_odd's count of n! permutations fits int64 through
-    # n = 20, but it walks them one by one, 3.6 million at n = 10
+    # n = 20, but its walk tallies every arrangement of all rows but the last
+    # four, n! / 4! of them, 151,200 at n = 10; the tally, 2**n x 2 int64 on
+    # the stack, takes 16 KiB at the cap
     assert engines.NAIVE_MAX_N == 10 < largest(lambda n: f(n) < 2**63)
+    assert f(engines.NAIVE_MAX_N) // f(4) == 151_200
+    assert f"#define NAIVE_MAX_N {engines.NAIVE_MAX_N}\n" in source
+    assert "int64_t tally[2 << NAIVE_MAX_N];" in source
+    assert 2**engines.NAIVE_MAX_N * 2 * 8 == 16 * 1024
 
 
 def _c_functions(source: str) -> dict[str, bool]:
@@ -368,7 +380,7 @@ def test_every_export_is_bound_and_listed_once():
     # file's header list name the same kernels
     source = compiled._KERNEL_SOURCE.read_text()
     functions = _c_functions(source)
-    assert {"level_sweep", "glynn_sweep", "naive_walk", "mulhilo"} <= set(functions)
+    assert {"level_sweep", "glynn_sweep", "naive_tally", "mulhilo"} <= set(functions)
     exported = {name for name, static in functions.items() if not static}
     header = re.match(r"/\*(.*?)\*/", source, re.S).group(1)
     listed = set(re.findall(r"(\w+): ", header[header.index("- "):]))
