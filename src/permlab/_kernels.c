@@ -2,10 +2,13 @@
    This is the one list of them:
    - add_level: the level build of the minor lattice, each level stored
      divided by the power of two that divides every sign permanent of its
-     size, walking the level's uint32 masks (n <= LATTICE_MAX_N = 22 < 32),
-     eight at a time with AVX-512F gathers where the host has them and one
-     at a time for the rest, with or without the new level's heavy sets at
-     one threshold selected in the same pass;
+     size, levels through 15 as int32 and past it as int64 in one buffer,
+     walking the level's uint32 masks (n <= LATTICE_MAX_N = 22 < 32),
+     sixteen int32 or eight int64 values at a time with AVX-512F gathers
+     where the host has them and one at a time for the rest, with or
+     without the new level's heavy sets at one threshold selected in the
+     same pass, and stopping on a value that is not a multiple of its
+     level's power of two;
    - glynn: Glynn's formula for every exact square permanent up to n = 30,
      on int8 vector lanes.  On a host with AVX-512BW and DQ one 512-bit
      vector holds eight whole matrices at n <= 8 and four or two Gray-code
@@ -31,138 +34,258 @@
    Level j of vals is stored divided by 2**s_j, s_j = j - floor(log2 j) - 1
    (0 at j = 0): every j x j sign permanent is a multiple of 2**s_j
    (A. R. Kraeuter and N. Seifter, "Some properties of the permanent of
-   (1,-1)-matrices", Linear and Multilinear Algebra 15, 1984).
+   (1,-1)-matrices", Linear and Multilinear Algebra 15, 1984).  Each level
+   is stored at the narrowest width its bound allows, all in the one buffer
+   vals: a level j <= NARROW_MAX_K = 15 value of mask m is an int32 at byte
+   4 m, a level j >= 16 value an int64 at byte 8 m.  The int64 slot of m
+   covers the int32 slots of 2 m and 2 m + 1, of popcount(m) >= 16 and
+   popcount(m) + 1, which hold no level; so an int64 write never overwrites
+   a live int32 value and an int64 read never reads one, and, the other way
+   round, the int32 slot of m (popcount <= 15) lies in the int64 slot of
+   m >> 1, whose popcount is at most 15.  The caller allocates 4 * 2**n
+   bytes for n <= 15 and 8 * 2**n bytes past it.
 
    row holds the exposed row's n int8 entries: an entry other than -1 or +1
    stops the kernel before any write, returning its index + 1.  masks holds
    the level's masks as uint32, which holds every mask because the lattice
    has n <= LATTICE_MAX_N = 22 < 32 columns; every mask of a level has the
-   same popcount k.  With neg the mask of the -1 columns, for each level-k
-   mask m in masks[0 .. count-1]:
+   same popcount k, read from masks[0] (count >= 1: level k of n columns
+   has C(n, k) masks).  With neg the mask of the -1
+   columns, for each level-k mask m in masks[0 .. count-1]:
        vals[m] = (sum over i in m & ~neg of vals[m ^ (1 << i)]
                 - sum over i in m &  neg of vals[m ^ (1 << i)]) >> shift,
    the cofactor recursion over the row with no multiply, where
    shift = s_k - s_(k-1) is 0 when k is a power of two and 1 otherwise.
-   Returns 0.  The difference is Per / 2**s_(k-1) for the level-k minor,
-   a multiple of 2**shift, so the shift divides exactly; gcc shifts a
-   negative int64 arithmetically, so it divides negative values too.
+   The difference is Per / 2**s_(k-1) for the level-k minor, a multiple of
+   2**shift, so the shift divides exactly; gcc shifts a negative integer
+   arithmetically, so it divides negative values too.  Every sweep ORs
+   together the differences it shifts: if a bit that the shift drops is set
+   in any, the level holds a value that no sign matrix has, and the kernel
+   returns DROPPED_BIT (-1), after its writes.  Otherwise it returns 0.
 
    With t not NULL, *t holds on entry the threshold on the stored values,
-   in [0, 2**63) (the caller scales and clamps); each mask whose new |value|
-   reaches it is written, in the order given, to out, an int64 list with
-   room for count masks, and *t is replaced by how many were written.
+   in [0, 2**31) at k <= 15 and in [0, 2**63) past it (the caller scales
+   and clamps); each mask whose new |value| reaches it is written, in the
+   order given, to out, an int64 list with room for count masks, and *t is
+   replaced by how many were written.
 
-   On a host with AVX-512F (gcc's run-time check), the first count & ~7
-   masks are built eight at a time by gather_sweep and the rest by
-   level_sweep; on every other host, or outside x86-64, level_sweep builds
-   them all.  Both add the same terms, shift the same sums and select by
-   the same comparison, so they write the same bytes.
+   On a host with AVX-512F (gcc's run-time check), a level k <= 15 builds
+   its first count & ~15 masks sixteen at a time (gather_sweep32) and a
+   level k >= 16 its first count & ~7 eight at a time (gather_sweep); the
+   rest, and on every other host or outside x86-64 all of them, are built
+   one by one (level_sweep32 and level_sweep).  The sweeps of a width add
+   the same terms, shift the same sums and select by the same comparison,
+   so they write the same bytes.
 
-   Exact in int64: a stored level-(k-1) value is at most
-   (k-1)! / 2**s_(k-1) in absolute value and each partial sum has at most k
-   terms, so each, and their difference, is at most k! / 2**s_(k-1), which
+   Exact: a stored level-(k-1) value is at most (k-1)! / 2**s_(k-1) in
+   absolute value and each partial sum has at most k terms, so each, and
+   their difference, is at most k! / 2**s_(k-1).  That is
+   15! / 2**10 = 1,277,025,750 < 2**31 at k = 15, whose stored values are
+   at most 15! / 2**11 = 638,512,875, so levels through 15 are summed and
+   stored in int32.  At k = 16 it is 16! / 2**11 > 2**31, so level 16 sums
+   its int32 parents in int64, and so does every level past it: the bound
    is 22! / 2**16 < 2**54 at the lattice's cap of 22 and stays below 2**63
-   through k = 24; a stored level-k value is at most k! / 2**s_k
+   through k = 24.  A stored level-k value is at most k! / 2**s_k
    (22! / 2**17 < 2**53) and can be negated.  Reads touch only level k-1
    and writes only level k, so the masks may be visited in any order. */
+#define NARROW_MAX_K 15
+#define DROPPED_BIT (-1)
 
-/* The scalar sweep, one mask at a time: a loop over the mask's +1 columns
-   and one over its -1 columns.  With heavy set, each mask is stored and the
-   count advanced by the comparison with threshold, with no branch: about
-   half the masks of a level are heavy, so a branch would mispredict about
-   half the time.  Returns the count (0 without heavy). */
-static inline __attribute__((always_inline)) int64_t
-level_sweep(int64_t *vals, const uint32_t *masks, int64_t count, uint64_t neg, int64_t shift,
-            const int heavy, int64_t threshold, int64_t *restrict out)
+/* What a sweep leaves: how many heavy masks it wrote (0 without heavy) and
+   the OR of every difference it shifted. */
+typedef struct {
+    int64_t found;
+    uint64_t diffs;
+} swept;
+
+/* The scalar sweeps, one mask at a time: a loop over the mask's +1 columns
+   and one over its -1 columns.  level_sweep32 sums and stores a level
+   k <= 15 in int32; level_sweep sums and stores a level k >= 16 in int64,
+   from int32 parents when narrow is set (k = 16).  With heavy set, each
+   mask is stored and the count advanced by the comparison with threshold,
+   with no branch: about half the masks of a level are heavy, so a branch
+   would mispredict about half the time. */
+static inline __attribute__((always_inline)) swept
+level_sweep32(int32_t *vals, const uint32_t *masks, int64_t count, uint64_t neg, int64_t shift,
+              const int heavy, int64_t threshold, int64_t *restrict out)
 {
-    int64_t found = 0;
+    swept done = {0, 0};
     for (int64_t j = 0; j < count; j++) {
         uint64_t m = masks[j];
-        int64_t plus = 0, minus = 0;
+        int32_t plus = 0, minus = 0;
         for (uint64_t rest = m & ~neg; rest; rest &= rest - 1)
             plus += vals[m ^ ((uint64_t)1 << __builtin_ctzll(rest))];
         for (uint64_t rest = m & neg; rest; rest &= rest - 1)
             minus += vals[m ^ ((uint64_t)1 << __builtin_ctzll(rest))];
-        int64_t v = (plus - minus) >> shift;
+        int32_t v = plus - minus;
+        done.diffs |= (uint32_t)v;
+        v >>= shift;
         vals[m] = v;
         if (heavy) {
-            out[found] = (int64_t)m;
-            found += (v < 0 ? -v : v) >= threshold;
+            out[done.found] = (int64_t)m;
+            done.found += (v < 0 ? -v : v) >= threshold;
         }
     }
-    return found;
+    return done;
 }
 
-/* The plain and the selecting sweep are each their own function, starting on
-   a cache line, so the loop's layout does not move with the size of the
-   library's symbol table: shifted 48 bytes, the plain sweep built lattices
-   3-5% slower. */
-#define LEVEL_SWEEP(name, heavy)                                              \
-    static __attribute__((noinline, aligned(64))) int64_t                     \
-    name(int64_t *vals, const uint32_t *masks, int64_t count, uint64_t neg,   \
+static inline __attribute__((always_inline)) swept
+level_sweep(int64_t *vals, const uint32_t *masks, int64_t count, uint64_t neg, int64_t shift,
+            const int heavy, int64_t threshold, int64_t *restrict out, const int narrow)
+{
+    const int32_t *parents = (const int32_t *)vals;
+    swept done = {0, 0};
+    for (int64_t j = 0; j < count; j++) {
+        uint64_t m = masks[j];
+        int64_t plus = 0, minus = 0;
+        for (uint64_t rest = m & ~neg; rest; rest &= rest - 1) {
+            uint64_t p = m ^ ((uint64_t)1 << __builtin_ctzll(rest));
+            plus += narrow ? parents[p] : vals[p];
+        }
+        for (uint64_t rest = m & neg; rest; rest &= rest - 1) {
+            uint64_t p = m ^ ((uint64_t)1 << __builtin_ctzll(rest));
+            minus += narrow ? parents[p] : vals[p];
+        }
+        int64_t v = plus - minus;
+        done.diffs |= (uint64_t)v;
+        v >>= shift;
+        vals[m] = v;
+        if (heavy) {
+            out[done.found] = (int64_t)m;
+            done.found += (v < 0 ? -v : v) >= threshold;
+        }
+    }
+    return done;
+}
+
+/* Each sweep of each width, plain and selecting, is its own function,
+   starting on a cache line, so the loop's layout does not move with the
+   size of the library's symbol table: shifted 48 bytes, the plain int64
+   sweep built lattices 3-5% slower. */
+typedef swept (*sweep_fn)(void *vals, const uint32_t *masks, int64_t count, uint64_t neg,
+                          int64_t shift, int64_t threshold, int64_t *out);
+#define LEVEL_SWEEP(name, call)                                               \
+    static __attribute__((noinline, aligned(64))) swept                       \
+    name(void *vals, const uint32_t *masks, int64_t count, uint64_t neg,      \
          int64_t shift, int64_t threshold, int64_t *out)                      \
     {                                                                         \
-        return level_sweep(vals, masks, count, neg, shift, heavy, threshold,  \
-                           out);                                              \
+        return call;                                                          \
     }
-LEVEL_SWEEP(level_plain, 0)
-LEVEL_SWEEP(level_heavy, 1)
+LEVEL_SWEEP(level32_plain, level_sweep32(vals, masks, count, neg, shift, 0, threshold, out))
+LEVEL_SWEEP(level32_heavy, level_sweep32(vals, masks, count, neg, shift, 1, threshold, out))
+LEVEL_SWEEP(level16_plain, level_sweep(vals, masks, count, neg, shift, 0, threshold, out, 1))
+LEVEL_SWEEP(level16_heavy, level_sweep(vals, masks, count, neg, shift, 1, threshold, out, 1))
+LEVEL_SWEEP(level64_plain, level_sweep(vals, masks, count, neg, shift, 0, threshold, out, 0))
+LEVEL_SWEEP(level64_heavy, level_sweep(vals, masks, count, neg, shift, 1, threshold, out, 0))
 
 #if defined(__x86_64__)
 #include <immintrin.h>
 
-/* The AVX-512F sweep over count masks, count a multiple of 8, all of
-   popcount k = popcount(masks[0]) (count > 0).  Each group of 8 masks, one
-   per int64 lane, runs exactly k steps, with no loop whose trip count
-   depends on the data: a step takes each lane's lowest remaining bit
-   (rest & -rest), gathers the 8 parents vals[m ^ low] in one
-   _mm512_i64gather_epi64, negates those of the lanes whose bit is in neg
-   and adds all 8 to the lanes' sums.  Each sum is then the scalar sweep's
-   plus - minus, with every partial sum inside the same bound, and is
-   shifted arithmetically (_mm512_srai_epi64) and written back in one
-   scatter; the 8 masks of a group are distinct, so no two lanes write one
-   value.  With heavy set, the lanes whose |value| reaches threshold store
-   their masks, in lane order, with one compress-store, so out keeps the
-   order of masks.  Returns the count (0 without heavy). */
-static inline __attribute__((always_inline, target("avx512f"))) int64_t
+/* The AVX-512F sweep of an int32 level (k <= 15) over count masks, count a
+   multiple of 16, all of popcount k = popcount(masks[0]) (count > 0).  Each
+   group of 16 masks, one per int32 lane, runs exactly k steps, with no loop
+   whose trip count depends on the data: a step takes each lane's lowest
+   remaining bit (rest & -rest), gathers the 16 parents vals[m ^ low] in one
+   _mm512_i32gather_epi32, negates those of the lanes whose bit is in neg
+   and adds all 16 to the lanes' sums.  Each sum is then the scalar sweep's
+   plus - minus, with every partial sum inside the same bound; it is ORed
+   into the sweep's differences, shifted arithmetically (_mm512_srai_epi32)
+   and written back in one scatter; the 16 masks of a group are distinct, so
+   no two lanes write one value.  With heavy set, the lanes whose |value|
+   reaches threshold store their masks, widened to int64 and in lane order,
+   with one compress-store per eight lanes, so out keeps the order of
+   masks. */
+static inline __attribute__((always_inline, target("avx512f"))) swept
+gather_sweep32(int32_t *vals, const uint32_t *masks, int64_t count, uint64_t neg, int64_t shift,
+               const int heavy, int64_t threshold, int64_t *restrict out)
+{
+    const int k = __builtin_popcount(masks[0]);
+    const __m512i minus = _mm512_set1_epi32((int32_t)neg), least = _mm512_set1_epi32((int32_t)threshold);
+    const __m512i zero = _mm512_setzero_si512();
+    __m512i diffs = zero;
+    swept done = {0, 0};
+    for (int64_t j = 0; j < count; j += 16) {
+        __m512i m = _mm512_loadu_si512(masks + j);
+        __m512i rest = m, acc = zero;
+        for (int step = 0; step < k; step++) {
+            __m512i low = _mm512_and_si512(rest, _mm512_sub_epi32(zero, rest));
+            __m512i parent = _mm512_i32gather_epi32(_mm512_xor_si512(m, low), vals, 4);
+            __mmask16 sub = _mm512_test_epi32_mask(low, minus);
+            acc = _mm512_add_epi32(acc, _mm512_mask_sub_epi32(parent, sub, zero, parent));
+            rest = _mm512_xor_si512(rest, low);
+        }
+        diffs = _mm512_or_si512(diffs, acc);
+        acc = _mm512_srai_epi32(acc, (unsigned)shift);
+        _mm512_i32scatter_epi32(vals, m, acc, 4);
+        if (heavy) {
+            __mmask16 big = _mm512_cmpge_epi32_mask(_mm512_abs_epi32(acc), least);
+            __mmask8 low8 = (__mmask8)big, high8 = (__mmask8)(big >> 8);
+            _mm512_mask_compressstoreu_epi64(out + done.found, low8,
+                                             _mm512_cvtepu32_epi64(_mm512_castsi512_si256(m)));
+            done.found += __builtin_popcount(low8);
+            _mm512_mask_compressstoreu_epi64(out + done.found, high8,
+                                             _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64(m, 1)));
+            done.found += __builtin_popcount(high8);
+        }
+    }
+    done.diffs = (uint32_t)_mm512_reduce_or_epi32(diffs);
+    return done;
+}
+
+/* The AVX-512F sweep of an int64 level (k >= 16), like gather_sweep32 but
+   eight masks, one per int64 lane, a group, count a multiple of 8: each step
+   gathers the 8 parents in one _mm512_i64gather_epi64, or, from the int32
+   level 15 when narrow is set (k = 16), in one _mm512_i64gather_epi32
+   sign-extended to int64; the sums are shifted with _mm512_srai_epi64, and
+   the heavy lanes' masks stored with one compress-store. */
+static inline __attribute__((always_inline, target("avx512f"))) swept
 gather_sweep(int64_t *vals, const uint32_t *masks, int64_t count, uint64_t neg, int64_t shift,
-             const int heavy, int64_t threshold, int64_t *restrict out)
+             const int heavy, int64_t threshold, int64_t *restrict out, const int narrow)
 {
     const int k = __builtin_popcount(masks[0]);
     const __m512i minus = _mm512_set1_epi64((int64_t)neg), least = _mm512_set1_epi64(threshold);
     const __m512i zero = _mm512_setzero_si512();
-    int64_t found = 0;
+    __m512i diffs = zero;
+    swept done = {0, 0};
     for (int64_t j = 0; j < count; j += 8) {
         __m512i m = _mm512_cvtepu32_epi64(_mm256_loadu_si256((const __m256i *)(masks + j)));
         __m512i rest = m, acc = zero;
         for (int step = 0; step < k; step++) {
             __m512i low = _mm512_and_si512(rest, _mm512_sub_epi64(zero, rest));
-            __m512i parent = _mm512_i64gather_epi64(_mm512_xor_si512(m, low), vals, 8);
+            __m512i at = _mm512_xor_si512(m, low);
+            __m512i parent = narrow ? _mm512_cvtepi32_epi64(_mm512_i64gather_epi32(at, vals, 4))
+                                    : _mm512_i64gather_epi64(at, vals, 8);
             __mmask8 sub = _mm512_test_epi64_mask(low, minus);
             acc = _mm512_add_epi64(acc, _mm512_mask_sub_epi64(parent, sub, zero, parent));
             rest = _mm512_xor_si512(rest, low);
         }
+        diffs = _mm512_or_si512(diffs, acc);
         acc = _mm512_srai_epi64(acc, (unsigned)shift);
         _mm512_i64scatter_epi64(vals, m, acc, 8);
         if (heavy) {
             __mmask8 big = _mm512_cmpge_epi64_mask(_mm512_abs_epi64(acc), least);
-            _mm512_mask_compressstoreu_epi64(out + found, big, m);
-            found += __builtin_popcount(big);
+            _mm512_mask_compressstoreu_epi64(out + done.found, big, m);
+            done.found += __builtin_popcount(big);
         }
     }
-    return found;
+    done.diffs = (uint64_t)_mm512_reduce_or_epi64(diffs);
+    return done;
 }
 
 /* Like the scalar sweeps, each on its own cache line. */
-#define GATHER_SWEEP(name, heavy)                                                   \
-    static __attribute__((noinline, aligned(64), target("avx512f"))) int64_t        \
-    name(int64_t *vals, const uint32_t *masks, int64_t count, uint64_t neg,         \
+#define GATHER_SWEEP(name, call)                                                    \
+    static __attribute__((noinline, aligned(64), target("avx512f"))) swept          \
+    name(void *vals, const uint32_t *masks, int64_t count, uint64_t neg,            \
          int64_t shift, int64_t threshold, int64_t *out)                            \
     {                                                                               \
-        return gather_sweep(vals, masks, count, neg, shift, heavy, threshold, out); \
+        return call;                                                                \
     }
-GATHER_SWEEP(gather_plain, 0)
-GATHER_SWEEP(gather_heavy, 1)
+GATHER_SWEEP(gather32_plain, gather_sweep32(vals, masks, count, neg, shift, 0, threshold, out))
+GATHER_SWEEP(gather32_heavy, gather_sweep32(vals, masks, count, neg, shift, 1, threshold, out))
+GATHER_SWEEP(gather16_plain, gather_sweep(vals, masks, count, neg, shift, 0, threshold, out, 1))
+GATHER_SWEEP(gather16_heavy, gather_sweep(vals, masks, count, neg, shift, 1, threshold, out, 1))
+GATHER_SWEEP(gather64_plain, gather_sweep(vals, masks, count, neg, shift, 0, threshold, out, 0))
+GATHER_SWEEP(gather64_heavy, gather_sweep(vals, masks, count, neg, shift, 1, threshold, out, 0))
 
 /* The file's one run-time CPU check (gcc's): whether the host runs the
    AVX-512 sweeps, add_level's with AVX-512F and, with bytes set, those of
@@ -175,7 +298,7 @@ static int host_has_avx512(int bytes)
 }
 #endif
 
-int64_t add_level(int64_t *vals, const uint32_t *masks, int64_t count, const int8_t *row, int64_t n,
+int64_t add_level(void *vals, const uint32_t *masks, int64_t count, const int8_t *row, int64_t n,
                   int64_t shift, int64_t *t, int64_t *out)
 {
     uint64_t neg = 0;
@@ -184,19 +307,29 @@ int64_t add_level(int64_t *vals, const uint32_t *masks, int64_t count, const int
             neg |= (uint64_t)1 << i;
         else if (row[i] != 1)
             return i + 1;
+    /* the level's width: 0 for int32, 1 for level 16 (int32 parents), 2 for int64 */
+    const int k = __builtin_popcount(masks[0]), width = (k > NARROW_MAX_K) + (k > NARROW_MAX_K + 1);
+    static const sweep_fn scalar[3][2] = {
+        {level32_plain, level32_heavy}, {level16_plain, level16_heavy}, {level64_plain, level64_heavy}};
     const int64_t threshold = t ? *t : 0;
-    int64_t head = 0, found = 0;
+    int64_t head = 0;
+    swept vector = {0, 0}, rest;
 #if defined(__x86_64__)
-    if (count >= 8 && host_has_avx512(0)) {
-        head = count & ~(int64_t)7;
-        found = (t ? gather_heavy : gather_plain)(vals, masks, head, neg, shift, threshold, out);
+    static const sweep_fn gather[3][2] = {
+        {gather32_plain, gather32_heavy}, {gather16_plain, gather16_heavy}, {gather64_plain, gather64_heavy}};
+    const int64_t lanes = width ? 8 : 16;
+    if (count >= lanes && host_has_avx512(0)) {
+        head = count & -lanes;
+        vector = gather[width][t != NULL](vals, masks, head, neg, shift, threshold, out);
     }
 #endif
-    if (t)
-        *t = found + level_heavy(vals, masks + head, count - head, neg, shift, threshold, out + found);
-    else
-        level_plain(vals, masks + head, count - head, neg, shift, threshold, out);
-    return 0;
+    if (t) {
+        rest = scalar[width][1](vals, masks + head, count - head, neg, shift, threshold, out + vector.found);
+        *t = vector.found + rest.found;
+    } else {
+        rest = scalar[width][0](vals, masks + head, count - head, neg, shift, threshold, out);
+    }
+    return (vector.diffs | rest.diffs) & (((uint64_t)1 << shift) - 1) ? DROPPED_BIT : 0;
 }
 
 /* Sixteen int8 lanes of the Glynn sweep, moved or compared with 0 in one

@@ -347,6 +347,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # CapError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a result that broke a theorem it must satisfy
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

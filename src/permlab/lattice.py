@@ -8,18 +8,26 @@ cofactor recursion over the newly exposed row:
 
 Every k x k sign matrix has a permanent divisible by 2**s_k, with
 s_k = k - floor(log2 k) - 1 = k - k.bit_length() (Kräuter and Seifter,
-1984), so level k is stored divided by 2**s_k (_SCALE[k]), every level in
-one flat int64 array indexed by mask: a stored value is at most
-k! / 2**s_k, and the kernel's sums before the division at most
-k! / 2**s_(k-1), both below 2**63 through k = 24, past LATTICE_MAX_N.
-value() is the one place that multiplies a stored value back.  The masks
+1984), so level k is stored divided by 2**s_k (_SCALE[k]): a stored value is at
+most k! / 2**s_k, and the kernel's sums before the division at most
+k! / 2**s_(k-1).  Both are below 2**31 through k = 15 (638,512,875 and
+1,277,025,750 at k = 15) and below 2**63 through k = 24, past
+LATTICE_MAX_N, so every level sits in one buffer at the narrowest width its
+bound allows: a level k <= 15 value of mask m is an int32 at byte 4 m
+(_vals32[m]), a level k >= 16 value an int64 at byte 8 m (_vals[m]).  The
+int64 slot of m covers the int32 slots of 2 m and 2 m + 1, whose popcounts
+are at least popcount(m) >= 16, so no int32 level is stored there: an int64
+write never overwrites a live int32 value, an int64 read never reads one,
+and nothing is widened.  The buffer is 4 * 2**n bytes for n <= 15 and
+8 * 2**n past it.  value() is the one place that multiplies a stored value
+back.  The masks
 of each level are one ascending uint32 array (masks_by_level, built by
 doubling and cached per n; 2**22 - 1 fits 32 bits), which the kernel walks;
 the heavy masks that the queries and add_heavy_level return are int64.
 Heaviness thresholds compare an integer |value| against a real threshold,
 which is exact after dividing the threshold by 2**s_k and rounding it up to
 the next integer (_threshold_at, the one rounding), so a stored |value| is
-compared with a threshold scaled like it.
+compared with a threshold scaled like it, and clamped to the level's width.
 add_heavy_level builds a level and selects its heavy masks at one threshold
 in the same pass; the queries of a built level, heavy_count and
 heavy_masks, read its values with numpy.
@@ -34,9 +42,12 @@ each mask of the level, sums the values one level down over the mask's +1
 columns, subtracts the sum over its -1 columns, and halves the difference
 unless k is a power of two (s_k - s_(k-1) is 0 or 1); given a threshold, it
 also stores each heavy mask, in mask order, into the heavy list as it writes
-the value.  On a host with AVX-512F (checked at run time) it builds the
-first count & ~7 masks of a level eight at a time, one gather of eight
-parents per column, and the rest one by one; every other host builds them
+the value.  A set bit that a halving would drop means a value that no sign
+matrix has: the kernel reports it, and add_level raises ArithmeticError.
+On a host with AVX-512F (checked at run time) it builds the first
+count & ~15 masks of a level k <= 15 sixteen at a time, one int32 gather of
+sixteen parents per column, the first count & ~7 of a level k >= 16 eight
+at a time in int64, and the rest one by one; every other host builds them
 all one by one, with the same bytes.  That file's header lists every
 kernel.
 `compiled._kernels` builds and loads the library; `lattice._kernels` is
@@ -58,8 +69,12 @@ from .compiled import _kernels
 from .matrices import CapError, SignMatrix
 from .subsets import masks_by_level
 
-LATTICE_MAX_N = 22  # a 2**n table: 14 * 2**22 bytes ~ 59 MB at its build peak
-_INT64_MAX = 2**63 - 1
+# a 2**n table, int32 slots through level 15 and int64 ones past it:
+# 14 * 2**22 bytes ~ 59 MB at its build peak
+LATTICE_MAX_N = 22
+# the highest level stored as int32: 16! / 2**_SCALE[15] passes 2**31
+_NARROW_MAX_K = 15
+_INT32_MAX, _INT64_MAX = 2**31 - 1, 2**63 - 1
 # level k is stored divided by 2**_SCALE[k], the power of two that divides
 # every k x k sign permanent
 _SCALE = tuple(k - k.bit_length() for k in range(LATTICE_MAX_N + 1))
@@ -84,13 +99,15 @@ def _threshold_at(k: int, threshold) -> int:
     ceil(threshold / 2**s) with s = _SCALE[k], computed as
     ceil(ceil(threshold) / 2**s) in integers, exact for int, numpy int,
     float and Fraction (an integer is taken as it is: math.ceil would round
-    a numpy int past 2**53 through a float).  It is clamped to
-    [0, 2**63 - 1] for add_level's kernel, because ctypes would silently
-    truncate a larger int (a stored |value| is at most 22! / 2**17, so the
-    clamp changes no answer).
+    a numpy int past 2**53 through a float).  It is clamped to the level's
+    width, [0, 2**31 - 1] at k <= 15 and [0, 2**63 - 1] past it, for
+    add_level's kernel, which compares in that width, and because ctypes
+    would silently truncate a larger int (a stored |value| is at most
+    15! / 2**11 at k <= 15 and 22! / 2**17 past it, so the clamp changes no
+    answer).
     """
     rounded = int(threshold) if isinstance(threshold, numbers.Integral) else math.ceil(threshold)
-    return min(max(-(-rounded >> _SCALE[k]), 0), _INT64_MAX)
+    return min(max(-(-rounded >> _SCALE[k]), 0), _INT32_MAX if k <= _NARROW_MAX_K else _INT64_MAX)
 
 
 def _physical_memory_bytes() -> int | None:
@@ -107,11 +124,11 @@ class MinorTable:
     def __init__(self, n: int):
         if n > LATTICE_MAX_N:
             raise CapError(f"minor lattice is capped at n <= {LATTICE_MAX_N} (2**n table), got n={n}")
-        # Peak bytes per mask: the int64 table, which holds every level (8),
-        # the uint32 level masks (4) and, while masks_by_level runs its last
-        # doubling, the levels over n - 1 bits (2).  That is the whole peak
-        # of every table, growth tables included: parent_histogram keeps
-        # nothing on the table.
+        # Peak bytes per mask: the table, which holds every level (8 past
+        # n = 15, 4 below), the uint32 level masks (4) and, while
+        # masks_by_level runs its last doubling, the levels over n - 1 bits
+        # (2).  That bounds the whole peak of every table, growth tables
+        # included: parent_histogram keeps nothing on the table.
         need = 14 << n
         have = _physical_memory_bytes()
         if have is not None and need > have:
@@ -121,8 +138,10 @@ class MinorTable:
             )
         self.n = n
         self.k_max = 0
-        self._vals = np.zeros(1 << n, dtype=np.int64)
-        self._vals[0] = 1  # empty minor
+        # levels through 15 as int32, past it as int64 (module docstring)
+        self._vals = np.zeros(1 << n, dtype=np.int32 if n <= _NARROW_MAX_K else np.int64)
+        self._vals32 = self._vals.view(np.int32)
+        self._vals32[0] = 1  # empty minor
         self._row = np.empty(n, dtype=np.int8)  # add_level's copy of its row
         self._select: int | None = None  # add_heavy_level's scaled threshold
         self._count = np.empty(1, dtype=np.int64)  # the kernel's threshold in, count out
@@ -159,6 +178,11 @@ class MinorTable:
             count_at, out_at = self._count_at, out.ctypes.data
         bad = _kernels().add_level(self._vals_at, self._levels_at[k], len(masks), self._row_at, self.n,
                                    _SCALE[k] - _SCALE[k - 1], count_at, out_at)
+        if bad < 0:
+            raise ArithmeticError(
+                f"minor lattice at n={self.n}, level {k}: a {k} x {k} minor's permanent is not a"
+                f" multiple of 2**{_SCALE[k]}, which every {k} x {k} sign permanent is"
+                " (Kräuter and Seifter, 1984)")
         if bad:
             raise ValueError("row entries must be -1 or +1")
         self.k_max = k
@@ -185,7 +209,12 @@ class MinorTable:
         level = mask.bit_count()
         if level > self.k_max:
             raise ValueError(f"level {level} not built (k_max={self.k_max})")
-        return self._vals.item(mask) << _SCALE[level]
+        return self._stored(level).item(mask) << _SCALE[level]
+
+    def _stored(self, k: int) -> np.ndarray:
+        """The buffer at level k's width, indexed by mask: int32 through
+        level 15, int64 past it."""
+        return self._vals32 if k <= _NARROW_MAX_K else self._vals
 
     def level_masks(self, k: int) -> np.ndarray:
         """The masks of the size-k column sets, ascending, as a read-only
@@ -204,7 +233,7 @@ class MinorTable:
         if not 0 <= k <= self.k_max:
             raise ValueError(f"level {k} not built (k_max={self.k_max})")
         masks = self._levels[k]
-        return masks[np.abs(self._vals[masks]) >= _threshold_at(k, threshold)].astype(np.int64)
+        return masks[np.abs(self._stored(k)[masks]) >= _threshold_at(k, threshold)].astype(np.int64)
 
     def heavy_count(self, k: int, threshold) -> int:
         """Number of size-k column sets whose |value| reaches the threshold."""

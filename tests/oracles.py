@@ -12,9 +12,10 @@ independently of `masks_by_level`; `arange_masks_by_level` groups every
 mask by popcount with one numpy selection a level, the definition that
 `masks_by_level` must reproduce in order; and `level_values` reads a built
 table's values at those masks straight from its storage (through
-`table_values`, which multiplies each level back by the power of two it is
-stored divided by), independently of `MinorTable.value` and the heaviness
-queries.
+`table_values`, which reads each level at its own width, int32 through
+level 15 and int64 past it, and multiplies it back by the power of two it
+is stored divided by), independently of `MinorTable.value` and the
+heaviness queries.
 `enumerate_all_sign_matrices` builds the canonical counter order one matrix
 at a time, independently of the exact checks' batch enumeration;
 `all_sign_matrices` builds the same order as one array, and
@@ -198,20 +199,28 @@ _SCALES = np.array([k - k.bit_length() for k in range(64)], dtype=np.int64)
 
 def table_values(table, masks=None) -> np.ndarray:
     """The minor permanents of a MinorTable at masks of levels <= 20 (default:
-    every mask of a table of n <= 20, in mask order), read from its int64
-    storage and multiplied back by each level's power of two; an unbuilt
-    level reads 0."""
-    masks = np.arange(1 << table.n, dtype=np.int64) if masks is None else np.asarray(masks)
+    every mask of a table of n <= 20, in mask order), read from its storage
+    at each level's width and multiplied back by each level's power of two;
+    an unbuilt level reads 0.
+
+    The storage is one buffer: a level k <= 15 value of mask m is the int32
+    at byte 4 m, a level k >= 16 value the int64 at byte 8 m."""
+    masks = np.arange(1 << table.n, dtype=np.int64) if masks is None else np.asarray(masks, dtype=np.int64)
     levels = np.bitwise_count(masks)
     if levels.max(initial=0) > 20:
         raise ValueError("a level past 20 does not fit int64 unscaled")
-    return table._vals[masks] << _SCALES[levels]
+    narrow = levels <= 15
+    stored = np.zeros(len(masks), dtype=np.int64)
+    stored[narrow] = table._vals.view(np.int32)[masks[narrow]]
+    if not narrow.all():
+        stored[~narrow] = table._vals.view(np.int64)[masks[~narrow]]
+    return stored << _SCALES[levels]
 
 
 def level_values(table, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The masks of level k <= 20 of a built MinorTable, ascending, and their
-    minor permanents, gathered from the table's flat int64 storage; above
-    level 20 the unscaled value no longer fits int64."""
+    minor permanents, gathered from the table's storage; above level 20 the
+    unscaled value no longer fits int64."""
     if not 0 <= k <= min(table.k_max, 20):
         raise ValueError(f"level {k} is not a built level <= 20 (k_max={table.k_max})")
     masks = _gosper_masks(table.n, k)

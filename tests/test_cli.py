@@ -288,6 +288,26 @@ def test_lattice_memory_estimate_is_clean_error(monkeypatch, capsys):
     assert capsys.readouterr().out.strip().lstrip("-").isdigit()
 
 
+def test_a_dropped_bit_is_a_one_line_error(monkeypatch, capsys):
+    # a kernel that reports a dropped bit at the first halved level (3): one
+    # line naming n, the level and the theorem, its own exit code, no result
+    kernels = lattice._kernels()
+
+    class Broken:
+        def __getattr__(self, name):
+            return getattr(kernels, name)
+
+        def add_level(self, *args):
+            return -1 if args[5] else kernels.add_level(*args)
+
+    monkeypatch.setattr(lattice, "_kernels", Broken)
+    assert cli.main(["compute", "--random", "6", "--engine", "lattice"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    assert err.startswith("error: minor lattice at n=6, level 3: a 3 x 3 minor's permanent is not a"
+                          " multiple of 2**1") and "Kräuter and Seifter" in err, err
+
+
 def _peak_rss_kb(*argv: str) -> int:
     """Peak RSS of `permlab argv`, run in a forked child that first caps its
     own address space at 1.5 GiB."""

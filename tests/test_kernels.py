@@ -210,6 +210,30 @@ _RANDOM_SWEEPS = textwrap.dedent("""
 """)
 
 
+# Every level of the all-ones matrix, and of it with row 0 negated, at
+# n = 15, 16 and 18: level 15 stores 15! / 2**11, the int32 bound, and sums
+# up to 15! / 2**10, level 16 reads it as int32 and sums in int64, and at
+# n = 18 levels 16-18 have 153, 18 and 1 masks.  Run in the scalar-only
+# build, where a signed int32 overflow is undefined behaviour that UBSan
+# reports; the vector sweeps wrap.
+_EVERY_WIDTH = textwrap.dedent("""
+    import math
+    import numpy as np
+    from permlab import lattice, matrices
+
+    for n in (15, 16, 18):
+        for sign in (1, -1):
+            entries = np.ones((n, n), dtype=np.int8)
+            entries[0] *= sign
+            table = lattice.build_lattice(matrices.SignMatrix(entries))
+            for k in range(1, n + 1):
+                masks = table.level_masks(k)
+                want = sign * math.factorial(k)
+                assert table.value(int(masks[0])) == table.value(int(masks[-1])) == want, (n, k)
+                assert table.heavy_count(k, abs(want)) == len(masks), (n, k)
+""")
+
+
 # Run before each sanitized child's script: the kernels built with the
 # sanitizer's flags, and each export wrapped with a call counter (every
 # caller looks its kernel up on the one cached library at each call).
@@ -273,7 +297,20 @@ def test_each_cap_is_the_largest_its_bound_allows():
     assert lattice._SCALE == tuple(k - k.bit_length() for k in range(lattice.LATTICE_MAX_N + 1))
     assert all(lattice._SCALE[k] == k - math.floor(math.log2(k)) - 1 for k in levels)
     assert all(f(k) // 2 ** lattice._SCALE[k - 1] < 2**63 for k in levels)
-    assert largest(lambda k: k > 0 and f(k) // 2 ** (k - 1 - (k - 1).bit_length()) < 2**63) == 24
+    scale = lambda k: k - k.bit_length()
+    assert largest(lambda k: k > 0 and f(k) // 2 ** scale(k - 1) < 2**63) == 24
+    # levels through 15 are summed and stored in int32: the sums are below
+    # 2**31 through k = 15 (15! / 2**10), the stored values at most
+    # 15! / 2**11, and at k = 16 the stored bound alone, 16! / 2**11, passes
+    # 2**31; the kernel and the table switch width there, and the table is
+    # int32 through n = 15 and int64 past it
+    assert largest(lambda k: k > 0 and f(k) // 2 ** scale(k - 1) < 2**31) == 15
+    assert f(15) // 2 ** scale(14) == 1_277_025_750 and f(15) // 2 ** scale(15) == 638_512_875
+    assert f(16) // 2 ** scale(16) == 10_216_206_000 > 2**31
+    assert lattice._NARROW_MAX_K == 15 and "#define NARROW_MAX_K 15\n" in source
+    assert "int32_t plus = 0, minus = 0;" in source and "int64_t plus = 0, minus = 0;" in source
+    assert "width = (k > NARROW_MAX_K) + (k > NARROW_MAX_K + 1);" in source
+    assert lattice.MinorTable(15)._vals.nbytes == 4 << 15 and lattice.MinorTable(16)._vals.nbytes == 8 << 16
     # a glynn lane is at most ceil(n/2) in absolute value, and the 16 lanes of
     # two chains multiply in int64: 15**16 < 2**63 <= 16**16
     assert engines.PERMANENT_MAX_N == largest(lambda n: ((n + 1) // 2) ** 16 < 2**63) == 30
@@ -338,7 +375,8 @@ def test_each_cap_is_the_largest_its_bound_allows():
     arrays = re.search(r"cof\[(\d+)\] = \{0\}, mark\[(\d+)\] = \{0\}", source).groups()
     assert arrays == (str(engines._BATCH_MAX_N),) * 2
     # a memory cap: the lattice's 2**n table, which holds every level, takes
-    # 14 bytes a subset at its build peak, about 59 MB at n = 22; and
+    # at most 14 bytes a subset at its build peak (8 of them the table past
+    # n = 15), about 59 MB at n = 22; and
     # add_level reads each mask as a uint32
     assert 14 * 2**lattice.LATTICE_MAX_N < 110 * 10**6 < 14 * 2 ** (lattice.LATTICE_MAX_N + 1)
     assert lattice.LATTICE_MAX_N < 32 and "const uint32_t *masks" in source
@@ -396,7 +434,7 @@ def test_kernels_compile_without_warnings():
 
 def test_kernels_at_their_bounds_under_ubsan(tmp_path):
     _sanitized_child(tmp_path, "libubsan.so", ("-fsanitize=undefined", "-fno-sanitize-recover=all"),
-                     _AT_THE_BOUNDS + _RANDOM_SWEEPS + _SCALAR_ONLY + _RANDOM_SWEEPS)
+                     _AT_THE_BOUNDS + _RANDOM_SWEEPS + _SCALAR_ONLY + _RANDOM_SWEEPS + _EVERY_WIDTH)
 
 
 def test_kernels_read_no_freed_copy_under_asan(tmp_path):
@@ -417,7 +455,8 @@ def test_kernels_read_no_freed_copy_under_asan(tmp_path):
 
 
 # Full tables and fused selections at sizes whose levels have from 1 to
-# 12870 masks, permanents at every n = 1..30 (seeded batches, and through
+# 48620 masks (n = 18 is the first whose level 16, the step from int32 to
+# int64, fills whole groups of eight), permanents at every n = 1..30 (seeded batches, and through
 # n = 24 the all-ones matrix with its first or last row negated), and the
 # cofactors at every row count 1..13 and permanents at every n <= 8 of
 # seeded batches of 0, 1-7 and 67 blocks, so the vector block sweep's last
@@ -431,7 +470,7 @@ _SWEEP_TABLES = textwrap.dedent("""
     from permlab.rng import RngStream
 
     digest = hashlib.sha256()
-    for n in (1, 7, 9, 10, 13, 16):
+    for n in (1, 7, 9, 10, 13, 16, 18):
         m = sample_sign_matrix(n, RngStream(54, n))
         digest.update(lattice.build_lattice(m)._vals.tobytes())
         for threshold in (0, 3, 2**n):
@@ -474,6 +513,54 @@ def test_scalar_sweep_alone_builds_the_same_tables(tmp_path):
     assert [code for _, code in runs] == [0, 0], [err for (_, err), _ in runs]
     assert runs[0][0][0] == runs[1][0][0]
     assert len(os.listdir(tmp_path / "scalar" / "permlab")) == 1
+
+
+# One stored value planted odd one level down, so each difference that reads
+# it is odd where the new level halves it: the build must stop with an
+# ArithmeticError and leave k_max where it was.  At n = 10 level 3 (int32)
+# has 120 masks, 112 in seven groups of sixteen and 8 in the scalar tail; at
+# n = 18 level 17 (int64) has 18, 16 in two groups of eight and 2 in the
+# tail.  The children of a level's first parent (the k - 1 lowest columns)
+# lie in its first groups, at positions C(j, k) for j = k - 1 .. n - 1, and
+# those of its last parent (the k - 1 highest columns) are its last n - k + 1
+# masks, all in the tail.  Each is built plain and with a threshold.
+_DROPPED_BITS = textwrap.dedent("""
+    import numpy as np
+    from permlab import lattice
+    from permlab.matrices import sample_sign_matrix
+    from permlab.rng import RngStream
+
+    for n, k, wide in ((10, 3, np.int32), (18, 17, np.int64)):
+        m = sample_sign_matrix(n, RngStream(57, n))
+        assert lattice.build_lattice(m).top_value() is not None
+        first, last = (1 << k - 1) - 1, ((1 << k - 1) - 1) << n - k + 1
+        for parent in (first, last):
+            for threshold in (None, 0):
+                table = lattice.build_lattice(m, k - 1)
+                table._vals.view(wide)[parent] ^= 1
+                try:
+                    if threshold is None:
+                        table.add_level(m.row(k - 1))
+                    else:
+                        table.add_heavy_level(m.row(k - 1), threshold)
+                except ArithmeticError as exc:
+                    assert str(exc).startswith(f"minor lattice at n={n}, level {k}: "), exc
+                    assert "Kräuter and Seifter" in str(exc), exc
+                else:
+                    raise AssertionError(f"n={n}, k={k}, parent {parent:#x} built")
+                assert table.k_max == k - 1
+""")
+
+
+@pytest.mark.parametrize("build", ["host", "compiled out"])
+def test_a_dropped_bit_stops_the_build(tmp_path, build):
+    prefix = ("" if build == "host" else
+              "from permlab import compiled\n"
+              "compiled._KERNEL_CC = (*compiled._KERNEL_CC, '-D__builtin_cpu_supports(feature)=0')\n")
+    res = subprocess.run([sys.executable, "-c", prefix + _DROPPED_BITS], capture_output=True, text=True,
+                         env={**os.environ, "XDG_CACHE_HOME": str(tmp_path)})
+    assert res.returncode == 0, res.stderr
+    assert len(os.listdir(tmp_path / "permlab")) == 1
 
 
 def test_verify_golden_on_a_perturbed_heap():

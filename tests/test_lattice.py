@@ -271,8 +271,9 @@ def test_every_row_form_builds_the_same_table():
 
 
 def test_memory_guard_names_the_estimate(monkeypatch):
-    # 14 * 2**n bytes: the int64 table, the uint32 level masks and the
-    # half-size levels held through the masks' last doubling
+    # 14 * 2**n bytes: the table (int64 slots past n = 15), the uint32
+    # level masks and the half-size levels held through the masks' last
+    # doubling
     monkeypatch.setattr(lattice, "_physical_memory_bytes", lambda: (14 << 10) - 1)
     with pytest.raises(CapError, match=r"14336 bytes, 14 \* 2\*\*n"):
         MinorTable(10)
@@ -676,6 +677,33 @@ def test_python_int_levels_n22():
         assert t.heavy_masks(k, 0).tolist() == t.level_masks(k).tolist()
         assert t.heavy_count(k, f(k) + 1) == 0
         assert t.heavy_masks(k, f(k) + 1).tolist() == []
+
+
+@pytest.mark.parametrize("n", [16, 22])
+@pytest.mark.parametrize("sign", [1, -1], ids=["ones", "row-0-negated"])
+def test_all_ones_levels_reach_each_width_bound(n, sign):
+    # every size-k minor is sign * k! (sign from level 1 on): level 15
+    # stores 15! / 2**11 = 638,512,875 as int32, its bound exactly, and
+    # level 16, read from it, 16! / 2**11 as int64; every level is checked
+    # whole against math.factorial, n = 16 against the numpy oracle, and
+    # the top against the Glynn kernel and the modular Ryser sweep
+    f = math.factorial
+    entries = np.ones((n, n), dtype=np.int8)
+    entries[0] *= sign
+    m = SignMatrix(entries)
+    t = build_lattice(m)
+    levels = [t.level_masks(k) for k in range(n + 1)]
+    assert np.array_equal(t._vals.view(np.int32)[levels[15]], np.full(len(levels[15]), sign * 638_512_875))
+    assert np.array_equal(t._vals.view(np.int64)[levels[16]], np.full(len(levels[16]), sign * f(16) // 2**11))
+    for k in range(n + 1):
+        want = (sign if k else 1) * f(k)
+        got = table_values(t, levels[k]) if k <= 20 else [t.value(mask) for mask in levels[k].tolist()]
+        assert np.array_equal(got, np.full(len(levels[k]), want)), k
+        assert t.heavy_count(k, f(k)) == len(levels[k]) and t.heavy_count(k, f(k) + 1) == 0, k
+    if n <= 20:
+        assert np.array_equal(table_values(t), numpy_level_table(m))
+    assert t.top_value() == sign * f(n) == permanent(m)
+    assert t.top_value() % (2**31 - 1) == permanent_mod(m, 2**31 - 1)
 
 
 def test_lattice_cap():
