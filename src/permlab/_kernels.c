@@ -10,11 +10,12 @@
      same pass, and stopping on a value that is not a multiple of its
      level's power of two;
    - glynn: Glynn's formula for every exact square permanent up to n = 30,
-     on int8 vector lanes.  On a host with AVX-512BW and DQ one 512-bit
-     vector holds eight whole matrices at n <= 8 and four or two Gray-code
-     walks of one matrix from n = 9, and every step is multiplied out;
-     elsewhere one matrix is swept at a time, and past 8 lanes the steps
-     whose product is 0 are skipped; and
+     on int8 vector lanes.  On a host with AVX-512BW and DQ one sweep
+     takes n <= 20, a 512-bit vector holding eight whole matrices at n <= 8
+     and four or two Gray-code walks of one matrix from n = 9, and every
+     step is multiplied out; elsewhere, and past n = 20 on every host, one
+     matrix is swept at a time, and past 8 lanes the steps whose product is
+     0 are skipped; and
      glynn_cofactors: the same sweeps on blocks with one row more than
      columns, eight or four blocks to a vector on such a host, for the
      row-deleted cofactors that many_children expands its children along;
@@ -369,9 +370,9 @@ typedef int8_t lanes16 __attribute__((vector_size(16)));
    multiplies and a lane at 0 gives a product of 0: a lane there is 0 with
    probability about 0.27, so the branch of a skip mispredicts often, and
    with it n = 8 ran 13% and 7 x 6 cofactor blocks 45% slower.  A host with
-   AVX-512BW and DQ runs none of this sweep: glynn gives n <= 8 and
-   glynn_cofactors every block to blocks_sweep, and glynn gives n >= 9 to
-   walks_sweep, neither of which skips.
+   AVX-512BW and DQ runs this sweep only past n = 20: glynn gives
+   1 <= n <= 20 and glynn_cofactors every block to vector_sweep, which
+   skips nothing.
 
    A product that runs reads the lanes sign-extended into unsigned words,
    and every step is a ring operation on those words, which wrap and have
@@ -515,17 +516,18 @@ GLYNN_WIDTH(cofactors_8, 8, 0, 1)
 GLYNN_WIDTH(cofactors_16, 16, 0, 1)
 
 #if defined(__x86_64__)
-/* The product of each 16-lane group of x, 64 int8 lanes of at most 15 in
-   absolute value, in both int64 lanes of its group, every partial product
-   exact: int8 pairs multiply to int16 (at most 15**2 = 225 < 2**15), int16
-   pairs to int32 in one vpmaddwd (15**4 = 50625 < 2**31), int32 pairs to
-   int64 in one vpmuldq, and the two halves of a group (15**16 < 2**63) in
-   one more vpmuldq at n <= 20, whose lanes are at most ceil(20/2) = 10 (it
-   takes each half as a signed 32-bit operand: 10**8 < 2**31 <= 15**8), and
-   in one vpmullq past 20.  With lanes = 8 it stops after the first three
-   stages, and each int64 lane holds the product of its 8 int8 lanes. */
+/* The product of each group of lanes = 8, 16 or 32 int8 lanes of x, in
+   every int64 lane of its group, the lanes at most ceil(20/2) = 10 in
+   absolute value: int8 pairs multiply to int16 (at most 10**2 < 2**15),
+   int16 pairs to int32 in one vpmaddwd (10**4 < 2**31) and int32 pairs to
+   int64 in one vpmuldq, which leaves each octet's product in its int64
+   lane; then the two octets of each 16 lanes in one more vpmuldq, which
+   takes each as a signed 32-bit operand (10**8 < 2**31: the bound that
+   stops the vector sweep at n = 20), and the two 16-lane halves of a
+   32-lane group in one vpmullq, which wraps modulo 2**64 like
+   glynn_sweep's products. */
 static inline __attribute__((always_inline, target("avx512f,avx512bw,avx512dq"))) __m512i
-group_products(__m512i x, const int lanes, const int wide)
+group_products(__m512i x, const int lanes)
 {
     __m512i even = _mm512_srai_epi16(_mm512_slli_epi16(x, 8), 8), odd = _mm512_srai_epi16(x, 8);
     __m512i p = _mm512_mullo_epi16(even, odd);
@@ -533,183 +535,72 @@ group_products(__m512i x, const int lanes, const int wide)
     p = _mm512_mul_epi32(p, _mm512_srli_epi64(p, 32));
     if (lanes == 8)
         return p;
-    __m512i halves = _mm512_shuffle_epi32(p, _MM_PERM_BADC);
-    return wide ? _mm512_mullo_epi64(p, halves) : _mm512_mul_epi32(p, halves);
-}
-
-/* A block's row, from its first byte at row, in every walk of a vector,
-   with the bytes outside keep (the lanes j >= n) set to 0. */
-static inline __attribute__((always_inline, target("avx512f,avx512bw,avx512dq"))) __m512i
-walk_row(const int8_t *row, uint64_t keep, const int lanes)
-{
-    __m512i all = lanes == 16 ? _mm512_broadcast_i32x4(_mm_loadu_si128((const __m128i *)row))
-                              : _mm512_broadcast_i64x4(_mm256_loadu_si256((const __m256i *)row));
-    return _mm512_maskz_mov_epi8(keep, all);
-}
-
-/* The walks' products at the lanes x (group_products), added to their
-   totals: each walk's in the int64 lanes of its group in acc at n <= 20,
-   where the two 16-lane products of a 32-lane walk are multiplied in one
-   vpmullq, wrapping modulo 2**64 like glynn_sweep's products; and past 20
-   in sum[w], each walk's as one exact signed 64 x 64 -> 128 multiply of
-   its two 16-lane products (15**32 < 2**127), wrapping modulo 2**128. */
-static inline __attribute__((always_inline, target("avx512f,avx512bw,avx512dq"))) void
-add_products(__m512i x, const int lanes, const int wide, __m512i *acc, unsigned __int128 *sum)
-{
-    __m512i p = group_products(x, 16, wide);
-    if (wide) {
-        int64_t half[8];
-        _mm512_storeu_si512(half, p);
-        sum[0] += (unsigned __int128)((__int128)half[0] * half[2]);
-        sum[1] += (unsigned __int128)((__int128)half[4] * half[6]);
-        return;
-    }
+    p = _mm512_mul_epi32(p, _mm512_shuffle_epi32(p, _MM_PERM_BADC));
     if (lanes == 32)
         p = _mm512_mullo_epi64(p, _mm512_permutex_epi64(p, _MM_SHUFFLE(1, 0, 3, 2)));
-    *acc = _mm512_add_epi64(*acc, p);
+    return p;
 }
 
-/* glynn_sweep's formula for 9 <= n <= 30 on a host with AVX-512BW and DQ,
-   with 64 / lanes Gray-code walks in one 512-bit vector of int8 lanes: four
-   walks of 16 lanes (n <= 16) or two of 32.  Walk w fixes the top
-   log2(walks) deltas, delta_(steps+1+k) = -1 exactly when bit k of w is set,
-   and the walks step together over the other steps = n - 1 - log2(walks)
-   deltas (at least 6, at n = 9), so a step is one vpaddb for every walk.
-   The lanes hold glynn_sweep's halved column sums of B, at most 15 in
-   absolute value, and 1 in each lane j >= n of a walk, and each step
-   multiplies all of them out (add_products) into the walks' totals, adding
-   or subtracting by the step's parity: the steps are taken two at a time,
-   so each pair adds its first products and subtracts its second.  A lane
-   at 0 makes its walk's product 0, so no step is tested or skipped.  Each
-   walk's total, times prod_k delta_k over its fixed deltas, sums to
-   glynn_sweep's total, and so to the same out words, exact under the same
-   bounds: in 64 bits at n <= 20 and in 128 past it (with wide).  Each block
-   is read through a copy followed by 32 zero bytes, as in glynn_sweep. */
-static inline __attribute__((always_inline, target("avx512f,avx512bw,avx512dq"))) void
-walks_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const int wide,
-            int64_t *out)
-{
-    const int walks = 64 / lanes, fixed = walks == 4 ? 2 : 1;
-    const int64_t steps = n - 1 - fixed;
-    /* keep: the bytes of lanes j < n; top[k]: the bytes of the walks whose
-       bit k is set */
-    uint64_t keep = 0, top[2] = {0, 0};
-    for (int byte = 0; byte < 64; byte++) {
-        keep |= (uint64_t)(byte % lanes < n) << byte;
-        for (int k = 0; k < fixed; k++)
-            top[k] |= (uint64_t)(byte / lanes >> k & 1) << byte;
-    }
-    const __m512i zero = _mm512_setzero_si512(), sign = _mm512_set1_epi8(-128);
-    for (int64_t b = 0; b < count; b++) {
-        int8_t a[30 * 30 + 32];
-        memcpy(a, mats + b * n * n, n * n);
-        memset(a + n * n, 0, 32);
-        /* step[1][i - 1] is what delta_i going from +1 to -1 adds to the
-           lanes, step[0][i - 1] what going back adds */
-        __m512i step[2][28], sums = walk_row(a, keep, lanes);
-        if (n % 2)
-            sums = _mm512_add_epi8(sums, sums);
-        for (int64_t i = 1; i < n; i++) {
-            __m512i row = walk_row(a + i * n, keep, lanes);
-            if (i <= steps) {
-                step[0][i - 1] = row;
-                step[1][i - 1] = _mm512_sub_epi8(zero, row);
-                sums = _mm512_add_epi8(sums, row);
-            } else {
-                sums = _mm512_mask_sub_epi8(_mm512_add_epi8(sums, row), top[i - steps - 1], sums, row);
-            }
-        }
-        /* halved: each sum is even, so a 16-bit logical shift moves a 0
-           into the top bit of each low byte, where the sign goes back */
-        sums = _mm512_or_si512(_mm512_srli_epi16(sums, 1), _mm512_and_si512(sums, sign));
-        sums = _mm512_mask_blend_epi8(keep, _mm512_set1_epi8(1), sums);
-        __m512i plus = zero, minus = zero;
-        unsigned __int128 plus_wide[2] = {0, 0}, minus_wide[2] = {0, 0};
-        for (uint64_t s = 0; s >> steps == 0; s += 2) {
-            if (s) {
-                int i = __builtin_ctzll(s);
-                sums = _mm512_add_epi8(sums, step[(s ^ s >> 1) >> i & 1][i]);
-            }
-            add_products(sums, lanes, wide, &plus, plus_wide);
-            /* step s + 1 flips delta_1, to -1 when bit 1 of s is clear */
-            sums = _mm512_add_epi8(sums, step[~s >> 1 & 1][0]);
-            add_products(sums, lanes, wide, &minus, minus_wide);
-        }
-        __int128 per;
-        if (wide) {  /* two walks: delta_(n-1) is -1 in the second */
-            per = (__int128)(plus_wide[0] - minus_wide[0] - (plus_wide[1] - minus_wide[1]));
-        } else {
-            uint64_t each[8], total = 0;
-            _mm512_storeu_si512(each, _mm512_sub_epi64(plus, minus));
-            for (int w = 0; w < walks; w++)
-                total += __builtin_parity(w) ? -each[w * lanes / 8] : each[w * lanes / 8];
-            per = (int64_t)total;
-        }
-        per *= 2 - n % 2;
-        out[2 * b] = (int64_t)(uint64_t)per;
-        out[2 * b + 1] = (int64_t)(uint64_t)((unsigned __int128)per >> 64);
-    }
-}
+/* glynn_sweep's formula, with or without cofactors, on a host with
+   AVX-512BW and DQ: glynn at 1 <= n <= 20 and glynn_cofactors at every row
+   count.  One 512-bit vector of int8 lanes holds 64 / lanes groups, group q
+   in bytes q * lanes to q * lanes + lanes - 1, and each group runs one
+   Gray-code walk of one block.  A block takes walks = 1, 2 or 4 adjacent
+   groups; walk w of a block fixes the top log2(walks) deltas,
+   delta_(steps+1+k) = -1 exactly when bit k of w is set, and steps over
+   the other steps = n - 1 - log2(walks).  So a vector holds:
+   - glynn at n <= 8: eight blocks of 8 lanes, one walk each;
+   - glynn at n = 9-16: one block as four walks of 16 lanes;
+   - glynn at n = 17-20: one block as two walks of 32 lanes;
+   - glynn_cofactors: eight blocks of 8 lanes (at most 9 rows) or four of
+     16 (10-13 rows), one walk each.
+   The blocks of a call all have n rows, so every walk steps the same Gray
+   code and one vpaddb steps them all (a block of several walks has at
+   least 6 steps, at n = 9).  The lanes hold glynn_sweep's halved column
+   sums of B, and 1 in each lane j >= cols: at most ceil(9/2) = 5 in
+   absolute value with 8 lanes, ceil(13/2) = 7 with 16 in a cofactor block
+   and ceil(20/2) = 10 otherwise.  Every step multiplies every group out
+   (group_products) and adds the product to its group's int64 total or
+   subtracts it by the step's parity, the steps taken two at a time; a lane
+   at 0 makes its group's product 0, so no step is tested or skipped.  A
+   block's total is the sum of its walks' totals, each times prod_k delta_k
+   over the walk's fixed deltas.  Every sum wraps modulo 2**64 and the
+   values out are glynn_sweep's, so they are exact in the same bounds.
 
-/* Each width its own function, like glynn_sweep's. */
-#define WALKS_WIDTH(name, lanes, wide)                                              \
-    static __attribute__((noinline, target("avx512f,avx512bw,avx512dq"))) void      \
-    name(const int8_t *mats, int64_t count, int64_t n, int64_t *out)                \
-    {                                                                               \
-        walks_sweep(mats, count, n, lanes, wide, out);                              \
-    }
-WALKS_WIDTH(walks_16, 16, 0)
-WALKS_WIDTH(walks_32, 32, 0)
-WALKS_WIDTH(walks_wide, 32, 1)
-
-/* glynn_sweep's formula, with or without cofactors, for the small blocks
-   on a host with AVX-512BW and DQ: glynn at 1 <= n <= 8 and glynn_cofactors
-   at every row count.  One 512-bit vector of int8 lanes holds 64 / lanes
-   blocks, block w in bytes w * lanes to w * lanes + lanes - 1: eight of 8
-   lanes (n <= 8, and cofactor blocks of at most 9 rows) or four of 16
-   (10-13 rows).  The blocks of a call all have n rows, so they share the
-   Gray code and one vpaddb steps them all.  The lanes hold glynn_sweep's
-   halved column sums of B, and 1 in each lane j >= cols: a lane is at most
-   ceil(9 / 2) = 5 in absolute value with 8 lanes and ceil(13 / 2) = 7 with
-   16.  Every step multiplies every block out (group_products: with 8 lanes
-   its first three stages, which leave the block's product, at most
-   5**8 < 2**31, in its int64 lane; with 16 all four, the last a vpmuldq of
-   two octets of at most 7**8 < 2**31, whose product has at most 12 lanes
-   other than 1, 7**12 < 2**63) and adds it to its block's int64 total or
-   subtracts it by the step's parity, the steps taken two at a time as in
-   walks_sweep.  A lane at 0 makes its block's product 0, so no step is
-   tested or skipped.
-
-   With cofactors, no mark is kept.  delta_r is fixed between the steps
-   that flip it, so with T the running total when a flip happens, d_old the
-   sign that the flip ends and d_r the sign after the last step, row r's
-   accumulator, sum over steps of sign * delta_r * product, is
+   With cofactors (one walk a block), no mark is kept.  delta_r is fixed
+   between the steps that flip it, so with T the running total when a flip
+   happens, d_old the sign that the flip ends and d_r the sign after the
+   last step, row r's accumulator, sum over steps of sign * delta_r *
+   product, is
        d_r * T_end + 2 * sum over the flips of row r of d_old * T.
    So a flip of delta_r adds T to flips[1][r - 1] when it goes from +1 to
    -1 and to flips[0][r - 1] when it goes back, one int64 vector per row
    with one lane per block (both lanes of a 16-lane block); after the last
-   step d_r is -1 at r = n - 1 and +1 below it.  Every sum wraps modulo
-   2**64 and the values out are glynn_sweep's, so they are exact in the
-   same bounds.
+   step d_r is -1 at r = n - 1 and +1 below it.
 
-   Each group of blocks is read through a copy followed by 16 zero bytes,
-   from which one gather reads a row of every block; the last group of a
-   count that is not a multiple of 64 / lanes is padded with zero blocks,
-   whose results are dropped. */
+   Each vector's blocks are read through a copy followed by 16 zero bytes,
+   at least what a row's lanes read past its block's last row: one block's
+   row is broadcast to every walk, and one gather reads a row of each of
+   several blocks.  The last vector of a count that is not a multiple of
+   its blocks is padded with zero blocks, whose results are dropped. */
 static inline __attribute__((always_inline, target("avx512f,avx512bw,avx512dq"))) void
-blocks_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const int cofactors,
-             int64_t *out)
+vector_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, const int walks,
+             const int cofactors, int64_t *out)
 {
-    const int blocks = 64 / lanes;
-    const int64_t cols = n - cofactors, size = n * cols, steps = n - 1;
-    /* keep: the bytes of lanes j < cols; at[q]: where int64 lane q's 8 bytes
-       of a row start, from that row's first byte in block 0 */
-    uint64_t keep = 0;
+    const int blocks = 64 / lanes / walks, fixed = __builtin_ctz(walks);
+    const int64_t cols = n - cofactors, size = n * cols, steps = n - 1 - fixed;
+    /* keep: the bytes of lanes j < cols; top[k]: the bytes of the walks whose
+       bit k is set; at[q]: where int64 lane q's 8 bytes of a row start, from
+       that row's first byte in block 0 */
+    uint64_t keep = 0, top[2] = {0, 0};
     int64_t at[8];
-    for (int byte = 0; byte < 64; byte++)
+    for (int byte = 0; byte < 64; byte++) {
         keep |= (uint64_t)(byte % lanes < cols) << byte;
+        for (int k = 0; k < fixed; k++)
+            top[k] |= (uint64_t)(byte / lanes % walks >> k & 1) << byte;
+    }
     for (int q = 0; q < 8; q++)
-        at[q] = q / (lanes / 8) * size + q % (lanes / 8) * 8;
+        at[q] = q * 8 / lanes / walks * size + q % (lanes / 8) * 8;
     const __m512i zero = _mm512_setzero_si512(), sign = _mm512_set1_epi8(-128);
     const __m512i offsets = _mm512_loadu_si512(at);
     for (int64_t g = 0; g < count; g += blocks) {
@@ -719,20 +610,28 @@ blocks_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, cons
         memset(a + filled * size, 0, (blocks - filled) * size + 16);
         /* step[1][i - 1] is what delta_i going from +1 to -1 adds to the
            lanes, step[0][i - 1] what going back adds */
-        __m512i step[2][12], sums = zero;
+        __m512i step[2][18], sums = zero;
         for (int64_t i = 0; i < n; i++) {
-            __m512i row = _mm512_maskz_mov_epi8(keep, _mm512_i64gather_epi64(offsets, a + i * cols, 1));
+            const int8_t *from = a + i * cols;
+            __m512i row = blocks > 1    ? _mm512_i64gather_epi64(offsets, from, 1)
+                          : lanes == 16 ? _mm512_broadcast_i32x4(_mm_loadu_si128((const __m128i *)from))
+                                        : _mm512_broadcast_i64x4(_mm256_loadu_si256((const __m256i *)from));
+            row = _mm512_maskz_mov_epi8(keep, row);
             if (i == 0) {
                 sums = n % 2 ? _mm512_add_epi8(row, row) : row;
-                continue;
+            } else if (i <= steps) {
+                step[0][i - 1] = row;
+                step[1][i - 1] = _mm512_sub_epi8(zero, row);
+                sums = _mm512_add_epi8(sums, row);
+            } else {  /* a fixed delta, -1 in the walks whose bit i - steps - 1 is set */
+                sums = _mm512_mask_sub_epi8(_mm512_add_epi8(sums, row), top[i - steps - 1], sums, row);
             }
-            step[0][i - 1] = row;
-            step[1][i - 1] = _mm512_sub_epi8(zero, row);
-            sums = _mm512_add_epi8(sums, row);
         }
+        /* halved: each sum is even, so a 16-bit logical shift moves a 0
+           into the top bit of each low byte, where the sign goes back */
         sums = _mm512_or_si512(_mm512_srli_epi16(sums, 1), _mm512_and_si512(sums, sign));
         sums = _mm512_mask_blend_epi8(keep, _mm512_set1_epi8(1), sums);
-        __m512i total = zero, flips[2][12];
+        __m512i total = zero, flips[2][18];  /* the shape of step, so one index reads both */
         for (int64_t r = 0; cofactors && r < steps; r++)
             flips[0][r] = flips[1][r] = zero;
         for (uint64_t s = 0; s >> steps == 0; s += 2) {
@@ -742,23 +641,28 @@ blocks_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, cons
                 if (cofactors)
                     flips[up][i] = _mm512_add_epi64(flips[up][i], total);
             }
-            total = _mm512_add_epi64(total, group_products(sums, lanes, 0));
-            if (steps == 0)
+            total = _mm512_add_epi64(total, group_products(sums, lanes));
+            if (walks == 1 && steps == 0)  /* n = 1, one walk: no step to take */
                 break;
             /* step s + 1 flips delta_1, to -1 when bit 1 of s is clear */
             int up = ~s >> 1 & 1;
             sums = _mm512_add_epi8(sums, step[up][0]);
             if (cofactors)
                 flips[up][0] = _mm512_add_epi64(flips[up][0], total);
-            total = _mm512_sub_epi64(total, group_products(sums, lanes, 0));
+            total = _mm512_sub_epi64(total, group_products(sums, lanes));
         }
-        int64_t each[8];
+        uint64_t each[8];
         if (!cofactors) {
             _mm512_storeu_si512(each, total);
-            for (int64_t w = 0; w < filled; w++) {
-                int64_t per = each[w] * (2 - n % 2);
-                out[2 * (g + w)] = per;
-                out[2 * (g + w) + 1] = per < 0 ? -1 : 0;
+            for (int64_t b = 0; b < filled; b++) {
+                uint64_t sum = 0;
+                for (int w = 0; w < walks; w++) {
+                    uint64_t walk = each[(b * walks + w) * lanes / 8];
+                    sum += __builtin_parity(w) ? -walk : walk;
+                }
+                int64_t per = (int64_t)sum * (2 - n % 2);
+                out[2 * (g + b)] = per;
+                out[2 * (g + b) + 1] = per < 0 ? -1 : 0;
             }
             continue;
         }
@@ -770,31 +674,33 @@ blocks_sweep(const int8_t *mats, int64_t count, int64_t n, const int lanes, cons
                 acc = r == n - 1 ? _mm512_sub_epi64(twice, total) : _mm512_add_epi64(twice, total);
             }
             _mm512_storeu_si512(each, acc);
-            for (int64_t w = 0; w < filled; w++) {
-                int64_t v = each[w * lanes / 8];
-                out[(g + w) * n + r] = r && n % 2 ? v / 2 : v;
+            for (int64_t b = 0; b < filled; b++) {
+                int64_t v = (int64_t)each[b * lanes / 8];
+                out[(g + b) * n + r] = r && n % 2 ? v / 2 : v;
             }
         }
     }
 }
 
-/* Each width its own function, like glynn_sweep's. */
-#define BLOCKS_WIDTH(name, lanes, cofactors)                                        \
+/* Each route its own function, like glynn_sweep's widths. */
+#define VECTOR_ROUTE(name, lanes, walks, cofactors)                                 \
     static __attribute__((noinline, target("avx512f,avx512bw,avx512dq"))) void      \
     name(const int8_t *mats, int64_t count, int64_t n, int64_t *out)                \
     {                                                                               \
-        blocks_sweep(mats, count, n, lanes, cofactors, out);                        \
+        vector_sweep(mats, count, n, lanes, walks, cofactors, out);                 \
     }
-BLOCKS_WIDTH(blocks_8, 8, 0)
-BLOCKS_WIDTH(cofactor_blocks_8, 8, 1)
-BLOCKS_WIDTH(cofactor_blocks_16, 16, 1)
+VECTOR_ROUTE(vector_8, 8, 1, 0)
+VECTOR_ROUTE(vector_16, 16, 4, 0)
+VECTOR_ROUTE(vector_32, 32, 2, 0)
+VECTOR_ROUTE(vector_cofactors_8, 8, 1, 1)
+VECTOR_ROUTE(vector_cofactors_16, 16, 1, 1)
 #endif
 
 void glynn(const int8_t *mats, int64_t count, int64_t n, int64_t *out)
 {
 #if defined(__x86_64__)
-    if (n > 0 && host_has_avx512(1)) {
-        (n <= 8 ? blocks_8 : n <= 16 ? walks_16 : n <= 20 ? walks_32 : walks_wide)(mats, count, n, out);
+    if (n > 0 && n <= 20 && host_has_avx512(1)) {
+        (n <= 8 ? vector_8 : n <= 16 ? vector_16 : vector_32)(mats, count, n, out);
         return;
     }
 #endif
@@ -819,7 +725,7 @@ void glynn_cofactors(const int8_t *mats, int64_t count, int64_t rows, int64_t *o
 {
 #if defined(__x86_64__)
     if (host_has_avx512(1)) {
-        (rows <= 9 ? cofactor_blocks_8 : cofactor_blocks_16)(mats, count, rows, out);
+        (rows <= 9 ? vector_cofactors_8 : vector_cofactors_16)(mats, count, rows, out);
         return;
     }
 #endif

@@ -101,11 +101,17 @@ def _load_matrix(args) -> SignMatrix:
         return from_text(Path(args.matrix).read_text())
     if args.random is None:
         raise ValueError("either a matrix file or --random N is required")
-    return sample_sign_matrix(args.random, RngStream(args.seed, args.stream))
+    return sample_sign_matrix(args.random, RngStream(args.seed or 0, args.stream or 0))
 
 
 def _refuse_ignored_flags(args) -> None:
-    """Reject compute flag pairs where one flag would otherwise be ignored."""
+    """Reject compute flag pairs where one flag would otherwise be ignored
+    (--seed and --stream default to None, so a flag the user set is told
+    apart from a default)."""
+    if args.matrix is not None:
+        for flag, value in (("--random", args.random), ("--seed", args.seed), ("--stream", args.stream)):
+            if value is not None:
+                raise ValueError(f"the matrix file {args.matrix} is read as given; it cannot be combined with {flag}")
     if args.mod is not None:
         for flag, given in (("--det", args.det), ("--engine", args.engine),
                             ("--dump-lattice", args.dump_lattice)):
@@ -231,8 +237,10 @@ def _replace_when_done(path: Path):
         with open(tmp, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):  # name the path asked for
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -297,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="permanent/determinant of one matrix")
     p.add_argument("matrix", nargs="?", help="matrix text file (omit with --random)")
     p.add_argument("--random", type=int, metavar="N", help="sample a random N x N matrix")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stream", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="with --random (default: 0)")
+    p.add_argument("--stream", type=int, default=None, help="with --random (default: 0)")
     p.add_argument("--engine", choices=["naive", "lattice"], default=None,
                    help="permanent engine (default: the compiled Glynn kernel, n <= 30)")
     p.add_argument("--det", action="store_true", help="also print the determinant")

@@ -218,9 +218,12 @@ def test_usage_errors_are_clean(args, message):
     ["ensemble", "--n-list", "3", "--trials", "2", "--out", "{tmp}/missing/e.csv"],
 ], ids=["dump-lattice", "matrix-file", "verify-out", "ensemble-out"])
 def test_missing_paths_are_clean_errors(tmp_path, args):
-    res = run_cli(*(a.format(tmp=tmp_path) for a in args))
+    argv = [a.format(tmp=tmp_path) for a in args]
+    res = run_cli(*argv)
     assert res.returncode == 2
-    assert res.stderr.startswith("error: ") and "missing" in res.stderr
+    # the error names the path given, not a temporary file beside it
+    given = next(a for a in argv if "missing" in a)
+    assert res.stderr.startswith("error: ") and f"'{given}'" in res.stderr and ".tmp" not in res.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -380,13 +383,18 @@ def test_compute_lattice_dump(tmp_path, ones3):
 
 
 @pytest.mark.parametrize("args, flags", [
-    (["--mod", "7", "--det"], ("--mod", "--det")),
-    (["--mod", "7", "--engine", "lattice"], ("--mod", "--engine")),
-    (["--mod", "7", "--dump-lattice", "{tmp}/x.csv"], ("--mod", "--dump-lattice")),
-    (["--engine", "naive", "--dump-lattice", "{tmp}/x.csv"], ("--dump-lattice", "--engine")),
-], ids=["mod-det", "mod-engine", "mod-dump", "naive-dump"])
+    (["--random", "5", "--mod", "7", "--det"], ("--mod", "--det")),
+    (["--random", "5", "--mod", "7", "--engine", "lattice"], ("--mod", "--engine")),
+    (["--random", "5", "--mod", "7", "--dump-lattice", "{tmp}/x.csv"], ("--mod", "--dump-lattice")),
+    (["--random", "5", "--engine", "naive", "--dump-lattice", "{tmp}/x.csv"], ("--dump-lattice", "--engine")),
+    (["{tmp}/m.txt", "--random", "5"], ("matrix file {tmp}/m.txt", "--random")),
+    (["{tmp}/m.txt", "--seed", "0"], ("matrix file {tmp}/m.txt", "--seed")),
+    (["{tmp}/m.txt", "--stream", "3"], ("matrix file {tmp}/m.txt", "--stream")),
+], ids=["mod-det", "mod-engine", "mod-dump", "naive-dump", "file-random", "file-seed", "file-stream"])
 def test_compute_ignored_flag_pairs_rejected(tmp_path, capsys, args, flags):
-    argv = ["compute", "--random", "5", *(a.format(tmp=tmp_path) for a in args)]
+    (tmp_path / "m.txt").write_text("2\n1 1\n1 -1\n")
+    argv = ["compute", *(a.format(tmp=tmp_path) for a in args)]
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
     assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")

@@ -136,11 +136,12 @@ def _signed_ones(n: int) -> np.ndarray:
 
 
 # 8/9, 16/17: the last n of the 8- and 16-lane sweeps and the first of the
-# next width (9 is the first n of the vector sweep, or of the steps skipped
-# for a 0 lane on a host without AVX-512BW and DQ); 15: the
+# next width (9 is the first n of the vector sweep's four walks, or of the
+# steps skipped for a 0 lane on a host without AVX-512BW and DQ); 15: the
 # last odd n in 16 lanes; 19 and 20: the last odd and even n summed in 64
-# bits; 21 and 22: the first odd and even n in 128 bits, where the permanent
-# passes int64 and comes back a Python int
+# bits, and the last n of the vector sweep; 21 and 22: the first odd and
+# even n in 128 bits, which the scalar sweep takes on every host, where the
+# permanent passes int64 and comes back a Python int
 @pytest.mark.parametrize("n", [8, 9, 15, 16, 17, 19, 20, 21, 22])
 def test_permanent_at_the_glynn_kernel_boundaries(n):
     m = sample_sign_matrix(n, RngStream(27, n))
@@ -195,7 +196,7 @@ def test_permanent_through_its_cap_of_30(monkeypatch):
 
 def test_glynn_matches_the_lattice_expansion_through_22():
     # Random sign matrices put a 0 lane in most Gray-code steps past 8 lanes:
-    # the scalar sweep skips those steps and the vector sweep (n >= 9 on a
+    # the scalar sweep skips those steps and the vector sweep (n <= 20 on a
     # host with AVX-512BW and DQ) multiplies them out to 0, so a skip
     # taken on the wrong step's lanes or on a padding lane, or a walk's
     # product or sign gone wrong, changes these totals, which are checked

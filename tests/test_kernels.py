@@ -185,11 +185,11 @@ _COPIED_INPUTS = textwrap.dedent("""
 # Seeded random sign matrices at each width of the glynn sweep, checked
 # against the modular Ryser residues, which share no code with the sweep:
 # every n <= 8 and every cofactor row count, in batches that leave the
-# vector block sweep's last group of 8 or 4 blocks part padding.  The scalar
+# vector sweep's last vector of 8 or 4 blocks part padding.  The scalar
 # sweep's steps past 8 lanes mostly skip a product with a 0 lane and
-# sometimes multiply; a host with AVX-512BW and DQ gives every batch here to
-# the vector sweeps, which skip nothing, so the UBSan child runs the script
-# again with the run-time check compiled out.
+# sometimes multiply; a host with AVX-512BW and DQ gives every batch here
+# but n = 22 to the vector sweep, which skips nothing, so the UBSan child
+# runs the script again with the run-time check compiled out.
 _RANDOM_SWEEPS = textwrap.dedent("""
     import numpy as np
     from permlab import engines
@@ -325,43 +325,50 @@ def test_each_cap_is_the_largest_its_bound_allows():
     assert f"step[2][{engines.PERMANENT_MAX_N - 1}][2]" in source
     assert 2 * 16 >= engines.PERMANENT_MAX_N
     assert f"int8_t a[{engines.PERMANENT_MAX_N} * {engines.PERMANENT_MAX_N} + 32];" in source
-    # the vector sweep (walks_sweep), from n = 9, multiplies every step out
-    # in its lanes: a lane is at most 15, a pair at most 225 < 2**15, a quad
-    # at most 50,625 < 2**31, and a 16-lane group at most 15**16 < 2**63; a
-    # vpmuldq takes two quads, or at n <= 20 two octets, as signed 32-bit
-    # operands, and an octet is at most ceil(20/2)**8 < 2**31 only through
-    # n = 20; past it, two 16-lane products multiply in 128 bits exactly
-    assert "if (n > 0 && host_has_avx512(1))" in source
-    assert "n <= 8 ? blocks_8 : n <= 16 ? walks_16 : n <= 20 ? walks_32 : walks_wide" in source
+    # the vector sweep (vector_sweep) takes 1 <= n <= 20 and multiplies every
+    # step out in its lanes: a pair is at most 225 < 2**15 and a quad at most
+    # 50,625 < 2**31 for any lane of at most 15, and a vpmuldq takes two
+    # octets as signed 32-bit operands, and an octet is at most
+    # ceil(20/2)**8 < 2**31 only through n = 20; past it the scalar sweep
+    # takes every n on every host, multiplying two 16-lane chains in 128 bits
+    assert "if (n > 0 && n <= 20 && host_has_avx512(1))" in source
+    assert "n <= 8 ? vector_8 : n <= 16 ? vector_16 : vector_32" in source
     lane = (engines.PERMANENT_MAX_N + 1) // 2
     assert lane == 15 and lane**2 == 225 < 2**15 and lane**4 == 50_625 < 2**31 and lane**16 < 2**63
-    assert ((20 + 1) // 2) ** 8 < 2**31 <= lane**8 and lane**32 < 2**127
-    # four walks of 16 lanes fix log2(4) = 2 deltas and two of 32 fix 1,
-    # which leaves at least one delta to step at the smallest n; the steps of
-    # the largest n fill the step table, and each block is copied with the 32
-    # bytes that its last row's 32 lanes read past it, as in the scalar sweep
-    fixed = {16: 2, 32: 1}
-    assert all(2**fixed[lanes] * lanes == 64 for lanes in fixed)
-    sizes = range(9, engines.PERMANENT_MAX_N + 1)
-    assert min(n - 1 - fixed[16 if n <= 16 else 32] for n in sizes) == 6 >= 1
-    assert f"step[2][{engines.PERMANENT_MAX_N - 1 - fixed[32]}]" in source
-    assert source.count(f"int8_t a[{engines.PERMANENT_MAX_N} * {engines.PERMANENT_MAX_N} + 32];") == 2
-    # the block sweep (blocks_sweep) holds 8 blocks of 8 lanes (n <= 8, and
-    # cofactor blocks of at most 9 rows) or 4 of 16 (10-13 rows) in a vector:
+    assert ((20 + 1) // 2) ** 8 < 2**31 <= lane**8
+    # each 8-, 16- or 32-lane group of the vector runs one walk of one block:
+    # at n = 9-16 four walks of 16 lanes fix log2(4) = 2 deltas and at
+    # n = 17-20 two of 32 fix 1, which leaves at least one delta to step at
+    # the smallest n; every other route is one walk a block, 8 blocks of 8
+    # lanes (n <= 8, and cofactor blocks of at most 9 rows) or 4 of 16
+    # (10-13 rows)
+    walks = {8: 1, 16: 4, 32: 2}
+    fixed = {lanes: walks[lanes].bit_length() - 1 for lanes in walks}
+    assert fixed == {8: 0, 16: 2, 32: 1} and all(walks[lanes] * lanes <= 64 for lanes in walks)
+    assert min(n - 1 - fixed[16 if n <= 16 else 32] for n in range(9, 21)) == 6 >= 1
+    for route in ("vector_8, 8, 1, 0", "vector_16, 16, 4, 0", "vector_32, 32, 2, 0",
+                  "vector_cofactors_8, 8, 1, 1", "vector_cofactors_16, 16, 1, 1"):
+        assert f"VECTOR_ROUTE({route})" in source
+    assert "rows <= 9 ? vector_cofactors_8 : vector_cofactors_16" in source
     # a lane is at most ceil(9/2) = 5 with 8 lanes, so a block's product is
-    # at most 5**8 < 2**31, and at most ceil(13/2) = 7 with 16 lanes, so an
-    # octet is at most 7**8 < 2**31 for the vpmuldq and a block, whose lanes
-    # past its 12 columns hold 1, at most 7**12 < 2**63; its step and flip
-    # tables hold the 12 rows that flip at 13 rows, and a group's copy the
-    # larger of 8 blocks of 9 x 8 and 4 of 13 x 12, and the 16 bytes that its
-    # last row's lanes read past it
-    assert "rows <= 9 ? cofactor_blocks_8 : cofactor_blocks_16" in source
+    # at most 5**8 < 2**31, and at most ceil(13/2) = 7 in a 16-lane cofactor
+    # block, so an octet is at most 7**8 < 2**31 for the vpmuldq and a block,
+    # whose lanes past its 12 columns hold 1, at most 7**12 < 2**63
     small, large = (9 + 1) // 2, (engines._BATCH_MAX_N + 1) // 2
     assert (small, large) == (5, 7) and (8 + 1) // 2 <= small
     assert small**8 < 2**31 and large**8 < 2**31 and large**12 < 2**63
+    # the step table holds the 18 deltas that two walks step at n = 20, more
+    # than the 12 rows that flip at 13 cofactor rows, and the flip table has
+    # its shape; a vector's copy holds the largest of one 20 x 20 block,
+    # 8 of 8 x 8, 8 of 9 x 8 and 4 of 13 x 12, and the 16 bytes past it that
+    # its last row's lanes read: 8 past a block with no columns, 7 past one
+    # of 1 or 9 columns, and 32 - 17 = 15 at n = 17
     rows = engines._BATCH_MAX_N
-    assert f"step[2][{rows - 1}]" in source and f"flips[2][{rows - 1}]" in source
-    assert 8 * 9 * 8 <= 4 * rows * (rows - 1) and "int8_t a[4 * 13 * 12 + 16];" in source
+    flipped = 20 - 1 - fixed[32]
+    assert flipped == 18 >= rows - 1
+    assert f"__m512i step[2][{flipped}]" in source and f"flips[2][{flipped}]" in source
+    assert max(20 * 20, 8 * 8 * 8, 8 * 9 * 8) <= 4 * rows * (rows - 1) and "int8_t a[4 * 13 * 12 + 16];" in source
+    assert max(8 - 1, 8 - 0, 16 - 9, 32 - 17) == 15 < 16
     # ryser_mod reduces its product after every 6 factors |colsum| <= n:
     # 2**31 * 30**6 < 2**61, and 2**n reduced products stay below 2**61
     modulus = engines._KERNEL_MAX_MODULUS
@@ -459,9 +466,10 @@ def test_kernels_read_no_freed_copy_under_asan(tmp_path):
 # int64, fills whole groups of eight), permanents at every n = 1..30 (seeded batches, and through
 # n = 24 the all-ones matrix with its first or last row negated), and the
 # cofactors at every row count 1..13 and permanents at every n <= 8 of
-# seeded batches of 0, 1-7 and 67 blocks, so the vector block sweep's last
-# group is empty, partly padded or full, printed as hashes: run in one child
-# whose kernels take the host's vector sweeps and one whose kernels never do.
+# seeded batches of 0, 1-7 and 67 blocks, so the vector sweep's last vector
+# of blocks is empty, partly padded or full, printed as hashes: run in one
+# child whose kernels take the host's vector sweeps and one whose kernels
+# never do.
 _SWEEP_TABLES = textwrap.dedent("""
     import hashlib
     import numpy as np
